@@ -174,7 +174,8 @@ fn bench_kernel_tiers(exp: &mut Experiment, scale: Scale) {
 fn assert_outcomes_identical(a: &FilterOutcome, b: &FilterOutcome, ctx: &str) {
     assert_eq!(a.blocks.len(), b.blocks.len(), "{ctx}: block count");
     for (x, y) in a.blocks.iter().zip(&b.blocks) {
-        assert_eq!(x.block.curve_rank(), y.block.curve_rank(), "{ctx}: block");
+        assert_eq!(x.curve_rank(), y.curve_rank(), "{ctx}: block rank");
+        assert_eq!(x.depth(), y.depth(), "{ctx}: block depth");
         assert_eq!(x.score.to_bits(), y.score.to_bits(), "{ctx}: score bits");
     }
     assert_eq!(a.mass.to_bits(), b.mass.to_bits(), "{ctx}: mass bits");

@@ -13,11 +13,8 @@
 //! Deletions stay out of scope, as in the paper — archives only grow.
 
 use crate::distortion::DistortionModel;
-use crate::filter::{
-    merge_block_ranges, select_blocks_best_first, select_blocks_range, select_blocks_threshold,
-};
-use crate::fingerprint::{dist_sq, RecordBatch};
-use crate::index::{FilterAlgo, Match, QueryResult, QueryStats, Refine, S3Index, StatQueryOpts};
+use crate::fingerprint::RecordBatch;
+use crate::index::{Match, QueryResult, Refine, Refiner, S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
 use s3_hilbert::{HilbertCurve, Key256, KeyBound, KeyRange};
 
@@ -157,43 +154,24 @@ impl DynamicIndex {
         MergeOutcome::Completed
     }
 
-    /// Statistical query over main + overlay: one filter pass, two scans.
+    /// Statistical query over main + overlay: one filter pass, two scans —
+    /// the static engine filters, merges and scans main, and the overlay is
+    /// scanned against the very ranges it used, so the stats are main's plus
+    /// the overlay's entries.
     pub fn stat_query(
         &self,
         q: &[u8],
         model: &dyn DistortionModel,
         opts: &StatQueryOpts,
     ) -> QueryResult {
-        let curve = self.main.curve();
-        let outcome = match opts.algo {
-            FilterAlgo::BestFirst => {
-                select_blocks_best_first(curve, model, q, opts.depth, opts.alpha, opts.max_blocks)
-            }
-            FilterAlgo::Threshold { iterations } => select_blocks_threshold(
-                curve,
-                model,
-                q,
-                opts.depth,
-                opts.alpha,
-                opts.max_blocks,
-                iterations,
-            ),
-        };
-        // Main scan through the static engine.
-        let mut result = self.main.stat_query(q, model, opts);
-        // Overlay scan against the same ranges.
-        let ranges = merge_block_ranges(curve, &outcome);
+        let (mut result, ranges) = self.main.stat_query_ranges(q, model, opts);
         self.scan_overlay(q, &ranges, opts.refine, Some(model), &mut result);
-        result.stats.mass = outcome.mass;
         result
     }
 
-    /// Exact ε-range query over main + overlay.
+    /// Exact ε-range query over main + overlay (one filter pass, as above).
     pub fn range_query(&self, q: &[u8], eps: f64, depth: u32) -> QueryResult {
-        let curve = self.main.curve();
-        let outcome = select_blocks_range(curve, q, depth, eps, usize::MAX);
-        let mut result = self.main.range_query(q, eps, depth);
-        let ranges = merge_block_ranges(curve, &outcome);
+        let (mut result, ranges) = self.main.range_query_ranges(q, eps, depth);
         self.scan_overlay(q, &ranges, Refine::Range(eps), None, &mut result);
         result
     }
@@ -209,6 +187,7 @@ impl DynamicIndex {
         out: &mut QueryResult,
     ) {
         let base = self.main.len();
+        let mut refiner = Refiner::new(q, refine, model);
         for range in ranges {
             let lo = self.overlay_keys.partition_point(|k| *k < range.lo);
             let hi = match range.hi {
@@ -217,26 +196,7 @@ impl DynamicIndex {
             };
             out.stats.entries_scanned += hi.saturating_sub(lo);
             for i in lo..hi {
-                let fp = self.overlay.fingerprint(i);
-                let keep = match refine {
-                    Refine::All => Some(None),
-                    Refine::Range(eps) => {
-                        let d2 = dist_sq(q, fp) as f64;
-                        (d2 <= eps * eps).then_some(Some(d2))
-                    }
-                    Refine::LogLikelihood(bound) => {
-                        let Some(model) = model else {
-                            unreachable!("likelihood refinement needs a model")
-                        };
-                        let delta: Vec<f64> = q
-                            .iter()
-                            .zip(fp)
-                            .map(|(&a, &b)| f64::from(b) - f64::from(a))
-                            .collect();
-                        (model.log_pdf(&delta) >= bound).then(|| Some(dist_sq(q, fp) as f64))
-                    }
-                };
-                if let Some(dist_sq) = keep {
+                if let Some(dist_sq) = refiner.keep(self.overlay.fingerprint(i)) {
                     out.matches.push(Match {
                         index: base + i,
                         id: self.overlay.id(i),
@@ -249,14 +209,11 @@ impl DynamicIndex {
     }
 }
 
-/// Convenience: the stats of a dynamic query are those of the main engine
-/// plus the overlay scan count (exposed for tests).
-pub type DynamicQueryStats = QueryStats;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distortion::IsotropicNormal;
+    use crate::index::{FilterAlgo, QueryStats};
 
     const DIMS: usize = 6;
 
@@ -328,6 +285,84 @@ mod tests {
             let a = static_idx.range_query(&q, 90.0, 10);
             let b = dyn_idx.range_query(&q, 90.0, 10);
             assert_eq!(ids(&a.matches), ids(&b.matches), "range query diverged");
+        }
+    }
+
+    /// Counts `component_mass` integrations: the filter's only use of the
+    /// model under `Refine::All`, so the count is the filter work done.
+    struct CountingModel {
+        inner: IsotropicNormal,
+        integrations: std::sync::atomic::AtomicU64,
+    }
+
+    impl DistortionModel for CountingModel {
+        fn dims(&self) -> usize {
+            self.inner.dims()
+        }
+        fn component_mass(&self, dim: usize, a: f64, b: f64) -> f64 {
+            self.integrations
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.component_mass(dim, a, b)
+        }
+        fn log_pdf(&self, delta: &[f64]) -> f64 {
+            self.inner.log_pdf(delta)
+        }
+        fn severity(&self) -> f64 {
+            self.inner.severity()
+        }
+    }
+
+    #[test]
+    fn stat_query_filters_once_and_adds_only_overlay_entries() {
+        // One filter pass, with the caller's options: the model is
+        // integrated exactly as often as by the static engine alone, every
+        // filter-side counter is the static engine's, and only
+        // `entries_scanned` grows, by the overlay records in the ranges.
+        let mut state = 0x5EEDu64;
+        let mut base = RecordBatch::new(DIMS);
+        for i in 0..400u32 {
+            base.push(&rand_fp(&mut state), i, 0);
+        }
+        let main = S3Index::build(curve(), base);
+        let mut dyn_idx = DynamicIndex::new(main.clone(), 1.0);
+        let inserted: Vec<Vec<u8>> = (0..200).map(|_| rand_fp(&mut state)).collect();
+        for (i, fp) in inserted.iter().enumerate() {
+            dyn_idx.insert(fp, 1000 + i as u32, 0);
+        }
+        assert_eq!(dyn_idx.merges(), 0);
+        let mut queries = inserted.iter();
+        let model = CountingModel {
+            inner: IsotropicNormal::new(DIMS, 14.0),
+            integrations: 0.into(),
+        };
+        let integrations = || {
+            model
+                .integrations
+                .swap(0, std::sync::atomic::Ordering::Relaxed)
+        };
+        for algo in [
+            FilterAlgo::BestFirst,
+            FilterAlgo::Threshold { iterations: 20 },
+        ] {
+            for mass_cache in [true, false] {
+                let mut opts = StatQueryOpts::new(0.9, 9);
+                opts.algo = algo;
+                opts.mass_cache = mass_cache;
+                let q = queries.next().unwrap();
+                let want = main.stat_query(q, &model, &opts);
+                let static_work = integrations();
+                let got = dyn_idx.stat_query(q, &model, &opts);
+                assert_eq!(integrations(), static_work, "{algo:?} cache={mass_cache}");
+                let overlay = got.matches.iter().filter(|m| m.id >= 1000).count();
+                assert!(overlay > 0, "query must reach the overlay");
+                assert_eq!(
+                    got.stats,
+                    QueryStats {
+                        entries_scanned: want.stats.entries_scanned + overlay,
+                        ..want.stats
+                    }
+                );
+            }
         }
     }
 

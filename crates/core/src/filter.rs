@@ -27,20 +27,60 @@
 //! parent's and the whole partition sums to the mass of the byte cube.
 
 use crate::distortion::DistortionModel;
+use crate::index::{FilterAlgo, StatQueryOpts};
 use crate::metrics::CoreMetrics;
 use crate::resilience::QueryCtx;
-use s3_hilbert::{Block, HilbertCurve};
+use s3_hilbert::{Block, CompactNode, HilbertCurve, Key256, KeyRange, LevelCell};
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A block selected by a filter, with its distortion mass for the query.
+/// A block selected by a filter: its place in the partition and its score.
+///
+/// Deliberately not a [`Block`]: the engines read only the depth, the curve
+/// rank (hence the key range) and the score of a selected block, and a
+/// statistical query at `D = 20` selects tens of thousands of them, so an
+/// entry is 48 bytes instead of a 192-byte box. [`ScoredBlock::block`]
+/// rebuilds the box for tests and diagnostics.
 #[derive(Clone, Copy, Debug)]
 pub struct ScoredBlock {
-    /// The selected p-block.
-    pub block: Block,
+    rank: Key256,
     /// Its probability mass `∫_block p_ΔS(X − Q) dX` (or min-distance² for
     /// the geometric filter, see [`select_blocks_range`]).
     pub score: f64,
+    depth: u32,
+}
+
+impl ScoredBlock {
+    fn of(block: &Block, score: f64) -> ScoredBlock {
+        ScoredBlock {
+            rank: block.curve_rank(),
+            score,
+            depth: block.depth(),
+        }
+    }
+
+    /// Partition depth `p` of the block.
+    #[inline]
+    pub fn depth(&self) -> u32 {
+        self.depth
+    }
+
+    /// The block's index among the `2^depth` blocks, in curve order.
+    #[inline]
+    pub fn curve_rank(&self) -> Key256 {
+        self.rank
+    }
+
+    /// Half-open key interval covered by the block.
+    pub fn key_range(&self, curve: &HilbertCurve) -> KeyRange {
+        KeyRange::of_ranks(curve, self.depth, &self.rank, &self.rank)
+    }
+
+    /// The block's box, rebuilt from its rank in `O(depth)`.
+    pub fn block(&self, curve: &HilbertCurve) -> Block {
+        Block::from_rank(curve, self.depth, &self.rank)
+    }
 }
 
 /// Outcome of a filtering step.
@@ -78,23 +118,32 @@ fn observed(mut outcome: FilterOutcome, algo: &'static str) -> FilterOutcome {
     outcome
 }
 
-/// Per-dimension block mass under the model, centred on the query.
+/// Mass under the model, centred on the query, of the dyadic interval
+/// `[k·2^ext, (k+1)·2^ext)` of axis `dim` — every per-axis factor of every
+/// block is one of these.
 #[inline]
-fn dim_factor(model: &dyn DistortionModel, q: &[f64], block: &Block, dim: usize) -> f64 {
-    let (lo, hi) = block.dim_bounds(dim);
-    model.component_mass(
-        dim,
-        f64::from(lo) - 0.5 - q[dim],
-        f64::from(hi) - 0.5 - q[dim],
-    )
+fn interval_mass(model: &dyn DistortionModel, q: &[f64], dim: usize, ext: u32, k: u32) -> f64 {
+    let lo = u64::from(k) << ext;
+    let hi = lo + (1u64 << ext);
+    model.component_mass(dim, lo as f64 - 0.5 - q[dim], hi as f64 - 0.5 - q[dim])
 }
 
-/// Full block mass (product over dimensions). Production paths go through
-/// [`MassCache::factor`]; tests use this as the uncached reference.
+/// The `(ext, k)` interval a block covers along `dim`.
+#[inline]
+fn block_interval(block: &Block, dim: usize) -> (u32, u32) {
+    let ext = block.extent_log2(dim);
+    (ext, block.lo()[dim].checked_shr(ext).unwrap_or(0))
+}
+
+/// Full block mass (product over dimensions), uncached: the tests'
+/// reference for the incrementally updated masses.
 #[cfg(test)]
 fn block_mass(model: &dyn DistortionModel, q: &[f64], block: &Block) -> f64 {
     (0..model.dims())
-        .map(|d| dim_factor(model, q, block, d))
+        .map(|d| {
+            let (ext, k) = block_interval(block, d);
+            interval_mass(model, q, d, ext, k)
+        })
         .product()
 }
 
@@ -106,17 +155,19 @@ const MAX_CACHED_LEVEL: usize = 16;
 /// Per-query memo of per-axis component masses.
 ///
 /// Every block the filters score is an axis-aligned dyadic box: along axis
-/// `d` it covers `[k·2^e, (k+1)·2^e)` with `e = extent_log2(d)`, so its
-/// per-axis factor is identified by `(axis, level, k)` with
-/// `level = order − e`. A partition-tree descent revisits the same
-/// intervals constantly — a node's factor along every *unsplit* axis equals
-/// its parent's — so memoizing turns the dominant cost of block selection
-/// (repeated `erf`-based `component_mass` integrations) into table lookups.
+/// `d` it covers `[k·2^e, (k+1)·2^e)`, so its per-axis factor is identified
+/// by the interval `(axis, level, k)` with `level = order − e` — the cache
+/// is keyed by that interval, never by a block. A partition-tree descent
+/// revisits the same intervals constantly — a node's factor along every
+/// *unsplit* axis equals its parent's — so memoizing turns the dominant cost
+/// of block selection (repeated `erf`-based `component_mass` integrations)
+/// into table lookups.
 ///
 /// **Bit-identical by construction**: a miss performs the exact same
-/// [`dim_factor`] call the uncached path would, and a hit returns that
+/// [`interval_mass`] call the uncached path would, and a hit returns that
 /// stored `f64` unchanged, so cached selection yields byte-identical
 /// [`FilterOutcome`]s (property-tested in `tests/properties.rs`).
+#[derive(Default)]
 struct MassCache {
     order: u32,
     /// `tables[axis · (order+1) + level]`, lazily grown to `2^level`
@@ -128,36 +179,50 @@ struct MassCache {
 }
 
 impl MassCache {
-    fn new(dims: usize, order: u32) -> MassCache {
-        MassCache {
-            order,
-            tables: vec![Vec::new(); dims * (order as usize + 1)],
-            hits: 0,
-            misses: 0,
+    /// Empties the cache for a new query over a `dims × order` grid, keeping
+    /// the tables' allocations when the shape is unchanged.
+    fn reset(&mut self, dims: usize, order: u32) {
+        let n = dims * (order as usize + 1);
+        if self.order == order && self.tables.len() == n {
+            for table in &mut self.tables {
+                table.fill(f64::NAN);
+            }
+        } else {
+            self.order = order;
+            self.tables.clear();
+            self.tables.resize(n, Vec::new());
         }
+        self.hits = 0;
+        self.misses = 0;
     }
 
-    /// Memoized [`dim_factor`].
-    fn factor(&mut self, model: &dyn DistortionModel, q: &[f64], block: &Block, dim: usize) -> f64 {
-        let ext = block.extent_log2(dim);
+    /// Memoized [`interval_mass`].
+    #[inline]
+    fn factor(
+        &mut self,
+        model: &dyn DistortionModel,
+        q: &[f64],
+        dim: usize,
+        ext: u32,
+        k: u32,
+    ) -> f64 {
         let level = (self.order - ext) as usize;
         if level > MAX_CACHED_LEVEL {
             self.misses += 1;
-            return dim_factor(model, q, block, dim);
+            return interval_mass(model, q, dim, ext, k);
         }
-        let k = (block.lo()[dim] >> ext) as usize;
         let table = &mut self.tables[dim * (self.order as usize + 1) + level];
         if table.is_empty() {
             table.resize(1usize << level, f64::NAN);
         }
-        let v = table[k];
+        let v = table[k as usize];
         if !v.is_nan() {
             self.hits += 1;
             return v;
         }
         self.misses += 1;
-        let m = dim_factor(model, q, block, dim);
-        table[k] = m;
+        let m = interval_mass(model, q, dim, ext, k);
+        table[k as usize] = m;
         m
     }
 
@@ -168,6 +233,32 @@ impl MassCache {
         m.mass_cache_hits.add(self.hits);
         m.mass_cache_misses.add(self.misses);
     }
+}
+
+/// Working memory of the statistical filters, kept per thread so the
+/// queries of a batch worker (or of a sequential loop) clear and refill it
+/// instead of reallocating heap, cell arena, mass tables and rank buffer
+/// for every fingerprint.
+#[derive(Default)]
+struct Scratch {
+    heap: BinaryHeap<HeapNode>,
+    cells: Vec<LevelCell>,
+    cache: MassCache,
+    ranks: Vec<u64>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Option<Box<Scratch>>> = const { Cell::new(None) };
+}
+
+/// Runs `f` on this thread's [`Scratch`]. The scratch is taken out of its
+/// slot for the duration, so a re-entrant call (a distortion model that
+/// itself filters) just works on a fresh one.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    let mut scratch = SCRATCH.with(Cell::take).unwrap_or_default();
+    let out = f(&mut scratch);
+    SCRATCH.with(|slot| slot.set(Some(scratch)));
+    out
 }
 
 /// Shared argument validation of the statistical filters.
@@ -192,10 +283,11 @@ pub(crate) fn query_coords(q: &[u8]) -> Vec<f64> {
     q.iter().map(|&c| f64::from(c)).collect()
 }
 
+/// A best-first frontier entry: 24 bytes, ordered by mass alone.
 #[derive(Debug)]
 struct HeapNode {
     mass: f64,
-    block: Block,
+    node: CompactNode,
 }
 
 impl PartialEq for HeapNode {
@@ -218,6 +310,37 @@ impl Ord for HeapNode {
     }
 }
 
+/// The statistical block selection every query engine runs: `opts` picks
+/// the algorithm, its parameters and whether per-axis masses are memoized;
+/// with a `ctx` the best-first descent polls it every few node expansions
+/// and a stopped descent returns the blocks selected so far with
+/// [`FilterOutcome::truncated`] set — a valid (partial) selection, exact
+/// over the mass it did capture. The threshold baseline runs to completion.
+pub fn select_blocks_stat(
+    curve: &HilbertCurve,
+    model: &dyn DistortionModel,
+    q: &[u8],
+    opts: &StatQueryOpts,
+    ctx: Option<&QueryCtx>,
+) -> FilterOutcome {
+    let (depth, alpha, max) = (opts.depth, opts.alpha, opts.max_blocks);
+    match opts.algo {
+        FilterAlgo::BestFirst => {
+            best_first(curve, model, q, depth, alpha, max, opts.mass_cache, ctx)
+        }
+        FilterAlgo::Threshold { iterations } => threshold(
+            curve,
+            model,
+            q,
+            depth,
+            alpha,
+            max,
+            iterations,
+            opts.mass_cache,
+        ),
+    }
+}
+
 /// Computes `B_α^min` exactly by best-first descent.
 ///
 /// * `q` — query fingerprint;
@@ -233,64 +356,7 @@ pub fn select_blocks_best_first(
     alpha: f64,
     max_blocks: usize,
 ) -> FilterOutcome {
-    check_stat_args(curve, model, q, depth, alpha);
-    let qf = query_coords(q);
-    let mut cache = MassCache::new(curve.dims(), curve.order() as u32);
-    let out = best_first_impl(
-        curve,
-        depth,
-        alpha,
-        max_blocks,
-        model.dims(),
-        None,
-        &mut |b, d| cache.factor(model, &qf, b, d),
-    );
-    cache.publish();
-    observed(out, "best_first")
-}
-
-/// As [`select_blocks_best_first`] (cached or uncached per `mass_cache`),
-/// checking `ctx` every few node expansions. A stopped descent returns the
-/// blocks selected so far with [`FilterOutcome::truncated`] set — a valid
-/// (partial) selection, exact over the mass it did capture.
-#[allow(clippy::too_many_arguments)] // the full cancellable knob set; grouping would obscure the paper's parameters
-pub fn select_blocks_best_first_cancellable(
-    curve: &HilbertCurve,
-    model: &dyn DistortionModel,
-    q: &[u8],
-    depth: u32,
-    alpha: f64,
-    max_blocks: usize,
-    mass_cache: bool,
-    ctx: &QueryCtx,
-) -> FilterOutcome {
-    check_stat_args(curve, model, q, depth, alpha);
-    let qf = query_coords(q);
-    if mass_cache {
-        let mut cache = MassCache::new(curve.dims(), curve.order() as u32);
-        let out = best_first_impl(
-            curve,
-            depth,
-            alpha,
-            max_blocks,
-            model.dims(),
-            Some(ctx),
-            &mut |b, d| cache.factor(model, &qf, b, d),
-        );
-        cache.publish();
-        observed(out, "best_first")
-    } else {
-        let out = best_first_impl(
-            curve,
-            depth,
-            alpha,
-            max_blocks,
-            model.dims(),
-            Some(ctx),
-            &mut |b, d| dim_factor(model, &qf, b, d),
-        );
-        observed(out, "best_first_uncached")
-    }
+    best_first(curve, model, q, depth, alpha, max_blocks, true, None)
 }
 
 /// [`select_blocks_best_first`] without the per-query mass cache — every
@@ -305,42 +371,79 @@ pub fn select_blocks_best_first_uncached(
     alpha: f64,
     max_blocks: usize,
 ) -> FilterOutcome {
-    check_stat_args(curve, model, q, depth, alpha);
-    let qf = query_coords(q);
-    let out = best_first_impl(
-        curve,
-        depth,
-        alpha,
-        max_blocks,
-        model.dims(),
-        None,
-        &mut |b, d| dim_factor(model, &qf, b, d),
-    );
-    observed(out, "best_first_uncached")
+    best_first(curve, model, q, depth, alpha, max_blocks, false, None)
 }
 
-/// Best-first descent parameterized over the per-axis factor source (the
-/// cached/uncached split of the public wrappers).
-fn best_first_impl(
+#[allow(clippy::too_many_arguments)] // the paper's parameters plus the two engine switches
+fn best_first(
+    curve: &HilbertCurve,
+    model: &dyn DistortionModel,
+    q: &[u8],
+    depth: u32,
+    alpha: f64,
+    max_blocks: usize,
+    mass_cache: bool,
+    ctx: Option<&QueryCtx>,
+) -> FilterOutcome {
+    check_stat_args(curve, model, q, depth, alpha);
+    let qf = query_coords(q);
+    with_scratch(|scratch| {
+        let Scratch {
+            heap, cells, cache, ..
+        } = scratch;
+        if mass_cache {
+            cache.reset(curve.dims(), curve.order() as u32);
+            let out = best_first_impl(curve, depth, alpha, max_blocks, ctx, heap, cells, {
+                &mut |dim, ext, k| cache.factor(model, &qf, dim, ext, k)
+            });
+            cache.publish();
+            observed(out, "best_first")
+        } else {
+            let out = best_first_impl(curve, depth, alpha, max_blocks, ctx, heap, cells, {
+                &mut |dim, ext, k| interval_mass(model, &qf, dim, ext, k)
+            });
+            observed(out, "best_first_uncached")
+        }
+    })
+}
+
+/// Best-first descent over [`CompactNode`]s, parameterized over the source
+/// of per-axis interval masses `factor(axis, ext, k)` (the cached/uncached
+/// split of the public wrappers).
+///
+/// A frontier entry is a mass plus a 12-byte node; the boxes themselves
+/// live once per curve level in `cells`. Everything a step needs follows
+/// from the node in O(1): its depth, its rank, the axis it splits and the
+/// parent's and children's intervals along that axis — which are exactly
+/// the factor keys. The heap is ordered by mass alone and sees the same
+/// pushes and pops as a descent carrying full [`Block`]s would, so the
+/// selection, its order and its tie-breaks do not depend on the node
+/// representation.
+#[allow(clippy::too_many_arguments)] // scratch buffers passed apart so callers can borrow the cache too
+fn best_first_impl<F: FnMut(usize, u32, u32) -> f64>(
     curve: &HilbertCurve,
     depth: u32,
     alpha: f64,
     max_blocks: usize,
-    dims: usize,
     ctx: Option<&QueryCtx>,
-    factor: &mut dyn FnMut(&Block, usize) -> f64,
+    heap: &mut BinaryHeap<HeapNode>,
+    cells: &mut Vec<LevelCell>,
+    factor: &mut F,
 ) -> FilterOutcome {
-    let root = Block::root(curve);
-    let root_mass: f64 = (0..dims).map(|d| factor(&root, d)).product();
+    let dims = curve.dims() as u32;
+    let order = curve.order() as u32;
+    heap.clear();
+    cells.clear();
+    cells.push(LevelCell::root(curve));
+    let root_mass: f64 = (0..dims as usize).map(|d| factor(d, order, 0)).product();
     // For queries near the boundary of the byte cube, part of the distortion
     // mass falls outside the grid; the achievable expectation is capped by
     // the root mass. Clamp α so such queries terminate with the best
     // achievable coverage instead of exhausting the whole partition.
     let alpha = alpha.min(root_mass * (1.0 - 1e-9));
-    let mut heap = BinaryHeap::with_capacity(1024);
     heap.push(HeapNode {
         mass: root_mass,
-        block: root,
+        node: CompactNode::ROOT,
     });
 
     let mut out = Vec::new();
@@ -349,8 +452,8 @@ fn best_first_impl(
     let mut truncated = false;
     let mut since_check = 0usize;
 
-    while let Some(node) = heap.pop() {
-        if node.mass <= 0.0 {
+    while let Some(HeapNode { mass, mut node }) = heap.pop() {
+        if mass <= 0.0 {
             break; // everything left is massless
         }
         if let Some(ctx) = ctx {
@@ -363,12 +466,14 @@ fn best_first_impl(
                 }
             }
         }
-        if node.block.depth() == depth {
+        let cell = &cells[node.cell as usize];
+        if cell.depth_of(node.j) == depth {
             out.push(ScoredBlock {
-                block: node.block,
-                score: node.mass,
+                rank: cell.rank_of(node.w_pref, node.j),
+                score: mass,
+                depth,
             });
-            acc += node.mass;
+            acc += mass;
             if acc >= alpha {
                 break;
             }
@@ -378,18 +483,35 @@ fn best_first_impl(
             }
             continue;
         }
+        // A completed digit enters the next curve level: the one place a
+        // new cell is made (never at p ≤ D).
+        if node.j == dims {
+            let Ok(index) = u32::try_from(cells.len()) else {
+                truncated = true; // the arena cannot address another cell
+                break;
+            };
+            let next = cell.descend(curve, node.w_pref);
+            node = CompactNode {
+                cell: index,
+                ..CompactNode::ROOT
+            };
+            cells.push(next);
+        }
         nodes += 1;
-        let axis = node.block.next_split_axis(curve);
-        let parent_factor = factor(&node.block, axis);
-        let children = node.block.split(curve);
-        for child in children {
-            let mass = if parent_factor > 0.0 {
-                node.mass / parent_factor * factor(&child, axis)
+        let split = cells[node.cell as usize].split(dims, node.w_pref, node.j);
+        let parent_factor = factor(split.axis, split.ext, split.k);
+        for c in 0..2 {
+            let child_mass = if parent_factor > 0.0 {
+                let (ext, k) = split.child_interval(c);
+                mass / parent_factor * factor(split.axis, ext, k)
             } else {
                 0.0
             };
-            if mass > 0.0 {
-                heap.push(HeapNode { mass, block: child });
+            if child_mass > 0.0 {
+                heap.push(HeapNode {
+                    mass: child_mass,
+                    node: node.child(c),
+                });
             }
         }
     }
@@ -444,7 +566,7 @@ fn collect_above(
                 // Keep accumulating psup (cheap) but stop storing blocks.
                 continue;
             }
-            eval.blocks.push(ScoredBlock { block, score: mass });
+            eval.blocks.push(ScoredBlock::of(&block, mass));
             continue;
         }
         eval.nodes += 1;
@@ -478,18 +600,7 @@ pub fn select_blocks_threshold(
     max_blocks: usize,
     iterations: usize,
 ) -> FilterOutcome {
-    check_stat_args(curve, model, q, depth, alpha);
-    assert!(iterations > 0);
-    let qf = query_coords(q);
-    // One cache shared across every bisection iteration: each pruned DFS
-    // revisits mostly the same intervals, so iterations beyond the first
-    // integrate almost nothing new.
-    let mut cache = MassCache::new(curve.dims(), curve.order() as u32);
-    let out = threshold_impl(curve, depth, alpha, max_blocks, iterations, model.dims(), {
-        &mut |b, d| cache.factor(model, &qf, b, d)
-    });
-    cache.publish();
-    observed(out, "threshold")
+    threshold(curve, model, q, depth, alpha, max_blocks, iterations, true)
 }
 
 /// [`select_blocks_threshold`] without the mass cache (see
@@ -503,13 +614,48 @@ pub fn select_blocks_threshold_uncached(
     max_blocks: usize,
     iterations: usize,
 ) -> FilterOutcome {
+    threshold(curve, model, q, depth, alpha, max_blocks, iterations, false)
+}
+
+#[allow(clippy::too_many_arguments)] // the paper's parameters plus the cache switch
+fn threshold(
+    curve: &HilbertCurve,
+    model: &dyn DistortionModel,
+    q: &[u8],
+    depth: u32,
+    alpha: f64,
+    max_blocks: usize,
+    iterations: usize,
+    mass_cache: bool,
+) -> FilterOutcome {
     check_stat_args(curve, model, q, depth, alpha);
     assert!(iterations > 0);
     let qf = query_coords(q);
-    let out = threshold_impl(curve, depth, alpha, max_blocks, iterations, model.dims(), {
-        &mut |b, d| dim_factor(model, &qf, b, d)
-    });
-    observed(out, "threshold_uncached")
+    let dims = model.dims();
+    if !mass_cache {
+        let out = threshold_impl(curve, depth, alpha, max_blocks, iterations, dims, {
+            &mut |b, d| {
+                let (ext, k) = block_interval(b, d);
+                interval_mass(model, &qf, d, ext, k)
+            }
+        });
+        return observed(out, "threshold_uncached");
+    }
+    // One cache shared across every bisection iteration: each pruned DFS
+    // revisits mostly the same intervals, so iterations beyond the first
+    // integrate almost nothing new.
+    with_scratch(|scratch| {
+        let cache = &mut scratch.cache;
+        cache.reset(curve.dims(), curve.order() as u32);
+        let out = threshold_impl(curve, depth, alpha, max_blocks, iterations, dims, {
+            &mut |b, d| {
+                let (ext, k) = block_interval(b, d);
+                cache.factor(model, &qf, d, ext, k)
+            }
+        });
+        cache.publish();
+        observed(out, "threshold")
+    })
 }
 
 /// Bisection on `t` parameterized over the per-axis factor source.
@@ -610,7 +756,7 @@ pub fn select_blocks_range(
                 truncated = true;
                 continue;
             }
-            blocks.push(ScoredBlock { block, score: d2 });
+            blocks.push(ScoredBlock::of(&block, d2));
             continue;
         }
         nodes += 1;
@@ -673,10 +819,7 @@ pub fn select_blocks_bbox(
                 truncated = true;
                 continue;
             }
-            blocks.push(ScoredBlock {
-                block,
-                score: block.min_dist_sq(&qf),
-            });
+            blocks.push(ScoredBlock::of(&block, block.min_dist_sq(&qf)));
             continue;
         }
         nodes += 1;
@@ -700,17 +843,69 @@ pub fn select_blocks_bbox(
 
 /// Merges a filter outcome's blocks into sorted, non-overlapping contiguous
 /// key ranges — the scan list of the refinement step.
-pub fn merge_block_ranges(
+///
+/// Blocks of one depth (all a filter ever emits) are merged by rank: rank
+/// order is key order and two blocks abut iff their ranks are consecutive,
+/// so the ranks are sorted as integers and only the ends of each run are
+/// turned into 256-bit keys.
+pub fn merge_block_ranges(curve: &HilbertCurve, outcome: &FilterOutcome) -> Vec<KeyRange> {
+    let blocks = &outcome.blocks;
+    let Some(depth) = blocks.first().map(|b| b.depth) else {
+        return Vec::new();
+    };
+    if blocks.iter().any(|b| b.depth != depth) {
+        return merge_key_ranges(curve, blocks);
+    }
+    if depth <= u64::BITS {
+        with_scratch(|scratch| {
+            let ranks = &mut scratch.ranks;
+            ranks.clear();
+            ranks.extend(blocks.iter().map(|b| b.rank.limbs()[0]));
+            merge_rank_runs(curve, depth, ranks, |r| r.wrapping_add(1), Key256::from_u64)
+        })
+    } else {
+        let mut ranks: Vec<Key256> = blocks.iter().map(|b| b.rank).collect();
+        merge_rank_runs(curve, depth, &mut ranks, |r| r.wrapping_add_u64(1), |r| r)
+    }
+}
+
+/// Sorts same-depth block ranks and turns each run of consecutive ranks
+/// into one key range. A repeated rank starts a new run, as a repeated
+/// range does in [`merge_key_ranges`].
+fn merge_rank_runs<T: Copy + Ord>(
     curve: &HilbertCurve,
-    outcome: &FilterOutcome,
-) -> Vec<s3_hilbert::KeyRange> {
-    let mut ranges: Vec<s3_hilbert::KeyRange> = outcome
-        .blocks
-        .iter()
-        .map(|sb| sb.block.key_range(curve))
-        .collect();
+    depth: u32,
+    ranks: &mut [T],
+    succ: impl Fn(T) -> T,
+    key: impl Fn(T) -> Key256,
+) -> Vec<KeyRange> {
+    ranks.sort_unstable();
+    let mut merged = Vec::new();
+    let mut runs = ranks.iter().copied();
+    let Some(mut first) = runs.next() else {
+        return merged;
+    };
+    let mut last = first;
+    let mut flush =
+        |first, last| merged.push(KeyRange::of_ranks(curve, depth, &key(first), &key(last)));
+    for rank in runs {
+        // `rank >= last`, so a wrapped successor can never match.
+        if rank != succ(last) {
+            flush(first, last);
+            first = rank;
+        }
+        last = rank;
+    }
+    flush(first, last);
+    merged
+}
+
+/// The general merge, for blocks of mixed depths: every block's key range,
+/// sorted by lower bound, abutting neighbours coalesced.
+fn merge_key_ranges(curve: &HilbertCurve, blocks: &[ScoredBlock]) -> Vec<KeyRange> {
+    let mut ranges: Vec<KeyRange> = blocks.iter().map(|sb| sb.key_range(curve)).collect();
     ranges.sort_unstable_by_key(|r| r.lo);
-    let mut merged: Vec<s3_hilbert::KeyRange> = Vec::with_capacity(ranges.len());
+    let mut merged: Vec<KeyRange> = Vec::with_capacity(ranges.len());
     for r in ranges {
         match merged.last_mut() {
             Some(last) if last.abuts(&r) => *last = last.merged(&r),
@@ -794,7 +989,7 @@ mod tests {
         let qf = query_coords(&q);
         let out = select_blocks_best_first(&curve, &model, &q, 6, 0.7, 1 << 12);
         for sb in &out.blocks {
-            let direct = block_mass(&model, &qf, &sb.block);
+            let direct = block_mass(&model, &qf, &sb.block(&curve));
             assert!(
                 (sb.score - direct).abs() < 1e-12,
                 "incremental mass drifted: {} vs {direct}",
@@ -861,7 +1056,10 @@ mod tests {
                 let dx = f64::from(x) - 13.0;
                 let dy = f64::from(y) - 7.0;
                 if (dx * dx + dy * dy).sqrt() <= eps {
-                    let covered = out.blocks.iter().any(|sb| sb.block.contains(&[x, y]));
+                    let covered = out
+                        .blocks
+                        .iter()
+                        .any(|sb| sb.block(&curve).contains(&[x, y]));
                     assert!(covered, "({x},{y}) within eps but not covered");
                 }
             }
@@ -875,7 +1073,7 @@ mod tests {
         let out = select_blocks_range(&curve, &q, 4, 10.0, 1 << 12);
         for sb in &out.blocks {
             assert!(sb.score <= 100.0);
-            assert_eq!(sb.score, sb.block.min_dist_sq(&[16.0, 16.0]));
+            assert_eq!(sb.score, sb.block(&curve).min_dist_sq(&[16.0, 16.0]));
         }
     }
 
@@ -928,5 +1126,405 @@ mod tests {
     fn depth_zero_rejected() {
         let (curve, model) = small_setup();
         select_blocks_best_first(&curve, &model, &[0, 0], 0, 0.5, 16);
+    }
+
+    // ---- the compact descent against the `Block`-carrying one -------------
+
+    /// Frontier entry of [`reference_best_first`]: the mass plus a full
+    /// 192-byte `Block`, ordered by mass alone like [`HeapNode`].
+    struct RefNode {
+        mass: f64,
+        block: Block,
+    }
+    impl PartialEq for RefNode {
+        fn eq(&self, other: &Self) -> bool {
+            self.mass == other.mass
+        }
+    }
+    impl Eq for RefNode {}
+    impl PartialOrd for RefNode {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for RefNode {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.mass
+                .partial_cmp(&other.mass)
+                .unwrap_or(Ordering::Equal)
+        }
+    }
+
+    struct RefOutcome {
+        blocks: Vec<(Block, f64)>,
+        mass: f64,
+        nodes: usize,
+        truncated: bool,
+    }
+
+    /// The best-first descent as it was before compact nodes — every
+    /// frontier entry a `Block`, split by [`Block::split`], factors looked
+    /// up per block — kept as the oracle [`best_first_impl`] must match
+    /// bit for bit.
+    fn reference_best_first(
+        curve: &HilbertCurve,
+        depth: u32,
+        alpha: f64,
+        max_blocks: usize,
+        ctx: Option<&QueryCtx>,
+        factor: &mut dyn FnMut(&Block, usize) -> f64,
+    ) -> RefOutcome {
+        let root = Block::root(curve);
+        let root_mass: f64 = (0..curve.dims()).map(|d| factor(&root, d)).product();
+        let alpha = alpha.min(root_mass * (1.0 - 1e-9));
+        let mut heap = BinaryHeap::with_capacity(1024);
+        heap.push(RefNode {
+            mass: root_mass,
+            block: root,
+        });
+        let mut out = RefOutcome {
+            blocks: Vec::new(),
+            mass: 0.0,
+            nodes: 0,
+            truncated: false,
+        };
+        let mut since_check = 0usize;
+        while let Some(node) = heap.pop() {
+            if node.mass <= 0.0 {
+                break;
+            }
+            if let Some(ctx) = ctx {
+                since_check += 1;
+                if since_check >= 32 {
+                    since_check = 0;
+                    if ctx.should_stop() {
+                        out.truncated = true;
+                        break;
+                    }
+                }
+            }
+            if node.block.depth() == depth {
+                out.blocks.push((node.block, node.mass));
+                out.mass += node.mass;
+                if out.mass >= alpha {
+                    break;
+                }
+                if out.blocks.len() >= max_blocks {
+                    out.truncated = true;
+                    break;
+                }
+                continue;
+            }
+            out.nodes += 1;
+            let axis = node.block.next_split_axis(curve);
+            let parent_factor = factor(&node.block, axis);
+            for child in node.block.split(curve) {
+                let mass = if parent_factor > 0.0 {
+                    node.mass / parent_factor * factor(&child, axis)
+                } else {
+                    0.0
+                };
+                if mass > 0.0 {
+                    heap.push(RefNode { mass, block: child });
+                }
+            }
+        }
+        out
+    }
+
+    /// A clock that cancels `token` on its `fire_at`-th reading and never
+    /// advances: a ctx with a deadline on it stops on exactly that poll,
+    /// without ever expiring the deadline itself.
+    #[derive(Debug)]
+    struct PollClock {
+        polls: std::sync::atomic::AtomicU64,
+        fire_at: u64,
+        token: crate::resilience::CancelToken,
+    }
+
+    impl crate::resilience::Clock for PollClock {
+        fn now(&self) -> std::time::Duration {
+            let n = self.polls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            if n == self.fire_at {
+                self.token.cancel();
+            }
+            std::time::Duration::ZERO
+        }
+        fn sleep(&self, _: std::time::Duration) {}
+    }
+
+    /// A ctx whose `polls`-th `should_stop` is the first to return true.
+    fn ctx_firing_after(polls: u64) -> QueryCtx {
+        let token = crate::resilience::CancelToken::new();
+        let clock = PollClock {
+            polls: 0.into(),
+            fire_at: polls, // reading 0 is `Deadline::after` itself
+            token: token.clone(),
+        };
+        QueryCtx::with_token(token)
+            .and_deadline(std::sync::Arc::new(clock), std::time::Duration::MAX)
+    }
+
+    /// One differential case: both descents on the same inputs must agree
+    /// on every emitted block (rank, depth, score bits, box), the totals,
+    /// the truncation flag and — cached — the hit/miss tallies. Returns
+    /// (blocks emitted, curve levels entered) so callers can check a case
+    /// exercised what it was written for.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_descents_agree(
+        dims: usize,
+        order: usize,
+        depth: u32,
+        sigma: f64,
+        alpha: f64,
+        max_blocks: usize,
+        stop_after_polls: Option<u64>,
+        cached: bool,
+        q: &[u8],
+    ) -> (usize, usize) {
+        let curve = HilbertCurve::new(dims, order).unwrap();
+        let model = IsotropicNormal::new(dims, sigma);
+        let qf = query_coords(q);
+        let (mut heap, mut cells) = (BinaryHeap::new(), Vec::new());
+        let (mut new_cache, mut ref_cache) = (MassCache::default(), MassCache::default());
+        new_cache.reset(dims, order as u32);
+        ref_cache.reset(dims, order as u32);
+
+        let ctx = stop_after_polls.map(ctx_firing_after);
+        let new = if cached {
+            best_first_impl(
+                &curve,
+                depth,
+                alpha,
+                max_blocks,
+                ctx.as_ref(),
+                &mut heap,
+                &mut cells,
+                &mut |d, e, k| new_cache.factor(&model, &qf, d, e, k),
+            )
+        } else {
+            best_first_impl(
+                &curve,
+                depth,
+                alpha,
+                max_blocks,
+                ctx.as_ref(),
+                &mut heap,
+                &mut cells,
+                &mut |d, e, k| interval_mass(&model, &qf, d, e, k),
+            )
+        };
+        let ctx = stop_after_polls.map(ctx_firing_after);
+        let old = reference_best_first(&curve, depth, alpha, max_blocks, ctx.as_ref(), {
+            &mut |b, d| {
+                let (e, k) = block_interval(b, d);
+                if cached {
+                    ref_cache.factor(&model, &qf, d, e, k)
+                } else {
+                    interval_mass(&model, &qf, d, e, k)
+                }
+            }
+        });
+
+        let case = format!("D={dims} K={order} p={depth} σ={sigma} α={alpha} max={max_blocks} stop={stop_after_polls:?} cached={cached}");
+        assert_eq!(new.blocks.len(), old.blocks.len(), "{case}: block count");
+        for (i, (n, (ob, om))) in new.blocks.iter().zip(&old.blocks).enumerate() {
+            assert_eq!(n.curve_rank(), ob.curve_rank(), "{case}: rank of block {i}");
+            assert_eq!(n.depth(), ob.depth(), "{case}: depth of block {i}");
+            assert_eq!(
+                n.score.to_bits(),
+                om.to_bits(),
+                "{case}: score of block {i}"
+            );
+            let rebuilt = n.block(&curve);
+            for a in 0..dims {
+                assert_eq!(rebuilt.dim_bounds(a), ob.dim_bounds(a), "{case}: box {i}");
+            }
+        }
+        assert_eq!(new.mass.to_bits(), old.mass.to_bits(), "{case}: mass");
+        assert_eq!(new.nodes_expanded, old.nodes, "{case}: nodes expanded");
+        assert_eq!(new.truncated, old.truncated, "{case}: truncated");
+        assert_eq!(
+            (new_cache.hits, new_cache.misses),
+            (ref_cache.hits, ref_cache.misses),
+            "{case}: cache tallies"
+        );
+        (new.blocks.len(), cells.len())
+    }
+
+    #[test]
+    fn compact_descent_crosses_level_boundaries_like_the_block_descent() {
+        // Narrow models so the descent reaches past two curve levels (p > 2D)
+        // within a bounded number of pops, at the paper's D and a small one.
+        let q20 = [3u8; 20];
+        for cached in [true, false] {
+            let (blocks, levels) =
+                assert_descents_agree(20, 3, 45, 0.35, 0.6, 64, Some(400), cached, &q20);
+            assert!(
+                blocks > 0 && levels >= 3,
+                "{blocks} blocks, {levels} levels"
+            );
+            let (blocks, _) =
+                assert_descents_agree(20, 8, 18, 20.0, 0.8, 1 << 16, Some(150), cached, &[97; 20]);
+            assert!(blocks > 100, "{blocks} blocks at the default depth");
+            let (blocks, levels) =
+                assert_descents_agree(3, 6, 18, 1.5, 0.95, 1 << 14, None, cached, &[40, 9, 63]);
+            assert!(
+                blocks > 0 && levels >= 6,
+                "{blocks} blocks, {levels} levels"
+            );
+            // Exactly at a level boundary, and the deepest possible depth.
+            assert_descents_agree(4, 3, 8, 1.0, 0.9, 1 << 14, None, cached, &[2, 5, 7, 0]);
+            assert_descents_agree(2, 4, 8, 0.8, 0.99, 1 << 14, None, cached, &[15, 0]);
+        }
+    }
+
+    fn outcome_of(blocks: Vec<ScoredBlock>) -> FilterOutcome {
+        FilterOutcome {
+            blocks,
+            mass: f64::NAN,
+            nodes_expanded: 0,
+            tmax: None,
+            iterations: 0,
+            algo: "",
+            truncated: false,
+        }
+    }
+
+    fn ranked(depth: u32, rank: Key256) -> ScoredBlock {
+        ScoredBlock {
+            rank,
+            score: 0.0,
+            depth,
+        }
+    }
+
+    #[test]
+    fn rank_merge_edge_cases() {
+        let curve = HilbertCurve::paper();
+        assert!(merge_block_ranges(&curve, &outcome_of(Vec::new())).is_empty());
+
+        // The run ending at the last block of the partition ends at `End`.
+        let last = (1u64 << 18) - 1;
+        let out = outcome_of(
+            [last, 7, last - 1, 8, 8]
+                .map(|r| ranked(18, Key256::from_u64(r)))
+                .to_vec(),
+        );
+        let merged = merge_block_ranges(&curve, &out);
+        assert_eq!(merged, merge_key_ranges(&curve, &out.blocks));
+        assert_eq!(merged.len(), 3, "7-8, the repeated 8, and the tail run");
+        assert_eq!(merged[2].hi, s3_hilbert::KeyBound::End);
+
+        // p > 64: ranks no longer fit a u64 (and the top rank is all ones).
+        let top = Key256::low_mask(70);
+        let out = outcome_of(vec![
+            ranked(70, top),
+            ranked(70, Key256::from_u64(1).shl(64)),
+            ranked(70, Key256::from_u64(u64::MAX)),
+            ranked(70, top.saturating_sub_u64(1)),
+        ]);
+        let merged = merge_block_ranges(&curve, &out);
+        assert_eq!(merged, merge_key_ranges(&curve, &out.blocks));
+        assert_eq!(merged.len(), 2, "the run across 2^64 and the tail run");
+
+        // Mixed depths take the general path: a depth-3 block and the two
+        // depth-4 blocks right after it form one range.
+        let out = outcome_of(vec![
+            ranked(4, Key256::from_u64(3)),
+            ranked(3, Key256::from_u64(0)),
+            ranked(4, Key256::from_u64(2)),
+        ]);
+        let merged = merge_block_ranges(&curve, &out);
+        assert_eq!(merged.len(), 1);
+        assert_eq!(merged[0].lo, Key256::ZERO);
+        assert_eq!(
+            merged[0].hi,
+            ranked(4, Key256::from_u64(3)).key_range(&curve).hi
+        );
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Small spaces, run to completion or to a ctx stop: every depth
+            /// from 1 to past two level boundaries.
+            #[test]
+            fn compact_descent_matches_block_descent_small(
+                dims in 2usize..=6,
+                order in 3usize..=8,
+                depth_frac in 0.0f64..1.0,
+                sigma in 0.3f64..30.0,
+                alpha in 0.05f64..=1.0,
+                max_log in 0u32..14,
+                stop in 0u64..40,
+                cached in any::<bool>(),
+                q in proptest::collection::vec(0u8..=255, 6),
+            ) {
+                let max_depth = (2 * dims as u32 + 3).min((dims * order) as u32);
+                let depth = 1 + (depth_frac * f64::from(max_depth)) as u32;
+                let q: Vec<u8> = q[..dims].iter().map(|&c| c >> (8 - order)).collect();
+                assert_descents_agree(
+                    dims, order, depth.min(max_depth), sigma, alpha, 1 << max_log,
+                    (stop > 0).then_some(stop), cached, &q,
+                );
+            }
+
+            /// The paper's D = 20, where a full descent is unbounded: always
+            /// under a ctx that fires within a few hundred polls.
+            #[test]
+            fn compact_descent_matches_block_descent_d20(
+                order in 3usize..=8,
+                depth in 1u32..=43,
+                sigma_rel in 0.02f64..0.2,
+                alpha in 0.05f64..=1.0,
+                max_log in 0u32..10,
+                stop in 1u64..120,
+                cached in any::<bool>(),
+                q in proptest::collection::vec(0u8..=255, 20),
+            ) {
+                let q: Vec<u8> = q.iter().map(|&c| c >> (8 - order)).collect();
+                let sigma = sigma_rel * f64::from(1u32 << order);
+                assert_descents_agree(
+                    20, order, depth, sigma, alpha, 1 << max_log, Some(stop), cached, &q,
+                );
+            }
+
+            /// Merging by rank equals merging by key range, for clustered
+            /// same-depth ranks (runs, gaps, repeats, the last block) below
+            /// and above 64 bits.
+            #[test]
+            fn rank_merge_matches_key_range_merge(
+                wide in any::<bool>(),
+                narrow_depth in 1u32..=64,
+                wide_depth in 65u32..=160,
+                starts in proptest::collection::vec((any::<u64>(), any::<u64>(), 0u64..6), 0..12),
+                from_end in any::<bool>(),
+            ) {
+                let curve = HilbertCurve::paper();
+                let depth = if wide { wide_depth } else { narrow_depth };
+                let top = Key256::low_mask(depth);
+                let mut blocks = Vec::new();
+                for (hi, lo, run) in starts {
+                    let start = Key256::from_limbs([lo, hi, hi ^ lo, 0]).and(&top);
+                    let start = if from_end { top.saturating_sub_u64(lo % 8) } else { start };
+                    for step in 0..=run {
+                        let rank = start.wrapping_add_u64(step);
+                        if rank >= start && rank <= top {
+                            blocks.push(ranked(depth, rank));
+                        }
+                    }
+                }
+                let out = outcome_of(blocks);
+                prop_assert_eq!(
+                    merge_block_ranges(&curve, &out),
+                    merge_key_ranges(&curve, &out.blocks)
+                );
+            }
+        }
     }
 }

@@ -13,9 +13,7 @@
 
 use crate::distortion::DistortionModel;
 use crate::filter::{
-    merge_block_ranges, select_blocks_bbox, select_blocks_best_first,
-    select_blocks_best_first_uncached, select_blocks_range, select_blocks_threshold,
-    select_blocks_threshold_uncached, FilterOutcome,
+    merge_block_ranges, select_blocks_bbox, select_blocks_range, select_blocks_stat, FilterOutcome,
 };
 use crate::fingerprint::{dist_sq, RecordBatch};
 use crate::kernels;
@@ -48,6 +46,60 @@ pub enum Refine {
     Range(f64),
     /// Keep records whose distortion log-density exceeds the bound.
     LogLikelihood(f64),
+}
+
+/// A [`Refine`] predicate bound to one query: what a scanned record must
+/// pass to become a [`Match`], the same in every engine's scan loop.
+pub(crate) struct Refiner<'a> {
+    q: &'a [u8],
+    refine: Refine,
+    model: Option<&'a dyn DistortionModel>,
+    /// Range refinement compares the integer d² against ⌊ε²⌋ — exactly
+    /// equivalent to `d² as f64 <= ε²` (see `kernels::bound_from_eps_sq`)
+    /// but lets the kernel abandon a record mid-vector.
+    range_bound: Option<u64>,
+    delta: Vec<f64>,
+}
+
+impl<'a> Refiner<'a> {
+    pub(crate) fn new(q: &'a [u8], refine: Refine, model: Option<&'a dyn DistortionModel>) -> Self {
+        Refiner {
+            q,
+            refine,
+            model,
+            range_bound: match refine {
+                Refine::Range(eps) => kernels::bound_from_eps_sq(eps * eps),
+                _ => None,
+            },
+            // Scratch of the likelihood predicate alone.
+            delta: match refine {
+                Refine::LogLikelihood(_) => vec![0.0; q.len()],
+                _ => Vec::new(),
+            },
+        }
+    }
+
+    /// `None` rejects the record; `Some(d)` keeps it, `d` being its squared
+    /// distance to the query when the predicate computed one.
+    #[inline]
+    pub(crate) fn keep(&mut self, fp: &[u8]) -> Option<Option<f64>> {
+        match self.refine {
+            Refine::All => Some(None),
+            Refine::Range(_) => self
+                .range_bound
+                .and_then(|bound| kernels::dist_sq_within(self.q, fp, bound))
+                .map(|d2| Some(d2 as f64)),
+            Refine::LogLikelihood(bound) => {
+                let Some(model) = self.model else {
+                    unreachable!("LogLikelihood refinement needs a model")
+                };
+                for (d, (&a, &b)) in self.delta.iter_mut().zip(self.q.iter().zip(fp)) {
+                    *d = f64::from(b) - f64::from(a);
+                }
+                (model.log_pdf(&self.delta) >= bound).then(|| Some(dist_sq(self.q, fp) as f64))
+            }
+        }
+    }
 }
 
 /// Options of a statistical query.
@@ -165,6 +217,20 @@ pub struct QueryStats {
     pub degraded: bool,
 }
 
+impl QueryStats {
+    /// The filter-side counters of a query; the scan fills in the rest.
+    pub(crate) fn of_filter(outcome: &FilterOutcome) -> QueryStats {
+        QueryStats {
+            nodes_expanded: outcome.nodes_expanded,
+            blocks_selected: outcome.blocks.len(),
+            mass: outcome.mass,
+            tmax: outcome.tmax,
+            truncated: outcome.truncated,
+            ..QueryStats::default()
+        }
+    }
+}
+
 /// Result of a query: matches plus work counters.
 #[derive(Clone, Debug, Default)]
 pub struct QueryResult {
@@ -172,6 +238,16 @@ pub struct QueryResult {
     pub matches: Vec<Match>,
     /// Work counters.
     pub stats: QueryStats,
+}
+
+/// One statistical query as run: the selection, the scan's result and plan,
+/// and the time each phase took.
+struct StatRun {
+    outcome: FilterOutcome,
+    res: QueryResult,
+    ranges: Vec<KeyRange>,
+    filter_ns: u64,
+    refine_ns: u64,
 }
 
 /// The static S³ index: records sorted by Hilbert key, an index table for
@@ -373,9 +449,28 @@ impl S3Index {
         lo + self.keys[lo..hi].partition_point(|k| k < key)
     }
 
-    /// Shared refinement scan over merged ranges. With a `ctx`, the scan
-    /// checks for cancellation every [`REFINE_CHUNK`] records and stops
-    /// early, flagging the result `cancelled`/`degraded`.
+    /// [`S3Index::lower_bound`] for a caller sweeping ascending bounds, where
+    /// `from` is the previous answer. A scan list of thousands of ranges
+    /// (deep partitions) puts the next bound a few records ahead, so the
+    /// records right after `from` — which the scan is about to read anyway —
+    /// are searched first; only a bound beyond that window (or one not
+    /// ascending) pays the index-table probe.
+    fn lower_bound_from(&self, from: usize, key: &Key256) -> usize {
+        /// Records searched in place before falling back to the table: one
+        /// table slot's worth (see `pick_table_depth`).
+        const NEAR: usize = 16;
+        let near = &self.keys[from..self.keys.len().min(from + NEAR)];
+        let ascending = from == 0 || self.keys[from - 1] < *key;
+        match near.last() {
+            Some(last) if ascending && *key <= *last => from + near.partition_point(|k| k < key),
+            _ => self.lower_bound(key),
+        }
+    }
+
+    /// Shared refinement scan over the outcome's merged ranges, which it
+    /// returns beside the result. With a `ctx`, the scan checks for
+    /// cancellation every [`REFINE_CHUNK`] records and stops early, flagging
+    /// the result `cancelled`/`degraded`.
     fn refine_scan(
         &self,
         q: &[u8],
@@ -383,23 +478,22 @@ impl S3Index {
         refine: Refine,
         model: Option<&dyn DistortionModel>,
         ctx: Option<&QueryCtx>,
-    ) -> QueryResult {
+    ) -> (QueryResult, Vec<KeyRange>) {
         let mut sp = span!("query.refine");
         let merged = merge_block_ranges(&self.curve, outcome);
+        let mut cursor = 0usize;
         let mut matches = Vec::new();
         let mut entries = 0usize;
         let mut cancelled = false;
         let mut since_check = 0usize;
-        let mut delta = vec![0.0f64; q.len()];
-        // Range refinement compares the integer d² against ⌊ε²⌋ — exactly
-        // equivalent to `d² as f64 <= ε²` (see `kernels::bound_from_eps_sq`)
-        // but lets the kernel abandon a record mid-vector.
-        let range_bound = match refine {
-            Refine::Range(eps) => kernels::bound_from_eps_sq(eps * eps),
-            _ => None,
-        };
+        let mut refiner = Refiner::new(q, refine, model);
         'ranges: for range in &merged {
-            let (start, end) = self.locate(range);
+            let start = self.lower_bound_from(cursor, &range.lo);
+            let end = match range.hi {
+                KeyBound::Excl(hi) => self.lower_bound_from(start, &hi),
+                KeyBound::End => self.keys.len(),
+            };
+            cursor = end;
             for i in start..end {
                 if let Some(ctx) = ctx {
                     since_check += 1;
@@ -412,107 +506,75 @@ impl S3Index {
                     }
                 }
                 entries += 1;
-                let fp = self.records.fingerprint(i);
-                let keep = match refine {
-                    Refine::All => {
-                        matches.push(Match {
-                            index: i,
-                            id: self.records.id(i),
-                            tc: self.records.tc(i),
-                            dist_sq: None,
-                        });
-                        continue;
-                    }
-                    Refine::Range(_) => range_bound
-                        .and_then(|bound| kernels::dist_sq_within(q, fp, bound))
-                        .map(|d2| d2 as f64),
-                    Refine::LogLikelihood(bound) => {
-                        let Some(model) = model else {
-                            unreachable!("LogLikelihood refinement needs a model")
-                        };
-                        for (j, (&a, &b)) in q.iter().zip(fp).enumerate() {
-                            delta[j] = f64::from(b) - f64::from(a);
-                        }
-                        if model.log_pdf(&delta) >= bound {
-                            Some(dist_sq(q, fp) as f64)
-                        } else {
-                            None
-                        }
-                    }
-                };
-                if let Some(d2) = keep {
+                if let Some(dist_sq) = refiner.keep(self.records.fingerprint(i)) {
                     matches.push(Match {
                         index: i,
                         id: self.records.id(i),
                         tc: self.records.tc(i),
-                        dist_sq: Some(d2),
+                        dist_sq,
                     });
                 }
             }
         }
         sp.record("ranges", merged.len() as f64);
         sp.record("entries", entries as f64);
-        QueryResult {
+        let res = QueryResult {
             matches,
             stats: QueryStats {
-                nodes_expanded: outcome.nodes_expanded,
-                blocks_selected: outcome.blocks.len(),
                 ranges_scanned: merged.len(),
                 entries_scanned: entries,
-                mass: outcome.mass,
-                tmax: outcome.tmax,
-                truncated: outcome.truncated,
                 cancelled,
                 degraded: cancelled,
-                ..QueryStats::default()
+                ..QueryStats::of_filter(outcome)
             },
-        }
+        };
+        (res, merged)
     }
 
-    /// The statistical block-selection dispatch shared by every stat entry
-    /// point (spanned; with a `ctx` the best-first descent is interruptible,
-    /// the threshold baseline runs to completion before the check).
-    fn run_stat_filter(
+    /// What every stat entry point runs: the spanned block selection, the
+    /// refinement scan, and the fold into the registry. With a `ctx`, a
+    /// stop observed after the filter flags the result conservatively (the
+    /// selection may have been cut short) even if refinement completes.
+    fn run_stat_query(
         &self,
         q: &[u8],
         model: &dyn DistortionModel,
         opts: &StatQueryOpts,
         ctx: Option<&QueryCtx>,
-    ) -> FilterOutcome {
-        let mut sp = span!("query.filter");
-        let (curve, depth, alpha, max) = (&self.curve, opts.depth, opts.alpha, opts.max_blocks);
-        let outcome = match (opts.algo, ctx) {
-            (FilterAlgo::BestFirst, Some(ctx)) => {
-                crate::filter::select_blocks_best_first_cancellable(
-                    curve,
-                    model,
-                    q,
-                    depth,
-                    alpha,
-                    max,
-                    opts.mass_cache,
-                    ctx,
-                )
-            }
-            (FilterAlgo::BestFirst, None) => {
-                if opts.mass_cache {
-                    select_blocks_best_first(curve, model, q, depth, alpha, max)
-                } else {
-                    select_blocks_best_first_uncached(curve, model, q, depth, alpha, max)
-                }
-            }
-            (FilterAlgo::Threshold { iterations }, _) => {
-                if opts.mass_cache {
-                    select_blocks_threshold(curve, model, q, depth, alpha, max, iterations)
-                } else {
-                    select_blocks_threshold_uncached(curve, model, q, depth, alpha, max, iterations)
-                }
-            }
+    ) -> StatRun {
+        let t0 = Instant::now();
+        let outcome = {
+            let mut sp = span!("query.filter");
+            let outcome = select_blocks_stat(&self.curve, model, q, opts, ctx);
+            sp.record("blocks", outcome.blocks.len() as f64);
+            sp.record("nodes", outcome.nodes_expanded as f64);
+            sp.record("mass", outcome.mass);
+            outcome
         };
-        sp.record("blocks", outcome.blocks.len() as f64);
-        sp.record("nodes", outcome.nodes_expanded as f64);
-        sp.record("mass", outcome.mass);
-        outcome
+        let filter_ns = t0.elapsed().as_nanos() as u64;
+        let filter_stopped = ctx.is_some_and(|c| c.should_stop());
+        let t1 = Instant::now();
+        let (mut res, ranges) = self.refine_scan(q, &outcome, opts.refine, Some(model), ctx);
+        let refine_ns = t1.elapsed().as_nanos() as u64;
+        if filter_stopped {
+            res.stats.cancelled = true;
+            res.stats.degraded = true;
+        }
+        let metrics = CoreMetrics::get();
+        metrics.record_query(&res.stats, t0.elapsed());
+        metrics.record_calibration(
+            res.stats.mass,
+            opts.alpha,
+            res.stats.entries_scanned,
+            self.len(),
+        );
+        StatRun {
+            outcome,
+            res,
+            ranges,
+            filter_ns,
+            refine_ns,
+        }
     }
 
     /// Statistical query of expectation α (§II, eq. 1).
@@ -522,19 +584,20 @@ impl S3Index {
         model: &dyn DistortionModel,
         opts: &StatQueryOpts,
     ) -> QueryResult {
+        self.stat_query_ranges(q, model, opts).0
+    }
+
+    /// [`S3Index::stat_query`], also handing back the merged key ranges it
+    /// scanned so an overlay can be scanned against the same plan.
+    pub(crate) fn stat_query_ranges(
+        &self,
+        q: &[u8],
+        model: &dyn DistortionModel,
+        opts: &StatQueryOpts,
+    ) -> (QueryResult, Vec<KeyRange>) {
         let _scope = QueryScope::enter_inherit(next_query_id());
-        let t0 = Instant::now();
-        let outcome = self.run_stat_filter(q, model, opts, None);
-        let res = self.refine_scan(q, &outcome, opts.refine, Some(model), None);
-        let metrics = CoreMetrics::get();
-        metrics.record_query(&res.stats, t0.elapsed());
-        metrics.record_calibration(
-            res.stats.mass,
-            opts.alpha,
-            res.stats.entries_scanned,
-            self.len(),
-        );
-        res
+        let run = self.run_stat_query(q, model, opts, None);
+        (run.res, run.ranges)
     }
 
     /// As [`S3Index::stat_query`], cooperatively checking `ctx` at
@@ -552,7 +615,6 @@ impl S3Index {
         ctx: &QueryCtx,
     ) -> QueryResult {
         let _scope = QueryScope::enter_inherit(ctx.id());
-        let t0 = Instant::now();
         if ctx.should_stop() {
             let res = QueryResult {
                 matches: Vec::new(),
@@ -562,27 +624,10 @@ impl S3Index {
                     ..QueryStats::default()
                 },
             };
-            CoreMetrics::get().record_query(&res.stats, t0.elapsed());
+            CoreMetrics::get().record_query(&res.stats, std::time::Duration::ZERO);
             return res;
         }
-        let outcome = self.run_stat_filter(q, model, opts, Some(ctx));
-        // A stop observed here means the filter may have been cut short:
-        // flag conservatively even if refinement completes.
-        let filter_stopped = ctx.should_stop();
-        let mut res = self.refine_scan(q, &outcome, opts.refine, Some(model), Some(ctx));
-        if filter_stopped {
-            res.stats.cancelled = true;
-            res.stats.degraded = true;
-        }
-        let metrics = CoreMetrics::get();
-        metrics.record_query(&res.stats, t0.elapsed());
-        metrics.record_calibration(
-            res.stats.mass,
-            opts.alpha,
-            res.stats.entries_scanned,
-            self.len(),
-        );
-        res
+        self.run_stat_query(q, model, opts, Some(ctx)).res
     }
 
     /// As [`S3Index::stat_query`]/[`S3Index::stat_query_ctx`] with per-query
@@ -600,25 +645,13 @@ impl S3Index {
     ) -> (QueryResult, ExplainReport) {
         let query_id = ctx.map(|c| c.id()).unwrap_or_else(next_query_id);
         let _scope = QueryScope::enter_inherit(query_id);
-        let t0 = Instant::now();
-        let outcome = self.run_stat_filter(q, model, opts, ctx);
-        let filter_ns = t0.elapsed().as_nanos() as u64;
-        let filter_stopped = ctx.is_some_and(|c| c.should_stop());
-        let t1 = Instant::now();
-        let mut res = self.refine_scan(q, &outcome, opts.refine, Some(model), ctx);
-        let refine_ns = t1.elapsed().as_nanos() as u64;
-        if filter_stopped {
-            res.stats.cancelled = true;
-            res.stats.degraded = true;
-        }
-        let metrics = CoreMetrics::get();
-        metrics.record_query(&res.stats, t0.elapsed());
-        metrics.record_calibration(
-            res.stats.mass,
-            opts.alpha,
-            res.stats.entries_scanned,
-            self.len(),
-        );
+        let StatRun {
+            outcome,
+            res,
+            filter_ns,
+            refine_ns,
+            ..
+        } = self.run_stat_query(q, model, opts, ctx);
 
         // Per-block accounting: each block's key range located against the
         // sorted record array gives the records scanned for it (depth-p
@@ -627,9 +660,9 @@ impl S3Index {
         let mut blocks: Vec<BlockExplain> = Vec::with_capacity(outcome.blocks.len());
         let mut intervals: Vec<(usize, usize, usize)> = Vec::with_capacity(outcome.blocks.len());
         for (bi, sb) in outcome.blocks.iter().enumerate() {
-            let (lo, hi) = self.locate(&sb.block.key_range(&self.curve));
+            let (lo, hi) = self.locate(&sb.key_range(&self.curve));
             blocks.push(BlockExplain {
-                depth: sb.block.depth(),
+                depth: sb.depth(),
                 predicted_mass: sb.score,
                 scanned: (hi - lo) as u64,
                 matched: 0,
@@ -699,14 +732,25 @@ impl S3Index {
     /// Exact ε-range query through the index: geometric block filter plus
     /// distance refinement. Recall is exact (the filter is complete).
     pub fn range_query(&self, q: &[u8], eps: f64, depth: u32) -> QueryResult {
+        self.range_query_ranges(q, eps, depth).0
+    }
+
+    /// [`S3Index::range_query`], also handing back the merged key ranges it
+    /// scanned (see [`S3Index::stat_query_ranges`]).
+    pub(crate) fn range_query_ranges(
+        &self,
+        q: &[u8],
+        eps: f64,
+        depth: u32,
+    ) -> (QueryResult, Vec<KeyRange>) {
         let t0 = Instant::now();
         let outcome = {
             let _sp = span!("query.filter");
             select_blocks_range(&self.curve, q, depth, eps, usize::MAX)
         };
-        let res = self.refine_scan(q, &outcome, Refine::Range(eps), None, None);
+        let (res, ranges) = self.refine_scan(q, &outcome, Refine::Range(eps), None, None);
         CoreMetrics::get().record_query(&res.stats, t0.elapsed());
-        res
+        (res, ranges)
     }
 
     /// ε-range query through the classical bounding-box filter (the only
@@ -720,7 +764,7 @@ impl S3Index {
             let _sp = span!("query.filter");
             select_blocks_bbox(&self.curve, q, depth, eps, usize::MAX)
         };
-        let res = self.refine_scan(q, &outcome, Refine::Range(eps), None, None);
+        let (res, _) = self.refine_scan(q, &outcome, Refine::Range(eps), None, None);
         CoreMetrics::get().record_query(&res.stats, t0.elapsed());
         res
     }
@@ -933,6 +977,28 @@ mod tests {
         let bf_set: std::collections::HashSet<usize> = bf.matches.iter().map(|m| m.index).collect();
         let th_set: std::collections::HashSet<usize> = th.matches.iter().map(|m| m.index).collect();
         assert!(bf_set.is_subset(&th_set));
+    }
+
+    #[test]
+    fn lower_bound_from_agrees_with_the_table_search() {
+        let idx = small_index();
+        let n = idx.len();
+        // Probe keys just below, at and just above stored keys, from every
+        // kind of starting point: exact previous answer, far behind, past
+        // the bound (not ascending), and the end of the array.
+        for i in (0..n).step_by(7) {
+            let stored = idx.keys()[i];
+            for key in [
+                stored.saturating_sub_u64(1),
+                stored,
+                stored.wrapping_add_u64(1),
+            ] {
+                let want = idx.lower_bound(&key);
+                for from in [0, want.saturating_sub(3), want, (want + 5).min(n), n] {
+                    assert_eq!(idx.lower_bound_from(from, &key), want, "i={i} from={from}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,13 +55,9 @@
 use crate::crc::{crc32, Crc32};
 use crate::distortion::DistortionModel;
 use crate::error::IndexError;
-use crate::filter::{
-    merge_block_ranges, select_blocks_best_first, select_blocks_best_first_cancellable,
-    select_blocks_best_first_uncached, select_blocks_range, FilterOutcome,
-};
-use crate::fingerprint::{dist_sq, RecordBatch};
-use crate::index::{Match, QueryStats, Refine, S3Index, StatQueryOpts};
-use crate::kernels;
+use crate::filter::{merge_block_ranges, select_blocks_range, select_blocks_stat, FilterOutcome};
+use crate::fingerprint::RecordBatch;
+use crate::index::{Match, QueryStats, Refine, Refiner, S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
 use crate::resilience::{next_query_id, CancelCause, QueryCtx, SectionBreakers, REFINE_CHUNK};
 use crate::sketch::{Sketch, SketchParams, DEFAULT_SKETCH_BITS};
@@ -963,7 +959,7 @@ impl DiskIndex {
     /// Runs a batch of statistical queries through the pseudo-disk engine.
     ///
     /// `mem_budget` bounds the bytes of record data resident at once (one
-    /// section). Queries use the best-first filter with `opts`.
+    /// section). The filter is the one `opts` selects (best-first by default).
     pub fn stat_query_batch(
         &self,
         queries: &[&[u8]],
@@ -1036,45 +1032,7 @@ impl DiskIndex {
             Some(stat),
             opts.sketch,
             None,
-            |q| {
-                let outcome = match ctx {
-                    Some(ctx) => select_blocks_best_first_cancellable(
-                        &self.curve,
-                        model,
-                        q,
-                        opts.depth,
-                        opts.alpha,
-                        opts.max_blocks,
-                        opts.mass_cache,
-                        ctx,
-                    ),
-                    None if opts.mass_cache => select_blocks_best_first(
-                        &self.curve,
-                        model,
-                        q,
-                        opts.depth,
-                        opts.alpha,
-                        opts.max_blocks,
-                    ),
-                    None => select_blocks_best_first_uncached(
-                        &self.curve,
-                        model,
-                        q,
-                        opts.depth,
-                        opts.alpha,
-                        opts.max_blocks,
-                    ),
-                };
-                let stats = QueryStats {
-                    nodes_expanded: outcome.nodes_expanded,
-                    blocks_selected: outcome.blocks.len(),
-                    mass: outcome.mass,
-                    tmax: outcome.tmax,
-                    truncated: outcome.truncated,
-                    ..QueryStats::default()
-                };
-                (outcome, stats)
-            },
+            |q| select_blocks_stat(&self.curve, model, q, opts, ctx),
         )
     }
 
@@ -1121,16 +1079,7 @@ impl DiskIndex {
             None,
             true,
             None,
-            |q| {
-                let outcome = select_blocks_range(&self.curve, q, depth, eps, usize::MAX);
-                let stats = QueryStats {
-                    nodes_expanded: outcome.nodes_expanded,
-                    blocks_selected: outcome.blocks.len(),
-                    mass: f64::NAN,
-                    ..QueryStats::default()
-                };
-                (outcome, stats)
-            },
+            |q| select_blocks_range(&self.curve, q, depth, eps, usize::MAX),
         )
         .map(|(batch, _)| batch)
     }
@@ -1182,7 +1131,7 @@ impl DiskIndex {
         stat: Option<StatInfo>,
         use_sketch: bool,
         prepared: Option<&[Vec<KeyRange>]>,
-        filter: impl Fn(&[u8]) -> (FilterOutcome, QueryStats),
+        filter: impl Fn(&[u8]) -> FilterOutcome,
     ) -> Result<(BatchResult, Option<Vec<ExplainReport>>), IndexError> {
         let r = self
             .pick_sections(mem_budget)
@@ -1201,81 +1150,17 @@ impl DiskIndex {
 
         // Stage 1: database-independent filtering for every query.
         let metrics = CoreMetrics::get();
+        debug_assert!(
+            !(want_explain && prepared.is_some()),
+            "prepared scans never capture explain"
+        );
         let t0 = Instant::now();
-        let mut per_query_ranges: Vec<Vec<KeyRange>> = Vec::with_capacity(queries.len());
-        let mut stats: Vec<QueryStats> = Vec::with_capacity(queries.len());
-        // Explain-only bookkeeping (None on the production path, so the
-        // block lists drop right after range merging as before).
-        let mut outcomes: Vec<Option<FilterOutcome>> = Vec::new();
-        let mut filter_ns: Vec<u64> = Vec::new();
-        // Prepared path: the caller (shard router) already filtered; adopt
-        // its ranges verbatim so every replica scans the identical plan.
-        // EXPLAIN capture is router-side only on this path.
-        if let Some(pre) = prepared {
-            debug_assert!(!want_explain, "prepared scans never capture explain");
-            for (qi, q) in queries.iter().enumerate() {
-                if q.len() != self.curve.dims() {
-                    return Err(IndexError::QueryDims {
-                        expected: self.curve.dims(),
-                        got: q.len(),
-                    });
-                }
-                if should_stop() {
-                    per_query_ranges.push(Vec::new());
-                    stats.push(QueryStats {
-                        cancelled: true,
-                        ..QueryStats::default()
-                    });
-                    continue;
-                }
-                per_query_ranges.push(pre[qi].clone());
-                stats.push(QueryStats::default());
-            }
-        }
-        for (qi, q) in queries.iter().enumerate() {
-            if prepared.is_some() {
-                break;
-            }
-            if q.len() != self.curve.dims() {
-                return Err(IndexError::QueryDims {
-                    expected: self.curve.dims(),
-                    got: q.len(),
-                });
-            }
-            // A fired token skips the remaining filters outright: those
-            // queries come back empty, flagged `cancelled`.
-            if should_stop() {
-                per_query_ranges.push(Vec::new());
-                stats.push(QueryStats {
-                    cancelled: true,
-                    ..QueryStats::default()
-                });
-                if want_explain {
-                    outcomes.push(None);
-                    filter_ns.push(0);
-                }
-                continue;
-            }
-            let tq = Instant::now();
-            let (outcome, mut st) = {
-                let mut sp = span!("query.filter", "qi" => qi as f64);
-                let (outcome, st) = filter(q);
-                sp.record("blocks", outcome.blocks.len() as f64);
-                sp.record("mass", outcome.mass);
-                (outcome, st)
-            };
-            // Conservative: if the token fired while this filter ran, its
-            // selection may be partial — flag it even if it just finished.
-            if should_stop() {
-                st.cancelled = true;
-            }
-            per_query_ranges.push(merge_block_ranges(&self.curve, &outcome));
-            stats.push(st);
-            if want_explain {
-                filter_ns.push(tq.elapsed().as_nanos() as u64);
-                outcomes.push(Some(outcome));
-            }
-        }
+        let FilterStage {
+            ranges: per_query_ranges,
+            mut stats,
+            outcomes,
+            filter_ns,
+        } = filter_stage(&self.curve, queries, ctx, want_explain, prepared, filter)?;
         let filter_time = t0.elapsed();
         // Per-query (scanned, matched) accumulators parallel to each
         // outcome's block list.
@@ -1310,12 +1195,6 @@ impl DiskIndex {
         }
 
         // Stage 2: stream sections, retrying and degrading as configured.
-        // Range refinement uses the exact integer bound so the distance
-        // kernel can abandon a record mid-vector (see `S3Index::refine_scan`).
-        let range_bound = match refine {
-            Refine::Range(eps) => kernels::bound_from_eps_sq(eps * eps),
-            _ => None,
-        };
         let mut matches: Vec<Vec<Match>> = vec![Vec::new(); queries.len()];
         let mut timing = BatchTiming {
             filter: filter_time,
@@ -1480,6 +1359,7 @@ impl DiskIndex {
                     cancelled: false,
                 };
                 let mut since_check = 0usize;
+                let mut refiner = Refiner::new(q, refine, model);
                 'scan: for &(_, ri) in &work[lo_w..hi_w] {
                     let range = &per_query_ranges[qi][ri as usize];
                     let (lo, hi) = section_ref.locate(range);
@@ -1497,25 +1377,7 @@ impl DiskIndex {
                         }
                         out.entries += 1;
                         let fp = section_ref.fingerprint(self.curve.dims(), i);
-                        let keep = match refine {
-                            Refine::All => Some(None),
-                            Refine::Range(_) => range_bound
-                                .and_then(|bound| kernels::dist_sq_within(q, fp, bound))
-                                .map(|d2| Some(d2 as f64)),
-                            Refine::LogLikelihood(bound) => {
-                                let Some(model) = model else {
-                                    unreachable!("likelihood refinement needs a model")
-                                };
-                                let delta: Vec<f64> = q
-                                    .iter()
-                                    .zip(fp)
-                                    .map(|(&a, &b)| f64::from(b) - f64::from(a))
-                                    .collect();
-                                (model.log_pdf(&delta) >= bound)
-                                    .then(|| Some(dist_sq(q, fp) as f64))
-                            }
-                        };
-                        if let Some(dist_sq) = keep {
+                        if let Some(dist_sq) = refiner.keep(fp) {
                             out.matches.push(Match {
                                 index: (a as usize) + i,
                                 id: section_ref.ids[i],
@@ -1589,7 +1451,7 @@ impl DiskIndex {
                     let mut intervals: Vec<(usize, usize, usize)> =
                         Vec::with_capacity(outcome.blocks.len());
                     for (bi, sb) in outcome.blocks.iter().enumerate() {
-                        let (lo, hi) = section.locate(&sb.block.key_range(&self.curve));
+                        let (lo, hi) = section.locate(&sb.key_range(&self.curve));
                         if hi > lo {
                             block_acc[qi][bi].0 += (hi - lo) as u64;
                             intervals.push((a as usize + lo, a as usize + hi, bi));
@@ -1702,7 +1564,7 @@ impl DiskIndex {
                         .iter()
                         .zip(&block_acc[qi])
                         .map(|(sb, &(scanned, matched))| BlockExplain {
-                            depth: sb.block.depth(),
+                            depth: sb.depth(),
                             predicted_mass: sb.score,
                             scanned,
                             matched,
@@ -1891,6 +1753,85 @@ struct GroupResult {
     cancelled: bool,
 }
 
+/// Stage 1 of a batch — the database-independent part — per query: the
+/// merged key ranges to scan and the filter-side stats, plus, under EXPLAIN
+/// only, the selections themselves and the time each took (so on the
+/// production path a block list drops right after range merging).
+pub(crate) struct FilterStage {
+    pub(crate) ranges: Vec<Vec<KeyRange>>,
+    pub(crate) stats: Vec<QueryStats>,
+    pub(crate) outcomes: Vec<Option<FilterOutcome>>,
+    pub(crate) filter_ns: Vec<u64>,
+}
+
+/// Runs stage 1 for the flat engine and the shard router alike. With
+/// `prepared` ranges (a shard replica: the router already filtered) they
+/// are adopted verbatim, so every replica scans the identical plan.
+pub(crate) fn filter_stage(
+    curve: &HilbertCurve,
+    queries: &[&[u8]],
+    ctx: Option<&QueryCtx>,
+    want_explain: bool,
+    prepared: Option<&[Vec<KeyRange>]>,
+    filter: impl Fn(&[u8]) -> FilterOutcome,
+) -> Result<FilterStage, IndexError> {
+    let should_stop = || ctx.is_some_and(|c| c.should_stop());
+    let mut stage = FilterStage {
+        ranges: Vec::with_capacity(queries.len()),
+        stats: Vec::with_capacity(queries.len()),
+        outcomes: Vec::new(),
+        filter_ns: Vec::new(),
+    };
+    for (qi, q) in queries.iter().enumerate() {
+        if q.len() != curve.dims() {
+            return Err(IndexError::QueryDims {
+                expected: curve.dims(),
+                got: q.len(),
+            });
+        }
+        // A fired token skips the remaining filters outright: those
+        // queries come back empty, flagged `cancelled`.
+        if should_stop() {
+            stage.ranges.push(Vec::new());
+            stage.stats.push(QueryStats {
+                cancelled: true,
+                ..QueryStats::default()
+            });
+            if want_explain {
+                stage.outcomes.push(None);
+                stage.filter_ns.push(0);
+            }
+            continue;
+        }
+        if let Some(pre) = prepared {
+            stage.ranges.push(pre[qi].clone());
+            stage.stats.push(QueryStats::default());
+            continue;
+        }
+        let tq = Instant::now();
+        let outcome = {
+            let mut sp = span!("query.filter", "qi" => qi as f64);
+            let outcome = filter(q);
+            sp.record("blocks", outcome.blocks.len() as f64);
+            sp.record("mass", outcome.mass);
+            outcome
+        };
+        let mut st = QueryStats::of_filter(&outcome);
+        // Conservative: if the token fired while this filter ran, its
+        // selection may be partial — flag it even if it just finished.
+        if should_stop() {
+            st.cancelled = true;
+        }
+        stage.ranges.push(merge_block_ranges(curve, &outcome));
+        stage.stats.push(st);
+        if want_explain {
+            stage.filter_ns.push(tq.elapsed().as_nanos() as u64);
+            stage.outcomes.push(Some(outcome));
+        }
+    }
+    Ok(stage)
+}
+
 /// Accounts one skipped section against every query that needed it:
 /// `sections_skipped` bumps once per distinct query, plus `cancelled` when
 /// the skip came from a stop rather than a fault. (`degraded` is recomputed
@@ -1943,6 +1884,7 @@ mod tests {
     use crate::fingerprint::RecordBatch;
     use crate::storage::{FaultPlan, FaultyStorage, MemStorage};
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn synthetic_batch(dims: usize, n: usize, seed: u64) -> RecordBatch {
         let mut batch = RecordBatch::with_capacity(dims, n);
@@ -1960,13 +1902,44 @@ mod tests {
         batch
     }
 
-    fn tmpfile(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("s3_pseudo_disk_test_{name}_{}", std::process::id()));
-        p
+    /// A temp-file path no other test (or other call from the same test)
+    /// shares, removed — with its sketch sidecar — on drop. Tests run in
+    /// parallel threads of one process, so the pid alone does not make a
+    /// path unique.
+    struct TempPath(PathBuf);
+
+    impl std::ops::Deref for TempPath {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
     }
 
-    fn build_pair(n: usize) -> (S3Index, PathBuf) {
+    impl AsRef<Path> for TempPath {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempPath {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+            std::fs::remove_file(Sketch::sidecar_path(&self.0)).ok();
+        }
+    }
+
+    fn tmpfile(name: &str) -> TempPath {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let unique = NEXT.fetch_add(1, Ordering::Relaxed);
+        let mut p = std::env::temp_dir();
+        p.push(format!(
+            "s3_pseudo_disk_test_{name}_{}_{unique}",
+            std::process::id()
+        ));
+        TempPath(p)
+    }
+
+    fn build_pair(n: usize) -> (S3Index, TempPath) {
         let curve = HilbertCurve::new(4, 8).unwrap();
         let idx = S3Index::build(curve, synthetic_batch(4, n, 99));
         let path = tmpfile(&format!("n{n}"));
@@ -1991,7 +1964,6 @@ mod tests {
         assert_eq!(disk.curve(), idx.curve());
         assert_eq!(disk.version(), 2);
         disk.verify().unwrap();
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -2002,7 +1974,6 @@ mod tests {
             DiskIndex::open(&path),
             Err(IndexError::Format { .. })
         ));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -2011,7 +1982,6 @@ mod tests {
         let mut tmp = path.file_name().unwrap().to_os_string();
         tmp.push(".tmp");
         assert!(!path.with_file_name(tmp).exists());
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -2035,7 +2005,6 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -2063,7 +2032,6 @@ mod tests {
             b.sort_unstable();
             assert_eq!(a, b, "query {qi}");
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -2094,7 +2062,6 @@ mod tests {
         );
         assert!(h.p99().unwrap() <= h.max);
         assert!(Duration::from_nanos(h.sum) <= batch.timing.load + Duration::from_micros(10));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -2113,7 +2080,6 @@ mod tests {
         for m in &batch.matches[0] {
             assert!(m.dist_sq.unwrap() <= eps * eps);
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -2159,7 +2125,6 @@ mod tests {
             assert_eq!(a.stats[qi], c.stats[qi]);
             assert_eq!(a.matches[qi].len(), c.matches[qi].len());
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -2182,7 +2147,6 @@ mod tests {
             }
             other => panic!("expected BudgetTooSmall, got {other}"),
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -2202,7 +2166,6 @@ mod tests {
                 got: 3
             }
         ));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -2214,7 +2177,6 @@ mod tests {
         let batch = disk.stat_query_batch(&[], &model, &opts, u64::MAX).unwrap();
         assert!(batch.matches.is_empty());
         assert_eq!(batch.timing.sections_loaded, 0);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -2241,7 +2203,6 @@ mod tests {
         // Ten times the bandwidth: one query suffices.
         let n = disk.suggest_nsig(44.0 * 1e7, Duration::from_millis(1));
         assert_eq!(n, 1);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -2249,7 +2210,6 @@ mod tests {
         let (_idx, path) = build_pair(100);
         let disk = DiskIndex::open(&path).unwrap();
         assert_eq!(disk.data_bytes(), 100 * 44);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -2277,7 +2237,6 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
-        std::fs::remove_file(path).ok();
     }
 
     fn mem_index(n: usize, opts: WriteOpts) -> (S3Index, Vec<u8>) {
@@ -2286,7 +2245,6 @@ mod tests {
         let path = tmpfile(&format!("mem{n}_{}", opts.block_size));
         DiskIndex::write_with(&idx, &path, opts).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(path).ok();
         (idx, bytes)
     }
 

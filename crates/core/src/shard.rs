@@ -33,14 +33,13 @@
 
 use crate::distortion::DistortionModel;
 use crate::error::IndexError;
-use crate::filter::{
-    merge_block_ranges, select_blocks_best_first, select_blocks_best_first_cancellable,
-    select_blocks_best_first_uncached, FilterOutcome,
-};
+use crate::filter::select_blocks_stat;
 use crate::fingerprint::RecordBatch;
 use crate::index::{Match, QueryStats, S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
-use crate::pseudo_disk::{BatchResult, BatchTiming, DiskIndex, RetryPolicy, WriteOpts};
+use crate::pseudo_disk::{
+    filter_stage, BatchResult, BatchTiming, DiskIndex, FilterStage, RetryPolicy, WriteOpts,
+};
 use crate::resilience::{
     next_query_id, system_clock, BreakerConfig, CancelCause, CancelToken, Clock, QueryCtx,
     SectionBreakers,
@@ -581,82 +580,14 @@ impl ShardedIndex {
         // Every replica receives these exact merged ranges, which is what
         // makes the per-shard scans bit-identical to the single-node scan.
         let t0 = Instant::now();
-        let mut per_query_ranges: Vec<Vec<KeyRange>> = Vec::with_capacity(queries.len());
-        let mut stats: Vec<QueryStats> = Vec::with_capacity(queries.len());
-        let mut outcomes: Vec<Option<FilterOutcome>> = Vec::new();
-        let mut filter_ns: Vec<u64> = Vec::new();
-        for (qi, q) in queries.iter().enumerate() {
-            if q.len() != self.curve.dims() {
-                return Err(IndexError::QueryDims {
-                    expected: self.curve.dims(),
-                    got: q.len(),
-                });
-            }
-            if should_stop() {
-                per_query_ranges.push(Vec::new());
-                stats.push(QueryStats {
-                    cancelled: true,
-                    ..QueryStats::default()
-                });
-                if want_explain {
-                    outcomes.push(None);
-                    filter_ns.push(0);
-                }
-                continue;
-            }
-            let tq = Instant::now();
-            let (outcome, mut st) = {
-                let mut sp = span!("query.filter", "qi" => qi as f64);
-                let outcome = match ctx {
-                    Some(ctx) => select_blocks_best_first_cancellable(
-                        &self.curve,
-                        model,
-                        q,
-                        opts.depth,
-                        opts.alpha,
-                        opts.max_blocks,
-                        opts.mass_cache,
-                        ctx,
-                    ),
-                    None if opts.mass_cache => select_blocks_best_first(
-                        &self.curve,
-                        model,
-                        q,
-                        opts.depth,
-                        opts.alpha,
-                        opts.max_blocks,
-                    ),
-                    None => select_blocks_best_first_uncached(
-                        &self.curve,
-                        model,
-                        q,
-                        opts.depth,
-                        opts.alpha,
-                        opts.max_blocks,
-                    ),
-                };
-                sp.record("blocks", outcome.blocks.len() as f64);
-                sp.record("mass", outcome.mass);
-                let st = QueryStats {
-                    nodes_expanded: outcome.nodes_expanded,
-                    blocks_selected: outcome.blocks.len(),
-                    mass: outcome.mass,
-                    tmax: outcome.tmax,
-                    truncated: outcome.truncated,
-                    ..QueryStats::default()
-                };
-                (outcome, st)
-            };
-            if should_stop() {
-                st.cancelled = true;
-            }
-            per_query_ranges.push(merge_block_ranges(&self.curve, &outcome));
-            stats.push(st);
-            if want_explain {
-                filter_ns.push(tq.elapsed().as_nanos() as u64);
-                outcomes.push(Some(outcome));
-            }
-        }
+        let FilterStage {
+            ranges: per_query_ranges,
+            mut stats,
+            outcomes,
+            filter_ns,
+        } = filter_stage(&self.curve, queries, ctx, want_explain, None, |q| {
+            select_blocks_stat(&self.curve, model, q, opts, ctx)
+        })?;
         let filter_time = t0.elapsed();
 
         // Which shards does this batch touch at all? Dispatch only those.

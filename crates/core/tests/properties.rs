@@ -57,7 +57,7 @@ proptest! {
         let mut ranges: Vec<_> = out
             .blocks
             .iter()
-            .map(|sb| sb.block.key_range(&curve))
+            .map(|sb| sb.key_range(&curve))
             .collect();
         ranges.sort_by_key(|a| a.lo);
         for w in ranges.windows(2) {
@@ -237,7 +237,8 @@ proptest! {
 fn assert_identical(a: &FilterOutcome, b: &FilterOutcome) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.blocks.len(), b.blocks.len());
     for (x, y) in a.blocks.iter().zip(&b.blocks) {
-        prop_assert_eq!(x.block.curve_rank(), y.block.curve_rank());
+        prop_assert_eq!(x.curve_rank(), y.curve_rank());
+        prop_assert_eq!(x.depth(), y.depth());
         prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
     }
     prop_assert_eq!(a.mass.to_bits(), b.mass.to_bits());

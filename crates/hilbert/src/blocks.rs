@@ -60,6 +60,23 @@ impl Block {
         }
     }
 
+    /// The depth-`depth` block whose index in curve order is `rank`: the
+    /// inverse of ([`Block::depth`], [`Block::curve_rank`]), by walking the
+    /// rank's bits down from the root — `O(depth)`.
+    ///
+    /// # Panics
+    /// If `depth > D * K` or `rank >= 2^depth`.
+    pub fn from_rank(curve: &HilbertCurve, depth: u32, rank: &Key256) -> Block {
+        assert!(depth <= curve.key_bits(), "depth out of range");
+        assert!(rank.shr(depth).is_zero(), "rank out of range for depth");
+        let dims = curve.dims() as u32;
+        let mut blk = Block::root(curve);
+        for bit in (0..depth).rev() {
+            blk = blk.child(curve, dims, u32::from(rank.bit(bit)));
+        }
+        blk
+    }
+
     /// Partition depth `p` of this block.
     #[inline]
     pub fn depth(&self) -> u32 {
@@ -88,20 +105,7 @@ impl Block {
     /// block of the partition reaches the end of the curve, which is encoded
     /// as [`KeyBound::End`] rather than a numeric bound.
     pub fn key_range(&self, curve: &HilbertCurve) -> KeyRange {
-        let lo = self.key_lo(curve);
-        // (prefix + 1) << (bits - depth), reduced modulo 2^bits: zero means
-        // the interval ends exactly at the end of the curve.
-        let hi = self
-            .key_prefix
-            .wrapping_add_u64(1)
-            .shl(curve.key_bits() - self.depth)
-            .and(&Key256::low_mask(curve.key_bits()));
-        let hi = if hi.is_zero() {
-            KeyBound::End
-        } else {
-            KeyBound::Excl(hi)
-        };
-        KeyRange { lo, hi }
+        KeyRange::of_ranks(curve, self.depth, &self.key_prefix, &self.key_prefix)
     }
 
     /// Lower corner of the box, one coordinate per dimension.
@@ -226,6 +230,156 @@ impl Block {
     }
 }
 
+/// The block at the start of a curve level — every axis still unsplit in
+/// that level — shared by all of its `≤ 2^D` descendants inside the level.
+///
+/// A best-first descent that keeps a full [`Block`] per tree node moves
+/// ~200 bytes per heap operation. Within one level, though, a node differs
+/// from the level's first block only by the digit bits consumed so far, so a
+/// descent can keep one `LevelCell` per level entered (at `p ≤ D` that is the
+/// root alone) and represent each node as a [`CompactNode`] pointing at it.
+#[derive(Clone, Copy, Debug)]
+pub struct LevelCell {
+    /// Bit-plane this level consumes.
+    level: u32,
+    /// Curve automaton state for this level.
+    state: LevelState,
+    /// Bits consumed before this level (a multiple of `D`).
+    depth: u32,
+    /// Those bits: the cell's index among `2^depth` siblings in curve order.
+    key_prefix: Key256,
+    /// Lower corner of the cell in grid coordinates.
+    lo: [u32; MAX_DIMS],
+}
+
+/// One node of the binary p-block tree in 12 bytes: the [`LevelCell`] it
+/// lies in (an index into the caller's arena) and the `j` bits `w_pref` of
+/// that level's curve digit consumed so far. `j == D` is a completed digit
+/// whose next level has not been entered yet (see [`LevelCell::descend`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CompactNode {
+    /// Arena index of the node's [`LevelCell`].
+    pub cell: u32,
+    /// The consumed bits of the current level's curve digit.
+    pub w_pref: u32,
+    /// Number of consumed bits (`0..=D`).
+    pub j: u32,
+}
+
+impl CompactNode {
+    /// The root of the tree, in the arena's first cell.
+    pub const ROOT: CompactNode = CompactNode {
+        cell: 0,
+        w_pref: 0,
+        j: 0,
+    };
+
+    /// The `c`-th child (`0` or `1`, in curve order) within the same level.
+    #[inline]
+    pub fn child(&self, c: u32) -> CompactNode {
+        CompactNode {
+            cell: self.cell,
+            w_pref: (self.w_pref << 1) | c,
+            j: self.j + 1,
+        }
+    }
+}
+
+/// What splitting a node does along the one axis it halves. Per-axis
+/// intervals are dyadic: `(ext, k)` stands for `[k·2^ext, (k+1)·2^ext)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AxisSplit {
+    /// The axis halved.
+    pub axis: usize,
+    /// `log2` of the parent's extent along `axis`.
+    pub ext: u32,
+    /// The parent's interval index along `axis` at that extent.
+    pub k: u32,
+    /// Which half (`0` lower, `1` upper) the first child in curve order
+    /// takes; the second child takes the other.
+    pub first_half: u32,
+}
+
+impl AxisSplit {
+    /// Interval `(ext, k)` of the `c`-th child (curve order) along the axis.
+    #[inline]
+    pub fn child_interval(&self, c: u32) -> (u32, u32) {
+        (self.ext - 1, (self.k << 1) | (self.first_half ^ c))
+    }
+}
+
+impl LevelCell {
+    /// The whole grid, at the first level of the curve.
+    pub fn root(curve: &HilbertCurve) -> LevelCell {
+        LevelCell {
+            level: curve.order() as u32 - 1,
+            state: LevelState::ROOT,
+            depth: 0,
+            key_prefix: Key256::ZERO,
+            lo: [0; MAX_DIMS],
+        }
+    }
+
+    /// Partition depth of the descendant that consumed `j` bits of this
+    /// level's digit.
+    #[inline]
+    pub fn depth_of(&self, j: u32) -> u32 {
+        self.depth + j
+    }
+
+    /// Curve rank (index among the `2^depth` blocks of its depth) of the
+    /// descendant that consumed the `j` digit bits `w_pref`.
+    #[inline]
+    pub fn rank_of(&self, w_pref: u32, j: u32) -> Key256 {
+        self.key_prefix
+            .shl(j)
+            .or(&Key256::from_u64(u64::from(w_pref)))
+    }
+
+    /// The split of the descendant that consumed the `j < D` digit bits
+    /// `w_pref`: same axis and halves as [`Block::split`] on that block.
+    ///
+    /// The split axis is by construction not yet fixed in this level, so
+    /// the parent's interval along it is the cell's own.
+    #[inline]
+    pub fn split(&self, dims: u32, w_pref: u32, j: u32) -> AxisSplit {
+        debug_assert!(j < dims, "a completed digit must descend first");
+        // As in `Block::child`: the runs of length 2^(dims - j - 1) of the
+        // level's Gray path fix t-bit (dims - j - 1), which T⁻¹ maps to
+        // `axis`; its value for child `c` is the low bit of gray(2w + c).
+        let axis = (dims - (j + 1) + self.state.d + 1) % dims;
+        let ext = self.level + 1;
+        AxisSplit {
+            axis: axis as usize,
+            ext,
+            k: self.lo[axis as usize].checked_shr(ext).unwrap_or(0),
+            first_half: (gray(w_pref << 1) & 1) ^ (self.state.e >> axis & 1),
+        }
+    }
+
+    /// The cell entered once this level's digit is complete as `w`.
+    ///
+    /// # Panics
+    /// If this is the last level of the curve (its completed digits are
+    /// unit cells).
+    pub fn descend(&self, curve: &HilbertCurve, w: u32) -> LevelCell {
+        assert!(self.level > 0, "a unit cell has no further level");
+        let dims = curve.dims() as u32;
+        let corner = curve.corner_of_digit(self.state, w);
+        let mut lo = self.lo;
+        for (axis, c) in lo.iter_mut().enumerate().take(dims as usize) {
+            *c |= (corner >> axis & 1) << self.level;
+        }
+        LevelCell {
+            level: self.level - 1,
+            state: curve.child_state(self.state, w),
+            depth: self.depth + dims,
+            key_prefix: self.rank_of(w, dims),
+            lo,
+        }
+    }
+}
+
 /// Upper bound of a [`KeyRange`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KeyBound {
@@ -245,6 +399,27 @@ pub struct KeyRange {
 }
 
 impl KeyRange {
+    /// The key interval covered by the run of depth-`depth` blocks with
+    /// curve ranks `first..=last` (one block when they are equal). A run
+    /// reaching the last block of the partition ends at [`KeyBound::End`].
+    pub fn of_ranks(curve: &HilbertCurve, depth: u32, first: &Key256, last: &Key256) -> KeyRange {
+        let shift = curve.key_bits() - depth;
+        // (last + 1) << (bits - depth), reduced modulo 2^bits: zero means
+        // the interval ends exactly at the end of the curve.
+        let hi = last
+            .wrapping_add_u64(1)
+            .shl(shift)
+            .and(&Key256::low_mask(curve.key_bits()));
+        KeyRange {
+            lo: first.shl(shift),
+            hi: if hi.is_zero() {
+                KeyBound::End
+            } else {
+                KeyBound::Excl(hi)
+            },
+        }
+    }
+
     /// True if `key` lies in the range.
     pub fn contains(&self, key: &Key256) -> bool {
         if *key < self.lo {
@@ -493,6 +668,72 @@ mod tests {
             }
             blk = if i % 2 == 0 { a } else { b };
         }
+    }
+
+    /// Walks the whole tree twice — as `Block`s and as compact nodes over a
+    /// cell arena — and checks every node agrees on depth, rank, split axis
+    /// and the parent/child intervals along it.
+    fn check_compact_matches_block(dims: usize, order: usize) {
+        let curve = HilbertCurve::new(dims, order).unwrap();
+        let d = dims as u32;
+        let mut cells = vec![LevelCell::root(&curve)];
+        let mut stack = vec![(Block::root(&curve), CompactNode::ROOT)];
+        while let Some((blk, mut node)) = stack.pop() {
+            let cell = cells[node.cell as usize];
+            assert_eq!(cell.depth_of(node.j), blk.depth());
+            assert_eq!(cell.rank_of(node.w_pref, node.j), blk.curve_rank());
+            let back = Block::from_rank(&curve, blk.depth(), &blk.curve_rank());
+            for a in 0..dims {
+                assert_eq!(back.dim_bounds(a), blk.dim_bounds(a));
+            }
+            if blk.is_cell(&curve) {
+                continue;
+            }
+            if node.j == d {
+                cells.push(cell.descend(&curve, node.w_pref));
+                node = CompactNode {
+                    cell: cells.len() as u32 - 1,
+                    ..CompactNode::ROOT
+                };
+            }
+            let sp = cells[node.cell as usize].split(d, node.w_pref, node.j);
+            assert_eq!(sp.axis, blk.next_split_axis(&curve));
+            let bounds = |(ext, k): (u32, u32)| (k << ext, (k + 1) << ext);
+            assert_eq!(bounds((sp.ext, sp.k)), blk.dim_bounds(sp.axis));
+            for (c, child) in blk.split(&curve).into_iter().enumerate() {
+                let c = c as u32;
+                assert_eq!(bounds(sp.child_interval(c)), child.dim_bounds(sp.axis));
+                stack.push((child, node.child(c)));
+            }
+        }
+    }
+
+    #[test]
+    fn compact_nodes_match_blocks() {
+        check_compact_matches_block(2, 4);
+        check_compact_matches_block(3, 3);
+        check_compact_matches_block(5, 2);
+    }
+
+    #[test]
+    fn compact_node_is_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<CompactNode>(), 12);
+    }
+
+    #[test]
+    fn rank_runs_cover_the_same_keys_as_their_blocks() {
+        let curve = HilbertCurve::new(3, 2).unwrap();
+        let blocks = blocks_at_depth(&curve, 4);
+        let run = KeyRange::of_ranks(&curve, 4, &blocks[5].curve_rank(), &blocks[9].curve_rank());
+        assert_eq!(run.lo, blocks[5].key_range(&curve).lo);
+        assert_eq!(run.hi, blocks[9].key_range(&curve).hi);
+        let tail = KeyRange::of_ranks(
+            &curve,
+            4,
+            &blocks[14].curve_rank(),
+            &blocks[15].curve_rank(),
+        );
+        assert_eq!(tail.hi, KeyBound::End);
     }
 
     #[test]

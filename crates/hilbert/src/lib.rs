@@ -43,7 +43,7 @@ pub mod gray;
 pub mod key;
 pub mod locality;
 
-pub use blocks::{blocks_at_depth, Block, KeyBound, KeyRange};
+pub use blocks::{blocks_at_depth, AxisSplit, Block, CompactNode, KeyBound, KeyRange, LevelCell};
 pub use curve::{CurveError, HilbertCurve, LevelState, MAX_DIMS, MAX_ORDER};
 pub use key::Key256;
 pub use locality::{measure_locality, row_major_key, LocalityStats};
