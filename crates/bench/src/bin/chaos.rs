@@ -38,6 +38,7 @@ use s3_core::{
     Admission, AdmissionController, Clock, CoreMetrics, FaultPlan, FaultyStorage, HedgeConfig,
     IsotropicNormal, Match, MemStorage, MockClock, QueryCtx, RecordBatch, S3Index, ShardPlan,
     ShardedBatchResult, ShardedIndex, ShardedOptions, Shed, Sketch, StatQueryOpts, Storage,
+    TimeSource,
 };
 use s3_hilbert::HilbertCurve;
 use std::fmt::Write as _;
@@ -914,10 +915,6 @@ fn scenario_shard_split_brain(wl: Workload, seed: u64) -> RunReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn write_report(reports: &[RunReport], failed: usize, path: &std::path::Path) {
     let mut out = String::from("{\n  \"id\": \"chaos\",\n  \"version\": 2,\n");
     let _ = writeln!(out, "  \"runs\": {},", reports.len());
@@ -935,7 +932,7 @@ fn write_report(reports: &[RunReport], failed: usize, path: &std::path::Path) {
             if j > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "\"{}\"", json_escape(v));
+            let _ = write!(out, "\"{}\"", s3_obs::json::escape(v));
         }
         out.push_str("], \"counters\": {");
         for (j, (k, v)) in r.counters.iter().enumerate() {

@@ -309,10 +309,6 @@ fn run_kill_point(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn write_report(reports: &[KillReport], total_writes: usize, path: &std::path::Path) {
     let failed = reports.iter().filter(|r| !r.violations.is_empty()).count();
     let mut out = String::from("{\n  \"id\": \"crash_matrix_pr6\",\n");
@@ -352,7 +348,7 @@ fn write_report(reports: &[KillReport], total_writes: usize, path: &std::path::P
             if j > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "\"{}\"", json_escape(v));
+            let _ = write!(out, "\"{}\"", s3_obs::json::escape(v));
         }
         out.push_str("]}");
         out.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });

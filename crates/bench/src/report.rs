@@ -125,11 +125,11 @@ impl Experiment {
     /// Renders the experiment as pretty JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"id\": {},", json::quote(&self.id));
-        let _ = writeln!(out, "  \"title\": {},", json::quote(&self.title));
-        let _ = writeln!(out, "  \"x_label\": {},", json::quote(&self.x_label));
-        let _ = writeln!(out, "  \"y_label\": {},", json::quote(&self.y_label));
-        let notes: Vec<String> = self.notes.iter().map(|n| json::quote(n)).collect();
+        let _ = writeln!(out, "  \"id\": {},", quote(&self.id));
+        let _ = writeln!(out, "  \"title\": {},", quote(&self.title));
+        let _ = writeln!(out, "  \"x_label\": {},", quote(&self.x_label));
+        let _ = writeln!(out, "  \"y_label\": {},", quote(&self.y_label));
+        let notes: Vec<String> = self.notes.iter().map(|n| quote(n)).collect();
         let _ = writeln!(out, "  \"notes\": [{}],", notes.join(", "));
         out.push_str("  \"series\": [");
         for (i, s) in self.series.iter().enumerate() {
@@ -139,9 +139,9 @@ impl Experiment {
             let _ = write!(
                 out,
                 "\n    {{\n      \"name\": {},\n      \"x\": {},\n      \"y\": {}\n    }}",
-                json::quote(&s.name),
-                json::numbers(&s.x),
-                json::numbers(&s.y),
+                quote(&s.name),
+                numbers(&s.x),
+                numbers(&s.y),
             );
         }
         if !self.series.is_empty() {
@@ -157,337 +157,27 @@ impl Experiment {
         let path = dir.as_ref().join(format!("{}.json", self.id));
         std::fs::write(path, self.to_json())
     }
-
-    /// Loads a previously saved experiment.
-    pub fn load_json(path: impl AsRef<Path>) -> std::io::Result<Experiment> {
-        let raw = std::fs::read_to_string(path)?;
-        let v = json::parse(&raw)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        Experiment::from_value(&v)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
-    fn from_value(v: &json::Value) -> Result<Experiment, String> {
-        let obj = v.as_object().ok_or("experiment: expected object")?;
-        let field = |k: &str| -> Result<&json::Value, String> {
-            json::get(obj, k).ok_or_else(|| format!("experiment: missing field '{k}'"))
-        };
-        let string = |k: &str| -> Result<String, String> {
-            field(k)?
-                .as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| format!("experiment: field '{k}' is not a string"))
-        };
-        let mut notes = Vec::new();
-        for n in field("notes")?
-            .as_array()
-            .ok_or("experiment: 'notes' is not an array")?
-        {
-            notes.push(
-                n.as_str()
-                    .map(str::to_owned)
-                    .ok_or("experiment: note is not a string")?,
-            );
-        }
-        let mut series = Vec::new();
-        for s in field("series")?
-            .as_array()
-            .ok_or("experiment: 'series' is not an array")?
-        {
-            let so = s.as_object().ok_or("series: expected object")?;
-            let name = json::get(so, "name")
-                .and_then(json::Value::as_str)
-                .ok_or("series: missing string 'name'")?;
-            let axis = |k: &str| -> Result<Vec<f64>, String> {
-                json::get(so, k)
-                    .and_then(json::Value::as_array)
-                    .ok_or_else(|| format!("series: missing array '{k}'"))?
-                    .iter()
-                    .map(|v| {
-                        v.as_f64()
-                            .ok_or_else(|| format!("series: '{k}' holds a non-number"))
-                    })
-                    .collect()
-            };
-            let (x, y) = (axis("x")?, axis("y")?);
-            if x.len() != y.len() {
-                return Err("series: ragged x/y".to_string());
-            }
-            series.push(Series {
-                name: name.to_owned(),
-                x,
-                y,
-            });
-        }
-        Ok(Experiment {
-            id: string("id")?,
-            title: string("title")?,
-            x_label: string("x_label")?,
-            y_label: string("y_label")?,
-            notes,
-            series,
-        })
-    }
 }
 
-/// Dependency-free JSON writer/parser covering the subset the report format
-/// uses (objects, arrays, strings, finite numbers, `null` for non-finite).
-mod json {
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any JSON number.
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, insertion-ordered.
-        Obj(Vec<(String, Value)>),
-    }
+/// Escapes and quotes a string.
+fn quote(s: &str) -> String {
+    format!("\"{}\"", s3_obs::json::escape(s))
+}
 
-    impl Value {
-        /// Returns the string contents, if a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
+/// Renders a numeric array; non-finite values become `null`.
+fn numbers(xs: &[f64]) -> String {
+    let items: Vec<String> = xs
+        .iter()
+        .map(|&v| {
+            if v.is_finite() {
+                // Shortest representation that round-trips.
+                format!("{v:?}")
+            } else {
+                "null".to_string()
             }
-        }
-
-        /// Returns the number (or NaN for `null`, matching the writer's
-        /// encoding of non-finite values), if numeric.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                Value::Null => Some(f64::NAN),
-                _ => None,
-            }
-        }
-
-        /// Returns the elements, if an array.
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        /// Returns the key/value pairs, if an object.
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(v) => Some(v),
-                _ => None,
-            }
-        }
-    }
-
-    /// Looks up a key in an object's pairs.
-    pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Escapes and quotes a string.
-    pub fn quote(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    /// Renders a numeric array; non-finite values become `null`.
-    pub fn numbers(xs: &[f64]) -> String {
-        let items: Vec<String> = xs
-            .iter()
-            .map(|&v| {
-                if v.is_finite() {
-                    // Shortest representation that round-trips.
-                    format!("{v:?}")
-                } else {
-                    "null".to_string()
-                }
-            })
-            .collect();
-        format!("[{}]", items.join(", "))
-    }
-
-    /// Parses a complete JSON document.
-    pub fn parse(s: &str) -> Result<Value, String> {
-        let b = s.as_bytes();
-        let mut pos = 0;
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, *pos))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            None => Err("unexpected end of input".to_string()),
-            Some(b'{') => {
-                *pos += 1;
-                let mut pairs = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let k = match string(b, pos)? {
-                        Value::Str(s) => s,
-                        _ => unreachable!(),
-                    };
-                    expect(b, pos, b':')?;
-                    let v = value(b, pos)?;
-                    pairs.push((k, v));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(pairs));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-                    }
-                }
-            }
-            Some(b'"') => string(b, pos),
-            Some(b't') => literal(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => literal(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => literal(b, pos, "null", Value::Null),
-            Some(_) => number(b, pos),
-        }
-    }
-
-    fn literal(b: &[u8], pos: &mut usize, word: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(word.as_bytes()) {
-            *pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", *pos))
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {}", *pos));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(Value::Str(out));
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            // Surrogates are not produced by our writer;
-                            // map unpaired ones to the replacement char.
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", *pos)),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so valid).
-                    let start = *pos;
-                    *pos += 1;
-                    while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                        *pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&b[start..*pos]).expect("valid utf-8"));
-                }
-            }
-        }
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        let text = std::str::from_utf8(&b[start..*pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("invalid number '{text}' at byte {start}"))
-    }
+        })
+        .collect();
+    format!("[{}]", items.join(", "))
 }
 
 /// Scale of an experiment run. Binaries accept `--scale quick|full`.
@@ -556,13 +246,36 @@ mod tests {
 
     #[test]
     fn json_roundtrip() {
-        let mut e = Experiment::new("rt", "roundtrip", "x", "y");
-        e.push_series(Series::new("s", vec![0.5], vec![1.5]));
+        let mut e = Experiment::new("rt", "round \"trip\"", "x", "y");
+        e.note("a\tnote");
+        e.push_series(Series::new("s", vec![0.5, 2.0], vec![1.5, f64::NAN]));
         let dir = std::env::temp_dir().join(format!("s3bench_{}", std::process::id()));
         e.save_json(&dir).unwrap();
-        let back = Experiment::load_json(dir.join("rt.json")).unwrap();
-        assert_eq!(back, e);
+        let raw = std::fs::read_to_string(dir.join("rt.json")).unwrap();
         std::fs::remove_dir_all(dir).ok();
+
+        let doc = s3_obs::JsonValue::parse(&raw).expect("saved experiment is valid JSON");
+        let text = |k: &str| doc.get(k).and_then(|v| v.as_str()).map(str::to_owned);
+        assert_eq!(text("id"), Some(e.id.clone()));
+        assert_eq!(text("title"), Some(e.title.clone()));
+        assert_eq!(text("x_label"), Some(e.x_label.clone()));
+        assert_eq!(text("y_label"), Some(e.y_label.clone()));
+        let notes = doc.get("notes").and_then(|v| v.as_array()).unwrap();
+        assert_eq!(notes[0].as_str(), Some("a\tnote"));
+        let series = doc.get("series").and_then(|v| v.as_array()).unwrap();
+        assert_eq!(series.len(), 1);
+        assert_eq!(series[0].get("name").and_then(|v| v.as_str()), Some("s"));
+        let axis = |k: &str| {
+            series[0]
+                .get(k)
+                .and_then(|v| v.as_array())
+                .unwrap()
+                .to_vec()
+        };
+        let num = s3_obs::JsonValue::Num;
+        assert_eq!(axis("x"), [num(0.5), num(2.0)]);
+        // Non-finite values are written as `null`.
+        assert_eq!(axis("y"), [num(1.5), s3_obs::JsonValue::Null]);
     }
 
     #[test]

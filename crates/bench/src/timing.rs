@@ -1,9 +1,9 @@
 //! Lightweight wall-clock measurement for the experiment binaries.
 //!
-//! Criterion handles the statistical micro-benchmarks under `benches/`; the
-//! experiment binaries need simple "average seconds per query" numbers like
-//! the paper's tables, which this module provides (warm-up plus mean of a
-//! measured run).
+//! The paper-figure experiments report simple "average seconds per query"
+//! numbers like the paper's tables, which this module provides (warm-up plus
+//! mean of a measured run). Performance comparisons between commits belong
+//! to the frozen benchmark under `benchmark/`, not here.
 
 use std::time::{Duration, Instant};
 
@@ -21,25 +21,6 @@ pub fn mean_time<F: FnMut()>(warmup: usize, runs: usize, mut f: F) -> Duration {
     start.elapsed() / runs as u32
 }
 
-/// Measures one invocation of `f`, returning its result and the elapsed time.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed())
-}
-
-/// Formats a duration in adaptive units (the paper reports ms).
-pub fn fmt_duration(d: Duration) -> String {
-    let s = d.as_secs_f64();
-    if s >= 1.0 {
-        format!("{s:.2} s")
-    } else if s >= 1e-3 {
-        format!("{:.2} ms", s * 1e3)
-    } else {
-        format!("{:.1} µs", s * 1e6)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,19 +31,5 @@ mod tests {
         let d = mean_time(2, 3, || calls += 1);
         assert_eq!(calls, 5);
         assert!(d >= Duration::ZERO);
-    }
-
-    #[test]
-    fn timed_returns_value() {
-        let (v, d) = timed(|| 7 * 6);
-        assert_eq!(v, 42);
-        assert!(d >= Duration::ZERO);
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_duration(Duration::from_secs(2)), "2.00 s");
-        assert_eq!(fmt_duration(Duration::from_millis(3)), "3.00 ms");
-        assert_eq!(fmt_duration(Duration::from_micros(5)), "5.0 µs");
     }
 }

@@ -32,6 +32,7 @@
 use crate::registry::{DbBuilder, ReferenceDb};
 use bytes::{Buf, BufMut};
 use s3_core::crc::crc32;
+use s3_core::storage::write_atomic;
 use s3_core::RecordBatch;
 use s3_video::{ExtractorParams, FINGERPRINT_DIMS};
 use std::error::Error;
@@ -210,24 +211,9 @@ impl ReferenceDb {
     /// temp file which is fsynced and renamed over `path`, so a crash
     /// mid-save leaves any previous database intact.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        let path = path.as_ref();
-        let tmp = {
-            let mut name = path.file_name().unwrap_or_default().to_os_string();
-            name.push(".tmp");
-            path.with_file_name(name)
-        };
-        let mut f = File::create(&tmp)?;
-        self.write_to(&mut f)?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, path)?;
-        // Persist the rename itself.
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        let mut bytes = Vec::new();
+        self.write_to(&mut bytes)?;
+        Ok(write_atomic(path.as_ref(), &bytes)?)
     }
 
     /// Deserialises a database written by [`ReferenceDb::write_to`] (or by

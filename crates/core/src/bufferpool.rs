@@ -393,7 +393,10 @@ impl<P: PageSource + 'static> Storage for PooledStorage<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pseudo_disk::{DiskIndex, WriteOpts};
     use crate::storage::MemStorage;
+    use crate::{IsotropicNormal, RecordBatch, S3Index, StatQueryOpts};
+    use s3_hilbert::HilbertCurve;
 
     fn flat(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i % 251) as u8).collect()
@@ -428,6 +431,47 @@ mod tests {
         for p in 0..100u64 {
             s.read_at(p * 64, &mut buf).unwrap();
         }
+        assert!(
+            pool.resident() <= 8,
+            "resident {} > capacity",
+            pool.resident()
+        );
+
+        // The same bound under a query batch: an index many times the size
+        // of the pool answers exactly like a flat open of the same bytes.
+        let mut batch = RecordBatch::new(4);
+        let mut x = 0xB00C_9E1Du64;
+        for i in 0..6000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            batch.push(&x.to_le_bytes()[..4], i % 97, i);
+        }
+        let index = S3Index::build(HilbertCurve::new(4, 8).unwrap(), batch);
+        let opts = WriteOpts {
+            table_depth: 10,
+            block_size: 1024,
+            sketch_bits: 0,
+        };
+        let bytes = DiskIndex::encode_to_vec(&index, opts).unwrap();
+        let pool = pool_over(bytes.clone(), 1024, 8);
+        assert!(bytes.len() > 8 * 8 * 1024, "index must dwarf the pool");
+        let pooled =
+            DiskIndex::open_storage(Box::new(PooledStorage::new(Arc::clone(&pool)))).unwrap();
+        let flat = DiskIndex::open_storage(Box::new(MemStorage::new(bytes))).unwrap();
+        let queries: Vec<&[u8]> = (0..24)
+            .map(|i| index.records().fingerprint(i * 250))
+            .collect();
+        let model = IsotropicNormal::new(4, 12.0);
+        let opts = StatQueryOpts::new(0.9, 12);
+        let got = pooled
+            .stat_query_batch(&queries, &model, &opts, 16 << 10)
+            .unwrap();
+        let want = flat
+            .stat_query_batch(&queries, &model, &opts, 16 << 10)
+            .unwrap();
+        assert!(got.sections > 1 && want.matches.iter().any(|m| !m.is_empty()));
+        assert_eq!(got.matches, want.matches);
         assert!(
             pool.resident() <= 8,
             "resident {} > capacity",
@@ -498,17 +542,5 @@ mod tests {
         // Ties break by page number.
         assert_eq!(top[2].1, 1);
         assert_eq!(top[2].0, 1);
-    }
-
-    #[test]
-    fn hit_miss_accounting() {
-        let m = CoreMetrics::get();
-        let pool = pool_over(flat(64 * 4), 64, 4);
-        let (h0, m0) = (m.bufferpool_hits.get(), m.bufferpool_misses.get());
-        pool.get(0).unwrap();
-        pool.get(0).unwrap();
-        pool.get(1).unwrap();
-        assert_eq!(m.bufferpool_hits.get() - h0, 1);
-        assert_eq!(m.bufferpool_misses.get() - m0, 2);
     }
 }

@@ -27,7 +27,7 @@ pub trait DistortionModel: Sync {
     /// Log-density of a full distortion vector (for likelihood refinement).
     fn log_pdf(&self, delta: &[f64]) -> f64;
 
-    /// The pooled severity σ̄ — the paper's severity criterion (Table I).
+    /// The pooled severity σ̄ — the paper's severity measure (Table I).
     fn severity(&self) -> f64;
 }
 

@@ -344,25 +344,22 @@ mod tests {
             FilterAlgo::BestFirst,
             FilterAlgo::Threshold { iterations: 20 },
         ] {
-            for mass_cache in [true, false] {
-                let mut opts = StatQueryOpts::new(0.9, 9);
-                opts.algo = algo;
-                opts.mass_cache = mass_cache;
-                let q = queries.next().unwrap();
-                let want = main.stat_query(q, &model, &opts);
-                let static_work = integrations();
-                let got = dyn_idx.stat_query(q, &model, &opts);
-                assert_eq!(integrations(), static_work, "{algo:?} cache={mass_cache}");
-                let overlay = got.matches.iter().filter(|m| m.id >= 1000).count();
-                assert!(overlay > 0, "query must reach the overlay");
-                assert_eq!(
-                    got.stats,
-                    QueryStats {
-                        entries_scanned: want.stats.entries_scanned + overlay,
-                        ..want.stats
-                    }
-                );
-            }
+            let mut opts = StatQueryOpts::new(0.9, 9);
+            opts.algo = algo;
+            let q = queries.next().unwrap();
+            let want = main.stat_query(q, &model, &opts);
+            let static_work = integrations();
+            let got = dyn_idx.stat_query(q, &model, &opts);
+            assert_eq!(integrations(), static_work, "{algo:?}");
+            let overlay = got.matches.iter().filter(|m| m.id >= 1000).count();
+            assert!(overlay > 0, "query must reach the overlay");
+            assert_eq!(
+                got.stats,
+                QueryStats {
+                    entries_scanned: want.stats.entries_scanned + overlay,
+                    ..want.stats
+                }
+            );
         }
     }
 

@@ -163,10 +163,10 @@ const MAX_CACHED_LEVEL: usize = 16;
 /// of block selection (repeated `erf`-based `component_mass` integrations)
 /// into table lookups.
 ///
-/// **Bit-identical by construction**: a miss performs the exact same
-/// [`interval_mass`] call the uncached path would, and a hit returns that
-/// stored `f64` unchanged, so cached selection yields byte-identical
-/// [`FilterOutcome`]s (property-tested in `tests/properties.rs`).
+/// **Bit-identical by construction**: a miss performs the [`interval_mass`]
+/// call a descent without the memo would, and a hit returns that stored
+/// `f64` unchanged, so memoizing never changes a [`FilterOutcome`] (the
+/// `differential` tests below run the memo-less closure as the reference).
 #[derive(Default)]
 struct MassCache {
     order: u32,
@@ -311,11 +311,11 @@ impl Ord for HeapNode {
 }
 
 /// The statistical block selection every query engine runs: `opts` picks
-/// the algorithm, its parameters and whether per-axis masses are memoized;
-/// with a `ctx` the best-first descent polls it every few node expansions
-/// and a stopped descent returns the blocks selected so far with
-/// [`FilterOutcome::truncated`] set — a valid (partial) selection, exact
-/// over the mass it did capture. The threshold baseline runs to completion.
+/// the algorithm and its parameters; with a `ctx` the best-first descent
+/// polls it every few node expansions and a stopped descent returns the
+/// blocks selected so far with [`FilterOutcome::truncated`] set — a valid
+/// (partial) selection, exact over the mass it did capture. The threshold
+/// baseline runs to completion.
 pub fn select_blocks_stat(
     curve: &HilbertCurve,
     model: &dyn DistortionModel,
@@ -325,19 +325,10 @@ pub fn select_blocks_stat(
 ) -> FilterOutcome {
     let (depth, alpha, max) = (opts.depth, opts.alpha, opts.max_blocks);
     match opts.algo {
-        FilterAlgo::BestFirst => {
-            best_first(curve, model, q, depth, alpha, max, opts.mass_cache, ctx)
+        FilterAlgo::BestFirst => best_first(curve, model, q, depth, alpha, max, ctx),
+        FilterAlgo::Threshold { iterations } => {
+            select_blocks_threshold(curve, model, q, depth, alpha, max, iterations)
         }
-        FilterAlgo::Threshold { iterations } => threshold(
-            curve,
-            model,
-            q,
-            depth,
-            alpha,
-            max,
-            iterations,
-            opts.mass_cache,
-        ),
     }
 }
 
@@ -356,25 +347,9 @@ pub fn select_blocks_best_first(
     alpha: f64,
     max_blocks: usize,
 ) -> FilterOutcome {
-    best_first(curve, model, q, depth, alpha, max_blocks, true, None)
+    best_first(curve, model, q, depth, alpha, max_blocks, None)
 }
 
-/// [`select_blocks_best_first`] without the per-query mass cache — every
-/// factor is re-integrated, exactly as before the cache existed. Kept as
-/// the equivalence baseline for tests and `bench_kernels`; the cached path
-/// returns byte-identical outcomes.
-pub fn select_blocks_best_first_uncached(
-    curve: &HilbertCurve,
-    model: &dyn DistortionModel,
-    q: &[u8],
-    depth: u32,
-    alpha: f64,
-    max_blocks: usize,
-) -> FilterOutcome {
-    best_first(curve, model, q, depth, alpha, max_blocks, false, None)
-}
-
-#[allow(clippy::too_many_arguments)] // the paper's parameters plus the two engine switches
 fn best_first(
     curve: &HilbertCurve,
     model: &dyn DistortionModel,
@@ -382,7 +357,6 @@ fn best_first(
     depth: u32,
     alpha: f64,
     max_blocks: usize,
-    mass_cache: bool,
     ctx: Option<&QueryCtx>,
 ) -> FilterOutcome {
     check_stat_args(curve, model, q, depth, alpha);
@@ -391,25 +365,18 @@ fn best_first(
         let Scratch {
             heap, cells, cache, ..
         } = scratch;
-        if mass_cache {
-            cache.reset(curve.dims(), curve.order() as u32);
-            let out = best_first_impl(curve, depth, alpha, max_blocks, ctx, heap, cells, {
-                &mut |dim, ext, k| cache.factor(model, &qf, dim, ext, k)
-            });
-            cache.publish();
-            observed(out, "best_first")
-        } else {
-            let out = best_first_impl(curve, depth, alpha, max_blocks, ctx, heap, cells, {
-                &mut |dim, ext, k| interval_mass(model, &qf, dim, ext, k)
-            });
-            observed(out, "best_first_uncached")
-        }
+        cache.reset(curve.dims(), curve.order() as u32);
+        let out = best_first_impl(curve, depth, alpha, max_blocks, ctx, heap, cells, {
+            &mut |dim, ext, k| cache.factor(model, &qf, dim, ext, k)
+        });
+        cache.publish();
+        observed(out, "best_first")
     })
 }
 
 /// Best-first descent over [`CompactNode`]s, parameterized over the source
-/// of per-axis interval masses `factor(axis, ext, k)` (the cached/uncached
-/// split of the public wrappers).
+/// of per-axis interval masses `factor(axis, ext, k)` (the engines pass the
+/// [`MassCache`]; the tests also a memo-less closure).
 ///
 /// A frontier entry is a mass plus a 12-byte node; the boxes themselves
 /// live once per curve level in `cells`. Everything a step needs follows
@@ -600,54 +567,16 @@ pub fn select_blocks_threshold(
     max_blocks: usize,
     iterations: usize,
 ) -> FilterOutcome {
-    threshold(curve, model, q, depth, alpha, max_blocks, iterations, true)
-}
-
-/// [`select_blocks_threshold`] without the mass cache (see
-/// [`select_blocks_best_first_uncached`]).
-pub fn select_blocks_threshold_uncached(
-    curve: &HilbertCurve,
-    model: &dyn DistortionModel,
-    q: &[u8],
-    depth: u32,
-    alpha: f64,
-    max_blocks: usize,
-    iterations: usize,
-) -> FilterOutcome {
-    threshold(curve, model, q, depth, alpha, max_blocks, iterations, false)
-}
-
-#[allow(clippy::too_many_arguments)] // the paper's parameters plus the cache switch
-fn threshold(
-    curve: &HilbertCurve,
-    model: &dyn DistortionModel,
-    q: &[u8],
-    depth: u32,
-    alpha: f64,
-    max_blocks: usize,
-    iterations: usize,
-    mass_cache: bool,
-) -> FilterOutcome {
     check_stat_args(curve, model, q, depth, alpha);
     assert!(iterations > 0);
     let qf = query_coords(q);
-    let dims = model.dims();
-    if !mass_cache {
-        let out = threshold_impl(curve, depth, alpha, max_blocks, iterations, dims, {
-            &mut |b, d| {
-                let (ext, k) = block_interval(b, d);
-                interval_mass(model, &qf, d, ext, k)
-            }
-        });
-        return observed(out, "threshold_uncached");
-    }
     // One cache shared across every bisection iteration: each pruned DFS
     // revisits mostly the same intervals, so iterations beyond the first
     // integrate almost nothing new.
     with_scratch(|scratch| {
         let cache = &mut scratch.cache;
         cache.reset(curve.dims(), curve.order() as u32);
-        let out = threshold_impl(curve, depth, alpha, max_blocks, iterations, dims, {
+        let out = threshold_impl(curve, depth, alpha, max_blocks, iterations, curve.dims(), {
             &mut |b, d| {
                 let (ext, k) = block_interval(b, d);
                 cache.factor(model, &qf, d, ext, k)
@@ -1242,7 +1171,7 @@ mod tests {
         token: crate::resilience::CancelToken,
     }
 
-    impl crate::resilience::Clock for PollClock {
+    impl crate::resilience::TimeSource for PollClock {
         fn now(&self) -> std::time::Duration {
             let n = self.polls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             if n == self.fire_at {
@@ -1250,6 +1179,9 @@ mod tests {
             }
             std::time::Duration::ZERO
         }
+    }
+
+    impl crate::resilience::Clock for PollClock {
         fn sleep(&self, _: std::time::Duration) {}
     }
 
@@ -1265,11 +1197,13 @@ mod tests {
             .and_deadline(std::sync::Arc::new(clock), std::time::Duration::MAX)
     }
 
-    /// One differential case: both descents on the same inputs must agree
+    /// One differential case: the engines' descent (compact nodes, memoized
+    /// factors) and the reference (`Block` nodes; factors memoized too, or —
+    /// `ref_cached` false — integrated afresh on every lookup) must agree
     /// on every emitted block (rank, depth, score bits, box), the totals,
-    /// the truncation flag and — cached — the hit/miss tallies. Returns
-    /// (blocks emitted, curve levels entered) so callers can check a case
-    /// exercised what it was written for.
+    /// the truncation flag and, when both memoize, the hit/miss tallies.
+    /// Returns (blocks emitted, curve levels entered) so callers can check
+    /// a case exercised what it was written for.
     #[allow(clippy::too_many_arguments)]
     fn assert_descents_agree(
         dims: usize,
@@ -1279,7 +1213,7 @@ mod tests {
         alpha: f64,
         max_blocks: usize,
         stop_after_polls: Option<u64>,
-        cached: bool,
+        ref_cached: bool,
         q: &[u8],
     ) -> (usize, usize) {
         let curve = HilbertCurve::new(dims, order).unwrap();
@@ -1291,34 +1225,21 @@ mod tests {
         ref_cache.reset(dims, order as u32);
 
         let ctx = stop_after_polls.map(ctx_firing_after);
-        let new = if cached {
-            best_first_impl(
-                &curve,
-                depth,
-                alpha,
-                max_blocks,
-                ctx.as_ref(),
-                &mut heap,
-                &mut cells,
-                &mut |d, e, k| new_cache.factor(&model, &qf, d, e, k),
-            )
-        } else {
-            best_first_impl(
-                &curve,
-                depth,
-                alpha,
-                max_blocks,
-                ctx.as_ref(),
-                &mut heap,
-                &mut cells,
-                &mut |d, e, k| interval_mass(&model, &qf, d, e, k),
-            )
-        };
+        let new = best_first_impl(
+            &curve,
+            depth,
+            alpha,
+            max_blocks,
+            ctx.as_ref(),
+            &mut heap,
+            &mut cells,
+            &mut |d, e, k| new_cache.factor(&model, &qf, d, e, k),
+        );
         let ctx = stop_after_polls.map(ctx_firing_after);
         let old = reference_best_first(&curve, depth, alpha, max_blocks, ctx.as_ref(), {
             &mut |b, d| {
                 let (e, k) = block_interval(b, d);
-                if cached {
+                if ref_cached {
                     ref_cache.factor(&model, &qf, d, e, k)
                 } else {
                     interval_mass(&model, &qf, d, e, k)
@@ -1326,7 +1247,7 @@ mod tests {
             }
         });
 
-        let case = format!("D={dims} K={order} p={depth} σ={sigma} α={alpha} max={max_blocks} stop={stop_after_polls:?} cached={cached}");
+        let case = format!("D={dims} K={order} p={depth} σ={sigma} α={alpha} max={max_blocks} stop={stop_after_polls:?} ref_cached={ref_cached}");
         assert_eq!(new.blocks.len(), old.blocks.len(), "{case}: block count");
         for (i, (n, (ob, om))) in new.blocks.iter().zip(&old.blocks).enumerate() {
             assert_eq!(n.curve_rank(), ob.curve_rank(), "{case}: rank of block {i}");
@@ -1344,11 +1265,13 @@ mod tests {
         assert_eq!(new.mass.to_bits(), old.mass.to_bits(), "{case}: mass");
         assert_eq!(new.nodes_expanded, old.nodes, "{case}: nodes expanded");
         assert_eq!(new.truncated, old.truncated, "{case}: truncated");
-        assert_eq!(
-            (new_cache.hits, new_cache.misses),
-            (ref_cache.hits, ref_cache.misses),
-            "{case}: cache tallies"
-        );
+        if ref_cached {
+            assert_eq!(
+                (new_cache.hits, new_cache.misses),
+                (ref_cache.hits, ref_cache.misses),
+                "{case}: cache tallies"
+            );
+        }
         (new.blocks.len(), cells.len())
     }
 
@@ -1357,25 +1280,34 @@ mod tests {
         // Narrow models so the descent reaches past two curve levels (p > 2D)
         // within a bounded number of pops, at the paper's D and a small one.
         let q20 = [3u8; 20];
-        for cached in [true, false] {
+        for ref_cached in [true, false] {
             let (blocks, levels) =
-                assert_descents_agree(20, 3, 45, 0.35, 0.6, 64, Some(400), cached, &q20);
+                assert_descents_agree(20, 3, 45, 0.35, 0.6, 64, Some(400), ref_cached, &q20);
             assert!(
                 blocks > 0 && levels >= 3,
                 "{blocks} blocks, {levels} levels"
             );
-            let (blocks, _) =
-                assert_descents_agree(20, 8, 18, 20.0, 0.8, 1 << 16, Some(150), cached, &[97; 20]);
+            let (blocks, _) = assert_descents_agree(
+                20,
+                8,
+                18,
+                20.0,
+                0.8,
+                1 << 16,
+                Some(150),
+                ref_cached,
+                &[97; 20],
+            );
             assert!(blocks > 100, "{blocks} blocks at the default depth");
             let (blocks, levels) =
-                assert_descents_agree(3, 6, 18, 1.5, 0.95, 1 << 14, None, cached, &[40, 9, 63]);
+                assert_descents_agree(3, 6, 18, 1.5, 0.95, 1 << 14, None, ref_cached, &[40, 9, 63]);
             assert!(
                 blocks > 0 && levels >= 6,
                 "{blocks} blocks, {levels} levels"
             );
             // Exactly at a level boundary, and the deepest possible depth.
-            assert_descents_agree(4, 3, 8, 1.0, 0.9, 1 << 14, None, cached, &[2, 5, 7, 0]);
-            assert_descents_agree(2, 4, 8, 0.8, 0.99, 1 << 14, None, cached, &[15, 0]);
+            assert_descents_agree(4, 3, 8, 1.0, 0.9, 1 << 14, None, ref_cached, &[2, 5, 7, 0]);
+            assert_descents_agree(2, 4, 8, 0.8, 0.99, 1 << 14, None, ref_cached, &[15, 0]);
         }
     }
 
@@ -1462,7 +1394,7 @@ mod tests {
                 alpha in 0.05f64..=1.0,
                 max_log in 0u32..14,
                 stop in 0u64..40,
-                cached in any::<bool>(),
+                ref_cached in any::<bool>(),
                 q in proptest::collection::vec(0u8..=255, 6),
             ) {
                 let max_depth = (2 * dims as u32 + 3).min((dims * order) as u32);
@@ -1470,7 +1402,7 @@ mod tests {
                 let q: Vec<u8> = q[..dims].iter().map(|&c| c >> (8 - order)).collect();
                 assert_descents_agree(
                     dims, order, depth.min(max_depth), sigma, alpha, 1 << max_log,
-                    (stop > 0).then_some(stop), cached, &q,
+                    (stop > 0).then_some(stop), ref_cached, &q,
                 );
             }
 
@@ -1484,14 +1416,46 @@ mod tests {
                 alpha in 0.05f64..=1.0,
                 max_log in 0u32..10,
                 stop in 1u64..120,
-                cached in any::<bool>(),
+                ref_cached in any::<bool>(),
                 q in proptest::collection::vec(0u8..=255, 20),
             ) {
                 let q: Vec<u8> = q.iter().map(|&c| c >> (8 - order)).collect();
                 let sigma = sigma_rel * f64::from(1u32 << order);
                 assert_descents_agree(
-                    20, order, depth, sigma, alpha, 1 << max_log, Some(stop), cached, &q,
+                    20, order, depth, sigma, alpha, 1 << max_log, Some(stop), ref_cached, &q,
                 );
+            }
+
+            /// The threshold filter's memo is as invisible as the
+            /// best-first one: the same bisection over factors integrated
+            /// afresh on every lookup returns the same outcome, bit for bit.
+            #[test]
+            fn threshold_memo_is_invisible(
+                q in proptest::collection::vec(0u8..=255, 6),
+                sigma in 4.0f64..40.0,
+                alpha in 0.1f64..0.99,
+                depth in 4u32..18,
+                iterations in 1usize..30,
+            ) {
+                let curve = HilbertCurve::new(6, 8).unwrap();
+                let model = IsotropicNormal::new(6, sigma);
+                let qf = query_coords(&q);
+                let max = 1 << 14;
+                let got = select_blocks_threshold(&curve, &model, &q, depth, alpha, max, iterations);
+                let want = threshold_impl(&curve, depth, alpha, max, iterations, 6, &mut |b, d| {
+                    let (ext, k) = block_interval(b, d);
+                    interval_mass(&model, &qf, d, ext, k)
+                });
+                prop_assert_eq!(got.blocks.len(), want.blocks.len());
+                for (g, w) in got.blocks.iter().zip(&want.blocks) {
+                    prop_assert_eq!(g.curve_rank(), w.curve_rank());
+                    prop_assert_eq!(g.depth(), w.depth());
+                    prop_assert_eq!(g.score.to_bits(), w.score.to_bits());
+                }
+                prop_assert_eq!(got.mass.to_bits(), want.mass.to_bits());
+                prop_assert_eq!(got.nodes_expanded, want.nodes_expanded);
+                prop_assert_eq!(got.tmax.map(f64::to_bits), want.tmax.map(f64::to_bits));
+                prop_assert_eq!(got.truncated, want.truncated);
             }
 
             /// Merging by rank equals merging by key range, for clustered

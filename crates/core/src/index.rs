@@ -116,10 +116,6 @@ pub struct StatQueryOpts {
     pub algo: FilterAlgo,
     /// Hard budget on selected blocks.
     pub max_blocks: usize,
-    /// Memoize per-axis component masses across the filter descent (on by
-    /// default; bit-identical output either way — the switch exists for
-    /// benchmarking the cache itself).
-    pub mass_cache: bool,
     /// Consult the section sketch (when the index carries one) to skip
     /// section loads that provably hold no candidate. On by default;
     /// bit-identical matches either way — skips are always true negatives
@@ -138,7 +134,6 @@ impl StatQueryOpts {
             refine: Refine::All,
             algo: FilterAlgo::BestFirst,
             max_blocks: 1 << 16,
-            mass_cache: true,
             sketch: true,
         }
     }

@@ -1,152 +1,39 @@
-//! Runtime-dispatched distance kernels over `u8` fingerprints.
+//! Distance kernels over `u8` fingerprints.
 //!
 //! Squared Euclidean distance between byte fingerprints is the innermost
 //! loop of every refinement scan, k-NN candidate evaluation and sequential
-//! baseline. This module provides three interchangeable implementations —
-//! scalar, SSE2 and AVX2 — selected once per process with
-//! `is_x86_feature_detected!` and an `S3_KERNEL` environment override
-//! (`scalar` | `sse2` | `avx2` | `auto`), plus an early-exit variant
-//! [`dist_sq_within`] used by bounded scans (ε-range refinement, k-NN
-//! pruning).
+//! baseline. There are two implementations, chosen at compile time: SSE2
+//! on `x86_64` (where it is part of the baseline instruction set, so no
+//! detection is needed) and a portable scalar loop everywhere else — plus
+//! an early-exit variant [`dist_sq_within`] used by bounded scans (ε-range
+//! refinement, k-NN pruning).
 //!
-//! All tiers are **bit-identical**: the arithmetic is pure integer
-//! (absolute byte difference, widen to 16 bits, multiply-accumulate into
-//! 32-bit lanes, horizontal sum into `u64`), so every tier returns exactly
-//! the same `u64` for the same inputs — property-tested in
-//! `tests/properties.rs`. The selected tier is recorded once in the
-//! `kernel.dispatch` counter (label `tier`).
+//! Both are **bit-identical**: the arithmetic is pure integer (absolute
+//! byte difference, widen to 16 bits, multiply-accumulate into 32-bit
+//! lanes, horizontal sum into `u64`), so [`dist_sq`] returns exactly what
+//! the scalar reference [`dist_sq_scalar`] does for the same inputs —
+//! property-tested in `tests/properties.rs`.
 //!
-//! The SIMD paths flush their 32-bit lane accumulators to the `u64` total
+//! The SIMD path flushes its 32-bit lane accumulators to the `u64` total
 //! every `FLUSH_CHUNKS` vectors; a single 16-byte chunk contributes at
 //! most `2 · 255² · 2 = 260 100` per lane, so 4096 chunks stay well below
 //! `i32::MAX`.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which implementation of the distance kernels is active.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelTier {
-    /// Portable scalar loop (always available).
-    Scalar,
-    /// 128-bit SSE2 (baseline on every `x86_64`).
-    Sse2,
-    /// 256-bit AVX2 (detected at runtime).
-    Avx2,
-}
-
-impl KernelTier {
-    /// Short lowercase name, used as the `tier` label of the
-    /// `kernel.dispatch` counter.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelTier::Scalar => "scalar",
-            KernelTier::Sse2 => "sse2",
-            KernelTier::Avx2 => "avx2",
-        }
-    }
-}
-
-const TIER_UNSET: u8 = 0;
-const TIER_SCALAR: u8 = 1;
-const TIER_SSE2: u8 = 2;
-const TIER_AVX2: u8 = 3;
-
-/// The resolved dispatch decision, cached after the first kernel call.
-static TIER: AtomicU8 = AtomicU8::new(TIER_UNSET);
-
-fn encode(tier: KernelTier) -> u8 {
-    match tier {
-        KernelTier::Scalar => TIER_SCALAR,
-        KernelTier::Sse2 => TIER_SSE2,
-        KernelTier::Avx2 => TIER_AVX2,
-    }
-}
-
-/// Every tier this host can run, in increasing width order.
-pub fn available_tiers() -> Vec<KernelTier> {
-    let mut tiers = vec![KernelTier::Scalar];
-    #[cfg(target_arch = "x86_64")]
-    {
-        tiers.push(KernelTier::Sse2);
-        if std::arch::is_x86_feature_detected!("avx2") {
-            tiers.push(KernelTier::Avx2);
-        }
-    }
-    tiers
-}
-
-/// Picks the widest available tier, honouring the `S3_KERNEL` override.
-/// An override naming an unsupported tier falls back to auto-detection.
-fn detect() -> KernelTier {
-    let avail = available_tiers();
-    if let Ok(want) = std::env::var("S3_KERNEL") {
-        let forced = match want.as_str() {
-            "scalar" => Some(KernelTier::Scalar),
-            "sse2" => Some(KernelTier::Sse2),
-            "avx2" => Some(KernelTier::Avx2),
-            _ => None,
-        };
-        if let Some(t) = forced.filter(|t| avail.contains(t)) {
-            return t;
-        }
-    }
-    *avail.last().unwrap_or(&KernelTier::Scalar)
-}
-
-/// The tier the dispatched entry points currently use. Resolves (and
-/// records the `kernel.dispatch` counter) on first call.
-pub fn active_tier() -> KernelTier {
-    match TIER.load(Ordering::Relaxed) {
-        TIER_SCALAR => KernelTier::Scalar,
-        TIER_SSE2 => KernelTier::Sse2,
-        TIER_AVX2 => KernelTier::Avx2,
-        _ => {
-            let t = detect();
-            TIER.store(encode(t), Ordering::Relaxed);
-            s3_obs::registry()
-                .counter_with("kernel.dispatch", Some(("tier", t.name())))
-                .inc();
-            t
-        }
-    }
-}
-
-/// Overrides the dispatch decision — for benchmarks and tests that compare
-/// tiers within one process. `None` reverts to auto-detection on the next
-/// kernel call.
-///
-/// # Panics
-/// If the requested tier is not in [`available_tiers`].
-pub fn force_tier(tier: Option<KernelTier>) {
-    match tier {
-        None => TIER.store(TIER_UNSET, Ordering::Relaxed),
-        Some(t) => {
-            assert!(
-                available_tiers().contains(&t),
-                "kernel tier {t:?} is not supported on this host"
-            );
-            TIER.store(encode(t), Ordering::Relaxed);
-        }
-    }
-}
-
-/// Squared Euclidean distance between two byte fingerprints, computed with
-/// the active kernel tier. Extra trailing components of the longer slice
-/// are ignored (callers always pass equal lengths; `debug_assert`ed).
+/// Squared Euclidean distance between two byte fingerprints. Extra trailing
+/// components of the longer slice are ignored (callers always pass equal
+/// lengths; `debug_assert`ed).
 #[inline]
 pub fn dist_sq(a: &[u8], b: &[u8]) -> u64 {
     debug_assert_eq!(a.len(), b.len(), "fingerprint length mismatch");
-    match active_tier() {
-        KernelTier::Scalar => dist_sq_scalar(a, b),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the tier is only selected when the feature is available.
-        KernelTier::Sse2 => unsafe { x86::dist_sq_sse2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        KernelTier::Avx2 => unsafe { x86::dist_sq_avx2(a, b) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => dist_sq_scalar(a, b),
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE2 is part of the x86_64 baseline, so the target feature the
+    // callee enables is always present — its only requirement: it bounds
+    // its own reads by the shorter slice.
+    unsafe {
+        x86::dist_sq_sse2(a, b)
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    dist_sq_scalar(a, b)
 }
 
 /// Bounded squared distance: `Some(d²)` iff `d² ≤ bound`, `None` otherwise.
@@ -158,62 +45,13 @@ pub fn dist_sq(a: &[u8], b: &[u8]) -> u64 {
 #[inline]
 pub fn dist_sq_within(a: &[u8], b: &[u8], bound: u64) -> Option<u64> {
     debug_assert_eq!(a.len(), b.len(), "fingerprint length mismatch");
-    match active_tier() {
-        KernelTier::Scalar => dist_sq_within_scalar(a, b, bound),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the tier is only selected when the feature is available.
-        KernelTier::Sse2 => unsafe { x86::dist_sq_within_sse2(a, b, bound) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        KernelTier::Avx2 => unsafe { x86::dist_sq_within_avx2(a, b, bound) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => dist_sq_within_scalar(a, b, bound),
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: as in `dist_sq`.
+    unsafe {
+        x86::dist_sq_within_sse2(a, b, bound)
     }
-}
-
-/// [`dist_sq`] with an explicit tier — lets tests and benchmarks compare
-/// implementations side by side regardless of the dispatched default.
-///
-/// # Panics
-/// If the requested tier is not in [`available_tiers`].
-pub fn dist_sq_with_tier(tier: KernelTier, a: &[u8], b: &[u8]) -> u64 {
-    assert!(
-        available_tiers().contains(&tier),
-        "kernel tier {tier:?} is not supported on this host"
-    );
-    match tier {
-        KernelTier::Scalar => dist_sq_scalar(a, b),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: availability asserted above.
-        KernelTier::Sse2 => unsafe { x86::dist_sq_sse2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: availability asserted above.
-        KernelTier::Avx2 => unsafe { x86::dist_sq_avx2(a, b) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => dist_sq_scalar(a, b),
-    }
-}
-
-/// [`dist_sq_within`] with an explicit tier (see [`dist_sq_with_tier`]).
-///
-/// # Panics
-/// If the requested tier is not in [`available_tiers`].
-pub fn dist_sq_within_with_tier(tier: KernelTier, a: &[u8], b: &[u8], bound: u64) -> Option<u64> {
-    assert!(
-        available_tiers().contains(&tier),
-        "kernel tier {tier:?} is not supported on this host"
-    );
-    match tier {
-        KernelTier::Scalar => dist_sq_within_scalar(a, b, bound),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: availability asserted above.
-        KernelTier::Sse2 => unsafe { x86::dist_sq_within_sse2(a, b, bound) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: availability asserted above.
-        KernelTier::Avx2 => unsafe { x86::dist_sq_within_avx2(a, b, bound) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => dist_sq_within_scalar(a, b, bound),
-    }
+    #[cfg(not(target_arch = "x86_64"))]
+    dist_sq_within_scalar(a, b, bound)
 }
 
 /// Converts the floating refinement predicate `d² as f64 ≤ eps_sq` into an
@@ -232,7 +70,7 @@ pub fn bound_from_eps_sq(eps_sq: f64) -> Option<u64> {
     }
 }
 
-/// Portable scalar squared distance — the reference every SIMD tier must
+/// Portable scalar squared distance — the reference the SIMD kernel must
 /// bit-match.
 #[inline]
 pub fn dist_sq_scalar(a: &[u8], b: &[u8]) -> u64 {
@@ -290,15 +128,6 @@ mod x86 {
         lanes.iter().map(|&x| x as u64).sum()
     }
 
-    /// Sums the eight non-negative i32 lanes into a u64.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum_epi32_avx2(v: __m256i) -> u64 {
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), v);
-        lanes.iter().map(|&x| x as u64).sum()
-    }
-
     /// Adds the squared differences of one 16-byte chunk at `i` into `acc`
     /// (i32 lanes): |a−b| via unsigned max−min, widen to u16, `madd` the
     /// squares into i32 pairs.
@@ -313,20 +142,6 @@ mod x86 {
         let hi = _mm_unpackhi_epi8(d, zero);
         let acc = _mm_add_epi32(acc, _mm_madd_epi16(lo, lo));
         _mm_add_epi32(acc, _mm_madd_epi16(hi, hi))
-    }
-
-    /// As [`step_sse2`] for one 32-byte chunk.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn step_avx2(a: &[u8], b: &[u8], i: usize, acc: __m256i) -> __m256i {
-        let zero = _mm256_setzero_si256();
-        let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-        let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-        let d = _mm256_sub_epi8(_mm256_max_epu8(va, vb), _mm256_min_epu8(va, vb));
-        let lo = _mm256_unpacklo_epi8(d, zero);
-        let hi = _mm256_unpackhi_epi8(d, zero);
-        let acc = _mm256_add_epi32(acc, _mm256_madd_epi16(lo, lo));
-        _mm256_add_epi32(acc, _mm256_madd_epi16(hi, hi))
     }
 
     #[target_feature(enable = "sse2")]
@@ -347,40 +162,6 @@ mod x86 {
             }
         }
         total + hsum_epi32_sse2(acc) + tail(a, b, i, n)
-    }
-
-    /// Tail after the 32-byte chunks: one 16-byte SSE2 step when at least
-    /// half a vector remains (the paper's D = 20 lands here), then scalar.
-    /// SSE2 is implied by AVX2, so this needs no extra detection.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn tail_avx2(a: &[u8], b: &[u8], mut i: usize, n: usize) -> u64 {
-        let mut total = 0u64;
-        if i + 16 <= n {
-            total += hsum_epi32_sse2(step_sse2(a, b, i, _mm_setzero_si128()));
-            i += 16;
-        }
-        total + tail(a, b, i, n)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dist_sq_avx2(a: &[u8], b: &[u8]) -> u64 {
-        let n = a.len().min(b.len());
-        let mut total = 0u64;
-        let mut acc = _mm256_setzero_si256();
-        let mut chunks = 0usize;
-        let mut i = 0usize;
-        while i + 32 <= n {
-            acc = step_avx2(a, b, i, acc);
-            i += 32;
-            chunks += 1;
-            if chunks == FLUSH_CHUNKS {
-                total += hsum_epi32_avx2(acc);
-                acc = _mm256_setzero_si256();
-                chunks = 0;
-            }
-        }
-        total + hsum_epi32_avx2(acc) + tail_avx2(a, b, i, n)
     }
 
     #[target_feature(enable = "sse2")]
@@ -406,28 +187,6 @@ mod x86 {
         total += tail(a, b, i, n);
         (total <= bound).then_some(total)
     }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dist_sq_within_avx2(a: &[u8], b: &[u8], bound: u64) -> Option<u64> {
-        let n = a.len().min(b.len());
-        let vec_end = n - n % 32;
-        let mut total = 0u64;
-        let mut i = 0usize;
-        while i < vec_end {
-            let stop = (i + 256).min(vec_end);
-            let mut acc = _mm256_setzero_si256();
-            while i < stop {
-                acc = step_avx2(a, b, i, acc);
-                i += 32;
-            }
-            total += hsum_epi32_avx2(acc);
-            if total > bound {
-                return None;
-            }
-        }
-        total += tail_avx2(a, b, i, n);
-        (total <= bound).then_some(total)
-    }
 }
 
 #[cfg(test)]
@@ -446,21 +205,22 @@ mod tests {
             .collect()
     }
 
+    type Within = fn(&[u8], &[u8], u64) -> Option<u64>;
+
+    /// The compiled-in kernel and the scalar reference, by name.
+    const WITHIN: [(&str, Within); 2] = [
+        ("compiled-in", dist_sq_within),
+        ("scalar", dist_sq_within_scalar),
+    ];
+
     #[test]
-    fn all_tiers_match_scalar_across_lengths() {
-        // Includes the paper's D=20, widths around the 16/32-byte vector
-        // boundaries, and long buffers exercising the tail path.
+    fn kernel_matches_scalar_across_lengths() {
+        // Includes the paper's D=20, widths around the 16-byte vector
+        // boundary, and long buffers exercising the tail path.
         for len in [0, 1, 2, 15, 16, 17, 20, 31, 32, 33, 63, 64, 100, 1000] {
             let a = xorshift_vec(len, 0xA11CE + len as u64);
             let b = xorshift_vec(len, 0xB0B + len as u64);
-            let reference = dist_sq_scalar(&a, &b);
-            for tier in available_tiers() {
-                assert_eq!(
-                    dist_sq_with_tier(tier, &a, &b),
-                    reference,
-                    "tier {tier:?} len {len}"
-                );
-            }
+            assert_eq!(dist_sq(&a, &b), dist_sq_scalar(&a, &b), "len {len}");
         }
     }
 
@@ -470,10 +230,7 @@ mod tests {
         let b = xorshift_vec(256, 2);
         for off in 0..4usize {
             let (sa, sb) = (&a[off..], &b[off..]);
-            let reference = dist_sq_scalar(sa, sb);
-            for tier in available_tiers() {
-                assert_eq!(dist_sq_with_tier(tier, sa, sb), reference, "off {off}");
-            }
+            assert_eq!(dist_sq(sa, sb), dist_sq_scalar(sa, sb), "off {off}");
         }
     }
 
@@ -482,22 +239,18 @@ mod tests {
         let a = xorshift_vec(300, 7);
         let b = xorshift_vec(300, 8);
         let full = dist_sq_scalar(&a, &b);
-        for tier in available_tiers() {
+        for (name, within) in WITHIN {
             for bound in [0, full - 1, full, full + 1, u64::MAX] {
-                let got = dist_sq_within_with_tier(tier, &a, &b, bound);
-                if full <= bound {
-                    assert_eq!(got, Some(full), "tier {tier:?} bound {bound}");
-                } else {
-                    assert_eq!(got, None, "tier {tier:?} bound {bound}");
-                }
+                let want = (full <= bound).then_some(full);
+                assert_eq!(within(&a, &b, bound), want, "{name} bound {bound}");
             }
         }
     }
 
     #[test]
     fn within_empty_input_is_zero() {
-        for tier in available_tiers() {
-            assert_eq!(dist_sq_within_with_tier(tier, &[], &[], 0), Some(0));
+        for (name, within) in WITHIN {
+            assert_eq!(within(&[], &[], 0), Some(0), "{name}");
         }
     }
 
@@ -508,10 +261,10 @@ mod tests {
         let a = vec![255u8; 4096];
         let b = vec![0u8; 4096];
         let want = 4096u64 * 255 * 255;
-        for tier in available_tiers() {
-            assert_eq!(dist_sq_with_tier(tier, &a, &b), want);
-            assert_eq!(dist_sq_within_with_tier(tier, &a, &b, want), Some(want));
-            assert_eq!(dist_sq_within_with_tier(tier, &a, &b, want - 1), None);
+        assert_eq!(dist_sq(&a, &b), want);
+        for (name, within) in WITHIN {
+            assert_eq!(within(&a, &b, want), Some(want), "{name}");
+            assert_eq!(within(&a, &b, want - 1), None, "{name}");
         }
     }
 
@@ -523,22 +276,5 @@ mod tests {
         assert_eq!(bound_from_eps_sq(-1.0), None);
         assert_eq!(bound_from_eps_sq(f64::NAN), None);
         assert_eq!(bound_from_eps_sq(f64::INFINITY), Some(u64::MAX));
-    }
-
-    #[test]
-    fn forced_tier_drives_dispatch() {
-        let tiers = available_tiers();
-        let a = xorshift_vec(20, 3);
-        let b = xorshift_vec(20, 4);
-        let want = dist_sq_scalar(&a, &b);
-        for &t in &tiers {
-            force_tier(Some(t));
-            assert_eq!(active_tier(), t);
-            assert_eq!(dist_sq(&a, &b), want);
-            assert_eq!(dist_sq_within(&a, &b, want), Some(want));
-        }
-        force_tier(None);
-        // Re-detection picks the widest available tier (or the env choice).
-        assert!(tiers.contains(&active_tier()));
     }
 }

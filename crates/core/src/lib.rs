@@ -58,7 +58,6 @@
 
 pub mod autotune;
 pub mod bufferpool;
-pub mod crc;
 pub mod distortion;
 pub mod durable;
 pub mod dynamic;
@@ -78,6 +77,10 @@ pub mod sketch;
 pub mod storage;
 pub mod wal;
 
+/// CRC-32 of the checksummed on-disk formats (one implementation, shared
+/// with the telemetry segments of `s3-obs`).
+pub use s3_obs::crc;
+
 pub use bufferpool::{BlockSource, BufferPool, PageSource, PinnedPage, PooledStorage};
 pub use distortion::{DiagonalNormal, DistortionModel, IsotropicNormal};
 pub use durable::{DurableIndex, DurableOptions, EngineState, RecoveryReport};
@@ -85,13 +88,14 @@ pub use dynamic::{DynamicIndex, MergeOutcome};
 pub use error::IndexError;
 pub use fingerprint::{dist, dist_sq, Record, RecordBatch, PAPER_DIMS};
 pub use index::{FilterAlgo, Match, QueryResult, QueryStats, Refine, S3Index, StatQueryOpts};
-pub use kernels::{dist_sq_within, KernelTier};
+pub use kernels::dist_sq_within;
 pub use metrics::{default_health_rules, default_slos, telemetry_dir, CoreMetrics};
 pub use pager::{DataPages, Page, PageMeta, PageStore, DEFAULT_PAGE_SIZE, PAGE_HEADER_LEN};
 pub use pseudo_disk::{DiskIndex, RetryPolicy, WriteOpts};
 pub use resilience::{
     next_query_id, system_clock, Admission, AdmissionController, BreakerConfig, CancelCause,
     CancelToken, Clock, Deadline, MockClock, Permit, QueryCtx, SectionBreakers, Shed, SystemClock,
+    TimeSource,
 };
 pub use shard::{
     HedgeConfig, ShardPlan, ShardReport, ShardedBatchResult, ShardedIndex, ShardedOptions,

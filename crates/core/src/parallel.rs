@@ -6,11 +6,10 @@
 //! of construction (Hilbert key computation); the final sort stays
 //! single-threaded and is a small fraction of build time.
 //!
-//! Work is distributed dynamically by default ([`Schedule::WorkStealing`]):
-//! workers claim items off a shared atomic cursor, so a handful of expensive
-//! queries — deep filters, wide distortion models — cannot strand the rest
-//! of the batch on one thread the way static chunking does. The static
-//! splitter is kept as [`Schedule::Static`] for comparison benchmarks.
+//! Work is distributed dynamically: workers claim items off a shared atomic
+//! cursor, so a handful of expensive queries — deep filters, wide distortion
+//! models — cannot strand the rest of the batch on one thread the way fixed
+//! per-worker chunks would.
 //!
 //! This goes beyond the paper (which reports single-core Pentium-IV numbers)
 //! but is what the paper's TV-monitoring deployment would use today; the
@@ -23,19 +22,6 @@ use crate::resilience::QueryCtx;
 use s3_hilbert::{HilbertCurve, Key256};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// How a batch is split across worker threads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Schedule {
-    /// One contiguous chunk per worker, fixed up front. Cheap to set up but
-    /// the batch finishes when its slowest chunk does.
-    Static,
-    /// Workers repeatedly claim the next unclaimed items off a shared atomic
-    /// cursor (default). Load-balances skewed batches at the cost of one
-    /// `fetch_add` per claim.
-    #[default]
-    WorkStealing,
-}
 
 /// Rows of Hilbert-key work claimed per cursor bump: one key is far too
 /// cheap to pay an atomic for, so keys are claimed in pages.
@@ -138,8 +124,7 @@ where
     slots.into_iter().map(|s| s.0.into_inner()).collect()
 }
 
-/// Runs a batch of statistical queries across `threads` worker threads with
-/// the default work-stealing schedule.
+/// Runs a batch of statistical queries across `threads` worker threads.
 ///
 /// Results are returned in input order. With `threads == 1` (or a batch of
 /// at most one query) this is a plain sequential loop — no thread spawn.
@@ -150,61 +135,17 @@ pub fn stat_query_batch(
     opts: &StatQueryOpts,
     threads: usize,
 ) -> Vec<QueryResult> {
-    stat_query_batch_with(index, queries, model, opts, threads, Schedule::default())
-}
-
-/// As [`stat_query_batch`] with an explicit [`Schedule`].
-pub fn stat_query_batch_with(
-    index: &S3Index,
-    queries: &[&[u8]],
-    model: &dyn DistortionModel,
-    opts: &StatQueryOpts,
-    threads: usize,
-    schedule: Schedule,
-) -> Vec<QueryResult> {
     assert!(threads > 0, "need at least one thread");
     let _sp = s3_obs::span!(
         "query.batch",
         "queries" => queries.len() as f64,
         "threads" => threads as f64,
     );
-    let workers = threads.min(queries.len());
-    if workers <= 1 {
-        return queries
-            .iter()
-            .map(|q| index.stat_query(q, model, opts))
-            .collect();
-    }
-    match schedule {
-        // Queries are orders of magnitude heavier than a `fetch_add`, so
-        // they are claimed one at a time for the finest balance.
-        Schedule::WorkStealing => run_dynamic(queries.len(), workers, 1, &|i| {
-            index.stat_query(queries[i], model, opts)
-        }),
-        Schedule::Static => {
-            let chunk = queries.len().div_ceil(workers);
-            let mut results: Vec<Option<QueryResult>> = (0..queries.len()).map(|_| None).collect();
-            let qid = s3_obs::current_query();
-            std::thread::scope(|scope| {
-                for (qs, rs) in queries.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        let _scope = s3_obs::QueryScope::enter(qid);
-                        for (q, slot) in qs.iter().zip(rs.iter_mut()) {
-                            *slot = Some(index.stat_query(q, model, opts));
-                        }
-                    });
-                }
-            });
-            results
-                .into_iter()
-                .map(|r| match r {
-                    Some(r) => r,
-                    // The chunking above covers every slot exactly once.
-                    None => unreachable!("all slots filled"),
-                })
-                .collect()
-        }
-    }
+    // Queries are orders of magnitude heavier than a `fetch_add`, so they
+    // are claimed one at a time for the finest balance.
+    run_dynamic(queries.len(), threads, 1, &|i| {
+        index.stat_query(queries[i], model, opts)
+    })
 }
 
 /// As [`stat_query_batch`] under a [`QueryCtx`]: each query polls the ctx at
@@ -299,30 +240,17 @@ mod tests {
         let opts = StatQueryOpts::new(0.85, 10);
         let queries: Vec<Vec<u8>> = (0..23u8).map(|i| vec![i * 11, 200 - i, i, 128]).collect();
         let qrefs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
-        let seq = stat_query_batch(&idx, &qrefs, &model, &opts, 1);
-        let par = stat_query_batch(&idx, &qrefs, &model, &opts, 4);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            let ai: Vec<usize> = a.matches.iter().map(|m| m.index).collect();
-            let bi: Vec<usize> = b.matches.iter().map(|m| m.index).collect();
-            assert_eq!(ai, bi);
-        }
-    }
-
-    #[test]
-    fn schedules_agree() {
-        let idx = index(1500);
-        let model = IsotropicNormal::new(4, 10.0);
-        let opts = StatQueryOpts::new(0.8, 9);
-        let queries: Vec<Vec<u8>> = (0..17u8).map(|i| vec![i * 13, i, 255 - i, 90]).collect();
-        let qrefs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
-        let st = stat_query_batch_with(&idx, &qrefs, &model, &opts, 4, Schedule::Static);
-        let ws = stat_query_batch_with(&idx, &qrefs, &model, &opts, 4, Schedule::WorkStealing);
-        for (a, b) in st.iter().zip(&ws) {
-            let ai: Vec<usize> = a.matches.iter().map(|m| m.index).collect();
-            let bi: Vec<usize> = b.matches.iter().map(|m| m.index).collect();
-            assert_eq!(ai, bi);
-            assert_eq!(a.stats, b.stats);
+        let seq: Vec<QueryResult> = qrefs
+            .iter()
+            .map(|q| idx.stat_query(q, &model, &opts))
+            .collect();
+        for threads in [1, 2, 4] {
+            let par = stat_query_batch(&idx, &qrefs, &model, &opts, threads);
+            assert_eq!(seq.len(), par.len());
+            for (a, b) in seq.iter().zip(&par) {
+                assert_eq!(a.matches, b.matches, "threads={threads}");
+                assert_eq!(a.stats, b.stats, "threads={threads}");
+            }
         }
     }
 
@@ -365,7 +293,6 @@ mod tests {
         let model = IsotropicNormal::new(4, 12.0);
         let opts = StatQueryOpts::new(0.8, 6);
         assert!(stat_query_batch(&idx, &[], &model, &opts, 4).is_empty());
-        assert!(stat_query_batch_with(&idx, &[], &model, &opts, 4, Schedule::Static).is_empty());
     }
 
     #[test]

@@ -33,54 +33,30 @@
 //! `docs/observability.md`.
 
 use crate::metrics::CoreMetrics;
+pub use s3_obs::TimeSource;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Clocks
 // ---------------------------------------------------------------------------
 
-/// A monotonic time source.
-///
-/// `now` returns the elapsed time since an arbitrary per-clock epoch; only
-/// differences are meaningful. `sleep` blocks (or, for a mock, pretends to).
-pub trait Clock: Send + Sync + fmt::Debug {
-    /// Monotonic reading since the clock's epoch.
-    fn now(&self) -> Duration;
+/// A monotonic time source that can also wait: [`TimeSource`] (`now` is
+/// the elapsed time since an arbitrary per-clock epoch; only differences
+/// are meaningful) plus `sleep`, which blocks — or, for a mock, pretends to.
+pub trait Clock: TimeSource + fmt::Debug {
     /// Blocks for `d` ([`MockClock`] advances its reading instead).
     fn sleep(&self, d: Duration);
 }
 
-/// Wall-clock time via [`Instant`].
-#[derive(Debug)]
-pub struct SystemClock {
-    epoch: Instant,
-}
-
-impl SystemClock {
-    /// A clock whose epoch is the moment of construction.
-    pub fn new() -> SystemClock {
-        SystemClock {
-            epoch: Instant::now(),
-        }
-    }
-}
-
-impl Default for SystemClock {
-    fn default() -> Self {
-        SystemClock::new()
-    }
-}
+/// Wall-clock time: the epoch is the moment of construction.
+pub use s3_obs::WallTime as SystemClock;
 
 impl Clock for SystemClock {
-    fn now(&self) -> Duration {
-        self.epoch.elapsed()
-    }
-
     fn sleep(&self, d: Duration) {
         if !d.is_zero() {
             std::thread::sleep(d);
@@ -95,33 +71,12 @@ pub fn system_clock() -> Arc<dyn Clock> {
 }
 
 /// A manually-driven clock for deterministic tests: `now` reads an atomic,
-/// `sleep` advances it. Fault-injection stalls against a `MockClock`
-/// therefore cost zero wall time while still exceeding mock deadlines.
-#[derive(Debug, Default)]
-pub struct MockClock {
-    nanos: AtomicU64,
-}
-
-impl MockClock {
-    /// A mock clock starting at zero.
-    pub fn new() -> MockClock {
-        MockClock::default()
-    }
-
-    /// Moves the reading forward by `d`.
-    pub fn advance(&self, d: Duration) {
-        self.nanos.fetch_add(
-            d.as_nanos().min(u128::from(u64::MAX)) as u64,
-            Ordering::SeqCst,
-        );
-    }
-}
+/// `advance` and `sleep` move it forward. Fault-injection stalls against a
+/// `MockClock` therefore cost zero wall time while still exceeding mock
+/// deadlines.
+pub use s3_obs::ManualTime as MockClock;
 
 impl Clock for MockClock {
-    fn now(&self) -> Duration {
-        Duration::from_nanos(self.nanos.load(Ordering::SeqCst))
-    }
-
     fn sleep(&self, d: Duration) {
         self.advance(d);
     }

@@ -1409,16 +1409,35 @@ mod tests {
 
     #[test]
     fn hedging_disabled_never_hedges() {
+        // Stalled primaries (on a mock clock: no wall time) and no hedging:
+        // the stall is waited out, no shard is lost, answers are exact.
         let index = synthetic(600, 2);
         let model = IsotropicNormal::new(DIMS, 12.0);
         let opts = StatQueryOpts::new(0.9, 12);
         let q = probes(&index, 6, 0x11);
         let queries: Vec<&[u8]> = q.iter().map(Vec::as_slice).collect();
-        let sharded = ShardedIndex::build_mem(
-            &index,
-            2,
-            2,
-            WriteOpts::default(),
+        let base = single_node(&index)
+            .stat_query_batch(&queries, &model, &opts, MEM)
+            .unwrap();
+        let plan = ShardPlan::balanced(&index, 2);
+        let mut storages: Vec<Vec<Box<dyn Storage>>> = Vec::new();
+        for s in 0..plan.shards() {
+            let bytes = plan.shard_bytes(&index, s, WriteOpts::default()).unwrap();
+            let stalled: Box<dyn Storage> = Box::new(FaultyStorage::with_clock(
+                MemStorage::new(bytes.clone()),
+                FaultPlan {
+                    seed: 5,
+                    stall_every_n: 1,
+                    stall_ms: 60,
+                    ..FaultPlan::default()
+                },
+                Arc::new(MockClock::new()),
+            ));
+            storages.push(vec![stalled, Box::new(MemStorage::new(bytes))]);
+        }
+        let sharded = ShardedIndex::open(
+            plan,
+            storages,
             ShardedOptions {
                 hedge: HedgeConfig {
                     enabled: false,
@@ -1431,6 +1450,8 @@ mod tests {
         let got = sharded.stat_query_batch(&queries, &model, &opts).unwrap();
         assert_eq!(got.hedges, 0);
         assert_eq!(got.hedge_wins, 0);
+        assert_eq!(got.shard_skips, 0, "a stall must never lose a shard");
+        assert_identical(&got.batch, &base);
     }
 
     #[test]

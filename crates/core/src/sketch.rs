@@ -54,10 +54,9 @@
 use crate::crc::crc32;
 use crate::error::IndexError;
 use crate::metrics::CoreMetrics;
-use crate::storage::Storage;
+use crate::storage::{write_atomic, Storage};
 use s3_hilbert::Key256;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"S3SKCH01";
@@ -374,25 +373,7 @@ impl Sketch {
     /// Writes the sidecar atomically (temp file + fsync + rename + dir
     /// sync), the same protocol as the index file itself.
     pub fn write_sidecar(&self, index_path: &Path) -> io::Result<()> {
-        let path = Self::sidecar_path(index_path);
-        let tmp = {
-            let mut name = path.file_name().unwrap_or_default().to_os_string();
-            name.push(".tmp");
-            path.with_file_name(name)
-        };
-        let file = File::create(&tmp)?;
-        let mut w = BufWriter::new(file);
-        w.write_all(&self.encode_to_vec())?;
-        let file = w.into_inner().map_err(io::IntoInnerError::into_error)?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, &path)?;
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        write_atomic(&Self::sidecar_path(index_path), &self.encode_to_vec())
     }
 }
 

@@ -62,6 +62,32 @@ impl<S: Storage + ?Sized> Storage for Box<S> {
     }
 }
 
+/// Replaces the file at `path` with `bytes`, atomically: the bytes land in
+/// a sibling `<name>.tmp` file which is fsynced and then renamed over
+/// `path`, and the parent directory is synced to persist the rename — a
+/// crash at any point leaves either the previous file or the new one,
+/// never a mix. The one write protocol of every whole-file format (index,
+/// sketch sidecar, reference database).
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = {
+        let mut name = path.file_name().unwrap_or_default().to_os_string();
+        name.push(".tmp");
+        path.with_file_name(name)
+    };
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    // Directory fsync is not supported everywhere; best effort.
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(())
+}
+
 /// Random-access byte storage that can also be mutated and made durable —
 /// the contract the paged storage engine ([`crate::pager::PageStore`]) and
 /// the write-ahead log ([`crate::wal::Wal`]) write through.
@@ -830,6 +856,7 @@ impl<S: WritableStorage> WritableStorage for FaultyStorage<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::TimeSource;
 
     fn mem(n: usize) -> MemStorage {
         MemStorage::new((0..n).map(|i| (i % 251) as u8).collect())

@@ -9,12 +9,13 @@
 //! Single `#[test]`: the span/event sinks and the metrics registry are
 //! process-global, so the whole scenario runs as one sequential story.
 
+use s3_core::filter::select_blocks_best_first;
 use s3_core::pseudo_disk::DiskIndex;
 use s3_core::pseudo_disk::WriteOpts;
 use s3_core::{
     default_health_rules, Clock, CoreMetrics, DurableIndex, DurableOptions, FaultPlan,
     FaultyStorage, IsotropicNormal, MemStorage, MockClock, QueryCtx, RecordBatch, S3Index,
-    SharedMemStorage, StatQueryOpts,
+    SharedMemStorage, StatQueryOpts, TimeSource,
 };
 use s3_hilbert::HilbertCurve;
 use s3_obs::{
@@ -93,6 +94,19 @@ fn fault_storm_trips_health_dumps_incident_and_recovers() {
     let bytes = encode(&index);
     let clock = Arc::new(MockClock::new());
 
+    let model = IsotropicNormal::new(DIMS, 12.0);
+    let opts = StatQueryOpts::new(0.9, 12);
+    let qs = queries(&index);
+    let qrefs: Vec<&[u8]> = qs.iter().map(|q| q.as_slice()).collect();
+
+    // The clean batch's answers with nothing armed — no span sink, no
+    // recorder, no EXPLAIN: observability must never change them.
+    let plain = DiskIndex::open_storage(Box::new(MemStorage::new(bytes.clone())))
+        .unwrap()
+        .stat_query_batch(&qrefs, &model, &opts, MEM_BUDGET)
+        .unwrap()
+        .matches;
+
     // Continuous-observability stack: windows ticked on the mock clock,
     // stock rules, recorder with spans attached and events teed.
     let windows = Arc::new(MetricWindows::new(256));
@@ -115,11 +129,6 @@ fn fault_storm_trips_health_dumps_incident_and_recovers() {
         std::env::temp_dir().join(format!("s3-health-incident-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&incident_dir);
 
-    let model = IsotropicNormal::new(DIMS, 12.0);
-    let opts = StatQueryOpts::new(0.9, 12);
-    let qs = queries(&index);
-    let qrefs: Vec<&[u8]> = qs.iter().map(|q| q.as_slice()).collect();
-
     let tick = |w: &MetricWindows| {
         w.tick_at(clock.now(), registry().snapshot());
     };
@@ -127,10 +136,30 @@ fn fault_storm_trips_health_dumps_incident_and_recovers() {
     // Baseline tick, then one healthy window of clean traffic.
     tick(&windows);
     {
+        // Span sink attached, recorder armed: same answers; and again with
+        // EXPLAIN on, whose reports reconcile and state the plan's mass.
         let disk = DiskIndex::open_storage(Box::new(MemStorage::new(bytes.clone()))).unwrap();
-        let _ = disk
+        let armed = disk
             .stat_query_batch(&qrefs, &model, &opts, MEM_BUDGET)
             .unwrap();
+        assert_eq!(armed.matches, plain, "arming observability changed answers");
+        let (explained, reports) = disk
+            .stat_query_batch_explain(&qrefs, &model, &opts, MEM_BUDGET, None)
+            .unwrap();
+        assert_eq!(explained.matches, plain, "EXPLAIN changed answers");
+        assert_eq!(reports.len(), qrefs.len());
+        for (r, q) in reports.iter().zip(&qrefs) {
+            assert!(r.reconciles(), "clean EXPLAIN must reconcile");
+            let plan = select_blocks_best_first(
+                index.curve(),
+                &model,
+                q,
+                opts.depth,
+                opts.alpha,
+                opts.max_blocks,
+            );
+            assert_eq!(r.predicted_mass.to_bits(), plan.mass.to_bits());
+        }
     }
     clock.advance(Duration::from_secs(1));
     tick(&windows);
@@ -142,6 +171,7 @@ fn fault_storm_trips_health_dumps_incident_and_recovers() {
         "clean traffic is healthy: {:?}",
         report.rules
     );
+    assert_eq!(recorder.incident_count(), 0, "clean traffic dumps nothing");
 
     // ---- Phase A: the fault storm. --------------------------------
     // Every third read stalls 10 mock-ms (blowing the 25 ms deadline)

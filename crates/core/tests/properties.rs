@@ -1,13 +1,8 @@
 //! Property-based tests of the S³ core invariants.
 
 use proptest::prelude::*;
-use s3_core::filter::{
-    select_blocks_best_first, select_blocks_best_first_uncached, select_blocks_range,
-    select_blocks_threshold, select_blocks_threshold_uncached, FilterOutcome,
-};
-use s3_core::kernels::{
-    available_tiers, dist_sq_scalar, dist_sq_with_tier, dist_sq_within_with_tier,
-};
+use s3_core::filter::{select_blocks_best_first, select_blocks_range};
+use s3_core::kernels::{dist_sq, dist_sq_scalar, dist_sq_within, dist_sq_within_scalar};
 use s3_core::{IsotropicNormal, RecordBatch, S3Index, StatQueryOpts};
 use s3_hilbert::HilbertCurve;
 
@@ -159,91 +154,48 @@ proptest! {
         }
     }
 
-    /// Every runtime-detected SIMD tier computes bit-identical distances to
-    /// the scalar kernel on arbitrary lengths and (mis)alignments, and the
-    /// early-exit variant returns exactly `(d² ≤ bound).then_some(d²)`.
+    /// The compiled-in kernel computes bit-identical distances to the scalar
+    /// reference on arbitrary lengths and (mis)alignments, and the early-exit
+    /// variant returns exactly `(d² ≤ bound).then_some(d²)`.
     #[test]
-    fn simd_tiers_match_scalar(
+    fn kernel_matches_scalar(
         a in proptest::collection::vec(0u8..=255, 0..600),
         b in proptest::collection::vec(0u8..=255, 0..600),
         off_a in 0usize..8,
         off_b in 0usize..8,
         bound in 0u64..1_000_000,
     ) {
+        // Equal lengths, as every caller passes (and `dist_sq` debug-asserts).
         let a = &a[off_a.min(a.len())..];
         let b = &b[off_b.min(b.len())..];
+        let n = a.len().min(b.len());
+        let (a, b) = (&a[..n], &b[..n]);
         let want = dist_sq_scalar(a, b);
-        for t in available_tiers() {
-            prop_assert_eq!(dist_sq_with_tier(t, a, b), want, "{:?}", t);
-            prop_assert_eq!(
-                dist_sq_within_with_tier(t, a, b, bound),
-                (want <= bound).then_some(want),
-                "{:?} within bound {}",
-                t,
-                bound
-            );
-        }
+        prop_assert_eq!(dist_sq(a, b), want);
+        prop_assert_eq!(
+            dist_sq_within(a, b, bound),
+            (want <= bound).then_some(want),
+            "within bound {}",
+            bound
+        );
     }
 
     /// Same at the paper's exact dimensionality D = 20 (one SSE2 vector plus
-    /// a 4-byte tail; below one full AVX2 lane), with the bound swept through
-    /// the realistic range around the actual distance.
+    /// a 4-byte tail), with the bound swept through the realistic range
+    /// around the actual distance.
     #[test]
-    fn simd_tiers_match_scalar_at_paper_dims(
+    fn kernel_matches_scalar_at_paper_dims(
         a in proptest::collection::vec(0u8..=255, 20),
         b in proptest::collection::vec(0u8..=255, 20),
         slack in -200i64..200,
     ) {
         let want = dist_sq_scalar(&a, &b);
         let bound = want.saturating_add_signed(slack);
-        for t in available_tiers() {
-            prop_assert_eq!(dist_sq_with_tier(t, &a, &b), want, "{:?}", t);
-            prop_assert_eq!(
-                dist_sq_within_with_tier(t, &a, &b, bound),
-                (want <= bound).then_some(want),
-                "{:?}",
-                t
-            );
-        }
+        prop_assert_eq!(dist_sq(&a, &b), want);
+        prop_assert_eq!(dist_sq_within(&a, &b, bound), (want <= bound).then_some(want));
+        prop_assert_eq!(
+            dist_sq_within_scalar(&a, &b, bound),
+            (want <= bound).then_some(want)
+        );
     }
-
-    /// The per-axis mass cache is invisible: cached and uncached block
-    /// selection produce byte-identical outcomes (same blocks, same f64 bit
-    /// patterns) for both filter algorithms across the whole parameter space.
-    #[test]
-    fn mass_cache_outcome_bit_identical(
-        q in fingerprint(),
-        sigma in 4.0f64..40.0,
-        alpha in 0.1f64..0.99,
-        depth in 4u32..18,
-        iterations in 1usize..30,
-    ) {
-        let curve = curve();
-        let model = IsotropicNormal::new(DIMS, sigma);
-        let max = 1 << 14;
-        let bf_c = select_blocks_best_first(&curve, &model, &q, depth, alpha, max);
-        let bf_u = select_blocks_best_first_uncached(&curve, &model, &q, depth, alpha, max);
-        assert_identical(&bf_c, &bf_u)?;
-        let th_c = select_blocks_threshold(&curve, &model, &q, depth, alpha, max, iterations);
-        let th_u =
-            select_blocks_threshold_uncached(&curve, &model, &q, depth, alpha, max, iterations);
-        assert_identical(&th_c, &th_u)?;
-    }
-}
-
-/// Byte-level equality of two filter outcomes: identical blocks in identical
-/// order, identical f64 bit patterns for every score, the mass and `t_max`,
-/// and identical work counters.
-fn assert_identical(a: &FilterOutcome, b: &FilterOutcome) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.blocks.len(), b.blocks.len());
-    for (x, y) in a.blocks.iter().zip(&b.blocks) {
-        prop_assert_eq!(x.curve_rank(), y.curve_rank());
-        prop_assert_eq!(x.depth(), y.depth());
-        prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
-    }
-    prop_assert_eq!(a.mass.to_bits(), b.mass.to_bits());
-    prop_assert_eq!(a.nodes_expanded, b.nodes_expanded);
-    prop_assert_eq!(a.tmax.map(f64::to_bits), b.tmax.map(f64::to_bits));
-    prop_assert_eq!(a.truncated, b.truncated);
-    Ok(())
 }

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use s3_core::pseudo_disk::{DiskIndex, RetryPolicy, WriteOpts};
 use s3_core::{
     BreakerConfig, Clock, CoreMetrics, FaultPlan, FaultyStorage, IsotropicNormal, MemStorage,
-    MockClock, QueryCtx, RecordBatch, S3Index, SectionBreakers, StatQueryOpts,
+    MockClock, QueryCtx, RecordBatch, S3Index, SectionBreakers, StatQueryOpts, TimeSource,
 };
 use s3_hilbert::HilbertCurve;
 use std::sync::{Arc, OnceLock};
@@ -107,7 +107,7 @@ fn expired_deadline_stops_batch_before_sections() {
     }
 }
 
-/// The acceptance-criterion scenario: storage stalls hard, the batch runs
+/// The acceptance scenario: storage stalls hard, the batch runs
 /// under a deadline on the same mock clock, and the call returns within the
 /// budget plus at most one uninterruptible unit of work — here one section
 /// load, i.e. four stalled column reads — with honest degraded accounting

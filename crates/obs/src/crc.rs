@@ -1,5 +1,7 @@
-//! CRC-32 (IEEE 802.3, the polynomial used by zip/gzip/png) for the
-//! checksummed on-disk formats.
+//! CRC-32 (IEEE 802.3, the polynomial used by zip/gzip/png) for every
+//! checksummed on-disk format of the workspace: telemetry segments here,
+//! and — re-exported as `s3_core::crc` — the index, sketch, WAL, pager and
+//! reference-database files.
 //!
 //! Dependency-free table-driven implementation: the environment this
 //! workspace builds in has no crates.io access, and the throughput of a

@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use crate::export::json_escape;
+use crate::json;
 
 /// One selected p-block of the plan: prediction vs. outcome.
 #[derive(Clone, Debug, Default)]
@@ -285,7 +285,7 @@ impl ExplainReport {
              \"observed_selectivity\":{},\"entries_scanned\":{},\"matches\":{},\
              \"sketch_skipped\":{},\"reconciles\":{},\"degraded\":{}",
             self.query_id,
-            json_escape(self.algo),
+            json::escape(self.algo),
             num(self.alpha),
             self.depth,
             num(self.tmax),
@@ -337,7 +337,7 @@ impl ExplainReport {
                 out,
                 "{}\"{}\":{}",
                 if i == 0 { "" } else { "," },
-                json_escape(p.name),
+                json::escape(p.name),
                 p.ns
             );
         }
@@ -347,7 +347,7 @@ impl ExplainReport {
                 out,
                 "{}\"{}\"",
                 if i == 0 { "" } else { "," },
-                json_escape(a)
+                json::escape(a)
             );
         }
         out.push_str("]}");

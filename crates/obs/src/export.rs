@@ -3,6 +3,7 @@
 
 use std::fmt::Write as _;
 
+use crate::json;
 use crate::metrics::{MetricId, Snapshot};
 
 fn fmt_f64(v: f64) -> String {
@@ -15,25 +16,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// JSON string escaping for metric names / label values.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// `query.latency` → `query_latency` (Prometheus metric-name charset:
@@ -185,7 +167,7 @@ impl Snapshot {
                 out,
                 "{}\n    \"{}\": {v}",
                 if i == 0 { "" } else { "," },
-                json_escape(&id.render())
+                json::escape(&id.render())
             );
         }
         if !self.counters.is_empty() {
@@ -202,7 +184,7 @@ impl Snapshot {
                 out,
                 "{}\n    \"{}\": {val}",
                 if i == 0 { "" } else { "," },
-                json_escape(&id.render())
+                json::escape(&id.render())
             );
         }
         if !self.gauges.is_empty() {
@@ -217,7 +199,7 @@ impl Snapshot {
                 "{}\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
                  \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
                 if i == 0 { "" } else { "," },
-                json_escape(&id.render()),
+                json::escape(&id.render()),
                 h.count,
                 h.sum,
                 if empty {

@@ -1,4 +1,5 @@
-//! A minimal zero-dependency JSON reader.
+//! A minimal zero-dependency JSON reader, and the one string escaper
+//! every JSON writer in the workspace uses.
 //!
 //! `s3-obs` deliberately takes no external crates, but the flight
 //! recorder writes [`crate::recorder::IncidentReport`] dumps as JSON and
@@ -8,7 +9,26 @@
 //! validator (it accepts e.g. lone surrogates in `\u` escapes).
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Escapes `s` for use inside a JSON string literal (quotes not included).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON document node.
 #[derive(Clone, Debug, PartialEq)]
@@ -375,10 +395,10 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_exporter_escapes() {
-        // The exporter's json_escape output must parse back to the input.
+    fn round_trips_escapes() {
+        // `escape` output must parse back to the input.
         let hostile = "a\"b\\c\nd\te\u{0007}é😀";
-        let doc = format!("\"{}\"", crate::export::json_escape(hostile));
+        let doc = format!("\"{}\"", escape(hostile));
         assert_eq!(
             JsonValue::parse(&doc).unwrap(),
             JsonValue::Str(hostile.to_owned())

@@ -63,11 +63,12 @@
     )
 )]
 
+pub mod crc;
 pub mod event;
 mod explain;
 mod export;
 mod health;
-mod json;
+pub mod json;
 mod metrics;
 mod recorder;
 mod segment;
@@ -91,8 +92,8 @@ pub use recorder::{
     IncidentReport, IncidentTrigger, RecorderConfig,
 };
 pub use segment::{
-    crc32, read_records, segment_paths, SegmentConfig, SegmentStore, SEGMENT_HEADER_LEN,
-    SEGMENT_MAGIC, SEGMENT_VERSION,
+    read_records, segment_paths, SegmentConfig, SegmentStore, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
+    SEGMENT_VERSION,
 };
 pub use slo::{SloEngine, SloSignal, SloSpec, SloStatus};
 pub use slowlog::{SlowEntry, SlowLog, SlowLogConfig, SlowRead};

@@ -24,8 +24,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::event::{set_event_sink, EventSink, Level};
-use crate::export::json_escape;
 use crate::health::HealthReport;
+use crate::json;
 use crate::metrics::{registry, Counter, MetricId};
 use crate::span::{set_span_sink, RingCollector, SpanRecord};
 use crate::window::MetricWindows;
@@ -306,12 +306,12 @@ fn json_num(out: &mut String, v: f64) {
 }
 
 fn json_id(out: &mut String, id: &MetricId) {
-    out.push_str(&format!("\"name\": \"{}\"", json_escape(id.name)));
+    out.push_str(&format!("\"name\": \"{}\"", json::escape(id.name)));
     if let Some((k, v)) = id.label {
         out.push_str(&format!(
             ", \"label\": {{\"{}\": \"{}\"}}",
-            json_escape(k),
-            json_escape(v)
+            json::escape(k),
+            json::escape(v)
         ));
     }
 }
@@ -334,15 +334,15 @@ impl IncidentReport {
         // Trigger.
         o.push_str(&format!(
             "  \"trigger\": {{\"kind\": \"{}\", \"rule\": ",
-            json_escape(self.trigger.kind)
+            json::escape(self.trigger.kind)
         ));
         match &self.trigger.rule {
-            Some(r) => o.push_str(&format!("\"{}\"", json_escape(r))),
+            Some(r) => o.push_str(&format!("\"{}\"", json::escape(r))),
             None => o.push_str("null"),
         }
         o.push_str(&format!(
             ", \"detail\": \"{}\"}},\n",
-            json_escape(&self.trigger.detail)
+            json::escape(&self.trigger.detail)
         ));
         // Health.
         match &self.health {
@@ -358,14 +358,14 @@ impl IncidentReport {
                     }
                     o.push_str(&format!(
                         "{{\"name\": \"{}\", \"level\": \"{}\", \"value\": ",
-                        json_escape(r.name),
+                        json::escape(r.name),
                         r.level.as_str()
                     ));
                     match r.value {
                         Some(v) => json_num(&mut o, v),
                         None => o.push_str("null"),
                     }
-                    o.push_str(&format!(", \"detail\": \"{}\"}}", json_escape(&r.detail)));
+                    o.push_str(&format!(", \"detail\": \"{}\"}}", json::escape(&r.detail)));
                 }
                 o.push_str("]},\n");
             }
@@ -397,7 +397,7 @@ impl IncidentReport {
             }
             o.push_str(&format!(
                 "{{\"name\": \"{}\", \"start_ns\": {}, \"dur_ns\": {}, \"query_id\": {}, \"tid\": {}, \"fields\": {{",
-                json_escape(s.name),
+                json::escape(s.name),
                 s.start_ns,
                 s.dur_ns,
                 s.query_id,
@@ -407,7 +407,7 @@ impl IncidentReport {
                 if j > 0 {
                     o.push_str(", ");
                 }
-                o.push_str(&format!("\"{}\": ", json_escape(k)));
+                o.push_str(&format!("\"{}\": ", json::escape(k)));
                 json_num(&mut o, *v);
             }
             o.push_str("}}");
@@ -422,8 +422,8 @@ impl IncidentReport {
             o.push_str(&format!(
                 "{{\"level\": \"{}\", \"target\": \"{}\", \"message\": \"{}\"}}",
                 e.level,
-                json_escape(e.target),
-                json_escape(&e.message)
+                json::escape(e.target),
+                json::escape(&e.message)
             ));
         }
         o.push_str("],\n");
@@ -433,12 +433,12 @@ impl IncidentReport {
             if i > 0 {
                 o.push_str(", ");
             }
-            o.push_str(&format!("\"{}\": {{", json_escape(component)));
+            o.push_str(&format!("\"{}\": {{", json::escape(component)));
             for (j, (k, v)) in fields.iter().enumerate() {
                 if j > 0 {
                     o.push_str(", ");
                 }
-                o.push_str(&format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)));
+                o.push_str(&format!("\"{}\": \"{}\"", json::escape(k), json::escape(v)));
             }
             o.push('}');
         }

@@ -4,7 +4,8 @@
 //! The format deliberately reuses the WAL/sidecar idioms from `s3-core`
 //! (magic + version header, per-record CRC, torn-tail truncation on
 //! open) without depending on it — `s3-obs` sits below `s3-core`, so the
-//! framing is reimplemented here on plain `std::fs`.
+//! framing is reimplemented here on plain `std::fs`; the checksum itself
+//! is the one [`crate::crc`] both crates share.
 //!
 //! ## On-disk format
 //!
@@ -33,9 +34,9 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 use std::time::{Duration, SystemTime};
 
+use crate::crc::crc32;
 use crate::metrics::{registry, Counter, Gauge};
 
 /// Magic bytes opening every segment file.
@@ -46,32 +47,6 @@ pub const SEGMENT_VERSION: u32 = 1;
 pub const SEGMENT_HEADER_LEN: usize = 16;
 /// Sanity cap on a single record's `kind + payload` length.
 const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
-
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) — byte-identical to the
-/// checksum used by the core WAL and sketch sidecars.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
-        }
-        t
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
-}
 
 /// Size/age policy for a [`SegmentStore`].
 #[derive(Debug, Clone)]

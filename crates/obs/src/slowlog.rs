@@ -22,7 +22,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::export::json_escape;
+use crate::json;
 use crate::json::JsonValue;
 use crate::metrics::{registry, Counter};
 use crate::segment::{read_records, SegmentConfig, SegmentStore};
@@ -187,7 +187,7 @@ impl SlowLog {
             if i > 0 {
                 payload.push(',');
             }
-            payload.push_str(&format!("\"{}\"", json_escape(a)));
+            payload.push_str(&format!("\"{}\"", json::escape(a)));
         }
         payload.push_str("],\"explain\":");
         payload.push_str(explain_json);

@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use crate::export::json_escape;
+use crate::json;
 use crate::span::SpanRecord;
 
 fn fmt_us(ns: u64) -> String {
@@ -55,7 +55,7 @@ pub fn to_chrome_trace(spans: &[SpanRecord]) -> String {
             format!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
                  \"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(&name)
+                json::escape(&name)
             ),
         );
     }
@@ -63,14 +63,14 @@ pub fn to_chrome_trace(spans: &[SpanRecord]) -> String {
     for r in &ordered {
         let mut args = format!("\"query_id\":{}", r.query_id);
         for (k, v) in &r.fields {
-            let _ = write!(args, ",\"{}\":{}", json_escape(k), json_num(*v));
+            let _ = write!(args, ",\"{}\":{}", json::escape(k), json_num(*v));
         }
         push(
             &mut out,
             format!(
                 "{{\"name\":\"{}\",\"cat\":\"s3\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                  \"pid\":{},\"tid\":{},\"args\":{{{args}}}}}",
-                json_escape(r.name),
+                json::escape(r.name),
                 fmt_us(r.start_ns),
                 fmt_us(r.dur_ns),
                 r.query_id,

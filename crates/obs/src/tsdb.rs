@@ -19,7 +19,7 @@ use std::io;
 use std::path::Path;
 use std::time::{Duration, SystemTime};
 
-use crate::export::json_escape;
+use crate::json;
 use crate::json::JsonValue;
 use crate::metrics::HistogramSnapshot;
 use crate::segment::{read_records, SegmentConfig, SegmentStore};
@@ -173,7 +173,7 @@ impl TsdbSample {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":{}", json_escape(k), v));
+            out.push_str(&format!("\"{}\":{}", json::escape(k), v));
         }
         out.push_str("},\"gauges\":{");
         let mut first = true;
@@ -185,7 +185,7 @@ impl TsdbSample {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\"{}\":{}", json_escape(k), fmt_f64(*v)));
+            out.push_str(&format!("\"{}\":{}", json::escape(k), fmt_f64(*v)));
         }
         out.push_str("},\"hists\":{");
         for (i, (k, h)) in self.hists.iter().enumerate() {
@@ -194,7 +194,7 @@ impl TsdbSample {
             }
             out.push_str(&format!(
                 "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p99\":{}}}",
-                json_escape(k),
+                json::escape(k),
                 h.count,
                 h.sum,
                 h.min,
@@ -208,7 +208,7 @@ impl TsdbSample {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\"", json_escape(k)));
+            out.push_str(&format!("\"{}\"", json::escape(k)));
         }
         out.push_str("]}");
         out

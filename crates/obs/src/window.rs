@@ -8,12 +8,12 @@
 //! last 60 s") and rolling quantiles ("WAL fsync p99 over the last 5 min")
 //! by summing / merging the frames inside a lookback horizon.
 //!
-//! Time is pluggable. `s3-obs` sits *below* `s3-core`, so it cannot use
-//! `s3_core::resilience::Clock` directly; [`TimeSource`] mirrors its
-//! semantics (monotonic duration since an arbitrary epoch) and the core
-//! clock trivially adapts by passing `clock.now()` into
-//! [`MetricWindows::tick_at`]. [`ManualTime`] is the obs-local analogue of
-//! core's `MockClock` for deterministic tests.
+//! Time is pluggable: [`TimeSource`] is a monotonic duration since an
+//! arbitrary epoch, with [`WallTime`] for production and [`ManualTime`]
+//! for deterministic tests. These are the workspace's only clocks —
+//! `s3_core::resilience::Clock` is `TimeSource` plus `sleep`, implemented
+//! for the same two types (which core re-exports as `SystemClock` and
+//! `MockClock`).
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
@@ -22,9 +22,6 @@ use std::time::Duration;
 use crate::metrics::{HistogramSnapshot, MetricId, Snapshot};
 
 /// A monotonic time source: duration since an arbitrary fixed epoch.
-///
-/// Mirrors the semantics of `s3_core::resilience::Clock::now` without a
-/// dependency on `s3-core` (the dependency points the other way).
 pub trait TimeSource: Send + Sync {
     /// Time elapsed since the source's epoch.
     fn now(&self) -> Duration;

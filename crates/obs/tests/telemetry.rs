@@ -225,33 +225,33 @@ fn slo_burn_transitions_health_and_exhausts_once() {
 }
 
 /// Torn tails truncated by a reopen are visible in the metric catalog.
+/// The counter is process-global and the mangling property above truncates
+/// tails of its own while this runs, so this test writes under a store
+/// prefix nothing else uses and reads the counter carrying that label.
 #[test]
 fn truncated_tail_counts_metric() {
-    let dir = tmpdir("tailmetric");
+    const STORE: &str = "tailmetric";
+    let truncated_tails = || {
+        s3_obs::registry()
+            .snapshot()
+            .counters
+            .iter()
+            .find(|(id, _)| id.name == "tsdb.truncated_tails" && id.label == Some(("store", STORE)))
+            .map(|&(_, v)| v)
+            .unwrap_or(0)
+    };
+    let dir = tmpdir(STORE);
     {
-        let mut s = SegmentStore::open(&dir, "t", SegmentConfig::default()).unwrap();
+        let mut s = SegmentStore::open(&dir, STORE, SegmentConfig::default()).unwrap();
         s.append(1, b"x").unwrap();
         s.sync().unwrap();
     }
-    let before = s3_obs::registry()
-        .snapshot()
-        .counters
-        .iter()
-        .find(|(id, _)| id.name == "tsdb.truncated_tails")
-        .map(|&(_, v)| v)
-        .unwrap_or(0);
-    let (_, path) = segment_paths(&dir, "t").unwrap().pop().unwrap();
+    let before = truncated_tails();
+    let (_, path) = segment_paths(&dir, STORE).unwrap().pop().unwrap();
     let mut f = OpenOptions::new().append(true).open(&path).unwrap();
     f.write_all(&[1, 2, 3]).unwrap();
     drop(f);
-    let _ = SegmentStore::open(&dir, "t", SegmentConfig::default()).unwrap();
-    let after = s3_obs::registry()
-        .snapshot()
-        .counters
-        .iter()
-        .find(|(id, _)| id.name == "tsdb.truncated_tails")
-        .map(|&(_, v)| v)
-        .unwrap_or(0);
-    assert_eq!(after, before + 1);
+    let _ = SegmentStore::open(&dir, STORE, SegmentConfig::default()).unwrap();
+    assert_eq!(truncated_tails(), before + 1);
     let _ = fs::remove_dir_all(&dir);
 }

@@ -13,7 +13,7 @@
 //! * [`Histogram`] — empirical densities (Fig. 1) and quantiles;
 //! * [`robust`] — Tukey's biweight M-estimator for the voting stage (§III);
 //! * [`moments`] — Welford accumulators to estimate the per-component σ_j and
-//!   the pooled σ̄ severity criterion (§IV-C, Table I).
+//!   the pooled σ̄ severity measure (§IV-C, Table I).
 //!
 //! Everything is implemented from scratch; the crate has no runtime
 //! dependencies.

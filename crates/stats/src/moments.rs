@@ -137,7 +137,7 @@ impl VectorMoments {
 
     /// The paper's pooled σ̄: the mean of the per-component standard
     /// deviations (§IV-C). This is the single parameter of the isotropic
-    /// distortion model and the severity criterion of Table I.
+    /// distortion model and the severity measure of Table I.
     pub fn mean_sigma(&self) -> f64 {
         let s = self.std_devs();
         s.iter().sum::<f64>() / s.len() as f64

@@ -328,7 +328,7 @@ mod tests {
 
     #[test]
     fn severity_orders_with_transform_strength() {
-        // Stronger gamma change ⇒ larger σ̄ (the paper's severity criterion).
+        // Stronger gamma change ⇒ larger σ̄ (the paper's severity measure).
         let v = small_video(7);
         let params = fast_params();
         let mild = TransformChain::new(vec![Transform::Gamma { wgamma: 0.95 }]);
