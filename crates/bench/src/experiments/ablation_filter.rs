@@ -24,7 +24,7 @@ pub fn run(scale: Scale) -> Experiment {
     let queries = distorted_queries(&batch, n_queries, 15.0, 0xAB2_0002);
     let index = S3Index::build(HilbertCurve::paper(), batch);
     let model = IsotropicNormal::new(FINGERPRINT_DIMS, 15.0);
-    let depth = StatQueryOpts::for_db_size(0.8, db_size).depth;
+    let depth = StatQueryOpts::learned(0.8, &index, &model).depth;
 
     let mut bf_ms = Vec::new();
     let mut th_ms = Vec::new();

@@ -22,7 +22,7 @@ fn rate_for(
     model: &dyn DistortionModel,
     alpha: f64,
 ) -> (f64, f64) {
-    let opts = StatQueryOpts::for_db_size(alpha, index.len());
+    let opts = StatQueryOpts::learned(alpha, index, model);
     let mut hits = 0usize;
     let mut scanned = 0usize;
     for (i, p) in pairs.iter().enumerate() {

@@ -8,7 +8,7 @@
 //! of eq. 5 flattening onto the in-memory query cost.
 
 use crate::report::{Experiment, Scale, Series};
-use crate::workload::{distorted_queries, extracted_pool, tuned_depth, FingerprintSampler};
+use crate::workload::{distorted_queries, extracted_pool, FingerprintSampler};
 use s3_core::pseudo_disk::DiskIndex;
 use s3_core::{IsotropicNormal, S3Index, StatQueryOpts};
 use s3_hilbert::HilbertCurve;
@@ -29,9 +29,7 @@ pub fn run(scale: Scale) -> Experiment {
     let queries = distorted_queries(&batch, *batch_sizes.last().unwrap(), sigma, 0xE05_0002);
     let index = S3Index::build(HilbertCurve::paper(), batch);
     let model = IsotropicNormal::new(FINGERPRINT_DIMS, sigma);
-    let tune_sample: Vec<_> = queries.iter().take(5).map(|dq| dq.query).collect();
-    let depth = tuned_depth(&index, &model, alpha, &tune_sample);
-    let opts = StatQueryOpts::new(alpha, depth);
+    let opts = StatQueryOpts::learned(alpha, &index, &model);
 
     let dir = std::env::temp_dir().join(format!("s3_eq5_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
@@ -63,8 +61,9 @@ pub fn run(scale: Scale) -> Experiment {
         "ms-per-query",
     );
     e.note(format!(
-        "DB={db_size}, budget {} MiB, depth p={depth}; suggested N_sig at 1 ms budget / 500 MB/s: {}",
+        "DB={db_size}, budget {} MiB, depth p={}; suggested N_sig at 1 ms budget / 500 MB/s: {}",
         mem_budget >> 20,
+        opts.depth,
         disk.suggest_nsig(500e6, std::time::Duration::from_millis(1))
     ));
     e.note("expected: per-query load cost ~ T_load / N_sig (hyperbola), total flattens");

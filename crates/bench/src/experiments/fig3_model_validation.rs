@@ -55,14 +55,13 @@ pub fn retrieval_rate(
             batch.push(&sampler.sample(), u32::MAX, 0);
         }
     }
-    let n = batch.len();
     let index = S3Index::build(HilbertCurve::paper(), batch);
     let model = IsotropicNormal::new(FINGERPRINT_DIMS, sigma);
 
     alphas
         .iter()
         .map(|&alpha| {
-            let opts = StatQueryOpts::for_db_size(alpha, n);
+            let opts = StatQueryOpts::learned(alpha, &index, &model);
             let hits = pairs
                 .iter()
                 .enumerate()

@@ -13,7 +13,7 @@
 
 use crate::report::{Experiment, Scale, Series};
 use crate::timing::mean_time;
-use crate::workload::{distorted_queries, extracted_pool, tuned_depth, FingerprintSampler};
+use crate::workload::{distorted_queries, extracted_pool, FingerprintSampler};
 use s3_core::{IsotropicNormal, S3Index, StatQueryOpts};
 use s3_hilbert::HilbertCurve;
 use s3_stats::NormDistribution;
@@ -44,8 +44,7 @@ pub fn run(scale: Scale) -> StatVsRange {
     let model = IsotropicNormal::new(FINGERPRINT_DIMS, sigma_q);
     let law = NormDistribution::new(FINGERPRINT_DIMS as u32, sigma_q);
     // p_min learned at retrieval start (§IV-A).
-    let tune_sample: Vec<_> = queries.iter().take(5).map(|dq| dq.query).collect();
-    let depth = tuned_depth(&index, &model, 0.8, &tune_sample);
+    let depth = StatQueryOpts::learned(0.8, &index, &model).depth;
 
     let mut stat_rate = Vec::new();
     let mut range_rate = Vec::new();

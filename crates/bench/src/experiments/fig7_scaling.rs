@@ -9,7 +9,7 @@
 
 use crate::report::{Experiment, Scale, Series};
 use crate::timing::mean_time;
-use crate::workload::{distorted_queries, extracted_pool, tuned_depth, FingerprintSampler};
+use crate::workload::{distorted_queries, extracted_pool, FingerprintSampler};
 use s3_core::pseudo_disk::DiskIndex;
 use s3_core::{IsotropicNormal, S3Index, StatQueryOpts};
 use s3_hilbert::HilbertCurve;
@@ -53,10 +53,8 @@ pub fn run(scale: Scale) -> Experiment {
         let queries = distorted_queries(&batch, n_queries, sigma, n as u64 + 1);
         let index = S3Index::build(HilbertCurve::paper(), batch);
         // p_min learned per database size, as in §IV-A.
-        let tune_sample: Vec<_> = queries.iter().take(5).map(|dq| dq.query).collect();
-        let depth = tuned_depth(&index, &model, alpha, &tune_sample);
-        let opts = StatQueryOpts::new(alpha, depth);
-        depths_used.push((n, depth));
+        let opts = StatQueryOpts::learned(alpha, &index, &model);
+        depths_used.push((n, opts.depth));
 
         let mut it = queries.iter().cycle();
         let d_stat = mean_time(1, n_queries, || {

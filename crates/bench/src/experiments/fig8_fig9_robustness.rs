@@ -129,19 +129,15 @@ pub fn extract_candidates(
 
 /// Measures the detection rate of pre-extracted candidates against a
 /// database built with the same clip seeds, plus the mean per-fingerprint
-/// search time.
+/// search time. The detector learns its own depth (`depth: 0`), per
+/// database and per α, as at the start of any retrieval.
 pub fn detection_rate(
     db: &ReferenceDb,
     candidates: &[Vec<s3_video::LocalFingerprint>],
     alpha: f64,
-    depth: u32,
 ) -> (f64, Duration) {
     let mut config = DetectorConfig {
-        query: StatQueryOpts {
-            alpha,
-            depth,
-            ..StatQueryOpts::new(alpha, depth)
-        },
+        query: StatQueryOpts::new(alpha, 0),
         ..DetectorConfig::default()
     };
     config.vote.min_votes = 8;
@@ -173,23 +169,6 @@ pub fn detection_rate(
     (detected as f64 / candidates.len() as f64, per_fp)
 }
 
-/// Learns a good query depth for a database from a candidate sample, like
-/// the paper's p_min learning.
-fn learn_depth(db: &ReferenceDb, candidates: &[Vec<s3_video::LocalFingerprint>]) -> u32 {
-    let sample: Vec<_> = candidates
-        .iter()
-        .flatten()
-        .step_by(37)
-        .take(5)
-        .map(|f| f.fingerprint)
-        .collect();
-    if sample.is_empty() {
-        return StatQueryOpts::for_db_size(0.8, db.index().len()).depth;
-    }
-    let model = s3_core::IsotropicNormal::new(20, 20.0);
-    crate::workload::tuned_depth(db.index(), &model, 0.8, &sample)
-}
-
 /// Output of the robustness sweeps.
 pub struct Robustness {
     /// One experiment per attack for the DB-size abacus (Fig. 8).
@@ -211,7 +190,7 @@ pub fn run(scale: Scale) -> Robustness {
     let alphas: Vec<f64> = scale.pick(vec![0.95, 0.8, 0.5], vec![0.95, 0.9, 0.8, 0.7, 0.5]);
     let atks = attacks(scale);
 
-    // Databases (shared across attacks), with a learned query depth each.
+    // Databases (shared across attacks).
     let dbs: Vec<ReferenceDb> = db_sizes
         .iter()
         .map(|&n| build_db(n_clips, n, seed))
@@ -223,7 +202,6 @@ pub fn run(scale: Scale) -> Robustness {
     let mut times = Vec::new();
     let mut alpha_time_acc: std::collections::HashMap<u64, (f64, usize)> =
         std::collections::HashMap::new();
-    let mut depths: Vec<Option<u32>> = vec![None; dbs.len()];
 
     for atk in &atks {
         // Extract each attacked candidate set once; reuse across DBs and α.
@@ -247,12 +225,11 @@ pub fn run(scale: Scale) -> Robustness {
             "detection-rate",
         );
         e8.note(format!("{n_clips} candidate clips of 70 frames each"));
-        for (di, (db, &n)) in dbs.iter().zip(&db_sizes).enumerate() {
-            let depth = *depths[di].get_or_insert_with(|| learn_depth(db, &candidate_sets[0]));
+        for (db, &n) in dbs.iter().zip(&db_sizes) {
             let mut ys = Vec::new();
             let mut total_ms = 0.0;
             for cands in &candidate_sets {
-                let (rate, per_fp) = detection_rate(db, cands, 0.8, depth);
+                let (rate, per_fp) = detection_rate(db, cands, 0.8);
                 ys.push(rate);
                 total_ms += per_fp.as_secs_f64() * 1e3;
             }
@@ -269,7 +246,6 @@ pub fn run(scale: Scale) -> Robustness {
         fig8.push(e8);
 
         // Fig. 9: sweep the attack per alpha on the mid-size DB.
-        let mid_depth = depths[mid].expect("mid DB depth learned in fig8 loop");
         let mut e9 = Experiment::new(
             format!("fig9_alpha_{}", atk.label),
             format!(
@@ -282,7 +258,7 @@ pub fn run(scale: Scale) -> Robustness {
         for &alpha in &alphas {
             let mut ys = Vec::new();
             for cands in &candidate_sets {
-                let (rate, per_fp) = detection_rate(&dbs[mid], cands, alpha, mid_depth);
+                let (rate, per_fp) = detection_rate(&dbs[mid], cands, alpha);
                 ys.push(rate);
                 let slot = alpha_time_acc
                     .entry((alpha * 1000.0) as u64)
@@ -328,8 +304,8 @@ mod tests {
         assert!(large.index().len() > 5 * small.index().len() / 2);
         let chain = TransformChain::new(vec![Transform::Gamma { wgamma: 1.2 }]);
         let cands = extract_candidates(n_clips, seed, &chain);
-        let (r_small, _) = detection_rate(&small, &cands, 0.8, 14);
-        let (r_large, t) = detection_rate(&large, &cands, 0.8, 14);
+        let (r_small, _) = detection_rate(&small, &cands, 0.8);
+        let (r_large, t) = detection_rate(&large, &cands, 0.8);
         assert!(r_small >= 0.6, "small-DB rate {r_small}");
         assert!(
             (r_small - r_large).abs() <= 0.4001,

@@ -45,7 +45,7 @@ pub fn run(scale: Scale) -> Experiment {
 
     let index = S3Index::build(HilbertCurve::paper(), batch);
     let model = IsotropicNormal::new(FINGERPRINT_DIMS, 8.0);
-    let opts = StatQueryOpts::for_db_size(0.9, index.len());
+    let opts = StatQueryOpts::learned(0.9, &index, &model);
     let scan_depth = opts.depth;
 
     let mut stat_recall = Vec::new();

@@ -147,21 +147,6 @@ pub fn distorted_queries(
     out
 }
 
-/// Learns the best partition depth for an index/model/α like the paper's
-/// start-of-retrieval `p_min` learning (§IV-A): sweeps candidate depths on a
-/// small query sample and returns the fastest.
-pub fn tuned_depth(
-    index: &s3_core::S3Index,
-    model: &dyn s3_core::DistortionModel,
-    alpha: f64,
-    sample: &[Fingerprint],
-) -> u32 {
-    let depths: Vec<u32> = (8..=24).step_by(2).collect();
-    let refs: Vec<&[u8]> = sample.iter().map(|q| q.as_slice()).collect();
-    let opts = s3_core::StatQueryOpts::new(alpha, 8);
-    s3_core::autotune::tune_depth(index, model, &opts, &refs, &depths).best_depth
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

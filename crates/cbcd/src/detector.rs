@@ -10,8 +10,8 @@ use crate::registry::ReferenceDb;
 use crate::spatial::{vote_spatial, SpatialCandidateVotes, SpatialDetection, SpatialVoteParams};
 use crate::voting::{vote, CandidateVotes, Detection, VoteParams};
 use s3_core::{
-    next_query_id, parallel, system_clock, IsotropicNormal, QueryCtx, QueryResult, QueryStats,
-    ShardedIndex, StatQueryOpts,
+    autotune, next_query_id, parallel, system_clock, IsotropicNormal, QueryCtx, QueryResult,
+    QueryStats, ShardedIndex, StatQueryOpts,
 };
 use s3_obs::ExplainReport;
 use s3_video::{extract_fingerprints, LocalFingerprint, VideoSource};
@@ -22,7 +22,9 @@ use std::time::Duration;
 pub struct DetectorConfig {
     /// Distortion-model σ (the robustness/search-time compromise of §IV-C).
     pub sigma: f64,
-    /// Statistical query options (α, depth, refinement, budget). The
+    /// Statistical query options (α, depth, refinement, budget). A depth
+    /// of 0 (the default) has [`Detector::new`] learn `p_min` from the
+    /// database, σ and α; any other value is used as given. The
     /// `sketch` flag (on by default) lets disk-backed searches consult the
     /// per-section Bloom sketch before each section load; results are
     /// bit-identical either way, only I/O differs. Disable it to measure
@@ -52,12 +54,9 @@ impl Default for DetectorConfig {
     fn default() -> Self {
         DetectorConfig {
             sigma: 20.0,
-            // Depth 0 = auto: matched to the database size at detector
-            // construction (the paper learns p_min at retrieval start).
-            query: StatQueryOpts {
-                depth: 0,
-                ..StatQueryOpts::new(0.8, 16)
-            },
+            // Depth 0 = learned at detector construction (the paper learns
+            // p_min at the start of the retrieval stage).
+            query: StatQueryOpts::new(0.8, 0),
             vote: VoteParams::default(),
             threads: 1,
             distance_gate_quantile: Some(0.90),
@@ -118,13 +117,15 @@ pub struct Detector<'a> {
 
 impl<'a> Detector<'a> {
     /// Creates a detector over a reference database. A query depth of 0
-    /// (the default) is resolved to a depth matched to the database size.
+    /// (the default) is learned here, once, from the database itself
+    /// ([`autotune::learn_depth`]): the paper's start-of-retrieval `p_min`.
+    /// Depth belongs to the detector and not to the [`ReferenceDb`] because
+    /// σ and α, which it depends on, are only known here.
     pub fn new(db: &'a ReferenceDb, mut config: DetectorConfig) -> Self {
+        let model = IsotropicNormal::new(s3_video::FINGERPRINT_DIMS, config.sigma);
         if config.query.depth == 0 {
-            config.query = StatQueryOpts {
-                depth: StatQueryOpts::for_db_size(config.query.alpha, db.index().len()).depth,
-                ..config.query
-            };
+            config.query.depth =
+                autotune::learn_depth(db.index(), &model, &config.query).best_depth;
         }
         if let (s3_core::Refine::All, Some(q)) =
             (config.query.refine, config.distance_gate_quantile)
@@ -133,7 +134,6 @@ impl<'a> Detector<'a> {
                 s3_stats::NormDistribution::new(s3_video::FINGERPRINT_DIMS as u32, config.sigma);
             config.query.refine = s3_core::Refine::Range(law.quantile(q));
         }
-        let model = IsotropicNormal::new(s3_video::FINGERPRINT_DIMS, config.sigma);
         Detector {
             db,
             model,

@@ -29,6 +29,7 @@ use args::Args;
 use s3_cbcd::{
     calibrate_monitor_threshold, DbBuilder, Detector, DetectorConfig, Monitor, MonitorParams,
 };
+use s3_core::autotune::{self, RecordCounts};
 use s3_core::pseudo_disk::{DiskIndex, RetryPolicy, WriteOpts};
 use s3_core::{
     system_clock, Admission, AdmissionController, BlockSource, BufferPool, FaultPlan,
@@ -103,14 +104,16 @@ USAGE:
   s3cbcd info <index-file>
       Print header information of an index file.
   s3cbcd query <index-file> [--alpha A] [--sigma S] [--queries N] [--mem MB]
-                [--strict] [--explain] [--no-sketch] [--telemetry-dir DIR]
-                [--shards N] [--replicas R] [--no-hedge]
+                [--depth P] [--strict] [--explain] [--no-sketch]
+                [--telemetry-dir DIR] [--shards N] [--replicas R] [--no-hedge]
       Run distorted self-queries through the pseudo-disk engine and report
-      retrieval rate and timing. By default unreadable index sections are
-      retried then skipped (degraded results); --strict makes that a hard
-      error instead. When the index has a sketch sidecar, sections the
-      sketch proves empty are skipped without I/O (results are
-      bit-identical); --no-sketch disables the prefilter.
+      retrieval rate and timing. Without --depth the partition depth is
+      learned on the batch's own first queries, from filter and record
+      counts (printed as `depth p : P (learned)`). By default unreadable
+      index sections are retried then skipped (degraded results); --strict
+      makes that a hard error instead. When the index has a sketch
+      sidecar, sections the sketch proves empty are skipped without I/O
+      (results are bit-identical); --no-sketch disables the prefilter.
       --shards N re-slices the index into N contiguous key ranges served by
       R in-memory replicas each (default 2) through the scatter-gather
       engine: clean runs are bit-identical to single-node, replica faults
@@ -511,19 +514,12 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
     });
     disk.set_threads(threads);
     let dims = disk.curve().dims();
-    let default_depth = StatQueryOpts::for_db_size(alpha, disk.len() as usize).depth;
-    let depth: u32 = a.get_parsed("depth", default_depth)?;
 
     let queries = synth_queries(n_queries, dims, sigma, seed);
     let qrefs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
 
     let model = IsotropicNormal::new(dims, sigma);
-    let opts = StatQueryOpts {
-        alpha,
-        depth,
-        sketch: !a.has("no-sketch"),
-        ..StatQueryOpts::new(alpha, depth)
-    };
+    let (opts, learned) = batch_opts(&a, &disk, &model, alpha, &qrefs)?;
     // --telemetry-dir needs the explain reports for slow-query capture,
     // even when they are not printed. The explain engine returns the same
     // BatchResult, so answers are unaffected.
@@ -545,7 +541,7 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
     let total_scanned: usize = batch.stats.iter().map(|st| st.entries_scanned).sum();
     let total_blocks: usize = batch.stats.iter().map(|st| st.blocks_selected).sum();
     println!("queries            : {}", queries.len());
-    println!("depth p            : {depth}");
+    println!("depth p            : {}{learned}", opts.depth);
     println!("matches            : {total_matches}");
     println!(
         "blocks / scanned   : {} / {} per query (avg)",
@@ -614,6 +610,33 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
     } else {
         Ok(CmdStatus::Clean)
     }
+}
+
+/// The options of a `query`/`explain` batch, and what to print after its
+/// depth: `--depth P` as given, else `p_min` learned on the batch's own
+/// first queries against `counts` — the paper's start of retrieval.
+fn batch_opts(
+    a: &Args,
+    counts: &dyn RecordCounts,
+    model: &IsotropicNormal,
+    alpha: f64,
+    queries: &[&[u8]],
+) -> Result<(StatQueryOpts, &'static str), String> {
+    let mut opts = StatQueryOpts {
+        sketch: !a.has("no-sketch"),
+        ..StatQueryOpts::new(alpha, 0)
+    };
+    let learned = a.get("depth").is_none();
+    opts.depth = if learned {
+        autotune::learn_depth_on(counts, model, &opts, queries).best_depth
+    } else {
+        a.get_parsed("depth", 0)?
+    };
+    let key_bits = counts.curve().key_bits();
+    if !(1..=key_bits).contains(&opts.depth) {
+        return Err(format!("--depth must be in 1..={key_bits}"));
+    }
+    Ok((opts, if learned { " (learned)" } else { "" }))
 }
 
 /// Synthetic mid-range probes (the distribution real descriptors live in).
@@ -718,15 +741,10 @@ fn query_sharded(
     .map_err(|e| e.to_string())?;
 
     let dims = sharded.curve().dims();
-    let default_depth = StatQueryOpts::for_db_size(qs.alpha, sharded.len() as usize).depth;
-    let depth: u32 = a.get_parsed("depth", default_depth)?;
     let queries = synth_queries(qs.n_queries, dims, qs.sigma, qs.seed);
     let qrefs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
     let model = IsotropicNormal::new(dims, qs.sigma);
-    let opts = StatQueryOpts {
-        sketch: !a.has("no-sketch"),
-        ..StatQueryOpts::new(qs.alpha, depth)
-    };
+    let (opts, learned) = batch_opts(a, &index, &model, qs.alpha, &qrefs)?;
 
     let telemetry = telemetry_setup(a);
     let (got, reports) = if explain || telemetry.is_some() {
@@ -746,7 +764,7 @@ fn query_sharded(
     let total_matches: usize = batch.matches.iter().map(Vec::len).sum();
     let total_scanned: usize = batch.stats.iter().map(|st| st.entries_scanned).sum();
     println!("queries            : {}", queries.len());
-    println!("depth p            : {depth}");
+    println!("depth p            : {}{learned}", opts.depth);
     println!(
         "shards             : {} x {} replicas ({} dispatched)",
         n_shards,
@@ -1216,7 +1234,7 @@ fn cmd_metrics(rest: Vec<String>) -> Result<CmdStatus, String> {
     }
     let index = S3Index::build(HilbertCurve::paper(), batch);
     let model = IsotropicNormal::new(20, 15.0);
-    let opts = StatQueryOpts::for_db_size(0.8, index.len());
+    let opts = StatQueryOpts::learned(0.8, &index, &model);
     for f in fps.iter().take(n_queries) {
         let _ = index.stat_query(&f.fingerprint, &model, &opts);
     }

@@ -16,9 +16,9 @@ use crate::metrics;
 use crate::CmdStatus;
 use s3_core::pseudo_disk::{DiskIndex, WriteOpts};
 use s3_core::{
-    default_health_rules, default_slos, system_clock, BlockSource, BufferPool, FaultyStorage,
-    IsotropicNormal, MemStorage, PooledStorage, QueryCtx, RecordBatch, S3Index, StatQueryOpts,
-    Storage,
+    autotune, default_health_rules, default_slos, system_clock, BlockSource, BufferPool,
+    FaultyStorage, IsotropicNormal, MemStorage, PooledStorage, QueryCtx, RecordBatch, S3Index,
+    StatQueryOpts, Storage,
 };
 use s3_hilbert::HilbertCurve;
 use s3_obs::{
@@ -181,8 +181,10 @@ pub fn cmd_watch(rest: Vec<String>) -> Result<CmdStatus, String> {
     install_panic_hook(Arc::clone(&recorder), incident_dir.clone());
 
     let model = IsotropicNormal::new(20, 15.0);
-    let opts = StatQueryOpts::for_db_size(0.8, disk.len() as usize);
     let qrefs: Vec<&[u8]> = probes.iter().map(|q| q.as_slice()).collect();
+    // Start of retrieval: learn p_min on the probes every tick will send.
+    let mut opts = StatQueryOpts::new(0.8, 0);
+    opts.depth = autotune::learn_depth_on(&index, &model, &opts, &qrefs).best_depth;
 
     let wall = WallTime::new();
     windows.tick(&wall); // baseline frame

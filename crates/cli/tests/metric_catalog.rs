@@ -5,7 +5,7 @@
 
 use s3_cbcd::{DbBuilder, Detector, DetectorConfig, Monitor, MonitorParams};
 use s3_core::pseudo_disk::DiskIndex;
-use s3_core::{knn, IsotropicNormal, StatQueryOpts};
+use s3_core::{autotune, knn, IsotropicNormal, StatQueryOpts};
 use s3_video::{extract_fingerprints, ExtractorParams, ProceduralVideo};
 
 const DOC: &str = include_str!("../../../docs/observability.md");
@@ -57,7 +57,8 @@ fn smoke_workload() {
         .map(|f| f.fingerprint.as_slice())
         .collect();
     let model = IsotropicNormal::new(20, 15.0);
-    let opts = StatQueryOpts::for_db_size(0.8, disk.len() as usize);
+    let mut opts = StatQueryOpts::new(0.8, 0);
+    opts.depth = autotune::learn_depth_on(&disk, &model, &opts, &queries).best_depth;
     let (_batch, reports) = disk
         .stat_query_batch_explain(&queries, &model, &opts, 1 << 20, None)
         .expect("explain batch");

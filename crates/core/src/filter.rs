@@ -90,6 +90,9 @@ pub struct FilterOutcome {
     pub blocks: Vec<ScoredBlock>,
     /// Total probability mass captured (meaningless for the geometric filter).
     pub mass: f64,
+    /// The mass the selection aimed at: the requested α capped by
+    /// [`reachable_alpha`] (NaN for the geometric filters, which aim at none).
+    pub target: f64,
     /// Number of tree nodes expanded (filter work measure, `T_f` proxy).
     pub nodes_expanded: usize,
     /// The threshold `t_max` found (threshold filter only).
@@ -116,6 +119,24 @@ fn observed(mut outcome: FilterOutcome, algo: &'static str) -> FilterOutcome {
         .add(outcome.blocks.len() as u64);
     outcome.algo = algo;
     outcome
+}
+
+/// The expectation a statistical selection can actually aim at. For a
+/// query near the boundary of the byte cube part of the distortion mass
+/// falls outside the grid, so the achievable expectation is capped by the
+/// root mass; aiming just below it makes such a query terminate with the
+/// best achievable coverage instead of exhausting the whole partition.
+pub fn reachable_alpha(alpha: f64, root_mass: f64) -> f64 {
+    alpha.min(root_mass * (1.0 - 1e-9))
+}
+
+/// True if a selection that captured `mass` fell short of the `target` it
+/// aimed at — the paper's capture invariant broken by a block budget, a
+/// deadline or a cancellation, never by the cube boundary (which
+/// [`reachable_alpha`] already took out of the target). Geometric
+/// selections (NaN mass) aim at no mass and never miss.
+pub fn missed_target(mass: f64, target: f64) -> bool {
+    mass < target - 1e-9
 }
 
 /// Mass under the model, centred on the query, of the dyadic interval
@@ -403,11 +424,7 @@ fn best_first_impl<F: FnMut(usize, u32, u32) -> f64>(
     cells.clear();
     cells.push(LevelCell::root(curve));
     let root_mass: f64 = (0..dims as usize).map(|d| factor(d, order, 0)).product();
-    // For queries near the boundary of the byte cube, part of the distortion
-    // mass falls outside the grid; the achievable expectation is capped by
-    // the root mass. Clamp α so such queries terminate with the best
-    // achievable coverage instead of exhausting the whole partition.
-    let alpha = alpha.min(root_mass * (1.0 - 1e-9));
+    let alpha = reachable_alpha(alpha, root_mass);
     heap.push(HeapNode {
         mass: root_mass,
         node: CompactNode::ROOT,
@@ -486,6 +503,7 @@ fn best_first_impl<F: FnMut(usize, u32, u32) -> f64>(
     FilterOutcome {
         blocks: out,
         mass: acc,
+        target: alpha,
         nodes_expanded: nodes,
         tmax: None,
         iterations: 0,
@@ -599,8 +617,7 @@ fn threshold_impl(
 ) -> FilterOutcome {
     let root = Block::root(curve);
     let root_mass: f64 = (0..dims).map(|d| factor(&root, d)).product();
-    // Same boundary clamp as the best-first filter (see there).
-    let alpha = alpha.min(root_mass * (1.0 - 1e-9));
+    let alpha = reachable_alpha(alpha, root_mass);
 
     // Bracket: Psup(0) = root mass (all blocks kept), Psup(root_mass) = 0.
     let mut lo = 0.0f64;
@@ -639,6 +656,7 @@ fn threshold_impl(
     let truncated = best.overflowed || best.psup < alpha;
     FilterOutcome {
         mass: best.psup,
+        target: alpha,
         blocks: best.blocks,
         nodes_expanded: nodes_total,
         tmax: Some(tmax),
@@ -697,6 +715,7 @@ pub fn select_blocks_range(
         FilterOutcome {
             blocks,
             mass: f64::NAN,
+            target: f64::NAN,
             nodes_expanded: nodes,
             tmax: None,
             iterations: 0,
@@ -760,6 +779,7 @@ pub fn select_blocks_bbox(
         FilterOutcome {
             blocks,
             mass: f64::NAN,
+            target: f64::NAN,
             nodes_expanded: nodes,
             tmax: None,
             iterations: 0,
@@ -897,7 +917,7 @@ mod tests {
         // Apply the same boundary clamp as the filter: the achievable mass is
         // capped by the total in-grid mass.
         let total: f64 = all.iter().sum();
-        let target = alpha.min(total * (1.0 - 1e-9));
+        let target = reachable_alpha(alpha, total);
         let mut acc = 0.0;
         let mut brute = 0;
         for m in &all {
@@ -1044,6 +1064,29 @@ mod tests {
     }
 
     #[test]
+    fn only_a_selection_cut_short_misses_its_target() {
+        // The paper's 20-D cube at σ = 20: a corner query keeps about 2⁻²⁰
+        // of the model's mass inside the grid, far below the requested α —
+        // yet the selection captures all it aimed at.
+        let curve = HilbertCurve::paper();
+        let model = IsotropicNormal::new(20, 20.0);
+        for q in [[0u8; 20], [255u8; 20]] {
+            let out = select_blocks_best_first(&curve, &model, &q, 8, 0.8, 1 << 16);
+            assert!(out.mass < 0.8 && !out.truncated);
+            assert!(!missed_target(out.mass, out.target), "{out:?}");
+            let out = select_blocks_threshold(&curve, &model, &q, 8, 0.8, 1 << 16, 20);
+            assert!(!missed_target(out.mass, out.target), "{out:?}");
+        }
+        // A block budget that truncates the selection is a violation.
+        let out = select_blocks_best_first(&curve, &model, &[128; 20], 12, 0.8, 4);
+        assert!(out.truncated);
+        assert!(missed_target(out.mass, out.target));
+        // The geometric filters aim at no mass.
+        let out = select_blocks_range(&curve, &[128; 20], 4, 60.0, 1 << 16);
+        assert!(!missed_target(out.mass, out.target));
+    }
+
+    #[test]
     #[should_panic(expected = "alpha out of range")]
     fn alpha_zero_rejected() {
         let (curve, model) = small_setup();
@@ -1105,7 +1148,7 @@ mod tests {
     ) -> RefOutcome {
         let root = Block::root(curve);
         let root_mass: f64 = (0..curve.dims()).map(|d| factor(&root, d)).product();
-        let alpha = alpha.min(root_mass * (1.0 - 1e-9));
+        let alpha = reachable_alpha(alpha, root_mass);
         let mut heap = BinaryHeap::with_capacity(1024);
         heap.push(RefNode {
             mass: root_mass,
@@ -1315,6 +1358,7 @@ mod tests {
         FilterOutcome {
             blocks,
             mass: f64::NAN,
+            target: f64::NAN,
             nodes_expanded: 0,
             tmax: None,
             iterations: 0,

@@ -11,9 +11,11 @@
 //!    index table plus binary search, merges abutting intervals, and scans
 //!    the records sequentially, applying the refinement predicate.
 
+use crate::autotune::learn_depth;
 use crate::distortion::DistortionModel;
 use crate::filter::{
-    merge_block_ranges, select_blocks_bbox, select_blocks_range, select_blocks_stat, FilterOutcome,
+    merge_block_ranges, missed_target, select_blocks_bbox, select_blocks_range, select_blocks_stat,
+    FilterOutcome,
 };
 use crate::fingerprint::{dist_sq, RecordBatch};
 use crate::kernels;
@@ -108,7 +110,9 @@ pub struct StatQueryOpts {
     /// Expectation α ∈ (0, 1]: target probability that a relevant
     /// (distorted) fingerprint falls in the searched region.
     pub alpha: f64,
-    /// Partition depth `p`.
+    /// Partition depth `p`, in `1..=key_bits`. Nothing derives it from the
+    /// database size: a caller names it or learns it
+    /// ([`StatQueryOpts::learned`], the paper's start-of-retrieval `p_min`).
     pub depth: u32,
     /// Refinement predicate.
     pub refine: Refine,
@@ -138,20 +142,15 @@ impl StatQueryOpts {
         }
     }
 
-    /// Defaults with the partition depth matched to the database size.
-    ///
-    /// Deeper partitions are more selective but fragment the query region
-    /// across exponentially more blocks (`T_f` grows), while shallow ones
-    /// over-scan (`T_r` grows) — the `T(p) = T_f(p) + T_r(p)` trade-off of
-    /// §IV-A. This heuristic places the block population a few powers of two
-    /// above the record count; [`crate::autotune::tune_depth`] refines it
-    /// empirically like the paper's start-of-retrieval learning.
-    pub fn for_db_size(alpha: f64, n_records: usize) -> Self {
-        // Cap at 20: beyond that the binomial fragmentation of a wide
-        // distortion model dominates filter cost for any realistic σ; when
-        // the model is narrow, `autotune` will pick deeper partitions.
-        let depth = (usize::BITS - n_records.max(1).leading_zeros() + 2).clamp(8, 20);
-        StatQueryOpts::new(alpha, depth)
+    /// [`StatQueryOpts::new`] at the depth learned from `index` under
+    /// `model` ([`crate::autotune::learn_depth`]) — for a caller that holds
+    /// an index and names no depth.
+    pub fn learned(alpha: f64, index: &S3Index, model: &dyn DistortionModel) -> Self {
+        let opts = StatQueryOpts::new(alpha, 0);
+        StatQueryOpts {
+            depth: learn_depth(index, model, &opts).best_depth,
+            ..opts
+        }
     }
 }
 
@@ -181,6 +180,11 @@ pub struct QueryStats {
     pub entries_scanned: usize,
     /// Probability mass captured (statistical queries).
     pub mass: f64,
+    /// The mass the filter aimed at — the requested α capped at what the
+    /// byte cube can hold around this query (see
+    /// [`crate::filter::reachable_alpha`]); NaN for a geometric filter, 0
+    /// when no filter ran.
+    pub target: f64,
     /// `t_max` (threshold filter only).
     pub tmax: Option<f64>,
     /// True if the block budget truncated the filter.
@@ -219,6 +223,7 @@ impl QueryStats {
             nodes_expanded: outcome.nodes_expanded,
             blocks_selected: outcome.blocks.len(),
             mass: outcome.mass,
+            target: outcome.target,
             tmax: outcome.tmax,
             truncated: outcome.truncated,
             ..QueryStats::default()
@@ -559,7 +564,7 @@ impl S3Index {
         metrics.record_query(&res.stats, t0.elapsed());
         metrics.record_calibration(
             res.stats.mass,
-            opts.alpha,
+            res.stats.target,
             res.stats.entries_scanned,
             self.len(),
         );
@@ -711,10 +716,10 @@ impl S3Index {
             rep.annotations
                 .push("block budget truncated selection before reaching α".into());
         }
-        if outcome.mass.is_finite() && outcome.mass < opts.alpha - 1e-9 {
+        if missed_target(outcome.mass, outcome.target) {
             rep.annotations.push(format!(
-                "achieved mass {:.4} below requested α {:.4}",
-                outcome.mass, opts.alpha
+                "achieved mass {:.4} below reachable α {:.4}",
+                outcome.mass, outcome.target
             ));
         }
         if res.stats.cancelled {

@@ -16,8 +16,9 @@
 //!   ε-range and sequential-scan queries;
 //! * [`pseudo_disk`] — the larger-than-memory batched search strategy
 //!   (§IV-B, eq. 5);
-//! * [`autotune`] — selection of the partition depth `p_min` minimising
-//!   `T(p) = T_f(p) + T_r(p)` (§IV-A);
+//! * [`autotune`] — the start-of-retrieval learning of the partition depth
+//!   `p_min` minimising `T(p) = T_f(p) + T_r(p)` (§IV-A), from the filter's
+//!   own node and record counts; the only source of a depth nobody named;
 //! * [`knn`] — exact k-nearest-neighbour search on the same structure
 //!   (the alternative paradigm discussed in §I-II).
 //!

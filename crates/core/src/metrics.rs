@@ -15,6 +15,7 @@ use std::time::Duration;
 
 use s3_obs::{registry, Counter, Gauge, Histogram};
 
+use crate::filter::missed_target;
 use crate::index::QueryStats;
 
 /// Handles to every metric the core crate records.
@@ -104,8 +105,9 @@ pub struct CoreMetrics {
     /// data the blocks hold; negative ⇒ the blocks are denser than modeled).
     pub calibration_drift: Gauge,
     /// `calibration.alpha_violations` — queries whose *achieved* predicted
-    /// mass fell below the requested α (the paper's capture invariant,
-    /// violated by truncation or degradation).
+    /// mass fell below the α their filter could reach (the paper's capture
+    /// invariant, violated by truncation or degradation — never by a query
+    /// sitting near the boundary of the byte cube).
     pub calibration_alpha_violations: Counter,
     /// `bufferpool.hits` — page requests served from a resident frame.
     pub bufferpool_hits: Counter,
@@ -244,12 +246,13 @@ impl CoreMetrics {
     /// Records one query's selectivity calibration: the filter's achieved
     /// predicted mass vs. the fraction of the database refinement actually
     /// scanned, both in basis points (the registry's histograms are u64).
-    /// `requested_alpha` is the α the caller asked for; achieving less
-    /// counts an `calibration.alpha_violations`.
+    /// `target` is the mass the filter aimed at
+    /// ([`QueryStats::target`]); capturing less counts a
+    /// `calibration.alpha_violations`.
     pub fn record_calibration(
         &self,
         predicted_mass: f64,
-        requested_alpha: f64,
+        target: f64,
         entries_scanned: usize,
         db_records: usize,
     ) {
@@ -262,7 +265,7 @@ impl CoreMetrics {
         self.calibration_predicted.record(pred_bp);
         self.calibration_observed.record(obs_bp);
         self.calibration_drift.set(pred_bp as f64 - obs_bp as f64);
-        if predicted_mass < requested_alpha - 1e-9 {
+        if missed_target(predicted_mass, target) {
             self.calibration_alpha_violations.inc();
         }
     }

@@ -52,10 +52,13 @@
 //! The legacy `S3IDX001` layout is the same minus the three CRC regions,
 //! with a zero pad in place of `block_size`.
 
+use crate::autotune::RecordCounts;
 use crate::crc::{crc32, Crc32};
 use crate::distortion::DistortionModel;
 use crate::error::IndexError;
-use crate::filter::{merge_block_ranges, select_blocks_range, select_blocks_stat, FilterOutcome};
+use crate::filter::{
+    merge_block_ranges, missed_target, select_blocks_range, select_blocks_stat, FilterOutcome,
+};
 use crate::fingerprint::RecordBatch;
 use crate::index::{Match, QueryStats, Refine, Refiner, S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
@@ -392,6 +395,28 @@ fn write_data_region(
         put(w, &tc.to_le_bytes())?;
     }
     Ok(())
+}
+
+/// The header table as the depth learner's record-count oracle: no read,
+/// exact for every partition of depth ≤ `table_depth`, whose block
+/// boundaries are slot boundaries (a deeper bound rounds down to its slot).
+impl RecordCounts for DiskIndex {
+    fn curve(&self) -> &HilbertCurve {
+        &self.curve
+    }
+
+    fn count_in(&self, range: &KeyRange) -> u64 {
+        let start = self.table[self.slot_of(&range.lo)];
+        let end = match &range.hi {
+            KeyBound::Excl(hi) => self.table[self.slot_of(hi)],
+            KeyBound::End => self.n,
+        };
+        end.saturating_sub(start)
+    }
+
+    fn exact_depth(&self) -> u32 {
+        self.table_depth
+    }
 }
 
 impl DiskIndex {
@@ -1489,11 +1514,11 @@ impl DiskIndex {
             // Always-on selectivity calibration for statistical queries: the
             // filter's achieved mass vs. the database fraction refinement
             // actually visited — the paper's capture invariant, live.
-            if let Some(si) = &stat {
+            if stat.is_some() {
                 for st in &stats {
                     metrics.record_calibration(
                         st.mass,
-                        si.alpha,
+                        st.target,
                         st.entries_scanned,
                         self.n as usize,
                     );
@@ -1556,10 +1581,10 @@ impl DiskIndex {
                         rep.annotations
                             .push("block budget truncated selection before reaching α".into());
                     }
-                    if outcome.mass.is_finite() && outcome.mass < si.alpha - 1e-9 {
+                    if missed_target(outcome.mass, outcome.target) {
                         rep.annotations.push(format!(
-                            "achieved mass {:.4} below requested α {:.4}",
-                            outcome.mass, si.alpha
+                            "achieved mass {:.4} below reachable α {:.4}",
+                            outcome.mass, outcome.target
                         ));
                     }
                 } else {

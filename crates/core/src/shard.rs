@@ -987,7 +987,7 @@ impl ShardedIndex {
         let per_query = timing.per_query(queries.len());
         for st in &stats {
             metrics.record_query(st, per_query);
-            metrics.record_calibration(st.mass, opts.alpha, st.entries_scanned, self.n as usize);
+            metrics.record_calibration(st.mass, st.target, st.entries_scanned, self.n as usize);
         }
 
         let explain_reports = if want_explain {
@@ -1272,6 +1272,13 @@ mod tests {
                     max_retries: 0,
                     backoff: Duration::ZERO,
                     strict: false, // forced strict internally anyway
+                },
+                // Ordered failover is what this test accounts for: with
+                // hedging on, a loaded runner fires the hedge (2 ms) before
+                // the dead primary errors and no failover is ever counted.
+                hedge: HedgeConfig {
+                    enabled: false,
+                    ..HedgeConfig::default()
                 },
                 ..ShardedOptions::default()
             },

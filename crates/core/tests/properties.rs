@@ -112,7 +112,7 @@ proptest! {
         batch.push(&q, 999_999, 0);
         let index = S3Index::build(curve(), batch);
         let model = IsotropicNormal::new(DIMS, sigma);
-        let opts = StatQueryOpts::for_db_size(0.99, index.len());
+        let opts = StatQueryOpts::learned(0.99, &index, &model);
         let res = index.stat_query(&q, &model, &opts);
         prop_assert!(
             res.matches.iter().any(|m| m.id == 999_999),

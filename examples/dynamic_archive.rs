@@ -61,7 +61,9 @@ fn main() {
 
     // Query the combined index: the new material is immediately findable.
     let model = IsotropicNormal::new(20, 15.0);
-    let opts = StatQueryOpts::for_db_size(0.9, dynamic.len());
+    // Depth learned from the main index: the overlay is scanned against
+    // the same key ranges, whatever their depth.
+    let opts = StatQueryOpts::learned(0.9, dynamic.main(), &model);
     let probe = &fps[fps.len() / 2];
     let res = dynamic.stat_query(&probe.fingerprint, &model, &opts);
     let found = res

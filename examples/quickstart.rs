@@ -45,7 +45,7 @@ fn main() {
     let model = IsotropicNormal::new(dims, sigma);
     let opts = StatQueryOpts {
         refine: Refine::Range(200.0),
-        ..StatQueryOpts::for_db_size(0.9, index.len())
+        ..StatQueryOpts::learned(0.9, &index, &model)
     };
     let res = index.stat_query(&probe, &model, &opts);
     println!(

@@ -55,7 +55,11 @@ fn main() {
         .iter()
         .map(|&c| (f64::from(c) + sigma * normal(&mut rng)).clamp(0.0, 255.0) as u8)
         .collect();
-    let depth = StatQueryOpts::for_db_size(0.9, index.len()).depth;
+    // One depth for all four paradigms: p_min learned for the statistical
+    // query from the index, the model and α (§IV-A).
+    let model = IsotropicNormal::new(dims, sigma);
+    let opts = StatQueryOpts::learned(0.9, &index, &model);
+    let depth = opts.depth;
 
     // 1. Exact k-NN, k = 10: correct but structurally capped.
     let res = knn(&index, &probe, 10, depth);
@@ -83,12 +87,7 @@ fn main() {
     );
 
     // 4. The statistical query at α = 90 %.
-    let model = IsotropicNormal::new(dims, sigma);
-    let res = index.stat_query(
-        &probe,
-        &model,
-        &StatQueryOpts::for_db_size(0.9, index.len()),
-    );
+    let res = index.stat_query(&probe, &model, &opts);
     let hits = res.matches.iter().filter(|m| m.id == 1).count();
     println!(
         "statistical α=90%  : {hits}/150 jingle copies (scanned {} records, mass {:.2})",

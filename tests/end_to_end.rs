@@ -149,7 +149,7 @@ fn extracted_fingerprints_roundtrip_through_disk_index() {
     let disk = s3::core::pseudo_disk::DiskIndex::open(&path).unwrap();
 
     let model = IsotropicNormal::new(20, 15.0);
-    let opts = StatQueryOpts::for_db_size(0.85, index.len());
+    let opts = StatQueryOpts::learned(0.85, &index, &model);
     let queries: Vec<&[u8]> = fps
         .iter()
         .take(10)

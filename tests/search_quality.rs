@@ -53,7 +53,7 @@ fn empirical_retrieval_meets_alpha() {
     let n_queries = 150;
 
     for alpha in [0.5, 0.8, 0.95] {
-        let opts = StatQueryOpts::for_db_size(alpha, index.len());
+        let opts = StatQueryOpts::learned(alpha, &index, &model);
         let mut hits = 0;
         for qi in 0..n_queries as usize {
             let target = (qi * 131) % index.len();
@@ -82,7 +82,7 @@ fn statistical_scans_less_than_range_at_same_expectation() {
     let alpha = 0.9;
     let model = IsotropicNormal::new(DIMS, sigma);
     let eps = NormDistribution::new(DIMS as u32, sigma).quantile(alpha);
-    let opts = StatQueryOpts::for_db_size(alpha, index.len());
+    let opts = StatQueryOpts::learned(alpha, &index, &model);
     let mut rng = StdRng::seed_from_u64(22);
 
     let mut stat_scanned = 0usize;
@@ -117,7 +117,7 @@ fn refinement_policies_nest() {
     let model = IsotropicNormal::new(DIMS, sigma);
     let probe = index.records().fingerprint(1234).to_vec();
 
-    let base = StatQueryOpts::for_db_size(0.9, index.len());
+    let base = StatQueryOpts::learned(0.9, &index, &model);
     let all = index.stat_query(
         &probe,
         &model,
@@ -161,7 +161,7 @@ fn diagonal_model_with_equal_sigmas_matches_isotropic() {
     let index = S3Index::build(HilbertCurve::paper(), random_batch(5_000, 41));
     let iso = IsotropicNormal::new(DIMS, 15.0);
     let diag = DiagonalNormal::new(&[15.0; DIMS]);
-    let opts = StatQueryOpts::for_db_size(0.85, index.len());
+    let opts = StatQueryOpts::learned(0.85, &index, &iso);
     let probe = index.records().fingerprint(777).to_vec();
     let a = index.stat_query(&probe, &iso, &opts);
     let b = index.stat_query(&probe, &diag, &opts);
@@ -176,7 +176,7 @@ fn diagonal_model_with_equal_sigmas_matches_isotropic() {
 fn query_stats_are_consistent() {
     let index = S3Index::build(HilbertCurve::paper(), random_batch(8_000, 51));
     let model = IsotropicNormal::new(DIMS, 12.0);
-    let opts = StatQueryOpts::for_db_size(0.8, index.len());
+    let opts = StatQueryOpts::learned(0.8, &index, &model);
     let mut rng = StdRng::seed_from_u64(52);
     for _ in 0..20 {
         let target = rng.gen_range(0..index.len());
