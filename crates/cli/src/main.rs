@@ -39,8 +39,8 @@ use s3_core::{
 };
 use s3_hilbert::HilbertCurve;
 use s3_video::{
-    extract_fingerprints, ExtractorParams, ProceduralVideo, Transform, TransformChain,
-    TransformedVideo, VideoSource, Y4mVideo,
+    extract_fingerprints, ExtractorParams, ProceduralVideo, StreamingExtractor, Transform,
+    TransformChain, TransformedVideo, VideoSource, Y4mVideo,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -1129,19 +1129,8 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
     );
     let live_b = ProceduralVideo::new(96, 72, stream_frames / 2, seed ^ 0xBBBB);
 
-    let mut stream = Vec::new();
-    let mut base = 0u32;
     let segs: [(&dyn VideoSource, &str); 3] =
         [(&live_a, "live"), (&rerun, "rerun"), (&live_b, "live")];
-    for (seg, label) in segs {
-        let mut fps = extract_fingerprints(&seg, db.extractor_params());
-        for f in &mut fps {
-            f.tc += base;
-        }
-        eprintln!("  [{base:>5}..] {label}");
-        stream.extend(fps);
-        base += seg.len() as u32;
-    }
 
     // Calibrate, then monitor.
     let negatives: Vec<_> = (0..3u64)
@@ -1172,9 +1161,24 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
     }
     let detector = Detector::new(&db, config);
     let mut monitor = Monitor::new(&detector, params);
-    for chunk in stream.chunks(32) {
-        monitor.push(chunk).map_err(|e| e.to_string())?;
+    // The broadcast arrives frame by frame: one extractor over the whole
+    // stream, fingerprints searched in batches as they come out.
+    let mut extractor = StreamingExtractor::new(*db.extractor_params());
+    let mut pending = Vec::new();
+    let mut base = 0usize;
+    for (seg, label) in segs {
+        eprintln!("  [{base:>5}..] {label}");
+        for t in 0..seg.len() {
+            pending.extend(extractor.push(seg.frame(t)));
+            if pending.len() >= 32 {
+                monitor.push(&pending).map_err(|e| e.to_string())?;
+                pending.clear();
+            }
+        }
+        base += seg.len();
     }
+    pending.extend(extractor.finish());
+    monitor.push(&pending).map_err(|e| e.to_string())?;
     let (events, stats) = monitor.finish();
     for e in &events {
         println!(

@@ -116,32 +116,55 @@ impl Kernel {
     }
 }
 
+/// One row of a row pass: `out[x] = Σ_k taps[k]·src[clamp(x + k − radius)]`.
+///
+/// Every element is `((0 + t₀·v₀) + t₁·v₁) + …` in tap order, so the result
+/// does not depend on how the loops are nested: taps run outermost over plain
+/// slices (no clamp, vectorisable across `x`) and only the `radius` columns
+/// at each end clamp their index.
+pub(crate) fn convolve_row(src: &[f32], k: &Kernel, out: &mut [f32]) {
+    let (w, r) = (src.len(), k.radius);
+    // Columns `lo..hi` see the whole kernel; empty when `w <= 2 * r`.
+    let lo = r.min(w);
+    let hi = w.saturating_sub(r).max(lo);
+    out.fill(0.0);
+    for (j, &t) in k.taps.iter().enumerate() {
+        for x in (0..lo).chain(hi..w) {
+            out[x] += t * src[(x + j).saturating_sub(r).min(w - 1)];
+        }
+        if lo < hi {
+            // Here `lo == r`, so column `x` reads `src[x + j - r]`.
+            for (o, &v) in out[lo..hi].iter_mut().zip(&src[j..]) {
+                *o += t * v;
+            }
+        }
+    }
+}
+
+/// Row `y` of a column pass over a row-major plane `w` wide:
+/// `out[x] = Σ_k taps[k]·src[clamp(y + k − radius)][x]`, accumulated like
+/// [`convolve_row`] (tap order per element, whole rows at a time).
+pub(crate) fn convolve_col(src: &[f32], w: usize, y: usize, k: &Kernel, out: &mut [f32]) {
+    let h = src.len() / w;
+    out.fill(0.0);
+    for (j, &t) in k.taps.iter().enumerate() {
+        let yy = (y + j).saturating_sub(k.radius).min(h - 1);
+        for (o, &v) in out.iter_mut().zip(&src[yy * w..(yy + 1) * w]) {
+            *o += t * v;
+        }
+    }
+}
+
 /// Applies `kx` along rows and `ky` along columns (separable convolution).
 pub fn convolve_separable(frame: &Frame, kx: &Kernel, ky: &Kernel) -> Frame {
     let (w, h) = (frame.width(), frame.height());
-    // Horizontal pass.
-    let mut tmp = Frame::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let mut acc = 0.0f32;
-            for (k, &t) in kx.taps.iter().enumerate() {
-                let xi = x as isize + (k as isize - kx.radius as isize);
-                acc += t * frame.get_clamped(xi, y as isize);
-            }
-            tmp.set(x, y, acc);
-        }
+    let mut tmp = vec![0.0f32; w * h];
+    for (src, out) in frame.data().chunks_exact(w).zip(tmp.chunks_exact_mut(w)) {
+        convolve_row(src, kx, out);
     }
-    // Vertical pass.
     let mut out = Frame::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let mut acc = 0.0f32;
-            for (k, &t) in ky.taps.iter().enumerate() {
-                let yi = y as isize + (k as isize - ky.radius as isize);
-                acc += t * tmp.get_clamped(x as isize, yi);
-            }
-            out.set(x, y, acc);
-        }
+    for (y, row) in out.data_mut().chunks_exact_mut(w).enumerate() {
+        convolve_col(&tmp, w, y, ky, row);
     }
     out
 }
@@ -181,6 +204,37 @@ pub fn derivatives(frame: &Frame, sigma: f32) -> Derivatives {
     }
 }
 
+/// The per-pixel, clamp-every-tap convolution [`convolve_separable`]
+/// replaced, kept as the oracle the row and column passes must equal bit for
+/// bit.
+#[cfg(test)]
+pub(crate) fn convolve_separable_oracle(frame: &Frame, kx: &Kernel, ky: &Kernel) -> Frame {
+    let (w, h) = (frame.width(), frame.height());
+    let mut tmp = Frame::new(w, h);
+    for y in 0..h {
+        for x in 0..w {
+            let mut acc = 0.0f32;
+            for (k, &t) in kx.taps.iter().enumerate() {
+                let xi = x as isize + (k as isize - kx.radius as isize);
+                acc += t * frame.get_clamped(xi, y as isize);
+            }
+            tmp.set(x, y, acc);
+        }
+    }
+    let mut out = Frame::new(w, h);
+    for y in 0..h {
+        for x in 0..w {
+            let mut acc = 0.0f32;
+            for (k, &t) in ky.taps.iter().enumerate() {
+                let yi = y as isize + (k as isize - ky.radius as isize);
+                acc += t * tmp.get_clamped(x as isize, yi);
+            }
+            out.set(x, y, acc);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,6 +258,32 @@ mod tests {
             let n = k.taps().len();
             for i in 0..n / 2 {
                 assert!((k.taps()[i] - k.taps()[n - 1 - i]).abs() < 1e-7);
+            }
+        }
+    }
+
+    #[test]
+    fn row_and_column_passes_equal_the_per_pixel_oracle_bit_for_bit() {
+        let kernels = [
+            Kernel::gaussian(2.0),
+            Kernel::gaussian_d1(1.0),
+            Kernel::gaussian_d2(1.5),
+        ];
+        // Sizes around `2·radius + 1` (7, 11, 13 taps) and well past it.
+        for (w, h) in [(1, 1), (2, 9), (6, 6), (7, 3), (12, 13), (13, 12), (40, 31)] {
+            let data = (0..w * h).map(|i| ((i * 53) % 241) as f32 - 17.5).collect();
+            let f = Frame::from_data(w, h, data);
+            for kx in &kernels {
+                for ky in &kernels {
+                    let got = convolve_separable(&f, kx, ky);
+                    let expected = convolve_separable_oracle(&f, kx, ky);
+                    let same = got
+                        .data()
+                        .iter()
+                        .zip(expected.data())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "{w}x{h}, radii {} / {}", kx.radius, ky.radius);
+                }
             }
         }
     }

@@ -45,20 +45,34 @@ pub fn intensity_of_motion(video: &impl VideoSource) -> Vec<f64> {
     out
 }
 
+/// The key-frame of a clip whose smoothed motion signal of `samples` values
+/// has no extremum: the middle one, or the first below three samples (too
+/// few for an extremum to exist). A one-frame clip (no sample) keeps its
+/// only frame.
+///
+/// This is a whole-clip rule: it needs the clip's length, so a live stream —
+/// which cannot go back to its middle frame — never applies it.
+pub fn degenerate_keyframe(samples: usize) -> usize {
+    if samples < 3 {
+        0
+    } else {
+        samples / 2
+    }
+}
+
 /// Finds the local extrema (minima and maxima) of a signal, with a minimum
 /// index gap between reported extrema. Plateaus report their first index.
+/// A non-empty signal without any (monotone, constant or shorter than three)
+/// reports its [`degenerate_keyframe`].
 pub fn extrema(signal: &[f64], min_gap: usize) -> Vec<usize> {
     let n = signal.len();
-    if n < 3 {
-        return if n == 0 { Vec::new() } else { vec![0] };
-    }
     let mut out: Vec<usize> = Vec::new();
     let push = |i: usize, out: &mut Vec<usize>| {
         if out.last().is_none_or(|&last| i >= last + min_gap.max(1)) {
             out.push(i);
         }
     };
-    for i in 1..n - 1 {
+    for i in 1..n.saturating_sub(1) {
         let (a, b, c) = (signal[i - 1], signal[i], signal[i + 1]);
         let is_max = b > a && b >= c;
         let is_min = b < a && b <= c;
@@ -66,9 +80,8 @@ pub fn extrema(signal: &[f64], min_gap: usize) -> Vec<usize> {
             push(i, &mut out);
         }
     }
-    if out.is_empty() {
-        // Degenerate (monotone or constant) signal: take the middle.
-        out.push(n / 2);
+    if out.is_empty() && n > 0 {
+        out.push(degenerate_keyframe(n));
     }
     out
 }

@@ -9,9 +9,12 @@
 //! * [`keyframes`] — intensity-of-motion extrema key-frame detection;
 //! * [`harris`] — Gaussian-derivative Harris interest points;
 //! * [`features`] — the 20-byte differential local fingerprints;
-//! * [`pipeline`] — the full extractor plus the matched-position distortion
-//!   measurement ("perfect interest point detector", §IV-C) used to fit the
-//!   distortion model and grade transformation severity.
+//! * [`streaming`] — the one extraction loop: frames pushed one at a time,
+//!   fingerprints out with a bounded delay (§V-D's live path);
+//! * [`pipeline`] — its whole-clip drivers: `extract_fingerprints` and the
+//!   matched-position distortion measurement ("perfect interest point
+//!   detector", §IV-C) used to fit the distortion model and grade
+//!   transformation severity.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -1,9 +1,13 @@
-//! The full fingerprint extraction pipeline (§III) and the matched-position
-//! distortion measurement (§IV-C).
+//! The whole-clip entry points of the extraction pipeline (§III) and the
+//! matched-position distortion measurement (§IV-C).
 //!
 //! Extraction: key-frame detection → Harris interest points per key-frame →
 //! 20-byte differential fingerprint per point, tagged with the key-frame's
-//! time-code and the point position.
+//! time-code and the point position. The loop that does this is
+//! [`StreamingExtractor`]; the functions here drive it over a
+//! [`VideoSource`], rendering every frame exactly once, and add the one rule
+//! only a whole clip can have: a clip whose motion signal has no extremum is
+//! described at its middle frame ([`degenerate_keyframe`]).
 //!
 //! Distortion measurement: to estimate the model parameter σ without an
 //! (imperfect) re-detection, the paper simulates a *perfect interest point
@@ -13,11 +17,11 @@
 //! detector imprecision). The per-component differences are the distortion
 //! vectors `ΔS` that Fig. 1, Fig. 3 and Table I are built on.
 
-use crate::features::{fingerprint_at, Fingerprint, FingerprintParams, FINGERPRINT_DIMS};
-use crate::filtering::Kernel;
+use crate::features::{Fingerprint, FingerprintParams, FINGERPRINT_DIMS};
 use crate::frame::Frame;
-use crate::harris::{detect_interest_points, HarrisParams};
-use crate::keyframes::{detect_keyframes, KeyframeParams};
+use crate::harris::HarrisParams;
+use crate::keyframes::{degenerate_keyframe, KeyframeParams};
+use crate::streaming::{Described, Describer, StreamingExtractor};
 use crate::synth::VideoSource;
 use crate::transform::{TransformChain, TransformedVideo};
 
@@ -45,55 +49,50 @@ pub struct ExtractorParams {
     pub fingerprint: FingerprintParams,
 }
 
-/// Pre-built kernels shared across the pipeline.
-struct Kernels {
-    g: Kernel,
-    d1: Kernel,
-    d2: Kernel,
+/// Renders frame `u` of `video`, clamped to the clip, booked as `video.render`.
+fn render(video: &impl VideoSource, u: isize) -> Frame {
+    let u = u.clamp(0, video.len() as isize - 1) as usize;
+    let _sp = s3_obs::span!("video.render", "t" => u as f64);
+    video.frame(u)
 }
 
-impl Kernels {
-    fn new(sigma: f32) -> Self {
-        Kernels {
-            g: Kernel::gaussian(sigma),
-            d1: Kernel::gaussian_d1(sigma),
-            d2: Kernel::gaussian_d2(sigma),
+/// Pushes every frame of `video` through one [`StreamingExtractor`] — each
+/// rendered once — handing the points of each decided key-frame to `sink`
+/// as they come out, and returns the number of key-frames described.
+///
+/// A clip on which the extractor decides no key-frame (its smoothed motion
+/// has no extremum, or fewer than three samples) is described at its
+/// [`degenerate_keyframe`], re-rendering the three frames that takes. The
+/// rule lives here, not in the extractor: it needs the length of the clip,
+/// which a live stream does not have.
+fn drive(
+    video: &impl VideoSource,
+    params: &ExtractorParams,
+    mut sink: impl FnMut(&Describer, &[Described]),
+) -> usize {
+    let mut ext = StreamingExtractor::new(*params);
+    let frames = (0..video.len()).map(|t| Some(render(video, t as isize)));
+    for frame in frames.chain([None]) {
+        match ext.feed(frame) {
+            Ok(points) => sink(&ext.describer, &points),
+            Err(e) => panic!("{e}"),
         }
     }
-}
-
-/// Renders the four description frames around key-frame `t`, clamping
-/// temporal offsets at the video boundaries.
-fn description_frames(
-    video: &impl VideoSource,
-    t: usize,
-    params: &FingerprintParams,
-) -> [Frame; 4] {
-    let clamp =
-        |dt: isize| -> usize { (t as isize + dt).clamp(0, video.len() as isize - 1) as usize };
-    let offs = params.offsets();
-    // Offsets use only ±temporal_offset; render each distinct frame once.
-    let t_minus = clamp(-params.temporal_offset);
-    let t_plus = clamp(params.temporal_offset);
-    let f_minus = video.frame(t_minus);
-    let f_plus = if t_plus == t_minus {
-        f_minus.clone()
-    } else {
-        video.frame(t_plus)
+    if ext.keyframes > 0 || video.is_empty() {
+        return ext.keyframes;
+    }
+    let t = degenerate_keyframe(video.len() - 1) as isize;
+    let dt = params.fingerprint.temporal_offset;
+    let [key, before, after] = [0, -dt, dt].map(|o| render(video, t + o));
+    let frame_at = |u: isize| match u - t {
+        0 => &key,
+        o if o == -dt => &before,
+        _ => &after,
     };
-    let pick = |dt: isize| -> Frame {
-        if clamp(dt) == t_minus {
-            f_minus.clone()
-        } else {
-            f_plus.clone()
-        }
-    };
-    [
-        pick(offs[0].2),
-        pick(offs[1].2),
-        pick(offs[2].2),
-        pick(offs[3].2),
-    ]
+    let mut points = Vec::new();
+    ext.describer.describe(t as usize, frame_at, &mut points);
+    sink(&ext.describer, &points);
+    1
 }
 
 /// Extracts all local fingerprints of a video.
@@ -102,43 +101,11 @@ pub fn extract_fingerprints(
     params: &ExtractorParams,
 ) -> Vec<LocalFingerprint> {
     let mut sp = s3_obs::span!("video.extract", "frames" => video.len() as f64);
-    let obs = s3_obs::registry();
-    let points_per_frame = obs.histogram("video.points_per_frame");
-    let kernels = Kernels::new(params.fingerprint.sigma);
-    let keyframes = detect_keyframes(video, &params.keyframes);
-    obs.counter("video.keyframes").add(keyframes.len() as u64);
-    sp.record("keyframes", keyframes.len() as f64);
     let mut out = Vec::new();
-    for &t in &keyframes {
-        let key = video.frame(t);
-        let points = detect_interest_points(&key, &params.harris);
-        points_per_frame.record(points.len() as u64);
-        if points.is_empty() {
-            continue;
-        }
-        let frames = description_frames(video, t, &params.fingerprint);
-        let frame_refs = [&frames[0], &frames[1], &frames[2], &frames[3]];
-        for p in points {
-            // Describe at the sub-pixel refined position: cuts the detector
-            // imprecision the paper models as δ_pix.
-            let fp = fingerprint_at(
-                frame_refs,
-                p.sx,
-                p.sy,
-                &params.fingerprint,
-                &kernels.g,
-                &kernels.d1,
-                &kernels.d2,
-            );
-            out.push(LocalFingerprint {
-                fingerprint: fp,
-                tc: t as u32,
-                x: p.x,
-                y: p.y,
-            });
-        }
-    }
-    obs.counter("video.fingerprints").add(out.len() as u64);
+    let keyframes = drive(video, params, |_, points| {
+        out.extend(points.iter().map(|p| p.local));
+    });
+    sp.record("keyframes", keyframes as f64);
     sp.record("fingerprints", out.len() as f64);
     out
 }
@@ -190,62 +157,32 @@ pub fn measure_distortion(
     delta_pix: f32,
     noise_seed: u64,
 ) -> Vec<MatchedPair> {
-    let kernels = Kernels::new(params.fingerprint.sigma);
     let transformed = TransformedVideo::new(video, chain.clone(), noise_seed);
-    let keyframes = detect_keyframes(video, &params.keyframes);
     let (w, h) = (video.width(), video.height());
     let margin = params.fingerprint.spatial_offset + 3.0 * params.fingerprint.sigma + 1.0;
+    let dt = params.fingerprint.temporal_offset;
     let mut out = Vec::new();
-    for &t in &keyframes {
-        let key = video.frame(t);
-        let points = detect_interest_points(&key, &params.harris);
-        if points.is_empty() {
-            continue;
-        }
-        let orig_frames = description_frames(video, t, &params.fingerprint);
-        let orig_refs = [
-            &orig_frames[0],
-            &orig_frames[1],
-            &orig_frames[2],
-            &orig_frames[3],
-        ];
-        let trans_frames = description_frames(&transformed, t, &params.fingerprint);
-        let trans_refs = [
-            &trans_frames[0],
-            &trans_frames[1],
-            &trans_frames[2],
-            &trans_frames[3],
-        ];
-        for p in points {
-            let (mx, my) = chain.map_position(p.sx, p.sy, w, h);
-            let (mx, my) = (mx + delta_pix, my + delta_pix);
-            if mx < margin || my < margin || mx > w as f32 - margin || my > h as f32 - margin {
-                continue;
+    drive(video, params, |describer, points| {
+        for keyframe in points.chunk_by(|a, b| a.local.tc == b.local.tc) {
+            // The transformed copy is rendered only where a key-frame with
+            // points needs it: at `t ± temporal_offset`.
+            let t = keyframe[0].local.tc as isize;
+            let [before, after] = [-dt, dt].map(|o| render(&transformed, t + o));
+            let offsets = params.fingerprint.offsets();
+            let frames = offsets.map(|(_, _, o)| if o == -dt { &before } else { &after });
+            for p in keyframe {
+                let (mx, my) = chain.map_position(p.point.sx, p.point.sy, w, h);
+                let (mx, my) = (mx + delta_pix, my + delta_pix);
+                if mx < margin || my < margin || mx > w as f32 - margin || my > h as f32 - margin {
+                    continue;
+                }
+                out.push(MatchedPair {
+                    original: p.local.fingerprint,
+                    distorted: describer.fingerprint_at(frames, mx, my),
+                });
             }
-            let original = fingerprint_at(
-                orig_refs,
-                p.sx,
-                p.sy,
-                &params.fingerprint,
-                &kernels.g,
-                &kernels.d1,
-                &kernels.d2,
-            );
-            let distorted = fingerprint_at(
-                trans_refs,
-                mx,
-                my,
-                &params.fingerprint,
-                &kernels.g,
-                &kernels.d1,
-                &kernels.d2,
-            );
-            out.push(MatchedPair {
-                original,
-                distorted,
-            });
         }
-    }
+    });
     out
 }
 
@@ -261,11 +198,268 @@ pub fn estimate_sigma(pairs: &[MatchedPair]) -> f64 {
     vm.mean_sigma()
 }
 
+/// The batch loops [`drive`] replaced, kept as oracles: key-frames from
+/// [`detect_keyframes`] over the whole clip (one render per frame), then
+/// each key-frame rendered again together with its description frames.
+/// Extraction and distortion measurement must equal these on every input.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use crate::features::fingerprint_at;
+    use crate::filtering::Kernel;
+    use crate::harris::detect_interest_points;
+    use crate::keyframes::detect_keyframes;
+
+    fn kernels(sigma: f32) -> [Kernel; 3] {
+        [
+            Kernel::gaussian(sigma),
+            Kernel::gaussian_d1(sigma),
+            Kernel::gaussian_d2(sigma),
+        ]
+    }
+
+    /// Renders the four description frames around key-frame `t`, clamping
+    /// temporal offsets at the video boundaries.
+    fn description_frames(
+        video: &impl VideoSource,
+        t: usize,
+        params: &FingerprintParams,
+    ) -> [Frame; 4] {
+        let clamp =
+            |dt: isize| -> usize { (t as isize + dt).clamp(0, video.len() as isize - 1) as usize };
+        let t_minus = clamp(-params.temporal_offset);
+        let t_plus = clamp(params.temporal_offset);
+        let f_minus = video.frame(t_minus);
+        let f_plus = if t_plus == t_minus {
+            f_minus.clone()
+        } else {
+            video.frame(t_plus)
+        };
+        params.offsets().map(|(_, _, dt)| {
+            if clamp(dt) == t_minus {
+                f_minus.clone()
+            } else {
+                f_plus.clone()
+            }
+        })
+    }
+
+    pub(crate) fn extract_fingerprints(
+        video: &impl VideoSource,
+        params: &ExtractorParams,
+    ) -> Vec<LocalFingerprint> {
+        let [g, d1, d2] = kernels(params.fingerprint.sigma);
+        let mut out = Vec::new();
+        for t in detect_keyframes(video, &params.keyframes) {
+            let key = video.frame(t);
+            let points = detect_interest_points(&key, &params.harris);
+            if points.is_empty() {
+                continue;
+            }
+            let frames = description_frames(video, t, &params.fingerprint);
+            let frames = [&frames[0], &frames[1], &frames[2], &frames[3]];
+            for p in points {
+                out.push(LocalFingerprint {
+                    fingerprint: fingerprint_at(
+                        frames,
+                        p.sx,
+                        p.sy,
+                        &params.fingerprint,
+                        &g,
+                        &d1,
+                        &d2,
+                    ),
+                    tc: t as u32,
+                    x: p.x,
+                    y: p.y,
+                });
+            }
+        }
+        out
+    }
+
+    pub(crate) fn measure_distortion(
+        video: &impl VideoSource,
+        chain: &TransformChain,
+        params: &ExtractorParams,
+        delta_pix: f32,
+        noise_seed: u64,
+    ) -> Vec<MatchedPair> {
+        let [g, d1, d2] = kernels(params.fingerprint.sigma);
+        let transformed = TransformedVideo::new(video, chain.clone(), noise_seed);
+        let (w, h) = (video.width(), video.height());
+        let margin = params.fingerprint.spatial_offset + 3.0 * params.fingerprint.sigma + 1.0;
+        let mut out = Vec::new();
+        for t in detect_keyframes(video, &params.keyframes) {
+            let key = video.frame(t);
+            let points = detect_interest_points(&key, &params.harris);
+            if points.is_empty() {
+                continue;
+            }
+            let orig = description_frames(video, t, &params.fingerprint);
+            let orig = [&orig[0], &orig[1], &orig[2], &orig[3]];
+            let trans = description_frames(&transformed, t, &params.fingerprint);
+            let trans = [&trans[0], &trans[1], &trans[2], &trans[3]];
+            for p in points {
+                let (mx, my) = chain.map_position(p.sx, p.sy, w, h);
+                let (mx, my) = (mx + delta_pix, my + delta_pix);
+                if mx < margin || my < margin || mx > w as f32 - margin || my > h as f32 - margin {
+                    continue;
+                }
+                let fp =
+                    |frames, x, y| fingerprint_at(frames, x, y, &params.fingerprint, &g, &d1, &d2);
+                out.push(MatchedPair {
+                    original: fp(orig, p.sx, p.sy),
+                    distorted: fp(trans, mx, my),
+                });
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keyframes::detect_keyframes;
     use crate::synth::ProceduralVideo;
     use crate::transform::Transform;
+    use std::cell::Cell;
+
+    /// Counts the frames rendered from the wrapped source.
+    struct Counting<V> {
+        inner: V,
+        renders: Cell<usize>,
+    }
+
+    impl<V: VideoSource> Counting<V> {
+        fn new(inner: V) -> Self {
+            Counting {
+                inner,
+                renders: Cell::new(0),
+            }
+        }
+    }
+
+    impl<V: VideoSource> VideoSource for Counting<V> {
+        fn width(&self) -> usize {
+            self.inner.width()
+        }
+        fn height(&self) -> usize {
+            self.inner.height()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn frame(&self, t: usize) -> Frame {
+            self.renders.set(self.renders.get() + 1);
+            self.inner.frame(t)
+        }
+    }
+
+    /// The `detect_default` benchmark's first candidate: 40 frames under
+    /// resize 0.9 + gamma 1.3 + noise 6, `max_points` 12.
+    fn benchmark_candidate(source: &ProceduralVideo) -> TransformedVideo<'_, ProceduralVideo> {
+        let chain = TransformChain::new(vec![
+            Transform::Resize { wscale: 0.9 },
+            Transform::Gamma { wgamma: 1.3 },
+            Transform::Noise { wnoise: 6.0 },
+        ]);
+        TransformedVideo::new(source, chain, 555)
+    }
+
+    #[test]
+    fn extraction_renders_every_frame_exactly_once() {
+        let mut params = ExtractorParams::default();
+        params.harris.max_points = 12;
+        // Content seed and index of `benchmark/src/inputs.rs`'s clip 100.
+        let source = ProceduralVideo::new(96, 72, 40, 0xF17 ^ (100 << 24));
+        let clip = Counting::new(benchmark_candidate(&source));
+        let fps = extract_fingerprints(&clip, &params);
+        assert!(!fps.is_empty());
+        assert_eq!(clip.renders.get(), 40, "one render per frame");
+        // The loop this replaced rendered the clip once for the motion
+        // signal and each key-frame up to three times more.
+        let old = Counting::new(benchmark_candidate(&source));
+        assert_eq!(oracle::extract_fingerprints(&old, &params), fps);
+        assert_eq!(old.renders.get(), 67);
+    }
+
+    /// `len` copies of one frame: a motion signal without an extremum.
+    struct Still(Frame, usize);
+
+    impl VideoSource for Still {
+        fn width(&self) -> usize {
+            self.0.width()
+        }
+        fn height(&self) -> usize {
+            self.0.height()
+        }
+        fn len(&self) -> usize {
+            self.1
+        }
+        fn frame(&self, _: usize) -> Frame {
+            self.0.clone()
+        }
+    }
+
+    #[test]
+    fn degenerate_clips_render_at_most_three_frames_more() {
+        let params = fast_params();
+        let textured = small_video(4).frame(7);
+        // Static content has no motion extremum; clips under four frames
+        // have too few samples for one.
+        for len in [30, 9, 3, 2, 1] {
+            let v = Still(textured.clone(), len);
+            let clip = Counting::new(&v);
+            let fps = extract_fingerprints(&clip, &params);
+            let renders = clip.renders.get();
+            assert!(
+                renders > len && renders <= len + 3,
+                "{len} frames, {renders} renders"
+            );
+            assert!(!fps.is_empty());
+            assert!(fps
+                .iter()
+                .all(|f| f.tc as usize == degenerate_keyframe(len - 1)));
+            assert_eq!(fps, oracle::extract_fingerprints(&v, &params));
+        }
+        assert!(extract_fingerprints(&Still(textured, 0), &params).is_empty());
+    }
+
+    #[test]
+    fn distortion_measurement_renders_once_and_equals_the_batch_oracle() {
+        let params = fast_params();
+        let chains = [
+            TransformChain::identity(),
+            TransformChain::new(vec![
+                Transform::Resize { wscale: 0.84 },
+                Transform::Noise { wnoise: 8.0 },
+            ]),
+        ];
+        for (i, chain) in chains.iter().enumerate() {
+            let v = small_video(40 + i as u64);
+            let clip = Counting::new(&v);
+            let pairs = measure_distortion(&clip, chain, &params, 1.0, 9);
+            // The transformed view renders its source underneath: the
+            // original once per frame, the view at most twice per key-frame.
+            let keyframes = detect_keyframes(&v, &params.keyframes).len();
+            let extra = clip.renders.get() - v.len();
+            assert!(
+                extra > 0 && extra <= 2 * keyframes,
+                "{extra} renders for {keyframes} key-frames"
+            );
+            let expected = oracle::measure_distortion(&v, chain, &params, 1.0, 9);
+            assert!(!pairs.is_empty());
+            assert_eq!(pairs.len(), expected.len());
+            for (got, want) in pairs.iter().zip(&expected) {
+                assert_eq!(
+                    (got.original, got.distorted),
+                    (want.original, want.distorted)
+                );
+            }
+        }
+    }
 
     fn small_video(seed: u64) -> ProceduralVideo {
         ProceduralVideo::new(96, 72, 60, seed)

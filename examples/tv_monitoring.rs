@@ -9,8 +9,8 @@
 
 use s3::cbcd::{DbBuilder, Detector, DetectorConfig, Monitor, MonitorParams};
 use s3::video::{
-    extract_fingerprints, ExtractorParams, ProceduralVideo, Transform, TransformChain,
-    TransformedVideo, VideoSource,
+    extract_fingerprints, ExtractorParams, ProceduralVideo, StreamingExtractor, Transform,
+    TransformChain, TransformedVideo, VideoSource,
 };
 
 fn main() {
@@ -50,9 +50,6 @@ fn main() {
         2,
     );
 
-    // Extract each segment and splice the time-codes into one stream.
-    let mut stream = Vec::new();
-    let mut base = 0u32;
     let segments: [(&dyn VideoSource, &str); 5] = [
         (&live1, "live"),
         (&rerun_a, "rerun archive-3 (gamma)"),
@@ -60,24 +57,17 @@ fn main() {
         (&rerun_b, "rerun archive-5 (resize)"),
         (&live3, "live"),
     ];
-    for (seg, label) in segments {
-        let mut fps = extract_fingerprints(&seg, db.extractor_params());
-        for f in &mut fps {
-            f.tc += base;
-        }
-        println!("  [{base:>4} ..] {label}");
-        stream.extend(fps);
-        base += seg.len() as u32;
-    }
 
-    // 3. Monitor the stream in chunks, as if arriving live. The decision
-    //    threshold is calibrated on non-referenced material first (§V-C).
+    // 3. Monitor the stream as it arrives: frames go through one streaming
+    //    extractor and its fingerprints are searched in batches as they come
+    //    out. The decision threshold is calibrated on non-referenced material
+    //    first (§V-C).
     // Negative material must be at least as long as the monitoring window,
     // or the spurious-score tail is under-sampled.
     let negatives: Vec<_> = (0..4u64)
         .map(|i| {
             let v = ProceduralVideo::new(w, h, 250, 0x0FF_1000 + i);
-            s3::video::extract_fingerprints(&v, db.extractor_params())
+            extract_fingerprints(&v, db.extractor_params())
         })
         .collect();
     let probe = Detector::new(&db, DetectorConfig::default());
@@ -88,9 +78,22 @@ fn main() {
     config.vote.min_votes = cal.min_votes;
     let detector = Detector::new(&db, config);
     let mut monitor = Monitor::new(&detector, monitor_params);
-    for chunk in stream.chunks(25) {
-        monitor.push(chunk).expect("clean synthetic stream");
+    let mut extractor = StreamingExtractor::new(*db.extractor_params());
+    let mut pending = Vec::new();
+    let mut base = 0;
+    for (seg, label) in segments {
+        println!("  [{base:>4} ..] {label}");
+        for t in 0..seg.len() {
+            pending.extend(extractor.push(seg.frame(t)));
+            if pending.len() >= 25 {
+                monitor.push(&pending).expect("clean synthetic stream");
+                pending.clear();
+            }
+        }
+        base += seg.len();
     }
+    pending.extend(extractor.finish());
+    monitor.push(&pending).expect("clean synthetic stream");
     let (events, stats) = monitor.finish();
 
     println!("\nevents:");
