@@ -13,7 +13,6 @@ use s3_core::{
     autotune, next_query_id, parallel, system_clock, IsotropicNormal, QueryCtx, QueryResult,
     QueryStats, ShardedIndex, StatQueryOpts,
 };
-use s3_obs::ExplainReport;
 use s3_video::{extract_fingerprints, LocalFingerprint, VideoSource};
 use std::time::Duration;
 
@@ -106,6 +105,57 @@ impl SearchHealth {
     }
 }
 
+/// One search batch as answered ([`Detector::search`]): what each candidate
+/// fingerprint retrieved, before any vote.
+#[derive(Clone, Debug)]
+pub struct Search {
+    /// Per candidate fingerprint, in input order: the matches, the work
+    /// counters, and — when EXPLAIN was asked for — the query's report.
+    pub results: Vec<QueryResult>,
+    /// How many of those answers may be incomplete, and why.
+    pub health: SearchHealth,
+}
+
+impl Search {
+    /// The voting buffer of the batch: ids and time-codes only — the
+    /// voting stage never touches the descriptors (§III). `fps` are the
+    /// fingerprints that were searched.
+    pub fn votes(&self, fps: &[LocalFingerprint]) -> Vec<CandidateVotes> {
+        fps.iter()
+            .zip(&self.results)
+            .map(|(f, res)| CandidateVotes {
+                tc: f64::from(f.tc),
+                refs: res.matches.iter().map(|m| (m.id, m.tc)).collect(),
+            })
+            .collect()
+    }
+
+    /// The buffer of spatio-temporal voting: like [`Search::votes`] but
+    /// matches carry the interest-point positions `db` stored for them.
+    pub fn spatial_votes(
+        &self,
+        fps: &[LocalFingerprint],
+        db: &ReferenceDb,
+    ) -> Vec<SpatialCandidateVotes> {
+        fps.iter()
+            .zip(&self.results)
+            .map(|(f, res)| SpatialCandidateVotes {
+                tc: f64::from(f.tc),
+                x: f64::from(f.x),
+                y: f64::from(f.y),
+                refs: res
+                    .matches
+                    .iter()
+                    .map(|m| {
+                        let (x, y) = db.position(m.index);
+                        (m.id, m.tc, x, y)
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+}
+
 /// The assembled detector.
 pub struct Detector<'a> {
     db: &'a ReferenceDb,
@@ -149,9 +199,7 @@ impl<'a> Detector<'a> {
     /// The shard plan must cover the same records in the same global order
     /// as `db.index()` (build it with [`s3_core::ShardPlan::balanced`] over
     /// that index): match indexes coming back from the shards are global, so
-    /// id/time-code lookup and spatial position lookup work unchanged. The
-    /// explain path ([`Detector::detect_fingerprints_explained`]) stays on
-    /// the in-memory index — it is a per-plan diagnostic, not a serving path.
+    /// id/time-code lookup and spatial position lookup work unchanged.
     #[must_use]
     pub fn with_shard_backend(mut self, sharded: ShardedIndex) -> Self {
         self.sharded = Some(sharded);
@@ -163,10 +211,10 @@ impl<'a> Detector<'a> {
         self.sharded.as_ref()
     }
 
-    /// Attaches a slow-query log: every explained search
-    /// ([`Detector::detect_fingerprints_explained`]) offers its per-query
-    /// [`ExplainReport`]s for capture, so degraded or
-    /// slower-than-threshold queries keep their full plan on disk.
+    /// Attaches a slow-query log: every search run with EXPLAIN
+    /// ([`Detector::search`]) offers its per-query reports for capture, so
+    /// degraded or slower-than-threshold queries keep their full plan on
+    /// disk.
     #[must_use]
     pub fn with_slowlog(mut self, slowlog: std::sync::Arc<s3_obs::SlowLog>) -> Self {
         self.slowlog = Some(slowlog);
@@ -197,78 +245,9 @@ impl<'a> Detector<'a> {
     /// Detects copies from a pre-extracted candidate fingerprint stream.
     ///
     /// Every candidate fingerprint is searched; the per-fingerprint results
-    /// (ids and time-codes only — the voting stage never touches the
-    /// descriptors, §III) are buffered and voted on.
+    /// are buffered and voted on.
     pub fn detect_fingerprints(&self, fps: &[LocalFingerprint]) -> Vec<Detection> {
-        self.detect_fingerprints_checked(fps).0
-    }
-
-    /// As [`Detector::detect_fingerprints`], additionally reporting search
-    /// degradation — partial answers from a faulty index or a hit deadline —
-    /// so callers can surface a degraded verdict instead of silently
-    /// presenting partial detections as complete.
-    pub fn detect_fingerprints_checked(
-        &self,
-        fps: &[LocalFingerprint],
-    ) -> (Vec<Detection>, SearchHealth) {
-        let (buffer, health) = self.query_buffer_checked(fps);
-        (vote(&buffer, &self.config.vote), health)
-    }
-
-    /// As [`Detector::detect_fingerprints_checked`], additionally returning
-    /// one [`ExplainReport`] per candidate fingerprint.
-    ///
-    /// The explain path searches sequentially (per-query plan accounting
-    /// requires attributing every scanned record to its p-block), so it is a
-    /// diagnostic mode, not the production search path.
-    pub fn detect_fingerprints_explained(
-        &self,
-        fps: &[LocalFingerprint],
-    ) -> (Vec<Detection>, SearchHealth, Vec<ExplainReport>) {
-        let _scope = s3_obs::QueryScope::enter_inherit(next_query_id());
-        let _sp = s3_obs::span!(
-            "detect.search",
-            "queries" => fps.len() as f64,
-            "query" => s3_obs::current_query() as f64,
-        );
-        let ctx = self
-            .config
-            .deadline
-            .map(|budget| QueryCtx::with_deadline(system_clock(), budget));
-        let mut results = Vec::with_capacity(fps.len());
-        let mut reports = Vec::with_capacity(fps.len());
-        for f in fps {
-            let (res, rep) = self.db.index().stat_query_explained(
-                &f.fingerprint,
-                &self.model,
-                &self.config.query,
-                ctx.as_ref(),
-            );
-            results.push(res);
-            reports.push(rep);
-        }
-        let health = SearchHealth::of(&results);
-        if let Some(log) = &self.slowlog {
-            for rep in &reports {
-                let latency_ns: u64 = rep.phases.iter().map(|p| p.ns).sum();
-                log.observe(
-                    rep.query_id,
-                    latency_ns,
-                    rep.degraded(),
-                    &rep.annotations,
-                    &rep.to_json(),
-                );
-            }
-        }
-        let buffer: Vec<CandidateVotes> = fps
-            .iter()
-            .zip(&results)
-            .map(|(f, res)| CandidateVotes {
-                tc: f64::from(f.tc),
-                refs: res.matches.iter().map(|m| (m.id, m.tc)).collect(),
-            })
-            .collect();
-        (vote(&buffer, &self.config.vote), health, reports)
+        vote(&self.query_buffer(fps), &self.config.vote)
     }
 
     /// Detects copies with the spatio-temporal voting extension (§VI future
@@ -279,24 +258,25 @@ impl<'a> Detector<'a> {
         fps: &[LocalFingerprint],
         params: &SpatialVoteParams,
     ) -> Vec<SpatialDetection> {
-        let buffer = self.query_buffer_spatial(fps);
-        vote_spatial(&buffer, params)
+        vote_spatial(&self.search(fps, false).spatial_votes(fps, self.db), params)
     }
 
-    /// The search stage for spatio-temporal voting: like
-    /// [`Detector::query_buffer`] but matches carry the stored
-    /// interest-point positions.
-    pub fn query_buffer_spatial(&self, fps: &[LocalFingerprint]) -> Vec<SpatialCandidateVotes> {
-        self.query_buffer_spatial_checked(fps).0
+    /// Runs the search stage only, returning the voting buffer. Exposed for
+    /// the monitoring loop, which buffers across window boundaries.
+    pub fn query_buffer(&self, fps: &[LocalFingerprint]) -> Vec<CandidateVotes> {
+        self.search(fps, false).votes(fps)
     }
 
-    /// As [`Detector::query_buffer_spatial`], additionally reporting search
-    /// degradation (partial answers from a faulty index) so monitoring loops
-    /// can account for it.
-    pub fn query_buffer_spatial_checked(
-        &self,
-        fps: &[LocalFingerprint],
-    ) -> (Vec<SpatialCandidateVotes>, SearchHealth) {
+    /// The search stage, as every entry point above runs it: one batch of
+    /// statistical queries — over the in-memory index across
+    /// [`DetectorConfig::threads`], or through the shard backend — under
+    /// [`DetectorConfig::deadline`] when one is set. The [`Search`] reports
+    /// degradation — partial answers from a faulty index or a hit deadline —
+    /// so callers can surface a degraded verdict instead of silently
+    /// presenting partial detections as complete. With `explain`, every
+    /// result also carries its EXPLAIN report (and offers it to the attached
+    /// slow-query log); the search itself is the same.
+    pub fn search(&self, fps: &[LocalFingerprint], explain: bool) -> Search {
         let _scope = s3_obs::QueryScope::enter_inherit(next_query_id());
         let mut sp = s3_obs::span!(
             "detect.search",
@@ -304,108 +284,65 @@ impl<'a> Detector<'a> {
             "query" => s3_obs::current_query() as f64,
         );
         let queries: Vec<&[u8]> = fps.iter().map(|f| f.fingerprint.as_slice()).collect();
-        let results = self.run_search(&queries);
-        let health = SearchHealth::of(&results);
-        sp.record("degraded_queries", health.degraded_queries as f64);
-        let votes = fps
-            .iter()
-            .zip(results)
-            .map(|(f, res)| SpatialCandidateVotes {
-                tc: f64::from(f.tc),
-                x: f64::from(f.x),
-                y: f64::from(f.y),
-                refs: res
-                    .matches
-                    .iter()
-                    .map(|m| {
-                        let (x, y) = self.db.position(m.index);
-                        (m.id, m.tc, x, y)
-                    })
-                    .collect(),
-            })
-            .collect();
-        (votes, health)
-    }
-
-    /// Runs the search stage only, returning the voting buffer. Exposed for
-    /// the monitoring loop, which buffers across window boundaries.
-    pub fn query_buffer(&self, fps: &[LocalFingerprint]) -> Vec<CandidateVotes> {
-        self.query_buffer_checked(fps).0
-    }
-
-    /// As [`Detector::query_buffer`], additionally reporting search
-    /// degradation.
-    pub fn query_buffer_checked(
-        &self,
-        fps: &[LocalFingerprint],
-    ) -> (Vec<CandidateVotes>, SearchHealth) {
-        let _scope = s3_obs::QueryScope::enter_inherit(next_query_id());
-        let _sp = s3_obs::span!(
-            "detect.search",
-            "queries" => fps.len() as f64,
-            "query" => s3_obs::current_query() as f64,
-        );
-        let queries: Vec<&[u8]> = fps.iter().map(|f| f.fingerprint.as_slice()).collect();
-        let results = self.run_search(&queries);
-        let health = SearchHealth::of(&results);
-        let votes = fps
-            .iter()
-            .zip(results)
-            .map(|(f, res)| CandidateVotes {
-                tc: f64::from(f.tc),
-                refs: res.matches.iter().map(|m| (m.id, m.tc)).collect(),
-            })
-            .collect();
-        (votes, health)
-    }
-
-    /// One search batch, under the configured deadline when one is set.
-    fn run_search(&self, queries: &[&[u8]]) -> Vec<QueryResult> {
-        if let Some(sharded) = &self.sharded {
-            return self.run_search_sharded(sharded, queries);
+        // No ctx unless something asks for one: an unbounded search polls
+        // nothing.
+        let ctx = match (self.config.deadline, explain) {
+            (Some(budget), _) => Some(QueryCtx::with_deadline(system_clock(), budget)),
+            (None, true) => Some(QueryCtx::unbounded()),
+            (None, false) => None,
         }
-        match self.config.deadline {
-            Some(budget) => {
-                let ctx = QueryCtx::with_deadline(system_clock(), budget);
-                parallel::stat_query_batch_ctx(
-                    self.db.index(),
-                    queries,
-                    &self.model,
-                    &self.config.query,
-                    self.config.threads,
-                    &ctx,
-                )
-            }
+        .map(|ctx| if explain { ctx.explain() } else { ctx });
+        let results = match &self.sharded {
+            Some(sharded) => self.run_search_sharded(sharded, &queries, ctx.as_ref()),
             None => parallel::stat_query_batch(
                 self.db.index(),
-                queries,
+                &queries,
                 &self.model,
                 &self.config.query,
                 self.config.threads,
+                ctx.as_ref(),
             ),
+        };
+        let health = SearchHealth::of(&results);
+        sp.record("degraded_queries", health.degraded_queries as f64);
+        if let Some(log) = &self.slowlog {
+            for rep in results.iter().filter_map(|r| r.explain.as_ref()) {
+                log.observe(rep);
+            }
         }
+        Search { results, health }
     }
 
     /// The scatter-gather variant of the search stage. A non-strict backend
     /// degrades instead of erroring; if the backend does error (strict mode,
     /// or a malformed query), the batch comes back empty and degraded rather
     /// than panicking — the health report carries the verdict.
-    fn run_search_sharded(&self, sharded: &ShardedIndex, queries: &[&[u8]]) -> Vec<QueryResult> {
-        let res = match self.config.deadline {
-            Some(budget) => {
-                let ctx = QueryCtx::with_deadline(system_clock(), budget);
-                sharded.stat_query_batch_ctx(queries, &self.model, &self.config.query, &ctx)
+    fn run_search_sharded(
+        &self,
+        sharded: &ShardedIndex,
+        queries: &[&[u8]],
+        ctx: Option<&QueryCtx>,
+    ) -> Vec<QueryResult> {
+        let res = match ctx {
+            Some(ctx) => {
+                sharded.stat_query_batch_ctx(queries, &self.model, &self.config.query, ctx)
             }
             None => sharded.stat_query_batch(queries, &self.model, &self.config.query),
         };
         match res {
-            Ok(got) => got
-                .batch
-                .matches
-                .into_iter()
-                .zip(got.batch.stats)
-                .map(|(matches, stats)| QueryResult { matches, stats })
-                .collect(),
+            Ok(got) => {
+                let mut reports = got.batch.reports.into_iter();
+                got.batch
+                    .matches
+                    .into_iter()
+                    .zip(got.batch.stats)
+                    .map(|(matches, stats)| QueryResult {
+                        matches,
+                        stats,
+                        explain: reports.next(),
+                    })
+                    .collect()
+            }
             Err(e) => {
                 s3_obs::event::warn("detect.shard", &format!("sharded search failed: {e}"));
                 queries
@@ -417,6 +354,7 @@ impl<'a> Detector<'a> {
                             shard_skips: 1,
                             ..QueryStats::default()
                         },
+                        explain: None,
                     })
                     .collect()
             }
@@ -544,7 +482,7 @@ mod tests {
         let copy = ProceduralVideo::new(96, 72, 80, 1002);
         let fps = s3_video::extract_fingerprints(&copy, db.extractor_params());
         let plain = Detector::new(&db, config());
-        let (want, h0) = plain.detect_fingerprints_checked(&fps);
+        let want = plain.search(&fps, false);
         let sharded = ShardedIndex::build_mem(
             db.index(),
             3,
@@ -555,11 +493,53 @@ mod tests {
         .unwrap();
         let det = Detector::new(&db, config()).with_shard_backend(sharded);
         assert!(det.shard_backend().is_some());
-        let (got, h1) = det.detect_fingerprints_checked(&fps);
-        assert_eq!(h0.degraded_queries, 0);
-        assert_eq!(h1.degraded_queries, 0);
-        assert_eq!(h1.shard_skips, 0);
-        assert_eq!(got, want, "scatter-gather must reproduce the verdict");
+        let got = det.search(&fps, false);
+        assert_eq!(want.health, SearchHealth::default());
+        assert_eq!(got.health, SearchHealth::default());
+        assert_eq!(
+            vote(&got.votes(&fps), &config().vote),
+            vote(&want.votes(&fps), &config().vote),
+            "scatter-gather must reproduce the verdict"
+        );
+    }
+
+    #[test]
+    fn explain_rides_the_same_search() {
+        // EXPLAIN is the search stage itself, asked for its reports: same
+        // matches and counters on every backend and thread count, one
+        // reconciling report per fingerprint, shard rows under shards.
+        let db = build_db(3);
+        let copy = ProceduralVideo::new(96, 72, 80, 1001);
+        let fps = s3_video::extract_fingerprints(&copy, db.extractor_params());
+        let sharded = ShardedIndex::build_mem(
+            db.index(),
+            3,
+            2,
+            s3_core::pseudo_disk::WriteOpts::default(),
+            s3_core::ShardedOptions::default(),
+        )
+        .unwrap();
+        let mut threaded = config();
+        threaded.threads = 4;
+        for (det, sharded) in [
+            (Detector::new(&db, config()), false),
+            (Detector::new(&db, threaded), false),
+            (
+                Detector::new(&db, config()).with_shard_backend(sharded),
+                true,
+            ),
+        ] {
+            let plain = det.search(&fps, false);
+            let explained = det.search(&fps, true);
+            assert_eq!(explained.health, plain.health);
+            for (a, b) in plain.results.iter().zip(&explained.results) {
+                assert!(a.explain.is_none());
+                assert_eq!((&a.matches, &a.stats), (&b.matches, &b.stats));
+                let rep = b.explain.as_ref().expect("asked for");
+                assert!(rep.reconciles() && !rep.degraded(), "{}", rep.to_text());
+                assert_eq!(rep.shards.is_empty(), !sharded);
+            }
+        }
     }
 
     #[test]

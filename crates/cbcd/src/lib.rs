@@ -39,7 +39,7 @@ pub mod spatial;
 pub mod voting;
 
 pub use calibrate::{calibrate_monitor_threshold, calibrate_threshold, Calibration};
-pub use detector::{Detector, DetectorConfig, SearchHealth};
+pub use detector::{Detector, DetectorConfig, Search, SearchHealth};
 pub use metrics::CbcdMetrics;
 pub use monitor::{HealthReport, Monitor, MonitorError, MonitorEvent, MonitorParams, MonitorStats};
 pub use persist::PersistError;

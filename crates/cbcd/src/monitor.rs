@@ -236,7 +236,8 @@ impl<'a> Monitor<'a> {
         }
         let fps = accepted.as_slice();
         let t0 = Instant::now();
-        let (results, search_health) = self.detector.query_buffer_spatial_checked(fps);
+        let search = self.detector.search(fps, false);
+        let search_health = search.health;
         if search_health.degraded_queries > 0 {
             // Strict mode treats fault degradation (unreadable sections) as
             // a hard error; a hit deadline is a policy outcome and yields
@@ -252,7 +253,7 @@ impl<'a> Monitor<'a> {
             self.health.degraded_queries += search_health.degraded_queries;
             self.health.sections_skipped += search_health.sections_skipped;
         }
-        for cv in results {
+        for cv in search.spatial_votes(fps, self.detector.db()) {
             self.stats_fingerprints += 1;
             self.first_tc.get_or_insert(cv.tc);
             self.last_tc = self.last_tc.max(cv.tc);

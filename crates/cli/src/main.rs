@@ -245,21 +245,19 @@ fn admit_batch(a: &Args) -> Result<Option<(Permit, bool)>, String> {
     }
 }
 
-/// Builds the query context from `--deadline-ms`: a system-clock deadline
-/// when the flag is given, unbounded otherwise.
-fn query_ctx(a: &Args) -> Result<QueryCtx, String> {
-    match a.get("deadline-ms") {
+/// Builds the query context: a system-clock deadline when `--deadline-ms`
+/// is given, unbounded otherwise; asking for EXPLAIN when `explain` is set.
+fn query_ctx(a: &Args, explain: bool) -> Result<QueryCtx, String> {
+    let ctx = match a.get("deadline-ms") {
         Some(raw) => {
             let ms: u64 = raw
                 .parse()
                 .map_err(|_| format!("invalid value for --deadline-ms: {raw:?}"))?;
-            Ok(QueryCtx::with_deadline(
-                system_clock(),
-                Duration::from_millis(ms),
-            ))
+            QueryCtx::with_deadline(system_clock(), Duration::from_millis(ms))
         }
-        None => Ok(QueryCtx::unbounded()),
-    }
+        None => QueryCtx::unbounded(),
+    };
+    Ok(if explain { ctx.explain() } else { ctx })
 }
 
 /// Default worker-thread count: every available core.
@@ -299,20 +297,18 @@ fn trace_write(tr: Option<(String, std::sync::Arc<s3_obs::RingCollector>)>) -> R
 /// Prints explain reports (bounded — a big batch would swamp the terminal),
 /// first stamping the admission-degradation annotation the index layer
 /// cannot see.
-fn print_explains(reports: &mut [s3_obs::ExplainReport], admission_degraded: bool) {
-    if admission_degraded {
-        for r in reports.iter_mut() {
+fn print_explains(reports: Vec<&mut s3_obs::ExplainReport>, admission_degraded: bool) {
+    const SHOW: usize = 16;
+    let omitted = reports.len().saturating_sub(SHOW);
+    for r in reports.into_iter().take(SHOW) {
+        if admission_degraded {
             r.annotations
                 .push("admission over capacity — searched at reduced alpha".into());
         }
-    }
-    const SHOW: usize = 16;
-    let shown = reports.len().min(SHOW);
-    for r in &reports[..shown] {
         println!("{}", r.to_text());
     }
-    if shown < reports.len() {
-        println!("... {} more explain reports omitted", reports.len() - shown);
+    if omitted > 0 {
+        println!("... {omitted} more explain reports omitted");
     }
 }
 
@@ -441,7 +437,10 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
     let threads: usize = a.get_parsed("threads", default_threads())?;
     let admission = admit_batch(&a)?;
     let admission_degraded = admission.as_ref().is_some_and(|(_, degraded)| *degraded);
-    let ctx = query_ctx(&a)?;
+    // --telemetry-dir needs the explain reports for slow-query capture,
+    // even when they are not printed; the answers are the same either way.
+    let telemetry = telemetry_setup(&a);
+    let ctx = query_ctx(&a, explain || telemetry.is_some())?;
     if admission_degraded {
         alpha = s3_core::resilience::degraded_alpha(alpha);
     }
@@ -455,7 +454,15 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
             mem_mb,
             seed,
         };
-        let st = query_sharded(&a, explain, admission_degraded, setup, &ctx, fplan)?;
+        let st = query_sharded(
+            &a,
+            explain,
+            admission_degraded,
+            setup,
+            &ctx,
+            fplan,
+            telemetry,
+        )?;
         trace_write(trace)?;
         if let Some(path) = metrics_json {
             metrics::dump_json(&path)?;
@@ -494,7 +501,7 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
     } else {
         None
     };
-    let mut disk = match &pool {
+    let disk = match &pool {
         Some(pool) => {
             let mut d = DiskIndex::open_storage(Box::new(PooledStorage::new(Arc::clone(pool))))
                 .map_err(|e| e.to_string())?;
@@ -508,11 +515,12 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
         }
         None => DiskIndex::open(path).map_err(|e| e.to_string())?,
     };
-    disk.set_retry_policy(RetryPolicy {
-        strict: a.has("strict"),
-        ..RetryPolicy::default()
-    });
-    disk.set_threads(threads);
+    let disk = disk
+        .with_retry_policy(RetryPolicy {
+            strict: a.has("strict"),
+            ..RetryPolicy::default()
+        })
+        .with_threads(threads);
     let dims = disk.curve().dims();
 
     let queries = synth_queries(n_queries, dims, sigma, seed);
@@ -520,22 +528,10 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
 
     let model = IsotropicNormal::new(dims, sigma);
     let (opts, learned) = batch_opts(&a, &disk, &model, alpha, &qrefs)?;
-    // --telemetry-dir needs the explain reports for slow-query capture,
-    // even when they are not printed. The explain engine returns the same
-    // BatchResult, so answers are unaffected.
-    let telemetry = telemetry_setup(&a);
-    let (batch, reports) = if explain || telemetry.is_some() {
-        let (b, r) = disk
-            .stat_query_batch_explain(&qrefs, &model, &opts, mem_mb << 20, Some(&ctx))
-            .map_err(|e| e.to_string())?;
-        (b, Some(r))
-    } else {
-        let b = disk
-            .stat_query_batch_ctx(&qrefs, &model, &opts, mem_mb << 20, &ctx)
-            .map_err(|e| e.to_string())?;
-        (b, None)
-    };
-    persist_telemetry(telemetry, reports.as_deref().unwrap_or(&[]))?;
+    let mut batch = disk
+        .stat_query_batch_ctx(&qrefs, &model, &opts, mem_mb << 20, &ctx)
+        .map_err(|e| e.to_string())?;
+    persist_telemetry(telemetry, &batch.reports)?;
 
     let total_matches: usize = batch.matches.iter().map(Vec::len).sum();
     let total_scanned: usize = batch.stats.iter().map(|st| st.entries_scanned).sum();
@@ -597,9 +593,7 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
     }
     drop(admission);
     if explain {
-        if let Some(mut reports) = reports {
-            print_explains(&mut reports, admission_degraded);
-        }
+        print_explains(batch.reports.iter_mut().collect(), admission_degraded);
     }
     trace_write(trace)?;
     if let Some(path) = metrics_json {
@@ -712,6 +706,7 @@ fn query_sharded(
     qs: QuerySetup,
     ctx: &QueryCtx,
     fplan: Option<FaultPlan>,
+    telemetry: Option<Telemetry>,
 ) -> Result<CmdStatus, String> {
     let path = a.positional(0).ok_or("query needs an index path")?;
     let n_shards: usize = a.get_parsed("shards", 0)?;
@@ -746,19 +741,10 @@ fn query_sharded(
     let model = IsotropicNormal::new(dims, qs.sigma);
     let (opts, learned) = batch_opts(a, &index, &model, qs.alpha, &qrefs)?;
 
-    let telemetry = telemetry_setup(a);
-    let (got, reports) = if explain || telemetry.is_some() {
-        let (g, r) = sharded
-            .stat_query_batch_explain(&qrefs, &model, &opts, Some(ctx))
-            .map_err(|e| e.to_string())?;
-        (g, Some(r))
-    } else {
-        let g = sharded
-            .stat_query_batch_ctx(&qrefs, &model, &opts, ctx)
-            .map_err(|e| e.to_string())?;
-        (g, None)
-    };
-    persist_telemetry(telemetry, reports.as_deref().unwrap_or(&[]))?;
+    let mut got = sharded
+        .stat_query_batch_ctx(&qrefs, &model, &opts, ctx)
+        .map_err(|e| e.to_string())?;
+    persist_telemetry(telemetry, &got.batch.reports)?;
 
     let batch = &got.batch;
     let total_matches: usize = batch.matches.iter().map(Vec::len).sum();
@@ -821,24 +807,25 @@ fn query_sharded(
             }
         );
     }
+    let degraded = batch.timing.degraded;
     if explain {
-        if let Some(mut reports) = reports {
-            print_explains(&mut reports, admission_degraded);
-        }
+        print_explains(got.batch.reports.iter_mut().collect(), admission_degraded);
     }
-    if batch.timing.degraded || admission_degraded {
+    if degraded || admission_degraded {
         Ok(CmdStatus::Degraded)
     } else {
         Ok(CmdStatus::Clean)
     }
 }
 
+/// What `--telemetry-dir` arms: the directory, and the windows and clock
+/// that frame the batch.
+type Telemetry = (std::path::PathBuf, s3_obs::MetricWindows, s3_obs::WallTime);
+
 /// Applies `--telemetry-dir DIR`: ticks a baseline frame so the windowed
 /// rates persisted afterwards cover exactly the batch. Returns `None`
 /// when the flag is absent (telemetry then costs nothing).
-fn telemetry_setup(
-    a: &Args,
-) -> Option<(std::path::PathBuf, s3_obs::MetricWindows, s3_obs::WallTime)> {
+fn telemetry_setup(a: &Args) -> Option<Telemetry> {
     let dir = std::path::PathBuf::from(a.get("telemetry-dir")?);
     let wall = s3_obs::WallTime::new();
     let windows = s3_obs::MetricWindows::new(16);
@@ -851,7 +838,7 @@ fn telemetry_setup(
 /// slow-query log capture of every degraded query's EXPLAIN. Read back
 /// with `history` / `slowlog`. No-op when telemetry is unarmed.
 fn persist_telemetry(
-    telemetry: Option<(std::path::PathBuf, s3_obs::MetricWindows, s3_obs::WallTime)>,
+    telemetry: Option<Telemetry>,
     reports: &[s3_obs::ExplainReport],
 ) -> Result<(), String> {
     let Some((dir, windows, wall)) = telemetry else {
@@ -864,14 +851,7 @@ fn persist_telemetry(
     tsdb.sync().map_err(err)?;
     let slowlog = s3_obs::SlowLog::open(&dir, s3_obs::SlowLogConfig::default()).map_err(err)?;
     for rep in reports {
-        let latency_ns: u64 = rep.phases.iter().map(|p| p.ns).sum();
-        slowlog.observe(
-            rep.query_id,
-            latency_ns,
-            rep.degraded(),
-            &rep.annotations,
-            &rep.to_json(),
-        );
+        slowlog.observe(rep);
     }
     slowlog.sync().map_err(err)?;
     Ok(())
@@ -1020,13 +1000,9 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
         eprintln!("search backend: {n_shards} shard(s) x {n_replicas} replica(s)");
         detector = detector.with_shard_backend(sharded);
     }
-    let (detections, health, reports) = if a.has("explain") {
-        let (d, h, r) = detector.detect_fingerprints_explained(&candidate_fps);
-        (d, h, Some(r))
-    } else {
-        let (d, h) = detector.detect_fingerprints_checked(&candidate_fps);
-        (d, h, None)
-    };
+    let mut search = detector.search(&candidate_fps, a.has("explain"));
+    let detections = s3_cbcd::vote(&search.votes(&candidate_fps), &detector.config().vote);
+    let health = search.health;
     if detections.is_empty() {
         println!("no detection");
     }
@@ -1062,8 +1038,9 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
         );
     }
     let admission_degraded = admission.is_some_and(|(_, degraded)| degraded);
-    if let Some(mut reports) = reports {
-        print_explains(&mut reports, admission_degraded);
+    if a.has("explain") {
+        let reports = search.results.iter_mut().filter_map(|r| r.explain.as_mut());
+        print_explains(reports.collect(), admission_degraded);
     }
     trace_write(trace)?;
     if let Some(path) = metrics_json {

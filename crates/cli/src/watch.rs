@@ -193,25 +193,21 @@ pub fn cmd_watch(rest: Vec<String>) -> Result<CmdStatus, String> {
     let mut slo_status: Vec<SloStatus> = Vec::new();
     let mut samples_appended = 0usize;
     for t in 1..=ticks {
-        let ctx = if deadline_ms > 0 {
+        let mut ctx = if deadline_ms > 0 {
             QueryCtx::with_deadline(system_clock(), Duration::from_millis(deadline_ms))
         } else {
             QueryCtx::unbounded()
         };
-        // With telemetry armed, the batch runs through the EXPLAIN engine
-        // so the slow-query log can capture full reports; the answers and
-        // the metrics the dashboard shows are identical either way.
-        let reports = if telemetry.is_some() {
-            let (_batch, reports) = disk
-                .stat_query_batch_explain(&qrefs, &model, &opts, mem_budget, Some(&ctx))
-                .map_err(|e| e.to_string())?;
-            reports
-        } else {
-            let _ = disk
-                .stat_query_batch_ctx(&qrefs, &model, &opts, mem_budget, &ctx)
-                .map_err(|e| e.to_string())?;
-            Vec::new()
-        };
+        // With telemetry armed, the batch is asked for EXPLAIN so the
+        // slow-query log can capture full reports; the answers and the
+        // metrics the dashboard shows are identical either way.
+        if telemetry.is_some() {
+            ctx = ctx.explain();
+        }
+        let reports = disk
+            .stat_query_batch_ctx(&qrefs, &model, &opts, mem_budget, &ctx)
+            .map_err(|e| e.to_string())?
+            .reports;
         std::thread::sleep(interval);
         windows.tick(&wall);
         if let Some(tel) = telemetry.as_mut() {
@@ -221,14 +217,7 @@ pub fn cmd_watch(rest: Vec<String>) -> Result<CmdStatus, String> {
                 tel.slowlog.set_threshold_ns(p99);
             }
             for rep in &reports {
-                let latency_ns: u64 = rep.phases.iter().map(|p| p.ns).sum();
-                tel.slowlog.observe(
-                    rep.query_id,
-                    latency_ns,
-                    rep.degraded(),
-                    &rep.annotations,
-                    &rep.to_json(),
-                );
+                tel.slowlog.observe(rep);
             }
             samples_appended += tel
                 .tsdb

@@ -5,7 +5,7 @@
 
 use s3_cbcd::{DbBuilder, Detector, DetectorConfig, Monitor, MonitorParams};
 use s3_core::pseudo_disk::DiskIndex;
-use s3_core::{autotune, knn, IsotropicNormal, StatQueryOpts};
+use s3_core::{autotune, knn, IsotropicNormal, QueryCtx, StatQueryOpts};
 use s3_video::{extract_fingerprints, ExtractorParams, ProceduralVideo};
 
 const DOC: &str = include_str!("../../../docs/observability.md");
@@ -29,8 +29,8 @@ fn smoke_workload() {
     let candidate = ProceduralVideo::new(96, 72, 20, 0xCA7);
     let fps = extract_fingerprints(&candidate, db.extractor_params());
     let detector = Detector::new(&db, DetectorConfig::default());
-    let _ = detector.detect_fingerprints_checked(&fps);
-    let _ = detector.detect_fingerprints_explained(&fps[..fps.len().min(2)]);
+    let _ = detector.detect_fingerprints(&fps);
+    let _ = detector.search(&fps[..fps.len().min(2)], true);
 
     // Monitor loop (monitor.*).
     let mut monitor = Monitor::new(&detector, MonitorParams::default());
@@ -59,10 +59,19 @@ fn smoke_workload() {
     let model = IsotropicNormal::new(20, 15.0);
     let mut opts = StatQueryOpts::new(0.8, 0);
     opts.depth = autotune::learn_depth_on(&disk, &model, &opts, &queries).best_depth;
-    let (_batch, reports) = disk
-        .stat_query_batch_explain(&queries, &model, &opts, 1 << 20, None)
+    let batch = disk
+        .stat_query_batch_ctx(
+            &queries,
+            &model,
+            &opts,
+            1 << 20,
+            &QueryCtx::unbounded().explain(),
+        )
         .expect("explain batch");
-    assert!(!reports.is_empty(), "smoke produced no explain reports");
+    assert!(
+        !batch.reports.is_empty(),
+        "smoke produced no explain reports"
+    );
     let _ = std::fs::remove_file(&path);
 
     // Durable telemetry (tsdb.*, slowlog.*, slo.*): append one windowed
@@ -79,7 +88,9 @@ fn smoke_workload() {
     tsdb.append_latest(&windows).expect("append frame");
     let slowlog =
         s3_obs::SlowLog::open(&tel_dir, s3_obs::SlowLogConfig::default()).expect("open slowlog");
-    slowlog.observe(1, 1_000_000, true, &[], "{\"query_id\":1}");
+    let mut degraded = batch.reports[0].clone();
+    degraded.annotations.push("smoke degradation".into());
+    slowlog.observe(&degraded);
     let slo = s3_obs::SloEngine::new(s3_core::default_slos(std::time::Duration::from_millis(500)));
     let _ = slo.evaluate(&windows);
     drop(tsdb);

@@ -156,6 +156,49 @@ impl DistortionModel for DiagonalNormal {
     }
 }
 
+/// Test double shared by the engines' unit tests: counts `component_mass`
+/// integrations — the filter's only use of the model under `Refine::All`,
+/// so the count is the filter work done.
+#[cfg(test)]
+pub(crate) struct CountingModel {
+    inner: IsotropicNormal,
+    integrations: std::sync::atomic::AtomicU64,
+}
+
+#[cfg(test)]
+impl CountingModel {
+    pub(crate) fn new(inner: IsotropicNormal) -> CountingModel {
+        CountingModel {
+            inner,
+            integrations: 0.into(),
+        }
+    }
+
+    /// Integrations since the last call.
+    pub(crate) fn take_integrations(&self) -> u64 {
+        self.integrations
+            .swap(0, std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+impl DistortionModel for CountingModel {
+    fn dims(&self) -> usize {
+        self.inner.dims()
+    }
+    fn component_mass(&self, dim: usize, a: f64, b: f64) -> f64 {
+        self.integrations
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.component_mass(dim, a, b)
+    }
+    fn log_pdf(&self, delta: &[f64]) -> f64 {
+        self.inner.log_pdf(delta)
+    }
+    fn severity(&self) -> f64 {
+        self.inner.severity()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,6 +31,7 @@
 //! this.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::bufferpool::{BufferPool, PooledStorage};
 use crate::distortion::DistortionModel;
@@ -40,6 +41,7 @@ use crate::fingerprint::RecordBatch;
 use crate::index::{S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
 use crate::pager::{DataPages, PageMeta, PageStore, DEFAULT_PAGE_SIZE};
+use crate::plan::{query_scope, Plan};
 use crate::pseudo_disk::{BatchResult, DiskIndex, WriteOpts};
 use crate::sketch::SketchParams;
 use crate::storage::WritableStorage;
@@ -407,8 +409,6 @@ impl DurableIndex {
     }
 
     /// Statistical query batch over the on-disk index plus the overlay.
-    /// Overlay matches get indices offset by the on-disk record count so
-    /// they stay unique within a result.
     pub fn stat_query_batch(
         &self,
         queries: &[&[u8]],
@@ -416,20 +416,9 @@ impl DurableIndex {
         opts: &StatQueryOpts,
         mem_budget: u64,
     ) -> Result<BatchResult, IndexError> {
-        let mut batch = self
-            .disk
-            .stat_query_batch(queries, model, opts, mem_budget)?;
-        if !self.mem.is_empty() {
-            let base = self.disk.len() as usize;
-            for (i, q) in queries.iter().enumerate() {
-                let r = self.mem.stat_query(q, model, opts);
-                batch.matches[i].extend(r.matches.into_iter().map(|mut m| {
-                    m.index += base;
-                    m
-                }));
-            }
-        }
-        Ok(batch)
+        let _scope = query_scope(None);
+        let plan = Plan::stat(&self.curve, queries, model, opts, None)?;
+        self.scan_and_finish(&plan, mem_budget)
     }
 
     /// Exact ε-range query batch over the on-disk index plus the overlay.
@@ -440,20 +429,31 @@ impl DurableIndex {
         depth: u32,
         mem_budget: u64,
     ) -> Result<BatchResult, IndexError> {
-        let mut batch = self
-            .disk
-            .range_query_batch(queries, eps, depth, mem_budget)?;
+        let _scope = query_scope(None);
+        let plan = Plan::range(&self.curve, queries, eps, depth, None)?;
+        self.scan_and_finish(&plan, mem_budget)
+    }
+
+    /// One plan, two scans, one fold: the disk generation, then the
+    /// unmerged inserts — whose matches get indices offset by the on-disk
+    /// record count so they stay unique within a result — and an epilogue
+    /// over the records of both.
+    fn scan_and_finish(&self, plan: &Plan, mem_budget: u64) -> Result<BatchResult, IndexError> {
+        let mut scan = self.disk.scan(plan, mem_budget, None)?;
         if !self.mem.is_empty() {
+            let t0 = Instant::now();
             let base = self.disk.len() as usize;
-            for (i, q) in queries.iter().enumerate() {
-                let r = self.mem.range_query(q, eps, depth);
-                batch.matches[i].extend(r.matches.into_iter().map(|mut m| {
-                    m.index += base;
-                    m
-                }));
+            for ((q, query), scan) in plan
+                .queries
+                .iter()
+                .zip(&plan.per_query)
+                .zip(&mut scan.per_query)
+            {
+                scan.absorb(self.mem.scan(q, query, &plan.ask), base);
             }
+            scan.timing.refine += t0.elapsed();
         }
-        Ok(batch)
+        Ok(plan.finish(scan, self.len(), None, None))
     }
 
     /// Total acknowledged records: on-disk plus unmerged overlay.
@@ -605,7 +605,9 @@ impl EngineState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distortion::IsotropicNormal;
+    use crate::distortion::{CountingModel, IsotropicNormal};
+    use crate::filter::select_blocks_stat;
+    use crate::index::{Match, QueryStats};
     use crate::storage::SharedMemStorage;
 
     fn curve() -> HilbertCurve {
@@ -697,5 +699,72 @@ mod tests {
             .stat_query_batch(&refs, &model, &StatQueryOpts::new(0.9, 8), 1 << 20)
             .unwrap();
         assert_eq!(stat.matches.len(), 15);
+    }
+
+    #[test]
+    fn mixed_batch_is_one_plan_two_scans_one_fold() {
+        // 300 records merged to disk, 290 more unmerged — enough for the
+        // in-memory side to have folded most of them into a static run of
+        // its own, beside a sorted tail. A batch filters each query exactly
+        // once, and its stats are that filter's counters plus the records of
+        // EVERY run inside its ranges — what a fresh static index over all
+        // 590 records scans.
+        let data = SharedMemStorage::new();
+        let wal = SharedMemStorage::new();
+        let opts = DurableOptions {
+            merge_fraction: 1.0,
+            ..opts_small()
+        };
+        let mut idx = DurableIndex::create(boxed(&data), boxed(&wal), curve(), opts).unwrap();
+        let mut on_disk = RecordBatch::new(4);
+        let mut all = RecordBatch::new(4);
+        for i in 0..590 {
+            idx.insert(&fp(i), i, i).unwrap();
+            all.push(&fp(i), i, i);
+            if i < 300 {
+                on_disk.push(&fp(i), i, i);
+            }
+            if i == 299 {
+                idx.merge().unwrap();
+            }
+        }
+        assert_eq!((idx.disk_len(), idx.pending_len()), (300, 290));
+        assert!(idx.mem.merges() > 0 && idx.mem.overlay_len() > 0);
+        let disk_only = S3Index::build(curve(), on_disk);
+        let fresh = S3Index::build(curve(), all);
+
+        let model = CountingModel::new(IsotropicNormal::new(4, 4.0));
+        let opts = StatQueryOpts::new(0.9, 8);
+        let queries: Vec<Vec<u8>> = (585..590).map(fp).collect();
+        let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
+        for q in &refs {
+            select_blocks_stat(&curve(), &model, q, &opts, None);
+        }
+        let one_filter_each = model.take_integrations();
+        let batch = idx.stat_query_batch(&refs, &model, &opts, 1 << 20).unwrap();
+        assert_eq!(model.take_integrations(), one_filter_each);
+
+        for (qi, q) in refs.iter().enumerate() {
+            let want = fresh.stat_query(q, &model, &opts);
+            let st = &batch.stats[qi];
+            assert_eq!(
+                QueryStats {
+                    ranges_scanned: want.stats.ranges_scanned,
+                    ..*st
+                },
+                want.stats,
+                "query {qi}"
+            );
+            assert!(
+                st.entries_scanned > disk_only.stat_query(q, &model, &opts).stats.entries_scanned,
+                "query {qi} must count its overlay records"
+            );
+            let ids = |ms: &[Match]| {
+                let mut v: Vec<u32> = ms.iter().map(|m| m.id).collect();
+                v.sort_unstable();
+                v
+            };
+            assert_eq!(ids(&batch.matches[qi]), ids(&want.matches), "query {qi}");
+        }
     }
 }

@@ -14,9 +14,11 @@
 
 use crate::distortion::DistortionModel;
 use crate::fingerprint::RecordBatch;
-use crate::index::{Match, QueryResult, Refine, Refiner, S3Index, StatQueryOpts};
+use crate::index::{Match, QueryResult, Refiner, S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
-use s3_hilbert::{HilbertCurve, Key256, KeyBound, KeyRange};
+use crate::plan::{run_query, Ask, QueryPlan, QueryScan};
+use s3_hilbert::{HilbertCurve, Key256, KeyBound};
+use std::time::Instant;
 
 /// How a merge — or its crash recovery — ended.
 ///
@@ -154,41 +156,49 @@ impl DynamicIndex {
         MergeOutcome::Completed
     }
 
-    /// Statistical query over main + overlay: one filter pass, two scans —
-    /// the static engine filters, merges and scans main, and the overlay is
-    /// scanned against the very ranges it used, so the stats are main's plus
-    /// the overlay's entries.
+    /// Statistical query over main + overlay: one plan, two scans — the
+    /// overlay is scanned against the very ranges main is, so the stats are
+    /// the filter's plus the entries of both.
     pub fn stat_query(
         &self,
         q: &[u8],
         model: &dyn DistortionModel,
         opts: &StatQueryOpts,
     ) -> QueryResult {
-        let (mut result, ranges) = self.main.stat_query_ranges(q, model, opts);
-        self.scan_overlay(q, &ranges, opts.refine, Some(model), &mut result);
-        result
+        let curve = self.main.curve();
+        self.run(q, &Ask::stat(model, opts), || {
+            QueryPlan::stat(curve, 0, q, model, opts, None)
+        })
     }
 
-    /// Exact ε-range query over main + overlay (one filter pass, as above).
+    /// Exact ε-range query over main + overlay (one plan, as above).
     pub fn range_query(&self, q: &[u8], eps: f64, depth: u32) -> QueryResult {
-        let (mut result, ranges) = self.main.range_query_ranges(q, eps, depth);
-        self.scan_overlay(q, &ranges, Refine::Range(eps), None, &mut result);
-        result
+        let curve = self.main.curve();
+        self.run(q, &Ask::range(eps, depth), || {
+            QueryPlan::range(curve, 0, q, eps, depth, None)
+        })
     }
 
-    /// Scans overlay records inside `ranges`, appending matches. Overlay
-    /// matches get indices offset by the main length so they stay unique.
-    fn scan_overlay(
-        &self,
-        q: &[u8],
-        ranges: &[KeyRange],
-        refine: Refine,
-        model: Option<&dyn DistortionModel>,
-        out: &mut QueryResult,
-    ) {
-        let base = self.main.len();
-        let mut refiner = Refiner::new(q, refine, model);
-        for range in ranges {
+    fn run(&self, q: &[u8], ask: &Ask, plan: impl FnOnce() -> QueryPlan) -> QueryResult {
+        let scan = |plan: &QueryPlan| self.scan(q, plan, ask);
+        run_query(ask, self.len() as u64, None, plan, scan)
+    }
+
+    /// Stage 2 over main, then the overlay — whose matches get indices
+    /// offset by the main length so they stay unique. No entry point over a
+    /// dynamic index takes a ctx, so nothing is polled and no EXPLAIN tally
+    /// is kept.
+    pub(crate) fn scan(&self, q: &[u8], plan: &QueryPlan, ask: &Ask) -> QueryScan {
+        let mut scan = self.main.scan(q, plan, ask, None);
+        scan.absorb(self.scan_overlay(q, plan, ask), self.main.len());
+        scan
+    }
+
+    fn scan_overlay(&self, q: &[u8], plan: &QueryPlan, ask: &Ask) -> QueryScan {
+        let t0 = Instant::now();
+        let mut out = QueryScan::default();
+        let mut refiner = Refiner::new(q, ask.refine, ask.model);
+        for range in &plan.ranges {
             let lo = self.overlay_keys.partition_point(|k| *k < range.lo);
             let hi = match range.hi {
                 KeyBound::Excl(h) => self.overlay_keys.partition_point(|k| *k < h),
@@ -198,7 +208,7 @@ impl DynamicIndex {
             for i in lo..hi {
                 if let Some(dist_sq) = refiner.keep(self.overlay.fingerprint(i)) {
                     out.matches.push(Match {
-                        index: base + i,
+                        index: i,
                         id: self.overlay.id(i),
                         tc: self.overlay.tc(i),
                         dist_sq,
@@ -206,13 +216,15 @@ impl DynamicIndex {
                 }
             }
         }
+        out.refine_ns = t0.elapsed().as_nanos() as u64;
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distortion::IsotropicNormal;
+    use crate::distortion::{CountingModel, IsotropicNormal};
     use crate::index::{FilterAlgo, QueryStats};
 
     const DIMS: usize = 6;
@@ -288,30 +300,6 @@ mod tests {
         }
     }
 
-    /// Counts `component_mass` integrations: the filter's only use of the
-    /// model under `Refine::All`, so the count is the filter work done.
-    struct CountingModel {
-        inner: IsotropicNormal,
-        integrations: std::sync::atomic::AtomicU64,
-    }
-
-    impl DistortionModel for CountingModel {
-        fn dims(&self) -> usize {
-            self.inner.dims()
-        }
-        fn component_mass(&self, dim: usize, a: f64, b: f64) -> f64 {
-            self.integrations
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.inner.component_mass(dim, a, b)
-        }
-        fn log_pdf(&self, delta: &[f64]) -> f64 {
-            self.inner.log_pdf(delta)
-        }
-        fn severity(&self) -> f64 {
-            self.inner.severity()
-        }
-    }
-
     #[test]
     fn stat_query_filters_once_and_adds_only_overlay_entries() {
         // One filter pass, with the caller's options: the model is
@@ -331,15 +319,8 @@ mod tests {
         }
         assert_eq!(dyn_idx.merges(), 0);
         let mut queries = inserted.iter();
-        let model = CountingModel {
-            inner: IsotropicNormal::new(DIMS, 14.0),
-            integrations: 0.into(),
-        };
-        let integrations = || {
-            model
-                .integrations
-                .swap(0, std::sync::atomic::Ordering::Relaxed)
-        };
+        let model = CountingModel::new(IsotropicNormal::new(DIMS, 14.0));
+        let integrations = || model.take_integrations();
         for algo in [
             FilterAlgo::BestFirst,
             FilterAlgo::Threshold { iterations: 20 },

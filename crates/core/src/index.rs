@@ -13,16 +13,13 @@
 
 use crate::autotune::learn_depth;
 use crate::distortion::DistortionModel;
-use crate::filter::{
-    merge_block_ranges, missed_target, select_blocks_bbox, select_blocks_range, select_blocks_stat,
-    FilterOutcome,
-};
+use crate::filter::{select_blocks_bbox, FilterOutcome};
 use crate::fingerprint::{dist_sq, RecordBatch};
 use crate::kernels;
-use crate::metrics::CoreMetrics;
-use crate::resilience::{next_query_id, QueryCtx, REFINE_CHUNK};
+use crate::plan::{run_query, tally_blocks, Ask, QueryPlan, QueryScan};
+use crate::resilience::{QueryCtx, REFINE_CHUNK};
 use s3_hilbert::{HilbertCurve, Key256, KeyBound, KeyRange};
-use s3_obs::{span, BlockExplain, ExplainPhase, ExplainReport, QueryScope};
+use s3_obs::{span, ExplainReport};
 use std::time::Instant;
 
 /// Which algorithm computes the statistical block selection.
@@ -229,6 +226,21 @@ impl QueryStats {
             ..QueryStats::default()
         }
     }
+
+    /// Adds what a scan of this query's plan counted — over one more run of
+    /// records, or the whole scan onto the filter's side — and recomputes
+    /// `degraded` from the evidence, so the flags agree whatever path set
+    /// them.
+    pub(crate) fn absorb_scan(&mut self, scan: &QueryStats) {
+        self.ranges_scanned += scan.ranges_scanned;
+        self.entries_scanned += scan.entries_scanned;
+        self.sections_skipped += scan.sections_skipped;
+        self.sketch_skipped += scan.sketch_skipped;
+        self.retries += scan.retries;
+        self.shard_skips += scan.shard_skips;
+        self.cancelled |= scan.cancelled;
+        self.degraded = self.sections_skipped > 0 || self.shard_skips > 0 || self.cancelled;
+    }
 }
 
 /// Result of a query: matches plus work counters.
@@ -238,16 +250,12 @@ pub struct QueryResult {
     pub matches: Vec<Match>,
     /// Work counters.
     pub stats: QueryStats,
-}
-
-/// One statistical query as run: the selection, the scan's result and plan,
-/// and the time each phase took.
-struct StatRun {
-    outcome: FilterOutcome,
-    res: QueryResult,
-    ranges: Vec<KeyRange>,
-    filter_ns: u64,
-    refine_ns: u64,
+    /// The query's EXPLAIN report, when its [`QueryCtx`] asked for one
+    /// ([`QueryCtx::explain`]): each selected block's predicted mass next
+    /// to the records refinement actually scanned in it and the matches
+    /// those records produced, per-phase time, and an annotation for every
+    /// way the answer may be incomplete.
+    pub explain: Option<ExplainReport>,
 }
 
 /// The static S³ index: records sorted by Hilbert key, an index table for
@@ -467,27 +475,27 @@ impl S3Index {
         }
     }
 
-    /// Shared refinement scan over the outcome's merged ranges, which it
-    /// returns beside the result. With a `ctx`, the scan checks for
-    /// cancellation every [`REFINE_CHUNK`] records and stops early, flagging
-    /// the result `cancelled`/`degraded`.
-    fn refine_scan(
+    /// Stage 2 over this index: one pass of `plan`'s ranges over the sorted
+    /// records, applying the refinement predicate. With a `ctx`, the scan
+    /// checks for cancellation every [`REFINE_CHUNK`] records and stops
+    /// early, flagged `cancelled`; if the ctx asks for EXPLAIN, scanned
+    /// records and matches are attributed to the plan's blocks.
+    pub(crate) fn scan(
         &self,
         q: &[u8],
-        outcome: &FilterOutcome,
-        refine: Refine,
-        model: Option<&dyn DistortionModel>,
+        plan: &QueryPlan,
+        ask: &Ask,
         ctx: Option<&QueryCtx>,
-    ) -> (QueryResult, Vec<KeyRange>) {
+    ) -> QueryScan {
+        let t0 = Instant::now();
         let mut sp = span!("query.refine");
-        let merged = merge_block_ranges(&self.curve, outcome);
         let mut cursor = 0usize;
         let mut matches = Vec::new();
         let mut entries = 0usize;
         let mut cancelled = false;
         let mut since_check = 0usize;
-        let mut refiner = Refiner::new(q, refine, model);
-        'ranges: for range in &merged {
+        let mut refiner = Refiner::new(q, ask.refine, ask.model);
+        'ranges: for range in &plan.ranges {
             let start = self.lower_bound_from(cursor, &range.lo);
             let end = match range.hi {
                 KeyBound::Excl(hi) => self.lower_bound_from(start, &hi),
@@ -516,65 +524,36 @@ impl S3Index {
                 }
             }
         }
-        sp.record("ranges", merged.len() as f64);
+        sp.record("ranges", plan.ranges.len() as f64);
         sp.record("entries", entries as f64);
-        let res = QueryResult {
+        let mut blocks = Vec::new();
+        if let (Some(selection), true) = (&plan.selection, ctx.is_some_and(|c| c.explains())) {
+            let locate = |range: &KeyRange| self.locate(range);
+            tally_blocks(&self.curve, selection, locate, 0, &matches, &mut blocks);
+        }
+        QueryScan {
             matches,
             stats: QueryStats {
-                ranges_scanned: merged.len(),
+                ranges_scanned: plan.ranges.len(),
                 entries_scanned: entries,
                 cancelled,
-                degraded: cancelled,
-                ..QueryStats::of_filter(outcome)
+                ..QueryStats::default()
             },
-        };
-        (res, merged)
+            blocks,
+            refine_ns: t0.elapsed().as_nanos() as u64,
+        }
     }
 
-    /// What every stat entry point runs: the spanned block selection, the
-    /// refinement scan, and the fold into the registry. With a `ctx`, a
-    /// stop observed after the filter flags the result conservatively (the
-    /// selection may have been cut short) even if refinement completes.
-    fn run_stat_query(
+    /// What every query over this index alone runs: plan → scan → epilogue.
+    fn run(
         &self,
         q: &[u8],
-        model: &dyn DistortionModel,
-        opts: &StatQueryOpts,
+        ask: &Ask,
         ctx: Option<&QueryCtx>,
-    ) -> StatRun {
-        let t0 = Instant::now();
-        let outcome = {
-            let mut sp = span!("query.filter");
-            let outcome = select_blocks_stat(&self.curve, model, q, opts, ctx);
-            sp.record("blocks", outcome.blocks.len() as f64);
-            sp.record("nodes", outcome.nodes_expanded as f64);
-            sp.record("mass", outcome.mass);
-            outcome
-        };
-        let filter_ns = t0.elapsed().as_nanos() as u64;
-        let filter_stopped = ctx.is_some_and(|c| c.should_stop());
-        let t1 = Instant::now();
-        let (mut res, ranges) = self.refine_scan(q, &outcome, opts.refine, Some(model), ctx);
-        let refine_ns = t1.elapsed().as_nanos() as u64;
-        if filter_stopped {
-            res.stats.cancelled = true;
-            res.stats.degraded = true;
-        }
-        let metrics = CoreMetrics::get();
-        metrics.record_query(&res.stats, t0.elapsed());
-        metrics.record_calibration(
-            res.stats.mass,
-            res.stats.target,
-            res.stats.entries_scanned,
-            self.len(),
-        );
-        StatRun {
-            outcome,
-            res,
-            ranges,
-            filter_ns,
-            refine_ns,
-        }
+        plan: impl FnOnce() -> QueryPlan,
+    ) -> QueryResult {
+        let scan = |plan: &QueryPlan| self.scan(q, plan, ask, ctx);
+        run_query(ask, self.len() as u64, ctx, plan, scan)
     }
 
     /// Statistical query of expectation α (§II, eq. 1).
@@ -584,26 +563,18 @@ impl S3Index {
         model: &dyn DistortionModel,
         opts: &StatQueryOpts,
     ) -> QueryResult {
-        self.stat_query_ranges(q, model, opts).0
+        self.stat_query_in(q, model, opts, None)
     }
 
-    /// [`S3Index::stat_query`], also handing back the merged key ranges it
-    /// scanned so an overlay can be scanned against the same plan.
-    pub(crate) fn stat_query_ranges(
-        &self,
-        q: &[u8],
-        model: &dyn DistortionModel,
-        opts: &StatQueryOpts,
-    ) -> (QueryResult, Vec<KeyRange>) {
-        let _scope = QueryScope::enter_inherit(next_query_id());
-        let run = self.run_stat_query(q, model, opts, None);
-        (run.res, run.ranges)
-    }
-
-    /// As [`S3Index::stat_query`], cooperatively checking `ctx` at
-    /// filter-node and refine-chunk granularity. A stopped query returns the
-    /// matches found so far, flagged `cancelled`/`degraded`; a query that
-    /// never observed a stop is complete and unflagged.
+    /// As [`S3Index::stat_query`] under a [`QueryCtx`], which says how the
+    /// query runs. Its token and deadline are checked cooperatively at
+    /// filter-node and refine-chunk granularity: a stopped query returns the
+    /// matches found so far, flagged `cancelled`/`degraded` (conservatively
+    /// so if the stop was observed right after the filter, whose selection
+    /// may have been cut short); one that never observed a stop is complete
+    /// and unflagged. If the ctx asks for EXPLAIN ([`QueryCtx::explain`])
+    /// the result carries its report; matches and counters are bit-identical
+    /// either way.
     ///
     /// Only the best-first filter is interruptible; the threshold filter
     /// (a benchmarking baseline) runs to completion before the check.
@@ -614,143 +585,27 @@ impl S3Index {
         opts: &StatQueryOpts,
         ctx: &QueryCtx,
     ) -> QueryResult {
-        let _scope = QueryScope::enter_inherit(ctx.id());
-        if ctx.should_stop() {
-            let res = QueryResult {
-                matches: Vec::new(),
-                stats: QueryStats {
-                    cancelled: true,
-                    degraded: true,
-                    ..QueryStats::default()
-                },
-            };
-            CoreMetrics::get().record_query(&res.stats, std::time::Duration::ZERO);
-            return res;
-        }
-        self.run_stat_query(q, model, opts, Some(ctx)).res
+        self.stat_query_in(q, model, opts, Some(ctx))
     }
 
-    /// As [`S3Index::stat_query`]/[`S3Index::stat_query_ctx`] with per-query
-    /// EXPLAIN capture: the result plus an [`ExplainReport`] pairing each
-    /// selected block's predicted mass with the records refinement actually
-    /// scanned in it and the matches those records produced. The query path
-    /// is identical (same filter, same scan, bit-identical matches);
-    /// explain only adds bookkeeping.
-    pub fn stat_query_explained(
+    pub(crate) fn stat_query_in(
         &self,
         q: &[u8],
         model: &dyn DistortionModel,
         opts: &StatQueryOpts,
         ctx: Option<&QueryCtx>,
-    ) -> (QueryResult, ExplainReport) {
-        let query_id = ctx.map(|c| c.id()).unwrap_or_else(next_query_id);
-        let _scope = QueryScope::enter_inherit(query_id);
-        let StatRun {
-            outcome,
-            res,
-            filter_ns,
-            refine_ns,
-            ..
-        } = self.run_stat_query(q, model, opts, ctx);
-
-        // Per-block accounting: each block's key range located against the
-        // sorted record array gives the records scanned for it (depth-p
-        // blocks are disjoint and tile the merged scan ranges); matches are
-        // attributed to the unique block whose record interval holds them.
-        let mut blocks: Vec<BlockExplain> = Vec::with_capacity(outcome.blocks.len());
-        let mut intervals: Vec<(usize, usize, usize)> = Vec::with_capacity(outcome.blocks.len());
-        for (bi, sb) in outcome.blocks.iter().enumerate() {
-            let (lo, hi) = self.locate(&sb.key_range(&self.curve));
-            blocks.push(BlockExplain {
-                depth: sb.depth(),
-                predicted_mass: sb.score,
-                scanned: (hi - lo) as u64,
-                matched: 0,
-            });
-            if hi > lo {
-                intervals.push((lo, hi, bi));
-            }
-        }
-        intervals.sort_unstable();
-        for m in &res.matches {
-            let p = intervals.partition_point(|&(start, _, _)| start <= m.index);
-            if p > 0 {
-                let (start, end, bi) = intervals[p - 1];
-                if m.index >= start && m.index < end {
-                    blocks[bi].matched += 1;
-                }
-            }
-        }
-
-        let mut rep = ExplainReport {
-            query_id,
-            alpha: opts.alpha,
-            depth: opts.depth,
-            algo: outcome.algo,
-            tmax: outcome.tmax.unwrap_or(0.0),
-            iterations: outcome.iterations,
-            blocks,
-            predicted_mass: outcome.mass,
-            observed_selectivity: if self.is_empty() {
-                0.0
-            } else {
-                res.stats.entries_scanned as f64 / self.len() as f64
-            },
-            entries_scanned: res.stats.entries_scanned as u64,
-            matches: res.matches.len() as u64,
-            sketch_skipped: res.stats.sketch_skipped as u64,
-            shards: Vec::new(),
-            phases: vec![
-                ExplainPhase {
-                    name: "filter",
-                    ns: filter_ns,
-                },
-                ExplainPhase {
-                    name: "refine",
-                    ns: refine_ns,
-                },
-            ],
-            annotations: Vec::new(),
-        };
-        if outcome.truncated {
-            rep.annotations
-                .push("block budget truncated selection before reaching α".into());
-        }
-        if missed_target(outcome.mass, outcome.target) {
-            rep.annotations.push(format!(
-                "achieved mass {:.4} below reachable α {:.4}",
-                outcome.mass, outcome.target
-            ));
-        }
-        if res.stats.cancelled {
-            rep.annotations
-                .push("stopped by deadline/cancellation — partial scan".into());
-        }
-        (res, rep)
+    ) -> QueryResult {
+        self.run(q, &Ask::stat(model, opts), ctx, || {
+            QueryPlan::stat(&self.curve, 0, q, model, opts, ctx)
+        })
     }
 
     /// Exact ε-range query through the index: geometric block filter plus
     /// distance refinement. Recall is exact (the filter is complete).
     pub fn range_query(&self, q: &[u8], eps: f64, depth: u32) -> QueryResult {
-        self.range_query_ranges(q, eps, depth).0
-    }
-
-    /// [`S3Index::range_query`], also handing back the merged key ranges it
-    /// scanned (see [`S3Index::stat_query_ranges`]).
-    pub(crate) fn range_query_ranges(
-        &self,
-        q: &[u8],
-        eps: f64,
-        depth: u32,
-    ) -> (QueryResult, Vec<KeyRange>) {
-        let t0 = Instant::now();
-        let outcome = {
-            let _sp = span!("query.filter");
-            select_blocks_range(&self.curve, q, depth, eps, usize::MAX)
-        };
-        let (res, ranges) = self.refine_scan(q, &outcome, Refine::Range(eps), None, None);
-        CoreMetrics::get().record_query(&res.stats, t0.elapsed());
-        (res, ranges)
+        self.run(q, &Ask::range(eps, depth), None, || {
+            QueryPlan::range(&self.curve, 0, q, eps, depth, None)
+        })
     }
 
     /// ε-range query through the classical bounding-box filter (the only
@@ -759,14 +614,11 @@ impl S3Index {
     /// high dimension — the baseline the paper's Fig. 6 speed-ups compare
     /// against.
     pub fn range_query_bbox(&self, q: &[u8], eps: f64, depth: u32) -> QueryResult {
-        let t0 = Instant::now();
-        let outcome = {
-            let _sp = span!("query.filter");
-            select_blocks_bbox(&self.curve, q, depth, eps, usize::MAX)
-        };
-        let (res, _) = self.refine_scan(q, &outcome, Refine::Range(eps), None, None);
-        CoreMetrics::get().record_query(&res.stats, t0.elapsed());
-        res
+        self.run(q, &Ask::range(eps, depth), None, || {
+            QueryPlan::new(&self.curve, 0, None, || {
+                select_blocks_bbox(&self.curve, q, depth, eps, usize::MAX)
+            })
+        })
     }
 
     /// Sequential-scan ε-range query — the reference baseline of Fig. 7.
@@ -791,6 +643,7 @@ impl S3Index {
                 ranges_scanned: 1,
                 ..QueryStats::default()
             },
+            explain: None,
         }
     }
 }

@@ -15,7 +15,6 @@
 
 use crate::index::{Match, S3Index};
 use crate::kernels;
-use crate::resilience::QueryCtx;
 use s3_hilbert::Block;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -30,9 +29,6 @@ pub struct KnnResult {
     /// Records visited by block scans (the distance kernel may abandon a
     /// record early once it exceeds the current k-th best).
     pub entries_scanned: usize,
-    /// The search stopped early on a fired token or expired deadline; the
-    /// neighbors found so far are returned but may miss closer records.
-    pub cancelled: bool,
 }
 
 #[derive(Debug)]
@@ -86,29 +82,6 @@ impl Ord for Candidate {
 /// contents; a good default is the index's natural depth (about
 /// `log2(len) + 4`). Any value in `[1, key_bits]` gives exact results.
 pub fn knn(index: &S3Index, q: &[u8], k: usize, scan_depth: u32) -> KnnResult {
-    knn_impl(index, q, k, scan_depth, None)
-}
-
-/// As [`knn`], but checks `ctx` at every frontier expansion. A stopped search
-/// returns the neighbors found so far with [`KnnResult::cancelled`] set; they
-/// are genuine records but may not be the true nearest.
-pub fn knn_cancellable(
-    index: &S3Index,
-    q: &[u8],
-    k: usize,
-    scan_depth: u32,
-    ctx: &QueryCtx,
-) -> KnnResult {
-    knn_impl(index, q, k, scan_depth, Some(ctx))
-}
-
-fn knn_impl(
-    index: &S3Index,
-    q: &[u8],
-    k: usize,
-    scan_depth: u32,
-    ctx: Option<&QueryCtx>,
-) -> KnnResult {
     let curve = index.curve();
     assert_eq!(q.len(), curve.dims(), "query dimension mismatch");
     assert!(k > 0, "k must be positive");
@@ -116,12 +89,9 @@ fn knn_impl(
         scan_depth >= 1 && scan_depth <= curve.key_bits(),
         "scan depth out of range"
     );
-    // Spans emitted by this search carry the ctx's query id (or a fresh
-    // one), like every other query engine.
-    let _scope = s3_obs::QueryScope::enter_inherit(
-        ctx.map(|c| c.id())
-            .unwrap_or_else(crate::resilience::next_query_id),
-    );
+    // Spans emitted by this search carry a query id, like every other
+    // query engine's.
+    let _scope = crate::plan::query_scope(None);
     let mut sp = s3_obs::span!("query.knn", "k" => k as f64);
 
     let qf: Vec<f64> = q.iter().map(|&c| f64::from(c)).collect();
@@ -134,7 +104,6 @@ fn knn_impl(
     let mut best: BinaryHeap<Candidate> = BinaryHeap::with_capacity(k + 1);
     let mut nodes = 0usize;
     let mut scanned = 0usize;
-    let mut cancelled = false;
 
     let kth_dist = |best: &BinaryHeap<Candidate>| -> f64 {
         if best.len() < k {
@@ -147,10 +116,6 @@ fn knn_impl(
     while let Some(Reverse(node)) = frontier.pop() {
         if node.min_dist_sq > kth_dist(&best) {
             break; // every remaining node is at least this far
-        }
-        if ctx.is_some_and(|c| c.should_stop()) {
-            cancelled = true;
-            break;
         }
         if node.block.depth() >= scan_depth {
             let (start, end) = index.locate(&node.block.key_range(curve));
@@ -211,7 +176,6 @@ fn knn_impl(
         neighbors,
         nodes_expanded: nodes,
         entries_scanned: scanned,
-        cancelled,
     }
 }
 
@@ -329,7 +293,6 @@ pub fn knn_approx(
         neighbors,
         nodes_expanded: nodes,
         entries_scanned: scanned,
-        cancelled: false,
     }
 }
 
@@ -424,36 +387,6 @@ mod tests {
     fn zero_k_rejected() {
         let idx = index(10, 1);
         knn(&idx, &[0, 0, 0, 0], 0, 8);
-    }
-
-    #[test]
-    fn pre_cancelled_knn_returns_flagged_empty() {
-        let idx = index(3000, 0x77);
-        let ctx = QueryCtx::unbounded();
-        ctx.token().cancel();
-        let res = knn_cancellable(&idx, &[10, 20, 30, 40], 5, 12, &ctx);
-        assert!(res.cancelled);
-        assert!(res.neighbors.is_empty());
-    }
-
-    #[test]
-    fn uncancelled_ctx_knn_is_exact() {
-        let idx = index(3000, 0x78);
-        let q = [60u8, 70, 80, 90];
-        let free = knn(&idx, &q, 10, 12);
-        let ctxed = knn_cancellable(&idx, &q, 10, 12, &QueryCtx::unbounded());
-        assert!(!ctxed.cancelled);
-        let a: Vec<u64> = free
-            .neighbors
-            .iter()
-            .map(|m| m.dist_sq.unwrap() as u64)
-            .collect();
-        let b: Vec<u64> = ctxed
-            .neighbors
-            .iter()
-            .map(|m| m.dist_sq.unwrap() as u64)
-            .collect();
-        assert_eq!(a, b);
     }
 
     #[test]

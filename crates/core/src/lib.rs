@@ -71,6 +71,7 @@ pub mod knn;
 pub mod metrics;
 pub mod pager;
 pub mod parallel;
+mod plan;
 pub mod pseudo_disk;
 pub mod resilience;
 pub mod shard;
@@ -98,9 +99,8 @@ pub use resilience::{
     CancelToken, Clock, Deadline, MockClock, Permit, QueryCtx, SectionBreakers, Shed, SystemClock,
     TimeSource,
 };
-pub use shard::{
-    HedgeConfig, ShardPlan, ShardReport, ShardedBatchResult, ShardedIndex, ShardedOptions,
-};
+pub use s3_obs::ShardReport;
+pub use shard::{HedgeConfig, ShardPlan, ShardedBatchResult, ShardedIndex, ShardedOptions};
 pub use sketch::{Sketch, SketchParams, DEFAULT_SKETCH_BITS};
 pub use storage::{
     CrashSwitch, FaultPlan, FaultStats, FaultyStorage, FileRwStorage, FileStorage, MemStorage,

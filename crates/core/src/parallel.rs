@@ -16,7 +16,7 @@
 //! monitoring example uses it to stay ahead of real time.
 
 use crate::distortion::DistortionModel;
-use crate::index::{QueryResult, QueryStats, S3Index, StatQueryOpts};
+use crate::index::{QueryResult, S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
 use crate::resilience::QueryCtx;
 use s3_hilbert::{HilbertCurve, Key256};
@@ -45,25 +45,12 @@ unsafe impl<T: Send> Sync for Slot<T> {}
 /// Falls back to a plain sequential loop when one worker (or fewer) would
 /// remain after clamping to the task count — so 0- and 1-item batches never
 /// pay a thread spawn.
-pub(crate) fn run_dynamic<T, F>(n: usize, threads: usize, chunk: usize, f: &F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_dynamic_ctx(n, threads, chunk, None, f)
-        .into_iter()
-        .map(|s| match s {
-            Some(v) => v,
-            // Without a ctx the cursor sweeps [0, n) exactly once.
-            None => unreachable!("all slots filled"),
-        })
-        .collect()
-}
-
-/// As [`run_dynamic`], but workers stop claiming new items once `ctx` fires.
-/// Items never claimed come back as `None`; items claimed before the stop run
-/// to completion (the task itself may poll `ctx` at a finer grain).
-pub(crate) fn run_dynamic_ctx<T, F>(
+///
+/// With a `ctx`, workers stop claiming new items once it fires: items never
+/// claimed come back as `None`, items claimed before the stop run to
+/// completion (the task itself may poll `ctx` at a finer grain). Without
+/// one the cursor sweeps `[0, n)` exactly once and every slot is `Some`.
+pub(crate) fn run_dynamic<T, F>(
     n: usize,
     threads: usize,
     chunk: usize,
@@ -128,14 +115,21 @@ where
 ///
 /// Results are returned in input order. With `threads == 1` (or a batch of
 /// at most one query) this is a plain sequential loop — no thread spawn.
+///
+/// `ctx`, when given, says how every query of the batch runs
+/// ([`S3Index::stat_query_ctx`]), and workers stop claiming new queries once
+/// it fires: queries never started come back as empty results flagged
+/// `cancelled`/`degraded`, so the output always has one entry per input.
 pub fn stat_query_batch(
     index: &S3Index,
     queries: &[&[u8]],
     model: &dyn DistortionModel,
     opts: &StatQueryOpts,
     threads: usize,
+    ctx: Option<&QueryCtx>,
 ) -> Vec<QueryResult> {
     assert!(threads > 0, "need at least one thread");
+    let _scope = ctx.map(|c| s3_obs::QueryScope::enter_inherit(c.id()));
     let _sp = s3_obs::span!(
         "query.batch",
         "queries" => queries.len() as f64,
@@ -143,52 +137,15 @@ pub fn stat_query_batch(
     );
     // Queries are orders of magnitude heavier than a `fetch_add`, so they
     // are claimed one at a time for the finest balance.
-    run_dynamic(queries.len(), threads, 1, &|i| {
-        index.stat_query(queries[i], model, opts)
-    })
-}
-
-/// As [`stat_query_batch`] under a [`QueryCtx`]: each query polls the ctx at
-/// filter and refine granularity, and workers stop claiming new queries once
-/// the token fires. Queries never started come back as empty results flagged
-/// `cancelled`/`degraded`, so the output always has one entry per input.
-pub fn stat_query_batch_ctx(
-    index: &S3Index,
-    queries: &[&[u8]],
-    model: &dyn DistortionModel,
-    opts: &StatQueryOpts,
-    threads: usize,
-    ctx: &QueryCtx,
-) -> Vec<QueryResult> {
-    assert!(threads > 0, "need at least one thread");
-    let _scope = s3_obs::QueryScope::enter_inherit(ctx.id());
-    let _sp = s3_obs::span!(
-        "query.batch",
-        "queries" => queries.len() as f64,
-        "threads" => threads as f64,
-    );
-    let workers = threads.min(queries.len());
-    let slots = run_dynamic_ctx(queries.len(), workers.max(1), 1, Some(ctx), &|i| {
-        index.stat_query_ctx(queries[i], model, opts, ctx)
+    let slots = run_dynamic(queries.len(), threads, 1, ctx, &|i| {
+        index.stat_query_in(queries[i], model, opts, ctx)
     });
-    let metrics = CoreMetrics::get();
     slots
         .into_iter()
-        .map(|s| match s {
-            Some(r) => r,
-            None => {
-                let stats = QueryStats {
-                    cancelled: true,
-                    degraded: true,
-                    ..QueryStats::default()
-                };
-                metrics.record_query(&stats, std::time::Duration::ZERO);
-                QueryResult {
-                    matches: Vec::new(),
-                    stats,
-                }
-            }
-        })
+        .zip(queries)
+        // An unclaimed slot's ctx has fired, so running the query now only
+        // plans the empty, flagged answer — and folds it like any other.
+        .map(|(slot, q)| slot.unwrap_or_else(|| index.stat_query_in(q, model, opts, ctx)))
         .collect()
 }
 
@@ -206,9 +163,15 @@ pub fn build_keys_parallel(
     let dims = curve.dims();
     assert_eq!(fingerprints.len() % dims, 0, "ragged fingerprint buffer");
     let n = fingerprints.len() / dims;
-    run_dynamic(n, threads, KEY_ROWS_PER_TASK, &|i| {
+    run_dynamic(n, threads, KEY_ROWS_PER_TASK, None, &|i| {
         curve.encode_bytes(&fingerprints[i * dims..(i + 1) * dims])
     })
+    .into_iter()
+    .map(|key| match key {
+        Some(key) => key,
+        None => unreachable!("without a ctx every slot is filled"),
+    })
+    .collect()
 }
 
 #[cfg(test)]
@@ -245,7 +208,7 @@ mod tests {
             .map(|q| idx.stat_query(q, &model, &opts))
             .collect();
         for threads in [1, 2, 4] {
-            let par = stat_query_batch(&idx, &qrefs, &model, &opts, threads);
+            let par = stat_query_batch(&idx, &qrefs, &model, &opts, threads, None);
             assert_eq!(seq.len(), par.len());
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.matches, b.matches, "threads={threads}");
@@ -292,7 +255,7 @@ mod tests {
         let idx = index(10);
         let model = IsotropicNormal::new(4, 12.0);
         let opts = StatQueryOpts::new(0.8, 6);
-        assert!(stat_query_batch(&idx, &[], &model, &opts, 4).is_empty());
+        assert!(stat_query_batch(&idx, &[], &model, &opts, 4, None).is_empty());
     }
 
     #[test]
@@ -301,8 +264,8 @@ mod tests {
         let model = IsotropicNormal::new(4, 12.0);
         let opts = StatQueryOpts::new(0.8, 6);
         let q: &[u8] = &[9, 9, 9, 9];
-        let seq = stat_query_batch(&idx, &[q], &model, &opts, 1);
-        let par = stat_query_batch(&idx, &[q], &model, &opts, 8);
+        let seq = stat_query_batch(&idx, &[q], &model, &opts, 1, None);
+        let par = stat_query_batch(&idx, &[q], &model, &opts, 8, None);
         assert_eq!(seq.len(), 1);
         assert_eq!(par.len(), 1);
         assert_eq!(seq[0].matches.len(), par[0].matches.len());
@@ -314,17 +277,38 @@ mod tests {
         let model = IsotropicNormal::new(4, 12.0);
         let opts = StatQueryOpts::new(0.8, 6);
         let q: &[u8] = &[1, 2, 3, 4];
-        let r = stat_query_batch(&idx, &[q, q, q], &model, &opts, 16);
+        let r = stat_query_batch(&idx, &[q, q, q], &model, &opts, 16, None);
         assert_eq!(r.len(), 3);
     }
 
     #[test]
     fn run_dynamic_preserves_order() {
-        let out = run_dynamic(1000, 7, 3, &|i| i * i);
+        let out = run_dynamic(1000, 7, 3, None, &|i| i * i);
         for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * i);
+            assert_eq!(*v, Some(i * i));
         }
-        assert!(run_dynamic(0, 4, 1, &|i| i).is_empty());
-        assert_eq!(run_dynamic(1, 4, 1, &|i| i + 1), vec![1]);
+        assert!(run_dynamic(0, 4, 1, None, &|i| i).is_empty());
+        assert_eq!(run_dynamic(1, 4, 1, None, &|i| i + 1), vec![Some(1)]);
+    }
+
+    #[test]
+    fn fired_ctx_leaves_unclaimed_slots_and_the_batch_flags_them() {
+        let ctx = QueryCtx::unbounded();
+        ctx.token().cancel();
+        for threads in [1, 3] {
+            let out = run_dynamic(10, threads, 1, Some(&ctx), &|i| i);
+            assert!(out.iter().all(Option::is_none), "threads={threads}");
+        }
+        // The batch still has one entry per query: empty, flagged.
+        let idx = index(200);
+        let model = IsotropicNormal::new(4, 12.0);
+        let opts = StatQueryOpts::new(0.8, 6);
+        let q: &[u8] = &[9, 9, 9, 9];
+        let got = stat_query_batch(&idx, &[q, q, q], &model, &opts, 2, Some(&ctx));
+        assert_eq!(got.len(), 3);
+        for r in &got {
+            assert!(r.matches.is_empty());
+            assert!(r.stats.cancelled && r.stats.degraded);
+        }
     }
 }

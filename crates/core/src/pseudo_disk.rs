@@ -56,17 +56,16 @@ use crate::autotune::RecordCounts;
 use crate::crc::{crc32, Crc32};
 use crate::distortion::DistortionModel;
 use crate::error::IndexError;
-use crate::filter::{
-    merge_block_ranges, missed_target, select_blocks_range, select_blocks_stat, FilterOutcome,
-};
 use crate::fingerprint::RecordBatch;
-use crate::index::{Match, QueryStats, Refine, Refiner, S3Index, StatQueryOpts};
+use crate::index::{Match, QueryStats, Refiner, S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
-use crate::resilience::{next_query_id, CancelCause, QueryCtx, SectionBreakers, REFINE_CHUNK};
+use crate::parallel::run_dynamic;
+use crate::plan::{query_scope, tally_blocks, Plan, QueryPlan, QueryScan, Scan};
+use crate::resilience::{QueryCtx, SectionBreakers, REFINE_CHUNK};
 use crate::sketch::{Sketch, SketchParams, DEFAULT_SKETCH_BITS};
 use crate::storage::{write_atomic, FileStorage, Storage};
 use s3_hilbert::{HilbertCurve, Key256, KeyBound, KeyRange};
-use s3_obs::{event, span, BlockExplain, ExplainPhase, ExplainReport, LocalHistogram, QueryScope};
+use s3_obs::{event, span, ExplainReport, LocalHistogram};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -228,6 +227,21 @@ pub struct BatchTiming {
 }
 
 impl BatchTiming {
+    /// Adds the load/refine time and section accounting of a further scan
+    /// of the same batch (filter time and the flags belong to the batch's
+    /// plan and epilogue, not to any one scan).
+    pub(crate) fn absorb(&mut self, scan: &BatchTiming) {
+        self.load += scan.load;
+        self.refine += scan.refine;
+        self.section_load.merge(&scan.section_load);
+        self.sections_loaded += scan.sections_loaded;
+        self.bytes_loaded += scan.bytes_loaded;
+        self.retries += scan.retries;
+        self.sections_skipped += scan.sections_skipped;
+        self.breaker_skips += scan.breaker_skips;
+        self.sketch_skips += scan.sketch_skips;
+    }
+
     /// Average per-query total time `T_tot = T + T_load / N_sig`.
     pub fn per_query(&self, n_queries: usize) -> Duration {
         if n_queries == 0 {
@@ -248,6 +262,12 @@ pub struct BatchResult {
     pub timing: BatchTiming,
     /// Number of sections the curve was split into (`2^r`).
     pub sections: usize,
+    /// One EXPLAIN report per query when the batch's [`QueryCtx`] asked for
+    /// them ([`QueryCtx::explain`]), empty otherwise: the selected blocks
+    /// with their predicted mass vs. the records actually scanned vs. the
+    /// matches produced (per-shard rows instead on a scatter-gather batch),
+    /// per-phase timing, and degradation annotations.
+    pub reports: Vec<ExplainReport>,
 }
 
 fn key_bytes(k: &Key256) -> [u8; KEY_LEN as usize] {
@@ -636,27 +656,12 @@ impl DiskIndex {
         self
     }
 
-    /// Sets the retry/degradation policy.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// The active retry/degradation policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Sets the worker-thread count for per-section refinement (builder
     /// style). Clamped to at least one; section loading stays sequential —
     /// only the CPU-bound scan fans out.
     pub fn with_threads(mut self, threads: usize) -> DiskIndex {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Sets the refinement worker-thread count (clamped to at least one).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Worker threads used for per-section refinement.
@@ -672,16 +677,6 @@ impl DiskIndex {
     pub fn with_breakers(mut self, breakers: Arc<SectionBreakers>) -> DiskIndex {
         self.breakers = Some(breakers);
         self
-    }
-
-    /// Attaches (or replaces) the per-section circuit breakers.
-    pub fn set_breakers(&mut self, breakers: Option<Arc<SectionBreakers>>) {
-        self.breakers = breakers;
-    }
-
-    /// The attached circuit breakers, if any.
-    pub fn breakers(&self) -> Option<&Arc<SectionBreakers>> {
-        self.breakers.as_ref()
     }
 
     /// Reads, validates and attaches a sketch sidecar from any [`Storage`]
@@ -723,11 +718,6 @@ impl DiskIndex {
             .set(sketch.byte_size() as f64);
         self.sketch = Some(sketch);
         true
-    }
-
-    /// Drops the attached sketch (sections always load).
-    pub fn clear_sketch(&mut self) {
-        self.sketch = None;
     }
 
     /// The attached section sketch, if any.
@@ -912,7 +902,7 @@ impl DiskIndex {
         r: u32,
         s: usize,
         work: &[(u32, u32)],
-        per_query_ranges: &[Vec<KeyRange>],
+        plans: &[QueryPlan],
     ) -> bool {
         let metrics = CoreMetrics::get();
         let shift = self.curve.key_bits() - sk.depth();
@@ -924,7 +914,7 @@ impl DiskIndex {
         let sec_hi = ((((s as u64) + 1) << sec_shift) << cell_shift) - 1;
         let mut probes = 0u64;
         for &(qi, ri) in work {
-            let range = &per_query_ranges[qi as usize][ri as usize];
+            let range = &plans[qi as usize].ranges[ri as usize];
             let lo = range.lo.shr(shift).low_u128() as u64;
             let hi = match &range.hi {
                 KeyBound::End => (1u64 << sk.depth()) - 1,
@@ -974,16 +964,19 @@ impl DiskIndex {
         opts: &StatQueryOpts,
         mem_budget: u64,
     ) -> Result<BatchResult, IndexError> {
-        self.stat_query_batch_inner(queries, model, opts, mem_budget, None, false)
-            .map(|(batch, _)| batch)
+        self.stat_query_batch_in(queries, model, opts, mem_budget, None)
     }
 
-    /// As [`DiskIndex::stat_query_batch`] under a [`QueryCtx`]: the batch
-    /// polls the ctx at filter, section-load, and refine-chunk granularity,
-    /// and returns a partial, `degraded`-flagged result instead of running
-    /// past an expired deadline or a fired token. Work already completed when
-    /// the stop lands is kept; per-query `cancelled`/`degraded` flags say
-    /// exactly which answers may be incomplete.
+    /// As [`DiskIndex::stat_query_batch`] under a [`QueryCtx`], which says
+    /// how the batch runs. Its token and deadline are polled at filter,
+    /// section-load and refine-chunk granularity, and the batch returns a
+    /// partial, `degraded`-flagged result instead of running past an expired
+    /// deadline or a fired token: work already completed when the stop lands
+    /// is kept, and per-query `cancelled`/`degraded` flags say exactly which
+    /// answers may be incomplete. If the ctx asks for EXPLAIN
+    /// ([`QueryCtx::explain`]), [`BatchResult::reports`] holds one report per
+    /// query; the query path is the same (same filter, same refinement,
+    /// bit-identical matches and counters), EXPLAIN only keeps bookkeeping.
     pub fn stat_query_batch_ctx(
         &self,
         queries: &[&[u8]],
@@ -992,154 +985,57 @@ impl DiskIndex {
         mem_budget: u64,
         ctx: &QueryCtx,
     ) -> Result<BatchResult, IndexError> {
-        self.stat_query_batch_inner(queries, model, opts, mem_budget, Some(ctx), false)
-            .map(|(batch, _)| batch)
+        self.stat_query_batch_in(queries, model, opts, mem_budget, Some(ctx))
     }
 
-    /// As [`DiskIndex::stat_query_batch_ctx`] with per-query EXPLAIN
-    /// capture: alongside the batch result, returns one [`ExplainReport`]
-    /// per query — the selected blocks with their predicted mass vs. the
-    /// records actually scanned vs. the matches produced, per-phase timing,
-    /// and degradation annotations. The query path is identical to the
-    /// non-explain entry points (same filter, same refinement, bit-identical
-    /// matches); explain only adds bookkeeping.
-    pub fn stat_query_batch_explain(
+    fn stat_query_batch_in(
         &self,
         queries: &[&[u8]],
         model: &dyn DistortionModel,
         opts: &StatQueryOpts,
         mem_budget: u64,
         ctx: Option<&QueryCtx>,
-    ) -> Result<(BatchResult, Vec<ExplainReport>), IndexError> {
-        let (batch, reports) =
-            self.stat_query_batch_inner(queries, model, opts, mem_budget, ctx, true)?;
-        Ok((batch, reports.unwrap_or_default()))
+    ) -> Result<BatchResult, IndexError> {
+        let _scope = query_scope(ctx);
+        let plan = Plan::stat(&self.curve, queries, model, opts, ctx)?;
+        let scan = self.scan(&plan, mem_budget, ctx)?;
+        Ok(plan.finish(scan, self.n, ctx, None))
     }
 
-    fn stat_query_batch_inner(
-        &self,
-        queries: &[&[u8]],
-        model: &dyn DistortionModel,
-        opts: &StatQueryOpts,
-        mem_budget: u64,
-        ctx: Option<&QueryCtx>,
-        explain: bool,
-    ) -> Result<(BatchResult, Option<Vec<ExplainReport>>), IndexError> {
-        let stat = StatInfo {
-            alpha: opts.alpha,
-            depth: opts.depth,
-            explain,
-        };
-        self.query_batch_inner(
-            queries,
-            mem_budget,
-            opts.refine,
-            Some(model),
-            ctx,
-            Some(stat),
-            opts.sketch,
-            None,
-            |q| select_blocks_stat(&self.curve, model, q, opts, ctx),
-        )
-    }
-
-    /// Runs a batch of ε-range queries through the pseudo-disk engine.
+    /// Runs a batch of ε-range queries through the pseudo-disk engine, under
+    /// `ctx` when one is given (see [`DiskIndex::stat_query_batch_ctx`]). The
+    /// range filter itself runs to completion (it is cheap and database-
+    /// independent); cancellation lands at section-load and refine-chunk
+    /// granularity.
     pub fn range_query_batch(
         &self,
         queries: &[&[u8]],
         eps: f64,
         depth: u32,
         mem_budget: u64,
-    ) -> Result<BatchResult, IndexError> {
-        self.range_query_batch_inner(queries, eps, depth, mem_budget, None)
-    }
-
-    /// As [`DiskIndex::range_query_batch`] under a [`QueryCtx`]. The range
-    /// filter itself runs to completion (it is cheap and database-
-    /// independent); cancellation lands at section-load and refine-chunk
-    /// granularity.
-    pub fn range_query_batch_ctx(
-        &self,
-        queries: &[&[u8]],
-        eps: f64,
-        depth: u32,
-        mem_budget: u64,
-        ctx: &QueryCtx,
-    ) -> Result<BatchResult, IndexError> {
-        self.range_query_batch_inner(queries, eps, depth, mem_budget, Some(ctx))
-    }
-
-    fn range_query_batch_inner(
-        &self,
-        queries: &[&[u8]],
-        eps: f64,
-        depth: u32,
-        mem_budget: u64,
         ctx: Option<&QueryCtx>,
     ) -> Result<BatchResult, IndexError> {
-        self.query_batch_inner(
-            queries,
-            mem_budget,
-            Refine::Range(eps),
-            None,
-            ctx,
-            None,
-            true,
-            None,
-            |q| select_blocks_range(&self.curve, q, depth, eps, usize::MAX),
-        )
-        .map(|(batch, _)| batch)
+        let _scope = query_scope(ctx);
+        let plan = Plan::range(&self.curve, queries, eps, depth, ctx)?;
+        let scan = self.scan(&plan, mem_budget, ctx)?;
+        Ok(plan.finish(scan, self.n, ctx, None))
     }
 
-    /// Runs the scan stages of a batch against **pre-computed** per-query
-    /// key ranges, skipping stage-1 filtering entirely. This is the shard
-    /// replica entry point: the shard router runs the (database-independent)
-    /// filter once and hands every replica the same merged ranges, so the
-    /// per-replica scan stays bit-identical to the single-node scan over
-    /// this replica's slice of the records. Filter-derived counters
-    /// (`nodes_expanded`, `mass`, …) are left zeroed — the router owns them
-    /// — and the per-query registry recording (`record_query`,
-    /// `record_calibration`) is suppressed so a sharded batch is folded
-    /// into the metrics exactly once, by the router.
-    #[allow(clippy::too_many_arguments)] // mirrors query_batch_inner's knob set
-    pub(crate) fn scan_prepared_ctx(
+    /// Stage 2 over this file: streams the sections `plan` touches, each
+    /// loaded once, and refines every query range that intersects it. Run
+    /// by this index's own entry points, by a durable index beside its
+    /// overlay, and by the shard router on every replica — which all hand it
+    /// the identical plan, so a replica's scan is the single-node scan over
+    /// its slice of the records. A scan records physical I/O metrics
+    /// (section loads, bytes, retries: work actually done) and nothing else:
+    /// folding the logical queries into the registry is the epilogue's job,
+    /// once, in whichever engine the caller entered.
+    pub(crate) fn scan(
         &self,
-        queries: &[&[u8]],
-        ranges: &[Vec<KeyRange>],
-        refine: Refine,
-        model: Option<&dyn DistortionModel>,
+        plan: &Plan,
         mem_budget: u64,
-        use_sketch: bool,
         ctx: Option<&QueryCtx>,
-    ) -> Result<BatchResult, IndexError> {
-        debug_assert_eq!(queries.len(), ranges.len());
-        self.query_batch_inner(
-            queries,
-            mem_budget,
-            refine,
-            model,
-            ctx,
-            None,
-            use_sketch,
-            Some(ranges),
-            |_| unreachable!("prepared scan never filters"),
-        )
-        .map(|(batch, _)| batch)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn query_batch_inner(
-        &self,
-        queries: &[&[u8]],
-        mem_budget: u64,
-        refine: Refine,
-        model: Option<&dyn DistortionModel>,
-        ctx: Option<&QueryCtx>,
-        stat: Option<StatInfo>,
-        use_sketch: bool,
-        prepared: Option<&[Vec<KeyRange>]>,
-        filter: impl Fn(&[u8]) -> FilterOutcome,
-    ) -> Result<(BatchResult, Option<Vec<ExplainReport>>), IndexError> {
+    ) -> Result<Scan, IndexError> {
         let r = self
             .pick_sections(mem_budget)
             .ok_or_else(|| IndexError::BudgetTooSmall {
@@ -1148,44 +1044,15 @@ impl DiskIndex {
             })?;
         let n_sections = 1usize << r;
         let should_stop = || ctx.is_some_and(|c| c.should_stop());
-        // Every span emitted while this batch runs carries one query id —
-        // the ctx's if the caller provided one, a fresh one otherwise —
-        // so sinked span streams regroup into per-batch trees.
-        let batch_id = ctx.map(|c| c.id()).unwrap_or_else(next_query_id);
-        let _scope = QueryScope::enter_inherit(batch_id);
-        let want_explain = stat.as_ref().is_some_and(|s| s.explain);
-
-        // Stage 1: database-independent filtering for every query.
+        let want_explain = ctx.is_some_and(|c| c.explains());
         let metrics = CoreMetrics::get();
-        debug_assert!(
-            !(want_explain && prepared.is_some()),
-            "prepared scans never capture explain"
-        );
-        let t0 = Instant::now();
-        let FilterStage {
-            ranges: per_query_ranges,
-            mut stats,
-            outcomes,
-            filter_ns,
-        } = filter_stage(&self.curve, queries, ctx, want_explain, prepared, filter)?;
-        let filter_time = t0.elapsed();
-        // Per-query (scanned, matched) accumulators parallel to each
-        // outcome's block list.
-        let mut block_acc: Vec<Vec<(u64, u64)>> = if want_explain {
-            outcomes
-                .iter()
-                .map(|o| vec![(0, 0); o.as_ref().map_or(0, |o| o.blocks.len())])
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut refine_ns: Vec<u64> = vec![0; if want_explain { queries.len() } else { 0 }];
+        let queries = plan.queries;
 
         // Assign each (query, range) to the sections it intersects.
         let mut section_work: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_sections];
         let sec_shift = self.table_depth - r;
-        for (qi, ranges) in per_query_ranges.iter().enumerate() {
-            for (ri, range) in ranges.iter().enumerate() {
+        for (qi, query) in plan.per_query.iter().enumerate() {
+            for (ri, range) in query.ranges.iter().enumerate() {
                 let s_lo = self.slot_of(&range.lo) >> sec_shift;
                 let s_hi = match range.hi {
                     KeyBound::Excl(hi) => {
@@ -1201,12 +1068,14 @@ impl DiskIndex {
             }
         }
 
-        // Stage 2: stream sections, retrying and degrading as configured.
-        let mut matches: Vec<Vec<Match>> = vec![Vec::new(); queries.len()];
-        let mut timing = BatchTiming {
-            filter: filter_time,
-            ..BatchTiming::default()
-        };
+        // Stream sections, retrying and degrading as configured.
+        let mut out = Scan::empty(queries.len());
+        out.sections = n_sections;
+        let Scan {
+            per_query: scans,
+            timing,
+            ..
+        } = &mut out;
         let mut section = SectionBuf::default();
         for (s, work) in section_work.iter().enumerate() {
             if work.is_empty() {
@@ -1230,7 +1099,7 @@ impl DiskIndex {
                     }
                     timing.sections_skipped += 1;
                     metrics.sections_skipped.inc();
-                    mark_section_skipped(&mut stats, work2, true);
+                    mark_section_skipped(scans, work2, true);
                 }
                 break;
             }
@@ -1247,7 +1116,7 @@ impl DiskIndex {
                         "pseudo_disk",
                         &format!("section {s} breaker open, skipping without I/O"),
                     );
-                    mark_section_skipped(&mut stats, work, false);
+                    mark_section_skipped(scans, work, false);
                     continue;
                 }
             }
@@ -1256,16 +1125,12 @@ impl DiskIndex {
             // negative (no stats degradation, no I/O, bit-identical
             // matches). An inconclusive consult (budget exhausted, a cell
             // present) falls through to the normal load.
-            if let Some(sk) = self.sketch.as_ref().filter(|_| use_sketch) {
-                if self.sketch_rules_out(sk, r, s, work, &per_query_ranges) {
+            if let Some(sk) = self.sketch.as_ref().filter(|_| plan.ask.sketch) {
+                if self.sketch_rules_out(sk, r, s, work, &plan.per_query) {
                     timing.sketch_skips += 1;
                     metrics.sketch_section_skips.inc();
-                    let mut prev = u32::MAX;
-                    for &(qi, _) in work {
-                        if qi != prev {
-                            stats[qi as usize].sketch_skipped += 1;
-                            prev = qi;
-                        }
+                    for qi in distinct_queries(work) {
+                        scans[qi].stats.sketch_skipped += 1;
                     }
                     continue;
                 }
@@ -1280,37 +1145,28 @@ impl DiskIndex {
             timing.section_load.record_duration(load_time);
             metrics.section_load.record_duration(load_time);
             // Retries are attributed to every query that needed this
-            // section (same convention as `sections_skipped`): once per
-            // distinct qi in `work`, whether the load finally succeeded
-            // or not.
-            {
-                let (Ok(retries) | Err((retries, _))) = &loaded;
-                if *retries > 0 {
-                    let mut prev = u32::MAX;
-                    for &(qi, _) in work {
-                        if qi != prev {
-                            stats[qi as usize].retries += retries;
-                            prev = qi;
-                        }
-                    }
+            // section (same convention as `sections_skipped`), whether the
+            // load finally succeeded or not.
+            let (Ok(retries) | Err((retries, _))) = &loaded;
+            timing.retries += retries;
+            metrics.retries.add(u64::from(*retries));
+            if *retries > 0 {
+                for qi in distinct_queries(work) {
+                    scans[qi].stats.retries += retries;
                 }
             }
             match loaded {
-                Ok(retries) => {
+                Ok(_) => {
                     if let Some(br) = &self.breakers {
                         br.record_success(breaker_key);
                     }
-                    timing.retries += retries;
                     timing.sections_loaded += 1;
                     let bytes = (b - a) * self.record_bytes();
                     timing.bytes_loaded += bytes;
-                    metrics.retries.add(u64::from(retries));
                     metrics.sections_loaded.inc();
                     metrics.read_bytes.add(bytes);
                 }
                 Err((retries, err)) => {
-                    timing.retries += retries;
-                    metrics.retries.add(u64::from(retries));
                     if let Some(br) = &self.breakers {
                         br.record_failure(breaker_key);
                     }
@@ -1332,7 +1188,7 @@ impl DiskIndex {
                              degrading batch: {err}"
                         ),
                     );
-                    mark_section_skipped(&mut stats, work, false);
+                    mark_section_skipped(scans, work, false);
                     continue;
                 }
             }
@@ -1358,7 +1214,6 @@ impl DiskIndex {
                 let t_group = Instant::now();
                 let mut sp = span!("query.refine", "qi" => qi as f64);
                 let mut out = GroupResult {
-                    qi,
                     matches: Vec::new(),
                     ranges: 0,
                     entries: 0,
@@ -1366,9 +1221,9 @@ impl DiskIndex {
                     cancelled: false,
                 };
                 let mut since_check = 0usize;
-                let mut refiner = Refiner::new(q, refine, model);
+                let mut refiner = Refiner::new(q, plan.ask.refine, plan.ask.model);
                 'scan: for &(_, ri) in &work[lo_w..hi_w] {
-                    let range = &per_query_ranges[qi][ri as usize];
+                    let range = &plan.per_query[qi].ranges[ri as usize];
                     let (lo, hi) = section_ref.locate(range);
                     out.ranges += 1;
                     for i in lo..hi {
@@ -1399,236 +1254,38 @@ impl DiskIndex {
                 sp.record("entries", out.entries as f64);
                 out
             };
-            let results: Vec<Option<GroupResult>> = if self.threads > 1 && groups.len() > 1 {
-                crate::parallel::run_dynamic_ctx(groups.len(), self.threads, 1, ctx, &refine_group)
-            } else {
-                let mut out = Vec::with_capacity(groups.len());
-                for g in 0..groups.len() {
-                    if should_stop() {
-                        out.push(None);
-                    } else {
-                        out.push(Some(refine_group(g)));
-                    }
-                }
-                out
-            };
-            let lens_before: Vec<usize> = if want_explain {
-                matches.iter().map(Vec::len).collect()
-            } else {
-                Vec::new()
-            };
-            for (g, gr) in results.into_iter().enumerate() {
-                match gr {
-                    Some(gr) => {
-                        stats[gr.qi].ranges_scanned += gr.ranges;
-                        stats[gr.qi].entries_scanned += gr.entries;
-                        if gr.cancelled {
-                            stats[gr.qi].cancelled = true;
-                        }
-                        if want_explain {
-                            refine_ns[gr.qi] += gr.elapsed_ns;
-                        }
-                        matches[gr.qi].extend(gr.matches);
-                    }
-                    // A group never claimed past the stop: its query keeps
-                    // whatever earlier sections contributed, flagged partial.
-                    None => {
-                        let qi = work[groups[g].0].0 as usize;
-                        stats[qi].cancelled = true;
-                    }
-                }
-            }
-            if want_explain {
-                // Per-block accounting for this section: locating each
-                // selected block's key range against the loaded keys gives
-                // the records refinement scanned for it (blocks tile the
-                // merged scan ranges exactly); new matches are attributed
-                // to the unique block whose global record interval contains
-                // them (depth-p blocks are disjoint).
-                let mut prev = u32::MAX;
-                for &(qi0, _) in work {
-                    if qi0 == prev {
-                        continue;
-                    }
-                    prev = qi0;
-                    let qi = qi0 as usize;
-                    let Some(outcome) = outcomes[qi].as_ref() else {
-                        continue;
-                    };
-                    let mut intervals: Vec<(usize, usize, usize)> =
-                        Vec::with_capacity(outcome.blocks.len());
-                    for (bi, sb) in outcome.blocks.iter().enumerate() {
-                        let (lo, hi) = section.locate(&sb.key_range(&self.curve));
-                        if hi > lo {
-                            block_acc[qi][bi].0 += (hi - lo) as u64;
-                            intervals.push((a as usize + lo, a as usize + hi, bi));
-                        }
-                    }
-                    intervals.sort_unstable();
-                    for m in &matches[qi][lens_before[qi]..] {
-                        let p = intervals.partition_point(|&(start, _, _)| start <= m.index);
-                        if p > 0 {
-                            let (start, end, bi) = intervals[p - 1];
-                            if m.index >= start && m.index < end {
-                                block_acc[qi][bi].1 += 1;
-                            }
-                        }
-                    }
+            let threads = if groups.len() > 1 { self.threads } else { 1 };
+            let results = run_dynamic(groups.len(), threads, 1, ctx, &refine_group);
+            for (&(lo_w, _), gr) in groups.iter().zip(results) {
+                let scan = &mut scans[work[lo_w].0 as usize];
+                // A group never claimed past the stop: its query keeps
+                // whatever earlier sections contributed, flagged partial.
+                let Some(gr) = gr else {
+                    scan.stats.cancelled = true;
+                    continue;
+                };
+                scan.stats.ranges_scanned += gr.ranges;
+                scan.stats.entries_scanned += gr.entries;
+                scan.stats.cancelled |= gr.cancelled;
+                scan.refine_ns += gr.elapsed_ns;
+                let new_matches = scan.matches.len();
+                scan.matches.extend(gr.matches);
+                let selection = plan.per_query[work[lo_w].0 as usize].selection.as_ref();
+                if let (Some(selection), true) = (selection, want_explain) {
+                    let locate = |range: &KeyRange| section.locate(range);
+                    tally_blocks(
+                        &self.curve,
+                        selection,
+                        locate,
+                        a as usize,
+                        &scan.matches[new_matches..],
+                        &mut scan.blocks,
+                    );
                 }
             }
             timing.refine += t_ref.elapsed();
         }
-
-        // Resilience bookkeeping: the per-query and batch-level flags are
-        // recomputed here from the same evidence, so they agree by
-        // construction whatever path set them.
-        for st in &mut stats {
-            st.degraded = st.degraded || st.sections_skipped > 0 || st.cancelled;
-        }
-        timing.degraded = timing.sections_skipped > 0 || stats.iter().any(|s| s.degraded);
-        if let Some(ctx) = ctx {
-            timing.deadline_hit = ctx.stop_cause() == Some(CancelCause::DeadlineExceeded);
-            if timing.deadline_hit {
-                if let (Some(d), Some(fired)) = (ctx.deadline(), ctx.token().fired_at()) {
-                    // Token fire → batch return: how promptly cancellation
-                    // propagated through loads and refine chunks.
-                    metrics
-                        .cancel_latency
-                        .record_duration(d.clock().now().saturating_sub(fired));
-                }
-            }
-        }
-
-        // Fold the batch into the registry: per-query work counters plus
-        // the amortised per-query latency `T_tot = T + T_load/N_sig` (eq. 5).
-        // A prepared (per-shard) scan is one fragment of a larger logical
-        // batch — the shard router records the merged stats once, so a
-        // replica must not also count its fragment here. Physical I/O
-        // metrics above (section loads, bytes, retries) stay per-replica:
-        // they measure work actually done.
-        if prepared.is_none() {
-            let per_query = timing.per_query(queries.len());
-            for st in &stats {
-                metrics.record_query(st, per_query);
-            }
-            // Always-on selectivity calibration for statistical queries: the
-            // filter's achieved mass vs. the database fraction refinement
-            // actually visited — the paper's capture invariant, live.
-            if stat.is_some() {
-                for st in &stats {
-                    metrics.record_calibration(
-                        st.mass,
-                        st.target,
-                        st.entries_scanned,
-                        self.n as usize,
-                    );
-                }
-            }
-        }
-
-        let reports = if want_explain {
-            let Some(si) = &stat else {
-                unreachable!("explain implies stat info")
-            };
-            let load_ns = (timing.load.as_nanos() / queries.len().max(1) as u128) as u64;
-            let mut reports = Vec::with_capacity(queries.len());
-            for (qi, st) in stats.iter().enumerate() {
-                let mut rep = ExplainReport {
-                    query_id: batch_id,
-                    alpha: si.alpha,
-                    depth: si.depth,
-                    entries_scanned: st.entries_scanned as u64,
-                    matches: matches[qi].len() as u64,
-                    sketch_skipped: st.sketch_skipped as u64,
-                    observed_selectivity: if self.n > 0 {
-                        st.entries_scanned as f64 / self.n as f64
-                    } else {
-                        0.0
-                    },
-                    phases: vec![
-                        ExplainPhase {
-                            name: "filter",
-                            ns: filter_ns[qi],
-                        },
-                        ExplainPhase {
-                            name: "load",
-                            ns: load_ns,
-                        },
-                        ExplainPhase {
-                            name: "refine",
-                            ns: refine_ns[qi],
-                        },
-                    ],
-                    ..ExplainReport::default()
-                };
-                if let Some(outcome) = &outcomes[qi] {
-                    rep.algo = outcome.algo;
-                    rep.tmax = outcome.tmax.unwrap_or(0.0);
-                    rep.iterations = outcome.iterations;
-                    rep.predicted_mass = outcome.mass;
-                    rep.blocks = outcome
-                        .blocks
-                        .iter()
-                        .zip(&block_acc[qi])
-                        .map(|(sb, &(scanned, matched))| BlockExplain {
-                            depth: sb.depth(),
-                            predicted_mass: sb.score,
-                            scanned,
-                            matched,
-                        })
-                        .collect();
-                    if outcome.truncated {
-                        rep.annotations
-                            .push("block budget truncated selection before reaching α".into());
-                    }
-                    if missed_target(outcome.mass, outcome.target) {
-                        rep.annotations.push(format!(
-                            "achieved mass {:.4} below reachable α {:.4}",
-                            outcome.mass, outcome.target
-                        ));
-                    }
-                } else {
-                    rep.annotations
-                        .push("cancelled before filtering — empty plan".into());
-                }
-                if st.sections_skipped > 0 {
-                    rep.annotations.push(format!(
-                        "{} section(s) skipped — per-block counts may not reconcile",
-                        st.sections_skipped
-                    ));
-                }
-                if timing.breaker_skips > 0 {
-                    rep.annotations.push(format!(
-                        "circuit breaker skipped {} section load(s) in this batch",
-                        timing.breaker_skips
-                    ));
-                }
-                if st.cancelled {
-                    rep.annotations
-                        .push(match ctx.and_then(|c| c.stop_cause()) {
-                            Some(CancelCause::DeadlineExceeded) => {
-                                "deadline exceeded — partial scan".into()
-                            }
-                            Some(cause) => format!("cancelled ({cause:?}) — partial scan"),
-                            None => "cancelled — partial scan".into(),
-                        });
-                }
-                reports.push(rep);
-            }
-            Some(reports)
-        } else {
-            None
-        };
-
-        Ok((
-            BatchResult {
-                matches,
-                stats,
-                timing,
-                sections: n_sections,
-            },
-            reports,
-        ))
+        Ok(out)
     }
 
     /// Loads a section, retrying transient failures with bounded backoff.
@@ -1737,19 +1394,9 @@ impl DiskIndex {
     }
 }
 
-/// Statistical-query parameters the batch engine needs beyond the filter
-/// closure itself: α and depth feed calibration telemetry and (when
-/// `explain` is set) the per-query [`ExplainReport`]s.
-struct StatInfo {
-    alpha: f64,
-    depth: u32,
-    explain: bool,
-}
-
 /// Refinement output of one query's contiguous run of ranges within a
 /// section — the unit merged back into per-query results in input order.
 struct GroupResult {
-    qi: usize,
     matches: Vec<Match>,
     ranges: usize,
     entries: usize,
@@ -1760,99 +1407,24 @@ struct GroupResult {
     cancelled: bool,
 }
 
-/// Stage 1 of a batch — the database-independent part — per query: the
-/// merged key ranges to scan and the filter-side stats, plus, under EXPLAIN
-/// only, the selections themselves and the time each took (so on the
-/// production path a block list drops right after range merging).
-pub(crate) struct FilterStage {
-    pub(crate) ranges: Vec<Vec<KeyRange>>,
-    pub(crate) stats: Vec<QueryStats>,
-    pub(crate) outcomes: Vec<Option<FilterOutcome>>,
-    pub(crate) filter_ns: Vec<u64>,
-}
-
-/// Runs stage 1 for the flat engine and the shard router alike. With
-/// `prepared` ranges (a shard replica: the router already filtered) they
-/// are adopted verbatim, so every replica scans the identical plan.
-pub(crate) fn filter_stage(
-    curve: &HilbertCurve,
-    queries: &[&[u8]],
-    ctx: Option<&QueryCtx>,
-    want_explain: bool,
-    prepared: Option<&[Vec<KeyRange>]>,
-    filter: impl Fn(&[u8]) -> FilterOutcome,
-) -> Result<FilterStage, IndexError> {
-    let should_stop = || ctx.is_some_and(|c| c.should_stop());
-    let mut stage = FilterStage {
-        ranges: Vec::with_capacity(queries.len()),
-        stats: Vec::with_capacity(queries.len()),
-        outcomes: Vec::new(),
-        filter_ns: Vec::new(),
-    };
-    for (qi, q) in queries.iter().enumerate() {
-        if q.len() != curve.dims() {
-            return Err(IndexError::QueryDims {
-                expected: curve.dims(),
-                got: q.len(),
-            });
-        }
-        // A fired token skips the remaining filters outright: those
-        // queries come back empty, flagged `cancelled`.
-        if should_stop() {
-            stage.ranges.push(Vec::new());
-            stage.stats.push(QueryStats {
-                cancelled: true,
-                ..QueryStats::default()
-            });
-            if want_explain {
-                stage.outcomes.push(None);
-                stage.filter_ns.push(0);
-            }
-            continue;
-        }
-        if let Some(pre) = prepared {
-            stage.ranges.push(pre[qi].clone());
-            stage.stats.push(QueryStats::default());
-            continue;
-        }
-        let tq = Instant::now();
-        let outcome = {
-            let mut sp = span!("query.filter", "qi" => qi as f64);
-            let outcome = filter(q);
-            sp.record("blocks", outcome.blocks.len() as f64);
-            sp.record("mass", outcome.mass);
-            outcome
-        };
-        let mut st = QueryStats::of_filter(&outcome);
-        // Conservative: if the token fired while this filter ran, its
-        // selection may be partial — flag it even if it just finished.
-        if should_stop() {
-            st.cancelled = true;
-        }
-        stage.ranges.push(merge_block_ranges(curve, &outcome));
-        stage.stats.push(st);
-        if want_explain {
-            stage.filter_ns.push(tq.elapsed().as_nanos() as u64);
-            stage.outcomes.push(Some(outcome));
-        }
-    }
-    Ok(stage)
+/// The distinct queries of a section's work list, which is grouped by query.
+fn distinct_queries(work: &[(u32, u32)]) -> impl Iterator<Item = usize> + '_ {
+    let mut prev = u32::MAX;
+    work.iter().filter_map(move |&(qi, _)| {
+        let first = qi != prev;
+        prev = qi;
+        first.then_some(qi as usize)
+    })
 }
 
 /// Accounts one skipped section against every query that needed it:
 /// `sections_skipped` bumps once per distinct query, plus `cancelled` when
 /// the skip came from a stop rather than a fault. (`degraded` is recomputed
-/// from both at the end of the batch.)
-fn mark_section_skipped(stats: &mut [QueryStats], work: &[(u32, u32)], cancelled: bool) {
-    let mut prev = u32::MAX;
-    for &(qi, _) in work {
-        if qi != prev {
-            stats[qi as usize].sections_skipped += 1;
-            if cancelled {
-                stats[qi as usize].cancelled = true;
-            }
-            prev = qi;
-        }
+/// from both in the epilogue.)
+fn mark_section_skipped(scans: &mut [QueryScan], work: &[(u32, u32)], cancelled: bool) {
+    for qi in distinct_queries(work) {
+        scans[qi].stats.sections_skipped += 1;
+        scans[qi].stats.cancelled |= cancelled;
     }
 }
 
@@ -1889,6 +1461,7 @@ mod tests {
     use super::*;
     use crate::distortion::IsotropicNormal;
     use crate::fingerprint::RecordBatch;
+    use crate::index::Refine;
     use crate::storage::{FaultPlan, FaultyStorage, MemStorage};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -2082,7 +1655,9 @@ mod tests {
         let disk = DiskIndex::open(&path).unwrap();
         let q: &[u8] = &[100, 100, 100, 100];
         let eps = 80.0;
-        let batch = disk.range_query_batch(&[q], eps, 8, 256 * 44).unwrap();
+        let batch = disk
+            .range_query_batch(&[q], eps, 8, 256 * 44, None)
+            .unwrap();
         let mem = idx.range_query(q, eps, 8);
         let mut a: Vec<(u32, u32)> = mem.matches.iter().map(|m| (m.id, m.tc)).collect();
         let mut b: Vec<(u32, u32)> = batch.matches[0].iter().map(|m| (m.id, m.tc)).collect();

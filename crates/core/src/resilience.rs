@@ -244,22 +244,20 @@ pub fn next_query_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The resilience context threaded through a batched query: a process-unique
-/// id, a cancellation token, plus an optional deadline that fires it.
+/// How a query runs, threaded through every engine's general entry point: a
+/// process-unique id, a cancellation token, an optional deadline that fires
+/// it, and whether the caller wants an EXPLAIN report back with the answer.
 #[derive(Clone, Debug)]
 pub struct QueryCtx {
     id: u64,
     cancel: CancelToken,
     deadline: Option<Deadline>,
+    explain: bool,
 }
 
 impl Default for QueryCtx {
     fn default() -> QueryCtx {
-        QueryCtx {
-            id: next_query_id(),
-            cancel: CancelToken::default(),
-            deadline: None,
-        }
+        QueryCtx::with_token(CancelToken::default())
     }
 }
 
@@ -277,24 +275,33 @@ impl QueryCtx {
             id: next_query_id(),
             cancel,
             deadline: None,
+            explain: false,
         }
     }
 
     /// A context whose token fires when `clock` passes `budget` from now.
     pub fn with_deadline(clock: Arc<dyn Clock>, budget: Duration) -> QueryCtx {
-        let cancel = CancelToken::new();
-        let deadline = Deadline::after(clock, budget, cancel.clone());
-        QueryCtx {
-            id: next_query_id(),
-            cancel,
-            deadline: Some(deadline),
-        }
+        QueryCtx::default().and_deadline(clock, budget)
     }
 
     /// Attaches a deadline to an existing context (builder style).
     pub fn and_deadline(mut self, clock: Arc<dyn Clock>, budget: Duration) -> QueryCtx {
         self.deadline = Some(Deadline::after(clock, budget, self.cancel.clone()));
         self
+    }
+
+    /// Asks for EXPLAIN (builder style): results come back carrying one
+    /// [`s3_obs::ExplainReport`] per query. The query path is the same —
+    /// same filter, same scan, bit-identical matches and counters; the
+    /// engines only keep the bookkeeping they would otherwise drop.
+    pub fn explain(mut self) -> QueryCtx {
+        self.explain = true;
+        self
+    }
+
+    /// True if EXPLAIN was asked for.
+    pub fn explains(&self) -> bool {
+        self.explain
     }
 
     /// The process-unique query (or batch) id — what spans emitted under

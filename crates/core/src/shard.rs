@@ -33,20 +33,17 @@
 
 use crate::distortion::DistortionModel;
 use crate::error::IndexError;
-use crate::filter::select_blocks_stat;
 use crate::fingerprint::RecordBatch;
-use crate::index::{Match, QueryStats, S3Index, StatQueryOpts};
+use crate::index::{S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
-use crate::pseudo_disk::{
-    filter_stage, BatchResult, BatchTiming, DiskIndex, FilterStage, RetryPolicy, WriteOpts,
-};
+use crate::plan::{query_scope, Plan, Scan, Scatter};
+use crate::pseudo_disk::{BatchResult, DiskIndex, RetryPolicy, WriteOpts};
 use crate::resilience::{
-    next_query_id, system_clock, BreakerConfig, CancelCause, CancelToken, Clock, QueryCtx,
-    SectionBreakers,
+    system_clock, BreakerConfig, CancelToken, Clock, QueryCtx, SectionBreakers,
 };
 use crate::storage::{MemStorage, Storage};
 use s3_hilbert::{HilbertCurve, Key256, KeyBound, KeyRange};
-use s3_obs::{event, span, ExplainPhase, ExplainReport, QueryScope, ShardExplain};
+use s3_obs::{event, span, ShardReport};
 use std::collections::VecDeque;
 use std::io;
 use std::sync::mpsc;
@@ -300,27 +297,6 @@ impl LatencyWindow {
     }
 }
 
-/// Outcome of one shard's dispatch within a batch.
-#[derive(Clone, Debug)]
-pub struct ShardReport {
-    /// Shard index in the plan.
-    pub shard: usize,
-    /// Replica that served the merged answer (`None` when skipped).
-    pub served_by: Option<usize>,
-    /// Replica attempts spawned after an earlier replica failed.
-    pub failovers: u32,
-    /// True if a hedged backup request was launched.
-    pub hedged: bool,
-    /// True if the hedged backup answered first.
-    pub hedge_won: bool,
-    /// True if every replica stayed unreachable (key range unanswered).
-    pub skipped: bool,
-    /// True if the shard's breaker rejected the dispatch without I/O.
-    pub breaker_open: bool,
-    /// Wall-clock from dispatch to the winning response, ns (0 if skipped).
-    pub elapsed_ns: u64,
-}
-
 /// Result of a scatter-gather batch: the merged single-node-equivalent
 /// [`BatchResult`] plus per-shard accounting.
 #[derive(Debug)]
@@ -341,22 +317,15 @@ pub struct ShardedBatchResult {
 }
 
 /// What one shard coordinator hands back to the merger.
-enum ShardOutcome {
-    Served {
-        replica: usize,
-        batch: BatchResult,
-        failovers: u32,
-        hedged: bool,
-        hedge_won: bool,
-        elapsed_ns: u64,
-    },
-    Lost {
-        failovers: u32,
-        hedged: bool,
-        replicas_tried: usize,
-        error: Option<IndexError>,
-    },
-    BreakerOpen,
+struct ShardOutcome {
+    /// The shard's row of the batch result, scan totals still zero.
+    row: ShardReport,
+    /// The winning replica's scan; `None` if the shard went unanswered.
+    scan: Option<Scan>,
+    /// For a shard that lost every replica: how many were tried, and the
+    /// last error.
+    replicas_tried: usize,
+    error: Option<IndexError>,
 }
 
 /// A shard router over replica [`DiskIndex`]es: scatter-gather batched
@@ -526,14 +495,18 @@ impl ShardedIndex {
         model: &dyn DistortionModel,
         opts: &StatQueryOpts,
     ) -> Result<ShardedBatchResult, IndexError> {
-        self.query_inner(queries, model, opts, None, false)
-            .map(|(b, _)| b)
+        self.stat_query_batch_in(queries, model, opts, None)
     }
 
-    /// As [`ShardedIndex::stat_query_batch`] under a [`QueryCtx`]: the
-    /// parent deadline/token is polled by the router and propagated to
-    /// per-shard child contexts (each attempt gets its own token so a
-    /// hedge loser can be cancelled without touching the winner).
+    /// As [`ShardedIndex::stat_query_batch`] under a [`QueryCtx`], which
+    /// says how the batch runs: the parent deadline/token is polled by the
+    /// router and propagated to per-shard child contexts (each attempt gets
+    /// its own token so a hedge loser can be cancelled without touching the
+    /// winner). If the ctx asks for EXPLAIN ([`QueryCtx::explain`]), the
+    /// merged batch carries one report per query, in which per-shard rows
+    /// replace per-block accounting: each row's scanned/matched counts are
+    /// that query's work on that shard, and their sums reconcile with the
+    /// query totals on clean runs.
     pub fn stat_query_batch_ctx(
         &self,
         queries: &[&[u8]],
@@ -541,63 +514,37 @@ impl ShardedIndex {
         opts: &StatQueryOpts,
         ctx: &QueryCtx,
     ) -> Result<ShardedBatchResult, IndexError> {
-        self.query_inner(queries, model, opts, Some(ctx), false)
-            .map(|(b, _)| b)
+        self.stat_query_batch_in(queries, model, opts, Some(ctx))
     }
 
-    /// As [`ShardedIndex::stat_query_batch_ctx`] with per-query EXPLAIN
-    /// capture: per-shard rows replace per-block accounting (each row's
-    /// scanned/matched counts are this query's work on that shard, and
-    /// their sums reconcile with the query totals on clean runs).
-    pub fn stat_query_batch_explain(
+    fn stat_query_batch_in(
         &self,
         queries: &[&[u8]],
         model: &dyn DistortionModel,
         opts: &StatQueryOpts,
         ctx: Option<&QueryCtx>,
-    ) -> Result<(ShardedBatchResult, Vec<ExplainReport>), IndexError> {
-        let (batch, reports) = self.query_inner(queries, model, opts, ctx, true)?;
-        Ok((batch, reports.unwrap_or_default()))
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn query_inner(
-        &self,
-        queries: &[&[u8]],
-        model: &dyn DistortionModel,
-        opts: &StatQueryOpts,
-        ctx: Option<&QueryCtx>,
-        want_explain: bool,
-    ) -> Result<(ShardedBatchResult, Option<Vec<ExplainReport>>), IndexError> {
+    ) -> Result<ShardedBatchResult, IndexError> {
         let metrics = CoreMetrics::get();
         let clock = &self.opts.clock;
         let key_bits = self.curve.key_bits();
-        let batch_id = ctx.map(|c| c.id()).unwrap_or_else(next_query_id);
-        let _scope = QueryScope::enter_inherit(batch_id);
+        let _scope = query_scope(ctx);
         let should_stop = || ctx.is_some_and(|c| c.should_stop());
 
         // Stage 1 — run the database-independent filter ONCE per query.
-        // Every replica receives these exact merged ranges, which is what
-        // makes the per-shard scans bit-identical to the single-node scan.
-        let t0 = Instant::now();
-        let FilterStage {
-            ranges: per_query_ranges,
-            mut stats,
-            outcomes,
-            filter_ns,
-        } = filter_stage(&self.curve, queries, ctx, want_explain, None, |q| {
-            select_blocks_stat(&self.curve, model, q, opts, ctx)
-        })?;
-        let filter_time = t0.elapsed();
+        // Every replica scans this exact plan, which is what makes the
+        // per-shard scans bit-identical to the single-node scan.
+        let plan = Plan::stat(&self.curve, queries, model, opts, ctx)?;
+        let plan = &plan;
+        let touches = |s: usize, qi: usize| {
+            let ranges = &plan.per_query[qi].ranges;
+            ranges.iter().any(|r| self.plan.intersects(s, key_bits, r))
+        };
 
         // Which shards does this batch touch at all? Dispatch only those.
         let dispatch: Vec<usize> = (0..self.plan.shards())
             .filter(|&s| {
                 let (a, b) = self.plan.record_span(s);
-                a != b
-                    && per_query_ranges
-                        .iter()
-                        .any(|ranges| ranges.iter().any(|r| self.plan.intersects(s, key_bits, r)))
+                a != b && (0..queries.len()).any(|qi| touches(s, qi))
             })
             .collect();
 
@@ -605,13 +552,10 @@ impl ShardedIndex {
         // each coordinator races replica attempts (primary, failovers,
         // hedges) and reports a single winner or a loss.
         let t_scatter = Instant::now();
-        let refine = opts.refine;
-        let use_sketch = opts.sketch;
         let mem_budget = self.opts.mem_budget;
         let hedge_cfg = &self.opts.hedge;
         let budget_factor = self.opts.shard_budget_factor;
-        let ranges_ref: &[Vec<KeyRange>] = &per_query_ranges;
-        let outcomes_by_shard: Vec<(usize, ShardOutcome)> = std::thread::scope(|scope| {
+        let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(dispatch.len());
             for &s in &dispatch {
                 let replicas = &self.replicas[s];
@@ -619,18 +563,31 @@ impl ShardedIndex {
                 let breakers = &self.breakers;
                 let handle = scope.spawn(move || {
                     metrics.shard_queries.inc();
+                    let unanswered = |row: ShardReport, replicas_tried, error| ShardOutcome {
+                        row: ShardReport {
+                            shard: s,
+                            skipped: true,
+                            ..row
+                        },
+                        scan: None,
+                        replicas_tried,
+                        error,
+                    };
                     if !breakers.try_pass(s) {
                         metrics.shard_breaker_open.inc();
                         event::warn(
                             "shard",
                             &format!("shard {s} breaker open, skipping dispatch"),
                         );
-                        return (s, ShardOutcome::BreakerOpen);
+                        let row = ShardReport {
+                            breaker_open: true,
+                            ..ShardReport::default()
+                        };
+                        return unanswered(row, 0, None);
                     }
                     let mut sp = span!("shard.dispatch", "shard" => s as f64);
                     let t_start = clock.now();
-                    let (tx, rx) =
-                        mpsc::channel::<(usize, usize, Result<BatchResult, IndexError>)>();
+                    let (tx, rx) = mpsc::channel::<(usize, usize, Result<Scan, IndexError>)>();
                     // (cancel token, spawn instant) per attempt. Spawn times
                     // let the win path observe the winner's own service
                     // latency rather than dispatch wall time — see
@@ -651,15 +608,10 @@ impl ShardedIndex {
                             let tx = tx.clone();
                             let replica = &replicas[replica_idx];
                             scope.spawn(move || {
-                                let res = replica.scan_prepared_ctx(
-                                    queries,
-                                    ranges_ref,
-                                    refine,
-                                    Some(model),
-                                    mem_budget,
-                                    use_sketch,
-                                    Some(&child),
-                                );
+                                let _scope = query_scope(Some(&child));
+                                // The child ctx never asks for EXPLAIN: a
+                                // replica sees ranges, the router its blocks.
+                                let res = replica.scan(plan, mem_budget, Some(&child));
                                 // The coordinator may have already returned with
                                 // a winner; a dead receiver just means we lost.
                                 let _ = tx.send((attempt_idx, replica_idx, res));
@@ -680,8 +632,17 @@ impl ShardedIndex {
                         None => hedge_cfg.min_delay,
                     };
                     loop {
+                        let lost = |tried: usize, error| {
+                            breakers.record_failure(s);
+                            let row = ShardReport {
+                                failovers,
+                                hedged,
+                                ..ShardReport::default()
+                            };
+                            unanswered(row, tried, error)
+                        };
                         match rx.recv_timeout(Duration::from_millis(1)) {
-                            Ok((ai, ri, Ok(batch))) => {
+                            Ok((ai, ri, Ok(scan))) => {
                                 // First success wins: cancel every other
                                 // attempt; their results are never merged,
                                 // so hedges/retries never double-count.
@@ -707,17 +668,20 @@ impl ShardedIndex {
                                 }
                                 sp.record("replica", ri as f64);
                                 sp.record("failovers", f64::from(failovers));
-                                return (
-                                    s,
-                                    ShardOutcome::Served {
-                                        replica: ri,
-                                        batch,
+                                return ShardOutcome {
+                                    row: ShardReport {
+                                        shard: s,
+                                        served_by: Some(ri),
                                         failovers,
                                         hedged,
                                         hedge_won,
                                         elapsed_ns,
+                                        ..ShardReport::default()
                                     },
-                                );
+                                    scan: Some(scan),
+                                    replicas_tried: child_tokens.len(),
+                                    error: None,
+                                };
                             }
                             Ok((_, ri, Err(e))) => {
                                 inflight -= 1;
@@ -735,16 +699,7 @@ impl ShardedIndex {
                                     next_replica += 1;
                                     inflight += 1;
                                 } else if inflight == 0 {
-                                    breakers.record_failure(s);
-                                    return (
-                                        s,
-                                        ShardOutcome::Lost {
-                                            failovers,
-                                            hedged,
-                                            replicas_tried: child_tokens.len(),
-                                            error: last_error,
-                                        },
-                                    );
+                                    return lost(child_tokens.len(), last_error);
                                 }
                             }
                             Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -771,19 +726,10 @@ impl ShardedIndex {
                                     inflight += 1;
                                 }
                             }
+                            // All senders gone without a message we
+                            // handled — treat as total loss.
                             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                                // All senders gone without a message we
-                                // handled — treat as total loss.
-                                breakers.record_failure(s);
-                                return (
-                                    s,
-                                    ShardOutcome::Lost {
-                                        failovers,
-                                        hedged,
-                                        replicas_tried: child_tokens.len(),
-                                        error: last_error,
-                                    },
-                                );
+                                return lost(child_tokens.len(), last_error);
                             }
                         }
                     }
@@ -800,162 +746,68 @@ impl ShardedIndex {
         });
         let scatter_time = t_scatter.elapsed();
 
-        // Stage 3 — deterministic merge.
-        let mut timing = BatchTiming {
-            filter: filter_time,
-            ..BatchTiming::default()
-        };
-        let mut matches: Vec<Vec<Match>> = vec![Vec::new(); queries.len()];
-        let mut reports: Vec<ShardReport> = Vec::with_capacity(outcomes_by_shard.len());
+        // Stage 3 — deterministic merge: every served shard's scan of the
+        // plan is absorbed at the shard's record offset, in shard order.
+        let explain = ctx.is_some_and(|c| c.explains());
+        let mut merged = Scan::empty(queries.len());
+        let mut rows: Vec<Vec<ShardReport>> = vec![Vec::new(); queries.len()];
+        let mut shards: Vec<ShardReport> = Vec::with_capacity(outcomes.len());
         let mut shard_skips = 0usize;
-        let mut hedges = 0usize;
-        let mut hedge_wins = 0usize;
-        let mut failovers_total = 0usize;
-        let mut sections = 0usize;
-        // Per-query per-shard (scanned, matched) for EXPLAIN rows.
-        let mut explain_rows: Vec<Vec<ShardExplain>> = if want_explain {
-            vec![Vec::new(); queries.len()]
-        } else {
-            Vec::new()
-        };
-        let mut strict_loss: Option<(usize, usize, Option<IndexError>)> = None;
-        for (s, outcome) in outcomes_by_shard {
-            let (rec_lo, _) = self.plan.record_span(s);
-            match outcome {
-                ShardOutcome::Served {
-                    replica,
-                    batch,
-                    failovers,
-                    hedged,
-                    hedge_won,
-                    elapsed_ns,
-                } => {
-                    if hedged {
-                        hedges += 1;
-                    }
-                    if hedge_won {
-                        hedge_wins += 1;
-                    }
-                    failovers_total += failovers as usize;
-                    timing.load += batch.timing.load;
-                    timing.refine += batch.timing.refine;
-                    timing.section_load.merge(&batch.timing.section_load);
-                    timing.sections_loaded += batch.timing.sections_loaded;
-                    timing.bytes_loaded += batch.timing.bytes_loaded;
-                    timing.retries += batch.timing.retries;
-                    timing.sections_skipped += batch.timing.sections_skipped;
-                    timing.breaker_skips += batch.timing.breaker_skips;
-                    timing.sketch_skips += batch.timing.sketch_skips;
-                    sections = sections.max(batch.sections);
-                    for (qi, (q_matches, q_stats)) in
-                        batch.matches.into_iter().zip(&batch.stats).enumerate()
-                    {
-                        stats[qi].ranges_scanned += q_stats.ranges_scanned;
-                        stats[qi].entries_scanned += q_stats.entries_scanned;
-                        stats[qi].sections_skipped += q_stats.sections_skipped;
-                        stats[qi].sketch_skipped += q_stats.sketch_skipped;
-                        stats[qi].retries += q_stats.retries;
-                        stats[qi].cancelled |= q_stats.cancelled;
-                        if want_explain {
-                            explain_rows[qi].push(ShardExplain {
-                                shard: s,
-                                served_by: Some(replica),
-                                failovers,
-                                hedged,
-                                hedge_won,
-                                skipped: false,
-                                breaker_open: false,
-                                entries_scanned: q_stats.entries_scanned as u64,
-                                matches: q_matches.len() as u64,
-                                elapsed_ns,
+        let mut strict_loss = None;
+        for outcome in outcomes {
+            let ShardOutcome {
+                mut row,
+                scan,
+                replicas_tried,
+                error,
+            } = outcome;
+            let s = row.shard;
+            match scan {
+                Some(scan) => {
+                    for (qi, q) in scan.per_query.iter().enumerate() {
+                        let scanned = q.stats.entries_scanned as u64;
+                        let matched = q.matches.len() as u64;
+                        if explain {
+                            rows[qi].push(ShardReport {
+                                entries_scanned: scanned,
+                                matches: matched,
+                                ..row.clone()
                             });
                         }
-                        // Local record index + shard offset = global index;
-                        // shards are visited in key order, so appending
-                        // keeps each query's matches in ascending global
-                        // (curve) order — exactly the single-node order.
-                        matches[qi].extend(q_matches.into_iter().map(|mut m| {
-                            m.index += rec_lo as usize;
-                            m
-                        }));
+                        row.entries_scanned += scanned;
+                        row.matches += matched;
                     }
-                    reports.push(ShardReport {
-                        shard: s,
-                        served_by: Some(replica),
-                        failovers,
-                        hedged,
-                        hedge_won,
-                        skipped: false,
-                        breaker_open: false,
-                        elapsed_ns,
-                    });
+                    // Local record index + shard offset = global index;
+                    // shards are visited in key order, so each query's
+                    // matches stay in ascending global (curve) order —
+                    // exactly the single-node order.
+                    merged.absorb(scan, self.plan.record_span(s).0 as usize);
                 }
-                ShardOutcome::Lost {
-                    failovers,
-                    hedged,
-                    replicas_tried,
-                    error,
-                } => {
-                    if hedged {
-                        hedges += 1;
-                    }
-                    failovers_total += failovers as usize;
+                None => {
                     shard_skips += 1;
                     metrics.shard_skips.inc();
-                    event::warn(
-                        "shard",
-                        &format!(
-                            "shard {s} lost after {replicas_tried} replica(s), degrading batch"
-                        ),
-                    );
-                    self.mark_shard_skipped(
-                        s,
-                        key_bits,
-                        &per_query_ranges,
-                        &mut stats,
-                        want_explain.then_some(&mut explain_rows),
-                        false,
-                    );
-                    reports.push(ShardReport {
-                        shard: s,
-                        served_by: None,
-                        failovers,
-                        hedged,
-                        hedge_won: false,
-                        skipped: true,
-                        breaker_open: false,
-                        elapsed_ns: 0,
-                    });
+                    if !row.breaker_open {
+                        event::warn(
+                            "shard",
+                            &format!(
+                                "shard {s} lost after {replicas_tried} replica(s), degrading batch"
+                            ),
+                        );
+                    }
+                    // Account the loss against every query whose plan
+                    // touches the shard's key span.
+                    for qi in (0..queries.len()).filter(|&qi| touches(s, qi)) {
+                        merged.per_query[qi].stats.shard_skips += 1;
+                        if explain {
+                            rows[qi].push(row.clone());
+                        }
+                    }
                     if self.opts.strict && strict_loss.is_none() {
                         strict_loss = Some((s, replicas_tried, error));
                     }
                 }
-                ShardOutcome::BreakerOpen => {
-                    shard_skips += 1;
-                    metrics.shard_skips.inc();
-                    self.mark_shard_skipped(
-                        s,
-                        key_bits,
-                        &per_query_ranges,
-                        &mut stats,
-                        want_explain.then_some(&mut explain_rows),
-                        true,
-                    );
-                    reports.push(ShardReport {
-                        shard: s,
-                        served_by: None,
-                        failovers: 0,
-                        hedged: false,
-                        hedge_won: false,
-                        skipped: true,
-                        breaker_open: true,
-                        elapsed_ns: 0,
-                    });
-                    if self.opts.strict && strict_loss.is_none() {
-                        strict_loss = Some((s, 0, None));
-                    }
-                }
             }
+            shards.push(row);
         }
         if let Some((shard, replicas_tried, error)) = strict_loss {
             return Err(IndexError::ShardLost {
@@ -967,148 +819,25 @@ impl ShardedIndex {
         // Safety net for the deterministic-merge contract: shard-ordered
         // concatenation already yields ascending global indexes, and a
         // stable sort of an already-sorted list is the identity.
-        for q_matches in &mut matches {
-            q_matches.sort_by_key(|m| m.index);
+        for q in &mut merged.per_query {
+            q.matches.sort_by_key(|m| m.index);
         }
 
-        for st in &mut stats {
-            st.degraded =
-                st.degraded || st.sections_skipped > 0 || st.shard_skips > 0 || st.cancelled;
-        }
-        timing.degraded =
-            timing.sections_skipped > 0 || shard_skips > 0 || stats.iter().any(|s| s.degraded);
-        if let Some(ctx) = ctx {
-            timing.deadline_hit = ctx.stop_cause() == Some(CancelCause::DeadlineExceeded);
-        }
-
-        // Fold the merged per-query stats into the registry exactly once
-        // (replica scans suppressed their own recording), with the GLOBAL
-        // record count as the calibration denominator.
-        let per_query = timing.per_query(queries.len());
-        for st in &stats {
-            metrics.record_query(st, per_query);
-            metrics.record_calibration(st.mass, st.target, st.entries_scanned, self.n as usize);
-        }
-
-        let explain_reports = if want_explain {
-            let load_ns = (timing.load.as_nanos() / queries.len().max(1) as u128) as u64;
-            let scatter_ns = (scatter_time.as_nanos() / queries.len().max(1) as u128) as u64;
-            let mut out = Vec::with_capacity(queries.len());
-            for (qi, st) in stats.iter().enumerate() {
-                let mut rep = ExplainReport {
-                    query_id: batch_id,
-                    alpha: opts.alpha,
-                    depth: opts.depth,
-                    entries_scanned: st.entries_scanned as u64,
-                    matches: matches[qi].len() as u64,
-                    sketch_skipped: st.sketch_skipped as u64,
-                    observed_selectivity: if self.n > 0 {
-                        st.entries_scanned as f64 / self.n as f64
-                    } else {
-                        0.0
-                    },
-                    shards: std::mem::take(&mut explain_rows[qi]),
-                    phases: vec![
-                        ExplainPhase {
-                            name: "filter",
-                            ns: filter_ns[qi],
-                        },
-                        ExplainPhase {
-                            name: "scatter",
-                            ns: scatter_ns,
-                        },
-                        ExplainPhase {
-                            name: "load",
-                            ns: load_ns,
-                        },
-                    ],
-                    ..ExplainReport::default()
-                };
-                if let Some(outcome) = &outcomes[qi] {
-                    rep.algo = outcome.algo;
-                    rep.tmax = outcome.tmax.unwrap_or(0.0);
-                    rep.iterations = outcome.iterations;
-                    rep.predicted_mass = outcome.mass;
-                    if outcome.truncated {
-                        rep.annotations
-                            .push("block budget truncated selection before reaching α".into());
-                    }
-                } else {
-                    rep.annotations
-                        .push("cancelled before filtering — empty plan".into());
-                }
-                if st.shard_skips > 0 {
-                    rep.annotations.push(format!(
-                        "{} shard(s) lost — their key ranges are missing from the answer",
-                        st.shard_skips
-                    ));
-                }
-                if st.sections_skipped > 0 {
-                    rep.annotations.push(format!(
-                        "{} section(s) skipped on serving replicas",
-                        st.sections_skipped
-                    ));
-                }
-                if st.cancelled {
-                    rep.annotations
-                        .push(match ctx.and_then(|c| c.stop_cause()) {
-                            Some(CancelCause::DeadlineExceeded) => {
-                                "deadline exceeded — partial scan".into()
-                            }
-                            Some(cause) => format!("cancelled ({cause:?}) — partial scan"),
-                            None => "cancelled — partial scan".into(),
-                        });
-                }
-                out.push(rep);
-            }
-            Some(out)
-        } else {
-            None
+        // The epilogue folds the merged per-query stats into the registry
+        // exactly once, with the GLOBAL record count as the calibration
+        // denominator.
+        let scatter = Scatter {
+            time: scatter_time,
+            rows,
         };
-
-        Ok((
-            ShardedBatchResult {
-                batch: BatchResult {
-                    matches,
-                    stats,
-                    timing,
-                    sections,
-                },
-                shards: reports,
-                shard_skips,
-                hedges,
-                hedge_wins,
-                failovers: failovers_total,
-            },
-            explain_reports,
-        ))
-    }
-
-    /// Accounts a lost shard against every query whose plan touches its
-    /// key span.
-    fn mark_shard_skipped(
-        &self,
-        s: usize,
-        key_bits: u32,
-        per_query_ranges: &[Vec<KeyRange>],
-        stats: &mut [QueryStats],
-        mut explain_rows: Option<&mut Vec<Vec<ShardExplain>>>,
-        breaker_open: bool,
-    ) {
-        for (qi, ranges) in per_query_ranges.iter().enumerate() {
-            if ranges.iter().any(|r| self.plan.intersects(s, key_bits, r)) {
-                stats[qi].shard_skips += 1;
-                if let Some(rows) = explain_rows.as_deref_mut() {
-                    rows[qi].push(ShardExplain {
-                        shard: s,
-                        served_by: None,
-                        skipped: true,
-                        breaker_open,
-                        ..ShardExplain::default()
-                    });
-                }
-            }
-        }
+        Ok(ShardedBatchResult {
+            hedges: shards.iter().filter(|r| r.hedged).count(),
+            hedge_wins: shards.iter().filter(|r| r.hedge_won).count(),
+            failovers: shards.iter().map(|r| r.failovers as usize).sum(),
+            batch: plan.finish(merged, self.n, ctx, Some(scatter)),
+            shards,
+            shard_skips,
+        })
     }
 }
 
@@ -1571,11 +1300,11 @@ mod tests {
             ShardedOptions::default(),
         )
         .unwrap();
-        let (got, reports) = sharded
-            .stat_query_batch_explain(&queries, &model, &opts, None)
+        let got = sharded
+            .stat_query_batch_ctx(&queries, &model, &opts, &QueryCtx::unbounded().explain())
             .unwrap();
-        assert_eq!(reports.len(), queries.len());
-        for (qi, rep) in reports.iter().enumerate() {
+        assert_eq!(got.batch.reports.len(), queries.len());
+        for (qi, rep) in got.batch.reports.iter().enumerate() {
             assert!(!rep.shards.is_empty(), "sharded explain must carry rows");
             assert!(rep.reconciles(), "query {qi} does not reconcile");
             assert_eq!(rep.matches, got.batch.matches[qi].len() as u64);

@@ -143,12 +143,18 @@ fn fault_storm_trips_health_dumps_incident_and_recovers() {
             .stat_query_batch(&qrefs, &model, &opts, MEM_BUDGET)
             .unwrap();
         assert_eq!(armed.matches, plain, "arming observability changed answers");
-        let (explained, reports) = disk
-            .stat_query_batch_explain(&qrefs, &model, &opts, MEM_BUDGET, None)
+        let explained = disk
+            .stat_query_batch_ctx(
+                &qrefs,
+                &model,
+                &opts,
+                MEM_BUDGET,
+                &QueryCtx::unbounded().explain(),
+            )
             .unwrap();
         assert_eq!(explained.matches, plain, "EXPLAIN changed answers");
-        assert_eq!(reports.len(), qrefs.len());
-        for (r, q) in reports.iter().zip(&qrefs) {
+        assert_eq!(explained.reports.len(), qrefs.len());
+        for (r, q) in explained.reports.iter().zip(&qrefs) {
             assert!(r.reconciles(), "clean EXPLAIN must reconcile");
             let plan = select_blocks_best_first(
                 index.curve(),

@@ -10,8 +10,8 @@
 //! (breaker skips, deadline hits, admission shedding, truncation).
 //!
 //! This crate only defines the carrier types and renderers; `s3-core`
-//! fills them in (see `stat_query_batch_explain` /
-//! `S3Index::stat_query_explained`).
+//! fills them in, in one place for every engine (its `plan` module), when a
+//! query's context asks for EXPLAIN.
 
 use std::fmt::Write as _;
 
@@ -30,9 +30,11 @@ pub struct BlockExplain {
     pub matched: u64,
 }
 
-/// One shard's contribution to a scatter-gather query.
+/// One shard's dispatch within a scatter-gather batch. The same row serves
+/// the batch result (`entries_scanned`/`matches` summed over the batch's
+/// queries) and a query's EXPLAIN report (that query's share).
 #[derive(Clone, Debug, Default)]
-pub struct ShardExplain {
+pub struct ShardReport {
     /// Shard index in the shard plan.
     pub shard: usize,
     /// Replica that served the answer (`None` when the shard was skipped).
@@ -43,16 +45,17 @@ pub struct ShardExplain {
     pub hedged: bool,
     /// True if the hedged backup answered first.
     pub hedge_won: bool,
-    /// True if every replica stayed unreachable — this query's answer is
-    /// missing the shard's whole key range.
+    /// True if every replica stayed unreachable — the answer is missing
+    /// the shard's whole key range.
     pub skipped: bool,
     /// True if the shard's circuit breaker rejected the dispatch outright.
     pub breaker_open: bool,
-    /// Records this shard's replica scanned for this query.
+    /// Records the serving replica scanned.
     pub entries_scanned: u64,
-    /// Matches this shard contributed to this query.
+    /// Matches the shard contributed.
     pub matches: u64,
-    /// Wall-clock from dispatch to the winning response, in nanoseconds.
+    /// Wall-clock from dispatch to the winning response, in nanoseconds
+    /// (0 if skipped).
     pub elapsed_ns: u64,
 }
 
@@ -83,9 +86,13 @@ pub struct ExplainReport {
     pub iterations: u32,
     /// Selected blocks, in plan order.
     pub blocks: Vec<BlockExplain>,
-    /// Total predicted mass actually achieved by the plan (≥ α unless
-    /// truncated/degraded).
+    /// Total predicted mass actually achieved by the plan (≥ `target`
+    /// unless truncated/degraded).
     pub predicted_mass: f64,
+    /// The mass the plan aimed at: α capped at what the byte cube can hold
+    /// around this query (a corner query cannot reach the α it was asked
+    /// for, and is not degraded for it).
+    pub target: f64,
     /// Observed selectivity: `entries_scanned / db_records` (0..=1).
     pub observed_selectivity: f64,
     /// Records scanned during refinement (must equal the sum of
@@ -103,7 +110,7 @@ pub struct ExplainReport {
     /// runs). When present, per-block accounting is replaced by per-shard
     /// accounting: each shard's replica scanned its slice of the records,
     /// and the shard sums must reconcile with the query totals.
-    pub shards: Vec<ShardExplain>,
+    pub shards: Vec<ShardReport>,
     /// Per-phase wall-clock.
     pub phases: Vec<ExplainPhase>,
     /// Degradation annotations, empty on a clean run (e.g.
@@ -145,7 +152,7 @@ impl ExplainReport {
 
     /// Whether the detailed accounting reconciles exactly with the query
     /// totals. Single-node runs reconcile per block; scatter-gather runs
-    /// (any [`ShardExplain`] rows present) reconcile per shard, since each
+    /// (any [`ShardReport`] rows present) reconcile per shard, since each
     /// shard's replica scans its own slice of the records. Guaranteed on
     /// clean runs; a degraded run that stopped mid-scan may not reconcile
     /// (and says so in its annotations).
@@ -172,18 +179,26 @@ impl ExplainReport {
                 self.tmax, self.iterations
             );
         }
-        let _ = writeln!(
+        // Judged against the reachable target with the slack the engines'
+        // own `missed_target` allows, so BELOW never prints unannotated. A
+        // query stopped before its filter ran aimed at nothing.
+        let verdict = if self.target <= 0.0 {
+            "filter never ran;"
+        } else if self.predicted_mass < self.target - 1e-9 {
+            "BELOW"
+        } else {
+            "meets"
+        };
+        let _ = write!(
             out,
-            "  plan: {} blocks, predicted mass {:.4} ({} requested {:.4})",
+            "  plan: {} blocks, predicted mass {:.4} ({verdict} ",
             self.blocks.len(),
             self.predicted_mass,
-            if self.predicted_mass >= self.alpha {
-                "meets"
-            } else {
-                "BELOW"
-            },
-            self.alpha
         );
+        if self.target > 0.0 && self.target < self.alpha - 1e-9 {
+            let _ = write!(out, "reachable {:.4} of ", self.target);
+        }
+        let _ = writeln!(out, "requested {:.4})", self.alpha);
         let _ = writeln!(
             out,
             "  scanned {} records (selectivity {:.4}%) -> {} matches",
@@ -281,7 +296,7 @@ impl ExplainReport {
         let _ = write!(
             out,
             "\"query_id\":{},\"algo\":\"{}\",\"alpha\":{},\"depth\":{},\
-             \"tmax\":{},\"iterations\":{},\"predicted_mass\":{},\
+             \"tmax\":{},\"iterations\":{},\"predicted_mass\":{},\"target\":{},\
              \"observed_selectivity\":{},\"entries_scanned\":{},\"matches\":{},\
              \"sketch_skipped\":{},\"reconciles\":{},\"degraded\":{}",
             self.query_id,
@@ -291,6 +306,7 @@ impl ExplainReport {
             num(self.tmax),
             self.iterations,
             num(self.predicted_mass),
+            num(self.target),
             num(self.observed_selectivity),
             self.entries_scanned,
             self.matches,
@@ -390,6 +406,7 @@ mod tests {
                 },
             ],
             predicted_mass: 0.95,
+            target: 0.9,
             observed_selectivity: 0.014,
             entries_scanned: 140,
             matches: 5,
@@ -416,14 +433,14 @@ mod tests {
         // sums no longer matter, the shard sums must cover the totals.
         r.blocks.clear();
         r.shards = vec![
-            ShardExplain {
+            ShardReport {
                 shard: 0,
                 served_by: Some(0),
                 entries_scanned: 90,
                 matches: 3,
-                ..ShardExplain::default()
+                ..ShardReport::default()
             },
-            ShardExplain {
+            ShardReport {
                 shard: 1,
                 served_by: Some(1),
                 failovers: 1,
@@ -431,7 +448,7 @@ mod tests {
                 hedge_won: true,
                 entries_scanned: 50,
                 matches: 2,
-                ..ShardExplain::default()
+                ..ShardReport::default()
             },
         ];
         assert!(r.reconciles());
@@ -467,6 +484,29 @@ mod tests {
         assert!(json.contains("\"reconciles\":true"), "{json}");
         assert!(json.contains("\"entries_scanned\":140"), "{json}");
         assert!(json.contains("\"filter\":10000"), "{json}");
+    }
+
+    #[test]
+    fn plan_is_judged_against_the_reachable_target() {
+        let mut r = sample();
+        assert!(r.to_text().contains("(meets requested 0.9000)"));
+        // A boundary-clamped query that met what it could reach.
+        r.predicted_mass = 0.4;
+        r.target = 0.4;
+        let text = r.to_text();
+        assert!(
+            text.contains("(meets reachable 0.4000 of requested 0.9000)"),
+            "{text}"
+        );
+        // A plan cut short of a target it could have reached.
+        r.target = 0.9;
+        assert!(r.to_text().contains("(BELOW requested 0.9000)"));
+        // Cancelled before filtering: no plan to judge.
+        r.predicted_mass = 0.0;
+        r.target = 0.0;
+        assert!(r.to_text().contains("(filter never ran; requested 0.9000)"));
+        r.target = 0.9;
+        assert!(r.to_json().contains("\"target\":0.9"));
     }
 
     #[test]

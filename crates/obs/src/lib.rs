@@ -80,7 +80,7 @@ mod tsdb;
 mod window;
 
 pub use event::{set_event_sink, EventSink, Level, MemEventSink, StderrSink};
-pub use explain::{BlockExplain, ExplainPhase, ExplainReport, ShardExplain};
+pub use explain::{BlockExplain, ExplainPhase, ExplainReport, ShardReport};
 pub use health::{Bounds, HealthEngine, HealthReport, HealthRule, RuleOutcome, Signal, Verdict};
 pub use json::{JsonError, JsonValue};
 pub use metrics::{

@@ -22,6 +22,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::explain::ExplainReport;
 use crate::json;
 use crate::json::JsonValue;
 use crate::metrics::{registry, Counter};
@@ -143,15 +144,12 @@ impl SlowLog {
     }
 
     /// Considers one finished query for capture; returns whether it was
-    /// captured. `explain_json` is the report's `to_json()` text.
-    pub fn observe(
-        &self,
-        query_id: u64,
-        latency_ns: u64,
-        degraded: bool,
-        annotations: &[String],
-        explain_json: &str,
-    ) -> bool {
+    /// captured. Its latency is the sum of the report's phases.
+    pub fn observe(&self, report: &ExplainReport) -> bool {
+        let query_id = report.query_id;
+        let latency_ns: u64 = report.phases.iter().map(|p| p.ns).sum();
+        let degraded = report.degraded();
+        let annotations = &report.annotations;
         let slow = latency_ns >= self.threshold_ns.load(Ordering::Relaxed);
         if !degraded && !slow {
             return false;
@@ -173,6 +171,7 @@ impl SlowLog {
             }
             ring.push_back(entry);
         }
+        let explain_json = report.to_json();
         let mut payload = String::with_capacity(explain_json.len() + 128);
         payload.push_str("{\"schema\":\"s3.slowlog.v1\",\"unix_ms\":");
         payload.push_str(&unix_ms.to_string());
@@ -190,7 +189,7 @@ impl SlowLog {
             payload.push_str(&format!("\"{}\"", json::escape(a)));
         }
         payload.push_str("],\"explain\":");
-        payload.push_str(explain_json);
+        payload.push_str(&explain_json);
         payload.push('}');
         match lock(&self.store).append(KIND_ENTRY, payload.as_bytes()) {
             Ok(()) => self.metrics.spilled.inc(),
@@ -266,24 +265,37 @@ mod tests {
         d
     }
 
+    /// A report with one phase of `latency_ns`, degraded iff annotated.
+    fn report(query_id: u64, latency_ns: u64, annotations: &[&str]) -> ExplainReport {
+        ExplainReport {
+            query_id,
+            algo: "x",
+            phases: vec![crate::ExplainPhase {
+                name: "refine",
+                ns: latency_ns,
+            }],
+            annotations: annotations.iter().map(|a| a.to_string()).collect(),
+            ..ExplainReport::default()
+        }
+    }
+
     #[test]
     fn captures_degraded_and_slow_spills_and_reads_back() {
         let dir = tmp("cap");
         let log = SlowLog::open(&dir, SlowLogConfig::default()).unwrap();
         // Fast + clean: not captured.
-        assert!(!log.observe(1, 10, false, &[], "{\"query_id\":1}"));
+        assert!(!log.observe(&report(1, 10, &[])));
         // Degraded: captured regardless of latency.
-        let ann = vec!["shard 2 lost".to_string()];
-        assert!(log.observe(2, 10, true, &ann, "{\"query_id\":2,\"algo\":\"x\"}"));
+        assert!(log.observe(&report(2, 10, &["shard 2 lost"])));
         // Slow: captured once the threshold is armed.
         log.set_threshold_ns(1_000);
-        assert!(log.observe(3, 5_000, false, &[], "{\"query_id\":3}"));
+        assert!(log.observe(&report(3, 5_000, &[])));
         log.sync().unwrap();
         let entries = SlowLog::read(&dir).unwrap();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].query_id, 2);
         assert!(entries[0].degraded);
-        assert_eq!(entries[0].annotations, ann);
+        assert_eq!(entries[0].annotations, vec!["shard 2 lost".to_string()]);
         assert_eq!(
             entries[0].explain.get("algo").and_then(|a| a.as_str()),
             Some("x")
@@ -302,7 +314,7 @@ mod tests {
         };
         let log = SlowLog::open(&dir, cfg).unwrap();
         for i in 0..5u64 {
-            log.observe(i, 1, true, &[], "{}");
+            log.observe(&report(i, 1, &["lost"]));
         }
         let recent = log.recent();
         assert_eq!(recent.len(), 2);
