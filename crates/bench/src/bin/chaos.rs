@@ -41,7 +41,7 @@ use s3_core::{
     TimeSource,
 };
 use s3_hilbert::HilbertCurve;
-use std::fmt::Write as _;
+use s3_obs::JsonWriter;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -915,38 +915,23 @@ fn scenario_shard_split_brain(wl: Workload, seed: u64) -> RunReport {
     }
 }
 
-fn write_report(reports: &[RunReport], failed: usize, path: &std::path::Path) {
-    let mut out = String::from("{\n  \"id\": \"chaos\",\n  \"version\": 2,\n");
-    let _ = writeln!(out, "  \"runs\": {},", reports.len());
-    let _ = writeln!(out, "  \"failed\": {failed},");
-    out.push_str("  \"scenarios\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"scenario\": \"{}\", \"seed\": {}, \"passed\": {}, \"violations\": [",
-            r.scenario,
-            r.seed,
-            r.violations.is_empty()
-        );
-        for (j, v) in r.violations.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\"", s3_obs::json::escape(v));
-        }
-        out.push_str("], \"counters\": {");
-        for (j, (k, v)) in r.counters.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{k}\": {v}");
-        }
-        out.push_str("}}");
-        out.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
+fn report_json(reports: &[RunReport], failed: usize) -> String {
+    let mut w = JsonWriter::indented();
+    w.obj()
+        .field("id", "chaos")
+        .field("version", 2u64)
+        .field("runs", reports.len())
+        .field("failed", failed);
+    w.key("scenarios").arr();
+    for r in reports {
+        w.obj()
+            .field("scenario", r.scenario)
+            .field("seed", r.seed)
+            .field("passed", r.violations.is_empty());
+        w.key("violations").arr().vals(&r.violations).end();
+        w.key("counters").obj().fields(&r.counters).end().end();
     }
-    out.push_str("  ]\n}\n");
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    std::fs::write(path, out).unwrap();
+    w.finish()
 }
 
 fn main() {
@@ -1043,7 +1028,8 @@ fn main() {
         }
     }
     let path = results_dir().join("CHAOS.json");
-    write_report(&reports, failed, &path);
+    std::fs::create_dir_all(results_dir()).unwrap();
+    std::fs::write(&path, report_json(&reports, failed)).unwrap();
     println!(
         "chaos: {}/{} runs passed — report at {}",
         reports.len() - failed,
@@ -1052,5 +1038,55 @@ fn main() {
     );
     if failed > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use s3_obs::JsonValue;
+
+    fn fixture() -> Vec<RunReport> {
+        vec![
+            RunReport {
+                scenario: "shard_kill",
+                seed: 0xC4A0_0001,
+                violations: vec![],
+                counters: vec![("shard_skips", 1.0), ("hedges", 0.0), ("ratio", 0.375)],
+            },
+            RunReport {
+                scenario: "stall",
+                seed: u64::MAX,
+                violations: vec!["I3 violated: \"overshoot\"\n2 units".into(), "I4".into()],
+                counters: vec![],
+            },
+        ]
+    }
+
+    /// What the parent commit (PR 22) rendered for `fixture()`.
+    const PARENT: &str = r#"{
+  "id": "chaos",
+  "version": 2,
+  "runs": 2,
+  "failed": 1,
+  "scenarios": [
+    {"scenario": "shard_kill", "seed": 3298820097, "passed": true, "violations": [], "counters": {"shard_skips": 1, "hedges": 0, "ratio": 0.375}},
+    {"scenario": "stall", "seed": 18446744073709551615, "passed": false, "violations": ["I3 violated: \"overshoot\"\n2 units", "I4"], "counters": {}}
+  ]
+}"#;
+
+    #[test]
+    fn report_json_parses_to_the_parent_tree() {
+        assert_eq!(
+            JsonValue::parse(&report_json(&fixture(), 1)),
+            JsonValue::parse(PARENT)
+        );
+        // The parent printed a counter with a bare `{v}`: a NaN made the
+        // whole report unparseable. It is `null` now.
+        let mut runs = fixture();
+        runs[0].counters.push(("nan", f64::NAN));
+        let doc = JsonValue::parse(&report_json(&runs, 1)).unwrap();
+        let counters = doc.get("scenarios").unwrap().as_array().unwrap()[0].get("counters");
+        assert_eq!(counters.unwrap().get("nan"), Some(&JsonValue::Null));
     }
 }

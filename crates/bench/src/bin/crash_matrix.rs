@@ -30,7 +30,7 @@ use s3_core::{
     WritableStorage, WriteOpts,
 };
 use s3_hilbert::HilbertCurve;
-use std::fmt::Write as _;
+use s3_obs::JsonWriter;
 use std::io;
 use std::sync::{Arc, Mutex};
 
@@ -309,53 +309,35 @@ fn run_kill_point(
     }
 }
 
-fn write_report(reports: &[KillReport], total_writes: usize, path: &std::path::Path) {
-    let failed = reports.iter().filter(|r| !r.violations.is_empty()).count();
-    let mut out = String::from("{\n  \"id\": \"crash_matrix_pr6\",\n");
-    let _ = writeln!(out, "  \"write_boundaries\": {total_writes},");
-    let _ = writeln!(out, "  \"kill_points\": {},", reports.len());
-    let _ = writeln!(out, "  \"failed\": {failed},");
-    let clean = reports
-        .iter()
-        .filter(|r| r.outcome == MergeOutcome::Completed)
-        .count();
-    let replayed = reports
-        .iter()
-        .filter(|r| r.outcome == MergeOutcome::Replayed)
-        .count();
-    let rolled_back = reports
-        .iter()
-        .filter(|r| r.outcome == MergeOutcome::RolledBack)
-        .count();
-    let _ = writeln!(
-        out,
-        "  \"outcomes\": {{\"clean\": {clean}, \"replayed\": {replayed}, \"rolled_back\": {rolled_back}}},"
-    );
-    out.push_str("  \"kills\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"budget\": {}, \"kind\": \"{}\", \"acked\": {}, \"recovered\": {}, \
-             \"outcome\": \"{:?}\", \"passed\": {}, \"violations\": [",
-            r.budget,
-            r.kind,
-            r.acked,
-            r.recovered,
-            r.outcome,
-            r.violations.is_empty()
+fn report_json(reports: &[KillReport], total_writes: usize) -> String {
+    let count = |outcome| reports.iter().filter(|r| r.outcome == outcome).count();
+    let mut w = JsonWriter::indented();
+    w.obj()
+        .field("id", "crash_matrix_pr6")
+        .field("write_boundaries", total_writes)
+        .field("kill_points", reports.len())
+        .field(
+            "failed",
+            reports.iter().filter(|r| !r.violations.is_empty()).count(),
         );
-        for (j, v) in r.violations.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\"", s3_obs::json::escape(v));
-        }
-        out.push_str("]}");
-        out.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
+    w.key("outcomes")
+        .obj()
+        .field("clean", count(MergeOutcome::Completed))
+        .field("replayed", count(MergeOutcome::Replayed))
+        .field("rolled_back", count(MergeOutcome::RolledBack))
+        .end();
+    w.key("kills").arr();
+    for r in reports {
+        w.obj()
+            .field("budget", r.budget)
+            .field("kind", r.kind)
+            .field("acked", r.acked)
+            .field("recovered", r.recovered)
+            .field("outcome", format!("{:?}", r.outcome))
+            .field("passed", r.violations.is_empty());
+        w.key("violations").arr().vals(&r.violations).end().end();
     }
-    out.push_str("  ]\n}\n");
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    std::fs::write(path, out).unwrap();
+    w.finish()
 }
 
 fn main() {
@@ -422,7 +404,8 @@ fn main() {
         }
     }
     let path = results_dir().join("CRASH_PR6.json");
-    write_report(&reports, boundaries.len(), &path);
+    std::fs::create_dir_all(results_dir()).unwrap();
+    std::fs::write(&path, report_json(&reports, boundaries.len())).unwrap();
     println!(
         "crash_matrix: {}/{} kill points recovered cleanly — report at {}",
         reports.len() - failed,
@@ -431,5 +414,61 @@ fn main() {
     );
     if failed > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fixture() -> Vec<KillReport> {
+        vec![
+            KillReport {
+                budget: 0,
+                kind: "mid-write",
+                acked: 0,
+                recovered: 0,
+                outcome: MergeOutcome::Completed,
+                violations: vec![],
+            },
+            KillReport {
+                budget: 4096,
+                kind: "boundary",
+                acked: 12,
+                recovered: 12,
+                outcome: MergeOutcome::Replayed,
+                violations: vec![],
+            },
+            KillReport {
+                budget: 5000,
+                kind: "mid-write",
+                acked: 12,
+                recovered: 11,
+                outcome: MergeOutcome::RolledBack,
+                violations: vec!["R2 violated: acked \"12\" > recovered 11".into()],
+            },
+        ]
+    }
+
+    /// What the parent commit (PR 22) rendered for `fixture()`.
+    const PARENT: &str = r#"{
+  "id": "crash_matrix_pr6",
+  "write_boundaries": 17,
+  "kill_points": 3,
+  "failed": 1,
+  "outcomes": {"clean": 1, "replayed": 1, "rolled_back": 1},
+  "kills": [
+    {"budget": 0, "kind": "mid-write", "acked": 0, "recovered": 0, "outcome": "Completed", "passed": true, "violations": []},
+    {"budget": 4096, "kind": "boundary", "acked": 12, "recovered": 12, "outcome": "Replayed", "passed": true, "violations": []},
+    {"budget": 5000, "kind": "mid-write", "acked": 12, "recovered": 11, "outcome": "RolledBack", "passed": false, "violations": ["R2 violated: acked \"12\" > recovered 11"]}
+  ]
+}"#;
+
+    #[test]
+    fn report_json_parses_to_the_parent_tree() {
+        assert_eq!(
+            s3_obs::JsonValue::parse(&report_json(&fixture(), 17)),
+            s3_obs::JsonValue::parse(PARENT)
+        );
     }
 }

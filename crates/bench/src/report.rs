@@ -1,6 +1,7 @@
 //! Experiment reporting: paper-style series printed as aligned text tables,
 //! persisted as JSON under `results/` so EXPERIMENTS.md can cite exact runs.
 
+use s3_obs::JsonWriter;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -122,33 +123,23 @@ impl Experiment {
         println!("{}", self.to_table());
     }
 
-    /// Renders the experiment as pretty JSON.
+    /// Renders the experiment as indented JSON; a non-finite value is
+    /// `null`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"id\": {},", quote(&self.id));
-        let _ = writeln!(out, "  \"title\": {},", quote(&self.title));
-        let _ = writeln!(out, "  \"x_label\": {},", quote(&self.x_label));
-        let _ = writeln!(out, "  \"y_label\": {},", quote(&self.y_label));
-        let notes: Vec<String> = self.notes.iter().map(|n| quote(n)).collect();
-        let _ = writeln!(out, "  \"notes\": [{}],", notes.join(", "));
-        out.push_str("  \"series\": [");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\n      \"name\": {},\n      \"x\": {},\n      \"y\": {}\n    }}",
-                quote(&s.name),
-                numbers(&s.x),
-                numbers(&s.y),
-            );
+        let mut w = JsonWriter::indented();
+        w.obj()
+            .field("id", &self.id)
+            .field("title", &self.title)
+            .field("x_label", &self.x_label)
+            .field("y_label", &self.y_label);
+        w.key("notes").arr().vals(&self.notes).end();
+        w.key("series").arr();
+        for s in &self.series {
+            w.obj().field("name", &s.name);
+            w.key("x").arr().vals(&s.x).end();
+            w.key("y").arr().vals(&s.y).end().end();
         }
-        if !self.series.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        w.finish()
     }
 
     /// Saves the experiment as pretty JSON under `dir/<id>.json`.
@@ -157,27 +148,6 @@ impl Experiment {
         let path = dir.as_ref().join(format!("{}.json", self.id));
         std::fs::write(path, self.to_json())
     }
-}
-
-/// Escapes and quotes a string.
-fn quote(s: &str) -> String {
-    format!("\"{}\"", s3_obs::json::escape(s))
-}
-
-/// Renders a numeric array; non-finite values become `null`.
-fn numbers(xs: &[f64]) -> String {
-    let items: Vec<String> = xs
-        .iter()
-        .map(|&v| {
-            if v.is_finite() {
-                // Shortest representation that round-trips.
-                format!("{v:?}")
-            } else {
-                "null".to_string()
-            }
-        })
-        .collect();
-    format!("[{}]", items.join(", "))
 }
 
 /// Scale of an experiment run. Binaries accept `--scale quick|full`.
@@ -288,5 +258,52 @@ mod tests {
     #[should_panic(expected = "ragged series")]
     fn ragged_series_rejected() {
         Series::new("bad", vec![1.0], vec![]);
+    }
+
+    fn fixture() -> Experiment {
+        let mut e = Experiment::new(
+            "fig7",
+            "search \"time\" vs size",
+            "records",
+            "ms\tper query",
+        );
+        e.note("α = 0.8, σ = 20");
+        e.note("second\nnote");
+        e.push_series(Series::new(
+            "S³",
+            vec![1024.0, 2048.0, 0.5, 1e21],
+            vec![0.125, 3.0, f64::NAN, f64::INFINITY],
+        ));
+        e.push_series(Series::new("scan", vec![], vec![]));
+        e
+    }
+
+    /// What the parent commit (PR 22) rendered for `fixture()`.
+    const PARENT: &str = r#"{
+  "id": "fig7",
+  "title": "search \"time\" vs size",
+  "x_label": "records",
+  "y_label": "ms\tper query",
+  "notes": ["α = 0.8, σ = 20", "second\nnote"],
+  "series": [
+    {
+      "name": "S³",
+      "x": [1024.0, 2048.0, 0.5, 1e21],
+      "y": [0.125, 3.0, null, null]
+    },
+    {
+      "name": "scan",
+      "x": [],
+      "y": []
+    }
+  ]
+}"#;
+
+    #[test]
+    fn experiment_json_parses_to_the_parent_tree() {
+        assert_eq!(
+            s3_obs::JsonValue::parse(&fixture().to_json()),
+            s3_obs::JsonValue::parse(PARENT)
+        );
     }
 }

@@ -8,7 +8,7 @@
 //! budget.
 
 use crate::detector::Detector;
-use crate::voting::vote;
+use crate::voting::{vote, CandidateVotes};
 use s3_video::LocalFingerprint;
 
 /// Result of a calibration run.
@@ -51,44 +51,9 @@ pub fn calibrate_threshold(
     fps_rate: f64,
     max_rate_per_hour: f64,
 ) -> Calibration {
-    assert!(fps_rate > 0.0 && max_rate_per_hour > 0.0);
-    let mut spurious: Vec<usize> = Vec::new();
-    let mut frames_total = 0.0f64;
-    let mut permissive = detector.config().vote;
-    permissive.min_votes = 1;
-    for stream in negatives {
-        if stream.is_empty() {
-            continue;
-        }
-        let (Some(head), Some(tail)) = (stream.first(), stream.last()) else {
-            unreachable!("empty streams are skipped above");
-        };
-        let first = f64::from(head.tc);
-        let last = f64::from(tail.tc);
-        frames_total += (last - first).max(1.0);
-        let buffer = detector.query_buffer(stream);
-        for det in vote(&buffer, &permissive) {
-            spurious.push(det.nsim);
-        }
-    }
-    let hours = frames_total / fps_rate / 3600.0;
-    let budget = (max_rate_per_hour * hours).max(0.0);
-
-    // Choose the smallest threshold with (count of scores >= threshold) <= budget.
-    let mut threshold = 1usize;
-    loop {
-        let alarms = spurious.iter().filter(|&&s| s >= threshold).count();
-        if (alarms as f64) <= budget {
-            spurious.sort_unstable();
-            return Calibration {
-                min_votes: threshold,
-                false_alarms: alarms,
-                hours_scanned: hours,
-                spurious_scores: spurious,
-            };
-        }
-        threshold += 1;
-    }
+    // One vote over each stream's whole buffer.
+    let (spurious, hours) = spurious_scores(detector, negatives, fps_rate, |buffer| vec![buffer]);
+    choose_threshold(spurious, hours, max_rate_per_hour)
 }
 
 /// Calibrates `min_votes` for *monitoring*: negative streams are run through
@@ -103,46 +68,70 @@ pub fn calibrate_monitor_threshold(
     fps_rate: f64,
     max_rate_per_hour: f64,
 ) -> Calibration {
-    assert!(fps_rate > 0.0 && max_rate_per_hour > 0.0);
+    let (spurious, hours) = spurious_scores(detector, negatives, fps_rate, |buffer| {
+        monitor_windows(&buffer, monitor_params)
+    });
+    choose_threshold(spurious, hours, max_rate_per_hour)
+}
+
+/// Walks the negative streams: searches each, cuts its vote buffer into
+/// vote windows with `cut`, and votes permissively (`min_votes = 1`) on
+/// every window. Returns every spurious `n_sim` and the hours walked.
+fn spurious_scores(
+    detector: &Detector<'_>,
+    negatives: &[Vec<LocalFingerprint>],
+    fps_rate: f64,
+    cut: impl Fn(Vec<CandidateVotes>) -> Vec<Vec<CandidateVotes>>,
+) -> (Vec<usize>, f64) {
+    assert!(fps_rate > 0.0);
     let mut spurious: Vec<usize> = Vec::new();
     let mut frames_total = 0.0f64;
     let mut permissive = detector.config().vote;
     permissive.min_votes = 1;
     for stream in negatives {
-        if stream.is_empty() {
-            continue;
-        }
         let (Some(head), Some(tail)) = (stream.first(), stream.last()) else {
-            unreachable!("empty streams are skipped above");
+            continue; // an empty stream
         };
-        let first = f64::from(head.tc);
-        let last = f64::from(tail.tc);
-        frames_total += (last - first).max(1.0);
-        // Re-create the monitor's windowing over the search results.
-        let buffer = detector.query_buffer(stream);
-        let mut tcs: Vec<f64> = buffer.iter().map(|cv| cv.tc).collect();
-        tcs.dedup();
-        let step = monitor_params.window - monitor_params.overlap;
-        let mut start = 0usize;
-        loop {
-            let end_kf = (start + monitor_params.window).min(tcs.len());
-            let lo_tc = tcs[start];
-            let hi_tc = tcs[end_kf - 1];
-            let window: Vec<crate::voting::CandidateVotes> = buffer
+        frames_total += (f64::from(tail.tc) - f64::from(head.tc)).max(1.0);
+        for window in cut(detector.query_buffer(stream)) {
+            spurious.extend(vote(&window, &permissive).iter().map(|det| det.nsim));
+        }
+    }
+    (spurious, frames_total / fps_rate / 3600.0)
+}
+
+/// Re-creates the monitor's windowing over one stream's search results:
+/// `window` key-frames at a time, consecutive windows sharing `overlap`.
+fn monitor_windows(
+    buffer: &[CandidateVotes],
+    params: &crate::monitor::MonitorParams,
+) -> Vec<Vec<CandidateVotes>> {
+    let mut tcs: Vec<f64> = buffer.iter().map(|cv| cv.tc).collect();
+    tcs.dedup();
+    let mut windows = Vec::new();
+    let mut start = 0usize;
+    while start < tcs.len() {
+        let end_kf = (start + params.window).min(tcs.len());
+        let (lo_tc, hi_tc) = (tcs[start], tcs[end_kf - 1]);
+        windows.push(
+            buffer
                 .iter()
                 .filter(|cv| cv.tc >= lo_tc && cv.tc <= hi_tc)
                 .cloned()
-                .collect();
-            for det in vote(&window, &permissive) {
-                spurious.push(det.nsim);
-            }
-            if end_kf == tcs.len() {
-                break;
-            }
-            start += step;
+                .collect(),
+        );
+        if end_kf == tcs.len() {
+            break;
         }
+        start += params.window - params.overlap;
     }
-    let hours = frames_total / fps_rate / 3600.0;
+    windows
+}
+
+/// The smallest threshold whose false alarms — spurious scores at or above
+/// it — fit the budget of `max_rate_per_hour` over `hours` of negatives.
+fn choose_threshold(mut spurious: Vec<usize>, hours: f64, max_rate_per_hour: f64) -> Calibration {
+    assert!(max_rate_per_hour > 0.0);
     let budget = (max_rate_per_hour * hours).max(0.0);
     let mut threshold = 1usize;
     loop {

@@ -381,5 +381,16 @@ mod tests {
                 "flip at {byte} accepted"
             );
         }
+        // A legacy file has no checksum in front of its record header: a
+        // count whose byte size wraps to 0 must be refused, not allocated.
+        let mut crafted = MAGIC_V1.to_vec();
+        put_params(&mut crafted, db.extractor_params());
+        crafted.put_u32_le(0); // no names
+        crafted.put_u32_le(FINGERPRINT_DIMS as u32);
+        crafted.put_u64_le(1 << 62); // × (20 + 8) bytes a record ≡ 0 mod 2^64
+        assert!(matches!(
+            ReferenceDb::read_from(&mut crafted.as_slice()),
+            Err(PersistError::Format { .. })
+        ));
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::args::Args;
 use crate::CmdStatus;
-use s3_obs::{key_matches, JsonValue, SlowLog, SlowRead, Tier, Tsdb, TsdbSample};
+use s3_obs::{key_matches, JsonValue, JsonWriter, SlowLog, SlowRead, Tier, Tsdb, TsdbSample};
 use std::path::Path;
 
 /// Sparkline glyphs, lowest to highest.
@@ -37,6 +37,35 @@ fn gauge_value(s: &TsdbSample, name: &str) -> Option<f64> {
         .map(|&(_, v)| v)
 }
 
+/// The `history --json` document: the samples as the store persisted them.
+fn history_json(tier: Tier, samples: &[TsdbSample]) -> String {
+    let mut w = JsonWriter::line();
+    w.obj()
+        .field("schema", "s3.history.v1")
+        .field("tier", tier.as_str());
+    w.key("samples").arr();
+    for s in samples {
+        w.raw(&s.to_json());
+    }
+    w.finish()
+}
+
+/// The `slowlog --json` document: one summary row per captured query.
+fn slowlog_json(entries: &[SlowRead]) -> String {
+    let mut w = JsonWriter::line();
+    w.obj().field("schema", "s3.slowlog.v1");
+    w.key("entries").arr();
+    for e in entries {
+        w.obj()
+            .field("unix_ms", e.unix_ms)
+            .field("query_id", e.query_id)
+            .field("latency_ns", e.latency_ns)
+            .field("degraded", e.degraded)
+            .end();
+    }
+    w.finish()
+}
+
 pub fn cmd_history(rest: Vec<String>) -> Result<CmdStatus, String> {
     let a = Args::parse_with_switches(rest, &["series", "tier", "last"], &["json"])?;
     let dir = a
@@ -54,18 +83,7 @@ pub fn cmd_history(rest: Vec<String>) -> Result<CmdStatus, String> {
     }
 
     if a.has("json") {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"schema\":\"s3.history.v1\",\"tier\":\"");
-        out.push_str(tier.as_str());
-        out.push_str("\",\"samples\":[");
-        for (i, s) in samples.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&s.to_json());
-        }
-        out.push_str("]}");
-        println!("{out}");
+        println!("{}", history_json(tier, &samples));
         return Ok(CmdStatus::Clean);
     }
 
@@ -213,18 +231,7 @@ pub fn cmd_slowlog(rest: Vec<String>) -> Result<CmdStatus, String> {
     }
 
     if a.has("json") {
-        let mut out = String::from("{\"schema\":\"s3.slowlog.v1\",\"entries\":[");
-        for (i, e) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"unix_ms\":{},\"query_id\":{},\"latency_ns\":{},\"degraded\":{}}}",
-                e.unix_ms, e.query_id, e.latency_ns, e.degraded
-            ));
-        }
-        out.push_str("]}");
-        println!("{out}");
+        println!("{}", slowlog_json(&entries));
         return Ok(CmdStatus::Clean);
     }
 
@@ -349,5 +356,79 @@ mod tests {
         push_series(&mut names, "tsdb.appends{store=\"slowlog\"}", b'c');
         push_series(&mut names, "tsdb.appends", b'g');
         assert_eq!(names.len(), 2);
+    }
+
+    fn samples() -> Vec<TsdbSample> {
+        vec![
+            TsdbSample {
+                tier: Tier::Min1,
+                start_ms: 1_700_000_000_000,
+                end_ms: 1_700_000_060_000,
+                counters: vec![("io.reads{kind=\"seq\"}".into(), 12), ("queries".into(), 7)],
+                gauges: vec![("pool.hit_ratio".into(), 0.375), ("segments".into(), 2.0)],
+                hists: vec![(
+                    "query.latency".into(),
+                    s3_obs::HistSummary {
+                        count: 7,
+                        sum: 7_000,
+                        min: 10,
+                        max: 4_000,
+                        p50: 900,
+                        p99: 3_900,
+                    },
+                )],
+                resets: vec!["queries".into()],
+            },
+            TsdbSample {
+                tier: Tier::Min1,
+                start_ms: 1_700_000_060_000,
+                end_ms: 1_700_000_120_000,
+                counters: vec![],
+                gauges: vec![],
+                hists: vec![],
+                resets: vec![],
+            },
+        ]
+    }
+
+    fn entries() -> Vec<SlowRead> {
+        vec![
+            SlowRead {
+                unix_ms: 1_700_000_000_123,
+                query_id: 42,
+                latency_ns: 2_000_000,
+                degraded: true,
+                annotations: vec!["deadline hit".into()],
+                explain: JsonValue::Null,
+            },
+            SlowRead {
+                unix_ms: 1_700_000_000_456,
+                query_id: u64::MAX,
+                latency_ns: 0,
+                degraded: false,
+                annotations: vec![],
+                explain: JsonValue::Null,
+            },
+        ]
+    }
+
+    /// What the parent commit (PR 22) printed for `samples()` / `entries()`.
+    const PARENT_HISTORY: &str = r#"{"schema":"s3.history.v1","tier":"1m","samples":[{"schema":"s3.tsdb.v1","tier":"1m","t0":1700000000000,"t1":1700000060000,"counters":{"io.reads{kind=\"seq\"}":12,"queries":7},"gauges":{"pool.hit_ratio":0.375,"segments":2},"hists":{"query.latency":{"count":7,"sum":7000,"min":10,"max":4000,"p50":900,"p99":3900}},"resets":["queries"]},{"schema":"s3.tsdb.v1","tier":"1m","t0":1700000060000,"t1":1700000120000,"counters":{},"gauges":{},"hists":{},"resets":[]}]}"#;
+    const PARENT_SLOWLOG: &str = r#"{"schema":"s3.slowlog.v1","entries":[{"unix_ms":1700000000123,"query_id":42,"latency_ns":2000000,"degraded":true},{"unix_ms":1700000000456,"query_id":18446744073709551615,"latency_ns":0,"degraded":false}]}"#;
+
+    #[test]
+    fn history_json_parses_to_the_parent_tree() {
+        assert_eq!(
+            JsonValue::parse(&history_json(Tier::Min1, &samples())),
+            JsonValue::parse(PARENT_HISTORY)
+        );
+    }
+
+    #[test]
+    fn slowlog_json_parses_to_the_parent_tree() {
+        assert_eq!(
+            JsonValue::parse(&slowlog_json(&entries())),
+            JsonValue::parse(PARENT_SLOWLOG)
+        );
     }
 }

@@ -680,50 +680,9 @@ pub fn select_blocks_range(
     eps: f64,
     max_blocks: usize,
 ) -> FilterOutcome {
-    assert_eq!(q.len(), curve.dims(), "query dimension mismatch");
-    assert!(
-        depth >= 1 && depth <= curve.key_bits(),
-        "depth out of range"
-    );
-    assert!(eps >= 0.0);
-
-    let qf = query_coords(q);
-    let eps_sq = eps * eps;
-    let mut blocks = Vec::new();
-    let mut nodes = 0usize;
-    let mut truncated = false;
-    let mut stack = vec![Block::root(curve)];
-    while let Some(block) = stack.pop() {
-        let d2 = block.min_dist_sq(&qf);
-        if d2 > eps_sq {
-            continue;
-        }
-        if block.depth() == depth {
-            if blocks.len() >= max_blocks {
-                truncated = true;
-                continue;
-            }
-            blocks.push(ScoredBlock::of(&block, d2));
-            continue;
-        }
-        nodes += 1;
-        for child in block.split(curve) {
-            stack.push(child);
-        }
-    }
-    observed(
-        FilterOutcome {
-            blocks,
-            mass: f64::NAN,
-            target: f64::NAN,
-            nodes_expanded: nodes,
-            tmax: None,
-            iterations: 0,
-            algo: "",
-            truncated,
-        },
-        "range",
-    )
+    let (qf, eps_sq) = (query_coords(q), eps * eps);
+    let admit = |block: &Block| Some(block.min_dist_sq(&qf)).filter(|&d2| d2 <= eps_sq);
+    select_blocks_geometric(curve, q, depth, eps, max_blocks, "range", admit)
 }
 
 /// Classical bounding-box filter: selects every depth-p block intersecting
@@ -742,6 +701,31 @@ pub fn select_blocks_bbox(
     eps: f64,
     max_blocks: usize,
 ) -> FilterOutcome {
+    let qf = query_coords(q);
+    let admit = |block: &Block| {
+        let intersects = (0..curve.dims()).all(|d| {
+            let (lo, hi) = block.dim_bounds(d);
+            f64::from(hi - 1) >= qf[d] - eps && f64::from(lo) <= qf[d] + eps
+        });
+        // Only a selected (depth-p) block's score is ever read.
+        let scored = block.depth() == depth;
+        intersects.then(|| if scored { block.min_dist_sq(&qf) } else { 0.0 })
+    };
+    select_blocks_geometric(curve, q, depth, eps, max_blocks, "bbox", admit)
+}
+
+/// The one geometric descent: depth-first from the root, pruning every
+/// block `admit` refuses (a refused block has no admitted descendant) and
+/// selecting the admitted depth-p blocks with the score `admit` gave them.
+fn select_blocks_geometric(
+    curve: &HilbertCurve,
+    q: &[u8],
+    depth: u32,
+    eps: f64,
+    max_blocks: usize,
+    algo: &'static str,
+    admit: impl Fn(&Block) -> Option<f64>,
+) -> FilterOutcome {
     assert_eq!(q.len(), curve.dims(), "query dimension mismatch");
     assert!(
         depth >= 1 && depth <= curve.key_bits(),
@@ -749,25 +733,20 @@ pub fn select_blocks_bbox(
     );
     assert!(eps >= 0.0);
 
-    let qf = query_coords(q);
     let mut blocks = Vec::new();
     let mut nodes = 0usize;
     let mut truncated = false;
     let mut stack = vec![Block::root(curve)];
     while let Some(block) = stack.pop() {
-        let intersects = (0..curve.dims()).all(|d| {
-            let (lo, hi) = block.dim_bounds(d);
-            f64::from(hi - 1) >= qf[d] - eps && f64::from(lo) <= qf[d] + eps
-        });
-        if !intersects {
+        let Some(score) = admit(&block) else {
             continue;
-        }
+        };
         if block.depth() == depth {
             if blocks.len() >= max_blocks {
                 truncated = true;
                 continue;
             }
-            blocks.push(ScoredBlock::of(&block, block.min_dist_sq(&qf)));
+            blocks.push(ScoredBlock::of(&block, score));
             continue;
         }
         nodes += 1;
@@ -786,7 +765,7 @@ pub fn select_blocks_bbox(
             algo: "",
             truncated,
         },
-        "bbox",
+        algo,
     )
 }
 

@@ -186,14 +186,16 @@ impl RecordBatch {
 
     /// Deserializes a batch previously written by [`RecordBatch::encode_into`].
     ///
-    /// Returns `None` on truncated input.
+    /// Returns `None` on truncated input, including a header whose record
+    /// count cannot fit in what follows it.
     pub fn decode_from<B: Buf>(buf: &mut B) -> Option<RecordBatch> {
         if buf.remaining() < 12 {
             return None;
         }
         let dims = buf.get_u32_le() as usize;
-        let n = buf.get_u64_le() as usize;
-        if dims == 0 || buf.remaining() < n * (dims + 8) {
+        let n = usize::try_from(buf.get_u64_le()).ok()?;
+        // `n` comes from the file: the product must not wrap past the check.
+        if dims == 0 || buf.remaining() < n.checked_mul(dims + 8)? {
             return None;
         }
         let mut fingerprints = vec![0u8; n * dims];

@@ -82,6 +82,49 @@ impl Ord for Candidate {
 /// contents; a good default is the index's natural depth (about
 /// `log2(len) + 4`). Any value in `[1, key_bits]` gives exact results.
 pub fn knn(index: &S3Index, q: &[u8], k: usize, scan_depth: u32) -> KnnResult {
+    search(index, q, k, scan_depth, f64::INFINITY)
+}
+
+/// Approximate k-NN with probabilistic control — the competing paradigm the
+/// paper positions itself against (§I: methods "based on a probabilistic
+/// selection of the bounding regions … allow to control directly the expected
+/// percentage of the real k-nearest neighbors").
+///
+/// The search runs best-first like [`knn`], but stops once the unexplored
+/// frontier can only contain fingerprints farther than the `confidence`
+/// quantile of the distortion-norm law: under the model, a *relevant*
+/// neighbor lies beyond that radius with probability `1 - confidence`, so
+/// expanding further buys recall the application does not need. With
+/// `confidence = 1.0` the cut never fires and the result is exact.
+pub fn knn_approx(
+    index: &S3Index,
+    q: &[u8],
+    k: usize,
+    scan_depth: u32,
+    sigma: f64,
+    confidence: f64,
+) -> KnnResult {
+    assert!(
+        (0.0..=1.0).contains(&confidence),
+        "confidence out of range: {confidence}"
+    );
+    assert!(sigma > 0.0);
+    // Radius beyond which a model-distributed relevant fingerprint falls
+    // with probability (1 - confidence).
+    let cutoff_sq = if confidence >= 1.0 {
+        f64::INFINITY
+    } else {
+        let law = s3_stats::NormDistribution::new(index.curve().dims() as u32, sigma);
+        let r = law.quantile(confidence);
+        r * r
+    };
+    search(index, q, k, scan_depth, cutoff_sq)
+}
+
+/// The one best-first search: nodes whose box lies farther than the current
+/// k-th best, or than `cutoff_sq` (∞ for the exact search), are discarded
+/// with all their descendants.
+fn search(index: &S3Index, q: &[u8], k: usize, scan_depth: u32, cutoff_sq: f64) -> KnnResult {
     let curve = index.curve();
     assert_eq!(q.len(), curve.dims(), "query dimension mismatch");
     assert!(k > 0, "k must be positive");
@@ -105,16 +148,18 @@ pub fn knn(index: &S3Index, q: &[u8], k: usize, scan_depth: u32) -> KnnResult {
     let mut nodes = 0usize;
     let mut scanned = 0usize;
 
-    let kth_dist = |best: &BinaryHeap<Candidate>| -> f64 {
+    // Squared distance a node must not exceed to be worth visiting.
+    let reach = |best: &BinaryHeap<Candidate>| -> f64 {
         if best.len() < k {
-            f64::INFINITY
+            cutoff_sq
         } else {
-            best.peek().map_or(f64::INFINITY, |c| c.dist_sq as f64)
+            best.peek()
+                .map_or(cutoff_sq, |c| cutoff_sq.min(c.dist_sq as f64))
         }
     };
 
     while let Some(Reverse(node)) = frontier.pop() {
-        if node.min_dist_sq > kth_dist(&best) {
+        if node.min_dist_sq > reach(&best) {
             break; // every remaining node is at least this far
         }
         if node.block.depth() >= scan_depth {
@@ -150,7 +195,7 @@ pub fn knn(index: &S3Index, q: &[u8], k: usize, scan_depth: u32) -> KnnResult {
         nodes += 1;
         for child in node.block.split(curve) {
             let d2 = child.min_dist_sq(&qf);
-            if d2 <= kth_dist(&best) {
+            if d2 <= reach(&best) {
                 frontier.push(Reverse(FrontierNode {
                     min_dist_sq: d2,
                     block: child,
@@ -172,123 +217,6 @@ pub fn knn(index: &S3Index, q: &[u8], k: usize, scan_depth: u32) -> KnnResult {
         .collect();
     sp.record("nodes", nodes as f64);
     sp.record("entries", scanned as f64);
-    KnnResult {
-        neighbors,
-        nodes_expanded: nodes,
-        entries_scanned: scanned,
-    }
-}
-
-/// Approximate k-NN with probabilistic control — the competing paradigm the
-/// paper positions itself against (§I: methods "based on a probabilistic
-/// selection of the bounding regions … allow to control directly the expected
-/// percentage of the real k-nearest neighbors").
-///
-/// The search runs best-first like [`knn`], but stops once the unexplored
-/// frontier can only contain fingerprints farther than the `confidence`
-/// quantile of the distortion-norm law: under the model, a *relevant*
-/// neighbor lies beyond that radius with probability `1 - confidence`, so
-/// expanding further buys recall the application does not need. With
-/// `confidence = 1.0` the cut never fires and the result is exact.
-pub fn knn_approx(
-    index: &S3Index,
-    q: &[u8],
-    k: usize,
-    scan_depth: u32,
-    sigma: f64,
-    confidence: f64,
-) -> KnnResult {
-    let curve = index.curve();
-    assert_eq!(q.len(), curve.dims(), "query dimension mismatch");
-    assert!(k > 0, "k must be positive");
-    assert!(
-        (0.0..=1.0).contains(&confidence),
-        "confidence out of range: {confidence}"
-    );
-    assert!(sigma > 0.0);
-
-    // Radius beyond which a model-distributed relevant fingerprint falls
-    // with probability (1 - confidence).
-    let cutoff = if confidence >= 1.0 {
-        f64::INFINITY
-    } else {
-        let law = s3_stats::NormDistribution::new(curve.dims() as u32, sigma);
-        let r = law.quantile(confidence);
-        r * r
-    };
-
-    let qf: Vec<f64> = q.iter().map(|&c| f64::from(c)).collect();
-    let mut frontier = BinaryHeap::new();
-    frontier.push(Reverse(FrontierNode {
-        min_dist_sq: 0.0,
-        block: Block::root(curve),
-    }));
-    let mut best: BinaryHeap<Candidate> = BinaryHeap::with_capacity(k + 1);
-    let mut nodes = 0usize;
-    let mut scanned = 0usize;
-
-    let kth_dist = |best: &BinaryHeap<Candidate>| -> f64 {
-        if best.len() < k {
-            f64::INFINITY
-        } else {
-            best.peek().map_or(f64::INFINITY, |c| c.dist_sq as f64)
-        }
-    };
-
-    while let Some(Reverse(node)) = frontier.pop() {
-        if node.min_dist_sq > kth_dist(&best) || node.min_dist_sq > cutoff {
-            break;
-        }
-        if node.block.depth() >= scan_depth {
-            let (start, end) = index.locate(&node.block.key_range(curve));
-            for i in start..end {
-                scanned += 1;
-                // Same exact integer bound as in `knn` above.
-                let bound = if best.len() < k {
-                    u64::MAX
-                } else {
-                    match best.peek().map(|c| c.dist_sq) {
-                        Some(0) => continue,
-                        Some(kth) => kth - 1,
-                        None => u64::MAX,
-                    }
-                };
-                if let Some(d2) = kernels::dist_sq_within(q, index.records().fingerprint(i), bound)
-                {
-                    best.push(Candidate {
-                        dist_sq: d2,
-                        index: i,
-                    });
-                    if best.len() > k {
-                        best.pop();
-                    }
-                }
-            }
-            continue;
-        }
-        nodes += 1;
-        for child in node.block.split(curve) {
-            let d2 = child.min_dist_sq(&qf);
-            if d2 <= kth_dist(&best) && d2 <= cutoff {
-                frontier.push(Reverse(FrontierNode {
-                    min_dist_sq: d2,
-                    block: child,
-                }));
-            }
-        }
-    }
-
-    let mut ordered: Vec<Candidate> = best.into_vec();
-    ordered.sort();
-    let neighbors = ordered
-        .into_iter()
-        .map(|c| Match {
-            index: c.index,
-            id: index.records().id(c.index),
-            tc: index.records().tc(c.index),
-            dist_sq: Some(c.dist_sq as f64),
-        })
-        .collect();
     KnnResult {
         neighbors,
         nodes_expanded: nodes,

@@ -1,10 +1,8 @@
-//! Parallel batch search and parallel index construction.
+//! Parallel batch search.
 //!
 //! The S³ index is immutable after construction, so queries parallelise
 //! trivially: [`stat_query_batch`] shards a query batch across scoped
-//! std threads. [`build_keys_parallel`] parallelises the dominant cost
-//! of construction (Hilbert key computation); the final sort stays
-//! single-threaded and is a small fraction of build time.
+//! std threads.
 //!
 //! Work is distributed dynamically: workers claim items off a shared atomic
 //! cursor, so a handful of expensive queries — deep filters, wide distortion
@@ -19,13 +17,8 @@ use crate::distortion::DistortionModel;
 use crate::index::{QueryResult, S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
 use crate::resilience::QueryCtx;
-use s3_hilbert::{HilbertCurve, Key256};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Rows of Hilbert-key work claimed per cursor bump: one key is far too
-/// cheap to pay an atomic for, so keys are claimed in pages.
-const KEY_ROWS_PER_TASK: usize = 1024;
 
 /// A per-item result slot written by exactly one worker.
 ///
@@ -39,8 +32,8 @@ struct Slot<T>(UnsafeCell<Option<T>>);
 // whenever the payload itself may.
 unsafe impl<T: Send> Sync for Slot<T> {}
 
-/// Runs `f(0..n)` across up to `threads` workers pulling `chunk`-sized runs
-/// of indices off a shared cursor; returns results in index order.
+/// Runs `f(0..n)` across up to `threads` workers pulling indices off a
+/// shared cursor; returns results in index order.
 ///
 /// Falls back to a plain sequential loop when one worker (or fewer) would
 /// remain after clamping to the task count — so 0- and 1-item batches never
@@ -53,7 +46,6 @@ unsafe impl<T: Send> Sync for Slot<T> {}
 pub(crate) fn run_dynamic<T, F>(
     n: usize,
     threads: usize,
-    chunk: usize,
     ctx: Option<&QueryCtx>,
     f: &F,
 ) -> Vec<Option<T>>
@@ -61,8 +53,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let chunk = chunk.max(1);
-    let workers = threads.min(n.div_ceil(chunk));
+    let workers = threads.min(n);
     if workers <= 1 {
         let mut out: Vec<Option<T>> = Vec::with_capacity(n);
         for i in 0..n {
@@ -90,19 +81,16 @@ where
                     if ctx.is_some_and(|c| c.should_stop()) {
                         break;
                     }
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(slot) = slots.get(i) else {
                         break;
-                    }
-                    let end = (start + chunk).min(n);
-                    for (i, slot) in slots.iter().enumerate().take(end).skip(start) {
-                        let v = f(i);
-                        // SAFETY: index `i` belongs to this claim alone; no
-                        // other thread reads or writes `slots[i]` until the
-                        // scope joins.
-                        unsafe { *slot.0.get() = Some(v) };
-                    }
-                    claimed += (end - start) as u64;
+                    };
+                    let v = f(i);
+                    // SAFETY: index `i` belongs to this claim alone; no
+                    // other thread reads or writes `slots[i]` until the
+                    // scope joins.
+                    unsafe { *slot.0.get() = Some(v) };
+                    claimed += 1;
                 }
                 metrics.tasks_per_worker.record(claimed);
             });
@@ -137,7 +125,7 @@ pub fn stat_query_batch(
     );
     // Queries are orders of magnitude heavier than a `fetch_add`, so they
     // are claimed one at a time for the finest balance.
-    let slots = run_dynamic(queries.len(), threads, 1, ctx, &|i| {
+    let slots = run_dynamic(queries.len(), threads, ctx, &|i| {
         index.stat_query_in(queries[i], model, opts, ctx)
     });
     slots
@@ -149,36 +137,12 @@ pub fn stat_query_batch(
         .collect()
 }
 
-/// Computes Hilbert keys for a flat fingerprint buffer in parallel.
-///
-/// `fingerprints` is `n * dims` bytes, row-major. Returns one key per row.
-/// Rows are claimed in pages of `KEY_ROWS_PER_TASK` off the work-stealing
-/// cursor.
-pub fn build_keys_parallel(
-    curve: &HilbertCurve,
-    fingerprints: &[u8],
-    threads: usize,
-) -> Vec<Key256> {
-    assert!(threads > 0, "need at least one thread");
-    let dims = curve.dims();
-    assert_eq!(fingerprints.len() % dims, 0, "ragged fingerprint buffer");
-    let n = fingerprints.len() / dims;
-    run_dynamic(n, threads, KEY_ROWS_PER_TASK, None, &|i| {
-        curve.encode_bytes(&fingerprints[i * dims..(i + 1) * dims])
-    })
-    .into_iter()
-    .map(|key| match key {
-        Some(key) => key,
-        None => unreachable!("without a ctx every slot is filled"),
-    })
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distortion::IsotropicNormal;
     use crate::fingerprint::RecordBatch;
+    use s3_hilbert::HilbertCurve;
 
     fn index(n: usize) -> S3Index {
         let mut batch = RecordBatch::with_capacity(4, n);
@@ -218,39 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_keys_match_sequential() {
-        let curve = HilbertCurve::new(5, 8).unwrap();
-        let mut fps = Vec::new();
-        let mut s = 77u64;
-        for _ in 0..997 * 5 {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            fps.push((s >> 32) as u8);
-        }
-        let a = build_keys_parallel(&curve, &fps, 1);
-        let b = build_keys_parallel(&curve, &fps, 8);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_keys_balance_across_pages() {
-        // More rows than one claim page, several workers: still exact.
-        let curve = HilbertCurve::new(2, 8).unwrap();
-        let mut fps = Vec::new();
-        let mut s = 5u64;
-        for _ in 0..(KEY_ROWS_PER_TASK * 3 + 17) * 2 {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            fps.push((s >> 32) as u8);
-        }
-        let a = build_keys_parallel(&curve, &fps, 1);
-        let b = build_keys_parallel(&curve, &fps, 4);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn empty_batch_ok() {
         let idx = index(10);
         let model = IsotropicNormal::new(4, 12.0);
@@ -283,12 +214,12 @@ mod tests {
 
     #[test]
     fn run_dynamic_preserves_order() {
-        let out = run_dynamic(1000, 7, 3, None, &|i| i * i);
+        let out = run_dynamic(1000, 7, None, &|i| i * i);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, Some(i * i));
         }
-        assert!(run_dynamic(0, 4, 1, None, &|i| i).is_empty());
-        assert_eq!(run_dynamic(1, 4, 1, None, &|i| i + 1), vec![Some(1)]);
+        assert!(run_dynamic(0, 4, None, &|i| i).is_empty());
+        assert_eq!(run_dynamic(1, 4, None, &|i| i + 1), vec![Some(1)]);
     }
 
     #[test]
@@ -296,7 +227,7 @@ mod tests {
         let ctx = QueryCtx::unbounded();
         ctx.token().cancel();
         for threads in [1, 3] {
-            let out = run_dynamic(10, threads, 1, Some(&ctx), &|i| i);
+            let out = run_dynamic(10, threads, Some(&ctx), &|i| i);
             assert!(out.iter().all(Option::is_none), "threads={threads}");
         }
         // The batch still has one entry per query: empty, flagged.

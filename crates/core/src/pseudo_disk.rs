@@ -63,7 +63,7 @@ use crate::parallel::run_dynamic;
 use crate::plan::{query_scope, tally_blocks, Plan, QueryPlan, QueryScan, Scan};
 use crate::resilience::{QueryCtx, SectionBreakers, REFINE_CHUNK};
 use crate::sketch::{Sketch, SketchParams, DEFAULT_SKETCH_BITS};
-use crate::storage::{write_atomic, FileStorage, Storage};
+use crate::storage::{le_u32, le_u64, write_atomic, FileStorage, Storage};
 use s3_hilbert::{HilbertCurve, Key256, KeyBound, KeyRange};
 use s3_obs::{event, span, ExplainReport, LocalHistogram};
 use std::fs::File;
@@ -286,18 +286,6 @@ fn read_key(bytes: &[u8]) -> Key256 {
         *limb = u64::from_le_bytes(raw);
     }
     Key256::from_limbs(limbs)
-}
-
-fn le_u32(bytes: &[u8]) -> u32 {
-    let mut raw = [0u8; 4];
-    raw.copy_from_slice(&bytes[..4]);
-    u32::from_le_bytes(raw)
-}
-
-fn le_u64(bytes: &[u8]) -> u64 {
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&bytes[..8]);
-    u64::from_le_bytes(raw)
 }
 
 fn bad_format(detail: impl Into<String>) -> IndexError {
@@ -1255,7 +1243,7 @@ impl DiskIndex {
                 out
             };
             let threads = if groups.len() > 1 { self.threads } else { 1 };
-            let results = run_dynamic(groups.len(), threads, 1, ctx, &refine_group);
+            let results = run_dynamic(groups.len(), threads, ctx, &refine_group);
             for (&(lo_w, _), gr) in groups.iter().zip(results) {
                 let scan = &mut scans[work[lo_w].0 as usize];
                 // A group never claimed past the stop: its query keeps

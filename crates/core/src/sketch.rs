@@ -54,7 +54,7 @@
 use crate::crc::crc32;
 use crate::error::IndexError;
 use crate::metrics::CoreMetrics;
-use crate::storage::{write_atomic, Storage};
+use crate::storage::{le_u32, le_u64, write_atomic, Storage};
 use s3_hilbert::Key256;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -127,18 +127,6 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-fn le_u32(bytes: &[u8]) -> u32 {
-    let mut raw = [0u8; 4];
-    raw.copy_from_slice(&bytes[..4]);
-    u32::from_le_bytes(raw)
-}
-
-fn le_u64(bytes: &[u8]) -> u64 {
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&bytes[..8]);
-    u64::from_le_bytes(raw)
 }
 
 impl Sketch {

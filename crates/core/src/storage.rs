@@ -62,6 +62,21 @@ impl<S: Storage + ?Sized> Storage for Box<S> {
     }
 }
 
+/// The little-endian `u32` at the start of `bytes` (the header fields of
+/// the index and sketch formats).
+pub(crate) fn le_u32(bytes: &[u8]) -> u32 {
+    let mut raw = [0u8; 4];
+    raw.copy_from_slice(&bytes[..4]);
+    u32::from_le_bytes(raw)
+}
+
+/// The little-endian `u64` at the start of `bytes`.
+pub(crate) fn le_u64(bytes: &[u8]) -> u64 {
+    let mut raw = [0u8; 8];
+    raw.copy_from_slice(&bytes[..8]);
+    u64::from_le_bytes(raw)
+}
+
 /// Replaces the file at `path` with `bytes`, atomically: the bytes land in
 /// a sibling `<name>.tmp` file which is fsynced and then renamed over
 /// `path`, and the parent directory is synced to persist the rename — a

@@ -16,7 +16,9 @@
 //! Each record is one `write_at` call, so every record boundary is a write
 //! boundary, which is exactly the granularity the crash-point matrix kills
 //! at. A torn tail (crash mid-append) fails its CRC and is truncated away
-//! at open; everything before it is intact by construction.
+//! at open; everything before it is intact by construction. The frame and
+//! the torn-tail scan are [`s3_obs::frame`] (layout [`frame::WAL`]), the
+//! codec the telemetry segment store uses too.
 //!
 //! ```text
 //! record: frame_len u32 | kind u8 | lsn u64 | payload | crc u32
@@ -26,9 +28,9 @@
 
 use std::io;
 
-use crate::crc::Crc32;
 use crate::metrics::CoreMetrics;
 use crate::storage::WritableStorage;
+use s3_obs::frame;
 
 const KIND_INSERT: u8 = 1;
 const KIND_MERGE_BEGIN: u8 = 2;
@@ -163,45 +165,19 @@ impl<S: WritableStorage> Wal<S> {
     /// `checkpoint_lsn` is the page file's durable watermark — LSNs resume
     /// strictly above both it and anything found in the log.
     pub fn open(storage: S, checkpoint_lsn: u64) -> io::Result<(Wal<S>, RecoveredRecords)> {
-        let total = storage.len()?;
-        let mut records = Vec::new();
-        let mut off = 0u64;
+        let mut bytes = vec![0u8; storage.len()? as usize];
+        storage.read_at(0, &mut bytes)?;
         let mut max_lsn = checkpoint_lsn;
-        loop {
-            if off + 4 > total {
-                break;
-            }
-            let mut raw = [0u8; 4];
-            storage.read_at(off, &mut raw)?;
-            let frame_len = u32::from_le_bytes(raw) as u64;
-            // A frame carries at least kind + lsn + crc.
-            if frame_len < 13 || off + 4 + frame_len > total {
-                break; // torn tail
-            }
-            let mut frame = vec![0u8; frame_len as usize];
-            storage.read_at(off + 4, &mut frame)?;
-            let body_len = frame.len() - 4;
-            let stored_crc = u32::from_le_bytes([
-                frame[body_len],
-                frame[body_len + 1],
-                frame[body_len + 2],
-                frame[body_len + 3],
-            ]);
-            let mut crc = Crc32::new();
-            crc.update(&frame[..body_len]);
-            if crc.finalize() != stored_crc {
-                break; // torn tail
-            }
-            let kind = frame[0];
-            let lsn = u64::from_le_bytes(frame[1..9].try_into().unwrap_or([0; 8]));
-            let Some(record) = WalRecord::decode(kind, &frame[9..body_len]) else {
-                break; // unknown kind / malformed payload: treat as torn
-            };
+        // An unknown kind or malformed payload is treated as torn.
+        let scan = frame::WAL.scan(&bytes, |body| {
+            let (kind, rest) = body.split_first()?;
+            let lsn = u64::from_le_bytes(rest.get(..8)?.try_into().ok()?);
+            let record = WalRecord::decode(*kind, &rest[8..])?;
             max_lsn = max_lsn.max(lsn);
-            records.push((lsn, record));
-            off += 4 + frame_len;
-        }
-        if off < total {
+            Some((lsn, record))
+        });
+        let (records, off) = (scan.records, scan.valid_len as u64);
+        if scan.torn {
             // Drop the torn tail so the next append starts on a clean
             // record boundary.
             storage.truncate(off)?;
@@ -223,16 +199,7 @@ impl<S: WritableStorage> Wal<S> {
     /// until [`Wal::sync`].
     pub fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
         let lsn = self.next_lsn;
-        let payload = record.payload();
-        let frame_len = (1 + 8 + payload.len() + 4) as u32;
-        let mut frame = Vec::with_capacity(4 + frame_len as usize);
-        frame.extend_from_slice(&frame_len.to_le_bytes());
-        frame.push(record.kind());
-        frame.extend_from_slice(&lsn.to_le_bytes());
-        frame.extend_from_slice(&payload);
-        let mut crc = Crc32::new();
-        crc.update(&frame[4..]);
-        frame.extend_from_slice(&crc.finalize().to_le_bytes());
+        let frame = frame::WAL.encode(&[&[record.kind()], &lsn.to_le_bytes(), &record.payload()]);
         self.storage.write_at(self.end, &frame)?;
         self.end += frame.len() as u64;
         self.next_lsn += 1;

@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use crate::json;
+use crate::json::JsonWriter;
 
 /// One selected p-block of the plan: prediction vs. outcome.
 #[derive(Clone, Debug, Default)]
@@ -292,90 +292,55 @@ impl ExplainReport {
 
     /// Renders the report as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"query_id\":{},\"algo\":\"{}\",\"alpha\":{},\"depth\":{},\
-             \"tmax\":{},\"iterations\":{},\"predicted_mass\":{},\"target\":{},\
-             \"observed_selectivity\":{},\"entries_scanned\":{},\"matches\":{},\
-             \"sketch_skipped\":{},\"reconciles\":{},\"degraded\":{}",
-            self.query_id,
-            json::escape(self.algo),
-            num(self.alpha),
-            self.depth,
-            num(self.tmax),
-            self.iterations,
-            num(self.predicted_mass),
-            num(self.target),
-            num(self.observed_selectivity),
-            self.entries_scanned,
-            self.matches,
-            self.sketch_skipped,
-            self.reconciles(),
-            self.degraded(),
-        );
-        out.push_str(",\"blocks\":[");
-        for (i, b) in self.blocks.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"depth\":{},\"predicted_mass\":{},\"scanned\":{},\"matched\":{}}}",
-                if i == 0 { "" } else { "," },
-                b.depth,
-                num(b.predicted_mass),
-                b.scanned,
-                b.matched
-            );
+        let mut w = JsonWriter::line();
+        w.obj()
+            .field("query_id", self.query_id)
+            .field("algo", self.algo)
+            .field("alpha", self.alpha)
+            .field("depth", self.depth)
+            .field("tmax", self.tmax)
+            .field("iterations", self.iterations)
+            .field("predicted_mass", self.predicted_mass)
+            .field("target", self.target)
+            .field("observed_selectivity", self.observed_selectivity)
+            .field("entries_scanned", self.entries_scanned)
+            .field("matches", self.matches)
+            .field("sketch_skipped", self.sketch_skipped)
+            .field("reconciles", self.reconciles())
+            .field("degraded", self.degraded());
+        w.key("blocks").arr();
+        for b in &self.blocks {
+            w.obj()
+                .field("depth", b.depth)
+                .field("predicted_mass", b.predicted_mass)
+                .field("scanned", b.scanned)
+                .field("matched", b.matched)
+                .end();
         }
-        out.push_str("],\"shards\":[");
-        for (i, s) in self.shards.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"shard\":{},\"served_by\":{},\"failovers\":{},\"hedged\":{},\
-                 \"hedge_won\":{},\"skipped\":{},\"breaker_open\":{},\
-                 \"entries_scanned\":{},\"matches\":{},\"elapsed_ns\":{}}}",
-                if i == 0 { "" } else { "," },
-                s.shard,
-                s.served_by
-                    .map_or_else(|| "null".to_string(), |r| r.to_string()),
-                s.failovers,
-                s.hedged,
-                s.hedge_won,
-                s.skipped,
-                s.breaker_open,
-                s.entries_scanned,
-                s.matches,
-                s.elapsed_ns,
-            );
+        w.end();
+        w.key("shards").arr();
+        for s in &self.shards {
+            w.obj()
+                .field("shard", s.shard)
+                .field("served_by", s.served_by)
+                .field("failovers", s.failovers)
+                .field("hedged", s.hedged)
+                .field("hedge_won", s.hedge_won)
+                .field("skipped", s.skipped)
+                .field("breaker_open", s.breaker_open)
+                .field("entries_scanned", s.entries_scanned)
+                .field("matches", s.matches)
+                .field("elapsed_ns", s.elapsed_ns)
+                .end();
         }
-        out.push_str("],\"phases\":{");
-        for (i, p) in self.phases.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{}\":{}",
-                if i == 0 { "" } else { "," },
-                json::escape(p.name),
-                p.ns
-            );
+        w.end();
+        w.key("phases").obj();
+        for p in &self.phases {
+            w.field(p.name, p.ns);
         }
-        out.push_str("},\"annotations\":[");
-        for (i, a) in self.annotations.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{}\"",
-                if i == 0 { "" } else { "," },
-                json::escape(a)
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+        w.end();
+        w.key("annotations").arr().vals(&self.annotations);
+        w.finish()
     }
 }
 
@@ -523,5 +488,46 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"degraded\":true"), "{json}");
         assert!(json.contains("deadline exceeded"), "{json}");
+    }
+
+    fn fixture() -> ExplainReport {
+        let mut r = sample();
+        r.algo = "best\"first";
+        r.tmax = f64::NAN;
+        r.alpha = 1.0;
+        r.observed_selectivity = 2.5e-9;
+        r.entries_scanned = u64::MAX;
+        r.shards = vec![
+            ShardReport {
+                shard: 0,
+                served_by: Some(1),
+                failovers: 1,
+                hedged: true,
+                hedge_won: true,
+                entries_scanned: 90,
+                matches: 3,
+                elapsed_ns: 12_345,
+                ..ShardReport::default()
+            },
+            ShardReport {
+                shard: 1,
+                skipped: true,
+                breaker_open: true,
+                ..ShardReport::default()
+            },
+        ];
+        r.annotations = vec!["deadline hit".into(), "section 3 \"lost\"\n".into()];
+        r
+    }
+
+    /// What the parent commit (PR 22) rendered for `fixture()`.
+    const PARENT: &str = r#"{"query_id":3,"algo":"best\"first","alpha":1,"depth":6,"tmax":null,"iterations":11,"predicted_mass":0.95,"target":0.9,"observed_selectivity":0.0000000025,"entries_scanned":18446744073709551615,"matches":5,"sketch_skipped":0,"reconciles":false,"degraded":true,"blocks":[{"depth":6,"predicted_mass":0.7,"scanned":100,"matched":4},{"depth":6,"predicted_mass":0.25,"scanned":40,"matched":1}],"shards":[{"shard":0,"served_by":1,"failovers":1,"hedged":true,"hedge_won":true,"skipped":false,"breaker_open":false,"entries_scanned":90,"matches":3,"elapsed_ns":12345},{"shard":1,"served_by":null,"failovers":0,"hedged":false,"hedge_won":false,"skipped":true,"breaker_open":true,"entries_scanned":0,"matches":0,"elapsed_ns":0}],"phases":{"filter":10000,"refine":55000},"annotations":["deadline hit","section 3 \"lost\"\n"]}"#;
+
+    #[test]
+    fn explain_json_parses_to_the_parent_tree() {
+        assert_eq!(
+            crate::JsonValue::parse(&fixture().to_json()),
+            crate::JsonValue::parse(PARENT)
+        );
     }
 }

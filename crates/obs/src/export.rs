@@ -3,9 +3,12 @@
 
 use std::fmt::Write as _;
 
-use crate::json;
+use crate::json::JsonWriter;
 use crate::metrics::{MetricId, Snapshot};
 
+/// A gauge for the table and Prometheus renderers, whose grammars spell
+/// non-finite values `NaN` / `+Inf` / `-Inf` (JSON goes through
+/// [`JsonWriter`]).
 fn fmt_f64(v: f64) -> String {
     if v.is_nan() {
         "NaN".to_string()
@@ -16,6 +19,12 @@ fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
+}
+
+/// Column width of the table's metric-id column for one section.
+fn id_width<T>(rows: &[(MetricId, T)]) -> usize {
+    let widths = rows.iter().map(|(id, _)| id.render().len());
+    widths.max().unwrap_or(0)
 }
 
 /// `query.latency` → `query_latency` (Prometheus metric-name charset:
@@ -102,36 +111,21 @@ impl Snapshot {
         let mut out = String::new();
         if !self.counters.is_empty() {
             out.push_str("counters:\n");
-            let width = self
-                .counters
-                .iter()
-                .map(|(id, _)| id.render().len())
-                .max()
-                .unwrap_or(0);
+            let width = id_width(&self.counters);
             for (id, v) in &self.counters {
                 let _ = writeln!(out, "  {:width$}  {v}", id.render());
             }
         }
         if !self.gauges.is_empty() {
             out.push_str("gauges:\n");
-            let width = self
-                .gauges
-                .iter()
-                .map(|(id, _)| id.render().len())
-                .max()
-                .unwrap_or(0);
+            let width = id_width(&self.gauges);
             for (id, v) in &self.gauges {
                 let _ = writeln!(out, "  {:width$}  {}", id.render(), fmt_f64(*v));
             }
         }
         if !self.histograms.is_empty() {
             out.push_str("histograms (ns unless noted):\n");
-            let width = self
-                .histograms
-                .iter()
-                .map(|(id, _)| id.render().len())
-                .max()
-                .unwrap_or(0);
+            let width = id_width(&self.histograms);
             for (id, h) in &self.histograms {
                 if h.count == 0 {
                     let _ = writeln!(out, "  {:width$}  count=0", id.render());
@@ -159,72 +153,35 @@ impl Snapshot {
 
     /// Renders a JSON object with `counters`, `gauges` and `histograms`
     /// sections; each histogram includes count/sum/min/max and
-    /// p50/p90/p99.
+    /// p50/p90/p99. A non-finite gauge is `null`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (id, v)) in self.counters.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    \"{}\": {v}",
-                if i == 0 { "" } else { "," },
-                json::escape(&id.render())
-            );
+        let mut w = JsonWriter::indented();
+        w.obj().key("counters").obj();
+        for (id, v) in &self.counters {
+            w.field(&id.render(), *v);
         }
-        if !self.counters.is_empty() {
-            out.push_str("\n  ");
+        w.end();
+        w.key("gauges").obj();
+        for (id, v) in &self.gauges {
+            w.field(&id.render(), *v);
         }
-        out.push_str("},\n  \"gauges\": {");
-        for (i, (id, v)) in self.gauges.iter().enumerate() {
-            let val = if v.is_finite() {
-                fmt_f64(*v)
-            } else {
-                format!("\"{}\"", fmt_f64(*v))
-            };
-            let _ = write!(
-                out,
-                "{}\n    \"{}\": {val}",
-                if i == 0 { "" } else { "," },
-                json::escape(&id.render())
-            );
+        w.end();
+        w.key("histograms").obj();
+        for (id, h) in &self.histograms {
+            let seen = h.count > 0;
+            w.key(&id.render())
+                .obj()
+                .field("count", h.count)
+                .field("sum", h.sum)
+                .field("min", seen.then_some(h.min))
+                .field("max", seen.then_some(h.max))
+                .field("mean", h.mean())
+                .field("p50", h.p50())
+                .field("p90", h.p90())
+                .field("p99", h.p99())
+                .end();
         }
-        if !self.gauges.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"histograms\": {");
-        for (i, (id, h)) in self.histograms.iter().enumerate() {
-            let empty = h.count == 0;
-            let q = |v: Option<u64>| v.map(|x| x.to_string()).unwrap_or_else(|| "null".into());
-            let _ = write!(
-                out,
-                "{}\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                if i == 0 { "" } else { "," },
-                json::escape(&id.render()),
-                h.count,
-                h.sum,
-                if empty {
-                    "null".into()
-                } else {
-                    h.min.to_string()
-                },
-                if empty {
-                    "null".into()
-                } else {
-                    h.max.to_string()
-                },
-                h.mean()
-                    .map(|m| format!("{m}"))
-                    .unwrap_or_else(|| "null".into()),
-                q(h.p50()),
-                q(h.p90()),
-                q(h.p99()),
-            );
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+        w.finish()
     }
 
     /// Renders Prometheus text-format exposition: counters as `counter`,
@@ -357,5 +314,57 @@ mod tests {
                 "torn line: {line:?}"
             );
         }
+    }
+
+    fn fixture() -> crate::metrics::Snapshot {
+        let r = Registry::new();
+        r.counter("a.count").add(3);
+        r.counter_with("io.reads", Some(("kind", "se\"q")))
+            .add(u64::MAX);
+        r.gauge("a.gauge").set(1.5);
+        r.gauge("whole").set(3.0);
+        r.gauge("huge").set(1e21);
+        let h = r.histogram("a.hist");
+        for v in [1u64, 2, 3, 1000] {
+            h.record(v);
+        }
+        r.histogram("empty.hist");
+        r.snapshot()
+    }
+
+    /// What the parent commit (PR 22) rendered for `fixture()`.
+    const PARENT: &str = r#"{
+  "counters": {
+    "a.count": 3,
+    "io.reads{kind=\"se\"q\"}": 18446744073709551615
+  },
+  "gauges": {
+    "a.gauge": 1.5,
+    "huge": 1000000000000000000000,
+    "whole": 3.0
+  },
+  "histograms": {
+    "a.hist": {"count": 4, "sum": 1006, "min": 1, "max": 1000, "mean": 251.5, "p50": 2, "p90": 1000, "p99": 1000},
+    "empty.hist": {"count": 0, "sum": 0, "min": null, "max": null, "mean": null, "p50": null, "p90": null, "p99": null}
+  }
+}"#;
+
+    #[test]
+    fn metrics_json_parses_to_the_parent_tree_and_non_finite_gauges_are_null() {
+        use crate::JsonValue;
+        assert_eq!(
+            JsonValue::parse(&fixture().to_json()),
+            JsonValue::parse(PARENT)
+        );
+        // The parent wrote the quoted strings "NaN" / "+Inf" here.
+        let r = Registry::new();
+        r.gauge("nan").set(f64::NAN);
+        r.gauge("inf").set(f64::INFINITY);
+        let doc = JsonValue::parse(&r.snapshot().to_json()).unwrap();
+        let gauges = doc.get("gauges").unwrap();
+        assert_eq!(gauges.get("nan"), Some(&JsonValue::Null));
+        assert_eq!(gauges.get("inf"), Some(&JsonValue::Null));
+        let table = r.snapshot().to_table();
+        assert!(table.contains("NaN") && table.contains("+Inf"), "{table}");
     }
 }

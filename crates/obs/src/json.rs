@@ -1,33 +1,237 @@
-//! A minimal zero-dependency JSON reader, and the one string escaper
-//! every JSON writer in the workspace uses.
+//! The workspace's one JSON writer, and a minimal zero-dependency reader.
 //!
-//! `s3-obs` deliberately takes no external crates, but the flight
-//! recorder writes [`crate::recorder::IncidentReport`] dumps as JSON and
-//! the CLI `incident` subcommand (plus tests) need to read them back.
-//! This is a small recursive-descent parser for that round-trip — strict
-//! enough for RFC 8259 documents we produce ourselves, not a general
-//! validator (it accepts e.g. lone surrogates in `\u` escapes).
+//! `s3-obs` deliberately takes no external crates, but incident dumps,
+//! EXPLAIN reports, telemetry segment payloads, traces and experiment
+//! results are all JSON. [`JsonWriter`] is the only code that renders
+//! one: string escaping and the one number rule (integers as integers,
+//! `f64` by shortest round-trip, non-finite → `null`) live here and
+//! nowhere else. [`JsonValue::parse`] is a small recursive-descent parser
+//! for reading those documents back — strict enough for RFC 8259
+//! documents we produce ourselves, not a general validator (it accepts
+//! e.g. lone surrogates in `\u` escapes).
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
-/// Escapes `s` for use inside a JSON string literal (quotes not included).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Streaming, insertion-ordered JSON builder.
+///
+/// Containers are opened with [`obj`](Self::obj) / [`arr`](Self::arr) and
+/// closed with [`end`](Self::end); inside an object every value follows a
+/// [`key`](Self::key) ([`field`](Self::field) writes a key and a scalar).
+/// Commas, escaping and number formatting are the writer's job. A
+/// document is rendered on one line ([`JsonWriter::line`]: segment
+/// payloads, `--explain`, traces) or indented ([`JsonWriter::indented`]:
+/// files people open) — the document chooses, never a user.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    indented: bool,
+    /// Per open container: its closing bracket, and whether it holds a
+    /// value yet.
+    open: Vec<(char, bool)>,
+    after_key: bool,
+}
+
+impl JsonWriter {
+    /// A writer that renders the whole document on one line.
+    pub fn line() -> JsonWriter {
+        JsonWriter::default()
+    }
+
+    /// A writer that renders one member per line, two spaces a level.
+    pub fn indented() -> JsonWriter {
+        JsonWriter {
+            indented: true,
+            ..JsonWriter::default()
         }
     }
-    out
+
+    fn newline(&mut self) {
+        if self.indented {
+            self.out.push('\n');
+            for _ in 0..self.open.len() {
+                self.out.push_str("  ");
+            }
+        }
+    }
+
+    /// The comma and line break owed before the next key or value.
+    fn begin_item(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        if let Some((_, has_items)) = self.open.last_mut() {
+            if std::mem::replace(has_items, true) {
+                self.out.push(',');
+            }
+            self.newline();
+        }
+    }
+
+    fn open(&mut self, open: char, close: char) -> &mut Self {
+        self.begin_item();
+        self.out.push(open);
+        self.open.push((close, false));
+        self
+    }
+
+    /// Opens an object.
+    pub fn obj(&mut self) -> &mut Self {
+        self.open('{', '}')
+    }
+
+    /// Opens an array.
+    pub fn arr(&mut self) -> &mut Self {
+        self.open('[', ']')
+    }
+
+    /// Closes the innermost open container.
+    pub fn end(&mut self) -> &mut Self {
+        debug_assert!(!self.open.is_empty(), "end() without an open container");
+        if let Some((close, has_items)) = self.open.pop() {
+            if has_items {
+                self.newline();
+            }
+            self.out.push(close);
+        }
+        self
+    }
+
+    /// Writes an object member's name; its value comes next.
+    pub fn key(&mut self, name: &str) -> &mut Self {
+        self.begin_item();
+        name.render(&mut self.out);
+        self.out.push_str(if self.indented { ": " } else { ":" });
+        self.after_key = true;
+        self
+    }
+
+    /// Writes a scalar.
+    pub fn val(&mut self, v: impl JsonScalar) -> &mut Self {
+        self.begin_item();
+        v.render(&mut self.out);
+        self
+    }
+
+    /// `key(name)` then `val(v)`.
+    pub fn field(&mut self, name: &str, v: impl JsonScalar) -> &mut Self {
+        self.key(name).val(v)
+    }
+
+    /// Writes each `(name, value)` pair as a member of the open object.
+    pub fn fields<'a, K, V>(&mut self, members: impl IntoIterator<Item = &'a (K, V)>) -> &mut Self
+    where
+        K: AsRef<str> + 'a,
+        V: JsonScalar + 'a,
+    {
+        for (name, v) in members {
+            self.field(name.as_ref(), v);
+        }
+        self
+    }
+
+    /// Writes each item as an element of the open array.
+    pub fn vals<V: JsonScalar>(&mut self, items: impl IntoIterator<Item = V>) -> &mut Self {
+        for v in items {
+            self.val(v);
+        }
+        self
+    }
+
+    /// Splices an already-rendered JSON document in as the next value.
+    pub fn raw(&mut self, doc: &str) -> &mut Self {
+        self.begin_item();
+        self.out.push_str(doc);
+        self
+    }
+
+    /// The finished document, closing whatever is still open; an indented
+    /// one ends with a newline.
+    pub fn finish(mut self) -> String {
+        while !self.open.is_empty() {
+            self.end();
+        }
+        if self.indented {
+            self.out.push('\n');
+        }
+        self.out
+    }
+}
+
+/// A scalar [`JsonWriter::val`] can render: integers, `f64`, `bool`,
+/// strings, and `Option`s of them (`None` is `null`).
+pub trait JsonScalar {
+    /// Appends the value's JSON text to `out`.
+    fn render(&self, out: &mut String);
+}
+
+macro_rules! display_scalar {
+    ($($t:ty),*) => {$(
+        impl JsonScalar for $t {
+            fn render(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+display_scalar!(u32, u64, usize, i64, bool);
+
+impl JsonScalar for f64 {
+    /// Shortest digits that parse back to the same `f64` (an integral
+    /// value prints without a fraction), in exponent form outside
+    /// `[1e-5, 1e16)`. JSON has no NaN/Infinity: `null` is the honest
+    /// encoding.
+    fn render(&self, out: &mut String) {
+        let v = *self;
+        let _ = if !v.is_finite() {
+            write!(out, "null")
+        } else if v != 0.0 && !(1e-5..1e16).contains(&v.abs()) {
+            write!(out, "{v:e}")
+        } else {
+            write!(out, "{v}")
+        };
+    }
+}
+
+impl JsonScalar for str {
+    fn render(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+impl JsonScalar for String {
+    fn render(&self, out: &mut String) {
+        self.as_str().render(out);
+    }
+}
+
+impl<T: JsonScalar + ?Sized> JsonScalar for &T {
+    fn render(&self, out: &mut String) {
+        (**self).render(out);
+    }
+}
+
+impl<T: JsonScalar> JsonScalar for Option<T> {
+    fn render(&self, out: &mut String) {
+        match self {
+            Some(v) => v.render(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 /// A parsed JSON document node.
@@ -396,12 +600,73 @@ mod tests {
 
     #[test]
     fn round_trips_escapes() {
-        // `escape` output must parse back to the input.
+        // An escaped string must parse back to the input.
         let hostile = "a\"b\\c\nd\te\u{0007}é😀";
-        let doc = format!("\"{}\"", escape(hostile));
+        let mut w = JsonWriter::line();
+        w.val(hostile);
         assert_eq!(
-            JsonValue::parse(&doc).unwrap(),
+            JsonValue::parse(&w.finish()).unwrap(),
             JsonValue::Str(hostile.to_owned())
+        );
+    }
+
+    fn rendered(v: impl JsonScalar) -> String {
+        let mut w = JsonWriter::line();
+        w.val(v);
+        w.finish()
+    }
+
+    #[test]
+    fn one_number_rule() {
+        // Integers as integers, exactly, whatever their width.
+        assert_eq!(rendered(0u64), "0");
+        assert_eq!(rendered(3usize), "3");
+        assert_eq!(rendered(-3i64), "-3");
+        assert_eq!(rendered(u64::MAX), "18446744073709551615");
+        // f64 by shortest round-trip: an integral value has no fraction,
+        // huge and tiny ones use an exponent, the sign of zero survives.
+        for (v, text) in [
+            (0.0, "0"),
+            (3.0, "3"),
+            (-0.0, "-0"),
+            (0.1, "0.1"),
+            (1.5, "1.5"),
+            (1e300, "1e300"),
+            (1e16, "1e16"),
+            (9_007_199_254_740_993.0, "9007199254740992"),
+            (2.5e-7, "2.5e-7"),
+            (f64::MIN_POSITIVE, "2.2250738585072014e-308"),
+        ] {
+            assert_eq!(rendered(v), text);
+            let back = JsonValue::parse(text).unwrap().as_f64().unwrap();
+            assert_eq!(back.to_bits(), v.to_bits(), "{text} round-trips");
+        }
+        // Non-finite values have no JSON number: null, never a bare NaN.
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(rendered(v), "null");
+        }
+        assert_eq!(rendered(None::<u64>), "null");
+        assert_eq!(rendered(Some(7u64)), "7");
+    }
+
+    #[test]
+    fn two_renderings_of_one_stream() {
+        let build = |mut w: JsonWriter| {
+            w.obj().field("a", 1u64).key("b").arr();
+            w.val("x").obj().end().val(true).end();
+            w.key("c").raw("{\"k\":null}").key("d").arr().end().end();
+            w.finish()
+        };
+        let line = build(JsonWriter::line());
+        assert_eq!(line, r#"{"a":1,"b":["x",{},true],"c":{"k":null},"d":[]}"#);
+        let indented = build(JsonWriter::indented());
+        assert_eq!(
+            indented,
+            "{\n  \"a\": 1,\n  \"b\": [\n    \"x\",\n    {},\n    true\n  ],\n  \"c\": {\"k\":null},\n  \"d\": []\n}\n"
+        );
+        assert_eq!(
+            JsonValue::parse(&line).unwrap(),
+            JsonValue::parse(&indented).unwrap()
         );
     }
 }

@@ -67,6 +67,7 @@ pub mod crc;
 pub mod event;
 mod explain;
 mod export;
+pub mod frame;
 mod health;
 pub mod json;
 mod metrics;
@@ -82,7 +83,7 @@ mod window;
 pub use event::{set_event_sink, EventSink, Level, MemEventSink, StderrSink};
 pub use explain::{BlockExplain, ExplainPhase, ExplainReport, ShardReport};
 pub use health::{Bounds, HealthEngine, HealthReport, HealthRule, RuleOutcome, Signal, Verdict};
-pub use json::{JsonError, JsonValue};
+pub use json::{JsonError, JsonScalar, JsonValue, JsonWriter};
 pub use metrics::{
     registry, Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram, MetricId, Registry,
     Snapshot,

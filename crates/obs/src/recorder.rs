@@ -25,9 +25,10 @@ use std::time::Duration;
 
 use crate::event::{set_event_sink, EventSink, Level};
 use crate::health::HealthReport;
-use crate::json;
+use crate::json::{JsonScalar, JsonWriter};
 use crate::metrics::{registry, Counter, MetricId};
 use crate::span::{set_span_sink, RingCollector, SpanRecord};
+use crate::tsdb::unix_ms_now;
 use crate::window::MetricWindows;
 
 /// Capacities of the recorder's rings.
@@ -285,202 +286,109 @@ impl FlightRecorder {
     }
 }
 
-fn unix_ms_now() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-        .unwrap_or(0)
-}
-
-fn json_num(out: &mut String, v: f64) {
-    if v.is_finite() {
-        if v == v.trunc() && v.abs() < 1e15 {
-            out.push_str(&format!("{v:.1}"));
-        } else {
-            out.push_str(&format!("{v}"));
-        }
-    } else {
-        // JSON has no NaN/Inf; null is the honest encoding.
-        out.push_str("null");
-    }
-}
-
-fn json_id(out: &mut String, id: &MetricId) {
-    out.push_str(&format!("\"name\": \"{}\"", json::escape(id.name)));
+/// `"name"` and, when the metric is labelled, `"label": {k: v}`.
+fn metric_id(w: &mut JsonWriter, id: &MetricId) {
+    w.field("name", id.name);
     if let Some((k, v)) = id.label {
-        out.push_str(&format!(
-            ", \"label\": {{\"{}\": \"{}\"}}",
-            json::escape(k),
-            json::escape(v)
-        ));
+        w.key("label").obj().field(k, v).end();
     }
 }
 
-fn json_opt_u64(out: &mut String, v: Option<u64>) {
-    match v {
-        Some(v) => out.push_str(&v.to_string()),
-        None => out.push_str("null"),
+/// `key: [{"name", "label"?, value_key: value}, …]`.
+fn metric_rows<V: JsonScalar>(
+    w: &mut JsonWriter,
+    key: &str,
+    value_key: &str,
+    rows: &[(MetricId, V)],
+) {
+    w.key(key).arr();
+    for (id, v) in rows {
+        w.obj();
+        metric_id(w, id);
+        w.field(value_key, v).end();
     }
+    w.end();
 }
 
 impl IncidentReport {
     /// Renders the report as a self-describing JSON document
     /// (`"schema": "s3.incident.v1"`).
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(4096);
-        o.push_str("{\n  \"schema\": \"s3.incident.v1\",\n");
-        o.push_str(&format!("  \"unix_ms\": {},\n", self.unix_ms));
-        o.push_str(&format!("  \"seq\": {},\n", self.seq));
-        // Trigger.
-        o.push_str(&format!(
-            "  \"trigger\": {{\"kind\": \"{}\", \"rule\": ",
-            json::escape(self.trigger.kind)
-        ));
-        match &self.trigger.rule {
-            Some(r) => o.push_str(&format!("\"{}\"", json::escape(r))),
-            None => o.push_str("null"),
+        let mut w = JsonWriter::indented();
+        w.obj()
+            .field("schema", "s3.incident.v1")
+            .field("unix_ms", self.unix_ms)
+            .field("seq", self.seq);
+        w.key("trigger")
+            .obj()
+            .field("kind", self.trigger.kind)
+            .field("rule", self.trigger.rule.as_deref())
+            .field("detail", &self.trigger.detail)
+            .end();
+        w.key("health");
+        if let Some(h) = &self.health {
+            w.obj()
+                .field("verdict", h.verdict.as_str())
+                .field("previous", h.previous.as_str());
+            w.key("rules").arr();
+            for r in &h.rules {
+                w.obj()
+                    .field("name", r.name)
+                    .field("level", r.level.as_str())
+                    .field("value", r.value)
+                    .field("detail", &r.detail)
+                    .end();
+            }
+            w.end().end();
+        } else {
+            w.val(None::<u64>);
         }
-        o.push_str(&format!(
-            ", \"detail\": \"{}\"}},\n",
-            json::escape(&self.trigger.detail)
-        ));
-        // Health.
-        match &self.health {
-            Some(h) => {
-                o.push_str(&format!(
-                    "  \"health\": {{\"verdict\": \"{}\", \"previous\": \"{}\", \"rules\": [",
-                    h.verdict.as_str(),
-                    h.previous.as_str()
-                ));
-                for (i, r) in h.rules.iter().enumerate() {
-                    if i > 0 {
-                        o.push_str(", ");
-                    }
-                    o.push_str(&format!(
-                        "{{\"name\": \"{}\", \"level\": \"{}\", \"value\": ",
-                        json::escape(r.name),
-                        r.level.as_str()
-                    ));
-                    match r.value {
-                        Some(v) => json_num(&mut o, v),
-                        None => o.push_str("null"),
-                    }
-                    o.push_str(&format!(", \"detail\": \"{}\"}}", json::escape(&r.detail)));
-                }
-                o.push_str("]},\n");
-            }
-            None => o.push_str("  \"health\": null,\n"),
+        w.key("windows")
+            .obj()
+            .field("covered_s", self.window_covered.as_secs_f64())
+            .field("lookback_s", self.window_lookback.as_secs_f64());
+        metric_rows(&mut w, "rates", "per_s", &self.rates);
+        w.end();
+        w.key("spans").arr();
+        for s in &self.spans {
+            w.obj()
+                .field("name", s.name)
+                .field("start_ns", s.start_ns)
+                .field("dur_ns", s.dur_ns)
+                .field("query_id", s.query_id)
+                .field("tid", s.tid);
+            w.key("fields").obj().fields(&s.fields).end().end();
         }
-        // Windows.
-        o.push_str("  \"windows\": {");
-        o.push_str(&format!(
-            "\"covered_s\": {}, \"lookback_s\": {}, \"rates\": [",
-            self.window_covered.as_secs_f64(),
-            self.window_lookback.as_secs_f64()
-        ));
-        for (i, (id, v)) in self.rates.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            o.push('{');
-            json_id(&mut o, id);
-            o.push_str(", \"per_s\": ");
-            json_num(&mut o, *v);
-            o.push('}');
+        w.end();
+        w.key("events").arr();
+        for e in &self.events {
+            w.obj()
+                .field("level", e.level)
+                .field("target", e.target)
+                .field("message", &e.message)
+                .end();
         }
-        o.push_str("]},\n");
-        // Spans.
-        o.push_str("  \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            o.push_str(&format!(
-                "{{\"name\": \"{}\", \"start_ns\": {}, \"dur_ns\": {}, \"query_id\": {}, \"tid\": {}, \"fields\": {{",
-                json::escape(s.name),
-                s.start_ns,
-                s.dur_ns,
-                s.query_id,
-                s.tid
-            ));
-            for (j, (k, v)) in s.fields.iter().enumerate() {
-                if j > 0 {
-                    o.push_str(", ");
-                }
-                o.push_str(&format!("\"{}\": ", json::escape(k)));
-                json_num(&mut o, *v);
-            }
-            o.push_str("}}");
+        w.end();
+        w.key("state").obj();
+        for (component, fields) in &self.state {
+            w.key(component).obj().fields(fields).end();
         }
-        o.push_str("],\n");
-        // Events.
-        o.push_str("  \"events\": [");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            o.push_str(&format!(
-                "{{\"level\": \"{}\", \"target\": \"{}\", \"message\": \"{}\"}}",
-                e.level,
-                json::escape(e.target),
-                json::escape(&e.message)
-            ));
-        }
-        o.push_str("],\n");
-        // Component state.
-        o.push_str("  \"state\": {");
-        for (i, (component, fields)) in self.state.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            o.push_str(&format!("\"{}\": {{", json::escape(component)));
-            for (j, (k, v)) in fields.iter().enumerate() {
-                if j > 0 {
-                    o.push_str(", ");
-                }
-                o.push_str(&format!("\"{}\": \"{}\"", json::escape(k), json::escape(v)));
-            }
-            o.push('}');
-        }
-        o.push_str("},\n");
+        w.end();
         // Cumulative metrics.
-        o.push_str("  \"metrics\": {\"counters\": [");
-        for (i, (id, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            o.push('{');
-            json_id(&mut o, id);
-            o.push_str(&format!(", \"value\": {v}}}"));
+        w.key("metrics").obj();
+        metric_rows(&mut w, "counters", "value", &self.counters);
+        metric_rows(&mut w, "gauges", "value", &self.gauges);
+        w.key("histograms").arr();
+        for h in &self.histograms {
+            w.obj();
+            metric_id(&mut w, &h.id);
+            w.field("count", h.count)
+                .field("p50", h.p50)
+                .field("p99", h.p99)
+                .field("max", h.max)
+                .end();
         }
-        o.push_str("], \"gauges\": [");
-        for (i, (id, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            o.push('{');
-            json_id(&mut o, id);
-            o.push_str(", \"value\": ");
-            json_num(&mut o, *v);
-            o.push('}');
-        }
-        o.push_str("], \"histograms\": [");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            o.push('{');
-            json_id(&mut o, &h.id);
-            o.push_str(&format!(", \"count\": {}, \"p50\": ", h.count));
-            json_opt_u64(&mut o, h.p50);
-            o.push_str(", \"p99\": ");
-            json_opt_u64(&mut o, h.p99);
-            o.push_str(", \"max\": ");
-            json_opt_u64(&mut o, h.max);
-            o.push('}');
-        }
-        o.push_str("]}\n}\n");
-        o
+        w.finish()
     }
 
     /// Writes the report to `dir` as `incident-<kind>-<seq>.json`,
@@ -629,5 +537,129 @@ mod tests {
         let text = std::fs::read_to_string(&p).expect("read back");
         assert!(JsonValue::parse(&text).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One of everything: a labelled and an unlabelled metric, a rule with
+    /// and without a value, hostile strings, non-finite leaves, empty
+    /// histogram quantiles.
+    fn fixture() -> IncidentReport {
+        let labelled = MetricId {
+            name: "io.reads",
+            label: Some(("kind", "se\"q")),
+        };
+        let plain = MetricId {
+            name: "queries",
+            label: None,
+        };
+        IncidentReport {
+            unix_ms: 1_700_000_000_123,
+            seq: 4,
+            trigger: IncidentTrigger {
+                kind: "health",
+                rule: Some("crc-failures".into()),
+                detail: "3 torn reads\n\"quoted\" \\ tab\t".into(),
+            },
+            health: Some(HealthReport {
+                verdict: crate::health::Verdict::Critical,
+                previous: crate::health::Verdict::Healthy,
+                transitioned: true,
+                rules: vec![
+                    crate::health::RuleOutcome {
+                        name: "crc-failures",
+                        value: Some(3.0),
+                        level: crate::health::Verdict::Critical,
+                        detail: "3 > 0".into(),
+                    },
+                    crate::health::RuleOutcome {
+                        name: "hit-floor",
+                        value: None,
+                        level: crate::health::Verdict::Healthy,
+                        detail: "no data".into(),
+                    },
+                    crate::health::RuleOutcome {
+                        name: "ratio",
+                        value: Some(f64::NAN),
+                        level: crate::health::Verdict::Degraded,
+                        detail: String::new(),
+                    },
+                ],
+            }),
+            window_covered: Duration::from_millis(12_500),
+            window_lookback: Duration::from_secs(60),
+            rates: vec![(labelled, 2.5), (plain, 40.0), (plain, 1e-7)],
+            spans: vec![
+                SpanRecord {
+                    name: "query.filter",
+                    dur_ns: 1_500,
+                    start_ns: 99,
+                    query_id: 7,
+                    tid: 2,
+                    fields: vec![("blocks", 3.0), ("mass", 0.8125), ("bad", f64::INFINITY)],
+                },
+                SpanRecord {
+                    name: "query.refine",
+                    dur_ns: u64::MAX,
+                    start_ns: 1_700,
+                    query_id: 0,
+                    tid: 1,
+                    fields: vec![],
+                },
+            ],
+            events: vec![EventRecord {
+                level: "warn",
+                target: "storage",
+                message: "torn read at \u{1}".into(),
+            }],
+            state: vec![
+                (
+                    "buffer_pool".into(),
+                    vec![
+                        ("pages".into(), "64".into()),
+                        ("note".into(), "a\"b".into()),
+                    ],
+                ),
+                ("empty".into(), vec![]),
+            ],
+            counters: vec![(labelled, 12), (plain, u64::MAX)],
+            gauges: vec![(plain, 0.5), (labelled, f64::NEG_INFINITY), (plain, 1e21)],
+            histograms: vec![
+                HistogramSummary {
+                    id: labelled,
+                    count: 4,
+                    p50: Some(2),
+                    p99: Some(1000),
+                    max: Some(1024),
+                },
+                HistogramSummary {
+                    id: plain,
+                    count: 0,
+                    p50: None,
+                    p99: None,
+                    max: None,
+                },
+            ],
+        }
+    }
+
+    /// What the parent commit (PR 22) rendered for `fixture()`.
+    const PARENT: &str = r#"{
+  "schema": "s3.incident.v1",
+  "unix_ms": 1700000000123,
+  "seq": 4,
+  "trigger": {"kind": "health", "rule": "crc-failures", "detail": "3 torn reads\n\"quoted\" \\ tab\t"},
+  "health": {"verdict": "critical", "previous": "healthy", "rules": [{"name": "crc-failures", "level": "critical", "value": 3.0, "detail": "3 > 0"}, {"name": "hit-floor", "level": "healthy", "value": null, "detail": "no data"}, {"name": "ratio", "level": "degraded", "value": null, "detail": ""}]},
+  "windows": {"covered_s": 12.5, "lookback_s": 60, "rates": [{"name": "io.reads", "label": {"kind": "se\"q"}, "per_s": 2.5}, {"name": "queries", "per_s": 40.0}, {"name": "queries", "per_s": 0.0000001}]},
+  "spans": [{"name": "query.filter", "start_ns": 99, "dur_ns": 1500, "query_id": 7, "tid": 2, "fields": {"blocks": 3.0, "mass": 0.8125, "bad": null}}, {"name": "query.refine", "start_ns": 1700, "dur_ns": 18446744073709551615, "query_id": 0, "tid": 1, "fields": {}}],
+  "events": [{"level": "warn", "target": "storage", "message": "torn read at \u0001"}],
+  "state": {"buffer_pool": {"pages": "64", "note": "a\"b"}, "empty": {}},
+  "metrics": {"counters": [{"name": "io.reads", "label": {"kind": "se\"q"}, "value": 12}, {"name": "queries", "value": 18446744073709551615}], "gauges": [{"name": "queries", "value": 0.5}, {"name": "io.reads", "label": {"kind": "se\"q"}, "value": null}, {"name": "queries", "value": 1000000000000000000000}], "histograms": [{"name": "io.reads", "label": {"kind": "se\"q"}, "count": 4, "p50": 2, "p99": 1000, "max": 1024}, {"name": "queries", "count": 0, "p50": null, "p99": null, "max": null}]}
+}"#;
+
+    #[test]
+    fn incident_json_parses_to_the_parent_tree() {
+        assert_eq!(
+            JsonValue::parse(&fixture().to_json()),
+            JsonValue::parse(PARENT)
+        );
     }
 }

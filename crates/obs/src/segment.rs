@@ -1,11 +1,11 @@
 //! CRC-framed, atomically-rotated segment files — the shared durability
 //! layer under [`crate::tsdb`] and [`crate::slowlog`].
 //!
-//! The format deliberately reuses the WAL/sidecar idioms from `s3-core`
-//! (magic + version header, per-record CRC, torn-tail truncation on
-//! open) without depending on it — `s3-obs` sits below `s3-core`, so the
-//! framing is reimplemented here on plain `std::fs`; the checksum itself
-//! is the one [`crate::crc`] both crates share.
+//! The format uses the WAL/sidecar idioms of `s3-core` (magic + version
+//! header, per-record CRC, torn-tail truncation on open) on plain
+//! `std::fs` — `s3-obs` sits below `s3-core`. The record frame and its
+//! scan are [`crate::frame`], the codec the core WAL appends and
+//! recovers with too.
 //!
 //! ## On-disk format
 //!
@@ -36,7 +36,7 @@ use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
-use crate::crc::crc32;
+use crate::frame;
 use crate::metrics::{registry, Counter, Gauge};
 
 /// Magic bytes opening every segment file.
@@ -46,7 +46,7 @@ pub const SEGMENT_VERSION: u32 = 1;
 /// Bytes of fixed header before the first record.
 pub const SEGMENT_HEADER_LEN: usize = 16;
 /// Sanity cap on a single record's `kind + payload` length.
-const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
+const MAX_RECORD_LEN: usize = 16 * 1024 * 1024;
 
 /// Size/age policy for a [`SegmentStore`].
 #[derive(Debug, Clone)]
@@ -146,68 +146,26 @@ pub fn segment_paths(dir: &Path, prefix: &str) -> io::Result<Vec<(u64, PathBuf)>
     Ok(out)
 }
 
-/// Scan result over one segment's bytes: decoded records, the length of
-/// the valid prefix, and whether trailing garbage was found.
-struct Scan {
-    records: Vec<Record>,
-    valid_len: u64,
-    torn: bool,
-}
-
-fn scan_segment(bytes: &[u8]) -> Scan {
+/// Scans one segment's bytes: decoded records, the length of the valid
+/// prefix (header included), and whether trailing garbage was found.
+fn scan_segment(bytes: &[u8]) -> frame::Scan<Record> {
     if bytes.len() < SEGMENT_HEADER_LEN
         || &bytes[..8] != SEGMENT_MAGIC
         || u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) != SEGMENT_VERSION
     {
         // Unrecognized header: nothing trustworthy in this file.
-        return Scan {
+        return frame::Scan {
             records: Vec::new(),
             valid_len: 0,
             torn: !bytes.is_empty(),
         };
     }
-    let mut records = Vec::new();
-    let mut off = SEGMENT_HEADER_LEN;
-    loop {
-        if off == bytes.len() {
-            return Scan {
-                records,
-                valid_len: off as u64,
-                torn: false,
-            };
-        }
-        if bytes.len() - off < 4 {
-            break;
-        }
-        let len = u32::from_le_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]]);
-        if len == 0 || len > MAX_RECORD_LEN {
-            break;
-        }
-        let body_start = off + 4;
-        let Some(body_end) = body_start.checked_add(len as usize) else {
-            break;
-        };
-        if body_end + 4 > bytes.len() {
-            break;
-        }
-        let body = &bytes[body_start..body_end];
-        let stored = u32::from_le_bytes([
-            bytes[body_end],
-            bytes[body_end + 1],
-            bytes[body_end + 2],
-            bytes[body_end + 3],
-        ]);
-        if crc32(body) != stored {
-            break;
-        }
-        records.push((body[0], body[1..].to_vec()));
-        off = body_end + 4;
-    }
-    Scan {
-        records,
-        valid_len: off as u64,
-        torn: true,
-    }
+    let mut scan = frame::SEGMENT.scan(&bytes[SEGMENT_HEADER_LEN..], |body| {
+        let (kind, payload) = body.split_first()?;
+        (body.len() <= MAX_RECORD_LEN).then(|| (*kind, payload.to_vec()))
+    });
+    scan.valid_len += SEGMENT_HEADER_LEN;
+    scan
 }
 
 fn sync_dir(dir: &Path) -> io::Result<()> {
@@ -267,7 +225,7 @@ impl SegmentStore {
                         ),
                     );
                 }
-                if scan.valid_len < SEGMENT_HEADER_LEN as u64 {
+                if scan.valid_len < SEGMENT_HEADER_LEN {
                     // Header itself is bad: replace the file wholesale.
                     fs::remove_file(path)?;
                     let name = segment_name(prefix, *seq);
@@ -276,12 +234,12 @@ impl SegmentStore {
                 } else {
                     let f = OpenOptions::new().read(true).write(true).open(path)?;
                     if scan.torn {
-                        f.set_len(scan.valid_len)?;
+                        f.set_len(scan.valid_len as u64)?;
                         f.sync_all()?;
                     }
                     let mut f = f;
                     f.seek(SeekFrom::End(0))?;
-                    (f, *seq, scan.valid_len, scan.records.len() as u64)
+                    (f, *seq, scan.valid_len as u64, scan.records.len() as u64)
                 }
             }
             None => {
@@ -327,14 +285,8 @@ impl SegmentStore {
         if self.cur_records > 0 && self.cur_len + frame_len > self.config.segment_bytes {
             self.rotate()?;
         }
-        let mut body = Vec::with_capacity(1 + payload.len());
-        body.push(kind);
-        body.extend_from_slice(payload);
-        let mut frame = Vec::with_capacity(frame_len as usize);
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        self.cur.write_all(&frame)?;
+        self.cur
+            .write_all(&frame::SEGMENT.encode(&[&[kind], payload]))?;
         self.cur.flush()?;
         self.cur_len += frame_len;
         self.cur_records += 1;

@@ -23,8 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::explain::ExplainReport;
-use crate::json;
-use crate::json::JsonValue;
+use crate::json::{JsonValue, JsonWriter};
 use crate::metrics::{registry, Counter};
 use crate::segment::{read_records, SegmentConfig, SegmentStore};
 use crate::tsdb::unix_ms_now;
@@ -171,26 +170,16 @@ impl SlowLog {
             }
             ring.push_back(entry);
         }
-        let explain_json = report.to_json();
-        let mut payload = String::with_capacity(explain_json.len() + 128);
-        payload.push_str("{\"schema\":\"s3.slowlog.v1\",\"unix_ms\":");
-        payload.push_str(&unix_ms.to_string());
-        payload.push_str(",\"query_id\":");
-        payload.push_str(&query_id.to_string());
-        payload.push_str(",\"latency_ns\":");
-        payload.push_str(&latency_ns.to_string());
-        payload.push_str(",\"degraded\":");
-        payload.push_str(if degraded { "true" } else { "false" });
-        payload.push_str(",\"annotations\":[");
-        for (i, a) in annotations.iter().enumerate() {
-            if i > 0 {
-                payload.push(',');
-            }
-            payload.push_str(&format!("\"{}\"", json::escape(a)));
-        }
-        payload.push_str("],\"explain\":");
-        payload.push_str(&explain_json);
-        payload.push('}');
+        let mut w = JsonWriter::line();
+        w.obj()
+            .field("schema", "s3.slowlog.v1")
+            .field("unix_ms", unix_ms)
+            .field("query_id", query_id)
+            .field("latency_ns", latency_ns)
+            .field("degraded", degraded);
+        w.key("annotations").arr().vals(annotations).end();
+        w.key("explain").raw(&report.to_json());
+        let payload = w.finish();
         match lock(&self.store).append(KIND_ENTRY, payload.as_bytes()) {
             Ok(()) => self.metrics.spilled.inc(),
             Err(e) => crate::event::warn("obs.slowlog", &format!("spill failed: {e}")),
@@ -322,5 +311,33 @@ mod tests {
         assert_eq!(recent[1].query_id, 4);
         // All five still reached disk.
         assert_eq!(SlowLog::read(&dir).unwrap().len(), 5);
+    }
+
+    fn fixture() -> ExplainReport {
+        let mut r = report(42, 2_000_000, &["deadline hit", "section 3 \"lost\""]);
+        r.tmax = f64::NAN;
+        r
+    }
+
+    /// What the parent commit (PR 22) rendered for `fixture()`.
+    const PARENT: &str = r#"{"schema":"s3.slowlog.v1","unix_ms":1791035322350,"query_id":42,"latency_ns":2000000,"degraded":true,"annotations":["deadline hit","section 3 \"lost\""],"explain":{"query_id":42,"algo":"x","alpha":0,"depth":0,"tmax":null,"iterations":0,"predicted_mass":0,"target":0,"observed_selectivity":0,"entries_scanned":0,"matches":0,"sketch_skipped":0,"reconciles":true,"degraded":true,"blocks":[],"shards":[],"phases":{"refine":2000000},"annotations":["deadline hit","section 3 \"lost\""]}}"#;
+
+    #[test]
+    fn spilled_payload_parses_to_the_parent_tree() {
+        let dir = tmp("golden");
+        let log = SlowLog::open(&dir, SlowLogConfig::default()).unwrap();
+        assert!(log.observe(&fixture()));
+        log.sync().unwrap();
+        let (_, payload) = read_records(&dir, "slowlog").unwrap().pop().unwrap();
+        let text = String::from_utf8(payload).unwrap();
+        // The capture time is the one leaf that differs run to run.
+        let without_time = |doc: &str| {
+            let JsonValue::Obj(mut m) = JsonValue::parse(doc).unwrap() else {
+                panic!("payload is an object: {doc}");
+            };
+            assert!(m.remove("unix_ms").is_some());
+            m
+        };
+        assert_eq!(without_time(&text), without_time(PARENT));
     }
 }

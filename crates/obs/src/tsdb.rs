@@ -19,8 +19,7 @@ use std::io;
 use std::path::Path;
 use std::time::{Duration, SystemTime};
 
-use crate::json;
-use crate::json::JsonValue;
+use crate::json::{JsonValue, JsonWriter};
 use crate::metrics::HistogramSnapshot;
 use crate::segment::{read_records, SegmentConfig, SegmentStore};
 use crate::window::{MetricWindows, WindowFrame};
@@ -161,57 +160,29 @@ impl TsdbSample {
 
     /// Serialises to one JSON object (the segment payload).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"schema\":\"s3.tsdb.v1\",\"tier\":\"");
-        out.push_str(self.tier.as_str());
-        out.push_str("\",\"t0\":");
-        out.push_str(&self.start_ms.to_string());
-        out.push_str(",\"t1\":");
-        out.push_str(&self.end_ms.to_string());
-        out.push_str(",\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", json::escape(k), v));
+        let mut w = JsonWriter::line();
+        w.obj()
+            .field("schema", "s3.tsdb.v1")
+            .field("tier", self.tier.as_str())
+            .field("t0", self.start_ms)
+            .field("t1", self.end_ms);
+        w.key("counters").obj().fields(&self.counters).end();
+        w.key("gauges").obj().fields(&self.gauges).end();
+        w.key("hists").obj();
+        for (k, h) in &self.hists {
+            w.key(k)
+                .obj()
+                .field("count", h.count)
+                .field("sum", h.sum)
+                .field("min", h.min)
+                .field("max", h.max)
+                .field("p50", h.p50)
+                .field("p99", h.p99)
+                .end();
         }
-        out.push_str("},\"gauges\":{");
-        let mut first = true;
-        for (k, v) in &self.gauges {
-            if !v.is_finite() {
-                continue; // NaN/inf are not representable in JSON
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{}\":{}", json::escape(k), fmt_f64(*v)));
-        }
-        out.push_str("},\"hists\":{");
-        for (i, (k, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p99\":{}}}",
-                json::escape(k),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.p50,
-                h.p99
-            ));
-        }
-        out.push_str("},\"resets\":[");
-        for (i, k) in self.resets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json::escape(k)));
-        }
-        out.push_str("]}");
-        out
+        w.end();
+        w.key("resets").arr().vals(&self.resets);
+        w.finish()
     }
 
     /// Parses a sample back from its JSON form (`None` on any mismatch).
@@ -231,7 +202,10 @@ impl TsdbSample {
         let mut gauges = Vec::new();
         if let Some(m) = v.get("gauges").and_then(|c| c.as_object()) {
             for (k, val) in m {
-                gauges.push((k.clone(), val.as_f64()?));
+                // A non-finite gauge is written as `null`: absent on read.
+                if *val != JsonValue::Null {
+                    gauges.push((k.clone(), val.as_f64()?));
+                }
             }
         }
         let mut hists = Vec::new();
@@ -273,14 +247,6 @@ impl TsdbSample {
 pub fn key_matches(key: &str, name: &str) -> bool {
     key == name
         || (key.len() > name.len() && key.starts_with(name) && key.as_bytes()[name.len()] == b'{')
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
 }
 
 /// Configuration for [`Tsdb`].
@@ -680,5 +646,57 @@ mod tests {
             .map(|(_, h)| h.count)
             .sum();
         assert_eq!(hist_total, 150);
+    }
+
+    fn fixture() -> TsdbSample {
+        TsdbSample {
+            tier: Tier::Raw,
+            start_ms: 1_700_000_000_000,
+            end_ms: 1_700_000_002_500,
+            counters: vec![("a".into(), 7), ("b{k=\"v\"}".into(), u64::MAX)],
+            gauges: vec![
+                ("g".into(), 1.25),
+                ("whole".into(), 3.0),
+                ("tiny".into(), 2.5e-9),
+                ("huge".into(), 1e21),
+                ("neg".into(), -0.0),
+            ],
+            hists: vec![(
+                "h{store=\"t\"}".into(),
+                HistSummary {
+                    count: 10,
+                    sum: 1000,
+                    min: 5,
+                    max: 500,
+                    p50: 90,
+                    p99: 480,
+                },
+            )],
+            resets: vec!["a".into(), "line\nbreak".into()],
+        }
+    }
+
+    /// What the parent commit (PR 22) rendered for `fixture()`.
+    const PARENT: &str = r#"{"schema":"s3.tsdb.v1","tier":"raw","t0":1700000000000,"t1":1700000002500,"counters":{"a":7,"b{k=\"v\"}":18446744073709551615},"gauges":{"g":1.25,"whole":3,"tiny":0.0000000025,"huge":1000000000000000000000,"neg":0},"hists":{"h{store=\"t\"}":{"count":10,"sum":1000,"min":5,"max":500,"p50":90,"p99":480}},"resets":["a","line\nbreak"]}"#;
+
+    #[test]
+    fn sample_json_parses_to_the_parent_tree_and_null_gauges_read_as_absent() {
+        let mut s = fixture();
+        let doc = JsonValue::parse(&s.to_json()).unwrap();
+        assert_eq!(Ok(&doc), JsonValue::parse(PARENT).as_ref());
+        // An old sample (the parent's text) still loads, gauge for gauge.
+        let old = TsdbSample::from_json(&JsonValue::parse(PARENT).unwrap()).unwrap();
+        assert_eq!(old.gauges.len(), s.gauges.len());
+        // The parent dropped a non-finite gauge's key; it is `null` now and
+        // absent again once read.
+        s.gauges.push(("nan".into(), f64::NAN));
+        let doc = JsonValue::parse(&s.to_json()).unwrap();
+        assert_eq!(
+            doc.get("gauges").and_then(|g| g.get("nan")),
+            Some(&JsonValue::Null)
+        );
+        let back = TsdbSample::from_json(&doc).unwrap();
+        assert_eq!(back.gauges.len(), old.gauges.len());
+        assert!(back.gauges.iter().all(|(k, _)| k != "nan"));
     }
 }

@@ -34,7 +34,10 @@ fn main() {
 
     // 1b. Calibrate the decision threshold on non-referenced material, the
     //     paper's procedure (§V-C: "less than 1 false alarm per hour").
-    let negatives: Vec<_> = (0..4u64)
+    //     Two minutes of negatives admit no alarm at all, so the threshold
+    //     is the largest spurious score + 1: it needs enough clips to have
+    //     seen a large one (four clips gave 54, and a stranger scored above).
+    let negatives: Vec<_> = (0..24u64)
         .map(|i| {
             let v = ProceduralVideo::new(128, 96, 120, 0x0FF_0000 + i);
             extract_fingerprints(&v, db.extractor_params())
@@ -43,7 +46,7 @@ fn main() {
     let probe = Detector::new(&db, DetectorConfig::default());
     let cal = calibrate_threshold(&probe, &negatives, 25.0, 1.0);
     println!(
-        "calibrated n_sim threshold: {} ({} spurious scores observed over {:.2} h)",
+        "calibrated n_sim threshold: {} ({} spurious scores observed over {:.4} h)",
         cal.min_votes,
         cal.spurious_scores.len(),
         cal.hours_scanned
