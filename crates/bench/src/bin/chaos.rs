@@ -622,12 +622,12 @@ fn scenario_admission(seed: u64) -> RunReport {
     }
 }
 
-/// Rebuilds the in-memory index behind a workload so shard scenarios can
-/// re-slice it into per-shard replica files.
+/// Rebuilds the in-memory index behind a workload, on the stored curve, so
+/// shard scenarios can re-slice it into per-shard replica files.
 fn rebuild_index(wl: &Workload) -> S3Index {
     let disk = DiskIndex::open_storage(Box::new(MemStorage::new(wl.bytes.clone()))).unwrap();
     let records = disk.to_record_batch().unwrap();
-    S3Index::build(disk.curve().clone(), records)
+    S3Index::build_on(disk.curve().clone(), records)
 }
 
 fn shard_write_opts() -> WriteOpts {

@@ -13,8 +13,10 @@
 //!   satisfies `acked ≤ m ≤ acked + 1` (the `+1` is a record whose WAL
 //!   append was durable but whose acknowledgement never returned), and the
 //!   recovered records are exactly the first `m` inserted.
-//! * **R3 — bit-identical answers**: range and statistical batch queries
-//!   over the recovered index equal a fresh in-memory index over those
+//! * **R3 — bit-identical answers**: the recovered index is on the curve
+//!   an uncrashed run has (the created one until the first merge commits,
+//!   then the axis order that merge chose), and range and statistical batch
+//!   queries over it equal a fresh in-memory index on that curve over those
 //!   same `m` records, compared as sorted `(id, tc)` sets.
 //! * **R4 — recovery is idempotent**: reopening a second time yields the
 //!   same record count and a clean (non-replaying) state where the first
@@ -168,14 +170,30 @@ fn answers(idx: &DurableIndex, queries: &[Vec<u8>]) -> (AnswerSets, AnswerSets) 
     (norm(&range.matches), norm(&stat.matches))
 }
 
-/// Reference answers over the first `m` records, from a fresh in-memory
-/// index — what an uncrashed run over exactly those records would say.
-fn reference(m: u32, queries: &[Vec<u8>]) -> (AnswerSets, AnswerSets) {
+/// The first `m` scripted records.
+fn records(m: u32) -> RecordBatch {
     let mut batch = RecordBatch::new(DIMS);
     for i in 0..m {
         batch.push(&fp(i), i, i * 3);
     }
-    let index = S3Index::build(curve(), batch);
+    batch
+}
+
+/// The curve an uncrashed run has once `disk_len` records are merged: the
+/// created one until the first merge commits, then the order that merge
+/// ranked from its records.
+fn expected_curve(disk_len: u64, merge_at: &[u32]) -> HilbertCurve {
+    match merge_at.first() {
+        Some(&first) if disk_len > 0 => S3Index::build(curve(), records(first)).curve().clone(),
+        _ => curve(),
+    }
+}
+
+/// Reference answers over the first `m` records, from a fresh in-memory
+/// index on `curve` — what an uncrashed run over exactly those records
+/// would say.
+fn reference(m: u32, curve: &HilbertCurve, queries: &[Vec<u8>]) -> (AnswerSets, AnswerSets) {
+    let index = S3Index::build_on(curve.clone(), records(m));
     let model = IsotropicNormal::new(DIMS, 12.0);
     let sopts = StatQueryOpts::new(0.9, 10);
     let norm = |ms: &[s3_core::Match]| {
@@ -270,8 +288,16 @@ fn run_kill_point(
                     rep.outcome, rep.redone_pages
                 ));
             }
+            let want_curve = expected_curve(idx.disk_len(), merge_at);
+            if *idx.curve() != want_curve {
+                violations.push(format!(
+                    "R3 violated: recovered axis order {:?}, an uncrashed run has {:?}",
+                    idx.curve().split_order(),
+                    want_curve.split_order()
+                ));
+            }
             let (got_range, got_stat) = answers(&idx, queries);
-            let (want_range, want_stat) = reference(m, queries);
+            let (want_range, want_stat) = reference(m, &want_curve, queries);
             if got_range != want_range {
                 violations.push("R3 violated: range answers differ from the reference".into());
             }

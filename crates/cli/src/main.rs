@@ -384,6 +384,19 @@ fn cmd_info(rest: Vec<String>) -> Result<CmdStatus, String> {
         disk.curve().order()
     );
     println!("key bits   : {}", disk.curve().key_bits());
+    // The components in the order the curve halves them.
+    let order: Vec<String> = disk
+        .curve()
+        .split_order()
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    let kind = if disk.curve().is_identity() {
+        "identity"
+    } else {
+        "ranked"
+    };
+    println!("axis order : {} ({kind})", order.join(" "));
     println!("data bytes : {}", disk.data_bytes());
     match disk.sketch() {
         Some(sk) => println!(
@@ -717,7 +730,8 @@ fn query_sharded(
     // Clean open to recover the records; replica storages get the faults.
     let clean = DiskIndex::open(path).map_err(|e| e.to_string())?;
     let records = clean.to_record_batch().map_err(|e| e.to_string())?;
-    let index = S3Index::build(clean.curve().clone(), records);
+    // On the stored curve: the shards must answer as the file does.
+    let index = S3Index::build_on(clean.curve().clone(), records);
     let plan = ShardPlan::balanced(&index, n_shards);
     let storages = shard_storages(&index, &plan, n_replicas, &fplan)?;
     let sharded = ShardedIndex::open(

@@ -283,7 +283,9 @@ mod tests {
     use s3_hilbert::Key256;
 
     /// `n` seeded records of `dims` components around mid-range, spread
-    /// `spread` (xorshift; a sum of four uniforms stands in for a normal).
+    /// `spread` (xorshift; a sum of four uniforms stands in for a normal),
+    /// on the identity curve: every component has the same spread, so a
+    /// ranked order would only pin which one sampling noise put first.
     fn index(dims: usize, n: usize, spread: f64, seed: u64) -> S3Index {
         let mut batch = RecordBatch::with_capacity(dims, n);
         let mut s = seed | 1;
@@ -301,7 +303,7 @@ mod tests {
             }
             batch.push(&fp, i as u32, 0);
         }
-        S3Index::build(HilbertCurve::new(dims, 8).unwrap(), batch)
+        S3Index::build_on(HilbertCurve::new(dims, 8).unwrap(), batch)
     }
 
     #[test]

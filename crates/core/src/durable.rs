@@ -2,8 +2,13 @@
 //!
 //! [`DurableIndex`] composes the durability subsystem into one engine:
 //!
-//! * the main index is the serialized `S3IDX002` byte stream, chunked into
-//!   self-verifying pages of a [`PageStore`] (see [`crate::pager`]);
+//! * the main index is the serialized `S3IDX002`/`S3IDX003` byte stream,
+//!   chunked into self-verifying pages of a [`PageStore`] (see
+//!   [`crate::pager`]);
+//! * an index created empty has no axis order of its own yet: its first
+//!   merge gives the curve the order its records give ([`S3Index::build`]),
+//!   and every later merge keeps it ([`S3Index::build_on`]) — so the curve
+//!   is fixed for the life of the index once it holds records;
 //! * queries open the stream through the existing [`DiskIndex`] reader,
 //!   which reads via a bounded [`BufferPool`] — so results are
 //!   *bit-identical* to a flat file, while resident memory is capped by
@@ -109,13 +114,15 @@ pub struct DurableIndex {
 
 impl DurableIndex {
     /// Formats `data` as an empty paged index over `curve` and opens it.
+    /// The first merge ranks the curve's axes from the records it merges,
+    /// as [`S3Index::build`] does; every later merge keeps that order.
     pub fn create(
         data: DynStorage,
         wal: DynStorage,
         curve: HilbertCurve,
         opts: DurableOptions,
     ) -> Result<DurableIndex, IndexError> {
-        let empty = S3Index::build(curve.clone(), RecordBatch::new(curve.dims()));
+        let empty = S3Index::build_on(curve.clone(), RecordBatch::new(curve.dims()));
         let bytes = DiskIndex::encode_to_vec(&empty, opts.write_opts)?;
         let pages = PageStore::create(data, opts.page_size)?;
         let cap = pages.payload_capacity();
@@ -353,7 +360,13 @@ impl DurableIndex {
                 self.pending.tc(i),
             );
         }
-        let merged = S3Index::build(self.curve.clone(), all);
+        // The first generation to hold records chooses the axis order; every
+        // later one keeps it.
+        let merged = if self.disk.is_empty() {
+            S3Index::build(self.curve.clone(), all)
+        } else {
+            S3Index::build_on(self.curve.clone(), all)
+        };
         let bytes = DiskIndex::encode_to_vec(&merged, self.opts.write_opts)?;
         let cap = self.pages.payload_capacity();
         let meta = self.pages.meta();
@@ -401,6 +414,7 @@ impl DurableIndex {
         self.disk = DiskIndex::open_storage(Box::new(PooledStorage::new(Arc::clone(&self.pool))))?;
         Self::rebuild_sketch(&mut self.disk, &self.opts);
         self.wal.checkpoint()?;
+        self.curve = self.disk.curve().clone();
         self.mem = DynamicIndex::empty(self.curve.clone(), 1.0);
         self.pending = RecordBatch::new(self.curve.dims());
         self.merges += 1;
@@ -491,7 +505,8 @@ impl DurableIndex {
         &self.pool
     }
 
-    /// The Hilbert curve of the index.
+    /// The Hilbert curve of the index: the one it was created on until its
+    /// first merge, the order that merge chose from then on.
     pub fn curve(&self) -> &HilbertCurve {
         &self.curve
     }
@@ -702,6 +717,74 @@ mod tests {
     }
 
     #[test]
+    fn first_merge_chooses_the_order_and_reopen_keeps_it() {
+        // Components 0 and 2 spread over the byte range, 1 and 3 stay within
+        // 16 of the centre.
+        let lopsided = |i: u32| -> Vec<u8> {
+            let h = i.wrapping_mul(0x9E37_79B9);
+            let b = h.to_le_bytes();
+            vec![b[0], 120 + b[1] % 16, b[2], 120 + b[3] % 16]
+        };
+        let data = SharedMemStorage::new();
+        let wal = SharedMemStorage::new();
+        let mut idx =
+            DurableIndex::create(boxed(&data), boxed(&wal), curve(), opts_small()).unwrap();
+        assert!(idx.curve().is_identity(), "nothing merged, nothing ranked");
+        let mut all = RecordBatch::new(4);
+        for i in 0..200 {
+            idx.insert(&lopsided(i), i, i).unwrap();
+            all.push(&lopsided(i), i, i);
+        }
+        assert_eq!(idx.merges(), 0);
+        idx.merge().unwrap();
+        let ranked = idx.curve().clone();
+        assert_eq!(&ranked, S3Index::build(curve(), all.clone()).curve());
+        assert_eq!(
+            ranked.split_order()[..2],
+            [0, 2],
+            "the wide components first"
+        );
+        // Later merges keep it, whatever their records would rank.
+        for i in 200..800 {
+            let fp = [120 + (i % 16) as u8, (i * 7) as u8, 120, (i * 13) as u8];
+            idx.insert(&fp, i, i).unwrap();
+            all.push(&fp, i, i);
+        }
+        assert!(idx.merges() >= 2 && idx.pending_len() > 0);
+        assert_eq!(idx.curve(), &ranked);
+        drop(idx);
+
+        // Reopen: the order comes back from the header; the unmerged tail is
+        // replayed on it.
+        let reopened = DurableIndex::open(boxed(&data), boxed(&wal), opts_small()).unwrap();
+        assert!(reopened.recovery().replayed_inserts > 0);
+        assert_eq!(reopened.curve(), &ranked);
+        let fresh = S3Index::build_on(ranked, all);
+        let model = IsotropicNormal::new(4, 6.0);
+        let queries: Vec<Vec<u8>> = (0..800)
+            .step_by(37)
+            .map(|i| fresh.records().fingerprint(i).to_vec())
+            .collect();
+        let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
+        let opts = StatQueryOpts::new(0.9, 8);
+        let stat = reopened
+            .stat_query_batch(&refs, &model, &opts, 1 << 20)
+            .unwrap();
+        let range = reopened.range_query_batch(&refs, 20.0, 8, 1 << 20).unwrap();
+        let ids = |ms: &[Match]| {
+            let mut v: Vec<(u32, u32)> = ms.iter().map(|m| (m.id, m.tc)).collect();
+            v.sort_unstable();
+            v
+        };
+        for (qi, q) in refs.iter().enumerate() {
+            let want = fresh.stat_query(q, &model, &opts);
+            assert_eq!(ids(&stat.matches[qi]), ids(&want.matches), "stat {qi}");
+            let want = fresh.range_query(q, 20.0, 8);
+            assert_eq!(ids(&range.matches[qi]), ids(&want.matches), "range {qi}");
+        }
+    }
+
+    #[test]
     fn mixed_batch_is_one_plan_two_scans_one_fold() {
         // 300 records merged to disk, 290 more unmerged — enough for the
         // in-memory side to have folded most of them into a static run of
@@ -730,15 +813,17 @@ mod tests {
         }
         assert_eq!((idx.disk_len(), idx.pending_len()), (300, 290));
         assert!(idx.mem.merges() > 0 && idx.mem.overlay_len() > 0);
-        let disk_only = S3Index::build(curve(), on_disk);
-        let fresh = S3Index::build(curve(), all);
+        // The first merge chose the order; both references are built on it.
+        let ranked = idx.curve().clone();
+        let disk_only = S3Index::build_on(ranked.clone(), on_disk);
+        let fresh = S3Index::build_on(ranked.clone(), all);
 
         let model = CountingModel::new(IsotropicNormal::new(4, 4.0));
         let opts = StatQueryOpts::new(0.9, 8);
         let queries: Vec<Vec<u8>> = (585..590).map(fp).collect();
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         for q in &refs {
-            select_blocks_stat(&curve(), &model, q, &opts, None);
+            select_blocks_stat(&ranked, &model, q, &opts, None);
         }
         let one_filter_each = model.take_integrations();
         let batch = idx.stat_query_batch(&refs, &model, &opts, 1 << 20).unwrap();

@@ -74,11 +74,12 @@ impl DynamicIndex {
         }
     }
 
-    /// Creates an empty dynamic index over `curve`.
+    /// Creates an empty dynamic index over exactly `curve`, axis order
+    /// included; every merge keeps it.
     pub fn empty(curve: HilbertCurve, merge_fraction: f64) -> Self {
         let dims = curve.dims();
         DynamicIndex::new(
-            S3Index::build(curve, RecordBatch::new(dims)),
+            S3Index::build_on(curve, RecordBatch::new(dims)),
             merge_fraction,
         )
     }
@@ -135,7 +136,8 @@ impl DynamicIndex {
         }
     }
 
-    /// Forces the overlay into the main index (one static rebuild).
+    /// Forces the overlay into the main index (one static rebuild on the
+    /// main index's curve: an index that grows keeps its axis order).
     ///
     /// Returns the outcome explicitly instead of rebuilding silently. An
     /// in-memory merge cannot be interrupted, so the outcome is always
@@ -148,7 +150,7 @@ impl DynamicIndex {
         let mut all = RecordBatch::with_capacity(self.overlay.dims(), self.len());
         all.extend_from(self.main.records());
         all.extend_from(&self.overlay);
-        self.main = S3Index::build(self.main.curve().clone(), all);
+        self.main = S3Index::build_on(self.main.curve().clone(), all);
         self.overlay = RecordBatch::new(self.overlay.dims());
         self.overlay_keys.clear();
         self.merges += 1;
@@ -274,13 +276,13 @@ mod tests {
         for (i, fp) in records.iter().enumerate() {
             full.push(fp, i as u32, 0);
         }
-        let static_idx = S3Index::build(curve(), full);
-
         let mut half = RecordBatch::new(DIMS);
         for (i, fp) in records.iter().take(300).enumerate() {
             half.push(fp, i as u32, 0);
         }
         let mut dyn_idx = DynamicIndex::new(S3Index::build(curve(), half), 1.0);
+        // Both assemblies on one curve: the one the half-built main ranked.
+        let static_idx = S3Index::build_on(dyn_idx.main().curve().clone(), full);
         for (i, fp) in records.iter().enumerate().skip(300) {
             dyn_idx.insert(fp, i as u32, 0);
         }
@@ -296,6 +298,61 @@ mod tests {
             assert_eq!(ids(&a.matches), ids(&b.matches), "stat query diverged");
             let a = static_idx.range_query(&q, 90.0, 10);
             let b = dyn_idx.range_query(&q, 90.0, 10);
+            assert_eq!(ids(&a.matches), ids(&b.matches), "range query diverged");
+        }
+    }
+
+    /// Records whose first three components spread over the byte range and
+    /// whose others stay near the centre: an order worth ranking.
+    fn lopsided_fp(state: &mut u64) -> Vec<u8> {
+        rand_fp(state)
+            .into_iter()
+            .enumerate()
+            .map(|(c, x)| if c < 3 { x } else { 120 + x / 16 })
+            .collect()
+    }
+
+    #[test]
+    fn ranked_main_keeps_its_curve_across_merges() {
+        let mut state = 0xA11CEu64;
+        let records: Vec<Vec<u8>> = (0..1500).map(|_| lopsided_fp(&mut state)).collect();
+        let mut first = RecordBatch::new(DIMS);
+        for (i, fp) in records.iter().take(400).enumerate() {
+            first.push(fp, i as u32, 0);
+        }
+        let main = S3Index::build(curve(), first);
+        let ranked = main.curve().clone();
+        assert!(!ranked.is_identity());
+        let mut wide = ranked.split_order()[..3].to_vec();
+        wide.sort_unstable();
+        assert_eq!(wide, [0, 1, 2], "the wide components first");
+        let mut dyn_idx = DynamicIndex::new(main, 0.1);
+        let mut all = RecordBatch::new(DIMS);
+        for (i, fp) in records.iter().enumerate() {
+            all.push(fp, i as u32, 0);
+            if i >= 400 {
+                dyn_idx.insert(fp, i as u32, 0);
+            }
+        }
+        assert!(dyn_idx.merges() >= 2, "{} merges", dyn_idx.merges());
+        assert!(dyn_idx.overlay_len() > 0);
+        assert_eq!(dyn_idx.main().curve(), &ranked);
+        let fresh = S3Index::build_on(ranked, all);
+        let model = IsotropicNormal::new(DIMS, 12.0);
+        let mut qstate = 0xC0FFEEu64;
+        for _ in 0..20 {
+            let q = lopsided_fp(&mut qstate);
+            let opts = StatQueryOpts::new(0.85, 10);
+            let (a, b) = (
+                fresh.stat_query(&q, &model, &opts),
+                dyn_idx.stat_query(&q, &model, &opts),
+            );
+            assert_eq!(ids(&a.matches), ids(&b.matches), "stat query diverged");
+            assert_eq!(a.stats.entries_scanned, b.stats.entries_scanned);
+            let (a, b) = (
+                fresh.range_query(&q, 60.0, 10),
+                dyn_idx.range_query(&q, 60.0, 10),
+            );
             assert_eq!(ids(&a.matches), ids(&b.matches), "range query diverged");
         }
     }

@@ -423,7 +423,11 @@ fn best_first_impl<F: FnMut(usize, u32, u32) -> f64>(
     heap.clear();
     cells.clear();
     cells.push(LevelCell::root(curve));
-    let root_mass: f64 = (0..dims as usize).map(|d| factor(d, order, 0)).product();
+    // The product runs in slot order, so a curve over permuted axes scores
+    // every node exactly as the identity curve does on the permuted query.
+    let root_mass: f64 = (0..dims as usize)
+        .map(|s| factor(curve.axis(s), order, 0))
+        .product();
     let alpha = reachable_alpha(alpha, root_mass);
     heap.push(HeapNode {
         mass: root_mass,
@@ -482,7 +486,7 @@ fn best_first_impl<F: FnMut(usize, u32, u32) -> f64>(
             cells.push(next);
         }
         nodes += 1;
-        let split = cells[node.cell as usize].split(dims, node.w_pref, node.j);
+        let split = cells[node.cell as usize].split(curve, node.w_pref, node.j);
         let parent_factor = factor(split.axis, split.ext, split.k);
         for c in 0..2 {
             let child_mass = if parent_factor > 0.0 {
@@ -1447,6 +1451,45 @@ mod tests {
                 assert_descents_agree(
                     20, order, depth, sigma, alpha, 1 << max_log, Some(stop), ref_cached, &q,
                 );
+            }
+
+            /// A curve over permuted axes filters a query exactly as the
+            /// identity curve filters the permuted query: the same nodes,
+            /// the same blocks with the same masses bit for bit, the same
+            /// merged key ranges. So an index may split its components in
+            /// any order without the filter noticing.
+            #[test]
+            fn permuted_axes_select_like_identity_on_permuted_query(
+                seed in any::<u64>(),
+                q in proptest::collection::vec(0u8..=255, 20),
+                dims in 2usize..=20,
+                depth_frac in 0.0f64..1.0,
+                sigma in 6.0f64..40.0,
+                alpha in 0.3f64..0.95,
+            ) {
+                let mut perm: Vec<usize> = (0..dims).collect();
+                let mut s = seed;
+                for i in (1..dims).rev() {
+                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    perm.swap(i, (s >> 33) as usize % (i + 1));
+                }
+                let id = HilbertCurve::new(dims, 8).unwrap();
+                let pi = id.with_axes(&perm).unwrap();
+                let q = &q[..dims];
+                let q_id: Vec<u8> = perm.iter().map(|&a| q[a]).collect();
+                let depth = 1 + (depth_frac * (2 * dims) as f64) as u32;
+                let model = IsotropicNormal::new(dims, sigma);
+                let got = select_blocks_best_first(&pi, &model, q, depth, alpha, 1 << 12);
+                let want = select_blocks_best_first(&id, &model, &q_id, depth, alpha, 1 << 12);
+                prop_assert_eq!(got.nodes_expanded, want.nodes_expanded);
+                prop_assert_eq!(got.blocks.len(), want.blocks.len());
+                for (g, w) in got.blocks.iter().zip(&want.blocks) {
+                    prop_assert_eq!((g.curve_rank(), g.depth()), (w.curve_rank(), w.depth()));
+                    prop_assert_eq!(g.score.to_bits(), w.score.to_bits());
+                }
+                prop_assert_eq!(got.mass.to_bits(), want.mass.to_bits());
+                prop_assert_eq!(got.truncated, want.truncated);
+                prop_assert_eq!(merge_block_ranges(&pi, &got), merge_block_ranges(&id, &want));
             }
 
             /// The threshold filter's memo is as invisible as the

@@ -16,11 +16,12 @@
 //! dies on the first bad sector cannot do that. Three mechanisms make the
 //! engine keep answering:
 //!
-//! * **Checksummed format** — the current `S3IDX002` format carries a CRC-32
-//!   over the header + index table, one CRC-32 per fixed-size data block, and
-//!   a CRC over the block-CRC table itself, so corruption is *detected*
-//!   rather than silently returned as wrong matches. Legacy `S3IDX001` files
-//!   still open (with a loud warning) but without verification.
+//! * **Checksummed format** — the current `S3IDX002` / `S3IDX003` formats
+//!   carry a CRC-32 over the header + index table, one CRC-32 per fixed-size
+//!   data block, and a CRC over the block-CRC table itself, so corruption is
+//!   *detected* rather than silently returned as wrong matches. Legacy
+//!   `S3IDX001` files still open (with a loud warning) but without
+//!   verification.
 //! * **Retries** — section loads that fail transiently (interrupted /
 //!   timed-out reads, checksum mismatches that may be bad reads of good
 //!   data) are retried with bounded exponential backoff ([`RetryPolicy`]).
@@ -38,9 +39,10 @@
 //! ## File layout (little-endian)
 //!
 //! ```text
-//! magic "S3IDX002" | dims u32 | order u32 | n u64 | table_depth u32 | block_size u32
+//! magic "S3IDX003" | dims u32 | order u32 | n u64 | table_depth u32 | block_size u32
+//! axes     : dims × u8                   the curve's slot → component order
 //! table    : (2^table_depth + 1) × u64   first-record index per key slot
-//! meta CRC : u32                         CRC-32 of header + table
+//! meta CRC : u32                         CRC-32 of header + axes + table
 //! data     : keys  n × 32 bytes          sorted Hilbert keys
 //!            fps   n × dims bytes        fingerprints
 //!            ids   n × u32
@@ -49,8 +51,11 @@
 //! tail CRC : u32                         CRC-32 of the CRC table
 //! ```
 //!
-//! The legacy `S3IDX001` layout is the same minus the three CRC regions,
-//! with a zero pad in place of `block_size`.
+//! A curve with the identity axis order is written as `S3IDX002`: the same
+//! layout without the `axes` bytes. `S3IDX002` and the legacy `S3IDX001`
+//! (the `S3IDX002` layout minus the three CRC regions, with a zero pad in
+//! place of `block_size`) open as the identity order; neither can be
+//! written for any other order.
 
 use crate::autotune::RecordCounts;
 use crate::crc::{crc32, Crc32};
@@ -72,6 +77,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+const MAGIC_V3: &[u8; 8] = b"S3IDX003";
 const MAGIC_V2: &[u8; 8] = b"S3IDX002";
 const MAGIC_V1: &[u8; 8] = b"S3IDX001";
 /// Depth of the on-disk index table (64k slots; boundaries of any coarser
@@ -164,11 +170,12 @@ pub struct DiskIndex {
     table_depth: u32,
     /// `table[s]` = first record whose key's top `table_depth` bits ≥ `s`.
     table: Vec<u64>,
-    /// Format version (1 = legacy unchecksummed, 2 = current).
+    /// Format version (1 = legacy unchecksummed, 2 = identity axis order,
+    /// 3 = any axis order).
     version: u32,
-    /// Bytes per checksummed block (v2 only).
+    /// Bytes per checksummed block (v2 and v3).
     block_size: u32,
-    /// Per-block CRC-32 of the data region (v2 only; empty for v1).
+    /// Per-block CRC-32 of the data region (v2 and v3; empty for v1).
     block_crcs: Vec<u32>,
     /// File offset where the data region starts.
     data_off: u64,
@@ -182,8 +189,9 @@ pub struct DiskIndex {
     /// on every batch. Shared so several indexes over one device can pool
     /// failure history.
     breakers: Option<Arc<SectionBreakers>>,
-    /// CRC-32 of the header + index table (v2 only; 0 for v1). Binds the
-    /// sketch sidecar to exactly this index generation.
+    /// CRC-32 of the header + axis order + index table (0 for v1). Binds
+    /// the sketch sidecar to exactly this index generation — and so to its
+    /// curve.
     meta_crc: u32,
     /// Optional section sketch: lets batched queries skip loading sections
     /// that provably hold no candidate (see [`crate::sketch`]).
@@ -342,23 +350,61 @@ impl BlockCrcs {
     }
 }
 
-/// Serialises the header + index table of an index into a buffer.
-fn encode_meta(index: &S3Index, opts: WriteOpts, magic: &[u8; 8]) -> Vec<u8> {
+/// The format that stores `curve`: `S3IDX002` for the identity axis
+/// order, `S3IDX003` otherwise.
+fn magic_for(curve: &HilbertCurve) -> &'static [u8; 8] {
+    if curve.is_identity() {
+        MAGIC_V2
+    } else {
+        MAGIC_V3
+    }
+}
+
+/// Bytes of the header, axis order and index table written for `curve` —
+/// the span the meta CRC covers.
+fn encoded_meta_len(curve: &HilbertCurve, table_depth: u32) -> usize {
+    let axes = if magic_for(curve) == MAGIC_V3 {
+        curve.dims()
+    } else {
+        0
+    };
+    HEADER_LEN as usize + axes + ((1usize << table_depth) + 1) * 8
+}
+
+/// Serialises the header, the axis order (`S3IDX003`) and the index table
+/// of an index into a buffer. `S3IDX001`/`S3IDX002` have no place for an
+/// order: asked for either with a curve that is not the identity, this
+/// refuses rather than write a file whose keys the reader would take for
+/// keys on another curve.
+fn encode_meta(index: &S3Index, opts: WriteOpts, magic: &[u8; 8]) -> io::Result<Vec<u8>> {
     let curve = index.curve();
+    if magic != MAGIC_V3 && !curve.is_identity() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "{} cannot store the axis order {:?}",
+                String::from_utf8_lossy(magic),
+                curve.axes()
+            ),
+        ));
+    }
     let n = index.len() as u64;
     let table_depth = opts.table_depth.min(curve.key_bits());
-    let mut meta = Vec::with_capacity(HEADER_LEN as usize + ((1usize << table_depth) + 1) * 8);
+    let mut meta = Vec::with_capacity(encoded_meta_len(curve, table_depth));
     meta.extend_from_slice(magic);
     meta.extend_from_slice(&(curve.dims() as u32).to_le_bytes());
     meta.extend_from_slice(&(curve.order() as u32).to_le_bytes());
     meta.extend_from_slice(&n.to_le_bytes());
     meta.extend_from_slice(&table_depth.to_le_bytes());
-    let aux = if magic == MAGIC_V2 {
-        opts.block_size
-    } else {
+    let aux = if magic == MAGIC_V1 {
         0
+    } else {
+        opts.block_size
     };
     meta.extend_from_slice(&aux.to_le_bytes());
+    if magic == MAGIC_V3 {
+        meta.extend_from_slice(curve.axes());
+    }
 
     // Index table: first record per key slot, rebuilt from sorted keys.
     let shift = curve.key_bits() - table_depth;
@@ -375,7 +421,7 @@ fn encode_meta(index: &S3Index, opts: WriteOpts, magic: &[u8; 8]) -> Vec<u8> {
         meta.extend_from_slice(&n.to_le_bytes());
         slot += 1;
     }
-    meta
+    Ok(meta)
 }
 
 /// Writes the data region (keys | fps | ids | tcs) through a writer, feeding
@@ -435,14 +481,15 @@ impl DiskIndex {
         Self::write_with(index, path, WriteOpts::default())
     }
 
-    /// Serialises a built index into the complete `S3IDX002` byte stream —
-    /// exactly the bytes [`DiskIndex::write_with`] puts in a file. The
+    /// Serialises a built index into the complete byte stream — `S3IDX002`
+    /// for an identity axis order, `S3IDX003` otherwise — exactly the bytes
+    /// [`DiskIndex::write_with`] puts in a file. The
     /// paged storage engine chunks this stream into pages; opening the
     /// chunked stream through a pooled [`Storage`] yields bit-identical
     /// query results by construction, because the reader is the same.
     pub fn encode_to_vec(index: &S3Index, opts: WriteOpts) -> io::Result<Vec<u8>> {
         assert!(opts.block_size > 0, "block size must be positive");
-        let meta = encode_meta(index, opts, MAGIC_V2);
+        let meta = encode_meta(index, opts, magic_for(index.curve()))?;
         let mut out = Vec::with_capacity(meta.len() + 4 + index.len() * 48);
         out.extend_from_slice(&meta);
         out.extend_from_slice(&crc32(&meta).to_le_bytes());
@@ -478,7 +525,7 @@ impl DiskIndex {
     fn build_sketch_for(index: &S3Index, opts: WriteOpts, encoded: &[u8]) -> Sketch {
         let curve = index.curve();
         let table_depth = opts.table_depth.min(curve.key_bits());
-        let meta_len = HEADER_LEN as usize + ((1usize << table_depth) + 1) * 8;
+        let meta_len = encoded_meta_len(curve, table_depth);
         let meta_crc = le_u32(&encoded[meta_len..meta_len + 4]);
         let params = SketchParams {
             bits_per_entry: opts.sketch_bits,
@@ -496,15 +543,17 @@ impl DiskIndex {
 
     /// Writes the legacy unchecksummed `S3IDX001` format. Kept so the
     /// version-1 read path (and anything archiving old files) stays
-    /// testable; new files should use [`DiskIndex::write`].
+    /// testable; new files should use [`DiskIndex::write`]. Fails, writing
+    /// nothing, for an index whose curve is not the identity order.
     pub fn write_v1(index: &S3Index, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut w = BufWriter::new(File::create(path.as_ref())?);
         let opts = WriteOpts {
             table_depth: TABLE_DEPTH,
             block_size: 0,
             sketch_bits: 0,
         };
-        w.write_all(&encode_meta(index, opts, MAGIC_V1))?;
+        let meta = encode_meta(index, opts, MAGIC_V1)?;
+        let mut w = BufWriter::new(File::create(path.as_ref())?);
+        w.write_all(&meta)?;
         write_data_region(&mut w, index, None)?;
         w.flush()
     }
@@ -535,6 +584,7 @@ impl DiskIndex {
         let mut header = [0u8; HEADER_LEN as usize];
         storage.read_at(0, &mut header)?;
         let version = match &header[0..8] {
+            m if m == MAGIC_V3 => 3,
             m if m == MAGIC_V2 => 2,
             m if m == MAGIC_V1 => 1,
             _ => return Err(bad_format("bad magic")),
@@ -549,15 +599,21 @@ impl DiskIndex {
         if table_depth > curve.key_bits() || table_depth > MAX_TABLE_DEPTH {
             return Err(bad_format(format!("bad table depth {table_depth}")));
         }
-        if version == 2 && block_size == 0 {
+        if version >= 2 && block_size == 0 {
             return Err(bad_format("zero block size"));
         }
+        // The axis order (v3): read with the table, checked by the meta CRC
+        // before anything trusts it.
+        let axes_len = if version == 3 { dims as u64 } else { 0 };
 
         let slots = 1usize << table_depth;
         let table_bytes = ((slots + 1) * 8) as u64;
-        let mut raw = vec![0u8; table_bytes as usize];
+        let mut raw = vec![0u8; (axes_len + table_bytes) as usize];
         storage.read_at(HEADER_LEN, &mut raw)?;
-        let table: Vec<u64> = raw.chunks_exact(8).map(le_u64).collect();
+        let table: Vec<u64> = raw[axes_len as usize..]
+            .chunks_exact(8)
+            .map(le_u64)
+            .collect();
 
         let record_bytes = KEY_LEN + dims as u64 + 4 + 4;
         let data_len = n
@@ -599,12 +655,11 @@ impl DiskIndex {
             return Ok(index);
         }
 
-        // v2: verify header+table CRC, then load and verify the block-CRC
-        // table.
+        // v2/v3: verify the header + axes + table CRC, then load and verify
+        // the block-CRC table.
+        let meta_len = HEADER_LEN + axes_len + table_bytes;
         let mut stored = [0u8; 4];
-        index
-            .storage
-            .read_at(HEADER_LEN + table_bytes, &mut stored)?;
+        index.storage.read_at(meta_len, &mut stored)?;
         let mut meta_crc = Crc32::new();
         meta_crc.update(&header);
         meta_crc.update(&raw);
@@ -612,8 +667,15 @@ impl DiskIndex {
         if meta_crc != le_u32(&stored) {
             return Err(checksum_failure("header", 0));
         }
+        if version == 3 {
+            let axes: Vec<usize> = raw[..dims].iter().map(|&a| usize::from(a)).collect();
+            index.curve = index
+                .curve
+                .with_axes(&axes)
+                .map_err(|e| bad_format(format!("bad axis order: {e}")))?;
+        }
         index.meta_crc = meta_crc;
-        index.data_off = HEADER_LEN + table_bytes + 4;
+        index.data_off = meta_len + 4;
 
         let n_blocks = data_len.div_ceil(u64::from(block_size));
         let crc_table_off = index.data_off + data_len;
@@ -690,7 +752,7 @@ impl DiskIndex {
     /// than the table, matching meta CRC). Returns `false` — and leaves
     /// the index sketch-less — on any mismatch.
     pub fn attach_sketch(&mut self, sketch: Sketch) -> bool {
-        let compatible = self.version == 2
+        let compatible = self.version >= 2
             && sketch.key_bits() == self.curve.key_bits()
             && sketch.depth() >= self.table_depth
             && sketch.index_crc() == self.meta_crc;
@@ -735,7 +797,7 @@ impl DiskIndex {
         ))
     }
 
-    /// On-disk format version of the opened file (1 or 2).
+    /// On-disk format version of the opened file (1, 2 or 3).
     pub fn version(&self) -> u32 {
         self.version
     }
@@ -1530,7 +1592,8 @@ mod tests {
         let disk = DiskIndex::open(&path).unwrap();
         assert_eq!(disk.len(), 500);
         assert_eq!(disk.curve(), idx.curve());
-        assert_eq!(disk.version(), 2);
+        assert!(!idx.curve().is_identity(), "random data ranks its axes");
+        assert_eq!(disk.version(), 3);
         disk.verify().unwrap();
     }
 
@@ -1560,7 +1623,7 @@ mod tests {
     #[test]
     fn v1_files_still_load_and_answer() {
         let curve = HilbertCurve::new(4, 8).unwrap();
-        let idx = S3Index::build(curve, synthetic_batch(4, 1200, 7));
+        let idx = S3Index::build_on(curve, synthetic_batch(4, 1200, 7));
         let path = tmpfile("v1compat");
         DiskIndex::write_v1(&idx, &path).unwrap();
         let disk = DiskIndex::open(&path).unwrap();
@@ -1578,6 +1641,144 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
+    }
+
+    /// Every field of every match, sorted: what "answers bit-identically"
+    /// compares.
+    fn exact(matches: &[Match]) -> Vec<(usize, u32, u32, Option<u64>)> {
+        let mut v: Vec<_> = matches
+            .iter()
+            .map(|m| (m.index, m.id, m.tc, m.dist_sq.map(f64::to_bits)))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn v3_round_trip_keeps_the_axis_order() {
+        let (idx, path) = build_pair(1500);
+        assert!(!idx.curve().is_identity());
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(&bytes[..8], MAGIC_V3);
+        let disk = DiskIndex::open(&path).unwrap();
+        assert_eq!((disk.version(), disk.curve()), (3, idx.curve()));
+        assert!(disk.sketch().is_some());
+        disk.verify().unwrap();
+        let model = IsotropicNormal::new(4, 12.0);
+        let opts = StatQueryOpts::new(0.85, 9);
+        let queries: Vec<&[u8]> = (0..40).map(|i| idx.records().fingerprint(i * 37)).collect();
+        let batch = disk
+            .stat_query_batch(&queries, &model, &opts, 300 * 44)
+            .unwrap();
+        let ranges = disk
+            .range_query_batch(&queries, 40.0, 9, u64::MAX, None)
+            .unwrap();
+        for (qi, q) in queries.iter().enumerate() {
+            let mem = idx.stat_query(q, &model, &opts);
+            assert_eq!(exact(&batch.matches[qi]), exact(&mem.matches), "stat {qi}");
+            let mem = idx.range_query(q, 40.0, 9);
+            assert_eq!(
+                exact(&ranges.matches[qi]),
+                exact(&mem.matches),
+                "range {qi}"
+            );
+        }
+        // The order is inside the checksummed meta: a flipped order byte is
+        // a header checksum failure, never a file read on the wrong curve.
+        let mut bad = bytes.clone();
+        bad[HEADER_LEN as usize] ^= 1;
+        assert!(matches!(
+            DiskIndex::open_storage(Box::new(MemStorage::new(bad))),
+            Err(IndexError::Checksum {
+                region: "header",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn identity_order_is_written_as_v2() {
+        let curve = HilbertCurve::new(4, 8).unwrap();
+        let idx = S3Index::build_on(curve.clone(), synthetic_batch(4, 700, 5));
+        let bytes = DiskIndex::encode_to_vec(&idx, WriteOpts::default()).unwrap();
+        assert_eq!(&bytes[..8], MAGIC_V2);
+        let disk = DiskIndex::open_storage(Box::new(MemStorage::new(bytes))).unwrap();
+        assert_eq!((disk.version(), disk.curve()), (2, &curve));
+    }
+
+    #[test]
+    fn formats_without_an_order_refuse_to_store_one() {
+        let (idx, _path) = build_pair(300);
+        assert!(!idx.curve().is_identity());
+        let opts = WriteOpts::default();
+        for magic in [MAGIC_V1, MAGIC_V2] {
+            let err = encode_meta(&idx, opts, magic).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
+        let path = tmpfile("v1ranked");
+        assert!(DiskIndex::write_v1(&idx, &path).is_err());
+        assert!(!path.exists(), "a refused write leaves no file");
+    }
+
+    /// The records of `tests/data/legacy_v2.s3i`: odd components spread over
+    /// the whole byte range, even ones within 32 of the centre.
+    fn legacy_v2_records() -> RecordBatch {
+        let mut batch = RecordBatch::new(8);
+        let mut s = 0x5EED_F00Du64;
+        let mut fp = [0u8; 8];
+        for i in 0..300u32 {
+            for (c, x) in fp.iter_mut().enumerate() {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                let r = (s >> 32) as u8;
+                *x = if c % 2 == 1 { r } else { 112 + r / 8 };
+            }
+            batch.push(&fp, i / 10, i % 10);
+        }
+        batch
+    }
+
+    /// `tests/data/legacy_v2.s3i` and its `.skch` sidecar were written by the
+    /// `S3IDX002` writer before curves carried an axis order (table depth 6,
+    /// 256-byte blocks, 8 sketch bits). They open as the identity curve —
+    /// although the same records would now rank their axes — keep the
+    /// sidecar attached, and answer exactly as an index built on the
+    /// identity curve does.
+    #[test]
+    fn legacy_v2_file_opens_as_identity_with_its_sketch() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/legacy_v2.s3i");
+        let disk = DiskIndex::open(&path).unwrap();
+        let identity = HilbertCurve::new(8, 8).unwrap();
+        assert_eq!((disk.version(), disk.curve()), (2, &identity));
+        assert!(disk.sketch().is_some(), "the sidecar must stay attached");
+        disk.verify().unwrap();
+        let records = legacy_v2_records();
+        let ranked = S3Index::build(identity.clone(), records.clone());
+        assert!(!ranked.curve().is_identity());
+        let mem = S3Index::build_on(identity, records);
+        assert_eq!(disk.to_record_batch().unwrap(), *mem.records());
+
+        let model = IsotropicNormal::new(8, 10.0);
+        let opts = StatQueryOpts::new(0.9, 10);
+        let queries: Vec<&[u8]> = (0..30).map(|i| mem.records().fingerprint(i * 10)).collect();
+        let batch = disk
+            .stat_query_batch(&queries, &model, &opts, 4096)
+            .unwrap();
+        let ranges = disk
+            .range_query_batch(&queries, 30.0, 10, 4096, None)
+            .unwrap();
+        for (qi, q) in queries.iter().enumerate() {
+            let want = mem.stat_query(q, &model, &opts);
+            assert_eq!(exact(&batch.matches[qi]), exact(&want.matches), "stat {qi}");
+            assert_eq!(batch.stats[qi].entries_scanned, want.stats.entries_scanned);
+            let want = mem.range_query(q, 30.0, 10);
+            assert_eq!(
+                exact(&ranges.matches[qi]),
+                exact(&want.matches),
+                "range {qi}"
+            );
+        }
     }
 
     #[test]
@@ -1891,8 +2092,9 @@ mod tests {
     /// queries of far-away records.
     fn dead_zone_setup(opts: WriteOpts) -> (S3Index, Vec<u8>, FaultPlan, Vec<Vec<u8>>) {
         let (idx, bytes) = mem_index(2000, opts);
-        // data_off = header + table + meta CRC for the given table depth.
-        let data_off = HEADER_LEN + (((1u64 << opts.table_depth) + 1) * 8) + 4;
+        let data_off = DiskIndex::open_storage(Box::new(MemStorage::new(bytes.clone())))
+            .unwrap()
+            .data_off;
         let plan = FaultPlan {
             dead_range: Some(data_off + 1400 * KEY_LEN..data_off + 1500 * KEY_LEN),
             ..FaultPlan::default()

@@ -14,6 +14,10 @@
 //! orientation follow from the curve automaton state. This bit-by-bit descent
 //! is what makes the structure usable at `D = 20`, where branching a full
 //! level at once would mean `2^20` children.
+//!
+//! The automaton picks a *slot* of the level word to halve; the curve's axis
+//! order maps it to the component whose extent halves. Boxes, bounds and
+//! split axes are reported in components throughout.
 
 use crate::curve::{HilbertCurve, LevelState, MAX_DIMS};
 use crate::gray::gray;
@@ -39,9 +43,9 @@ pub struct Block {
     key_prefix: Key256,
     /// Total bits consumed (`p`).
     depth: u32,
-    /// Bitmask of dimensions already halved within the current level.
+    /// Bitmask of components already halved within the current level.
     fixed_mask: u32,
-    /// Lower corner of the box in grid coordinates.
+    /// Lower corner of the box in grid coordinates, one per component.
     lo: [u32; MAX_DIMS],
 }
 
@@ -170,7 +174,7 @@ impl Block {
         assert!(!self.is_cell(curve), "a unit cell has no further split");
         let dims = curve.dims() as u32;
         let q = dims - (self.j + 1);
-        ((q + self.state.d + 1) % dims) as usize
+        curve.axis(((q + self.state.d + 1) % dims) as usize)
     }
 
     /// Splits the block into its two half-intervals, in curve order.
@@ -191,9 +195,11 @@ impl Block {
         // whose value is the low bit of gray(w_pref).
         let q = dims - j1;
         let t_bit = gray(w_pref) & 1;
-        // Map t-bit position q to a coordinate axis through T⁻¹: l = rol(t, d+1) ^ e.
-        let axis = (q + self.state.d + 1) % dims;
-        let bit = t_bit ^ (self.state.e >> axis & 1);
+        // Map t-bit position q to a slot of the level word through T⁻¹:
+        // l = rol(t, d+1) ^ e; the slot holds component `axis`.
+        let slot = (q + self.state.d + 1) % dims;
+        let bit = t_bit ^ (self.state.e >> slot & 1);
+        let axis = curve.axis(slot as usize);
         debug_assert_eq!(
             self.fixed_mask >> axis & 1,
             0,
@@ -201,7 +207,7 @@ impl Block {
         );
 
         let mut lo = self.lo;
-        lo[axis as usize] |= bit << self.level;
+        lo[axis] |= bit << self.level;
         let mut blk = Block {
             level: self.level,
             j: j1,
@@ -248,7 +254,7 @@ pub struct LevelCell {
     depth: u32,
     /// Those bits: the cell's index among `2^depth` siblings in curve order.
     key_prefix: Key256,
-    /// Lower corner of the cell in grid coordinates.
+    /// Lower corner of the cell in grid coordinates, one per component.
     lo: [u32; MAX_DIMS],
 }
 
@@ -342,18 +348,20 @@ impl LevelCell {
     /// The split axis is by construction not yet fixed in this level, so
     /// the parent's interval along it is the cell's own.
     #[inline]
-    pub fn split(&self, dims: u32, w_pref: u32, j: u32) -> AxisSplit {
+    pub fn split(&self, curve: &HilbertCurve, w_pref: u32, j: u32) -> AxisSplit {
+        let dims = curve.dims() as u32;
         debug_assert!(j < dims, "a completed digit must descend first");
         // As in `Block::child`: the runs of length 2^(dims - j - 1) of the
         // level's Gray path fix t-bit (dims - j - 1), which T⁻¹ maps to
-        // `axis`; its value for child `c` is the low bit of gray(2w + c).
-        let axis = (dims - (j + 1) + self.state.d + 1) % dims;
+        // `slot`; its value for child `c` is the low bit of gray(2w + c).
+        let slot = (dims - (j + 1) + self.state.d + 1) % dims;
+        let axis = curve.axis(slot as usize);
         let ext = self.level + 1;
         AxisSplit {
-            axis: axis as usize,
+            axis,
             ext,
-            k: self.lo[axis as usize].checked_shr(ext).unwrap_or(0),
-            first_half: (gray(w_pref << 1) & 1) ^ (self.state.e >> axis & 1),
+            k: self.lo[axis].checked_shr(ext).unwrap_or(0),
+            first_half: (gray(w_pref << 1) & 1) ^ (self.state.e >> slot & 1),
         }
     }
 
@@ -367,8 +375,8 @@ impl LevelCell {
         let dims = curve.dims() as u32;
         let corner = curve.corner_of_digit(self.state, w);
         let mut lo = self.lo;
-        for (axis, c) in lo.iter_mut().enumerate().take(dims as usize) {
-            *c |= (corner >> axis & 1) << self.level;
+        for (slot, &axis) in curve.axes().iter().enumerate() {
+            lo[usize::from(axis)] |= (corner >> slot & 1) << self.level;
         }
         LevelCell {
             level: self.level - 1,
@@ -489,9 +497,16 @@ mod tests {
 
     /// The fundamental consistency property: at every depth, a point is inside
     /// a block's box if and only if its Hilbert key is inside the block's key
-    /// range.
+    /// range — on the identity curve and on one whose axes are reversed.
     fn check_box_key_consistency(dims: usize, order: usize) {
-        let curve = HilbertCurve::new(dims, order).unwrap();
+        let identity = HilbertCurve::new(dims, order).unwrap();
+        let reversed: Vec<usize> = (0..dims).rev().collect();
+        check_box_key_consistency_on(identity.clone());
+        check_box_key_consistency_on(identity.with_axes(&reversed).unwrap());
+    }
+
+    fn check_box_key_consistency_on(curve: HilbertCurve) {
+        let (dims, order) = (curve.dims(), curve.order());
         let points = all_points(&curve);
         let keys: Vec<Key256> = points.iter().map(|p| curve.encode(p)).collect();
         for p in 0..=curve.key_bits() {
@@ -527,6 +542,15 @@ mod tests {
     #[test]
     fn box_key_consistency_5d_order1() {
         check_box_key_consistency(5, 1);
+    }
+
+    #[test]
+    fn box_key_consistency_rotated_axes() {
+        // A rotation is not its own inverse, unlike the reversal above.
+        let curve = HilbertCurve::new(4, 2).unwrap();
+        check_box_key_consistency_on(curve.with_axes(&[1, 2, 3, 0]).unwrap());
+        let curve = HilbertCurve::new(3, 3).unwrap();
+        check_box_key_consistency_on(curve.with_axes(&[2, 0, 1]).unwrap());
     }
 
     #[test]
@@ -674,8 +698,14 @@ mod tests {
     /// cell arena — and checks every node agrees on depth, rank, split axis
     /// and the parent/child intervals along it.
     fn check_compact_matches_block(dims: usize, order: usize) {
-        let curve = HilbertCurve::new(dims, order).unwrap();
-        let d = dims as u32;
+        let identity = HilbertCurve::new(dims, order).unwrap();
+        let rotated: Vec<usize> = (0..dims).map(|s| (s + 1) % dims).collect();
+        check_compact_matches_block_on(identity.clone());
+        check_compact_matches_block_on(identity.with_axes(&rotated).unwrap());
+    }
+
+    fn check_compact_matches_block_on(curve: HilbertCurve) {
+        let (dims, d) = (curve.dims(), curve.dims() as u32);
         let mut cells = vec![LevelCell::root(&curve)];
         let mut stack = vec![(Block::root(&curve), CompactNode::ROOT)];
         while let Some((blk, mut node)) = stack.pop() {
@@ -696,7 +726,7 @@ mod tests {
                     ..CompactNode::ROOT
                 };
             }
-            let sp = cells[node.cell as usize].split(d, node.w_pref, node.j);
+            let sp = cells[node.cell as usize].split(&curve, node.w_pref, node.j);
             assert_eq!(sp.axis, blk.next_split_axis(&curve));
             let bounds = |(ext, k): (u32, u32)| (k << ext, (k + 1) << ext);
             assert_eq!(bounds((sp.ext, sp.k)), blk.dim_bounds(sp.axis));

@@ -8,6 +8,14 @@
 //! then advanced. Only O(D) working memory is required, which is what lets
 //! this structure run at `D = 20` where Lawder's state-diagram approach is
 //! limited to about 10 dimensions (cf. §IV of the paper).
+//!
+//! A curve also carries an *axis order*: bit `s` of a level word (its *slot*
+//! `s`) holds component [`HilbertCurve::axis`]`(s)` of the point. The identity
+//! order is the plain Butz/Hamilton curve; any other order is the same curve
+//! over the permuted point, so it changes which components the p-block
+//! partition halves first (see [`HilbertCurve::split_first`]). Only the
+//! level word is in slot order: every coordinate the crate takes or returns
+//! is a real component.
 
 use crate::gray::{
     direction, entry, gray, gray_inverse, low_mask, rol, transform, transform_inverse,
@@ -59,6 +67,9 @@ impl LevelState {
 pub struct HilbertCurve {
     dims: u32,
     order: u32,
+    /// `axes[s]`: the component held in slot `s` of a level word (identity
+    /// past `dims`, so two curves compare equal iff their orders do).
+    axes: [u8; MAX_DIMS],
 }
 
 /// Errors from curve construction.
@@ -75,6 +86,8 @@ pub enum CurveError {
         /// Requested grid order.
         order: usize,
     },
+    /// An axis order that is not a permutation of `0..dims`.
+    BadAxes,
 }
 
 impl std::fmt::Display for CurveError {
@@ -87,6 +100,7 @@ impl std::fmt::Display for CurveError {
                 "dims * order = {} exceeds the {MAX_BITS}-bit key capacity",
                 dims * order
             ),
+            CurveError::BadAxes => write!(f, "axis order is not a permutation of the dimensions"),
         }
     }
 }
@@ -110,7 +124,87 @@ impl HilbertCurve {
         Ok(HilbertCurve {
             dims: dims as u32,
             order: order as u32,
+            axes: std::array::from_fn(|s| s as u8),
         })
+    }
+
+    /// The same space with slot `s` of every level word holding component
+    /// `axes[s]`.
+    ///
+    /// Fails with [`CurveError::BadAxes`] unless `axes` is a permutation of
+    /// `0..dims`.
+    pub fn with_axes(&self, axes: &[usize]) -> Result<Self, CurveError> {
+        let dims = self.dims();
+        if axes.len() != dims {
+            return Err(CurveError::BadAxes);
+        }
+        let mut seen = 0u64;
+        for &a in axes {
+            if a >= dims || seen >> a & 1 == 1 {
+                return Err(CurveError::BadAxes);
+            }
+            seen |= 1 << a;
+        }
+        let mut curve = self.clone();
+        for (slot, &a) in curve.axes.iter_mut().zip(axes) {
+            *slot = a as u8;
+        }
+        Ok(curve)
+    }
+
+    /// The slot the `r`-th split of the root level halves. At the root the
+    /// automaton state is `(e, d) = (0, 0)`, so the level visits slot 0,
+    /// then `D − 1`, `D − 2`, …, 1 — at every node of the level.
+    #[inline]
+    fn root_split_slot(&self, r: usize) -> usize {
+        (self.dims() - r) % self.dims()
+    }
+
+    /// The components the root level halves, in the order it halves them —
+    /// the order in which the first `D` splits of [`crate::Block::split`]
+    /// cut the grid.
+    pub fn split_order(&self) -> Vec<usize> {
+        (0..self.dims())
+            .map(|r| self.axis(self.root_split_slot(r)))
+            .collect()
+    }
+
+    /// This space's identity curve reordered so that its root level halves
+    /// every component `first` selects before any other, each of the two
+    /// groups in the order the identity curve halves it.
+    pub fn split_first(&self, first: impl Fn(usize) -> bool) -> Self {
+        let mut curve = self.clone();
+        let mut r = 0;
+        // The components in the order the identity curve halves them (it
+        // holds component `c` in slot `c`): the selected group, then the rest.
+        for group in [true, false] {
+            for c in (0..self.dims()).map(|i| self.root_split_slot(i)) {
+                if first(c) == group {
+                    curve.axes[self.root_split_slot(r)] = c as u8;
+                    r += 1;
+                }
+            }
+        }
+        curve
+    }
+
+    /// The component held in slot `slot` of a level word.
+    #[inline]
+    pub fn axis(&self, slot: usize) -> usize {
+        usize::from(self.axes[slot])
+    }
+
+    /// The slot → component order, one byte per slot.
+    pub fn axes(&self) -> &[u8] {
+        &self.axes[..self.dims()]
+    }
+
+    /// True for the plain curve, whose slot `s` holds component `s`.
+    pub fn is_identity(&self) -> bool {
+        self.axes()
+            .iter()
+            .enumerate()
+            .all(|(s, &a)| usize::from(a) == s)
     }
 
     /// The curve for the paper's fingerprint space `[0, 255]^20`.
@@ -146,15 +240,26 @@ impl HilbertCurve {
         }
     }
 
-    /// Assembles the level word `l` from bit-plane `plane` of `point`:
-    /// bit `j` of the result is bit `plane` of `point[j]`.
+    /// Assembles the level word `l` from bit-plane `plane` of a point in
+    /// slot order: bit `j` of the result is bit `plane` of `slots[j]`.
     #[inline]
-    fn level_word(&self, point: &[u32], plane: u32) -> u32 {
+    fn level_word(slots: &[u32], plane: u32) -> u32 {
         let mut l = 0u32;
-        for (j, &c) in point.iter().enumerate() {
+        for (j, &c) in slots.iter().enumerate() {
             l |= ((c >> plane) & 1) << j;
         }
         l
+    }
+
+    /// `point` in slot order: slot `s` holds `point[axis(s)]`. Gathered once
+    /// per key, not per bit-plane.
+    #[inline]
+    fn gather(&self, point: &[u32]) -> [u32; MAX_DIMS] {
+        let mut slots = [0; MAX_DIMS];
+        for (s, &a) in slots.iter_mut().zip(self.axes()) {
+            *s = point[usize::from(a)];
+        }
+        slots
     }
 
     /// Advances the per-level state after descending into curve digit `w`.
@@ -194,10 +299,12 @@ impl HilbertCurve {
                 );
             }
         }
+        let slots = self.gather(point);
+        let slots = &slots[..self.dims()];
         let mut key = Key256::ZERO;
         let mut state = LevelState::ROOT;
         for plane in (0..self.order).rev() {
-            let l = self.level_word(point, plane);
+            let l = Self::level_word(slots, plane);
             let w = self.digit_of_corner(state, l);
             key.push_digit(u64::from(w), self.dims);
             state = self.child_state(state, w);
@@ -220,8 +327,8 @@ impl HilbertCurve {
         for plane in (0..self.order).rev() {
             let w = key.digit(plane * self.dims, self.dims) as u32;
             let l = self.corner_of_digit(state, w);
-            for (j, c) in point.iter_mut().enumerate() {
-                *c |= ((l >> j) & 1) << plane;
+            for (j, &a) in self.axes().iter().enumerate() {
+                point[usize::from(a)] |= ((l >> j) & 1) << plane;
             }
             state = self.child_state(state, w);
         }
@@ -241,20 +348,42 @@ impl HilbertCurve {
     pub fn encode_bytes(&self, fingerprint: &[u8]) -> Key256 {
         assert_eq!(self.order, 8, "encode_bytes requires an order-8 curve");
         assert_eq!(fingerprint.len(), self.dims as usize);
-        // Inline the loop rather than materialising a u32 buffer: this is the
-        // hot path of index construction.
+        // The hot path of index construction: all eight level words in one
+        // pass over the slots, each byte read once, in slot order.
+        let words = self.plane_words(fingerprint);
         let mut key = Key256::ZERO;
         let mut state = LevelState::ROOT;
-        for plane in (0..8u32).rev() {
-            let mut l = 0u32;
-            for (j, &c) in fingerprint.iter().enumerate() {
-                l |= (u32::from(c >> plane) & 1) << j;
-            }
+        for &l in words.iter().rev() {
             let w = self.digit_of_corner(state, l);
             key.push_digit(u64::from(w), self.dims);
             state = self.child_state(state, w);
         }
         key
+    }
+
+    /// The level words of a byte point: bit `j` of `words[p]` is bit `p` of
+    /// the byte in slot `j`.
+    ///
+    /// Eight slots at a time: multiplying a byte `b` by `Σ_k 2^(9k)` lays
+    /// eight copies of it side by side, non-overlapping, so the top bit of
+    /// byte `k` of the product is bit `7 − k` of `b`. Shifted right by the
+    /// slot's index within the group and or-ed together, byte `7 − p` of the
+    /// accumulator holds bit `p` of all eight slots.
+    #[inline]
+    fn plane_words(&self, fingerprint: &[u8]) -> [u32; 8] {
+        let mut words = [0u32; 8];
+        for (g, group) in self.axes().chunks(8).enumerate() {
+            let mut acc = 0u64;
+            for (j, &a) in group.iter().enumerate() {
+                let copies =
+                    u64::from(fingerprint[usize::from(a)]).wrapping_mul(0x8040_2010_0804_0201);
+                acc |= (copies & 0x8080_8080_8080_8080) >> (7 - j);
+            }
+            for (p, w) in words.iter_mut().enumerate() {
+                *w |= u32::from((acc >> (8 * (7 - p))) as u8) << (8 * g);
+            }
+        }
+        words
     }
 
     /// Mask of valid digit bits (`2^D - 1`).
@@ -396,6 +525,84 @@ mod tests {
         );
         assert!(HilbertCurve::new(32, 8).is_ok());
         assert!(HilbertCurve::new(16, 16).is_ok());
+    }
+
+    #[test]
+    fn axis_orders_must_be_permutations() {
+        let c = HilbertCurve::new(4, 8).unwrap();
+        assert!(c.is_identity());
+        for bad in [
+            &[0usize, 1, 2][..],
+            &[0, 1, 2, 2],
+            &[0, 1, 2, 4],
+            &[0, 1, 2, 3, 0],
+        ] {
+            assert_eq!(
+                c.with_axes(bad).unwrap_err(),
+                CurveError::BadAxes,
+                "{bad:?}"
+            );
+        }
+        let p = c.with_axes(&[2, 0, 3, 1]).unwrap();
+        assert_eq!(p.axes(), &[2, 0, 3, 1]);
+        assert!(!p.is_identity());
+        assert_ne!(p, c);
+        assert_eq!(c.with_axes(&[0, 1, 2, 3]).unwrap(), c);
+    }
+
+    #[test]
+    fn split_first_moves_a_group_ahead_in_order() {
+        let c = HilbertCurve::paper();
+        assert_eq!(c.split_order()[..4], [0, 19, 18, 17]);
+        assert_eq!(c.split_first(|_| true), c);
+        assert_eq!(c.split_first(|_| false), c);
+        // Starting from any order: the result is this space's identity
+        // curve, reordered.
+        let shuffled = c.with_axes(&(0..20).rev().collect::<Vec<_>>()).unwrap();
+        assert_eq!(shuffled.split_first(|_| true), c);
+        let wide = [0, 1, 5, 6, 10, 11, 15, 16];
+        let ranked = shuffled.split_first(|a| wide.contains(&a));
+        let wide_first = [
+            0, 16, 15, 11, 10, 6, 5, 1, 19, 18, 17, 14, 13, 12, 9, 8, 7, 4, 3, 2,
+        ];
+        assert_eq!(ranked.split_order(), wide_first);
+        // The root level halves the components in exactly that order.
+        let mut blk = crate::Block::root(&ranked);
+        for &want in &wide_first {
+            assert_eq!(blk.next_split_axis(&ranked), want);
+            blk = blk.split(&ranked)[1];
+        }
+    }
+
+    #[test]
+    fn paper_keys_are_the_identity_curves_keys() {
+        // Keys of the paper's curve, pinned: the axis order must leave the
+        // identity curve's keys (and so every index written before it)
+        // untouched.
+        let c = HilbertCurve::paper();
+        let cases: [([u8; 20], [u64; 4]); 3] = [
+            (
+                [
+                    3, 141, 59, 26, 53, 58, 97, 93, 238, 46, 26, 43, 38, 32, 79, 50, 255, 0, 128, 7,
+                ],
+                [12863001779852287146, 17282551720756047647, 806350607, 0],
+            ),
+            (
+                [
+                    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
+                ],
+                [2885294819860268100, 2684376440, 0, 0],
+            ),
+            (
+                [
+                    200, 13, 0, 255, 128, 64, 32, 16, 8, 4, 2, 1, 3, 7, 15, 31, 63, 127, 254, 99,
+                ],
+                [1443333297875714944, 18303684468369275912, 3221258655, 0],
+            ),
+        ];
+        for (fp, limbs) in cases {
+            assert_eq!(c.encode_bytes(&fp).limbs(), &limbs);
+        }
     }
 
     #[test]

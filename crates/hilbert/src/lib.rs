@@ -10,7 +10,8 @@
 //!   160-bit keys, beyond `u128`);
 //! * [`HilbertCurve`] — the Butz algorithm in Hamilton's `(e, d)` state-machine
 //!   formulation, mapping grid points to curve positions and back with O(D)
-//!   memory (no state diagrams, so it scales past 10 dimensions);
+//!   memory (no state diagrams, so it scales past 10 dimensions), with an
+//!   axis order that decides which components the partition halves first;
 //! * [`Block`] — the *p-block* partition of §IV: cutting the curve into `2^p`
 //!   equal intervals partitions space into `2^p` equal-volume hyper-rectangles,
 //!   navigated as a binary tree by [`Block::split`]. The statistical and
