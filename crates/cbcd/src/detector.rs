@@ -162,7 +162,6 @@ pub struct Detector<'a> {
     model: IsotropicNormal,
     config: DetectorConfig,
     sharded: Option<ShardedIndex>,
-    slowlog: Option<std::sync::Arc<s3_obs::SlowLog>>,
 }
 
 impl<'a> Detector<'a> {
@@ -189,7 +188,6 @@ impl<'a> Detector<'a> {
             model,
             config,
             sharded: None,
-            slowlog: None,
         }
     }
 
@@ -209,21 +207,6 @@ impl<'a> Detector<'a> {
     /// The sharded backend, when one was attached.
     pub fn shard_backend(&self) -> Option<&ShardedIndex> {
         self.sharded.as_ref()
-    }
-
-    /// Attaches a slow-query log: every search run with EXPLAIN
-    /// ([`Detector::search`]) offers its per-query reports for capture, so
-    /// degraded or slower-than-threshold queries keep their full plan on
-    /// disk.
-    #[must_use]
-    pub fn with_slowlog(mut self, slowlog: std::sync::Arc<s3_obs::SlowLog>) -> Self {
-        self.slowlog = Some(slowlog);
-        self
-    }
-
-    /// The attached slow-query log, when any.
-    pub fn slowlog(&self) -> Option<&std::sync::Arc<s3_obs::SlowLog>> {
-        self.slowlog.as_ref()
     }
 
     /// The configuration in use.
@@ -274,8 +257,8 @@ impl<'a> Detector<'a> {
     /// degradation — partial answers from a faulty index or a hit deadline —
     /// so callers can surface a degraded verdict instead of silently
     /// presenting partial detections as complete. With `explain`, every
-    /// result also carries its EXPLAIN report (and offers it to the attached
-    /// slow-query log); the search itself is the same.
+    /// result also carries its EXPLAIN report; the search itself is the
+    /// same.
     pub fn search(&self, fps: &[LocalFingerprint], explain: bool) -> Search {
         let _scope = s3_obs::QueryScope::enter_inherit(next_query_id());
         let mut sp = s3_obs::span!(
@@ -305,11 +288,6 @@ impl<'a> Detector<'a> {
         };
         let health = SearchHealth::of(&results);
         sp.record("degraded_queries", health.degraded_queries as f64);
-        if let Some(log) = &self.slowlog {
-            for rep in results.iter().filter_map(|r| r.explain.as_ref()) {
-                log.observe(rep);
-            }
-        }
         Search { results, health }
     }
 

@@ -1,5 +1,5 @@
 //! Pre-registered observability handles of the detection system — the
-//! monitoring and voting counterpart of [`s3_core::CoreMetrics`].
+//! monitoring counterpart of [`s3_core::CoreMetrics`].
 //!
 //! The full catalog is documented in `docs/observability.md`.
 
@@ -13,21 +13,6 @@ use crate::monitor::HealthReport;
 pub struct CbcdMetrics {
     /// `monitor.accepted` — fingerprints accepted into the search stage.
     pub accepted: Counter,
-    /// `monitor.out_of_order_skipped` — fingerprints dropped for stepping
-    /// backwards in time.
-    pub out_of_order_skipped: Counter,
-    /// `monitor.degraded_queries` — searches answered from a partial index.
-    pub degraded_queries: Counter,
-    /// `monitor.sections_skipped` — index sections lost to those searches.
-    pub sections_skipped: Counter,
-    /// `monitor.windows` — voting windows evaluated.
-    pub windows: Counter,
-    /// `monitor.events` — merged monitoring events emitted.
-    pub events: Counter,
-    /// `vote.rounds` — voting rounds run (one per window/buffer decided).
-    pub rounds: Counter,
-    /// `vote.detections` — detections that reached the decision threshold.
-    pub detections: Counter,
 }
 
 static CBCD: OnceLock<CbcdMetrics> = OnceLock::new();
@@ -35,32 +20,16 @@ static CBCD: OnceLock<CbcdMetrics> = OnceLock::new();
 impl CbcdMetrics {
     /// The process-wide handles (registered on first call).
     pub fn get() -> &'static CbcdMetrics {
-        CBCD.get_or_init(|| {
-            let r = registry();
-            CbcdMetrics {
-                accepted: r.counter("monitor.accepted"),
-                out_of_order_skipped: r.counter("monitor.out_of_order_skipped"),
-                degraded_queries: r.counter("monitor.degraded_queries"),
-                sections_skipped: r.counter("monitor.sections_skipped"),
-                windows: r.counter("monitor.windows"),
-                events: r.counter("monitor.events"),
-                rounds: r.counter("vote.rounds"),
-                detections: r.counter("vote.detections"),
-            }
+        CBCD.get_or_init(|| CbcdMetrics {
+            accepted: registry().counter("monitor.accepted"),
         })
     }
 
-    /// Folds the *delta* between two health reports into the registry —
-    /// called by the monitor after each chunk so long-running loops stream
-    /// their health instead of reporting it once at the end.
+    /// Folds the fingerprints accepted between two health reports into the
+    /// registry — called by the monitor after each chunk so long-running
+    /// loops stream their intake instead of reporting it once at the end.
     pub fn record_health_delta(&self, before: &HealthReport, after: &HealthReport) {
         self.accepted.add((after.accepted - before.accepted) as u64);
-        self.out_of_order_skipped
-            .add((after.out_of_order_skipped - before.out_of_order_skipped) as u64);
-        self.degraded_queries
-            .add((after.degraded_queries - before.degraded_queries) as u64);
-        self.sections_skipped
-            .add((after.sections_skipped - before.sections_skipped) as u64);
     }
 }
 

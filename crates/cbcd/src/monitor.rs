@@ -308,7 +308,6 @@ impl<'a> Monitor<'a> {
 
     fn vote_current(&mut self) {
         self.stats_windows += 1;
-        CbcdMetrics::get().windows.inc();
         let mut sp = span!("monitor.window");
         sp.record("buffered", self.buffer.len() as f64);
         let window_tc = self.buffer.first().map_or(0.0, |cv| cv.tc);
@@ -348,7 +347,6 @@ impl<'a> Monitor<'a> {
             e.last_tc = e.last_tc.max(window_tc);
             return;
         }
-        CbcdMetrics::get().events.inc();
         self.events.push(MonitorEvent {
             id: det.id,
             offset: det.offset,

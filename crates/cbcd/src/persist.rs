@@ -23,11 +23,10 @@
 //! The declared length plus trailing CRC-32 turn truncation and bit rot into
 //! clean [`PersistError`]s instead of silently different databases. The
 //! legacy `S3REFDB1` layout (same payload, no length, no CRC) still loads,
-//! with a warning routed through the `s3-obs` event sink (stderr by default)
-//! and counted in `storage.v1_fallback`. [`ReferenceDb::save`] is atomic: a
-//! sibling temp
-//! file is written and fsynced, then renamed over the destination, so a
-//! crash mid-save never clobbers the previous good database.
+//! with a warning routed through the `s3-obs` event sink (stderr by
+//! default). [`ReferenceDb::save`] is atomic: a sibling temp file is written
+//! and fsynced, then renamed over the destination, so a crash mid-save never
+//! clobbers the previous good database.
 
 use crate::registry::{DbBuilder, ReferenceDb};
 use bytes::{Buf, BufMut};
@@ -226,7 +225,6 @@ impl ReferenceDb {
         }
         let (magic, rest) = raw.split_at(8);
         if magic == MAGIC_V1 {
-            s3_core::CoreMetrics::get().v1_fallback.inc();
             s3_obs::event::warn(
                 "persist",
                 "opening legacy S3REFDB1 reference db (no checksum); \

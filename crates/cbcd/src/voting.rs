@@ -154,8 +154,6 @@ fn fit_offset(entries: &[(f64, Vec<f64>)], params: &VoteParams) -> (f64, usize) 
 /// Runs the voting strategy over a buffer of candidate results and returns
 /// every id whose `n_sim` reaches the decision threshold, strongest first.
 pub fn vote(buffer: &[CandidateVotes], params: &VoteParams) -> Vec<Detection> {
-    let metrics = crate::metrics::CbcdMetrics::get();
-    metrics.rounds.inc();
     let mut sp = s3_obs::span!("vote", "candidates" => buffer.len() as f64);
     let ncand = buffer.len();
     let mut detections: Vec<Detection> = group_by_id(buffer)
@@ -176,7 +174,6 @@ pub fn vote(buffer: &[CandidateVotes], params: &VoteParams) -> Vec<Detection> {
         })
         .collect();
     detections.sort_by(|a, b| b.nsim.cmp(&a.nsim).then(a.id.cmp(&b.id)));
-    metrics.detections.add(detections.len() as u64);
     sp.record("detections", detections.len() as f64);
     detections
 }

@@ -834,7 +834,7 @@ fn query_sharded(
 
 /// What `--telemetry-dir` arms: the directory, and the windows and clock
 /// that frame the batch.
-type Telemetry = (std::path::PathBuf, s3_obs::MetricWindows, s3_obs::WallTime);
+type Telemetry = (std::path::PathBuf, s3_ops::MetricWindows, s3_obs::WallTime);
 
 /// Applies `--telemetry-dir DIR`: ticks a baseline frame so the windowed
 /// rates persisted afterwards cover exactly the batch. Returns `None`
@@ -842,7 +842,7 @@ type Telemetry = (std::path::PathBuf, s3_obs::MetricWindows, s3_obs::WallTime);
 fn telemetry_setup(a: &Args) -> Option<Telemetry> {
     let dir = std::path::PathBuf::from(a.get("telemetry-dir")?);
     let wall = s3_obs::WallTime::new();
-    let windows = s3_obs::MetricWindows::new(16);
+    let windows = s3_ops::MetricWindows::new(16);
     windows.tick(&wall);
     Some((dir, windows, wall))
 }
@@ -860,10 +860,10 @@ fn persist_telemetry(
     };
     windows.tick(&wall);
     let err = |e: std::io::Error| format!("telemetry dir {}: {e}", dir.display());
-    let mut tsdb = s3_obs::Tsdb::open(&dir, s3_obs::TsdbConfig::default()).map_err(err)?;
+    let mut tsdb = s3_ops::Tsdb::open(&dir, s3_ops::TsdbConfig::default()).map_err(err)?;
     tsdb.append_latest(&windows).map_err(err)?;
     tsdb.sync().map_err(err)?;
-    let slowlog = s3_obs::SlowLog::open(&dir, s3_obs::SlowLogConfig::default()).map_err(err)?;
+    let slowlog = s3_ops::SlowLog::open(&dir, s3_ops::SlowLogConfig::default()).map_err(err)?;
     for rep in reports {
         slowlog.observe(rep);
     }

@@ -6,7 +6,8 @@
 
 use crate::args::Args;
 use crate::CmdStatus;
-use s3_obs::{key_matches, JsonValue, JsonWriter, SlowLog, SlowRead, Tier, Tsdb, TsdbSample};
+use s3_obs::{JsonValue, JsonWriter};
+use s3_ops::{key_matches, SlowLog, SlowRead, Tier, Tsdb, TsdbSample};
 use std::path::Path;
 
 /// Sparkline glyphs, lowest to highest.
@@ -368,7 +369,7 @@ mod tests {
                 gauges: vec![("pool.hit_ratio".into(), 0.375), ("segments".into(), 2.0)],
                 hists: vec![(
                     "query.latency".into(),
-                    s3_obs::HistSummary {
+                    s3_ops::HistSummary {
                         count: 7,
                         sum: 7_000,
                         min: 10,

@@ -16,15 +16,15 @@ use crate::metrics;
 use crate::CmdStatus;
 use s3_core::pseudo_disk::{DiskIndex, WriteOpts};
 use s3_core::{
-    autotune, default_health_rules, default_slos, system_clock, BlockSource, BufferPool,
-    FaultyStorage, IsotropicNormal, MemStorage, PooledStorage, QueryCtx, RecordBatch, S3Index,
-    StatQueryOpts, Storage,
+    autotune, system_clock, BlockSource, BufferPool, FaultyStorage, IsotropicNormal, MemStorage,
+    PooledStorage, QueryCtx, RecordBatch, S3Index, StatQueryOpts, Storage,
 };
 use s3_hilbert::HilbertCurve;
-use s3_obs::{
-    install_event_tee, install_panic_hook, FlightRecorder, HealthEngine, HealthReport,
-    IncidentTrigger, JsonValue, MetricWindows, RecorderConfig, SloEngine, SloStatus, SlowLog,
-    SlowLogConfig, Tsdb, TsdbConfig, Verdict, WallTime,
+use s3_obs::{JsonValue, WallTime};
+use s3_ops::{
+    default_health_rules, default_slos, install_event_tee, install_panic_hook, FlightRecorder,
+    HealthEngine, HealthReport, IncidentTrigger, MetricWindows, RecorderConfig, SloEngine,
+    SloStatus, SlowLog, SlowLogConfig, Tsdb, TsdbConfig, Verdict,
 };
 use s3_video::{extract_fingerprints, ExtractorParams, ProceduralVideo};
 use std::path::PathBuf;

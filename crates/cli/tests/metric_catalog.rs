@@ -1,7 +1,9 @@
-//! Executable documentation: after a smoke workload that exercises every
-//! pipeline stage, every metric the registry contains must be named in
-//! `docs/observability.md`. Adding instrumentation without documenting it
-//! fails this test — the catalog cannot silently drift from the code.
+//! Executable documentation, both ways: after a smoke workload that
+//! exercises every pipeline stage, every metric the registry contains must
+//! be named in `docs/observability.md`, and every metric the catalog tables
+//! there name must be registered. Adding instrumentation without
+//! documenting it fails this test, and so does deleting a metric without
+//! deleting its catalog row.
 
 use s3_cbcd::{DbBuilder, Detector, DetectorConfig, Monitor, MonitorParams};
 use s3_core::pseudo_disk::DiskIndex;
@@ -45,7 +47,7 @@ fn smoke_workload() {
     }
 
     // Pseudo-disk round trip with a tight memory budget so sections stream
-    // (disk.*, io.*, storage.*, scheduler.*, calibration.*).
+    // (disk.*, io.*, storage.*, calibration.*).
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     std::fs::create_dir_all(&dir).expect("create tmpdir");
     let path = dir.join("metric_catalog.s3i");
@@ -79,19 +81,19 @@ fn smoke_workload() {
     // query into the slow-query log, and evaluate the stock SLOs.
     let tel_dir = dir.join("metric_catalog_tel");
     let _ = std::fs::remove_dir_all(&tel_dir);
-    let windows = s3_obs::MetricWindows::new(8);
+    let windows = s3_ops::MetricWindows::new(8);
     let time = s3_obs::ManualTime::new();
     windows.tick(&time);
     time.advance(std::time::Duration::from_secs(1));
     windows.tick(&time);
-    let mut tsdb = s3_obs::Tsdb::open(&tel_dir, s3_obs::TsdbConfig::default()).expect("open tsdb");
+    let mut tsdb = s3_ops::Tsdb::open(&tel_dir, s3_ops::TsdbConfig::default()).expect("open tsdb");
     tsdb.append_latest(&windows).expect("append frame");
     let slowlog =
-        s3_obs::SlowLog::open(&tel_dir, s3_obs::SlowLogConfig::default()).expect("open slowlog");
+        s3_ops::SlowLog::open(&tel_dir, s3_ops::SlowLogConfig::default()).expect("open slowlog");
     let mut degraded = batch.reports[0].clone();
     degraded.annotations.push("smoke degradation".into());
     slowlog.observe(&degraded);
-    let slo = s3_obs::SloEngine::new(s3_core::default_slos(std::time::Duration::from_millis(500)));
+    let slo = s3_ops::SloEngine::new(s3_ops::default_slos(std::time::Duration::from_millis(500)));
     let _ = slo.evaluate(&windows);
     drop(tsdb);
     let _ = std::fs::remove_dir_all(&tel_dir);
@@ -99,33 +101,63 @@ fn smoke_workload() {
     // Events (events.*) — emit one of each level through the sink API.
     s3_obs::event::info("catalog", "smoke info");
     s3_obs::event::warn("catalog", "smoke warn");
+    s3_obs::event::error("catalog", "smoke error");
 
     // Health engine + flight recorder (health, health.rule,
     // health.transitions, recorder.incidents): tick a window ring and
     // evaluate the stock rules once so their gauges register.
-    let windows = s3_obs::MetricWindows::new(8);
+    let windows = s3_ops::MetricWindows::new(8);
     let time = s3_obs::ManualTime::new();
     windows.tick(&time);
     time.advance(std::time::Duration::from_secs(1));
     windows.tick(&time);
-    let engine = s3_obs::HealthEngine::new(s3_core::default_health_rules());
+    let engine = s3_ops::HealthEngine::new(s3_ops::default_health_rules());
     let _ = engine.evaluate(&windows);
-    let _ = s3_obs::FlightRecorder::new(s3_obs::RecorderConfig::default());
+    let _ = s3_ops::FlightRecorder::new(s3_ops::RecorderConfig::default());
 
     s3_obs::clear_span_sink();
 }
 
-#[test]
-fn every_registered_metric_is_documented() {
-    smoke_workload();
+/// Runs [`smoke_workload`] once per test process, whichever test asks first
+/// (both tests read the process-global registry it fills, and it writes
+/// fixed paths).
+fn smoke_once() {
+    static DONE: std::sync::Once = std::sync::Once::new();
+    DONE.call_once(smoke_workload);
+}
+
+/// Every metric name the registry holds, labels dropped.
+fn registered_names() -> Vec<&'static str> {
     let snap = s3_obs::registry().snapshot();
-    let names: Vec<&str> = snap
-        .counters
+    snap.counters
         .iter()
         .map(|(id, _)| id.name)
         .chain(snap.gauges.iter().map(|(id, _)| id.name))
         .chain(snap.histograms.iter().map(|(id, _)| id.name))
-        .collect();
+        .collect()
+}
+
+/// The names in the first column of every table row of the doc's
+/// "Metric catalog" section (counters, gauges, histograms), labels
+/// (`{policy=…}`) dropped. A cell may name several metrics.
+fn catalog_names() -> Vec<&'static str> {
+    let start = DOC.find("\n## Metric catalog").expect("catalog section");
+    let section = &DOC[start + 1..];
+    let section = &section[..section.find("\n## ").unwrap_or(section.len())];
+    let mut names = Vec::new();
+    for row in section.lines().filter(|l| l.starts_with("| `")) {
+        let first = row.split('|').nth(1).unwrap_or("");
+        for name in first.split('`').skip(1).step_by(2) {
+            names.push(name.split('{').next().unwrap_or(name));
+        }
+    }
+    names
+}
+
+#[test]
+fn every_registered_metric_is_documented() {
+    smoke_once();
+    let names = registered_names();
     assert!(
         names.len() > 30,
         "smoke workload registered suspiciously few metrics: {names:?}"
@@ -139,5 +171,26 @@ fn every_registered_metric_is_documented() {
     assert!(
         missing.is_empty(),
         "metrics registered but not documented in docs/observability.md: {missing:?}"
+    );
+}
+
+#[test]
+fn every_catalog_metric_is_registered() {
+    smoke_once();
+    let registered = registered_names();
+    let catalog = catalog_names();
+    assert!(
+        catalog.len() > 30,
+        "catalog tables name suspiciously few metrics: {catalog:?}"
+    );
+    let mut stale: Vec<&str> = catalog
+        .into_iter()
+        .filter(|name| !registered.contains(name))
+        .collect();
+    stale.sort_unstable();
+    stale.dedup();
+    assert!(
+        stale.is_empty(),
+        "metrics in the docs/observability.md catalog but never registered: {stale:?}"
     );
 }

@@ -16,7 +16,7 @@
 //! query touches twice or more.
 //!
 //! Effectiveness is observable: `bufferpool.{hits,misses,evictions}`
-//! counters and the `bufferpool.pinned` gauge feed the `s3-obs` registry.
+//! counters feed the `s3-obs` registry.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -135,7 +135,6 @@ impl<P: PageSource> BufferPool<P> {
             let data = Arc::clone(&frame.data);
             s.pinned += 1;
             m.bufferpool_hits.inc();
-            m.bufferpool_pinned.set(s.pinned as f64);
             return Ok(PinnedPage {
                 data,
                 state: &self.state,
@@ -182,7 +181,6 @@ impl<P: PageSource> BufferPool<P> {
             },
         );
         s.pinned += 1;
-        m.bufferpool_pinned.set(s.pinned as f64);
         Ok(PinnedPage {
             data,
             state: &self.state,
@@ -259,7 +257,6 @@ impl Drop for PinnedPage<'_> {
             frame.pins = frame.pins.saturating_sub(1);
         }
         s.pinned = s.pinned.saturating_sub(1);
-        CoreMetrics::get().bufferpool_pinned.set(s.pinned as f64);
     }
 }
 

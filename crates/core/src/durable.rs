@@ -224,14 +224,12 @@ impl DurableIndex {
                 })?;
                 pages.sync()?;
                 outcome = MergeOutcome::Replayed;
-                CoreMetrics::get().merge_replayed.inc();
             }
         }
         if last_begin.is_some() && last_begin > last_commit {
             // The most recent merge never committed: the pre-merge
             // generation stands and its partial log is dead weight.
             outcome = MergeOutcome::RolledBack;
-            CoreMetrics::get().merge_rolled_back.inc();
         }
 
         // Acknowledged inserts not covered by a committed merge: everything
@@ -577,44 +575,6 @@ pub struct EngineState {
     pub sketch_entries: u64,
     /// What recovery found when the handle was opened.
     pub recovery: RecoveryReport,
-}
-
-impl EngineState {
-    /// Renders the state as ordered key/value pairs, ready for
-    /// [`s3_obs::FlightRecorder::observe_state`].
-    pub fn to_fields(&self) -> Vec<(String, String)> {
-        let outcome = match self.recovery.outcome {
-            MergeOutcome::Completed => "completed",
-            MergeOutcome::RolledBack => "rolled_back",
-            MergeOutcome::Replayed => "replayed",
-        };
-        vec![
-            ("generation".into(), self.generation.to_string()),
-            ("checkpoint_lsn".into(), self.checkpoint_lsn.to_string()),
-            ("n_pages".into(), self.n_pages.to_string()),
-            ("data_len".into(), self.data_len.to_string()),
-            ("page_size".into(), self.page_size.to_string()),
-            ("wal_len".into(), self.wal_len.to_string()),
-            ("wal_next_lsn".into(), self.wal_next_lsn.to_string()),
-            ("pending".into(), self.pending.to_string()),
-            ("disk_records".into(), self.disk_records.to_string()),
-            ("merges".into(), self.merges.to_string()),
-            ("pool_resident".into(), self.pool_resident.to_string()),
-            ("pool_capacity".into(), self.pool_capacity.to_string()),
-            ("sketch_attached".into(), self.sketch_attached.to_string()),
-            ("sketch_bytes".into(), self.sketch_bytes.to_string()),
-            ("sketch_entries".into(), self.sketch_entries.to_string()),
-            ("recovery_outcome".into(), outcome.into()),
-            (
-                "recovery_replayed_inserts".into(),
-                self.recovery.replayed_inserts.to_string(),
-            ),
-            (
-                "recovery_redone_pages".into(),
-                self.recovery.redone_pages.to_string(),
-            ),
-        ]
-    }
 }
 
 #[cfg(test)]

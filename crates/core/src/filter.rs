@@ -107,16 +107,14 @@ pub struct FilterOutcome {
     pub truncated: bool,
 }
 
-/// Bumps the per-algorithm filter counters, stamps the algorithm name into
-/// the outcome and returns it — applied at every filter's return site so
-/// block selection is measured no matter which query engine invoked it.
+/// Counts the nodes the filter expanded (`filter.nodes_expanded`, one
+/// pre-registered atomic add), stamps the algorithm name into the outcome
+/// and returns it — applied at every filter's return site so filter work is
+/// measured no matter which caller invoked it, the depth learner included.
 fn observed(mut outcome: FilterOutcome, algo: &'static str) -> FilterOutcome {
-    let r = s3_obs::registry();
-    r.counter_with("filter.runs", Some(("algo", algo))).inc();
-    r.counter("filter.nodes_expanded")
+    CoreMetrics::get()
+        .filter_nodes_expanded
         .add(outcome.nodes_expanded as u64);
-    r.counter("filter.blocks_selected")
-        .add(outcome.blocks.len() as u64);
     outcome.algo = algo;
     outcome
 }

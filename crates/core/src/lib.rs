@@ -91,7 +91,7 @@ pub use error::IndexError;
 pub use fingerprint::{dist, dist_sq, Record, RecordBatch, PAPER_DIMS};
 pub use index::{FilterAlgo, Match, QueryResult, QueryStats, Refine, S3Index, StatQueryOpts};
 pub use kernels::dist_sq_within;
-pub use metrics::{default_health_rules, default_slos, telemetry_dir, CoreMetrics};
+pub use metrics::CoreMetrics;
 pub use pager::{DataPages, Page, PageMeta, PageStore, DEFAULT_PAGE_SIZE, PAGE_HEADER_LEN};
 pub use pseudo_disk::{DiskIndex, RetryPolicy, WriteOpts};
 pub use resilience::{

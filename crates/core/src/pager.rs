@@ -140,14 +140,6 @@ pub struct PageStore<S> {
     meta: Mutex<PageMeta>,
 }
 
-/// Updates the `pager.file_bytes` gauge from a meta page: the file spans
-/// the meta page plus `n_pages` data pages.
-fn publish_file_bytes(meta: &PageMeta) {
-    CoreMetrics::get()
-        .pager_file_bytes
-        .set(((meta.n_pages + 1) * u64::from(meta.page_size)) as f64);
-}
-
 impl<S: WritableStorage> PageStore<S> {
     /// Formats `storage` as an empty paged file: writes and syncs the meta
     /// page. Existing contents are discarded.
@@ -196,7 +188,6 @@ impl<S: WritableStorage> PageStore<S> {
             });
         }
         let meta = decode_meta(&page.payload)?;
-        publish_file_bytes(&meta);
         Ok(PageStore {
             storage,
             page_size: meta.page_size,
@@ -239,17 +230,14 @@ impl<S: WritableStorage> PageStore<S> {
             })
         };
         match decoded {
-            Ok(meta) => {
-                publish_file_bytes(&meta);
-                Ok((
-                    PageStore {
-                        storage,
-                        page_size: meta.page_size,
-                        meta: Mutex::new(meta),
-                    },
-                    false,
-                ))
-            }
+            Ok(meta) => Ok((
+                PageStore {
+                    storage,
+                    page_size: meta.page_size,
+                    meta: Mutex::new(meta),
+                },
+                false,
+            )),
             Err(IndexError::Io(e)) => Err(IndexError::Io(e)),
             Err(_) => {
                 if fallback_page_size < MIN_PAGE_SIZE {
@@ -303,7 +291,6 @@ impl<S: WritableStorage> PageStore<S> {
         let image = encode_page(0, meta.checkpoint_lsn, &payload);
         self.storage.write_at(0, &image)?;
         *self.lock_meta() = meta;
-        publish_file_bytes(&meta);
         Ok(())
     }
 

@@ -15,7 +15,6 @@
 
 use crate::distortion::DistortionModel;
 use crate::index::{QueryResult, S3Index, StatQueryOpts};
-use crate::metrics::CoreMetrics;
 use crate::resilience::QueryCtx;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -65,8 +64,6 @@ where
         }
         return out;
     }
-    let metrics = CoreMetrics::get();
-    metrics.workers_spawned.add(workers as u64);
     let slots: Vec<Slot<T>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
     let cursor = AtomicUsize::new(0);
     // Spawned workers start with a blank thread-local query scope; re-enter
@@ -76,7 +73,6 @@ where
         for _ in 0..workers {
             scope.spawn(|| {
                 let _scope = s3_obs::QueryScope::enter(qid);
-                let mut claimed = 0u64;
                 loop {
                     if ctx.is_some_and(|c| c.should_stop()) {
                         break;
@@ -90,9 +86,7 @@ where
                     // other thread reads or writes `slots[i]` until the
                     // scope joins.
                     unsafe { *slot.0.get() = Some(v) };
-                    claimed += 1;
                 }
-                metrics.tasks_per_worker.record(claimed);
             });
         }
     });

@@ -382,16 +382,6 @@ impl<'a> Plan<'a> {
         timing.degraded = timing.sections_skipped > 0 || stats.iter().any(|s| s.degraded);
         let stop_cause = ctx.and_then(|c| c.stop_cause());
         timing.deadline_hit = stop_cause == Some(CancelCause::DeadlineExceeded);
-        if timing.deadline_hit {
-            let fired = ctx.and_then(|c| Some((c.deadline()?, c.token().fired_at()?)));
-            if let Some((deadline, fired)) = fired {
-                // Token fire → batch return: how promptly cancellation
-                // propagated through loads and refine chunks.
-                CoreMetrics::get()
-                    .cancel_latency
-                    .record_duration(deadline.clock().now().saturating_sub(fired));
-            }
-        }
         let per_query = timing.per_query(n_queries);
         for st in &stats {
             fold_query(st, per_query, n_records);

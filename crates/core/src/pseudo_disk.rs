@@ -208,9 +208,8 @@ pub struct BatchTiming {
     pub load: Duration,
     /// Total refinement time.
     pub refine: Duration,
-    /// Per-section load-time distribution (ns, retries included): the same
-    /// log-bucketed histogram vocabulary as the `s3-obs` registry, so batch
-    /// reports and the global `io.section_load` metric agree.
+    /// Per-section load-time distribution (ns, retries included), in the
+    /// same log-bucketed histogram vocabulary as the `s3-obs` registry.
     pub section_load: LocalHistogram,
     /// Sections actually loaded (empty intersections are skipped).
     pub sections_loaded: usize,
@@ -646,7 +645,6 @@ impl DiskIndex {
                     "v1 file size mismatch: expected {expected} bytes"
                 )));
             }
-            CoreMetrics::get().v1_fallback.inc();
             event::warn(
                 "storage",
                 "opening legacy S3IDX001 index (no checksums); \
@@ -763,9 +761,6 @@ impl DiskIndex {
             );
             return false;
         }
-        CoreMetrics::get()
-            .sketch_bytes
-            .set(sketch.byte_size() as f64);
         self.sketch = Some(sketch);
         true
     }
@@ -1148,7 +1143,6 @@ impl DiskIndex {
                         continue;
                     }
                     timing.sections_skipped += 1;
-                    metrics.sections_skipped.inc();
                     mark_section_skipped(scans, work2, true);
                 }
                 break;
@@ -1160,8 +1154,6 @@ impl DiskIndex {
                 if !br.try_pass(breaker_key) {
                     timing.sections_skipped += 1;
                     timing.breaker_skips += 1;
-                    metrics.sections_skipped.inc();
-                    metrics.breaker_skips.inc();
                     event::warn(
                         "pseudo_disk",
                         &format!("section {s} breaker open, skipping without I/O"),
@@ -1193,7 +1185,6 @@ impl DiskIndex {
             sec_span.record("entries", (b - a) as f64);
             timing.load += load_time;
             timing.section_load.record_duration(load_time);
-            metrics.section_load.record_duration(load_time);
             // Retries are attributed to every query that needed this
             // section (same convention as `sections_skipped`), whether the
             // load finally succeeded or not.
@@ -1230,7 +1221,6 @@ impl DiskIndex {
                     // Degrade: answer the batch from the surviving sections,
                     // and account the loss per affected query.
                     timing.sections_skipped += 1;
-                    metrics.sections_skipped.inc();
                     event::warn(
                         "pseudo_disk",
                         &format!(

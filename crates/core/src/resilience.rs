@@ -489,9 +489,7 @@ impl AdmissionController {
                         return Admission::Shed;
                     }
                     metrics.shed_degrade.inc();
-                    let permit = Self::issue(self, &mut st);
-                    metrics.inflight.set(st.inflight.len() as f64);
-                    return Admission::Degraded(permit);
+                    return Admission::Degraded(Self::issue(self, &mut st));
                 }
                 Shed::Oldest => {
                     if let Some((_, oldest)) = st.inflight.pop_front() {
@@ -501,9 +499,7 @@ impl AdmissionController {
                 }
             }
         }
-        let permit = Self::issue(self, &mut st);
-        metrics.inflight.set(st.inflight.len() as f64);
-        Admission::Admitted(permit)
+        Admission::Admitted(Self::issue(self, &mut st))
     }
 
     fn issue(ctrl: &Arc<Self>, st: &mut AdmissionState) -> Permit {
@@ -522,7 +518,6 @@ impl AdmissionController {
     fn release(&self, id: u64) {
         let mut st = self.lock();
         st.inflight.retain(|(i, _)| *i != id);
-        CoreMetrics::get().inflight.set(st.inflight.len() as f64);
     }
 }
 

@@ -574,7 +574,6 @@ impl ShardedIndex {
                         error,
                     };
                     if !breakers.try_pass(s) {
-                        metrics.shard_breaker_open.inc();
                         event::warn(
                             "shard",
                             &format!("shard {s} breaker open, skipping dispatch"),

@@ -186,9 +186,6 @@ impl Sketch {
                 prev = Some(slot);
             }
         }
-        let m = CoreMetrics::get();
-        m.sketch_built.inc();
-        m.sketch_bytes.set(sketch.byte_size() as f64);
         sketch
     }
 

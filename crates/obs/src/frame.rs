@@ -1,5 +1,6 @@
 //! The one append-only log frame — `len u32 LE | body | crc32(body) u32 LE`
-//! — shared by the core write-ahead log and the telemetry segment store.
+//! — shared by the core write-ahead log and the telemetry segment store of
+//! `s3-ops`.
 //!
 //! The two logs differ on disk only in what `len` counts, which a
 //! [`Layout`] constant records; what their bodies mean stays with them

@@ -1,4 +1,6 @@
-//! `s3-obs` — zero-dependency observability for the S³ CBCD system.
+//! `s3-obs` — zero-dependency observability for the S³ CBCD system: what
+//! the engines need to measure themselves, and nothing that watches the
+//! measurements over time (that is the leaf crate `s3-ops`).
 //!
 //! Three pieces, all thread-safe and allocation-free on the hot path:
 //!
@@ -22,22 +24,10 @@
 //! [`ExplainReport`] carries a per-query plan/outcome breakdown filled in
 //! by `s3-core`.
 //!
-//! Continuous operation builds on those primitives: [`MetricWindows`]
-//! turns cumulative registry snapshots into windowed rates and rolling
-//! quantiles, a [`HealthEngine`] evaluates declarative [`HealthRule`]s
-//! over the windows into `Healthy/Degraded/Critical` [`Verdict`]s with
-//! hysteresis, and a [`FlightRecorder`] black-box retains recent spans,
-//! events and component state, dumping an [`IncidentReport`] JSON
-//! document (readable back with [`JsonValue`]) when something trips.
-//!
-//! Telemetry is also durable: a [`Tsdb`] persists window frames into
-//! CRC-framed rotated segment files (torn tails truncated on reopen)
-//! with 1m/1h downsampling tiers and byte/age retention, a [`SlowLog`]
-//! captures the full [`ExplainReport`] of degraded or
-//! slower-than-quantile queries to the same format, and an [`SloEngine`]
-//! evaluates availability/latency/correctness objectives as
-//! multi-window burn rates feeding the health engine and the flight
-//! recorder.
+//! Beside them sit the one [`JsonWriter`] (and the [`JsonValue`] reader),
+//! the one CRC ([`crc`]) and the one `len | body | crc` log frame
+//! ([`frame`]) of the workspace, and its one clock trait ([`TimeSource`],
+//! with [`WallTime`] and [`ManualTime`]).
 //!
 //! ```
 //! use s3_obs::{registry, span};
@@ -68,40 +58,22 @@ pub mod event;
 mod explain;
 mod export;
 pub mod frame;
-mod health;
 pub mod json;
 mod metrics;
-mod recorder;
-mod segment;
-mod slo;
-mod slowlog;
 mod span;
+mod time;
 mod trace;
-mod tsdb;
-mod window;
 
 pub use event::{set_event_sink, EventSink, Level, MemEventSink, StderrSink};
 pub use explain::{BlockExplain, ExplainPhase, ExplainReport, ShardReport};
-pub use health::{Bounds, HealthEngine, HealthReport, HealthRule, RuleOutcome, Signal, Verdict};
 pub use json::{JsonError, JsonScalar, JsonValue, JsonWriter};
 pub use metrics::{
     registry, Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram, MetricId, Registry,
     Snapshot,
 };
-pub use recorder::{
-    install_event_tee, install_panic_hook, EventRecord, FlightRecorder, HistogramSummary,
-    IncidentReport, IncidentTrigger, RecorderConfig,
-};
-pub use segment::{
-    read_records, segment_paths, SegmentConfig, SegmentStore, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
-    SEGMENT_VERSION,
-};
-pub use slo::{SloEngine, SloSignal, SloSpec, SloStatus};
-pub use slowlog::{SlowEntry, SlowLog, SlowLogConfig, SlowRead};
 pub use span::{
     clear_span_sink, current_query, set_span_sink, QueryScope, RingCollector, Span, SpanRecord,
     SpanSink,
 };
+pub use time::{ManualTime, TimeSource, WallTime};
 pub use trace::to_chrome_trace;
-pub use tsdb::{key_matches, unix_ms_now, HistSummary, Tier, Tsdb, TsdbConfig, TsdbSample};
-pub use window::{ManualTime, MetricWindows, TimeSource, WallTime, WindowFrame};

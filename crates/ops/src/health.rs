@@ -22,8 +22,8 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::event;
-use crate::metrics::{registry, Counter, Gauge, Registry};
+use s3_obs::{event, registry, Counter, Gauge, Registry};
+
 use crate::window::MetricWindows;
 
 /// Overall or per-rule health level, ordered by severity.
@@ -520,9 +520,7 @@ mod tests {
 
     #[test]
     fn engine_escalates_immediately_and_clears_with_streak() {
-        use crate::metrics::Registry;
-        use crate::window::MetricWindows;
-        use std::time::Duration;
+        use s3_obs::Registry;
 
         let reg = Registry::new();
         let w = MetricWindows::new(16);

@@ -23,11 +23,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::event::{set_event_sink, EventSink, Level};
+use s3_obs::{
+    registry, set_event_sink, set_span_sink, Counter, EventSink, JsonScalar, JsonWriter, Level,
+    MetricId, RingCollector, SpanRecord,
+};
+
 use crate::health::HealthReport;
-use crate::json::{JsonScalar, JsonWriter};
-use crate::metrics::{registry, Counter, MetricId};
-use crate::span::{set_span_sink, RingCollector, SpanRecord};
 use crate::tsdb::unix_ms_now;
 use crate::window::MetricWindows;
 
@@ -463,7 +464,7 @@ fn payload(info: &std::panic::PanicHookInfo<'_>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::JsonValue;
+    use s3_obs::JsonValue;
 
     #[test]
     fn event_ring_is_bounded() {
@@ -522,7 +523,7 @@ mod tests {
     #[test]
     fn write_to_dir_names_by_kind_and_seq() {
         let rec = FlightRecorder::default();
-        let dir = std::env::temp_dir().join(format!("s3obs-rec-test-{}", std::process::id()));
+        let dir = crate::support::TempDir::new("recorder");
         let r1 = rec.incident(IncidentTrigger {
             kind: "manual",
             rule: None,
@@ -536,7 +537,6 @@ mod tests {
             .unwrap_or(false));
         let text = std::fs::read_to_string(&p).expect("read back");
         assert!(JsonValue::parse(&text).is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// One of everything: a labelled and an unlabelled metric, a rule with

@@ -3,9 +3,8 @@
 //!
 //! The format uses the WAL/sidecar idioms of `s3-core` (magic + version
 //! header, per-record CRC, torn-tail truncation on open) on plain
-//! `std::fs` — `s3-obs` sits below `s3-core`. The record frame and its
-//! scan are [`crate::frame`], the codec the core WAL appends and
-//! recovers with too.
+//! `std::fs`. The record frame and its scan are [`s3_obs::frame`], the
+//! codec the core WAL appends and recovers with too.
 //!
 //! ## On-disk format
 //!
@@ -36,8 +35,7 @@ use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
-use crate::frame;
-use crate::metrics::{registry, Counter, Gauge};
+use s3_obs::{event, frame, registry, Counter, Gauge};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"S3TSEG01";
@@ -215,7 +213,7 @@ impl SegmentStore {
                 let scan = scan_segment(&bytes);
                 if scan.torn {
                     metrics.truncated_tails.inc();
-                    crate::event::warn(
+                    event::warn(
                         "obs.segment",
                         &format!(
                             "torn tail in {}: truncating {} -> {} bytes",
@@ -374,17 +372,11 @@ pub fn read_records(dir: &Path, prefix: &str) -> io::Result<Vec<Record>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("s3obs-seg-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use crate::support::TempDir;
 
     #[test]
     fn round_trip_and_reopen() {
-        let dir = tmp("rt");
+        let dir = TempDir::new("seg-rt");
         let cfg = SegmentConfig::default();
         {
             let mut s = SegmentStore::open(&dir, "t", cfg.clone()).unwrap();
@@ -404,7 +396,7 @@ mod tests {
 
     #[test]
     fn rotation_and_byte_retention() {
-        let dir = tmp("rot");
+        let dir = TempDir::new("seg-rot");
         let cfg = SegmentConfig {
             segment_bytes: 128,
             max_total_bytes: 512,
@@ -432,7 +424,7 @@ mod tests {
 
     #[test]
     fn torn_tail_truncated_on_open() {
-        let dir = tmp("torn");
+        let dir = TempDir::new("seg-torn");
         let cfg = SegmentConfig::default();
         {
             let mut s = SegmentStore::open(&dir, "t", cfg.clone()).unwrap();

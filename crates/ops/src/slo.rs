@@ -26,8 +26,9 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
+use s3_obs::{event, registry, Counter, Gauge, Registry};
+
 use crate::health::{Bounds, HealthRule, Signal};
-use crate::metrics::{registry, Counter, Gauge, Registry};
 use crate::window::{MetricWindows, WindowFrame};
 
 /// How an objective's error rate is measured from metric windows.
@@ -333,7 +334,7 @@ impl SloEngine {
             if newly_exhausted {
                 st.exhausted = true;
                 self.exhausted_counter.inc();
-                crate::event::warn(
+                event::warn(
                     "slo",
                     &format!(
                         "objective {} exhausted its error budget ({:.1} bad / {} events, target {})",
@@ -360,9 +361,8 @@ impl SloEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
-    use crate::window::{ManualTime, MetricWindows, TimeSource};
     use crate::{HealthEngine, Verdict};
+    use s3_obs::{ManualTime, TimeSource};
 
     fn avail_spec() -> SloSpec {
         SloSpec {

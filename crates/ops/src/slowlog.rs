@@ -2,7 +2,7 @@
 //!
 //! [`SlowLog`] watches every explained query and captures the ones worth
 //! a post-mortem: anything that finished **degraded** (fault fallbacks,
-//! deadline overruns, shard loss — any [`crate::ExplainReport`]
+//! deadline overruns, shard loss — any [`ExplainReport`]
 //! annotation) or whose latency exceeded a caller-maintained threshold
 //! (typically the rolling p99 from [`crate::MetricWindows`]). Captured
 //! entries keep the *complete* `ExplainReport` JSON — plan, per-block
@@ -22,9 +22,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::explain::ExplainReport;
-use crate::json::{JsonValue, JsonWriter};
-use crate::metrics::{registry, Counter};
+use s3_obs::{event, registry, Counter, ExplainReport, JsonValue, JsonWriter};
+
 use crate::segment::{read_records, SegmentConfig, SegmentStore};
 use crate::tsdb::unix_ms_now;
 
@@ -182,7 +181,7 @@ impl SlowLog {
         let payload = w.finish();
         match lock(&self.store).append(KIND_ENTRY, payload.as_bytes()) {
             Ok(()) => self.metrics.spilled.inc(),
-            Err(e) => crate::event::warn("obs.slowlog", &format!("spill failed: {e}")),
+            Err(e) => event::warn("obs.slowlog", &format!("spill failed: {e}")),
         }
         true
     }
@@ -246,20 +245,14 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("s3obs-slow-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
+    use crate::support::TempDir;
 
     /// A report with one phase of `latency_ns`, degraded iff annotated.
     fn report(query_id: u64, latency_ns: u64, annotations: &[&str]) -> ExplainReport {
         ExplainReport {
             query_id,
             algo: "x",
-            phases: vec![crate::ExplainPhase {
+            phases: vec![s3_obs::ExplainPhase {
                 name: "refine",
                 ns: latency_ns,
             }],
@@ -270,7 +263,7 @@ mod tests {
 
     #[test]
     fn captures_degraded_and_slow_spills_and_reads_back() {
-        let dir = tmp("cap");
+        let dir = TempDir::new("slow-cap");
         let log = SlowLog::open(&dir, SlowLogConfig::default()).unwrap();
         // Fast + clean: not captured.
         assert!(!log.observe(&report(1, 10, &[])));
@@ -296,7 +289,7 @@ mod tests {
 
     #[test]
     fn ring_bounds_and_counts_drops() {
-        let dir = tmp("ring");
+        let dir = TempDir::new("slow-ring");
         let cfg = SlowLogConfig {
             ring: 2,
             ..SlowLogConfig::default()
@@ -324,7 +317,7 @@ mod tests {
 
     #[test]
     fn spilled_payload_parses_to_the_parent_tree() {
-        let dir = tmp("golden");
+        let dir = TempDir::new("slow-golden");
         let log = SlowLog::open(&dir, SlowLogConfig::default()).unwrap();
         assert!(log.observe(&fixture()));
         log.sync().unwrap();

@@ -19,8 +19,8 @@ use std::io;
 use std::path::Path;
 use std::time::{Duration, SystemTime};
 
-use crate::json::{JsonValue, JsonWriter};
-use crate::metrics::HistogramSnapshot;
+use s3_obs::{HistogramSnapshot, JsonValue, JsonWriter};
+
 use crate::segment::{read_records, SegmentConfig, SegmentStore};
 use crate::window::{MetricWindows, WindowFrame};
 
@@ -113,7 +113,7 @@ impl HistSummary {
 
 /// One stored interval: the on-disk unit of the time-series store.
 ///
-/// Metric keys are rendered [`crate::MetricId`]s (`name` or
+/// Metric keys are rendered [`s3_obs::MetricId`]s (`name` or
 /// `name{k="v"}`), so labelled series stay distinct on disk.
 #[derive(Debug, Clone)]
 pub struct TsdbSample {
@@ -535,16 +535,8 @@ impl Drop for Tsdb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
-    use crate::window::ManualTime;
-    use crate::TimeSource;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("s3obs-tsdb-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
+    use crate::support::TempDir;
+    use s3_obs::{ManualTime, Registry, TimeSource};
 
     #[test]
     fn sample_json_round_trip() {
@@ -581,7 +573,7 @@ mod tests {
 
     #[test]
     fn windows_survive_restart() {
-        let dir = tmp("restart");
+        let dir = TempDir::new("tsdb-restart");
         let reg = Registry::new();
         let t = ManualTime::new();
         let w = MetricWindows::new(16);
@@ -613,7 +605,7 @@ mod tests {
 
     #[test]
     fn aggregates_flush_on_boundary() {
-        let dir = tmp("agg");
+        let dir = TempDir::new("tsdb-agg");
         let reg = Registry::new();
         let t = ManualTime::new();
         let w = MetricWindows::new(256);

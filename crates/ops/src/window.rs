@@ -8,78 +8,14 @@
 //! last 60 s") and rolling quantiles ("WAL fsync p99 over the last 5 min")
 //! by summing / merging the frames inside a lookback horizon.
 //!
-//! Time is pluggable: [`TimeSource`] is a monotonic duration since an
-//! arbitrary epoch, with [`WallTime`] for production and [`ManualTime`]
-//! for deterministic tests. These are the workspace's only clocks —
-//! `s3_core::resilience::Clock` is `TimeSource` plus `sleep`, implemented
-//! for the same two types (which core re-exports as `SystemClock` and
-//! `MockClock`).
+//! Ticks come from a [`TimeSource`], the workspace's one clock trait
+//! (`s3_obs::time`): `WallTime` in production, `ManualTime` in tests.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
-use crate::metrics::{HistogramSnapshot, MetricId, Snapshot};
-
-/// A monotonic time source: duration since an arbitrary fixed epoch.
-pub trait TimeSource: Send + Sync {
-    /// Time elapsed since the source's epoch.
-    fn now(&self) -> Duration;
-}
-
-/// Wall-clock [`TimeSource`] anchored at its creation instant.
-#[derive(Debug)]
-pub struct WallTime {
-    epoch: std::time::Instant,
-}
-
-impl WallTime {
-    /// A source whose epoch is "now".
-    pub fn new() -> WallTime {
-        WallTime {
-            epoch: std::time::Instant::now(),
-        }
-    }
-}
-
-impl Default for WallTime {
-    fn default() -> Self {
-        WallTime::new()
-    }
-}
-
-impl TimeSource for WallTime {
-    fn now(&self) -> Duration {
-        self.epoch.elapsed()
-    }
-}
-
-/// Deterministic [`TimeSource`] advanced explicitly by tests.
-#[derive(Debug, Default)]
-pub struct ManualTime {
-    nanos: std::sync::atomic::AtomicU64,
-}
-
-impl ManualTime {
-    /// A source starting at t = 0.
-    pub fn new() -> ManualTime {
-        ManualTime::default()
-    }
-
-    /// Moves time forward by `d`.
-    pub fn advance(&self, d: Duration) {
-        self.nanos.fetch_add(
-            d.as_nanos().min(u64::MAX as u128) as u64,
-            std::sync::atomic::Ordering::SeqCst,
-        );
-    }
-}
-
-impl TimeSource for ManualTime {
-    fn now(&self) -> Duration {
-        Duration::from_nanos(self.nanos.load(std::sync::atomic::Ordering::SeqCst))
-    }
-}
+use s3_obs::{registry, HistogramSnapshot, MetricId, Snapshot, TimeSource};
 
 /// One completed interval: deltas between two consecutive ticks.
 #[derive(Debug, Clone)]
@@ -175,7 +111,7 @@ impl MetricWindows {
     /// Convenience: [`MetricWindows::tick_at`] with `ts.now()` and the
     /// global registry's snapshot.
     pub fn tick(&self, ts: &dyn TimeSource) {
-        self.tick_at(ts.now(), crate::metrics::registry().snapshot());
+        self.tick_at(ts.now(), registry().snapshot());
     }
 
     /// Number of completed frames currently retained.
@@ -428,7 +364,7 @@ fn diff_frame(start: Duration, end: Duration, earlier: &Snapshot, later: &Snapsh
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
+    use s3_obs::{ManualTime, Registry};
 
     fn secs(s: u64) -> Duration {
         Duration::from_secs(s)

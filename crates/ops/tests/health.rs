@@ -4,7 +4,8 @@
 
 use std::time::Duration;
 
-use s3_obs::{Bounds, HealthEngine, HealthRule, MetricWindows, Registry, Signal, Verdict};
+use s3_obs::Registry;
+use s3_ops::{Bounds, HealthEngine, HealthRule, MetricWindows, Signal, Verdict};
 
 const LOOKBACK: Duration = Duration::from_secs(1);
 

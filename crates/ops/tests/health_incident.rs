@@ -9,21 +9,25 @@
 //! Single `#[test]`: the span/event sinks and the metrics registry are
 //! process-global, so the whole scenario runs as one sequential story.
 
+mod support;
+
 use s3_core::filter::select_blocks_best_first;
 use s3_core::pseudo_disk::DiskIndex;
 use s3_core::pseudo_disk::WriteOpts;
 use s3_core::{
-    default_health_rules, Clock, CoreMetrics, DurableIndex, DurableOptions, FaultPlan,
-    FaultyStorage, IsotropicNormal, MemStorage, MockClock, QueryCtx, RecordBatch, S3Index,
+    Clock, CoreMetrics, DurableIndex, DurableOptions, EngineState, FaultPlan, FaultyStorage,
+    IsotropicNormal, MemStorage, MergeOutcome, MockClock, QueryCtx, RecordBatch, S3Index,
     SharedMemStorage, StatQueryOpts, TimeSource,
 };
 use s3_hilbert::HilbertCurve;
-use s3_obs::{
-    install_event_tee, registry, FlightRecorder, HealthEngine, IncidentTrigger, JsonValue,
+use s3_obs::{registry, JsonValue};
+use s3_ops::{
+    default_health_rules, install_event_tee, FlightRecorder, HealthEngine, IncidentTrigger,
     MetricWindows, RecorderConfig, Verdict,
 };
 use std::sync::Arc;
 use std::time::Duration;
+use support::TempDir;
 
 const DIMS: usize = 6;
 const N: usize = 600;
@@ -88,6 +92,22 @@ fn durable_fixture() -> DurableIndex {
     idx
 }
 
+/// The storage-engine facts an incident dump carries, as the recorder's
+/// key/value pairs.
+fn engine_fields(st: &EngineState) -> Vec<(String, String)> {
+    let outcome = match st.recovery.outcome {
+        MergeOutcome::Completed => "completed",
+        MergeOutcome::RolledBack => "rolled_back",
+        MergeOutcome::Replayed => "replayed",
+    };
+    vec![
+        ("generation".into(), st.generation.to_string()),
+        ("checkpoint_lsn".into(), st.checkpoint_lsn.to_string()),
+        ("wal_len".into(), st.wal_len.to_string()),
+        ("recovery_outcome".into(), outcome.into()),
+    ]
+}
+
 #[test]
 fn fault_storm_trips_health_dumps_incident_and_recovers() {
     let index = build_index();
@@ -125,9 +145,7 @@ fn fault_storm_trips_health_dumps_incident_and_recovers() {
     install_event_tee(&recorder, None);
 
     let durable = durable_fixture();
-    let incident_dir =
-        std::env::temp_dir().join(format!("s3-health-incident-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&incident_dir);
+    let incident_dir = TempDir::new("health-incident");
 
     let tick = |w: &MetricWindows| {
         w.tick_at(clock.now(), registry().snapshot());
@@ -211,7 +229,7 @@ fn fault_storm_trips_health_dumps_incident_and_recovers() {
         worst = worst.max(report.verdict);
         if report.transitioned && report.verdict != Verdict::Healthy && incident_path.is_none() {
             // Health tripped: stamp engine state and dump the black box.
-            recorder.observe_state("storage_engine", durable.engine_state().to_fields());
+            recorder.observe_state("storage_engine", engine_fields(&durable.engine_state()));
             let offender = report
                 .rules
                 .iter()
@@ -331,5 +349,4 @@ fn fault_storm_trips_health_dumps_incident_and_recovers() {
     // The incident counter reflects exactly one dump.
     assert_eq!(recorder.incident_count(), 1);
     assert!(CoreMetrics::get().crc_failures.get() > 0);
-    let _ = std::fs::remove_dir_all(&incident_dir);
 }

@@ -2,25 +2,18 @@
 //! seeded byte mangling, tsdb golden-value restart reproduction, and
 //! SLO burn-rate plumbing into the health engine.
 
+mod support;
+
 use std::fs::{self, OpenOptions};
 use std::io::Write;
-use std::path::PathBuf;
 use std::time::Duration;
 
-use s3_obs::{
-    read_records, segment_paths, HealthEngine, ManualTime, MetricWindows, Registry, SegmentConfig,
-    SegmentStore, SloEngine, SloSignal, SloSpec, TimeSource, Tsdb, TsdbConfig, Verdict,
+use s3_obs::{ManualTime, Registry, TimeSource};
+use s3_ops::{
+    read_records, segment_paths, HealthEngine, MetricWindows, SegmentConfig, SegmentStore,
+    SloEngine, SloSignal, SloSpec, Tsdb, TsdbConfig, Verdict,
 };
-
-fn tmpdir(name: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "s3obs-telemetry-{name}-{}-{}",
-        std::process::id(),
-        name.len()
-    ));
-    let _ = fs::remove_dir_all(&d);
-    d
-}
+use support::TempDir;
 
 /// Deterministic LCG (same constants as core's chaos harness).
 struct Lcg(u64);
@@ -48,7 +41,7 @@ impl Lcg {
 fn segment_mangling_property() {
     let mut rng = Lcg(0xBADC0FFEE);
     for case in 0..60u64 {
-        let dir = tmpdir(&format!("mangle{case}"));
+        let dir = TempDir::new("mangle");
         let cfg = SegmentConfig {
             segment_bytes: 4096,
             max_total_bytes: 1 << 20,
@@ -109,7 +102,6 @@ fn segment_mangling_property() {
         for (got, want) in after[..after.len() - 1].iter().zip(written.iter()) {
             assert_eq!(got, want, "case {case}: prefix broken after reopen");
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -117,7 +109,7 @@ fn segment_mangling_property() {
 /// must match the exact per-tick activity of the pre-crash process.
 #[test]
 fn tsdb_reproduces_pre_crash_rates() {
-    let dir = tmpdir("golden");
+    let dir = TempDir::new("golden");
     let reg = Registry::new();
     let t = ManualTime::new();
     let w = MetricWindows::new(32);
@@ -165,7 +157,6 @@ fn tsdb_reproduces_pre_crash_rates() {
             hist.p50
         );
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// End-to-end SLO path: sustained burn transitions a health engine rule
@@ -240,7 +231,7 @@ fn truncated_tail_counts_metric() {
             .map(|&(_, v)| v)
             .unwrap_or(0)
     };
-    let dir = tmpdir(STORE);
+    let dir = TempDir::new(STORE);
     {
         let mut s = SegmentStore::open(&dir, STORE, SegmentConfig::default()).unwrap();
         s.append(1, b"x").unwrap();
@@ -253,5 +244,4 @@ fn truncated_tail_counts_metric() {
     drop(f);
     let _ = SegmentStore::open(&dir, STORE, SegmentConfig::default()).unwrap();
     assert_eq!(truncated_tails(), before + 1);
-    let _ = fs::remove_dir_all(&dir);
 }

@@ -10,7 +10,8 @@
 
 use std::time::Duration;
 
-use s3_obs::{LocalHistogram, MetricWindows, Registry, Snapshot};
+use s3_obs::{LocalHistogram, Registry, Snapshot};
+use s3_ops::MetricWindows;
 
 /// Deterministic xorshift PRNG — no external crates.
 struct Rng(u64);

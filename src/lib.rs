@@ -13,7 +13,10 @@
 //! * [`cbcd`] — the complete copy-detection system: registration, robust
 //!   voting, monitoring, threshold calibration;
 //! * [`obs`] — observability: metrics registry, latency histograms,
-//!   tracing spans, and table/JSON/Prometheus exporters.
+//!   tracing spans, EXPLAIN reports, and table/JSON/Prometheus exporters;
+//! * [`ops`] — the operations plane over those metrics: windowed rates,
+//!   health rules, SLOs, the telemetry store, the slow-query log and the
+//!   flight recorder.
 //!
 //! See the repository README for a walkthrough and `DESIGN.md` /
 //! `EXPERIMENTS.md` for the reproduction methodology.
@@ -24,5 +27,6 @@ pub use s3_cbcd as cbcd;
 pub use s3_core as core;
 pub use s3_hilbert as hilbert;
 pub use s3_obs as obs;
+pub use s3_ops as ops;
 pub use s3_stats as stats;
 pub use s3_video as video;
