@@ -2,8 +2,8 @@
 //!
 //! Drives `stat_query_batch`/`stat_query_batch_ctx` through scripted fault
 //! schedules — latency stalls, torn pages, bit flips, transient errors, dead
-//! regions, admission floods — over a seed matrix, and asserts the
-//! resilience invariants on every run:
+//! regions — over a seed matrix, and asserts the resilience invariants on
+//! every run:
 //!
 //! * **I1 — no panic**: every scenario runs under `catch_unwind`.
 //! * **I2 — no deadlock**: every scenario runs under a watchdog; a hang is a
@@ -35,10 +35,9 @@
 use s3_bench::{results_dir, Scale};
 use s3_core::pseudo_disk::{DiskIndex, RetryPolicy, WriteOpts};
 use s3_core::{
-    Admission, AdmissionController, Clock, CoreMetrics, FaultPlan, FaultyStorage, HedgeConfig,
-    IsotropicNormal, Match, MemStorage, MockClock, QueryCtx, RecordBatch, S3Index, ShardPlan,
-    ShardedBatchResult, ShardedIndex, ShardedOptions, Shed, Sketch, StatQueryOpts, Storage,
-    TimeSource,
+    Clock, CoreMetrics, FaultPlan, FaultyStorage, HedgeConfig, IsotropicNormal, Match, MemStorage,
+    MockClock, QueryCtx, RecordBatch, S3Index, ShardPlan, ShardedBatchResult, ShardedIndex,
+    ShardedOptions, Sketch, StatQueryOpts, Storage, TimeSource,
 };
 use s3_hilbert::HilbertCurve;
 use s3_obs::JsonWriter;
@@ -556,72 +555,6 @@ fn scenario_sketch(wl: Workload, seed: u64) -> RunReport {
     }
 }
 
-/// Admission flood: many threads slam a small gate under each shed policy.
-/// The in-flight bound must hold (2× under DegradeAlpha) and the admission
-/// ledger must balance.
-fn scenario_admission(seed: u64) -> RunReport {
-    let mut violations = Vec::new();
-    let mut counters = Vec::new();
-    for (policy, cap_factor, label) in [
-        (Shed::Reject, 1, "reject"),
-        (Shed::DegradeAlpha, 2, "degrade_alpha"),
-        (Shed::Oldest, 1, "oldest"),
-    ] {
-        let max_inflight = 2usize;
-        let ctrl = AdmissionController::new(max_inflight, policy);
-        let threads = 8 + (seed % 5) as usize;
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let ctrl = Arc::clone(&ctrl);
-            handles.push(std::thread::spawn(move || match ctrl.try_admit() {
-                Admission::Admitted(p) => {
-                    // Hold the permit briefly so the flood overlaps.
-                    std::thread::sleep(Duration::from_millis(2));
-                    drop(p);
-                    (1u32, 0u32, 0u32)
-                }
-                Admission::Degraded(p) => {
-                    std::thread::sleep(Duration::from_millis(2));
-                    drop(p);
-                    (0, 1, 0)
-                }
-                Admission::Shed => (0, 0, 1),
-            }));
-        }
-        let (mut admitted, mut degraded, mut shed) = (0u32, 0u32, 0u32);
-        for h in handles {
-            let (a, d, s) = h.join().unwrap();
-            admitted += a;
-            degraded += d;
-            shed += s;
-        }
-        if admitted + degraded + shed != threads as u32 {
-            violations.push(format!("{label}: admission ledger does not balance"));
-        }
-        let bound = max_inflight * cap_factor;
-        if ctrl.peak_inflight() > bound {
-            violations.push(format!(
-                "{label}: peak in-flight {} > bound {bound}",
-                ctrl.peak_inflight()
-            ));
-        }
-        if ctrl.inflight() != 0 {
-            violations.push(format!("{label}: permits leaked after the flood"));
-        }
-        counters.push(match policy {
-            Shed::Reject => ("reject_shed", f64::from(shed)),
-            Shed::DegradeAlpha => ("degrade_admitted", f64::from(degraded)),
-            Shed::Oldest => ("oldest_admitted", f64::from(admitted)),
-        });
-    }
-    RunReport {
-        scenario: "admission",
-        seed,
-        violations,
-        counters,
-    }
-}
-
 /// Rebuilds the in-memory index behind a workload, on the stored curve, so
 /// shard scenarios can re-slice it into per-shard replica files.
 fn rebuild_index(wl: &Workload) -> S3Index {
@@ -981,7 +914,6 @@ fn main() {
                 let wl = wl.clone();
                 Box::new(move || scenario_sketch(wl, seed))
             }),
-            ("admission", Box::new(move || scenario_admission(seed))),
             ("shard_kill", {
                 let wl = wl.clone();
                 Box::new(move || scenario_shard_kill(wl, seed))

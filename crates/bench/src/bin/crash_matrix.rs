@@ -44,7 +44,6 @@ const MEM_BUDGET: u64 = 1 << 20;
 fn opts() -> DurableOptions {
     DurableOptions {
         page_size: 256,
-        pool_pages: 8,
         write_opts: WriteOpts {
             table_depth: 8,
             block_size: 128,

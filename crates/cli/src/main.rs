@@ -32,9 +32,8 @@ use s3_cbcd::{
 use s3_core::autotune::{self, RecordCounts};
 use s3_core::pseudo_disk::{DiskIndex, RetryPolicy, WriteOpts};
 use s3_core::{
-    system_clock, Admission, AdmissionController, BlockSource, BufferPool, FaultPlan,
-    FaultyStorage, FileStorage, HedgeConfig, IsotropicNormal, MemStorage, Permit, PooledStorage,
-    QueryCtx, RecordBatch, S3Index, ShardPlan, ShardedIndex, ShardedOptions, Shed, StatQueryOpts,
+    system_clock, FaultPlan, FaultyStorage, FileStorage, HedgeConfig, IsotropicNormal, MemStorage,
+    QueryCtx, RecordBatch, S3Index, ShardPlan, ShardedIndex, ShardedOptions, StatQueryOpts,
     Storage,
 };
 use s3_hilbert::HilbertCurve;
@@ -43,7 +42,6 @@ use s3_video::{
     TransformChain, TransformedVideo, VideoSource, Y4mVideo,
 };
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// How a command finished. Degradation gets its own exit code (2) so
@@ -53,7 +51,7 @@ enum CmdStatus {
     /// Complete results.
     Clean,
     /// The command produced results, but they are partial: sections were
-    /// skipped, a deadline was hit, or admission degraded the search.
+    /// skipped or a deadline was hit.
     Degraded,
 }
 
@@ -147,16 +145,15 @@ USAGE:
       the populated metrics registry in the chosen exporter format.
   s3cbcd watch [--ticks N] [--interval-ms MS] [--fault none|torn|stall|mixed]
                [--queries N] [--videos N] [--frames N] [--seed S]
-               [--incident-dir DIR] [--pool-pages N] [--top N]
-               [--deadline-ms MS] [--telemetry-dir DIR]
+               [--incident-dir DIR] [--deadline-ms MS] [--telemetry-dir DIR]
                [--latency-slo-ms MS] [--plain]
       Live ops dashboard: run a self-contained query workload (optionally
       with injected storage faults) and redraw windowed rates, rolling
-      latency quantiles, per-rule health verdicts and the buffer pool's
-      hottest pages every tick. When health leaves Healthy, the flight
-      recorder dumps an incident report JSON into --incident-dir and the
-      command exits 2. --plain appends frames instead of clearing the
-      screen (pipe/CI friendly). --telemetry-dir DIR arms durable
+      latency quantiles and per-rule health verdicts every tick. When
+      health leaves Healthy, the flight recorder dumps an incident
+      report JSON into --incident-dir and the command exits 2. --plain
+      appends frames instead of clearing the screen (pipe/CI friendly).
+      --telemetry-dir DIR arms durable
       telemetry: every tick's windowed rates are appended to an embedded
       time-series store under DIR (rendered back as per-rate sparklines,
       surviving crashes — see `history`), degraded or slow queries get
@@ -185,13 +182,6 @@ USAGE:
       --deadline-ms N         latency budget per search batch; past it the
                               remaining work is skipped and results come
                               back partial, flagged degraded
-      --max-inflight N        admission bound on concurrent search batches
-      --shed-policy P         what to do over the bound:
-                              reject | degrade-alpha | oldest
-      --buffer-pool-pages N   read the index through an LRU-K buffer pool
-                              of N 4 KiB pages, bounding resident index
-                              memory (query; informational for the
-                              in-memory detect/monitor pipelines)
       --metrics-json <path>   write a JSON metrics snapshot on exit
       --metrics-every <secs>  print a metrics table to stderr periodically
 
@@ -213,37 +203,7 @@ USAGE:
 EXIT CODES:
   0  complete results
   1  hard error (bad arguments, I/O failure, strict-mode fault)
-  2  results produced but partial: sections skipped, deadline hit, or
-     admission degraded the search";
-
-/// Applies the admission flags: builds a one-shot controller when
-/// `--max-inflight` is given and admits this command's batch through it.
-/// Returns the held permit (in-flight until drop) and whether the policy
-/// admitted the batch in degraded form.
-fn admit_batch(a: &Args) -> Result<Option<(Permit, bool)>, String> {
-    let Some(raw) = a.get("max-inflight") else {
-        if a.get("shed-policy").is_some() {
-            return Err("--shed-policy needs --max-inflight".into());
-        }
-        return Ok(None);
-    };
-    let max: usize = raw
-        .parse()
-        .map_err(|_| format!("invalid value for --max-inflight: {raw:?}"))?;
-    let policy: Shed = a.get("shed-policy").unwrap_or("reject").parse()?;
-    let ctrl = AdmissionController::new(max, policy);
-    match ctrl.try_admit() {
-        Admission::Admitted(p) => Ok(Some((p, false))),
-        Admission::Degraded(p) => {
-            eprintln!("admission: over capacity, searching at reduced alpha");
-            Ok(Some((p, true)))
-        }
-        Admission::Shed => Err(format!(
-            "admission: batch shed (over --max-inflight {max} with policy {})",
-            policy.name()
-        )),
-    }
-}
+  2  results produced but partial: sections skipped or deadline hit";
 
 /// Builds the query context: a system-clock deadline when `--deadline-ms`
 /// is given, unbounded otherwise; asking for EXPLAIN when `explain` is set.
@@ -294,17 +254,11 @@ fn trace_write(tr: Option<(String, std::sync::Arc<s3_obs::RingCollector>)>) -> R
     Ok(())
 }
 
-/// Prints explain reports (bounded — a big batch would swamp the terminal),
-/// first stamping the admission-degradation annotation the index layer
-/// cannot see.
-fn print_explains(reports: Vec<&mut s3_obs::ExplainReport>, admission_degraded: bool) {
+/// Prints explain reports (bounded — a big batch would swamp the terminal).
+fn print_explains<'a>(reports: impl ExactSizeIterator<Item = &'a s3_obs::ExplainReport>) {
     const SHOW: usize = 16;
     let omitted = reports.len().saturating_sub(SHOW);
-    for r in reports.into_iter().take(SHOW) {
-        if admission_degraded {
-            r.annotations
-                .push("admission over capacity — searched at reduced alpha".into());
-        }
+    for r in reports.take(SHOW) {
         println!("{}", r.to_text());
     }
     if omitted > 0 {
@@ -423,12 +377,9 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
             "seed",
             "threads",
             "deadline-ms",
-            "max-inflight",
-            "shed-policy",
             "metrics-json",
             "metrics-every",
             "trace-out",
-            "buffer-pool-pages",
             "fault",
             "fault-seed",
             "shards",
@@ -441,22 +392,17 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
     let trace = trace_setup(&a);
     let (metrics_json, _ticker) = metrics::shared_flags(&a)?;
     let path = a.positional(0).ok_or("query needs an index path")?;
-    let mut alpha: f64 = a.get_parsed("alpha", 0.8)?;
+    let alpha: f64 = a.get_parsed("alpha", 0.8)?;
     let sigma: f64 = a.get_parsed("sigma", 15.0)?;
     let n_queries: usize = a.get_parsed("queries", 100)?;
     let mem_mb: u64 = a.get_parsed("mem", 256)?;
     let seed: u64 = a.get_parsed("seed", 7)?;
 
     let threads: usize = a.get_parsed("threads", default_threads())?;
-    let admission = admit_batch(&a)?;
-    let admission_degraded = admission.as_ref().is_some_and(|(_, degraded)| *degraded);
     // --telemetry-dir needs the explain reports for slow-query capture,
     // even when they are not printed; the answers are the same either way.
     let telemetry = telemetry_setup(&a);
     let ctx = query_ctx(&a, explain || telemetry.is_some())?;
-    if admission_degraded {
-        alpha = s3_core::resilience::degraded_alpha(alpha);
-    }
     let fplan = faults::from_args(&a, seed)?;
     let n_shards: usize = a.get_parsed("shards", 0)?;
     if n_shards > 0 {
@@ -467,15 +413,7 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
             mem_mb,
             seed,
         };
-        let st = query_sharded(
-            &a,
-            explain,
-            admission_degraded,
-            setup,
-            &ctx,
-            fplan,
-            telemetry,
-        )?;
+        let st = query_sharded(&a, explain, setup, &ctx, fplan, telemetry)?;
         trace_write(trace)?;
         if let Some(path) = metrics_json {
             metrics::dump_json(&path)?;
@@ -503,30 +441,12 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
             }
         }
     };
-    // --buffer-pool-pages N bounds resident index memory: the file is read
-    // through an LRU-K buffer pool of N 4 KiB blocks instead of directly.
-    let pool_pages: usize = a.get_parsed("buffer-pool-pages", 0)?;
-    let pool = if pool_pages > 0 {
-        let source = BlockSource::new(base_storage()?, 4096).map_err(|e| e.to_string())?;
-        // Each worker thread pins one page at a time; capacity below the
-        // thread count could exhaust the pool mid-batch.
-        Some(Arc::new(BufferPool::new(source, pool_pages.max(threads))))
+    let disk = if fplan.is_some() {
+        let mut d = DiskIndex::open_storage(base_storage()?).map_err(|e| e.to_string())?;
+        attach_sidecar(&mut d);
+        d
     } else {
-        None
-    };
-    let disk = match &pool {
-        Some(pool) => {
-            let mut d = DiskIndex::open_storage(Box::new(PooledStorage::new(Arc::clone(pool))))
-                .map_err(|e| e.to_string())?;
-            attach_sidecar(&mut d);
-            d
-        }
-        None if fplan.is_some() => {
-            let mut d = DiskIndex::open_storage(base_storage()?).map_err(|e| e.to_string())?;
-            attach_sidecar(&mut d);
-            d
-        }
-        None => DiskIndex::open(path).map_err(|e| e.to_string())?,
+        DiskIndex::open(path).map_err(|e| e.to_string())?
     };
     let disk = disk
         .with_retry_policy(RetryPolicy {
@@ -541,7 +461,7 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
 
     let model = IsotropicNormal::new(dims, sigma);
     let (opts, learned) = batch_opts(&a, &disk, &model, alpha, &qrefs)?;
-    let mut batch = disk
+    let batch = disk
         .stat_query_batch_ctx(&qrefs, &model, &opts, mem_mb << 20, &ctx)
         .map_err(|e| e.to_string())?;
     persist_telemetry(telemetry, &batch.reports)?;
@@ -575,17 +495,6 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
         "per query          : {:?}",
         batch.timing.per_query(queries.len())
     );
-    if let Some(pool) = &pool {
-        let m = s3_core::CoreMetrics::get();
-        println!(
-            "buffer pool        : {} / {} pages resident, {} hits, {} misses, {} evictions",
-            pool.resident(),
-            pool.capacity(),
-            m.bufferpool_hits.get(),
-            m.bufferpool_misses.get(),
-            m.bufferpool_evictions.get()
-        );
-    }
     if batch.timing.retries > 0 || batch.timing.degraded {
         println!(
             "health             : {} retries, {} sections skipped ({} breaker){}{}",
@@ -604,15 +513,14 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
             }
         );
     }
-    drop(admission);
     if explain {
-        print_explains(batch.reports.iter_mut().collect(), admission_degraded);
+        print_explains(batch.reports.iter());
     }
     trace_write(trace)?;
     if let Some(path) = metrics_json {
         metrics::dump_json(&path)?;
     }
-    if batch.timing.degraded || admission_degraded {
+    if batch.timing.degraded {
         Ok(CmdStatus::Degraded)
     } else {
         Ok(CmdStatus::Clean)
@@ -670,8 +578,8 @@ fn synth_queries(n: usize, dims: usize, sigma: f64, seed: u64) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Query parameters already resolved by `cmd_query` (admission degradation
-/// applied to `alpha`), handed to the sharded branch.
+/// Query parameters already resolved by `cmd_query`, handed to the sharded
+/// branch.
 struct QuerySetup {
     alpha: f64,
     sigma: f64,
@@ -715,7 +623,6 @@ fn shard_storages(
 fn query_sharded(
     a: &Args,
     explain: bool,
-    admission_degraded: bool,
     qs: QuerySetup,
     ctx: &QueryCtx,
     fplan: Option<FaultPlan>,
@@ -755,7 +662,7 @@ fn query_sharded(
     let model = IsotropicNormal::new(dims, qs.sigma);
     let (opts, learned) = batch_opts(a, &index, &model, qs.alpha, &qrefs)?;
 
-    let mut got = sharded
+    let got = sharded
         .stat_query_batch_ctx(&qrefs, &model, &opts, ctx)
         .map_err(|e| e.to_string())?;
     persist_telemetry(telemetry, &got.batch.reports)?;
@@ -823,9 +730,9 @@ fn query_sharded(
     }
     let degraded = batch.timing.degraded;
     if explain {
-        print_explains(got.batch.reports.iter_mut().collect(), admission_degraded);
+        print_explains(got.batch.reports.iter());
     }
-    if degraded || admission_degraded {
+    if degraded {
         Ok(CmdStatus::Degraded)
     } else {
         Ok(CmdStatus::Clean)
@@ -882,12 +789,9 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
             "candidate",
             "threads",
             "deadline-ms",
-            "max-inflight",
-            "shed-policy",
             "metrics-json",
             "metrics-every",
             "trace-out",
-            "buffer-pool-pages",
             "fault",
             "fault-seed",
             "shards",
@@ -895,11 +799,7 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
         ],
         &["explain", "no-hedge"],
     )?;
-    if a.get("buffer-pool-pages").is_some() {
-        eprintln!("note: --buffer-pool-pages applies to disk-backed indexes; detect builds its database in memory");
-    }
     let trace = trace_setup(&a);
-    let admission = admit_batch(&a)?;
     let (metrics_json, _ticker) = metrics::shared_flags(&a)?;
     let n_videos: usize = a.get_parsed("videos", 6)?;
     let frames: usize = a.get_parsed("frames", 100)?;
@@ -982,9 +882,6 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
             .map_err(|_| format!("invalid value for --deadline-ms: {raw:?}"))?;
         config.deadline = Some(Duration::from_millis(ms));
     }
-    if admission.as_ref().is_some_and(|(_, degraded)| *degraded) {
-        config.query.alpha = s3_core::resilience::degraded_alpha(config.query.alpha);
-    }
     // --shards N routes the search stage through the scatter-gather engine
     // (in-memory replicas re-sliced from the reference index). --fault
     // injects seeded storage faults into the replicas; with --fault but no
@@ -1014,7 +911,7 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
         eprintln!("search backend: {n_shards} shard(s) x {n_replicas} replica(s)");
         detector = detector.with_shard_backend(sharded);
     }
-    let mut search = detector.search(&candidate_fps, a.has("explain"));
+    let search = detector.search(&candidate_fps, a.has("explain"));
     let detections = s3_cbcd::vote(&search.votes(&candidate_fps), &detector.config().vote);
     let health = search.health;
     if detections.is_empty() {
@@ -1051,16 +948,19 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
             d.ncand
         );
     }
-    let admission_degraded = admission.is_some_and(|(_, degraded)| degraded);
     if a.has("explain") {
-        let reports = search.results.iter_mut().filter_map(|r| r.explain.as_mut());
-        print_explains(reports.collect(), admission_degraded);
+        let reports: Vec<_> = search
+            .results
+            .iter()
+            .filter_map(|r| r.explain.as_ref())
+            .collect();
+        print_explains(reports.into_iter());
     }
     trace_write(trace)?;
     if let Some(path) = metrics_json {
         metrics::dump_json(&path)?;
     }
-    let status = if health.degraded_queries > 0 || admission_degraded {
+    let status = if health.degraded_queries > 0 {
         CmdStatus::Degraded
     } else {
         CmdStatus::Clean
@@ -1084,18 +984,11 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
             "seed",
             "threads",
             "deadline-ms",
-            "max-inflight",
-            "shed-policy",
             "metrics-json",
             "metrics-every",
-            "buffer-pool-pages",
         ],
         &["strict"],
     )?;
-    if a.get("buffer-pool-pages").is_some() {
-        eprintln!("note: --buffer-pool-pages applies to disk-backed indexes; monitor builds its archive in memory");
-    }
-    let admission = admit_batch(&a)?;
     let (metrics_json, _ticker) = metrics::shared_flags(&a)?;
     let n_archive: usize = a.get_parsed("archive", 6)?;
     let stream_frames: usize = a.get_parsed("stream-frames", 400)?;
@@ -1146,9 +1039,6 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
             .parse()
             .map_err(|_| format!("invalid value for --deadline-ms: {raw:?}"))?;
         config.deadline = Some(Duration::from_millis(ms));
-    }
-    if admission.as_ref().is_some_and(|(_, degraded)| *degraded) {
-        config.query.alpha = s3_core::resilience::degraded_alpha(config.query.alpha);
     }
     let detector = Detector::new(&db, config);
     let mut monitor = Monitor::new(&detector, params);
@@ -1202,8 +1092,7 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
     }
     if events.iter().any(|e| e.id == rerun_id as u32) {
         println!("OK: embedded rerun detected");
-        let admission_degraded = admission.is_some_and(|(_, degraded)| degraded);
-        if !stats.health.healthy() || admission_degraded {
+        if !stats.health.healthy() {
             Ok(CmdStatus::Degraded)
         } else {
             Ok(CmdStatus::Clean)

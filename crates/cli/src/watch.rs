@@ -5,10 +5,9 @@
 //! storage faults) through the full observability stack: a
 //! [`MetricWindows`] ring ticked every interval, the stock health rules,
 //! and an armed [`FlightRecorder`]. Each tick redraws windowed rates,
-//! rolling latency quantiles, per-rule verdicts and the buffer pool's
-//! hottest pages. When the overall verdict leaves `Healthy`, the recorder
-//! dumps an `IncidentReport` JSON into `--incident-dir`; `incident <file>`
-//! renders such a dump for humans.
+//! rolling latency quantiles and per-rule verdicts. When the overall
+//! verdict leaves `Healthy`, the recorder dumps an `IncidentReport` JSON
+//! into `--incident-dir`; `incident <file>` renders such a dump for humans.
 
 use crate::args::Args;
 use crate::faults;
@@ -16,8 +15,8 @@ use crate::metrics;
 use crate::CmdStatus;
 use s3_core::pseudo_disk::{DiskIndex, WriteOpts};
 use s3_core::{
-    autotune, system_clock, BlockSource, BufferPool, FaultyStorage, IsotropicNormal, MemStorage,
-    PooledStorage, QueryCtx, RecordBatch, S3Index, StatQueryOpts, Storage,
+    autotune, system_clock, FaultyStorage, IsotropicNormal, MemStorage, QueryCtx, RecordBatch,
+    S3Index, StatQueryOpts, Storage,
 };
 use s3_hilbert::HilbertCurve;
 use s3_obs::{JsonValue, WallTime};
@@ -41,8 +40,6 @@ const DASH_RATES: &[&str] = &[
     "sketch.section_skips",
     "sketch.sections_loaded",
     "io.read_bytes",
-    "bufferpool.hits",
-    "bufferpool.misses",
     "storage.crc_failures",
     "disk.retries",
     "resilience.deadline_exceeded",
@@ -77,8 +74,6 @@ pub fn cmd_watch(rest: Vec<String>) -> Result<CmdStatus, String> {
             "fault",
             "fault-seed",
             "incident-dir",
-            "pool-pages",
-            "top",
             "deadline-ms",
             "mem-kb",
             "metrics-json",
@@ -96,8 +91,6 @@ pub fn cmd_watch(rest: Vec<String>) -> Result<CmdStatus, String> {
     let seed: u64 = a.get_parsed("seed", 0xD1CE)?;
     let plan = faults::from_args(&a, seed)?;
     let incident_dir = PathBuf::from(a.get("incident-dir").unwrap_or("incidents"));
-    let pool_pages: usize = a.get_parsed("pool-pages", 96)?;
-    let top: usize = a.get_parsed("top", 8)?;
     let deadline_ms: u64 = a.get_parsed("deadline-ms", 0)?;
     // Small enough that the index streams in several sections per batch —
     // that keeps reads (and thus injected faults) flowing at steady state.
@@ -127,17 +120,12 @@ pub fn cmd_watch(rest: Vec<String>) -> Result<CmdStatus, String> {
     let bytes =
         DiskIndex::encode_to_vec(&index, WriteOpts::default()).map_err(|e| e.to_string())?;
 
-    // Storage stack: bytes → buffer pool → optional fault injection.
-    // Faults sit ABOVE the pool so they hit every logical read instead of
-    // being cached away after the first page fill — a steady fault stream
-    // is what the health rules are rated for.
-    let source =
-        BlockSource::new(Box::new(MemStorage::new(bytes)), 4096).map_err(|e| e.to_string())?;
-    let pool = Arc::new(BufferPool::new(source, pool_pages.max(4)));
-    let pooled = PooledStorage::new(Arc::clone(&pool));
+    // Storage: the bytes in memory, behind seeded fault injection when
+    // `--fault` is set. Every read reaches the faults, and a steady fault
+    // stream is what the health rules are rated for.
     let storage: Box<dyn Storage> = match plan {
-        None => Box::new(pooled),
-        Some(plan) => Box::new(FaultyStorage::new(pooled, plan)),
+        None => Box::new(MemStorage::new(bytes)),
+        Some(plan) => Box::new(FaultyStorage::new(MemStorage::new(bytes), plan)),
     };
     let mut disk = DiskIndex::open_storage(storage).map_err(|e| e.to_string())?;
     // Build the section sketch in-memory (open_storage sees no sidecar) so
@@ -230,7 +218,7 @@ pub fn cmd_watch(rest: Vec<String>) -> Result<CmdStatus, String> {
                 if !st.newly_exhausted {
                     continue;
                 }
-                record_pool_state(&recorder, &pool, &disk, top);
+                record_index_state(&recorder, &disk);
                 let path = recorder
                     .dump_incident(
                         IncidentTrigger {
@@ -255,7 +243,7 @@ pub fn cmd_watch(rest: Vec<String>) -> Result<CmdStatus, String> {
         let report = engine.evaluate(&windows);
         recorder.observe_health(&report);
         if report.transitioned && report.verdict != Verdict::Healthy {
-            record_pool_state(&recorder, &pool, &disk, top);
+            record_index_state(&recorder, &disk);
             let offender = report
                 .rules
                 .iter()
@@ -287,8 +275,6 @@ pub fn cmd_watch(rest: Vec<String>) -> Result<CmdStatus, String> {
                 ticks,
                 &report,
                 &windows,
-                &pool,
-                top,
                 plain,
                 telemetry.as_ref(),
                 &slo_status
@@ -329,23 +315,10 @@ pub fn cmd_watch(rest: Vec<String>) -> Result<CmdStatus, String> {
     }
 }
 
-/// Stamps the recorder's component-state section with the buffer pool's
-/// occupancy and heatmap plus basic index facts, so incident dumps carry
-/// the storage-side context alongside metrics and spans.
-fn record_pool_state(
-    rec: &FlightRecorder,
-    pool: &BufferPool<BlockSource>,
-    disk: &DiskIndex,
-    top: usize,
-) {
-    let mut fields = vec![
-        ("resident_pages".to_owned(), pool.resident().to_string()),
-        ("capacity_pages".to_owned(), pool.capacity().to_string()),
-    ];
-    for (i, (page, heat)) in pool.hottest(top).into_iter().enumerate() {
-        fields.push((format!("hot_page_{i}"), format!("page {page} heat {heat}")));
-    }
-    rec.observe_state("buffer_pool", fields);
+/// Stamps the recorder's component-state section with basic index facts,
+/// so incident dumps carry the storage-side context alongside metrics and
+/// spans.
+fn record_index_state(rec: &FlightRecorder, disk: &DiskIndex) {
     rec.observe_state(
         "index",
         vec![
@@ -360,14 +333,11 @@ fn record_pool_state(
 /// telemetry armed, each rate row carries a sparkline of its persisted
 /// history (read back from the tsdb, so it spans restarts), and SLO
 /// burn/budget rows plus a slow-query-log row join the frame.
-#[allow(clippy::too_many_arguments)] // one render site; a struct would just rename the list
 fn render_dashboard(
     tick: u32,
     ticks: u32,
     report: &HealthReport,
     windows: &MetricWindows,
-    pool: &BufferPool<BlockSource>,
-    top: usize,
     plain: bool,
     telemetry: Option<&Telemetry>,
     slo: &[SloStatus],
@@ -443,14 +413,6 @@ fn render_dashboard(
                 format!("{} us", threshold / 1_000)
             }
         ));
-    }
-    o.push_str(&format!(
-        "\nbuffer pool — {}/{} pages resident, hottest {top}:\n",
-        pool.resident(),
-        pool.capacity()
-    ));
-    for (page, heat) in pool.hottest(top) {
-        o.push_str(&format!("  page {page:>6}  heat {heat}\n"));
     }
     o
 }

@@ -101,37 +101,3 @@ fn missing_index_exits_one() {
         "hard errors report on stderr"
     );
 }
-
-#[test]
-fn shed_policy_without_bound_is_a_usage_error() {
-    let idx = build_index("exit1-usage.s3i");
-    let out = s3cbcd(&[
-        "query",
-        idx.to_str().expect("utf-8 path"),
-        "--shed-policy",
-        "reject",
-    ]);
-    assert_eq!(code(&out), 1);
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--max-inflight"));
-}
-
-#[test]
-fn admitted_batch_under_bound_exits_zero() {
-    let idx = build_index("exit0-admit.s3i");
-    let out = s3cbcd(&[
-        "query",
-        idx.to_str().expect("utf-8 path"),
-        "--queries",
-        "4",
-        "--max-inflight",
-        "4",
-        "--shed-policy",
-        "degrade-alpha",
-    ]);
-    assert_eq!(
-        code(&out),
-        0,
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}

@@ -46,7 +46,6 @@ fn clean_watch_stays_healthy_and_exits_zero() {
     );
     assert!(stdout.contains("verdict healthy"), "{stdout}");
     assert!(stdout.contains("health rules"), "{stdout}");
-    assert!(stdout.contains("buffer pool"), "{stdout}");
     // No incident was dumped.
     assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 0);
 }
@@ -102,10 +101,8 @@ fn faulty_watch_dumps_incident_and_exits_degraded() {
         "incident carries recent spans"
     );
     assert!(
-        doc.get("state")
-            .and_then(|s| s.get("buffer_pool"))
-            .is_some(),
-        "incident carries buffer-pool state"
+        doc.get("state").and_then(|s| s.get("index")).is_some(),
+        "incident carries index state"
     );
 
     // The pretty-printer renders the same dump.
@@ -114,7 +111,7 @@ fn faulty_watch_dumps_incident_and_exits_degraded() {
     assert_eq!(code(&shown), 0, "{text}");
     assert!(text.contains("trigger rule"), "{text}");
     assert!(text.contains("health:"), "{text}");
-    assert!(text.contains("state: buffer_pool"), "{text}");
+    assert!(text.contains("state: index"), "{text}");
 }
 
 #[test]

@@ -1,12 +1,18 @@
 //! Buffer pool: bounded page cache with LRU-K eviction and pin/unpin.
 //!
-//! The pseudo-disk engine promises that memory stays bounded by the section
-//! budget; the pool makes the same promise at page granularity for the
-//! paged storage engine (and, through [`BlockSource`], for any flat
-//! [`Storage`] file). At most `capacity` frames are resident. A page
-//! request pins its frame — pinned frames cannot be evicted — and the
-//! returned [`PinnedPage`] guard unpins on drop, so the pin discipline is
-//! enforced by ownership, not convention.
+//! No product path reads through the pool. A pseudo-disk batch (§IV-B,
+//! eq. 5) streams each section once, and the section budget already bounds
+//! what is resident, so a page cache only adds memory and a lock on top:
+//! queries read [`Storage`] directly and the durable engine reads its pager
+//! ([`crate::pager::DataPages`]). The pool, [`PooledStorage`] and
+//! [`BlockSource`] stay only because the `disk_batch` workload of the
+//! frozen benchmark (`benchmark/`) builds them for its pooled comparator;
+//! they go with the benchmark revision that retires that comparator.
+//!
+//! At most `capacity` frames are resident. A page request pins its frame —
+//! pinned frames cannot be evicted — and the returned [`PinnedPage`] guard
+//! unpins on drop, so the pin discipline is enforced by ownership, not
+//! convention.
 //!
 //! Eviction is LRU-K with K = 2 (the crio.rs / O'Neil design): the victim
 //! is the unpinned frame whose *second-most-recent* access is oldest, and
@@ -30,11 +36,6 @@ use crate::storage::Storage;
 
 /// Number of access timestamps LRU-K keeps per frame.
 const LRU_K: usize = 2;
-
-/// Distinct pages the access heatmap tracks before decaying: counts are
-/// halved (and zeros dropped) when the map grows past this, so the
-/// heatmap stays bounded and biased toward recent traffic.
-const HEAT_CAP: usize = 65_536;
 
 /// Where the pool's pages come from: a logical byte stream chopped into
 /// fixed-size pages (the last one may be short).
@@ -61,10 +62,6 @@ struct PoolState {
     frames: HashMap<u64, Frame>,
     tick: u64,
     pinned: u64,
-    /// Per-page access counts (hits *and* misses) — the heatmap behind
-    /// [`BufferPool::hottest`]. Survives eviction: it tracks traffic,
-    /// not residency.
-    heat: HashMap<u64, u64>,
 }
 
 /// Bounded page cache over a [`PageSource`].
@@ -93,7 +90,6 @@ impl<P: PageSource> BufferPool<P> {
                 frames: HashMap::new(),
                 tick: 0,
                 pinned: 0,
-                heat: HashMap::new(),
             }),
         }
     }
@@ -121,13 +117,6 @@ impl<P: PageSource> BufferPool<P> {
         let mut s = self.lock();
         s.tick += 1;
         let tick = s.tick;
-        *s.heat.entry(page_no).or_insert(0) += 1;
-        if s.heat.len() > HEAT_CAP {
-            s.heat.retain(|_, c| {
-                *c /= 2;
-                *c > 0
-            });
-        }
         if let Some(frame) = s.frames.get_mut(&page_no) {
             frame.history.rotate_right(1);
             frame.history[0] = tick;
@@ -188,22 +177,9 @@ impl<P: PageSource> BufferPool<P> {
         })
     }
 
-    /// The `n` most-accessed pages as `(page_no, access_count)`, hottest
-    /// first (ties broken by page number for a stable dashboard order).
-    /// Counts cover hits and misses alike and decay by halving once the
-    /// heatmap tracks more than 65 536 distinct pages.
-    pub fn hottest(&self, n: usize) -> Vec<(u64, u64)> {
-        let s = self.lock();
-        let mut all: Vec<(u64, u64)> = s.heat.iter().map(|(&p, &c)| (p, c)).collect();
-        drop(s);
-        all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        all.truncate(n);
-        all
-    }
-
-    /// Drops every unpinned frame — called after a merge replaces the
-    /// underlying pages. Fails if a pinned frame would be orphaned (the
-    /// caller must not invalidate mid-read).
+    /// Drops every unpinned frame, for when the underlying pages are
+    /// replaced. Fails if a pinned frame would be orphaned (the caller must
+    /// not invalidate mid-read).
     pub fn invalidate(&self) -> io::Result<()> {
         let mut s = self.lock();
         if s.pinned > 0 {
@@ -261,10 +237,9 @@ impl Drop for PinnedPage<'_> {
 }
 
 /// [`PageSource`] over any flat [`Storage`]: the byte stream is the file
-/// itself, chopped into `block` -byte pages. This is how the CLI's
-/// `--buffer-pool-pages` flag fronts existing `S3IDX002` files with a
-/// bounded cache — the bytes delivered are identical to direct reads, so
-/// query results are bit-identical by construction.
+/// itself, chopped into `block`-byte pages. The bytes delivered are
+/// identical to direct reads, so query results through a pool over it are
+/// bit-identical by construction.
 pub struct BlockSource {
     storage: Box<dyn Storage>,
     block: usize,
@@ -518,26 +493,5 @@ mod tests {
         drop(g);
         pool.invalidate().unwrap();
         assert_eq!(pool.resident(), 0);
-    }
-
-    #[test]
-    fn heatmap_ranks_hot_pages_across_evictions() {
-        // Capacity 2, but the heatmap must still rank page 0 hottest even
-        // after it gets evicted by the sweep.
-        let pool = pool_over(flat(64 * 10), 64, 2);
-        for _ in 0..5 {
-            pool.get(0).unwrap();
-        }
-        for p in [1u64, 2, 3, 4] {
-            pool.get(p).unwrap();
-        }
-        pool.get(3).unwrap();
-        let top = pool.hottest(3);
-        assert_eq!(top[0], (0, 5));
-        assert_eq!(top[1], (3, 2));
-        assert_eq!(top.len(), 3);
-        // Ties break by page number.
-        assert_eq!(top[2].1, 1);
-        assert_eq!(top[2].0, 1);
     }
 }

@@ -1,4 +1,4 @@
-//! Crash-safe disk-native index: pages + buffer pool + WAL + recovery.
+//! Crash-safe disk-native index: pages + WAL + recovery.
 //!
 //! [`DurableIndex`] composes the durability subsystem into one engine:
 //!
@@ -10,9 +10,9 @@
 //!   and every later merge keeps it ([`S3Index::build_on`]) — so the curve
 //!   is fixed for the life of the index once it holds records;
 //! * queries open the stream through the existing [`DiskIndex`] reader,
-//!   which reads via a bounded [`BufferPool`] — so results are
-//!   *bit-identical* to a flat file, while resident memory is capped by
-//!   the pool, not the index size;
+//!   which reads the pages straight through the pager ([`DataPages`]) —
+//!   so results are *bit-identical* to a flat file, and resident memory
+//!   is capped by the batch's section budget, not the index size;
 //! * inserts accumulate in an in-memory overlay (a [`DynamicIndex`] with
 //!   an empty main), and each insert is WAL-logged and fsynced **before**
 //!   it is acknowledged;
@@ -38,7 +38,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::bufferpool::{BufferPool, PooledStorage};
 use crate::distortion::DistortionModel;
 use crate::dynamic::{DynamicIndex, MergeOutcome};
 use crate::error::IndexError;
@@ -56,15 +55,12 @@ use s3_obs::event;
 
 type DynStorage = Box<dyn WritableStorage>;
 type DynPages = PageStore<DynStorage>;
-type Pool = BufferPool<DataPages<DynStorage>>;
 
 /// Tuning knobs of a [`DurableIndex`].
 #[derive(Clone, Copy, Debug)]
 pub struct DurableOptions {
     /// Page size of the index file.
     pub page_size: u32,
-    /// Buffer-pool capacity, in pages.
-    pub pool_pages: usize,
     /// Overlay fraction of the on-disk record count that triggers an
     /// automatic merge (with a 256-record floor — same rule as
     /// [`DynamicIndex`]).
@@ -77,7 +73,6 @@ impl Default for DurableOptions {
     fn default() -> Self {
         DurableOptions {
             page_size: DEFAULT_PAGE_SIZE,
-            pool_pages: 64,
             merge_fraction: 0.1,
             write_opts: WriteOpts::default(),
         }
@@ -100,7 +95,6 @@ pub struct RecoveryReport {
 pub struct DurableIndex {
     pages: Arc<DynPages>,
     wal: Wal<DynStorage>,
-    pool: Arc<Pool>,
     disk: DiskIndex,
     /// Queryable overlay of unmerged inserts (empty main, same curve).
     mem: DynamicIndex,
@@ -269,11 +263,7 @@ impl DurableIndex {
         inserts: Vec<(Vec<u8>, u32, u32)>,
         mut recovery: RecoveryReport,
     ) -> Result<DurableIndex, IndexError> {
-        let pool = Arc::new(BufferPool::new(
-            DataPages::new(Arc::clone(&pages)),
-            opts.pool_pages,
-        ));
-        let mut disk = DiskIndex::open_storage(Box::new(PooledStorage::new(Arc::clone(&pool))))?;
+        let mut disk = DiskIndex::open_storage(Box::new(DataPages::new(Arc::clone(&pages))))?;
         Self::rebuild_sketch(&mut disk, &opts);
         let curve = disk.curve().clone();
         let mut mem = DynamicIndex::empty(curve.clone(), 1.0);
@@ -286,7 +276,6 @@ impl DurableIndex {
         Ok(DurableIndex {
             pages,
             wal,
-            pool,
             disk,
             mem,
             pending,
@@ -298,9 +287,8 @@ impl DurableIndex {
     }
 
     /// Builds and attaches the section sketch of the current on-disk
-    /// generation, reading the key column back through the buffer pool
-    /// (the sketch's source pages are pager-resident). Fail-open: a build
-    /// error only disables the prefilter.
+    /// generation, reading the key column back through the pager.
+    /// Fail-open: a build error only disables the prefilter.
     fn rebuild_sketch(disk: &mut DiskIndex, opts: &DurableOptions) {
         if opts.write_opts.sketch_bits == 0 {
             return;
@@ -408,8 +396,7 @@ impl DurableIndex {
         // point and here simply rebuilds it at recovery, and its meta-CRC
         // binding makes attaching a stale sketch to the new generation
         // impossible.
-        self.pool.invalidate()?;
-        self.disk = DiskIndex::open_storage(Box::new(PooledStorage::new(Arc::clone(&self.pool))))?;
+        self.disk = DiskIndex::open_storage(Box::new(DataPages::new(Arc::clone(&self.pages))))?;
         Self::rebuild_sketch(&mut self.disk, &self.opts);
         self.wal.checkpoint()?;
         self.curve = self.disk.curve().clone();
@@ -498,11 +485,6 @@ impl DurableIndex {
         self.recovery
     }
 
-    /// The buffer pool the reader goes through.
-    pub fn pool(&self) -> &Arc<Pool> {
-        &self.pool
-    }
-
     /// The Hilbert curve of the index: the one it was created on until its
     /// first merge, the order that merge chose from then on.
     pub fn curve(&self) -> &HilbertCurve {
@@ -530,8 +512,6 @@ impl DurableIndex {
             pending: self.pending.len(),
             disk_records: self.disk.len(),
             merges: self.merges,
-            pool_resident: self.pool.resident(),
-            pool_capacity: self.pool.capacity(),
             sketch_attached: sketch.is_some(),
             sketch_bytes: sketch.map_or(0, |s| s.byte_size() as u64),
             sketch_entries: sketch.map_or(0, |s| s.entries()),
@@ -563,10 +543,6 @@ pub struct EngineState {
     pub disk_records: u64,
     /// Merges completed by this handle.
     pub merges: usize,
-    /// Buffer-pool frames currently resident.
-    pub pool_resident: usize,
-    /// Buffer-pool frame capacity.
-    pub pool_capacity: usize,
     /// Whether a section sketch is attached to the on-disk run.
     pub sketch_attached: bool,
     /// Bytes of the attached sketch (0 when absent).
@@ -583,7 +559,7 @@ mod tests {
     use crate::distortion::{CountingModel, IsotropicNormal};
     use crate::filter::select_blocks_stat;
     use crate::index::{Match, QueryStats};
-    use crate::storage::SharedMemStorage;
+    use crate::storage::{MemStorage, SharedMemStorage};
 
     fn curve() -> HilbertCurve {
         HilbertCurve::new(4, 8).unwrap()
@@ -596,7 +572,6 @@ mod tests {
     fn opts_small() -> DurableOptions {
         DurableOptions {
             page_size: 256,
-            pool_pages: 8,
             ..DurableOptions::default()
         }
     }
@@ -670,10 +645,40 @@ mod tests {
         }
         // Statistical path answers too.
         let model = IsotropicNormal::new(4, 4.0);
-        let stat = idx
-            .stat_query_batch(&refs, &model, &StatQueryOpts::new(0.9, 8), 1 << 20)
-            .unwrap();
+        let opts = StatQueryOpts::new(0.9, 8);
+        let stat = idx.stat_query_batch(&refs, &model, &opts, 1 << 20).unwrap();
         assert_eq!(stat.matches.len(), 15);
+
+        // Merged, and again once reopened, the pages answer exactly as a flat
+        // file of the same records does.
+        idx.merge().unwrap();
+        let mut all = RecordBatch::new(4);
+        for i in 0..15 {
+            all.push(&fp(i), i, i);
+        }
+        let flat_index = S3Index::build_on(idx.curve().clone(), all);
+        let bytes = DiskIndex::encode_to_vec(&flat_index, opts_small().write_opts).unwrap();
+        let flat = DiskIndex::open_storage(Box::new(MemStorage::new(bytes))).unwrap();
+        let want_stat = flat
+            .stat_query_batch(&refs, &model, &opts, 1 << 20)
+            .unwrap()
+            .matches;
+        let want_range = flat
+            .range_query_batch(&refs, 0.5, 8, 1 << 20, None)
+            .unwrap()
+            .matches;
+        assert!(want_range.iter().all(|m| !m.is_empty()));
+        let check = |idx: &DurableIndex| {
+            let stat = idx.stat_query_batch(&refs, &model, &opts, 1 << 20).unwrap();
+            assert_eq!(stat.matches, want_stat);
+            let range = idx.range_query_batch(&refs, 0.5, 8, 1 << 20).unwrap();
+            assert_eq!(range.matches, want_range);
+        };
+        check(&idx);
+        drop(idx);
+        let reopened = DurableIndex::open(boxed(&data), boxed(&wal), opts_small()).unwrap();
+        assert_eq!((reopened.disk_len(), reopened.pending_len()), (15, 0));
+        check(&reopened);
     }
 
     #[test]

@@ -95,9 +95,8 @@ pub use metrics::CoreMetrics;
 pub use pager::{DataPages, Page, PageMeta, PageStore, DEFAULT_PAGE_SIZE, PAGE_HEADER_LEN};
 pub use pseudo_disk::{DiskIndex, RetryPolicy, WriteOpts};
 pub use resilience::{
-    next_query_id, system_clock, Admission, AdmissionController, BreakerConfig, CancelCause,
-    CancelToken, Clock, Deadline, MockClock, Permit, QueryCtx, SectionBreakers, Shed, SystemClock,
-    TimeSource,
+    next_query_id, system_clock, BreakerConfig, CancelCause, CancelToken, Clock, Deadline,
+    MockClock, QueryCtx, SectionBreakers, SystemClock, TimeSource,
 };
 pub use s3_obs::ShardReport;
 pub use shard::{HedgeConfig, ShardPlan, ShardedBatchResult, ShardedIndex, ShardedOptions};

@@ -56,14 +56,6 @@ pub struct CoreMetrics {
     /// `resilience.deadline_exceeded` — batch deadlines that expired
     /// (counted once per deadline, at the expiry transition).
     pub deadline_exceeded: Counter,
-    /// `resilience.shed{policy=reject}` — batches refused at admission.
-    pub shed_reject: Counter,
-    /// `resilience.shed{policy=degrade_alpha}` — batches admitted over
-    /// capacity at a reduced α.
-    pub shed_degrade: Counter,
-    /// `resilience.shed{policy=oldest}` — in-flight batches evicted to make
-    /// room for newer arrivals.
-    pub shed_oldest: Counter,
     /// `resilience.breaker_open` — circuit-breaker trip events.
     pub breaker_open: Counter,
     /// `calibration.drift` — last predicted−observed gap, basis points
@@ -137,9 +129,6 @@ impl CoreMetrics {
                 mass_cache_hits: r.counter("filter.mass_cache.hits"),
                 mass_cache_misses: r.counter("filter.mass_cache.misses"),
                 deadline_exceeded: r.counter("resilience.deadline_exceeded"),
-                shed_reject: r.counter_with("resilience.shed", Some(("policy", "reject"))),
-                shed_degrade: r.counter_with("resilience.shed", Some(("policy", "degrade_alpha"))),
-                shed_oldest: r.counter_with("resilience.shed", Some(("policy", "oldest"))),
                 breaker_open: r.counter("resilience.breaker_open"),
                 calibration_drift: r.gauge("calibration.drift"),
                 calibration_alpha_violations: r.counter("calibration.alpha_violations"),

@@ -12,8 +12,8 @@
 //!
 //! Pages 1..=n hold consecutive chunks of the serialized `S3IDX002` byte
 //! stream, so the existing [`crate::pseudo_disk::DiskIndex`] reader works
-//! unchanged on top — it just reads through a
-//! [`crate::bufferpool::BufferPool`] instead of a flat file.
+//! unchanged on top — it reads the stream through [`DataPages`], a
+//! [`Storage`] that verifies every page it touches, instead of a flat file.
 //!
 //! ```text
 //! page p at offset p × page_size:
@@ -25,13 +25,12 @@
 //! ```
 
 use std::io;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use crate::bufferpool::PageSource;
 use crate::crc::Crc32;
 use crate::error::IndexError;
 use crate::metrics::CoreMetrics;
-use crate::storage::WritableStorage;
+use crate::storage::{Storage, WritableStorage};
 
 /// Bytes of the per-page header (`page_id | lsn | payload_len | crc`).
 pub const PAGE_HEADER_LEN: usize = 8 + 8 + 4 + 4;
@@ -131,7 +130,7 @@ pub fn decode_page(buf: &[u8], offset: u64) -> Result<Page, IndexError> {
 ///
 /// All methods take `&self` (the meta cache sits behind a mutex): a single
 /// logical writer is assumed — [`crate::durable::DurableIndex`] serializes
-/// mutation through `&mut self` — while readers (the buffer pool) may pull
+/// mutation through `&mut self` — while readers ([`DataPages`]) may pull
 /// pages concurrently.
 #[derive(Debug)]
 pub struct PageStore<S> {
@@ -385,33 +384,27 @@ fn decode_meta(payload: &[u8]) -> Result<PageMeta, IndexError> {
     })
 }
 
-/// [`PageSource`] view of a store's data pages (pages 1..=n_pages), exposing
-/// the serialized index byte stream to the buffer pool. Meta is consulted
-/// live, so a completed merge (new `data_len` / `n_pages`) is visible
-/// without rebuilding the source — the pool only needs an `invalidate`.
+/// [`Storage`] view of a store's data pages (pages 1..=n_pages): the
+/// serialized index byte stream, read straight through the pager. Every
+/// page a read touches is verified (id, CRC, and a payload length that
+/// matches the dense chunking the meta implies). Meta is consulted live,
+/// so a completed merge (new `data_len` / `n_pages`) is visible to the
+/// next read without rebuilding the view.
 #[derive(Debug)]
 pub struct DataPages<S> {
-    store: std::sync::Arc<PageStore<S>>,
+    store: Arc<PageStore<S>>,
 }
 
 impl<S> DataPages<S> {
     /// Wraps a shared store.
-    pub fn new(store: std::sync::Arc<PageStore<S>>) -> DataPages<S> {
+    pub fn new(store: Arc<PageStore<S>>) -> DataPages<S> {
         DataPages { store }
     }
 }
 
-impl<S: WritableStorage> PageSource for DataPages<S> {
-    fn page_size(&self) -> usize {
-        self.store.payload_capacity()
-    }
-
-    fn logical_len(&self) -> u64 {
-        self.store.meta().data_len
-    }
-
-    fn load(&self, page_no: u64) -> Result<Vec<u8>, IndexError> {
-        let meta = self.store.meta();
+impl<S: WritableStorage> DataPages<S> {
+    /// The verified payload of data page `page_no` (0-based).
+    fn payload(&self, page_no: u64, meta: &PageMeta) -> Result<Vec<u8>, IndexError> {
         if page_no >= meta.n_pages {
             return Err(IndexError::Format {
                 detail: format!("data page {page_no} beyond n_pages {}", meta.n_pages),
@@ -437,10 +430,48 @@ impl<S: WritableStorage> PageSource for DataPages<S> {
     }
 }
 
+impl<S: WritableStorage> Storage for DataPages<S> {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        let meta = self.store.meta();
+        let end = offset
+            .checked_add(buf.len() as u64)
+            .filter(|&e| e <= meta.data_len)
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "read past end of paged stream",
+                )
+            })?;
+        let cap = self.store.payload_capacity() as u64;
+        let mut pos = offset;
+        let mut filled = 0usize;
+        while pos < end {
+            let payload = self.payload(pos / cap, &meta).map_err(|e| match e {
+                IndexError::Io(io) => io,
+                other => io::Error::other(other),
+            })?;
+            let in_page = (pos % cap) as usize;
+            let take = (payload.len() - in_page).min(buf.len() - filled);
+            buf[filled..filled + take].copy_from_slice(&payload[in_page..in_page + take]);
+            filled += take;
+            pos += take as u64;
+        }
+        Ok(())
+    }
+
+    fn len(&self) -> io::Result<u64> {
+        Ok(self.store.meta().data_len)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::RecordBatch;
+    use crate::index::S3Index;
+    use crate::pseudo_disk::{DiskIndex, WriteOpts};
     use crate::storage::SharedMemStorage;
+    use s3_hilbert::HilbertCurve;
 
     #[test]
     fn create_then_open_round_trips_meta() {
@@ -511,5 +542,63 @@ mod tests {
         let store = PageStore::create(SharedMemStorage::new(), MIN_PAGE_SIZE).unwrap();
         let too_big = vec![0u8; store.payload_capacity() + 1];
         assert!(store.write_page(1, 1, &too_big).is_err());
+    }
+
+    #[test]
+    fn data_pages_read_the_stream_through_verified_pages() {
+        let mut records = RecordBatch::new(4);
+        for i in 0..300u32 {
+            records.push(&i.wrapping_mul(0x9E37_79B9).to_le_bytes(), i % 5, i);
+        }
+        let index = S3Index::build(HilbertCurve::new(4, 8).unwrap(), records);
+        let opts = WriteOpts {
+            table_depth: 8,
+            block_size: 256,
+            sketch_bits: 0,
+        };
+        let stream = DiskIndex::encode_to_vec(&index, opts).unwrap();
+        let store = Arc::new(PageStore::create(SharedMemStorage::new(), 256).unwrap());
+        let cap = store.payload_capacity();
+        for (i, chunk) in stream.chunks(cap).enumerate() {
+            store.write_page(i as u64 + 1, 1, chunk).unwrap();
+        }
+        store
+            .set_meta(PageMeta {
+                page_size: 256,
+                data_len: stream.len() as u64,
+                n_pages: stream.len().div_ceil(cap) as u64,
+                generation: 1,
+                checkpoint_lsn: 1,
+            })
+            .unwrap();
+        let pages = DataPages::new(Arc::clone(&store));
+        let len = stream.len() as u64;
+        assert_eq!(pages.len().unwrap(), len);
+        assert!(stream.len() > 8 * cap, "the stream must span many pages");
+
+        // Inside one page, across one boundary, across several, up to the
+        // last byte, and the whole stream.
+        let c = cap as u64;
+        for (off, n) in [
+            (0, 10),
+            (c - 3, 7),
+            (c / 2, 5 * cap + 11),
+            (len - 9, 9),
+            (0, stream.len()),
+        ] {
+            let mut buf = vec![0u8; n];
+            pages.read_at(off, &mut buf).unwrap();
+            assert_eq!(buf, stream[off as usize..off as usize + n], "{off}+{n}");
+        }
+
+        let err = pages.read_at(len - 2, &mut [0u8; 4]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+
+        // A page whose id and CRC hold, but whose payload is a byte short of
+        // what the meta's dense chunking says it carries.
+        store.write_page(2, 2, &stream[cap..2 * cap - 1]).unwrap();
+        let err = pages.read_at(c + 4, &mut [0u8; 8]).unwrap_err();
+        let cause = err.get_ref().and_then(|e| e.downcast_ref::<IndexError>());
+        assert!(matches!(cause, Some(IndexError::Format { .. })), "{err:?}");
     }
 }

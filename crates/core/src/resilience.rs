@@ -1,10 +1,10 @@
-//! Query-lifecycle resilience: deadlines, cooperative cancellation,
-//! admission control and per-section circuit breaking.
+//! Query-lifecycle resilience: deadlines, cooperative cancellation and
+//! per-section circuit breaking.
 //!
 //! The paper's pseudo-disk strategy (§IV-B) assumes a patient offline scan;
 //! a production service serving heavy traffic needs bounded tail latency and
-//! graceful behaviour when storage stalls or queues overflow. This module
-//! provides the vocabulary the whole query path speaks:
+//! graceful behaviour when storage stalls. This module provides the
+//! vocabulary the whole query path speaks:
 //!
 //! * [`Clock`] — a pluggable monotonic time source. Production uses
 //!   [`SystemClock`]; tests use [`MockClock`], whose `sleep` merely advances
@@ -21,10 +21,6 @@
 //!   refinement chunk).
 //! * [`QueryCtx`] — the bundle (token + optional deadline) threaded through
 //!   every batched entry point.
-//! * [`AdmissionController`] — a bounded in-flight gate with a load-shedding
-//!   policy ([`Shed`]). `DegradeAlpha` is the paper-native fallback: under
-//!   pressure a query runs against a cheaper `V_α` region (smaller α)
-//!   instead of being refused.
 //! * [`SectionBreakers`] — per-section circuit breakers that trip after
 //!   repeated load failures and short-circuit to skip-with-stat instead of
 //!   re-hammering a bad region on every batch.
@@ -34,9 +30,8 @@
 
 use crate::metrics::CoreMetrics;
 pub use s3_obs::TimeSource;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -95,7 +90,7 @@ pub const REFINE_CHUNK: usize = 4096;
 /// Why a token fired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CancelCause {
-    /// Explicit cancellation (e.g. evicted by [`Shed::Oldest`]).
+    /// Explicit cancellation ([`CancelToken::cancel`]).
     Cancelled,
     /// A [`Deadline`] expired.
     DeadlineExceeded,
@@ -268,8 +263,8 @@ impl QueryCtx {
         QueryCtx::default()
     }
 
-    /// A context driven by an externally-owned token (admission permits,
-    /// remote cancellation).
+    /// A context driven by an externally-owned token (remote
+    /// cancellation).
     pub fn with_token(cancel: CancelToken) -> QueryCtx {
         QueryCtx {
             id: next_query_id(),
@@ -335,211 +330,6 @@ impl QueryCtx {
     /// Why the context stopped, once it has.
     pub fn stop_cause(&self) -> Option<CancelCause> {
         self.cancel.cause()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Admission control
-// ---------------------------------------------------------------------------
-
-/// What to do with a new batch when the in-flight queue is full.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Shed {
-    /// Refuse the new batch outright.
-    #[default]
-    Reject,
-    /// Admit it, but flag it to run against the cheaper degraded `V_α`
-    /// region (`α · DEGRADED_ALPHA_FACTOR`) — the paper-native fallback: a
-    /// smaller expectation buys a smaller search region. A hard cap of
-    /// twice the configured bound still rejects pathological floods.
-    DegradeAlpha,
-    /// Cancel the oldest in-flight batch (it returns partial,
-    /// `degraded`-flagged results at its next cooperative check) and admit
-    /// the new one.
-    Oldest,
-}
-
-impl Shed {
-    /// Stable lower-case name (metric labels, CLI).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Shed::Reject => "reject",
-            Shed::DegradeAlpha => "degrade_alpha",
-            Shed::Oldest => "oldest",
-        }
-    }
-}
-
-impl FromStr for Shed {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Shed, String> {
-        match s {
-            "reject" => Ok(Shed::Reject),
-            "degrade-alpha" | "degrade_alpha" => Ok(Shed::DegradeAlpha),
-            "oldest" => Ok(Shed::Oldest),
-            other => Err(format!(
-                "unknown shed policy '{other}' (expected reject | degrade-alpha | oldest)"
-            )),
-        }
-    }
-}
-
-/// α multiplier applied to batches admitted over capacity under
-/// [`Shed::DegradeAlpha`].
-pub const DEGRADED_ALPHA_FACTOR: f64 = 0.75;
-
-/// Applies the [`Shed::DegradeAlpha`] reduction to an expectation target.
-pub fn degraded_alpha(alpha: f64) -> f64 {
-    (alpha * DEGRADED_ALPHA_FACTOR).clamp(f64::MIN_POSITIVE, 1.0)
-}
-
-/// Outcome of [`AdmissionController::try_admit`].
-#[derive(Debug)]
-pub enum Admission {
-    /// Run at full fidelity. Thread the permit's token into the batch's
-    /// [`QueryCtx`] and keep the permit alive for the duration.
-    Admitted(Permit),
-    /// Over capacity under [`Shed::DegradeAlpha`]: run with
-    /// [`degraded_alpha`] and flag the results degraded.
-    Degraded(Permit),
-    /// Refused; the caller should report the batch shed.
-    Shed,
-}
-
-#[derive(Debug)]
-struct AdmissionState {
-    next_id: u64,
-    /// Oldest-first in-flight permits.
-    inflight: VecDeque<(u64, CancelToken)>,
-    /// High-water mark of the in-flight count (chaos-harness invariant).
-    peak: usize,
-}
-
-/// A bounded in-flight gate with a load-shedding policy.
-///
-/// Synchronous by design: callers `try_admit` before running a batch and
-/// drop the [`Permit`] when done. There is no waiting queue — a full gate
-/// sheds immediately per its [`Shed`] policy, which is what a latency-bound
-/// service wants (queueing just moves the deadline miss later).
-#[derive(Debug)]
-pub struct AdmissionController {
-    max_inflight: usize,
-    policy: Shed,
-    state: Mutex<AdmissionState>,
-}
-
-impl AdmissionController {
-    /// A gate admitting at most `max_inflight` concurrent batches (at least
-    /// one), shedding per `policy` beyond that.
-    pub fn new(max_inflight: usize, policy: Shed) -> Arc<AdmissionController> {
-        Arc::new(AdmissionController {
-            max_inflight: max_inflight.max(1),
-            policy,
-            state: Mutex::new(AdmissionState {
-                next_id: 0,
-                inflight: VecDeque::new(),
-                peak: 0,
-            }),
-        })
-    }
-
-    /// The configured bound.
-    pub fn max_inflight(&self) -> usize {
-        self.max_inflight
-    }
-
-    /// The configured shedding policy.
-    pub fn policy(&self) -> Shed {
-        self.policy
-    }
-
-    /// Current in-flight count.
-    pub fn inflight(&self) -> usize {
-        self.lock().inflight.len()
-    }
-
-    /// Highest in-flight count ever observed.
-    pub fn peak_inflight(&self) -> usize {
-        self.lock().peak
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, AdmissionState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Requests a slot for one batch.
-    pub fn try_admit(self: &Arc<Self>) -> Admission {
-        let metrics = CoreMetrics::get();
-        let mut st = self.lock();
-        let over = st.inflight.len() >= self.max_inflight;
-        if over {
-            match self.policy {
-                Shed::Reject => {
-                    metrics.shed_reject.inc();
-                    return Admission::Shed;
-                }
-                Shed::DegradeAlpha => {
-                    // Degrade up to a hard cap of 2× the bound, then refuse.
-                    if st.inflight.len() >= self.max_inflight * 2 {
-                        metrics.shed_reject.inc();
-                        return Admission::Shed;
-                    }
-                    metrics.shed_degrade.inc();
-                    return Admission::Degraded(Self::issue(self, &mut st));
-                }
-                Shed::Oldest => {
-                    if let Some((_, oldest)) = st.inflight.pop_front() {
-                        oldest.cancel();
-                        metrics.shed_oldest.inc();
-                    }
-                }
-            }
-        }
-        Admission::Admitted(Self::issue(self, &mut st))
-    }
-
-    fn issue(ctrl: &Arc<Self>, st: &mut AdmissionState) -> Permit {
-        let id = st.next_id;
-        st.next_id += 1;
-        let token = CancelToken::new();
-        st.inflight.push_back((id, token.clone()));
-        st.peak = st.peak.max(st.inflight.len());
-        Permit {
-            ctrl: Arc::clone(ctrl),
-            id,
-            token,
-        }
-    }
-
-    fn release(&self, id: u64) {
-        let mut st = self.lock();
-        st.inflight.retain(|(i, _)| *i != id);
-    }
-}
-
-/// An admitted batch's slot; dropping it frees the slot.
-#[derive(Debug)]
-pub struct Permit {
-    ctrl: Arc<AdmissionController>,
-    id: u64,
-    token: CancelToken,
-}
-
-impl Permit {
-    /// The token [`Shed::Oldest`] eviction fires; thread it into the
-    /// batch's [`QueryCtx`].
-    pub fn token(&self) -> &CancelToken {
-        &self.token
-    }
-}
-
-impl Drop for Permit {
-    fn drop(&mut self) {
-        self.ctrl.release(self.id);
     }
 }
 
@@ -714,70 +504,6 @@ mod tests {
         assert!(ctx.should_stop());
         assert!(ctx.should_stop());
         assert_eq!(m.deadline_exceeded.get(), before + 1);
-    }
-
-    #[test]
-    fn reject_policy_bounds_inflight() {
-        let ctrl = AdmissionController::new(2, Shed::Reject);
-        let a = ctrl.try_admit();
-        let b = ctrl.try_admit();
-        assert!(matches!(a, Admission::Admitted(_)));
-        assert!(matches!(b, Admission::Admitted(_)));
-        assert!(matches!(ctrl.try_admit(), Admission::Shed));
-        assert_eq!(ctrl.inflight(), 2);
-        drop(a);
-        assert_eq!(ctrl.inflight(), 1);
-        assert!(matches!(ctrl.try_admit(), Admission::Admitted(_)));
-        assert_eq!(ctrl.peak_inflight(), 2);
-    }
-
-    #[test]
-    fn degrade_alpha_admits_over_capacity_then_rejects() {
-        let ctrl = AdmissionController::new(1, Shed::DegradeAlpha);
-        let a = ctrl.try_admit();
-        assert!(matches!(a, Admission::Admitted(_)));
-        let b = ctrl.try_admit();
-        assert!(
-            matches!(b, Admission::Degraded(_)),
-            "over capacity: degrade"
-        );
-        // Hard cap at 2× the bound.
-        assert!(matches!(ctrl.try_admit(), Admission::Shed));
-        assert!(degraded_alpha(0.8) < 0.8);
-        assert!(degraded_alpha(0.8) > 0.0);
-    }
-
-    #[test]
-    fn oldest_policy_cancels_the_oldest_permit() {
-        let ctrl = AdmissionController::new(1, Shed::Oldest);
-        let Admission::Admitted(first) = ctrl.try_admit() else {
-            panic!("first admit")
-        };
-        assert!(!first.token().is_cancelled());
-        let Admission::Admitted(second) = ctrl.try_admit() else {
-            panic!("second admit")
-        };
-        assert!(
-            first.token().is_cancelled(),
-            "oldest permit must be evicted"
-        );
-        assert_eq!(first.token().cause(), Some(CancelCause::Cancelled));
-        assert!(!second.token().is_cancelled());
-        assert_eq!(ctrl.inflight(), 1, "eviction keeps the bound");
-        drop(first); // releasing an already-evicted permit is harmless
-        assert_eq!(ctrl.inflight(), 1);
-        drop(second);
-        assert_eq!(ctrl.inflight(), 0);
-    }
-
-    #[test]
-    fn shed_parses_and_names_roundtrip() {
-        for p in [Shed::Reject, Shed::DegradeAlpha, Shed::Oldest] {
-            let parsed: Shed = p.name().parse().unwrap();
-            assert_eq!(parsed, p);
-        }
-        assert_eq!("degrade-alpha".parse::<Shed>().unwrap(), Shed::DegradeAlpha);
-        assert!("nope".parse::<Shed>().is_err());
     }
 
     #[test]

@@ -46,10 +46,7 @@
 //! ```
 //!
 //! The sidecar is read through the [`Storage`] trait, so it can come from
-//! a plain file, a fault-injecting wrapper, or a [`PooledStorage`] over
-//! the buffer pool (pager-resident sketch pages).
-//!
-//! [`PooledStorage`]: crate::bufferpool::PooledStorage
+//! a plain file, a fault-injecting wrapper or memory.
 
 use crate::crc::crc32;
 use crate::error::IndexError;

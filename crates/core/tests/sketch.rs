@@ -330,7 +330,6 @@ fn durable_engine_rebuilds_sketch_across_merges_and_reopen() {
     let wal = SharedMemStorage::new();
     let dopts = DurableOptions {
         page_size: 256,
-        pool_pages: 8,
         ..DurableOptions::default()
     };
     let curve = HilbertCurve::new(4, 8).unwrap();

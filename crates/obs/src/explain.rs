@@ -7,7 +7,7 @@
 //! the predicted mass vs. the records the refinement phase actually
 //! scanned vs. the matches those records produced, plus per-phase
 //! nanoseconds and annotations for every way the query degraded
-//! (breaker skips, deadline hits, admission shedding, truncation).
+//! (breaker skips, deadline hits, lost shards, truncation).
 //!
 //! This crate only defines the carrier types and renderers; `s3-core`
 //! fills them in, in one place for every engine (its `plan` module), when a
@@ -114,8 +114,8 @@ pub struct ExplainReport {
     /// Per-phase wall-clock.
     pub phases: Vec<ExplainPhase>,
     /// Degradation annotations, empty on a clean run (e.g.
-    /// `deadline exceeded after 2/4 sections`, `breaker skipped section 3`,
-    /// `admission shed: alpha degraded`).
+    /// `deadline exceeded — partial scan`, `circuit breaker skipped 2
+    /// section load(s) in this batch`).
     pub annotations: Vec<String>,
 }
 

@@ -63,8 +63,8 @@ pub enum Signal {
     /// Per-second rate of a counter over the rule's lookback.
     Rate(&'static str),
     /// `num / (sum of den)` counter deltas over the lookback — e.g. the
-    /// bufferpool hit *rate* is `hits / (hits + misses)`. Undefined (no
-    /// opinion) while the denominator is zero.
+    /// sketch skip *rate* is `skips / (skips + sections_loaded)`. Undefined
+    /// (no opinion) while the denominator is zero.
     Ratio {
         /// Numerator counter name.
         num: &'static str,

@@ -16,19 +16,6 @@ use crate::slo::{SloSignal, SloSpec};
 /// before handing it to [`crate::HealthEngine`].
 pub fn default_health_rules() -> Vec<HealthRule> {
     vec![
-        // The pool thrashing (hit rate below 50 %) degrades every read
-        // path; below 20 % the working set clearly does not fit.
-        HealthRule::new(
-            "bufferpool-hit-rate",
-            Signal::Ratio {
-                num: "bufferpool.hits",
-                den: &["bufferpool.hits", "bufferpool.misses"],
-            },
-            Duration::from_secs(60),
-            Bounds::at_least(0.5),
-        )
-        .critical(Bounds::at_least(0.2))
-        .min_count(64),
         // Un-checkpointed WAL is crash-recovery debt: replay time grows
         // linearly with it.
         HealthRule::new(
@@ -56,15 +43,6 @@ pub fn default_health_rules() -> Vec<HealthRule> {
             Bounds::at_most(0.2),
         )
         .min_count(2),
-        // Load shedding at a sustained clip means admission capacity is
-        // undersized for the offered load.
-        HealthRule::new(
-            "shed-rate",
-            Signal::Rate("resilience.shed"),
-            Duration::from_secs(60),
-            Bounds::at_most(1.0),
-        )
-        .min_count(4),
         // Deadlines expiring continuously: queries cannot finish in
         // their budget.
         HealthRule::new(
