@@ -354,6 +354,7 @@ impl DurableIndex {
             S3Index::build_on(self.curve.clone(), all)
         };
         let bytes = DiskIndex::encode_to_vec(&merged, self.opts.write_opts)?;
+        drop(merged);
         let cap = self.pages.payload_capacity();
         let meta = self.pages.meta();
         let generation = meta.generation + 1;
@@ -380,9 +381,11 @@ impl DurableIndex {
         for (i, chunk) in bytes.chunks(cap).enumerate() {
             self.pages.write_page(i as u64 + 1, image_lsns[i], chunk)?;
         }
+        let data_len = bytes.len() as u64;
+        drop((bytes, image_lsns));
         self.pages.set_meta(PageMeta {
             page_size: meta.page_size,
-            data_len: bytes.len() as u64,
+            data_len,
             n_pages,
             generation,
             checkpoint_lsn: commit_lsn,

@@ -308,47 +308,6 @@ fn checksum_failure(region: &'static str, offset: u64) -> IndexError {
     IndexError::Checksum { region, offset }
 }
 
-/// Accumulates per-block CRCs of a byte stream while it is written.
-struct BlockCrcs {
-    block_size: u64,
-    filled: u64,
-    cur: Crc32,
-    crcs: Vec<u32>,
-}
-
-impl BlockCrcs {
-    fn new(block_size: u32) -> Self {
-        BlockCrcs {
-            block_size: u64::from(block_size),
-            filled: 0,
-            cur: Crc32::new(),
-            crcs: Vec::new(),
-        }
-    }
-
-    fn feed(&mut self, mut bytes: &[u8]) {
-        while !bytes.is_empty() {
-            let room = (self.block_size - self.filled) as usize;
-            let take = room.min(bytes.len());
-            self.cur.update(&bytes[..take]);
-            self.filled += take as u64;
-            bytes = &bytes[take..];
-            if self.filled == self.block_size {
-                self.crcs.push(self.cur.finalize());
-                self.cur = Crc32::new();
-                self.filled = 0;
-            }
-        }
-    }
-
-    fn finish(mut self) -> Vec<u32> {
-        if self.filled > 0 {
-            self.crcs.push(self.cur.finalize());
-        }
-        self.crcs
-    }
-}
-
 /// The format that stores `curve`: `S3IDX002` for the identity axis
 /// order, `S3IDX003` otherwise.
 fn magic_for(curve: &HilbertCurve) -> &'static [u8; 8] {
@@ -423,29 +382,17 @@ fn encode_meta(index: &S3Index, opts: WriteOpts, magic: &[u8; 8]) -> io::Result<
     Ok(meta)
 }
 
-/// Writes the data region (keys | fps | ids | tcs) through a writer, feeding
-/// an optional block-CRC accumulator.
-fn write_data_region(
-    w: &mut impl Write,
-    index: &S3Index,
-    mut crcs: Option<&mut BlockCrcs>,
-) -> io::Result<()> {
-    let mut put = |w: &mut dyn Write, bytes: &[u8]| -> io::Result<()> {
-        w.write_all(bytes)?;
-        if let Some(c) = crcs.as_deref_mut() {
-            c.feed(bytes);
-        }
-        Ok(())
-    };
+/// Writes the data region (keys | fps | ids | tcs) through a writer.
+fn write_data_region(w: &mut impl Write, index: &S3Index) -> io::Result<()> {
     for key in index.keys() {
-        put(w, &key_bytes(key))?;
+        w.write_all(&key_bytes(key))?;
     }
-    put(w, index.records().fingerprint_bytes())?;
+    w.write_all(index.records().fingerprint_bytes())?;
     for &id in index.records().ids() {
-        put(w, &id.to_le_bytes())?;
+        w.write_all(&id.to_le_bytes())?;
     }
     for &tc in index.records().tcs() {
-        put(w, &tc.to_le_bytes())?;
+        w.write_all(&tc.to_le_bytes())?;
     }
     Ok(())
 }
@@ -493,17 +440,15 @@ impl DiskIndex {
         out.extend_from_slice(&meta);
         out.extend_from_slice(&crc32(&meta).to_le_bytes());
 
-        let mut blocks = BlockCrcs::new(opts.block_size);
-        write_data_region(&mut out, index, Some(&mut blocks))?;
+        let data_start = out.len();
+        write_data_region(&mut out, index)?;
 
-        let block_crcs = blocks.finish();
-        let mut tail = Crc32::new();
-        for crc in &block_crcs {
-            let raw = crc.to_le_bytes();
-            out.extend_from_slice(&raw);
-            tail.update(&raw);
-        }
-        out.extend_from_slice(&tail.finalize().to_le_bytes());
+        let block_crcs: Vec<u8> = out[data_start..]
+            .chunks(opts.block_size as usize)
+            .flat_map(|block| crc32(block).to_le_bytes())
+            .collect();
+        out.extend_from_slice(&block_crcs);
+        out.extend_from_slice(&crc32(&block_crcs).to_le_bytes());
         Ok(out)
     }
 
@@ -553,7 +498,7 @@ impl DiskIndex {
         let meta = encode_meta(index, opts, MAGIC_V1)?;
         let mut w = BufWriter::new(File::create(path.as_ref())?);
         w.write_all(&meta)?;
-        write_data_region(&mut w, index, None)?;
+        write_data_region(&mut w, index)?;
         w.flush()
     }
 
