@@ -449,14 +449,16 @@ fn scenario_mixed(wl: Workload, seed: u64) -> RunReport {
 /// faulty main storage must keep every resilience invariant — the sketch
 /// may only ever remove true-negative section loads, never flip an answer.
 fn scenario_sketch(wl: Workload, seed: u64) -> RunReport {
-    // A tighter budget than the other scenarios: more sections means the
-    // sketch has loads to prove unnecessary.
-    const SKETCH_BUDGET: u64 = 1 << 10;
     let mut violations = Vec::new();
     let qrefs: Vec<&[u8]> = wl.queries.iter().map(|q| q.as_slice()).collect();
     let clean = DiskIndex::open_storage(Box::new(MemStorage::new(wl.bytes.clone()))).unwrap();
+    // The smallest budget there is: the densest slot's bytes. Sections are
+    // packed up to the budget and a skip needs every range in a section to
+    // probe empty, so the finest packing gives the sketch the most loads to
+    // prove unnecessary.
+    let sketch_budget = clean.min_section_bytes();
     let baseline = clean
-        .stat_query_batch(&qrefs, &model(), &opts(), SKETCH_BUDGET)
+        .stat_query_batch(&qrefs, &model(), &opts(), sketch_budget)
         .unwrap();
 
     // (a) Corrupt sidecar: every read of it is bit-flipped. Attach must
@@ -474,7 +476,7 @@ fn scenario_sketch(wl: Workload, seed: u64) -> RunReport {
         violations.push("corrupt sidecar attached instead of failing open".into());
     }
     let batch = disk
-        .stat_query_batch(&qrefs, &model(), &opts(), SKETCH_BUDGET)
+        .stat_query_batch(&qrefs, &model(), &opts(), sketch_budget)
         .unwrap();
     if batch.matches != baseline.matches {
         violations.push("answers changed after a declined sidecar".into());
@@ -489,7 +491,7 @@ fn scenario_sketch(wl: Workload, seed: u64) -> RunReport {
         violations.push("valid sidecar refused to attach".into());
     }
     let sketched = disk
-        .stat_query_batch(&qrefs, &model(), &opts(), SKETCH_BUDGET)
+        .stat_query_batch(&qrefs, &model(), &opts(), sketch_budget)
         .unwrap();
     if sketched.matches != baseline.matches {
         violations.push("sketch-on answers differ from sketch-off baseline".into());
@@ -529,7 +531,7 @@ fn scenario_sketch(wl: Workload, seed: u64) -> RunReport {
         violations.push("valid sidecar refused to attach over faulty storage".into());
     }
     let faulted = disk
-        .stat_query_batch(&qrefs, &model(), &opts(), SKETCH_BUDGET)
+        .stat_query_batch(&qrefs, &model(), &opts(), sketch_budget)
         .unwrap();
     for qi in 0..qrefs.len() {
         if !faulted.stats[qi].degraded && faulted.matches[qi] != baseline.matches[qi] {

@@ -30,6 +30,7 @@ use s3_cbcd::{
     calibrate_monitor_threshold, DbBuilder, Detector, DetectorConfig, Monitor, MonitorParams,
 };
 use s3_core::autotune::{self, RecordCounts};
+use s3_core::parallel::default_threads;
 use s3_core::pseudo_disk::{DiskIndex, RetryPolicy, WriteOpts};
 use s3_core::{
     system_clock, FaultPlan, FaultyStorage, FileStorage, HedgeConfig, IsotropicNormal, MemStorage,
@@ -218,11 +219,6 @@ fn query_ctx(a: &Args, explain: bool) -> Result<QueryCtx, String> {
         None => QueryCtx::unbounded(),
     };
     Ok(if explain { ctx.explain() } else { ctx })
-}
-
-/// Default worker-thread count: every available core.
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 /// Applies `--trace-out FILE`: installs a ring collector as the global span

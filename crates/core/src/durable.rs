@@ -419,7 +419,7 @@ impl DurableIndex {
         mem_budget: u64,
     ) -> Result<BatchResult, IndexError> {
         let _scope = query_scope(None);
-        let plan = Plan::stat(&self.curve, queries, model, opts, None)?;
+        let plan = Plan::stat(&self.curve, queries, model, opts, self.disk.threads(), None)?;
         self.scan_and_finish(&plan, mem_budget)
     }
 
@@ -432,7 +432,7 @@ impl DurableIndex {
         mem_budget: u64,
     ) -> Result<BatchResult, IndexError> {
         let _scope = query_scope(None);
-        let plan = Plan::range(&self.curve, queries, eps, depth, None)?;
+        let plan = Plan::range(&self.curve, queries, eps, depth, self.disk.threads(), None)?;
         self.scan_and_finish(&plan, mem_budget)
     }
 

@@ -2,12 +2,17 @@
 //!
 //! The S³ index is immutable after construction, so queries parallelise
 //! trivially: [`stat_query_batch`] shards a query batch across scoped
-//! std threads.
+//! std threads, and the pseudo-disk batch plans its queries and refines
+//! each resident section the same way.
 //!
 //! Work is distributed dynamically: workers claim items off a shared atomic
 //! cursor, so a handful of expensive queries — deep filters, wide distortion
 //! models — cannot strand the rest of the batch on one thread the way fixed
-//! per-worker chunks would.
+//! per-worker chunks would. The calling thread is one of the workers, and
+//! within a fan-out it never waits for another to start or finish an item
+//! (`Crew::run`): on a shared machine a helper's core may be slow to wake,
+//! and a pseudo-disk batch that waited for it at every section would pay
+//! that at every section. Helpers are joined once, when their crew ends.
 //!
 //! This goes beyond the paper (which reports single-core Pentium-IV numbers)
 //! but is what the paper's TV-monitoring deployment would use today; the
@@ -16,32 +21,149 @@
 use crate::distortion::DistortionModel;
 use crate::index::{QueryResult, S3Index, StatQueryOpts};
 use crate::resilience::QueryCtx;
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// A per-item result slot written by exactly one worker.
-///
-/// The atomic cursor hands each index to a single winner, so the cells are
-/// never aliased; `UnsafeCell` just lets the winners write through a shared
-/// borrow without a lock.
-struct Slot<T>(UnsafeCell<Option<T>>);
+/// Every available core: the default worker count of the pseudo-disk batch
+/// and of the CLI. Resolved once per process, because the standard library
+/// reads cgroup files to answer (≈ 16 µs a call in a Linux container).
+pub fn default_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
 
-// SAFETY: distinct threads only ever access distinct slots (each index is
-// claimed by exactly one `fetch_add` winner), so `&Slot` may cross threads
-// whenever the payload itself may.
-unsafe impl<T: Send> Sync for Slot<T> {}
+/// One fan-out: the data its items read, the claim cursor and one result
+/// slot per item.
+struct Job<D, T> {
+    data: Arc<D>,
+    cursor: AtomicUsize,
+    slots: Vec<Mutex<Option<T>>>,
+}
 
-/// Runs `f(0..n)` across up to `threads` workers pulling indices off a
-/// shared cursor; returns results in index order.
-///
-/// Falls back to a plain sequential loop when one worker (or fewer) would
-/// remain after clamping to the task count — so 0- and 1-item batches never
-/// pay a thread spawn.
-///
-/// With a `ctx`, workers stop claiming new items once it fires: items never
-/// claimed come back as `None`, items claimed before the stop run to
-/// completion (the task itself may poll `ctx` at a finer grain). Without
-/// one the cursor sweeps `[0, n)` exactly once and every slot is `Some`.
+impl<D, T> Job<D, T> {
+    /// Claims and runs items until every item is claimed or `ctx` fires.
+    fn work(&self, task: &(dyn Fn(&D, usize) -> T + Sync), ctx: Option<&QueryCtx>) {
+        while !ctx.is_some_and(|c| c.should_stop()) {
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = self.slots.get(i) else {
+                return;
+            };
+            let v = task(&self.data, i);
+            // The caller may have run this item itself meanwhile; items are
+            // pure, so the first result stored is as good as this one.
+            lock(slot).get_or_insert(v);
+        }
+    }
+}
+
+/// A result slot's guard. Tasks run outside the lock, and a slot is `None`
+/// or a whole result at every step, so a poisoned slot is still valid.
+fn lock<T>(slot: &Mutex<Option<T>>) -> MutexGuard<'_, Option<T>> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Helper threads that stay up for a sequence of fan-outs — a pseudo-disk
+/// batch runs one per resident section — and join the calling thread on
+/// each ([`Crew::run`]).
+pub(crate) struct Crew<'t, D, T> {
+    helpers: Vec<mpsc::Sender<Arc<Job<D, T>>>>,
+    task: &'t (dyn Fn(&D, usize) -> T + Sync),
+    ctx: Option<&'t QueryCtx>,
+}
+
+impl<D, T> Crew<'_, D, T> {
+    /// Runs `task(data, i)` for every `i < n` on the calling thread and the
+    /// helpers, each claiming the next item off a shared cursor, so a few
+    /// expensive items cannot strand the rest on one thread; returns the
+    /// results in item order.
+    ///
+    /// The caller never waits for a helper, not even for one to wake up:
+    /// once every item is claimed it runs any item still unfinished itself,
+    /// and the first result stored wins. With a `ctx`, nobody claims or
+    /// finishes another item once it fires: those come back `None` (an item
+    /// may poll `ctx` at a finer grain). Without one every slot is `Some`.
+    pub(crate) fn run(&self, data: &Arc<D>, n: usize) -> Vec<Option<T>> {
+        let stopped = || self.ctx.is_some_and(|c| c.should_stop());
+        if self.helpers.is_empty() {
+            let mut out = Vec::with_capacity(n);
+            for i in 0..n {
+                if stopped() {
+                    out.resize_with(n, || None);
+                    break;
+                }
+                out.push(Some((self.task)(data, i)));
+            }
+            return out;
+        }
+        let job = Arc::new(Job {
+            data: Arc::clone(data),
+            cursor: AtomicUsize::new(0),
+            slots: (0..n).map(|_| Mutex::new(None)).collect(),
+        });
+        for helper in &self.helpers {
+            // A helper only stops listening when the crew is dropped.
+            let _ = helper.send(Arc::clone(&job));
+        }
+        job.work(self.task, self.ctx);
+        for (i, slot) in job.slots.iter().enumerate() {
+            if stopped() {
+                break;
+            }
+            let unfinished = lock(slot).is_none();
+            if unfinished {
+                let v = (self.task)(data, i);
+                lock(slot).get_or_insert(v);
+            }
+        }
+        job.slots.iter().map(|slot| lock(slot).take()).collect()
+    }
+}
+
+/// Runs `body` with a [`Crew`] of `threads − 1` helper threads running
+/// `task`, joined when `body` returns. One thread or fewer spawns nothing.
+pub(crate) fn with_crew<D, T, R>(
+    threads: usize,
+    ctx: Option<&QueryCtx>,
+    task: &(dyn Fn(&D, usize) -> T + Sync),
+    body: impl FnOnce(&Crew<'_, D, T>) -> R,
+) -> R
+where
+    D: Send + Sync,
+    T: Send,
+{
+    if threads <= 1 {
+        return body(&Crew {
+            helpers: Vec::new(),
+            task,
+            ctx,
+        });
+    }
+    // Helpers start with a blank thread-local query scope; they enter the
+    // caller's so their spans stay in the query's tree.
+    let qid = s3_obs::current_query();
+    std::thread::scope(|scope| {
+        let helpers = (1..threads)
+            .map(|_| {
+                let (tx, rx) = mpsc::channel::<Arc<Job<D, T>>>();
+                scope.spawn(move || {
+                    let _scope = s3_obs::QueryScope::enter(qid);
+                    for job in rx {
+                        job.work(task, ctx);
+                    }
+                });
+                tx
+            })
+            .collect();
+        // Dropping the crew closes the helpers' channels, so they exit and
+        // the scope joins them.
+        body(&Crew { helpers, task, ctx })
+    })
+}
+
+/// Runs `f(0..n)` once across up to `threads` workers (the calling thread
+/// and a [`Crew`] spawned for the call); returns results in index order,
+/// `None` for items a fired `ctx` left unfinished (see [`Crew::run`]).
+/// One worker, or one item, is a plain loop with no thread spawned.
 pub(crate) fn run_dynamic<T, F>(
     n: usize,
     threads: usize,
@@ -52,45 +174,10 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = threads.min(n);
-    if workers <= 1 {
-        let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-        for i in 0..n {
-            if ctx.is_some_and(|c| c.should_stop()) {
-                out.resize_with(n, || None);
-                return out;
-            }
-            out.push(Some(f(i)));
-        }
-        return out;
-    }
-    let slots: Vec<Slot<T>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
-    let cursor = AtomicUsize::new(0);
-    // Spawned workers start with a blank thread-local query scope; re-enter
-    // the spawning thread's scope so their spans stay in the query's tree.
-    let qid = s3_obs::current_query();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let _scope = s3_obs::QueryScope::enter(qid);
-                loop {
-                    if ctx.is_some_and(|c| c.should_stop()) {
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = slots.get(i) else {
-                        break;
-                    };
-                    let v = f(i);
-                    // SAFETY: index `i` belongs to this claim alone; no
-                    // other thread reads or writes `slots[i]` until the
-                    // scope joins.
-                    unsafe { *slot.0.get() = Some(v) };
-                }
-            });
-        }
-    });
-    slots.into_iter().map(|s| s.0.into_inner()).collect()
+    let task = |_: &(), i: usize| f(i);
+    with_crew(threads.min(n), ctx, &task, |crew| {
+        crew.run(&Arc::new(()), n)
+    })
 }
 
 /// Runs a batch of statistical queries across `threads` worker threads.
@@ -214,6 +301,31 @@ mod tests {
         }
         assert!(run_dynamic(0, 4, None, &|i| i).is_empty());
         assert_eq!(run_dynamic(1, 4, None, &|i| i + 1), vec![Some(1)]);
+    }
+
+    /// A fan-out never waits for a helper: with the helper parked inside
+    /// whatever item it claims until the fan-out has returned, the calling
+    /// thread runs that item too, and every result comes back in order.
+    #[test]
+    fn a_crew_never_waits_for_a_stalled_helper() {
+        let caller = std::thread::current().id();
+        let (release, parked) = mpsc::channel::<()>();
+        let parked = Mutex::new(parked);
+        let task = |data: &Vec<usize>, i: usize| {
+            if std::thread::current().id() != caller {
+                let _ = parked.lock().unwrap().recv();
+            }
+            data[i] * 2
+        };
+        with_crew(2, None, &task, |crew| {
+            for n in [1, 7, 300] {
+                let data = Arc::new((0..n).collect::<Vec<usize>>());
+                let want: Vec<Option<usize>> = (0..n).map(|i| Some(2 * i)).collect();
+                assert_eq!(crew.run(&data, n), want);
+                // One release per fan-out: the helper parks at most once in each.
+                release.send(()).unwrap();
+            }
+        });
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::filter::{
 };
 use crate::index::{Match, QueryResult, QueryStats, Refine, StatQueryOpts};
 use crate::metrics::CoreMetrics;
+use crate::parallel::run_dynamic;
 use crate::pseudo_disk::{BatchResult, BatchTiming};
 use crate::resilience::{next_query_id, CancelCause, QueryCtx};
 use s3_hilbert::{HilbertCurve, KeyRange};
@@ -299,53 +300,64 @@ pub(crate) struct Plan<'a> {
     pub(crate) queries: &'a [&'a [u8]],
     pub(crate) ask: Ask<'a>,
     pub(crate) per_query: Vec<QueryPlan>,
+    /// Wall time of planning the whole batch.
     filter_time: Duration,
 }
 
 impl<'a> Plan<'a> {
-    /// Plans a batch of statistical queries.
+    /// Plans a batch of statistical queries on up to `threads` workers.
     pub(crate) fn stat(
         curve: &HilbertCurve,
         queries: &'a [&'a [u8]],
         model: &'a dyn DistortionModel,
         opts: &StatQueryOpts,
+        threads: usize,
         ctx: Option<&QueryCtx>,
     ) -> Result<Plan<'a>, IndexError> {
-        Plan::new(curve, queries, Ask::stat(model, opts), |qi, q| {
+        Plan::new(curve, queries, Ask::stat(model, opts), threads, |qi, q| {
             QueryPlan::stat(curve, qi, q, model, opts, ctx)
         })
     }
 
-    /// Plans a batch of ε-range queries.
+    /// Plans a batch of ε-range queries on up to `threads` workers.
     pub(crate) fn range(
         curve: &HilbertCurve,
         queries: &'a [&'a [u8]],
         eps: f64,
         depth: u32,
+        threads: usize,
         ctx: Option<&QueryCtx>,
     ) -> Result<Plan<'a>, IndexError> {
-        Plan::new(curve, queries, Ask::range(eps, depth), |qi, q| {
+        Plan::new(curve, queries, Ask::range(eps, depth), threads, |qi, q| {
             QueryPlan::range(curve, qi, q, eps, depth, ctx)
         })
     }
 
+    /// Every query's plan is independent of the others, so workers claim
+    /// them one at a time; the plans come back in input order. No ctx goes
+    /// to the scheduler, so every slot is filled: a stop lands inside each
+    /// query's own plan, which comes back empty and flagged.
     fn new(
         curve: &HilbertCurve,
         queries: &'a [&'a [u8]],
         ask: Ask<'a>,
-        plan_query: impl Fn(usize, &[u8]) -> QueryPlan,
+        threads: usize,
+        plan_query: impl Fn(usize, &[u8]) -> QueryPlan + Sync,
     ) -> Result<Plan<'a>, IndexError> {
-        let t0 = Instant::now();
-        let mut per_query = Vec::with_capacity(queries.len());
-        for (qi, q) in queries.iter().enumerate() {
-            if q.len() != curve.dims() {
-                return Err(IndexError::QueryDims {
-                    expected: curve.dims(),
-                    got: q.len(),
-                });
-            }
-            per_query.push(plan_query(qi, q));
+        if let Some(q) = queries.iter().find(|q| q.len() != curve.dims()) {
+            return Err(IndexError::QueryDims {
+                expected: curve.dims(),
+                got: q.len(),
+            });
         }
+        let t0 = Instant::now();
+        let per_query = run_dynamic(queries.len(), threads, None, &|qi| {
+            plan_query(qi, queries[qi])
+        })
+        .into_iter()
+        .zip(queries.iter().enumerate())
+        .map(|(plan, (qi, q))| plan.unwrap_or_else(|| plan_query(qi, q)))
+        .collect();
         Ok(Plan {
             queries,
             ask,
@@ -582,4 +594,58 @@ fn explain_report(e: Evidence) -> ExplainReport {
     }
     rep.shards = e.shards;
     rep
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::distortion::IsotropicNormal;
+
+    /// However many workers plan a batch, every query gets the plan the
+    /// sequential loop gives it, in input order: the same ranges, nodes,
+    /// blocks and mass bits.
+    #[test]
+    fn plans_do_not_depend_on_the_thread_count() {
+        let curve = HilbertCurve::new(6, 8)
+            .unwrap()
+            .with_axes(&[3, 0, 5, 1, 4, 2])
+            .unwrap();
+        let model = IsotropicNormal::new(6, 14.0);
+        let opts = StatQueryOpts::new(0.9, 14);
+        let queries: Vec<Vec<u8>> = (0..37u8)
+            .map(|i| {
+                (0..6)
+                    .map(|c| i.wrapping_mul(41).wrapping_add(c * 29))
+                    .collect()
+            })
+            .collect();
+        let qrefs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
+        let summary = |plan: &Plan| -> Vec<_> {
+            plan.per_query
+                .iter()
+                .map(|p| {
+                    let st = &p.stats;
+                    let mass = st.mass.to_bits();
+                    (
+                        p.ranges.clone(),
+                        st.nodes_expanded,
+                        st.blocks_selected,
+                        mass,
+                    )
+                })
+                .collect()
+        };
+        let stat = |threads| Plan::stat(&curve, &qrefs, &model, &opts, threads, None).unwrap();
+        let range = |threads| Plan::range(&curve, &qrefs, 30.0, 10, threads, None).unwrap();
+        let (stat_1, range_1) = (summary(&stat(1)), summary(&range(1)));
+        assert!(stat_1.iter().all(|(ranges, ..)| !ranges.is_empty()));
+        for threads in [2, 4] {
+            assert_eq!(summary(&stat(threads)), stat_1, "stat, {threads} threads");
+            assert_eq!(
+                summary(&range(threads)),
+                range_1,
+                "range, {threads} threads"
+            );
+        }
+    }
 }

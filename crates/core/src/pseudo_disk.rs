@@ -2,13 +2,19 @@
 //!
 //! The fingerprint database lives in a single file, physically ordered along
 //! the Hilbert curve. When it does not fit in memory, `N_sig` queries are
-//! batched: the curve is split into `2^r` regular sections, sized so the most
-//! filled section fits the memory budget. The filtering step — which is
-//! independent of the database — runs first for every query; each section is
-//! then loaded once and the refinement step runs for every query interval
-//! that intersects it. The amortised per-query cost is
+//! batched: the curve is cut into sections of consecutive index-table slots,
+//! each packed greedily up to the memory budget. The filtering step — which
+//! is independent of the database — runs first for every query; each section
+//! is then loaded once, in curve order, and the refinement step runs for
+//! every query interval that intersects it. The amortised per-query cost is
 //! `T_tot = T + T_load / N_sig` (eq. 5): the loading term is the linear
 //! component visible at the right of Fig. 7.
+//!
+//! Both CPU stages fan out over the index's worker threads
+//! ([`DiskIndex::with_threads`]): the queries' plans, and within a resident
+//! section the refinement of each query's ranges. Section loads stay on the
+//! calling thread, so one section is resident at a time and the I/O order
+//! is the curve's.
 //!
 //! ## Fault tolerance
 //!
@@ -64,7 +70,7 @@ use crate::error::IndexError;
 use crate::fingerprint::RecordBatch;
 use crate::index::{Match, QueryStats, Refiner, S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
-use crate::parallel::run_dynamic;
+use crate::parallel::{default_threads, with_crew};
 use crate::plan::{query_scope, tally_blocks, Plan, QueryPlan, QueryScan, Scan};
 use crate::resilience::{QueryCtx, SectionBreakers, REFINE_CHUNK};
 use crate::sketch::{Sketch, SketchParams, DEFAULT_SKETCH_BITS};
@@ -73,6 +79,7 @@ use s3_hilbert::{HilbertCurve, Key256, KeyBound, KeyRange};
 use s3_obs::{event, span, ExplainReport, LocalHistogram};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -80,8 +87,8 @@ use std::time::{Duration, Instant};
 const MAGIC_V3: &[u8; 8] = b"S3IDX003";
 const MAGIC_V2: &[u8; 8] = b"S3IDX002";
 const MAGIC_V1: &[u8; 8] = b"S3IDX001";
-/// Depth of the on-disk index table (64k slots; boundaries of any coarser
-/// section partition are exact prefixes of it).
+/// Depth of the on-disk index table (64k slots; every section boundary is
+/// a slot boundary).
 pub const TABLE_DEPTH: u32 = 16;
 /// Default size of a checksummed data block.
 pub const DEFAULT_BLOCK_SIZE: u32 = 4096;
@@ -182,7 +189,8 @@ pub struct DiskIndex {
     /// Length of the data region in bytes.
     data_len: u64,
     retry: RetryPolicy,
-    /// Worker threads for per-section refinement (1 = sequential).
+    /// Worker threads for a batch's plans and per-section refinement
+    /// (1 = sequential).
     threads: usize,
     /// Optional per-section circuit breakers: sections that keep failing are
     /// skipped outright for a cooldown instead of re-paying the retry ladder
@@ -202,11 +210,13 @@ pub struct DiskIndex {
 /// plus the fault accounting of the robust read path.
 #[derive(Clone, Debug, Default)]
 pub struct BatchTiming {
-    /// Total filtering time (database-independent first stage).
+    /// Filtering time (database-independent first stage): the wall time of
+    /// planning every query, across all worker threads.
     pub filter: Duration,
     /// Total section loading time (`T_load`), including retries.
     pub load: Duration,
-    /// Total refinement time.
+    /// Refinement time: the wall time of each section's refinement fan-out,
+    /// summed over sections (plus the overlay scan of a durable index).
     pub refine: Duration,
     /// Per-section load-time distribution (ns, retries included), in the
     /// same log-bucketed histogram vocabulary as the `s3-obs` registry.
@@ -267,7 +277,7 @@ pub struct BatchResult {
     pub stats: Vec<QueryStats>,
     /// Aggregate timing.
     pub timing: BatchTiming,
-    /// Number of sections the curve was split into (`2^r`).
+    /// Number of sections the memory budget packed the curve into.
     pub sections: usize,
     /// One EXPLAIN report per query when the batch's [`QueryCtx`] asked for
     /// them ([`QueryCtx::explain`]), empty otherwise: the selected blocks
@@ -576,7 +586,7 @@ impl DiskIndex {
             data_off: 0,
             data_len,
             retry: RetryPolicy::default(),
-            threads: 1,
+            threads: default_threads(),
             breakers: None,
             meta_crc: 0,
             sketch: None,
@@ -649,15 +659,18 @@ impl DiskIndex {
         self
     }
 
-    /// Sets the worker-thread count for per-section refinement (builder
-    /// style). Clamped to at least one; section loading stays sequential —
-    /// only the CPU-bound scan fans out.
+    /// Sets the worker-thread count of a batch (builder style); the default
+    /// is every available core ([`default_threads`]). Clamped to at least
+    /// one. The queries' plans and each resident section's refinement fan
+    /// out; section loading stays sequential, on the calling thread, in
+    /// curve order.
     pub fn with_threads(mut self, threads: usize) -> DiskIndex {
         self.threads = threads.max(1);
         self
     }
 
-    /// Worker threads used for per-section refinement.
+    /// Worker threads a batch plans its queries and refines each section
+    /// on.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -665,8 +678,8 @@ impl DiskIndex {
     /// Attaches per-section circuit breakers (builder style): a section that
     /// keeps failing its loads is skipped outright for the breaker cooldown
     /// instead of re-paying the retry ladder on every batch. Breaker keys are
-    /// the section's first fine-resolution table slot, so the same physical
-    /// region maps to the same breaker across different split factors.
+    /// the section's first table slot, so the same physical region maps to
+    /// the same breaker whenever a section starts there, whatever the budget.
     pub fn with_breakers(mut self, breakers: Arc<SectionBreakers>) -> DiskIndex {
         self.breakers = Some(breakers);
         self
@@ -816,26 +829,35 @@ impl DiskIndex {
         Ok(batch)
     }
 
-    /// Chooses the section split `r`: the smallest `r ≤ table_depth` whose
-    /// most filled section fits `mem_budget` bytes. Returns `None` if even
-    /// the finest table-resolution split exceeds the budget.
-    pub fn pick_sections(&self, mem_budget: u64) -> Option<u32> {
+    /// Packs consecutive table slots greedily into sections of at most
+    /// `mem_budget` bytes and returns their slot bounds: section `s` holds
+    /// slots `bounds[s]..bounds[s + 1]`. A section closes only when its next
+    /// slot would not fit, so no two neighbours fit the budget together and
+    /// `bytes` of data pack into at most `2⌈bytes / budget⌉` sections. Fails
+    /// exactly when one slot alone exceeds the budget.
+    fn pack_sections(&self, mem_budget: u64) -> Result<Vec<usize>, IndexError> {
         let rb = self.record_bytes();
-        'outer: for r in 0..=self.table_depth {
-            let per = 1usize << (self.table_depth - r);
-            for s in 0..(1usize << r) {
-                let a = self.table[s * per];
-                let b = self.table[(s + 1) * per];
-                if (b - a) * rb > mem_budget {
-                    continue 'outer;
-                }
+        let slots = self.table.len() - 1;
+        let mut bounds = vec![0];
+        let mut first = self.table[0];
+        for s in 0..slots {
+            let end = self.table[s + 1];
+            if (end - self.table[s]) * rb > mem_budget {
+                return Err(IndexError::BudgetTooSmall {
+                    budget: mem_budget,
+                    min_section_bytes: self.min_section_bytes(),
+                });
             }
-            return Some(r);
+            if (end - first) * rb > mem_budget {
+                bounds.push(s);
+                first = self.table[s];
+            }
         }
-        None
+        bounds.push(slots);
+        Ok(bounds)
     }
 
-    /// Bytes of the densest finest-resolution slot — the smallest memory
+    /// Bytes of the densest table slot — the smallest memory
     /// budget any batched query can run under.
     pub fn min_section_bytes(&self) -> u64 {
         let rb = self.record_bytes();
@@ -865,10 +887,9 @@ impl DiskIndex {
             .max(1.0) as usize
     }
 
-    /// Record range `[a, b)` of section `s` under a `2^r` split.
-    fn section_entries(&self, r: u32, s: usize) -> (u64, u64) {
-        let per = 1usize << (self.table_depth - r);
-        (self.table[s * per], self.table[(s + 1) * per])
+    /// Record range `[a, b)` of the section holding table slots `slots`.
+    fn section_entries(&self, slots: &Range<usize>) -> (u64, u64) {
+        (self.table[slots.start], self.table[slots.end])
     }
 
     /// Table slot of a key (top `table_depth` bits).
@@ -877,9 +898,9 @@ impl DiskIndex {
         key.shr(shift).low_u128() as usize
     }
 
-    /// True if the sketch proves section `s` (under a `2^r` split) holds
-    /// no record of any `(query, range)` in `work` — i.e. every depth-`d`
-    /// cell in every `range ∩ section` slot span probes absent.
+    /// True if the sketch proves the section holding table slots `slots`
+    /// has no record of any `(query, range)` in `work` — i.e. every
+    /// depth-`d` cell in every `range ∩ section` slot span probes absent.
     ///
     /// Exactness: a record refinement could visit lies in some
     /// `range ∩ section`, so its cell is inside the probed span, and Bloom
@@ -889,19 +910,17 @@ impl DiskIndex {
     fn sketch_rules_out(
         &self,
         sk: &Sketch,
-        r: u32,
-        s: usize,
+        slots: &Range<usize>,
         work: &[(u32, u32)],
         plans: &[QueryPlan],
     ) -> bool {
         let metrics = CoreMetrics::get();
         let shift = self.curve.key_bits() - sk.depth();
-        // Cells per table slot and table slots per section are both powers
-        // of two, so a section's cell span is a pair of shifts.
+        // A table slot holds a power of two of cells, so a section's cell
+        // span is its slot bounds shifted.
         let cell_shift = sk.depth() - self.table_depth;
-        let sec_shift = self.table_depth - r;
-        let sec_lo = ((s as u64) << sec_shift) << cell_shift;
-        let sec_hi = ((((s as u64) + 1) << sec_shift) << cell_shift) - 1;
+        let sec_lo = (slots.start as u64) << cell_shift;
+        let sec_hi = ((slots.end as u64) << cell_shift) - 1;
         let mut probes = 0u64;
         for &(qi, ri) in work {
             let range = &plans[qi as usize].ranges[ri as usize];
@@ -987,7 +1006,7 @@ impl DiskIndex {
         ctx: Option<&QueryCtx>,
     ) -> Result<BatchResult, IndexError> {
         let _scope = query_scope(ctx);
-        let plan = Plan::stat(&self.curve, queries, model, opts, ctx)?;
+        let plan = Plan::stat(&self.curve, queries, model, opts, self.threads, ctx)?;
         let scan = self.scan(&plan, mem_budget, ctx)?;
         Ok(plan.finish(scan, self.n, ctx, None))
     }
@@ -1006,7 +1025,7 @@ impl DiskIndex {
         ctx: Option<&QueryCtx>,
     ) -> Result<BatchResult, IndexError> {
         let _scope = query_scope(ctx);
-        let plan = Plan::range(&self.curve, queries, eps, depth, ctx)?;
+        let plan = Plan::range(&self.curve, queries, eps, depth, self.threads, ctx)?;
         let scan = self.scan(&plan, mem_budget, ctx)?;
         Ok(plan.finish(scan, self.n, ctx, None))
     }
@@ -1026,13 +1045,21 @@ impl DiskIndex {
         mem_budget: u64,
         ctx: Option<&QueryCtx>,
     ) -> Result<Scan, IndexError> {
-        let r = self
-            .pick_sections(mem_budget)
-            .ok_or_else(|| IndexError::BudgetTooSmall {
-                budget: mem_budget,
-                min_section_bytes: self.min_section_bytes(),
-            })?;
-        let n_sections = 1usize << r;
+        let bounds = self.pack_sections(mem_budget)?;
+        self.scan_sections(plan, &bounds, ctx)
+    }
+
+    /// [`DiskIndex::scan`] over the sections whose slot bounds are `bounds`
+    /// (see [`DiskIndex::pack_sections`]).
+    fn scan_sections(
+        &self,
+        plan: &Plan,
+        bounds: &[usize],
+        ctx: Option<&QueryCtx>,
+    ) -> Result<Scan, IndexError> {
+        let n_sections = bounds.len() - 1;
+        let last_slot = bounds[n_sections] - 1;
+        let section_of = |slot: usize| bounds.partition_point(|&b| b <= slot) - 1;
         let should_stop = || ctx.is_some_and(|c| c.should_stop());
         let want_explain = ctx.is_some_and(|c| c.explains());
         let metrics = CoreMetrics::get();
@@ -1040,15 +1067,14 @@ impl DiskIndex {
 
         // Assign each (query, range) to the sections it intersects.
         let mut section_work: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_sections];
-        let sec_shift = self.table_depth - r;
         for (qi, query) in plan.per_query.iter().enumerate() {
             for (ri, range) in query.ranges.iter().enumerate() {
-                let s_lo = self.slot_of(&range.lo) >> sec_shift;
+                let s_lo = section_of(self.slot_of(&range.lo));
                 let s_hi = match range.hi {
                     KeyBound::Excl(hi) => {
                         // hi is exclusive: using its slot over-includes by at
                         // most one (possibly empty) trailing section.
-                        self.slot_of(&hi).min((1 << self.table_depth) - 1) >> sec_shift
+                        section_of(self.slot_of(&hi).min(last_slot))
                     }
                     KeyBound::End => n_sections - 1,
                 };
@@ -1058,7 +1084,8 @@ impl DiskIndex {
             }
         }
 
-        // Stream sections, retrying and degrading as configured.
+        // Stream sections in curve order, retrying and degrading as
+        // configured.
         let mut out = Scan::empty(queries.len());
         out.sections = n_sections;
         let Scan {
@@ -1066,210 +1093,230 @@ impl DiskIndex {
             timing,
             ..
         } = &mut out;
-        let mut section = SectionBuf::default();
-        for (s, work) in section_work.iter().enumerate() {
-            if work.is_empty() {
-                continue;
-            }
-            let (a, b) = self.section_entries(r, s);
-            if a == b {
-                continue;
-            }
-            // Deadline/cancellation lands between sections: never start
-            // another load past the stop. Every remaining non-empty section
-            // is accounted as skipped so per-query flags stay truthful.
-            if should_stop() {
-                for (s2, work2) in section_work.iter().enumerate().skip(s) {
-                    if work2.is_empty() {
-                        continue;
+        let slots_of = |s: usize| bounds[s]..bounds[s + 1];
+        // Refines one query's contiguous run of ranges within a resident
+        // section: the unit a worker claims.
+        let refine_group = |job: &SectionJob, g: usize| -> GroupResult {
+            let (lo_w, hi_w) = job.groups[g];
+            let qi = job.work[lo_w].0 as usize;
+            let q = queries[qi];
+            let t_group = Instant::now();
+            let mut sp = span!("query.refine", "qi" => qi as f64);
+            let mut out = GroupResult {
+                matches: Vec::new(),
+                ranges: 0,
+                entries: 0,
+                elapsed_ns: 0,
+                cancelled: false,
+            };
+            let mut since_check = 0usize;
+            let mut refiner = Refiner::new(q, plan.ask.refine, plan.ask.model);
+            'scan: for &(_, ri) in &job.work[lo_w..hi_w] {
+                let range = &plan.per_query[qi].ranges[ri as usize];
+                let (lo, hi) = job.section.locate(range);
+                out.ranges += 1;
+                for i in lo..hi {
+                    // Cancellation lands on refine-chunk boundaries: one
+                    // chunk of records is the uninterruptible unit.
+                    since_check += 1;
+                    if since_check >= REFINE_CHUNK {
+                        since_check = 0;
+                        if should_stop() {
+                            out.cancelled = true;
+                            break 'scan;
+                        }
                     }
-                    let (a2, b2) = self.section_entries(r, s2);
-                    if a2 == b2 {
-                        continue;
-                    }
-                    timing.sections_skipped += 1;
-                    mark_section_skipped(scans, work2, true);
-                }
-                break;
-            }
-            // Breaker keys are the section's first fine-resolution table
-            // slot, stable across different split factors `r`.
-            let breaker_key = s << sec_shift;
-            if let Some(br) = &self.breakers {
-                if !br.try_pass(breaker_key) {
-                    timing.sections_skipped += 1;
-                    timing.breaker_skips += 1;
-                    event::warn(
-                        "pseudo_disk",
-                        &format!("section {s} breaker open, skipping without I/O"),
-                    );
-                    mark_section_skipped(scans, work, false);
-                    continue;
-                }
-            }
-            // Sketch consult: skip the load when every candidate cell of
-            // every intersecting range probes absent — a provable true
-            // negative (no stats degradation, no I/O, bit-identical
-            // matches). An inconclusive consult (budget exhausted, a cell
-            // present) falls through to the normal load.
-            if let Some(sk) = self.sketch.as_ref().filter(|_| plan.ask.sketch) {
-                if self.sketch_rules_out(sk, r, s, work, &plan.per_query) {
-                    timing.sketch_skips += 1;
-                    metrics.sketch_section_skips.inc();
-                    for qi in distinct_queries(work) {
-                        scans[qi].stats.sketch_skipped += 1;
-                    }
-                    continue;
-                }
-                metrics.sketch_sections_loaded.inc();
-            }
-            let mut sec_span = span!("disk.section", "section" => s as f64);
-            let t_load = Instant::now();
-            let loaded = self.load_section_retrying(a, b, &mut section, ctx);
-            let load_time = t_load.elapsed();
-            sec_span.record("entries", (b - a) as f64);
-            timing.load += load_time;
-            timing.section_load.record_duration(load_time);
-            // Retries are attributed to every query that needed this
-            // section (same convention as `sections_skipped`), whether the
-            // load finally succeeded or not.
-            let (Ok(retries) | Err((retries, _))) = &loaded;
-            timing.retries += retries;
-            metrics.retries.add(u64::from(*retries));
-            if *retries > 0 {
-                for qi in distinct_queries(work) {
-                    scans[qi].stats.retries += retries;
-                }
-            }
-            match loaded {
-                Ok(_) => {
-                    if let Some(br) = &self.breakers {
-                        br.record_success(breaker_key);
-                    }
-                    timing.sections_loaded += 1;
-                    let bytes = (b - a) * self.record_bytes();
-                    timing.bytes_loaded += bytes;
-                    metrics.sections_loaded.inc();
-                    metrics.read_bytes.add(bytes);
-                }
-                Err((retries, err)) => {
-                    if let Some(br) = &self.breakers {
-                        br.record_failure(breaker_key);
-                    }
-                    if self.retry.strict {
-                        return Err(IndexError::SectionLost {
-                            section: s,
-                            retries,
-                            source: Box::new(err),
+                    out.entries += 1;
+                    let fp = job.section.fingerprint(self.curve.dims(), i);
+                    if let Some(dist_sq) = refiner.keep(fp) {
+                        out.matches.push(Match {
+                            index: job.first + i,
+                            id: job.section.ids[i],
+                            tc: job.section.tcs[i],
+                            dist_sq,
                         });
                     }
-                    // Degrade: answer the batch from the surviving sections,
-                    // and account the loss per affected query.
-                    timing.sections_skipped += 1;
-                    event::warn(
-                        "pseudo_disk",
-                        &format!(
-                            "section {s} unreadable after {retries} retries, \
-                             degrading batch: {err}"
-                        ),
-                    );
-                    mark_section_skipped(scans, work, false);
+                }
+            }
+            out.elapsed_ns = t_group.elapsed().as_nanos() as u64;
+            sp.record("ranges", out.ranges as f64);
+            sp.record("entries", out.entries as f64);
+            out
+        };
+        // One crew for the whole batch: each resident section is one
+        // fan-out, and loads stay on this thread.
+        with_crew(self.threads, ctx, &refine_group, |crew| {
+            let mut spare = SectionBuf::default();
+            for (s, work) in section_work.iter().enumerate() {
+                if work.is_empty() {
                     continue;
                 }
-            }
-
-            let t_ref = Instant::now();
-            // `work` is pushed in ascending qi order, so each query's ranges
-            // form one contiguous run — the unit of parallel refinement.
-            // Workers produce independent GroupResults; the sequential merge
-            // below reproduces the exact sequential output order.
-            let mut groups: Vec<(usize, usize)> = Vec::new();
-            let mut gs = 0usize;
-            for w in 1..=work.len() {
-                if w == work.len() || work[w].0 != work[gs].0 {
-                    groups.push((gs, w));
-                    gs = w;
+                let slots = slots_of(s);
+                let (a, b) = self.section_entries(&slots);
+                if a == b {
+                    continue;
                 }
-            }
-            let section_ref = &section;
-            let refine_group = |g: usize| -> GroupResult {
-                let (lo_w, hi_w) = groups[g];
-                let qi = work[lo_w].0 as usize;
-                let q = queries[qi];
-                let t_group = Instant::now();
-                let mut sp = span!("query.refine", "qi" => qi as f64);
-                let mut out = GroupResult {
-                    matches: Vec::new(),
-                    ranges: 0,
-                    entries: 0,
-                    elapsed_ns: 0,
-                    cancelled: false,
-                };
-                let mut since_check = 0usize;
-                let mut refiner = Refiner::new(q, plan.ask.refine, plan.ask.model);
-                'scan: for &(_, ri) in &work[lo_w..hi_w] {
-                    let range = &plan.per_query[qi].ranges[ri as usize];
-                    let (lo, hi) = section_ref.locate(range);
-                    out.ranges += 1;
-                    for i in lo..hi {
-                        // Cancellation lands on refine-chunk boundaries: one
-                        // chunk of records is the uninterruptible unit.
-                        since_check += 1;
-                        if since_check >= REFINE_CHUNK {
-                            since_check = 0;
-                            if should_stop() {
-                                out.cancelled = true;
-                                break 'scan;
-                            }
+                // Deadline/cancellation lands between sections: never start
+                // another load past the stop. Every remaining non-empty section
+                // is accounted as skipped so per-query flags stay truthful.
+                if should_stop() {
+                    for (s2, work2) in section_work.iter().enumerate().skip(s) {
+                        if work2.is_empty() {
+                            continue;
                         }
-                        out.entries += 1;
-                        let fp = section_ref.fingerprint(self.curve.dims(), i);
-                        if let Some(dist_sq) = refiner.keep(fp) {
-                            out.matches.push(Match {
-                                index: (a as usize) + i,
-                                id: section_ref.ids[i],
-                                tc: section_ref.tcs[i],
-                                dist_sq,
-                            });
+                        let (a2, b2) = self.section_entries(&slots_of(s2));
+                        if a2 == b2 {
+                            continue;
                         }
+                        timing.sections_skipped += 1;
+                        mark_section_skipped(scans, work2, true);
+                    }
+                    break;
+                }
+                // Breaker keys are the section's first table slot: the same
+                // region keeps its breaker whenever a section starts there.
+                let breaker_key = slots.start;
+                if let Some(br) = &self.breakers {
+                    if !br.try_pass(breaker_key) {
+                        timing.sections_skipped += 1;
+                        timing.breaker_skips += 1;
+                        event::warn(
+                            "pseudo_disk",
+                            &format!("section {s} breaker open, skipping without I/O"),
+                        );
+                        mark_section_skipped(scans, work, false);
+                        continue;
                     }
                 }
-                out.elapsed_ns = t_group.elapsed().as_nanos() as u64;
-                sp.record("ranges", out.ranges as f64);
-                sp.record("entries", out.entries as f64);
-                out
-            };
-            let threads = if groups.len() > 1 { self.threads } else { 1 };
-            let results = run_dynamic(groups.len(), threads, ctx, &refine_group);
-            for (&(lo_w, _), gr) in groups.iter().zip(results) {
-                let scan = &mut scans[work[lo_w].0 as usize];
-                // A group never claimed past the stop: its query keeps
-                // whatever earlier sections contributed, flagged partial.
-                let Some(gr) = gr else {
-                    scan.stats.cancelled = true;
-                    continue;
-                };
-                scan.stats.ranges_scanned += gr.ranges;
-                scan.stats.entries_scanned += gr.entries;
-                scan.stats.cancelled |= gr.cancelled;
-                scan.refine_ns += gr.elapsed_ns;
-                let new_matches = scan.matches.len();
-                scan.matches.extend(gr.matches);
-                let selection = plan.per_query[work[lo_w].0 as usize].selection.as_ref();
-                if let (Some(selection), true) = (selection, want_explain) {
-                    let locate = |range: &KeyRange| section.locate(range);
-                    tally_blocks(
-                        &self.curve,
-                        selection,
-                        locate,
-                        a as usize,
-                        &scan.matches[new_matches..],
-                        &mut scan.blocks,
-                    );
+                // Sketch consult: skip the load when every candidate cell of
+                // every intersecting range probes absent — a provable true
+                // negative (no stats degradation, no I/O, bit-identical
+                // matches). An inconclusive consult (budget exhausted, a cell
+                // present) falls through to the normal load.
+                if let Some(sk) = self.sketch.as_ref().filter(|_| plan.ask.sketch) {
+                    if self.sketch_rules_out(sk, &slots, work, &plan.per_query) {
+                        timing.sketch_skips += 1;
+                        metrics.sketch_section_skips.inc();
+                        for qi in distinct_queries(work) {
+                            scans[qi].stats.sketch_skipped += 1;
+                        }
+                        continue;
+                    }
+                    metrics.sketch_sections_loaded.inc();
                 }
+                let mut sec_span = span!("disk.section", "section" => s as f64);
+                let t_load = Instant::now();
+                let loaded = self.load_section_retrying(a, b, &mut spare, ctx);
+                let load_time = t_load.elapsed();
+                sec_span.record("entries", (b - a) as f64);
+                timing.load += load_time;
+                timing.section_load.record_duration(load_time);
+                // Retries are attributed to every query that needed this
+                // section (same convention as `sections_skipped`), whether the
+                // load finally succeeded or not.
+                let (Ok(retries) | Err((retries, _))) = &loaded;
+                timing.retries += retries;
+                metrics.retries.add(u64::from(*retries));
+                if *retries > 0 {
+                    for qi in distinct_queries(work) {
+                        scans[qi].stats.retries += retries;
+                    }
+                }
+                match loaded {
+                    Ok(_) => {
+                        if let Some(br) = &self.breakers {
+                            br.record_success(breaker_key);
+                        }
+                        timing.sections_loaded += 1;
+                        let bytes = (b - a) * self.record_bytes();
+                        timing.bytes_loaded += bytes;
+                        metrics.sections_loaded.inc();
+                        metrics.read_bytes.add(bytes);
+                    }
+                    Err((retries, err)) => {
+                        if let Some(br) = &self.breakers {
+                            br.record_failure(breaker_key);
+                        }
+                        if self.retry.strict {
+                            return Err(IndexError::SectionLost {
+                                section: s,
+                                retries,
+                                source: Box::new(err),
+                            });
+                        }
+                        // Degrade: answer the batch from the surviving sections,
+                        // and account the loss per affected query.
+                        timing.sections_skipped += 1;
+                        event::warn(
+                            "pseudo_disk",
+                            &format!(
+                                "section {s} unreadable after {retries} retries, \
+                             degrading batch: {err}"
+                            ),
+                        );
+                        mark_section_skipped(scans, work, false);
+                        continue;
+                    }
+                }
+
+                let t_ref = Instant::now();
+                // `work` is pushed in ascending qi order, so each query's ranges
+                // form one contiguous run — the unit of parallel refinement.
+                // Workers produce independent GroupResults; the sequential merge
+                // below reproduces the exact sequential output order.
+                let mut groups: Vec<(usize, usize)> = Vec::new();
+                let mut gs = 0usize;
+                for w in 1..=work.len() {
+                    if w == work.len() || work[w].0 != work[gs].0 {
+                        groups.push((gs, w));
+                        gs = w;
+                    }
+                }
+                let job = Arc::new(SectionJob {
+                    section: std::mem::take(&mut spare),
+                    work,
+                    groups,
+                    first: a as usize,
+                });
+                let results = crew.run(&job, job.groups.len());
+                let groups = &job.groups;
+                let section = &job.section;
+                for (&(lo_w, _), gr) in groups.iter().zip(results) {
+                    let scan = &mut scans[work[lo_w].0 as usize];
+                    // A group left unfinished past the stop: its query keeps
+                    // whatever earlier sections contributed, flagged partial.
+                    let Some(gr) = gr else {
+                        scan.stats.cancelled = true;
+                        continue;
+                    };
+                    scan.stats.ranges_scanned += gr.ranges;
+                    scan.stats.entries_scanned += gr.entries;
+                    scan.stats.cancelled |= gr.cancelled;
+                    scan.refine_ns += gr.elapsed_ns;
+                    let new_matches = scan.matches.len();
+                    scan.matches.extend(gr.matches);
+                    let selection = plan.per_query[work[lo_w].0 as usize].selection.as_ref();
+                    if let (Some(selection), true) = (selection, want_explain) {
+                        let locate = |range: &KeyRange| section.locate(range);
+                        tally_blocks(
+                            &self.curve,
+                            selection,
+                            locate,
+                            a as usize,
+                            &scan.matches[new_matches..],
+                            &mut scan.blocks,
+                        );
+                    }
+                }
+                timing.refine += t_ref.elapsed();
+                // A helper that has not caught up yet still holds the section;
+                // the next load then fills a fresh buffer.
+                spare = Arc::try_unwrap(job)
+                    .map(|job| job.section)
+                    .unwrap_or_default();
             }
-            timing.refine += t_ref.elapsed();
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -1392,6 +1439,17 @@ struct GroupResult {
     cancelled: bool,
 }
 
+/// One resident section and the refinement work the batch has in it.
+struct SectionJob<'w> {
+    section: SectionBuf,
+    /// The section's `(query, range)` pairs, grouped by query.
+    work: &'w [(u32, u32)],
+    /// Each query's run of `work`: the unit a worker claims.
+    groups: Vec<(usize, usize)>,
+    /// Record index of the section's first record.
+    first: usize,
+}
+
 /// The distinct queries of a section's work list, which is grouped by query.
 fn distinct_queries(work: &[(u32, u32)]) -> impl Iterator<Item = usize> + '_ {
     let mut prev = u32::MAX;
@@ -1446,7 +1504,7 @@ mod tests {
     use super::*;
     use crate::distortion::IsotropicNormal;
     use crate::fingerprint::RecordBatch;
-    use crate::index::Refine;
+    use crate::index::{QueryResult, Refine};
     use crate::storage::{FaultPlan, FaultyStorage, MemStorage};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1749,8 +1807,8 @@ mod tests {
         let disk = DiskIndex::open(&path).unwrap();
         // Budget forcing many sections: a few hundred records' worth.
         let budget = 400 * 44; // record_bytes for dims=4 is 32+4+4+4 = 44
-        let r = disk.pick_sections(budget).unwrap();
-        assert!(r > 0, "tight budget must split the curve");
+        let sections = disk.pack_sections(budget).unwrap().len() - 1;
+        assert!(sections > 1, "tight budget must split the curve");
         let model = IsotropicNormal::new(4, 15.0);
         let opts = StatQueryOpts::new(0.9, 8);
         let q: &[u8] = &[66, 77, 88, 99];
@@ -1796,7 +1854,7 @@ mod tests {
     #[test]
     fn threaded_refinement_matches_sequential() {
         let (_idx, path) = build_pair(3000);
-        let seq = DiskIndex::open(&path).unwrap();
+        let seq = DiskIndex::open(&path).unwrap().with_threads(1);
         let par = DiskIndex::open(&path).unwrap().with_threads(4);
         assert_eq!(par.threads(), 4);
         let model = IsotropicNormal::new(4, 14.0);
@@ -1826,6 +1884,178 @@ mod tests {
             assert_eq!(am, bm, "query {qi} match order must be identical");
             assert_eq!(a.stats[qi], b.stats[qi]);
         }
+    }
+
+    impl DiskIndex {
+        /// The section split before packing, kept as the oracle packed
+        /// sections are checked against: the smallest `r ≤ table_depth` whose
+        /// fullest of `2^r` regular curve intervals fits `mem_budget`.
+        fn pick_sections(&self, mem_budget: u64) -> Option<u32> {
+            let rb = self.record_bytes();
+            'outer: for r in 0..=self.table_depth {
+                let per = 1usize << (self.table_depth - r);
+                for s in 0..(1usize << r) {
+                    let a = self.table[s * per];
+                    let b = self.table[(s + 1) * per];
+                    if (b - a) * rb > mem_budget {
+                        continue 'outer;
+                    }
+                }
+                return Some(r);
+            }
+            None
+        }
+
+        /// The slot bounds of the oracle's `2^r` regular sections.
+        fn power_of_two_bounds(&self, mem_budget: u64) -> Vec<usize> {
+            let r = self.pick_sections(mem_budget).unwrap();
+            let per = 1usize << (self.table_depth - r);
+            (0..=1usize << r).map(|s| s * per).collect()
+        }
+    }
+
+    /// A corpus whose records crowd a few corners of the space, so the
+    /// densest slot is far fuller than the average one.
+    fn clustered_batch(n: usize) -> RecordBatch {
+        let uniform = synthetic_batch(4, n, 31);
+        let mut batch = RecordBatch::with_capacity(4, n);
+        for i in 0..n {
+            let fp: Vec<u8> = uniform
+                .fingerprint(i)
+                .iter()
+                .map(|&c| if i % 4 == 0 { c } else { 200 + c / 16 })
+                .collect();
+            batch.push(&fp, uniform.ids()[i], uniform.tcs()[i]);
+        }
+        batch
+    }
+
+    #[test]
+    fn pack_sections_invariants() {
+        let curve = HilbertCurve::new(4, 8).unwrap();
+        for (name, records) in [
+            ("uniform", synthetic_batch(4, 3000, 99)),
+            ("clustered", clustered_batch(3000)),
+        ] {
+            let idx = S3Index::build(curve.clone(), records);
+            for table_depth in [6, TABLE_DEPTH] {
+                let opts = WriteOpts {
+                    table_depth,
+                    sketch_bits: 0,
+                    ..WriteOpts::default()
+                };
+                let bytes = DiskIndex::encode_to_vec(&idx, opts).unwrap();
+                let disk = DiskIndex::open_storage(Box::new(MemStorage::new(bytes))).unwrap();
+                let rb = disk.record_bytes();
+                let data = disk.data_bytes();
+                let min = disk.min_section_bytes();
+                let slots = 1usize << disk.table_depth;
+                for budget in [min - 1, min, min + 1, 3 * min, data / 16, data / 3, data] {
+                    let case = format!("{name} depth {table_depth} budget {budget}");
+                    let bounds = match disk.pack_sections(budget) {
+                        Err(IndexError::BudgetTooSmall { .. }) => {
+                            assert!(budget < min, "{case}: refused a feasible budget");
+                            continue;
+                        }
+                        other => other.unwrap(),
+                    };
+                    assert!(budget >= min, "{case}: packed past a slot that cannot fit");
+                    assert_eq!((bounds[0], bounds[bounds.len() - 1]), (0, slots), "{case}");
+                    assert!(
+                        bounds.windows(2).all(|w| w[0] < w[1]),
+                        "{case}: not contiguous"
+                    );
+                    for w in bounds.windows(2) {
+                        let (a, b) = disk.section_entries(&(w[0]..w[1]));
+                        assert!((b - a) * rb <= budget, "{case}: section over budget");
+                    }
+                    let sections = bounds.len() as u64 - 1;
+                    assert!(
+                        sections <= (2 * data.div_ceil(budget)).max(1),
+                        "{case}: {sections} sections"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Packed sections against the `2^r` oracle and against the in-memory
+    /// index, for budgets from the smallest possible to the whole file, on
+    /// 1, 2 and 4 threads, sketch on and off: matches identical in the same
+    /// order. The counters are identical except the two that count pieces
+    /// of the partition: `ranges_scanned` (range-and-section pieces) and
+    /// `sketch_skipped` (sections).
+    #[test]
+    fn packed_sections_answer_as_the_oracle_and_the_index() {
+        let curve = HilbertCurve::new(4, 8).unwrap();
+        let idx = S3Index::build(curve, clustered_batch(3000));
+        let path = tmpfile("packed");
+        DiskIndex::write(&idx, &path).unwrap();
+        let file_len = std::fs::metadata(&path).unwrap().len();
+        let model = IsotropicNormal::new(4, 12.0);
+        let queries: Vec<Vec<u8>> = (0..24)
+            .map(|i| idx.records().fingerprint(i * 113).to_vec())
+            .chain((0..8u8).map(|i| vec![i * 30, 255 - i * 17, 40 + i, 128]))
+            .collect();
+        let qrefs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
+        let partition_free = |st: &QueryStats| QueryStats {
+            ranges_scanned: 0,
+            sketch_skipped: 0,
+            ..*st
+        };
+        let mut skips = 0;
+        for sketch in [true, false] {
+            let mut opts = StatQueryOpts::new(0.9, 10);
+            opts.sketch = sketch;
+            let want: Vec<QueryResult> = qrefs
+                .iter()
+                .map(|q| idx.stat_query(q, &model, &opts))
+                .collect();
+            let probe = DiskIndex::open(&path).unwrap();
+            assert!(probe.sketch().is_some());
+            for budget in [probe.min_section_bytes(), file_len / 16, file_len] {
+                let mut sequential: Option<BatchResult> = None;
+                for threads in [1, 2, 4] {
+                    let case = format!("sketch {sketch} budget {budget} threads {threads}");
+                    let disk = DiskIndex::open(&path).unwrap().with_threads(threads);
+                    let packed = disk
+                        .stat_query_batch(&qrefs, &model, &opts, budget)
+                        .unwrap();
+                    let plan =
+                        Plan::stat(&disk.curve, &qrefs, &model, &opts, threads, None).unwrap();
+                    let bounds = disk.power_of_two_bounds(budget);
+                    let scan = disk.scan_sections(&plan, &bounds, None).unwrap();
+                    let oracle = plan.finish(scan, disk.n, None, None);
+                    assert!(packed.sections <= oracle.sections, "{case}");
+                    for (qi, want) in want.iter().enumerate() {
+                        for (got, engine) in [(&packed, "packed"), (&oracle, "2^r")] {
+                            assert_eq!(got.matches[qi], want.matches, "{case} {engine} q{qi}");
+                            assert_eq!(
+                                partition_free(&got.stats[qi]),
+                                partition_free(&want.stats),
+                                "{case} {engine} q{qi}"
+                            );
+                        }
+                    }
+                    skips += packed.timing.sketch_skips + oracle.timing.sketch_skips;
+                    if !sketch {
+                        assert_eq!(packed.timing.sketch_skips + oracle.timing.sketch_skips, 0);
+                    }
+                    // Threads never change an answer or a counter.
+                    match &sequential {
+                        None => sequential = Some(packed),
+                        Some(seq) => {
+                            assert_eq!(packed.matches, seq.matches, "{case}");
+                            assert_eq!(packed.stats, seq.stats, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            skips > 0,
+            "the sketch never skipped: the sketch-on half is vacuous"
+        );
     }
 
     #[test]

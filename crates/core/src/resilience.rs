@@ -367,9 +367,9 @@ struct BreakerState {
 
 /// Per-section circuit breakers over a shared clock.
 ///
-/// Sections are keyed by the first fine-resolution table slot they cover,
-/// so the same physical region keeps its breaker across batches even when
-/// different memory budgets pick different section splits.
+/// Sections are keyed by the first table slot they cover, so the same
+/// physical region keeps its breaker across batches whenever a section
+/// starts there, whatever memory budget packed it.
 #[derive(Debug)]
 pub struct SectionBreakers {
     cfg: BreakerConfig,

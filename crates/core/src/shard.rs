@@ -36,6 +36,7 @@ use crate::error::IndexError;
 use crate::fingerprint::RecordBatch;
 use crate::index::{S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
+use crate::parallel::default_threads;
 use crate::plan::{query_scope, Plan, Scan, Scatter};
 use crate::pseudo_disk::{BatchResult, DiskIndex, RetryPolicy, WriteOpts};
 use crate::resilience::{
@@ -530,10 +531,11 @@ impl ShardedIndex {
         let _scope = query_scope(ctx);
         let should_stop = || ctx.is_some_and(|c| c.should_stop());
 
-        // Stage 1 — run the database-independent filter ONCE per query.
-        // Every replica scans this exact plan, which is what makes the
-        // per-shard scans bit-identical to the single-node scan.
-        let plan = Plan::stat(&self.curve, queries, model, opts, ctx)?;
+        // Stage 1 — run the database-independent filter ONCE per query, the
+        // queries spread over every core. Every replica scans this exact
+        // plan, which is what makes the per-shard scans bit-identical to the
+        // single-node scan.
+        let plan = Plan::stat(&self.curve, queries, model, opts, default_threads(), ctx)?;
         let plan = &plan;
         let touches = |s: usize, qi: usize| {
             let ranges = &plan.per_query[qi].ranges;
