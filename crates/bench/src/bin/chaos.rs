@@ -26,7 +26,8 @@
 //! `shard_split_brain`) add the distribution-level invariants: a lost shard
 //! is accounted per affected query and never silently dropped, slow and
 //! flaky replicas are absorbed by hedging/failover with bit-identical
-//! answers, and a stale sketch sidecar offered to a replica fails open.
+//! answers, and a sketch of the unsharded index offered to a replica is
+//! refused.
 //!
 //! Usage: `chaos [--scale quick|full]`. Writes `results/CHAOS.json`
 //! (`version: 2` of the schema, with the shard scenarios included) and
@@ -37,7 +38,7 @@ use s3_core::pseudo_disk::{DiskIndex, RetryPolicy, WriteOpts};
 use s3_core::{
     Clock, CoreMetrics, FaultPlan, FaultyStorage, HedgeConfig, IsotropicNormal, Match, MemStorage,
     MockClock, QueryCtx, RecordBatch, S3Index, ShardPlan, ShardedBatchResult, ShardedIndex,
-    ShardedOptions, Sketch, StatQueryOpts, Storage, TimeSource,
+    ShardedOptions, Sketch, SketchParams, StatQueryOpts, Storage, TimeSource,
 };
 use s3_hilbert::HilbertCurve;
 use s3_obs::JsonWriter;
@@ -69,8 +70,8 @@ struct RunReport {
 #[derive(Clone)]
 struct Workload {
     bytes: Vec<u8>,
-    /// Serialized sketch sidecar for `bytes` (S3SKCH01).
-    sketch: Vec<u8>,
+    /// The section sketch of `bytes`, built from the opened index.
+    sketch: Sketch,
     queries: Vec<Vec<u8>>,
     baseline: Vec<Vec<Match>>,
 }
@@ -89,21 +90,14 @@ fn build_workload(n_records: usize, n_queries: usize) -> Workload {
         batch.push(&fp, (i % 7) as u32, i as u32);
     }
     let index = S3Index::build(HilbertCurve::new(DIMS, 8).unwrap(), batch);
-    let path = std::env::temp_dir().join(format!("s3-chaos-{}.idx", std::process::id()));
-    DiskIndex::write_with(
+    let bytes = DiskIndex::encode_to_vec(
         &index,
-        &path,
         WriteOpts {
             table_depth: TABLE_DEPTH,
             block_size: BLOCK_SIZE,
-            sketch_bits: 8,
         },
     )
     .unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    let sketch = std::fs::read(Sketch::sidecar_path(&path)).unwrap();
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(Sketch::sidecar_path(&path));
 
     let step = (n_records / n_queries).max(1);
     let queries: Vec<Vec<u8>> = (0..n_queries)
@@ -111,6 +105,7 @@ fn build_workload(n_records: usize, n_queries: usize) -> Workload {
         .collect();
     let qrefs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
     let clean = DiskIndex::open_storage(Box::new(MemStorage::new(bytes.clone()))).unwrap();
+    let sketch = clean.build_sketch(SketchParams::default()).unwrap();
     let baseline = clean
         .stat_query_batch(&qrefs, &model(), &opts(), MEM_BUDGET)
         .unwrap()
@@ -442,12 +437,11 @@ fn scenario_mixed(wl: Workload, seed: u64) -> RunReport {
     }
 }
 
-/// The sketch prefilter under chaos, three sub-scenarios in one run:
-/// a corrupted sidecar must fail open (no attach, answers untouched); a
-/// valid sketch over clean storage must skip sections while staying
-/// bit-identical to the sketch-less baseline; and a valid sketch over
-/// faulty main storage must keep every resilience invariant — the sketch
-/// may only ever remove true-negative section loads, never flip an answer.
+/// The sketch prefilter under chaos, two sub-scenarios in one run: a
+/// sketch over clean storage must skip sections while staying
+/// bit-identical to the sketch-less baseline; and a sketch over faulty
+/// storage must keep every resilience invariant — the sketch may only ever
+/// remove true-negative section loads, never flip an answer.
 fn scenario_sketch(wl: Workload, seed: u64) -> RunReport {
     let mut violations = Vec::new();
     let qrefs: Vec<&[u8]> = wl.queries.iter().map(|q| q.as_slice()).collect();
@@ -461,34 +455,10 @@ fn scenario_sketch(wl: Workload, seed: u64) -> RunReport {
         .stat_query_batch(&qrefs, &model(), &opts(), sketch_budget)
         .unwrap();
 
-    // (a) Corrupt sidecar: every read of it is bit-flipped. Attach must
-    // decline and the index must answer exactly as without a sketch.
+    // (a) Clean storage: bit-identical, with skips firing.
     let mut disk = DiskIndex::open_storage(Box::new(MemStorage::new(wl.bytes.clone()))).unwrap();
-    let bad_sidecar = FaultyStorage::new(
-        MemStorage::new(wl.sketch.clone()),
-        FaultPlan {
-            seed,
-            bit_flip: 1.0,
-            ..FaultPlan::default()
-        },
-    );
-    if disk.attach_sketch_storage(&bad_sidecar) {
-        violations.push("corrupt sidecar attached instead of failing open".into());
-    }
-    let batch = disk
-        .stat_query_batch(&qrefs, &model(), &opts(), sketch_budget)
-        .unwrap();
-    if batch.matches != baseline.matches {
-        violations.push("answers changed after a declined sidecar".into());
-    }
-    if batch.timing.sketch_skips != 0 {
-        violations.push("sections skipped without an attached sketch".into());
-    }
-
-    // (b) Valid sketch, clean storage: bit-identical, with skips firing.
-    let mut disk = DiskIndex::open_storage(Box::new(MemStorage::new(wl.bytes.clone()))).unwrap();
-    if !disk.attach_sketch(Sketch::decode(&wl.sketch).unwrap()) {
-        violations.push("valid sidecar refused to attach".into());
+    if !disk.attach_sketch(wl.sketch.clone()) {
+        violations.push("the index's own sketch refused to attach".into());
     }
     let sketched = disk
         .stat_query_batch(&qrefs, &model(), &opts(), sketch_budget)
@@ -512,8 +482,8 @@ fn scenario_sketch(wl: Workload, seed: u64) -> RunReport {
         violations.push("sketch skips must never count as degradation".into());
     }
 
-    // (c) Valid sketch over faulty main storage: transient corruption is
-    // retried away to the exact baseline, invariants intact.
+    // (b) Faulty storage: transient corruption is retried away to the
+    // exact baseline, invariants intact.
     let fs = Arc::new(FaultyStorage::new(
         MemStorage::new(wl.bytes.clone()),
         FaultPlan {
@@ -527,8 +497,8 @@ fn scenario_sketch(wl: Workload, seed: u64) -> RunReport {
     let mut disk = DiskIndex::open_storage(Box::new(Arc::clone(&fs)))
         .unwrap()
         .with_retry_policy(no_backoff(10));
-    if !disk.attach_sketch(Sketch::decode(&wl.sketch).unwrap()) {
-        violations.push("valid sidecar refused to attach over faulty storage".into());
+    if !disk.attach_sketch(wl.sketch.clone()) {
+        violations.push("the index's own sketch refused to attach over faulty storage".into());
     }
     let faulted = disk
         .stat_query_batch(&qrefs, &model(), &opts(), sketch_budget)
@@ -569,7 +539,6 @@ fn shard_write_opts() -> WriteOpts {
     WriteOpts {
         table_depth: TABLE_DEPTH,
         block_size: BLOCK_SIZE,
-        sketch_bits: 0,
     }
 }
 
@@ -798,9 +767,9 @@ fn scenario_shard_flaky(wl: Workload, seed: u64) -> RunReport {
     }
 }
 
-/// Split brain via a stale sidecar: a replica is offered the sketch of the
-/// FULL index (a different file, different meta binding). The attach must
-/// fail open — a sketch bound to other data could silently drop true
+/// Split brain via a stale sketch: a replica is offered the sketch of the
+/// FULL index (different records, different meta binding). The attach must
+/// be refused — a sketch bound to other data could silently drop true
 /// positives, the one failure mode the prefilter is never allowed.
 fn scenario_shard_split_brain(wl: Workload, seed: u64) -> RunReport {
     let index = rebuild_index(&wl);
@@ -823,21 +792,20 @@ fn scenario_shard_split_brain(wl: Workload, seed: u64) -> RunReport {
     )
     .unwrap();
     let mut violations = Vec::new();
-    // The stale sidecar belongs to the unsharded index file; every shard
-    // file has a different record set, so every replica must refuse it.
-    let stale = MemStorage::new(wl.sketch.clone());
-    let attached = sharded.replica_mut(0, 0).attach_sketch_storage(&stale);
+    // The stale sketch belongs to the unsharded index; every shard file
+    // has a different record set, so every replica must refuse it.
+    let attached = sharded.replica_mut(0, 0).attach_sketch(wl.sketch.clone());
     if attached {
-        violations.push("replica accepted a sidecar built for different data".into());
+        violations.push("replica accepted a sketch built for different data".into());
     }
     let qrefs: Vec<&[u8]> = wl.queries.iter().map(|q| q.as_slice()).collect();
     let got = sharded.stat_query_batch(&qrefs, &model(), &opts()).unwrap();
     check_shard_flags_and_identity(&got, &wl, &mut violations);
     if got.batch.matches != wl.baseline {
-        violations.push("stale-sidecar run differs from the fault-free baseline".into());
+        violations.push("stale-sketch run differs from the fault-free baseline".into());
     }
     if got.batch.timing.sketch_skips != 0 {
-        violations.push("a declined sidecar must never skip section loads".into());
+        violations.push("a refused sketch must never skip section loads".into());
     }
     RunReport {
         scenario: "shard_split_brain",

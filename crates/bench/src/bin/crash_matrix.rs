@@ -47,7 +47,6 @@ fn opts() -> DurableOptions {
         write_opts: WriteOpts {
             table_depth: 8,
             block_size: 128,
-            sketch_bits: 0,
         },
         ..DurableOptions::default()
     }

@@ -15,9 +15,7 @@ use crate::report::{Experiment, Scale, Series};
 use crate::timing::mean_time;
 use crate::workload::{distorted_queries, extracted_pool, FingerprintSampler};
 use s3_core::pseudo_disk::{DiskIndex, WriteOpts};
-use s3_core::{
-    IsotropicNormal, MemStorage, Refine, S3Index, SketchParams, StatQueryOpts, DEFAULT_SKETCH_BITS,
-};
+use s3_core::{IsotropicNormal, MemStorage, Refine, S3Index, StatQueryOpts};
 use s3_hilbert::HilbertCurve;
 use s3_stats::NormDistribution;
 use s3_video::FINGERPRINT_DIMS;
@@ -81,16 +79,9 @@ pub fn run(scale: Scale) -> Experiment {
         });
 
         // Pseudo-disk batched search at a constrained memory budget, over
-        // the bytes (and sketch) a written index file holds.
+        // the bytes a written index file holds.
         let bytes = DiskIndex::encode_to_vec(&index, WriteOpts::default()).expect("encode");
-        let mut disk = DiskIndex::open_storage(Box::new(MemStorage::new(bytes))).expect("open");
-        let sketch = disk
-            .build_sketch(SketchParams {
-                bits_per_entry: DEFAULT_SKETCH_BITS,
-                depth: 0,
-            })
-            .expect("sketch");
-        disk.attach_sketch(sketch);
+        let disk = DiskIndex::open_storage(Box::new(MemStorage::new(bytes))).expect("open");
         let qrefs: Vec<&[u8]> = queries.iter().map(|dq| dq.query.as_slice()).collect();
         let batch_res = disk
             .stat_query_batch(&qrefs, &model, &opts, mem_budget)

@@ -11,7 +11,7 @@ use crate::spatial::{vote_spatial, SpatialCandidateVotes, SpatialDetection, Spat
 use crate::voting::{vote, CandidateVotes, Detection, VoteParams};
 use s3_core::{
     autotune, next_query_id, parallel, system_clock, IsotropicNormal, QueryCtx, QueryResult,
-    QueryStats, ShardedIndex, StatQueryOpts,
+    StatQueryOpts,
 };
 use s3_video::{extract_fingerprints, LocalFingerprint, VideoSource};
 use std::time::Duration;
@@ -23,11 +23,7 @@ pub struct DetectorConfig {
     pub sigma: f64,
     /// Statistical query options (α, depth, refinement, budget). A depth
     /// of 0 (the default) has [`Detector::new`] learn `p_min` from the
-    /// database, σ and α; any other value is used as given. The
-    /// `sketch` flag (on by default) lets disk-backed searches consult the
-    /// per-section Bloom sketch before each section load; results are
-    /// bit-identical either way, only I/O differs. Disable it to measure
-    /// raw section-load behaviour (the CLI exposes this as `--no-sketch`).
+    /// database, σ and α; any other value is used as given.
     pub query: StatQueryOpts,
     /// Voting parameters (Tukey constant, tolerance, decision threshold).
     pub vote: VoteParams,
@@ -64,29 +60,15 @@ impl Default for DetectorConfig {
     }
 }
 
-/// Degradation summary of one search batch: non-zero only when some queries
-/// were answered incompletely — from a partial index, past a deadline, or
-/// both.
+/// Degradation summary of one search batch: non-zero only when a deadline
+/// stopped some queries before they finished. The search runs over the
+/// in-memory reference index, so no query loses a section or a shard.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchHealth {
-    /// Queries answered incompletely, for any reason.
+    /// Queries answered incompletely.
     pub degraded_queries: usize,
-    /// Of those, queries stopped by a deadline or cancellation — a policy
-    /// outcome, not a fault.
+    /// Of those, queries stopped by a deadline or cancellation.
     pub cancelled_queries: usize,
-    /// Queries degraded by storage faults alone (degraded but not
-    /// cancelled) — what strict mode treats as a hard error.
-    pub fault_degraded_queries: usize,
-    /// Section loads abandoned, summed over the degraded queries.
-    pub sections_skipped: usize,
-    /// Section loads the sketch prefilter proved unnecessary, summed over
-    /// all queries. Informational, not a degradation: these sections
-    /// provably held no candidates, so skipping them changes no result.
-    pub sketch_skipped: usize,
-    /// Sharded backend only: shard losses summed over the degraded queries
-    /// (each lost shard counts once per query that needed it). Non-zero
-    /// means whole key ranges were unavailable, not just single sections.
-    pub shard_skips: usize,
 }
 
 impl SearchHealth {
@@ -94,13 +76,6 @@ impl SearchHealth {
         SearchHealth {
             degraded_queries: results.iter().filter(|r| r.stats.degraded).count(),
             cancelled_queries: results.iter().filter(|r| r.stats.cancelled).count(),
-            fault_degraded_queries: results
-                .iter()
-                .filter(|r| r.stats.degraded && !r.stats.cancelled)
-                .count(),
-            sections_skipped: results.iter().map(|r| r.stats.sections_skipped).sum(),
-            sketch_skipped: results.iter().map(|r| r.stats.sketch_skipped).sum(),
-            shard_skips: results.iter().map(|r| r.stats.shard_skips as usize).sum(),
         }
     }
 }
@@ -161,7 +136,6 @@ pub struct Detector<'a> {
     db: &'a ReferenceDb,
     model: IsotropicNormal,
     config: DetectorConfig,
-    sharded: Option<ShardedIndex>,
 }
 
 impl<'a> Detector<'a> {
@@ -183,30 +157,7 @@ impl<'a> Detector<'a> {
                 s3_stats::NormDistribution::new(s3_video::FINGERPRINT_DIMS as u32, config.sigma);
             config.query.refine = s3_core::Refine::Range(law.quantile(q));
         }
-        Detector {
-            db,
-            model,
-            config,
-            sharded: None,
-        }
-    }
-
-    /// Routes the search stage through a sharded scatter-gather backend
-    /// instead of the in-memory reference index.
-    ///
-    /// The shard plan must cover the same records in the same global order
-    /// as `db.index()` (build it with [`s3_core::ShardPlan::balanced`] over
-    /// that index): match indexes coming back from the shards are global, so
-    /// id/time-code lookup and spatial position lookup work unchanged.
-    #[must_use]
-    pub fn with_shard_backend(mut self, sharded: ShardedIndex) -> Self {
-        self.sharded = Some(sharded);
-        self
-    }
-
-    /// The sharded backend, when one was attached.
-    pub fn shard_backend(&self) -> Option<&ShardedIndex> {
-        self.sharded.as_ref()
+        Detector { db, model, config }
     }
 
     /// The configuration in use.
@@ -251,12 +202,11 @@ impl<'a> Detector<'a> {
     }
 
     /// The search stage, as every entry point above runs it: one batch of
-    /// statistical queries — over the in-memory index across
-    /// [`DetectorConfig::threads`], or through the shard backend — under
-    /// [`DetectorConfig::deadline`] when one is set. The [`Search`] reports
-    /// degradation — partial answers from a faulty index or a hit deadline —
-    /// so callers can surface a degraded verdict instead of silently
-    /// presenting partial detections as complete. With `explain`, every
+    /// statistical queries over the in-memory index across
+    /// [`DetectorConfig::threads`], under [`DetectorConfig::deadline`] when
+    /// one is set. The [`Search`] reports degradation — partial answers
+    /// past a hit deadline — so callers can surface a degraded verdict
+    /// instead of silently presenting partial detections as complete. With `explain`, every
     /// result also carries its EXPLAIN report; the search itself is the
     /// same.
     pub fn search(&self, fps: &[LocalFingerprint], explain: bool) -> Search {
@@ -275,68 +225,17 @@ impl<'a> Detector<'a> {
             (None, false) => None,
         }
         .map(|ctx| if explain { ctx.explain() } else { ctx });
-        let results = match &self.sharded {
-            Some(sharded) => self.run_search_sharded(sharded, &queries, ctx.as_ref()),
-            None => parallel::stat_query_batch(
-                self.db.index(),
-                &queries,
-                &self.model,
-                &self.config.query,
-                self.config.threads,
-                ctx.as_ref(),
-            ),
-        };
+        let results = parallel::stat_query_batch(
+            self.db.index(),
+            &queries,
+            &self.model,
+            &self.config.query,
+            self.config.threads,
+            ctx.as_ref(),
+        );
         let health = SearchHealth::of(&results);
         sp.record("degraded_queries", health.degraded_queries as f64);
         Search { results, health }
-    }
-
-    /// The scatter-gather variant of the search stage. A non-strict backend
-    /// degrades instead of erroring; if the backend does error (strict mode,
-    /// or a malformed query), the batch comes back empty and degraded rather
-    /// than panicking — the health report carries the verdict.
-    fn run_search_sharded(
-        &self,
-        sharded: &ShardedIndex,
-        queries: &[&[u8]],
-        ctx: Option<&QueryCtx>,
-    ) -> Vec<QueryResult> {
-        let res = match ctx {
-            Some(ctx) => {
-                sharded.stat_query_batch_ctx(queries, &self.model, &self.config.query, ctx)
-            }
-            None => sharded.stat_query_batch(queries, &self.model, &self.config.query),
-        };
-        match res {
-            Ok(got) => {
-                let mut reports = got.batch.reports.into_iter();
-                got.batch
-                    .matches
-                    .into_iter()
-                    .zip(got.batch.stats)
-                    .map(|(matches, stats)| QueryResult {
-                        matches,
-                        stats,
-                        explain: reports.next(),
-                    })
-                    .collect()
-            }
-            Err(e) => {
-                s3_obs::event::warn("detect.shard", &format!("sharded search failed: {e}"));
-                queries
-                    .iter()
-                    .map(|_| QueryResult {
-                        matches: Vec::new(),
-                        stats: QueryStats {
-                            degraded: true,
-                            shard_skips: 1,
-                            ..QueryStats::default()
-                        },
-                        explain: None,
-                    })
-                    .collect()
-            }
-        }
     }
 }
 
@@ -455,58 +354,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backend_matches_in_memory() {
-        let db = build_db(4);
-        let copy = ProceduralVideo::new(96, 72, 80, 1002);
-        let fps = s3_video::extract_fingerprints(&copy, db.extractor_params());
-        let plain = Detector::new(&db, config());
-        let want = plain.search(&fps, false);
-        let sharded = ShardedIndex::build_mem(
-            db.index(),
-            3,
-            2,
-            s3_core::pseudo_disk::WriteOpts::default(),
-            s3_core::ShardedOptions::default(),
-        )
-        .unwrap();
-        let det = Detector::new(&db, config()).with_shard_backend(sharded);
-        assert!(det.shard_backend().is_some());
-        let got = det.search(&fps, false);
-        assert_eq!(want.health, SearchHealth::default());
-        assert_eq!(got.health, SearchHealth::default());
-        assert_eq!(
-            vote(&got.votes(&fps), &config().vote),
-            vote(&want.votes(&fps), &config().vote),
-            "scatter-gather must reproduce the verdict"
-        );
-    }
-
-    #[test]
     fn explain_rides_the_same_search() {
         // EXPLAIN is the search stage itself, asked for its reports: same
-        // matches and counters on every backend and thread count, one
-        // reconciling report per fingerprint, shard rows under shards.
+        // matches and counters on every thread count, one reconciling
+        // report per fingerprint and no shard rows.
         let db = build_db(3);
         let copy = ProceduralVideo::new(96, 72, 80, 1001);
         let fps = s3_video::extract_fingerprints(&copy, db.extractor_params());
-        let sharded = ShardedIndex::build_mem(
-            db.index(),
-            3,
-            2,
-            s3_core::pseudo_disk::WriteOpts::default(),
-            s3_core::ShardedOptions::default(),
-        )
-        .unwrap();
         let mut threaded = config();
         threaded.threads = 4;
-        for (det, sharded) in [
-            (Detector::new(&db, config()), false),
-            (Detector::new(&db, threaded), false),
-            (
-                Detector::new(&db, config()).with_shard_backend(sharded),
-                true,
-            ),
-        ] {
+        for det in [Detector::new(&db, config()), Detector::new(&db, threaded)] {
             let plain = det.search(&fps, false);
             let explained = det.search(&fps, true);
             assert_eq!(explained.health, plain.health);
@@ -515,7 +372,7 @@ mod tests {
                 assert_eq!((&a.matches, &a.stats), (&b.matches, &b.stats));
                 let rep = b.explain.as_ref().expect("asked for");
                 assert!(rep.reconciles() && !rep.degraded(), "{}", rep.to_text());
-                assert_eq!(rep.shards.is_empty(), !sharded);
+                assert!(rep.shards.is_empty());
             }
         }
     }

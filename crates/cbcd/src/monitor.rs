@@ -36,14 +36,6 @@ pub enum MonitorError {
         /// The offending time-code.
         got: u32,
     },
-    /// The search stage answered from a degraded (partially unreadable)
-    /// index.
-    Degraded {
-        /// Queries answered without all their sections.
-        degraded_queries: usize,
-        /// Section loads abandoned, summed over those queries.
-        sections_skipped: usize,
-    },
 }
 
 impl fmt::Display for MonitorError {
@@ -52,14 +44,6 @@ impl fmt::Display for MonitorError {
             MonitorError::OutOfOrder { last_tc, got } => write!(
                 f,
                 "candidate time-code stepped backwards: {got} after {last_tc}"
-            ),
-            MonitorError::Degraded {
-                degraded_queries,
-                sections_skipped,
-            } => write!(
-                f,
-                "search degraded: {degraded_queries} queries missing \
-                 {sections_skipped} index sections"
             ),
         }
     }
@@ -75,10 +59,8 @@ pub struct HealthReport {
     pub accepted: usize,
     /// Fingerprints skipped for stepping backwards in time.
     pub out_of_order_skipped: usize,
-    /// Searches answered from a degraded (partially unreadable) index.
+    /// Searches a deadline stopped before they finished (partial answers).
     pub degraded_queries: usize,
-    /// Index sections lost to those searches, summed.
-    pub sections_skipped: usize,
 }
 
 impl HealthReport {
@@ -204,10 +186,11 @@ impl<'a> Monitor<'a> {
     /// Searches run immediately; voting runs whenever the window fills.
     ///
     /// Time-codes stepping backwards (dropped or re-synced capture) are
-    /// skipped and counted in the [`HealthReport`], as are searches the
-    /// index could only answer partially — unless [`MonitorParams::strict`]
-    /// is set, in which case either condition aborts with a
-    /// [`MonitorError`] before any of the chunk is consumed.
+    /// skipped and counted in the [`HealthReport`] — unless
+    /// [`MonitorParams::strict`] is set, in which case they abort with a
+    /// [`MonitorError`] before any of the chunk is consumed. Searches a
+    /// deadline stopped are counted either way: a hit deadline is a policy
+    /// outcome, flagged in the report, never an error.
     pub fn push(&mut self, fps: &[LocalFingerprint]) -> Result<(), MonitorError> {
         let health_before = self.health;
         let mut accepted: Vec<LocalFingerprint> = Vec::with_capacity(fps.len());
@@ -237,22 +220,7 @@ impl<'a> Monitor<'a> {
         let fps = accepted.as_slice();
         let t0 = Instant::now();
         let search = self.detector.search(fps, false);
-        let search_health = search.health;
-        if search_health.degraded_queries > 0 {
-            // Strict mode treats fault degradation (unreadable sections) as
-            // a hard error; a hit deadline is a policy outcome and yields
-            // flagged partial results even under strict — loudly, via the
-            // health report, never silently.
-            if self.params.strict && search_health.fault_degraded_queries > 0 {
-                self.busy += t0.elapsed();
-                return Err(MonitorError::Degraded {
-                    degraded_queries: search_health.degraded_queries,
-                    sections_skipped: search_health.sections_skipped,
-                });
-            }
-            self.health.degraded_queries += search_health.degraded_queries;
-            self.health.sections_skipped += search_health.sections_skipped;
-        }
+        self.health.degraded_queries += search.health.degraded_queries;
         for cv in search.spatial_votes(fps, self.detector.db()) {
             self.stats_fingerprints += 1;
             self.first_tc.get_or_insert(cv.tc);

@@ -1,8 +1,8 @@
 //! Shared `--fault` / `--fault-seed` flag handling.
 //!
 //! One named scenario → one seeded [`FaultPlan`], used identically by
-//! `watch`, `query` and `detect` so a degraded run reproduces from its
-//! command line alone. Probabilities and stall cadence are fixed per
+//! `watch` and `query` so a degraded run reproduces from its command line
+//! alone. Probabilities and stall cadence are fixed per
 //! scenario; only the seed varies.
 
 use crate::args::Args;
@@ -48,13 +48,4 @@ pub fn fault_plan(name: &str, seed: u64) -> Result<Option<FaultPlan>, String> {
 pub fn from_args(a: &Args, fallback_seed: u64) -> Result<Option<FaultPlan>, String> {
     let seed: u64 = a.get_parsed("fault-seed", fallback_seed)?;
     fault_plan(a.get("fault").unwrap_or("none"), seed)
-}
-
-/// Derives a replica-distinct variant of a plan so each shard replica
-/// fails independently (same scenario, decorrelated schedule).
-pub fn replica_plan(base: &FaultPlan, shard: usize, replica: usize) -> FaultPlan {
-    FaultPlan {
-        seed: base.seed ^ ((shard as u64 + 1) << 32) ^ ((replica as u64 + 1) << 16),
-        ..base.clone()
-    }
 }

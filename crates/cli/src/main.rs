@@ -31,11 +31,10 @@ use s3_cbcd::{
 };
 use s3_core::autotune::{self, RecordCounts};
 use s3_core::parallel::default_threads;
-use s3_core::pseudo_disk::{DiskIndex, RetryPolicy, WriteOpts};
+use s3_core::pseudo_disk::{DiskIndex, RetryPolicy};
 use s3_core::{
-    system_clock, FaultPlan, FaultyStorage, FileStorage, HedgeConfig, IsotropicNormal, MemStorage,
-    QueryCtx, RecordBatch, S3Index, ShardPlan, ShardedIndex, ShardedOptions, StatQueryOpts,
-    Storage,
+    system_clock, FaultyStorage, FileStorage, IndexError, IsotropicNormal, QueryCtx, RecordBatch,
+    S3Index, StatQueryOpts, Storage,
 };
 use s3_hilbert::HilbertCurve;
 use s3_video::{
@@ -95,30 +94,18 @@ const USAGE: &str = "s3cbcd — Statistical Similarity Search video copy detecti
 
 USAGE:
   s3cbcd build <index-file> [video.y4m ...] [--videos N] [--frames N] [--seed S]
-                [--sketch-bits B]
       Fingerprint videos (given .y4m files, or a synthetic library) and
-      write a pseudo-disk index. A section-sketch sidecar (<file>.skch) is
-      written alongside it with B bits per occupied curve cell (default 8;
-      0 writes no sidecar).
+      write a pseudo-disk index: one file, nothing beside it.
   s3cbcd info <index-file>
       Print header information of an index file.
   s3cbcd query <index-file> [--alpha A] [--sigma S] [--queries N] [--mem MB]
-                [--depth P] [--strict] [--explain] [--no-sketch]
-                [--telemetry-dir DIR] [--shards N] [--replicas R] [--no-hedge]
+                [--depth P] [--strict] [--explain] [--telemetry-dir DIR]
       Run distorted self-queries through the pseudo-disk engine and report
       retrieval rate and timing. Without --depth the partition depth is
       learned on the batch's own first queries, from filter and record
       counts (printed as `depth p : P (learned)`). By default unreadable
       index sections are retried then skipped (degraded results); --strict
-      makes that a hard error instead. When the index has a sketch
-      sidecar, sections the sketch proves empty are skipped without I/O
-      (results are bit-identical); --no-sketch disables the prefilter.
-      --shards N re-slices the index into N contiguous key ranges served by
-      R in-memory replicas each (default 2) through the scatter-gather
-      engine: clean runs are bit-identical to single-node, replica faults
-      fail over, slow primaries get hedged backup reads (--no-hedge
-      disables hedging), and a shard losing every replica degrades only
-      the queries that needed it (--strict errors instead).
+      makes that a hard error instead.
       --telemetry-dir DIR persists one windowed-rate frame covering the
       batch into the embedded time-series store under DIR and captures
       every degraded query's EXPLAIN into the slow-query log there;
@@ -129,18 +116,15 @@ USAGE:
       what refinement actually scanned and matched per block, per-phase
       timings, and every degradation annotation.
   s3cbcd detect [ref.y4m ...] [--candidate FILE] [--videos N] [--frames N]
-                [--seed S] [--attack NAME] [--shards N] [--replicas R]
+                [--seed S] [--attack NAME]
       Build an in-memory reference DB (from .y4m files or a synthetic
       library), then detect a candidate: either --candidate FILE, or an
-      attacked copy of one reference. --shards N routes the search stage
-      through the scatter-gather engine (R replicas per shard, default 2);
-      detection verdicts are identical on clean runs.
+      attacked copy of one reference.
       Attacks: resize | shift | gamma | contrast | noise | combo
   s3cbcd monitor [--archive N] [--stream-frames N] [--seed S] [--strict]
       Monitor a synthetic broadcast with embedded copies; report events,
-      the real-time factor and a stream-health summary. --strict turns any
-      degradation (out-of-order input, skipped index sections) into a hard
-      error.
+      the real-time factor and a stream-health summary. --strict turns
+      out-of-order input into a hard error.
   s3cbcd metrics [--format table|json|prom] [--queries N]
       Run a small self-contained extract+index+query workload and print
       the populated metrics registry in the chosen exporter format.
@@ -192,12 +176,11 @@ USAGE:
       --trace-out <path>      capture all spans of the run and write them
                               as Chrome trace-event JSON (load the file in
                               Perfetto or chrome://tracing)
-      --fault <scenario>      inject seeded storage faults, as in `watch`:
-                              none | torn | stall | mixed. query applies
-                              them to the index file (or every shard
-                              replica under --shards); detect shards the
-                              search stage first (--shards defaults to 1
-                              when only --fault is given)
+
+  query also accepts:
+      --fault <scenario>      inject seeded storage faults into the index
+                              file, as in `watch`: none | torn | stall |
+                              mixed
       --fault-seed <S>        fault schedule seed (default: --seed), so a
                               degraded run reproduces exactly
 
@@ -263,12 +246,11 @@ fn print_explains<'a>(reports: impl ExactSizeIterator<Item = &'a s3_obs::Explain
 }
 
 fn cmd_build(rest: Vec<String>) -> Result<CmdStatus, String> {
-    let a = Args::parse(rest, &["videos", "frames", "seed", "sketch-bits"])?;
+    let a = Args::parse(rest, &["videos", "frames", "seed"])?;
     let path = a.positional(0).ok_or("build needs an output path")?;
     let n_videos: usize = a.get_parsed("videos", 8)?;
     let frames: usize = a.get_parsed("frames", 100)?;
     let seed: u64 = a.get_parsed("seed", 1)?;
-    let sketch_bits: u32 = a.get_parsed("sketch-bits", s3_core::DEFAULT_SKETCH_BITS)?;
 
     let params = ExtractorParams::default();
     let mut batch = RecordBatch::new(20);
@@ -298,27 +280,13 @@ fn cmd_build(rest: Vec<String>) -> Result<CmdStatus, String> {
     }
     eprintln!("indexing {} fingerprints ...", batch.len());
     let index = S3Index::build(HilbertCurve::paper(), batch);
-    let opts = WriteOpts {
-        sketch_bits,
-        ..WriteOpts::default()
-    };
-    DiskIndex::write_with(&index, path, opts).map_err(|e| e.to_string())?;
+    DiskIndex::write(&index, path).map_err(|e| e.to_string())?;
     let disk = DiskIndex::open(path).map_err(|e| e.to_string())?;
     println!(
         "wrote {path}: {} records, {} data bytes",
         index.len(),
         disk.data_bytes()
     );
-    match disk.sketch() {
-        Some(sk) => println!(
-            "sketch sidecar: {} bytes, {} cells at depth {} ({} bits/cell)",
-            sk.byte_size(),
-            sk.entries(),
-            sk.depth(),
-            sketch_bits
-        ),
-        None => println!("sketch sidecar: none"),
-    }
     Ok(CmdStatus::Clean)
 }
 
@@ -348,16 +316,6 @@ fn cmd_info(rest: Vec<String>) -> Result<CmdStatus, String> {
     };
     println!("axis order : {} ({kind})", order.join(" "));
     println!("data bytes : {}", disk.data_bytes());
-    match disk.sketch() {
-        Some(sk) => println!(
-            "sketch     : {} bytes, {} cells at depth {}, k={}",
-            sk.byte_size(),
-            sk.entries(),
-            sk.depth(),
-            sk.k()
-        ),
-        None => println!("sketch     : none"),
-    }
     Ok(CmdStatus::Clean)
 }
 
@@ -378,11 +336,9 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
             "trace-out",
             "fault",
             "fault-seed",
-            "shards",
-            "replicas",
             "telemetry-dir",
         ],
-        &["strict", "explain", "no-sketch", "no-hedge"],
+        &["strict", "explain"],
     )?;
     let explain = force_explain || a.has("explain");
     let trace = trace_setup(&a);
@@ -399,52 +355,16 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
     // even when they are not printed; the answers are the same either way.
     let telemetry = telemetry_setup(&a);
     let ctx = query_ctx(&a, explain || telemetry.is_some())?;
-    let fplan = faults::from_args(&a, seed)?;
-    let n_shards: usize = a.get_parsed("shards", 0)?;
-    if n_shards > 0 {
-        let setup = QuerySetup {
-            alpha,
-            sigma,
-            n_queries,
-            mem_mb,
-            seed,
-        };
-        let st = query_sharded(&a, explain, setup, &ctx, fplan, telemetry)?;
-        trace_write(trace)?;
-        if let Some(path) = metrics_json {
-            metrics::dump_json(&path)?;
-        }
-        return Ok(st);
-    }
-    // Single-node path. `--fault` wraps the base file in the same seeded
-    // fault-injecting storage the `watch` dashboard uses, so a degraded run
-    // reproduces from its command line alone.
-    let base_storage = || -> Result<Box<dyn Storage>, String> {
-        let file = FileStorage::open(path).map_err(|e| e.to_string())?;
-        Ok(match &fplan {
-            Some(p) => Box::new(FaultyStorage::new(file, p.clone())),
-            None => Box::new(file),
-        })
+    // `--fault` wraps the file in the same seeded fault-injecting storage
+    // the `watch` dashboard uses, so a degraded run reproduces from its
+    // command line alone.
+    let file = FileStorage::open(path).map_err(|e| IndexError::from(e).to_string())?;
+    let storage: Box<dyn Storage> = match faults::from_args(&a, seed)? {
+        Some(p) => Box::new(FaultyStorage::new(file, p)),
+        None => Box::new(file),
     };
-    // open_storage cannot see the sidecar path; attach it after the fact so
-    // wrapped opens get the same prefilter as direct opens (fail-open: a
-    // missing/bad sidecar just means no sketch).
-    let attach_sidecar = |d: &mut DiskIndex| {
-        let sidecar = s3_core::Sketch::sidecar_path(std::path::Path::new(path));
-        if sidecar.exists() {
-            if let Ok(st) = FileStorage::open(&sidecar) {
-                let _ = d.attach_sketch_storage(&st);
-            }
-        }
-    };
-    let disk = if fplan.is_some() {
-        let mut d = DiskIndex::open_storage(base_storage()?).map_err(|e| e.to_string())?;
-        attach_sidecar(&mut d);
-        d
-    } else {
-        DiskIndex::open(path).map_err(|e| e.to_string())?
-    };
-    let disk = disk
+    let disk = DiskIndex::open_storage(storage)
+        .map_err(|e| e.to_string())?
         .with_retry_policy(RetryPolicy {
             strict: a.has("strict"),
             ..RetryPolicy::default()
@@ -477,12 +397,6 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
         "sections           : {} ({} loaded, {} bytes)",
         batch.sections, batch.timing.sections_loaded, batch.timing.bytes_loaded
     );
-    if batch.timing.sketch_skips > 0 {
-        println!(
-            "sketch             : {} section load(s) skipped (proven empty, no I/O)",
-            batch.timing.sketch_skips
-        );
-    }
     println!(
         "filter/load/refine : {:?} / {:?} / {:?}",
         batch.timing.filter, batch.timing.load, batch.timing.refine
@@ -493,10 +407,9 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
     );
     if batch.timing.retries > 0 || batch.timing.degraded {
         println!(
-            "health             : {} retries, {} sections skipped ({} breaker){}{}",
+            "health             : {} retries, {} sections skipped{}{}",
             batch.timing.retries,
             batch.timing.sections_skipped,
-            batch.timing.breaker_skips,
             if batch.timing.deadline_hit {
                 " — deadline exceeded"
             } else {
@@ -533,10 +446,7 @@ fn batch_opts(
     alpha: f64,
     queries: &[&[u8]],
 ) -> Result<(StatQueryOpts, &'static str), String> {
-    let mut opts = StatQueryOpts {
-        sketch: !a.has("no-sketch"),
-        ..StatQueryOpts::new(alpha, 0)
-    };
+    let mut opts = StatQueryOpts::new(alpha, 0);
     let learned = a.get("depth").is_none();
     opts.depth = if learned {
         autotune::learn_depth_on(counts, model, &opts, queries).best_depth
@@ -572,167 +482,6 @@ fn synth_queries(n: usize, dims: usize, sigma: f64, seed: u64) -> Vec<Vec<u8>> {
                 .collect()
         })
         .collect()
-}
-
-/// Query parameters already resolved by `cmd_query`, handed to the sharded
-/// branch.
-struct QuerySetup {
-    alpha: f64,
-    sigma: f64,
-    n_queries: usize,
-    mem_mb: u64,
-    seed: u64,
-}
-
-/// Builds the per-shard replica storages for `--shards N --replicas R`: the
-/// index is re-sliced into shard files served from memory, each replica
-/// optionally behind its own decorrelated fault schedule.
-fn shard_storages(
-    index: &S3Index,
-    plan: &ShardPlan,
-    replicas: usize,
-    fplan: &Option<FaultPlan>,
-) -> Result<Vec<Vec<Box<dyn Storage>>>, String> {
-    let mut storages: Vec<Vec<Box<dyn Storage>>> = Vec::new();
-    for s_i in 0..plan.shards() {
-        let bytes = plan
-            .shard_bytes(index, s_i, WriteOpts::default())
-            .map_err(|e| e.to_string())?;
-        let mut reps: Vec<Box<dyn Storage>> = Vec::new();
-        for r_i in 0..replicas {
-            reps.push(match fplan {
-                Some(p) => Box::new(FaultyStorage::new(
-                    MemStorage::new(bytes.clone()),
-                    faults::replica_plan(p, s_i, r_i),
-                )),
-                None => Box::new(MemStorage::new(bytes.clone())),
-            });
-        }
-        storages.push(reps);
-    }
-    Ok(storages)
-}
-
-/// The `--shards N` branch of `query`/`explain`: re-shard the index file
-/// into N contiguous key ranges × R in-memory replicas and serve the batch
-/// through the scatter-gather engine, reporting per-shard accounting.
-fn query_sharded(
-    a: &Args,
-    explain: bool,
-    qs: QuerySetup,
-    ctx: &QueryCtx,
-    fplan: Option<FaultPlan>,
-    telemetry: Option<Telemetry>,
-) -> Result<CmdStatus, String> {
-    let path = a.positional(0).ok_or("query needs an index path")?;
-    let n_shards: usize = a.get_parsed("shards", 0)?;
-    let n_replicas: usize = a.get_parsed("replicas", 2)?;
-    if n_replicas == 0 {
-        return Err("--replicas must be at least 1".into());
-    }
-    // Clean open to recover the records; replica storages get the faults.
-    let clean = DiskIndex::open(path).map_err(|e| e.to_string())?;
-    let records = clean.to_record_batch().map_err(|e| e.to_string())?;
-    // On the stored curve: the shards must answer as the file does.
-    let index = S3Index::build_on(clean.curve().clone(), records);
-    let plan = ShardPlan::balanced(&index, n_shards);
-    let storages = shard_storages(&index, &plan, n_replicas, &fplan)?;
-    let sharded = ShardedIndex::open(
-        plan,
-        storages,
-        ShardedOptions {
-            mem_budget: qs.mem_mb << 20,
-            strict: a.has("strict"),
-            hedge: HedgeConfig {
-                enabled: !a.has("no-hedge"),
-                ..HedgeConfig::default()
-            },
-            ..ShardedOptions::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
-
-    let dims = sharded.curve().dims();
-    let queries = synth_queries(qs.n_queries, dims, qs.sigma, qs.seed);
-    let qrefs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
-    let model = IsotropicNormal::new(dims, qs.sigma);
-    let (opts, learned) = batch_opts(a, &index, &model, qs.alpha, &qrefs)?;
-
-    let got = sharded
-        .stat_query_batch_ctx(&qrefs, &model, &opts, ctx)
-        .map_err(|e| e.to_string())?;
-    persist_telemetry(telemetry, &got.batch.reports)?;
-
-    let batch = &got.batch;
-    let total_matches: usize = batch.matches.iter().map(Vec::len).sum();
-    let total_scanned: usize = batch.stats.iter().map(|st| st.entries_scanned).sum();
-    println!("queries            : {}", queries.len());
-    println!("depth p            : {}{learned}", opts.depth);
-    println!(
-        "shards             : {} x {} replicas ({} dispatched)",
-        n_shards,
-        n_replicas,
-        got.shards.len()
-    );
-    println!("matches            : {total_matches}");
-    println!(
-        "scanned            : {} per query (avg)",
-        total_scanned / queries.len().max(1)
-    );
-    println!(
-        "sections           : {} ({} loaded, {} bytes)",
-        batch.sections, batch.timing.sections_loaded, batch.timing.bytes_loaded
-    );
-    println!(
-        "filter/load/refine : {:?} / {:?} / {:?}",
-        batch.timing.filter, batch.timing.load, batch.timing.refine
-    );
-    println!("  shard  served-by  failovers  hedged  outcome     elapsed");
-    for r in &got.shards {
-        let outcome = if r.skipped {
-            if r.breaker_open {
-                "BREAKER"
-            } else {
-                "LOST"
-            }
-        } else if r.hedge_won {
-            "hedge-won"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {:>5}  {:>9}  {:>9}  {:>6}  {:<10}  {:.2?}",
-            r.shard,
-            r.served_by.map_or("-".into(), |i| i.to_string()),
-            r.failovers,
-            if r.hedged { "yes" } else { "no" },
-            outcome,
-            Duration::from_nanos(r.elapsed_ns)
-        );
-    }
-    if got.shard_skips > 0 || got.hedges > 0 || got.failovers > 0 {
-        println!(
-            "shard health       : {} lost, {} hedges ({} won), {} failovers{}",
-            got.shard_skips,
-            got.hedges,
-            got.hedge_wins,
-            got.failovers,
-            if batch.timing.degraded {
-                " — DEGRADED results"
-            } else {
-                ""
-            }
-        );
-    }
-    let degraded = batch.timing.degraded;
-    if explain {
-        print_explains(got.batch.reports.iter());
-    }
-    if degraded {
-        Ok(CmdStatus::Degraded)
-    } else {
-        Ok(CmdStatus::Clean)
-    }
 }
 
 /// What `--telemetry-dir` arms: the directory, and the windows and clock
@@ -788,12 +537,8 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
             "metrics-json",
             "metrics-every",
             "trace-out",
-            "fault",
-            "fault-seed",
-            "shards",
-            "replicas",
         ],
-        &["explain", "no-hedge"],
+        &["explain"],
     )?;
     let trace = trace_setup(&a);
     let (metrics_json, _ticker) = metrics::shared_flags(&a)?;
@@ -878,35 +623,7 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
             .map_err(|_| format!("invalid value for --deadline-ms: {raw:?}"))?;
         config.deadline = Some(Duration::from_millis(ms));
     }
-    // --shards N routes the search stage through the scatter-gather engine
-    // (in-memory replicas re-sliced from the reference index). --fault
-    // injects seeded storage faults into the replicas; with --fault but no
-    // --shards, a single-shard layout carries the faults.
-    let fplan = faults::from_args(&a, seed)?;
-    let n_shards: usize = a.get_parsed("shards", if fplan.is_some() { 1 } else { 0 })?;
-    let n_replicas: usize = a.get_parsed("replicas", 2)?;
-    if n_replicas == 0 {
-        return Err("--replicas must be at least 1".into());
-    }
-    let mut detector = Detector::new(&db, config);
-    if n_shards > 0 {
-        let plan = ShardPlan::balanced(db.index(), n_shards);
-        let storages = shard_storages(db.index(), &plan, n_replicas, &fplan)?;
-        let sharded = ShardedIndex::open(
-            plan,
-            storages,
-            ShardedOptions {
-                hedge: HedgeConfig {
-                    enabled: !a.has("no-hedge"),
-                    ..HedgeConfig::default()
-                },
-                ..ShardedOptions::default()
-            },
-        )
-        .map_err(|e| e.to_string())?;
-        eprintln!("search backend: {n_shards} shard(s) x {n_replicas} replica(s)");
-        detector = detector.with_shard_backend(sharded);
-    }
+    let detector = Detector::new(&db, config);
     let search = detector.search(&candidate_fps, a.has("explain"));
     let detections = s3_cbcd::vote(&search.votes(&candidate_fps), &detector.config().vote);
     let health = search.health;
@@ -915,23 +632,8 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
     }
     if health.degraded_queries > 0 {
         println!(
-            "health: {} degraded queries ({} deadline-cancelled, {} fault), {} sections skipped, {} shard losses",
-            health.degraded_queries,
-            health.cancelled_queries,
-            health.fault_degraded_queries,
-            health.sections_skipped,
-            health.shard_skips
-        );
-    }
-    if n_shards > 0 {
-        let m = s3_core::CoreMetrics::get();
-        println!(
-            "shards: {} scatter-gather queries, {} lost, {} hedges ({} won), {} failovers",
-            m.shard_queries.get(),
-            m.shard_skips.get(),
-            m.shard_hedges.get(),
-            m.shard_hedge_wins.get(),
-            m.shard_failovers.get()
+            "health: {} degraded queries ({} deadline-cancelled)",
+            health.degraded_queries, health.cancelled_queries
         );
     }
     for d in &detections {
@@ -1077,10 +779,8 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
     );
     if !stats.health.healthy() {
         println!(
-            "health: {} out-of-order fingerprints skipped, {} degraded queries, {} sections skipped",
-            stats.health.out_of_order_skipped,
-            stats.health.degraded_queries,
-            stats.health.sections_skipped
+            "health: {} out-of-order fingerprints skipped, {} degraded queries",
+            stats.health.out_of_order_skipped, stats.health.degraded_queries
         );
     }
     if let Some(path) = metrics_json {

@@ -37,16 +37,10 @@ const DASH_LOOKBACK: Duration = Duration::from_secs(10);
 const DASH_RATES: &[&str] = &[
     "query.filter",
     "disk.sections_loaded",
-    "sketch.section_skips",
-    "sketch.sections_loaded",
     "io.read_bytes",
     "storage.crc_failures",
     "disk.retries",
     "resilience.deadline_exceeded",
-    "shard.queries",
-    "shard.skips",
-    "shard.hedges",
-    "shard.failovers",
 ];
 
 /// How many persisted samples the dashboard's sparkline columns span.
@@ -127,14 +121,7 @@ pub fn cmd_watch(rest: Vec<String>) -> Result<CmdStatus, String> {
         None => Box::new(MemStorage::new(bytes)),
         Some(plan) => Box::new(FaultyStorage::new(MemStorage::new(bytes), plan)),
     };
-    let mut disk = DiskIndex::open_storage(storage).map_err(|e| e.to_string())?;
-    // Build the section sketch in-memory (open_storage sees no sidecar) so
-    // the dashboard's sketch rows and the skip-rate health rule are live.
-    // Fail-open: a fault-injected build just means no prefilter this run.
-    if let Ok(sk) = disk.build_sketch(s3_core::SketchParams::default()) {
-        let _ = disk.attach_sketch(sk);
-    }
-    let disk = disk;
+    let disk = DiskIndex::open_storage(storage).map_err(|e| e.to_string())?;
 
     // The observability stack under test: windows + rules + recorder.
     // Calibration drift is excluded: the tiny synthetic corpus gives the

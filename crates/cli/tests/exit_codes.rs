@@ -101,3 +101,32 @@ fn missing_index_exits_one() {
         "hard errors report on stderr"
     );
 }
+
+/// The index is one file, queried by one engine: the sketch-sidecar and
+/// shard-router flags are unknown, and the index is written alone.
+#[test]
+fn sidecar_and_shard_flags_are_unknown() {
+    let idx = build_index("one_engine.s3i");
+    let mut sidecar = idx.file_name().expect("file name").to_os_string();
+    sidecar.push(".skch");
+    assert!(!idx.with_file_name(sidecar).exists(), "no sidecar written");
+    let path = idx.to_str().expect("utf-8 path");
+    let cases: [&[&str]; 7] = [
+        &["build", path, "--sketch-bits", "8"],
+        &["query", path, "--no-sketch"],
+        &["query", path, "--shards", "2"],
+        &["query", path, "--replicas", "2"],
+        &["query", path, "--no-hedge"],
+        &["detect", "--shards", "2"],
+        &["detect", "--fault", "torn"],
+    ];
+    for args in cases {
+        let out = s3cbcd(args);
+        assert_eq!(code(&out), 1, "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown flag"),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}

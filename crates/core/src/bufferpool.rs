@@ -423,7 +423,6 @@ mod tests {
         let opts = WriteOpts {
             table_depth: 10,
             block_size: 1024,
-            sketch_bits: 0,
         };
         let bytes = DiskIndex::encode_to_vec(&index, opts).unwrap();
         let pool = pool_over(bytes.clone(), 1024, 8);

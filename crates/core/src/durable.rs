@@ -47,11 +47,9 @@ use crate::metrics::CoreMetrics;
 use crate::pager::{DataPages, PageMeta, PageStore, DEFAULT_PAGE_SIZE};
 use crate::plan::{query_scope, Plan};
 use crate::pseudo_disk::{BatchResult, DiskIndex, WriteOpts};
-use crate::sketch::SketchParams;
 use crate::storage::WritableStorage;
 use crate::wal::{Wal, WalRecord};
 use s3_hilbert::HilbertCurve;
-use s3_obs::event;
 
 type DynStorage = Box<dyn WritableStorage>;
 type DynPages = PageStore<DynStorage>;
@@ -263,8 +261,7 @@ impl DurableIndex {
         inserts: Vec<(Vec<u8>, u32, u32)>,
         mut recovery: RecoveryReport,
     ) -> Result<DurableIndex, IndexError> {
-        let mut disk = DiskIndex::open_storage(Box::new(DataPages::new(Arc::clone(&pages))))?;
-        Self::rebuild_sketch(&mut disk, &opts);
+        let disk = DiskIndex::open_storage(Box::new(DataPages::new(Arc::clone(&pages))))?;
         let curve = disk.curve().clone();
         let mut mem = DynamicIndex::empty(curve.clone(), 1.0);
         let mut pending = RecordBatch::new(curve.dims());
@@ -284,28 +281,6 @@ impl DurableIndex {
             recovery,
             merges: 0,
         })
-    }
-
-    /// Builds and attaches the section sketch of the current on-disk
-    /// generation, reading the key column back through the pager.
-    /// Fail-open: a build error only disables the prefilter.
-    fn rebuild_sketch(disk: &mut DiskIndex, opts: &DurableOptions) {
-        if opts.write_opts.sketch_bits == 0 {
-            return;
-        }
-        let params = SketchParams {
-            bits_per_entry: opts.write_opts.sketch_bits,
-            depth: 0,
-        };
-        match disk.build_sketch(params) {
-            Ok(sk) => {
-                let _ = disk.attach_sketch(sk);
-            }
-            Err(e) => event::warn(
-                "sketch",
-                &format!("sketch rebuild failed, continuing without prefilter: {e}"),
-            ),
-        }
     }
 
     /// Inserts one record. The insert is WAL-logged and fsynced before it
@@ -393,14 +368,8 @@ impl DurableIndex {
         self.pages.sync()?;
 
         // The merge is durable and applied: swap the reader over the new
-        // generation and retire the log. The sketch is *derived* data —
-        // rebuilt from the new generation's (WAL-committed) key column, so
-        // it needs no WAL records of its own: a crash between the commit
-        // point and here simply rebuilds it at recovery, and its meta-CRC
-        // binding makes attaching a stale sketch to the new generation
-        // impossible.
+        // generation and retire the log.
         self.disk = DiskIndex::open_storage(Box::new(DataPages::new(Arc::clone(&self.pages))))?;
-        Self::rebuild_sketch(&mut self.disk, &self.opts);
         self.wal.checkpoint()?;
         self.curve = self.disk.curve().clone();
         self.mem = DynamicIndex::empty(self.curve.clone(), 1.0);
@@ -503,7 +472,6 @@ impl DurableIndex {
     /// what the flight recorder stamps into incident dumps.
     pub fn engine_state(&self) -> EngineState {
         let meta = self.pages.meta();
-        let sketch = self.disk.sketch();
         EngineState {
             generation: meta.generation,
             checkpoint_lsn: meta.checkpoint_lsn,
@@ -515,9 +483,6 @@ impl DurableIndex {
             pending: self.pending.len(),
             disk_records: self.disk.len(),
             merges: self.merges,
-            sketch_attached: sketch.is_some(),
-            sketch_bytes: sketch.map_or(0, |s| s.byte_size() as u64),
-            sketch_entries: sketch.map_or(0, |s| s.entries()),
             recovery: self.recovery,
         }
     }
@@ -546,12 +511,6 @@ pub struct EngineState {
     pub disk_records: u64,
     /// Merges completed by this handle.
     pub merges: usize,
-    /// Whether a section sketch is attached to the on-disk run.
-    pub sketch_attached: bool,
-    /// Bytes of the attached sketch (0 when absent).
-    pub sketch_bytes: u64,
-    /// Distinct curve cells inserted into the attached sketch.
-    pub sketch_entries: u64,
     /// What recovery found when the handle was opened.
     pub recovery: RecoveryReport,
 }

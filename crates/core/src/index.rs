@@ -122,12 +122,6 @@ pub struct StatQueryOpts {
     pub algo: FilterAlgo,
     /// Hard budget on selected blocks.
     pub max_blocks: usize,
-    /// Consult the section sketch (when the index carries one) to skip
-    /// section loads that provably hold no candidate. On by default;
-    /// bit-identical matches either way — skips are always true negatives
-    /// (see `s3_core::sketch`). The switch exists for benchmarking and for
-    /// pinning down a suspect sidecar in the field.
-    pub sketch: bool,
 }
 
 impl StatQueryOpts {
@@ -140,7 +134,6 @@ impl StatQueryOpts {
             refine: Refine::All,
             algo: FilterAlgo::BestFirst,
             max_blocks: 1 << 16,
-            sketch: true,
         }
     }
 

@@ -100,7 +100,7 @@ pub use resilience::{
 };
 pub use s3_obs::ShardReport;
 pub use shard::{HedgeConfig, ShardPlan, ShardedBatchResult, ShardedIndex, ShardedOptions};
-pub use sketch::{Sketch, SketchParams, DEFAULT_SKETCH_BITS};
+pub use sketch::{Sketch, SketchParams};
 pub use storage::{
     CrashSwitch, FaultPlan, FaultStats, FaultyStorage, FileRwStorage, FileStorage, MemStorage,
     SharedMemStorage, Storage, WritableStorage,

@@ -56,8 +56,6 @@ pub struct CoreMetrics {
     /// `resilience.deadline_exceeded` — batch deadlines that expired
     /// (counted once per deadline, at the expiry transition).
     pub deadline_exceeded: Counter,
-    /// `resilience.breaker_open` — circuit-breaker trip events.
-    pub breaker_open: Counter,
     /// `calibration.drift` — last predicted−observed gap, basis points
     /// (large positive drift ⇒ the distortion model over-estimates how much
     /// data the blocks hold; negative ⇒ the blocks are denser than modeled).
@@ -82,29 +80,9 @@ pub struct CoreMetrics {
     pub wal_lag_bytes: Gauge,
     /// `dynamic.merge.ok` — overlay merges that completed normally.
     pub merge_ok: Counter,
-    /// `sketch.probes` — Bloom cell probes issued by section consults.
+    /// `sketch.probes` — Bloom cell probes issued by section consults (a
+    /// batch consults only a sketch its caller attached).
     pub sketch_probes: Counter,
-    /// `sketch.section_skips` — section loads avoided because the sketch
-    /// proved the section holds no candidate (always a true negative).
-    pub sketch_section_skips: Counter,
-    /// `sketch.sections_loaded` — sections the sketch was consulted for and
-    /// could not rule out (loaded as usual; the skip-rate denominator is
-    /// `section_skips + sections_loaded`).
-    pub sketch_sections_loaded: Counter,
-    /// `shard.queries` — shard dispatches by the scatter-gather router
-    /// (one per shard whose key span a batch actually touched).
-    pub shard_queries: Counter,
-    /// `shard.skips` — dispatches that lost every replica (the shard's key
-    /// range went unanswered and affected queries degraded).
-    pub shard_skips: Counter,
-    /// `shard.hedges` — backup replica requests launched because the
-    /// primary exceeded the shard's hedge threshold.
-    pub shard_hedges: Counter,
-    /// `shard.hedge_wins` — hedged requests whose backup answered first.
-    pub shard_hedge_wins: Counter,
-    /// `shard.failovers` — replica attempts spawned because an earlier
-    /// replica failed.
-    pub shard_failovers: Counter,
 }
 
 static CORE: OnceLock<CoreMetrics> = OnceLock::new();
@@ -129,7 +107,6 @@ impl CoreMetrics {
                 mass_cache_hits: r.counter("filter.mass_cache.hits"),
                 mass_cache_misses: r.counter("filter.mass_cache.misses"),
                 deadline_exceeded: r.counter("resilience.deadline_exceeded"),
-                breaker_open: r.counter("resilience.breaker_open"),
                 calibration_drift: r.gauge("calibration.drift"),
                 calibration_alpha_violations: r.counter("calibration.alpha_violations"),
                 bufferpool_hits: r.counter("bufferpool.hits"),
@@ -140,13 +117,6 @@ impl CoreMetrics {
                 wal_lag_bytes: r.gauge("wal.checkpoint_lag_bytes"),
                 merge_ok: r.counter("dynamic.merge.ok"),
                 sketch_probes: r.counter("sketch.probes"),
-                sketch_section_skips: r.counter("sketch.section_skips"),
-                sketch_sections_loaded: r.counter("sketch.sections_loaded"),
-                shard_queries: r.counter("shard.queries"),
-                shard_skips: r.counter("shard.skips"),
-                shard_hedges: r.counter("shard.hedges"),
-                shard_hedge_wins: r.counter("shard.hedge_wins"),
-                shard_failovers: r.counter("shard.failovers"),
             }
         })
     }

@@ -554,7 +554,6 @@ mod tests {
         let opts = WriteOpts {
             table_depth: 8,
             block_size: 256,
-            sketch_bits: 0,
         };
         let stream = DiskIndex::encode_to_vec(&index, opts).unwrap();
         let store = Arc::new(PageStore::create(SharedMemStorage::new(), 256).unwrap());

@@ -40,8 +40,6 @@ use std::time::{Duration, Instant};
 pub(crate) struct Ask<'a> {
     pub(crate) refine: Refine,
     pub(crate) model: Option<&'a dyn DistortionModel>,
-    /// Whether a disk scan may consult the section sketch.
-    pub(crate) sketch: bool,
     /// α and depth as asked, for EXPLAIN (a geometric query asks for no
     /// mass: NaN).
     alpha: f64,
@@ -53,7 +51,6 @@ impl<'a> Ask<'a> {
         Ask {
             refine: opts.refine,
             model: Some(model),
-            sketch: opts.sketch,
             alpha: opts.alpha,
             depth: opts.depth,
         }
@@ -63,7 +60,6 @@ impl<'a> Ask<'a> {
         Ask {
             refine: Refine::Range(eps),
             model: None,
-            sketch: true,
             alpha: f64::NAN,
             depth,
         }

@@ -73,7 +73,7 @@ use crate::metrics::CoreMetrics;
 use crate::parallel::{default_threads, with_crew};
 use crate::plan::{query_scope, tally_blocks, Plan, QueryPlan, QueryScan, Scan};
 use crate::resilience::{QueryCtx, SectionBreakers, REFINE_CHUNK};
-use crate::sketch::{Sketch, SketchParams, DEFAULT_SKETCH_BITS};
+use crate::sketch::{Sketch, SketchParams};
 use crate::storage::{le_u32, le_u64, write_atomic, FileStorage, Storage};
 use s3_hilbert::{HilbertCurve, Key256, KeyBound, KeyRange};
 use s3_obs::{event, span, ExplainReport, LocalHistogram};
@@ -110,9 +110,6 @@ pub struct WriteOpts {
     pub table_depth: u32,
     /// Bytes per checksummed data block.
     pub block_size: u32,
-    /// Bloom bits per occupied cell of the section-sketch sidecar written
-    /// next to the index (`<file>.skch`). `0` writes no sidecar.
-    pub sketch_bits: u32,
 }
 
 impl Default for WriteOpts {
@@ -120,7 +117,6 @@ impl Default for WriteOpts {
         WriteOpts {
             table_depth: TABLE_DEPTH,
             block_size: DEFAULT_BLOCK_SIZE,
-            sketch_bits: DEFAULT_SKETCH_BITS,
         }
     }
 }
@@ -198,11 +194,12 @@ pub struct DiskIndex {
     /// failure history.
     breakers: Option<Arc<SectionBreakers>>,
     /// CRC-32 of the header + axis order + index table (0 for v1). Binds
-    /// the sketch sidecar to exactly this index generation — and so to its
+    /// an attached sketch to exactly this index generation — and so to its
     /// curve.
     meta_crc: u32,
-    /// Optional section sketch: lets batched queries skip loading sections
-    /// that provably hold no candidate (see [`crate::sketch`]).
+    /// Optional section sketch, attached in memory by its builder: lets
+    /// batched queries skip loading sections that provably hold no
+    /// candidate (see [`crate::sketch`]).
     sketch: Option<Sketch>,
 }
 
@@ -464,35 +461,7 @@ impl DiskIndex {
 
     /// As [`DiskIndex::write`], with explicit format options.
     pub fn write_with(index: &S3Index, path: impl AsRef<Path>, opts: WriteOpts) -> io::Result<()> {
-        let path = path.as_ref();
-        let bytes = Self::encode_to_vec(index, opts)?;
-        write_atomic(path, &bytes)?;
-        if opts.sketch_bits > 0 {
-            Self::build_sketch_for(index, opts, &bytes).write_sidecar(path)?;
-        }
-        Ok(())
-    }
-
-    /// Builds the section sketch matching a serialized index: cell depth
-    /// resolved from the write options, bound to the stream's meta CRC so
-    /// the sidecar can only ever attach to this exact generation.
-    fn build_sketch_for(index: &S3Index, opts: WriteOpts, encoded: &[u8]) -> Sketch {
-        let curve = index.curve();
-        let table_depth = opts.table_depth.min(curve.key_bits());
-        let meta_len = encoded_meta_len(curve, table_depth);
-        let meta_crc = le_u32(&encoded[meta_len..meta_len + 4]);
-        let params = SketchParams {
-            bits_per_entry: opts.sketch_bits,
-            depth: 0,
-        };
-        let depth = params.resolve_depth(table_depth, curve.key_bits());
-        Sketch::build(
-            index.keys(),
-            curve.key_bits(),
-            depth,
-            opts.sketch_bits,
-            meta_crc,
-        )
+        write_atomic(path.as_ref(), &Self::encode_to_vec(index, opts)?)
     }
 
     /// Writes the legacy unchecksummed `S3IDX001` format. Kept so the
@@ -503,7 +472,6 @@ impl DiskIndex {
         let opts = WriteOpts {
             table_depth: TABLE_DEPTH,
             block_size: 0,
-            sketch_bits: 0,
         };
         let meta = encode_meta(index, opts, MAGIC_V1)?;
         let mut w = BufWriter::new(File::create(path.as_ref())?);
@@ -514,22 +482,10 @@ impl DiskIndex {
 
     /// Opens a pseudo-disk index file: reads the header, the index table and
     /// the CRC tables (record columns stay on disk), verifying their
-    /// checksums. Legacy v1 files load with a warning on stderr.
-    ///
-    /// A `<file>.skch` sketch sidecar, when present and valid for this
-    /// exact index generation, is attached so batched queries can skip
-    /// provably-empty section loads. Sidecar problems **fail open**: a
-    /// missing, torn or mismatched sidecar only disables the optimisation.
+    /// checksums. Legacy v1 files load with a warning on stderr. Any other
+    /// file beside the index is ignored.
     pub fn open(path: impl AsRef<Path>) -> Result<DiskIndex, IndexError> {
-        let path = path.as_ref();
-        let mut index = Self::open_storage(Box::new(FileStorage::open(path)?))?;
-        let sidecar = Sketch::sidecar_path(path);
-        if sidecar.exists() {
-            if let Ok(storage) = FileStorage::open(&sidecar) {
-                index.attach_sketch_storage(&storage);
-            }
-        }
-        Ok(index)
+        Self::open_storage(Box::new(FileStorage::open(path.as_ref())?))
     }
 
     /// As [`DiskIndex::open`], over any [`Storage`] implementation — the
@@ -685,28 +641,11 @@ impl DiskIndex {
         self
     }
 
-    /// Reads, validates and attaches a sketch sidecar from any [`Storage`]
-    /// (a file, a fault-injecting wrapper, pooled page storage). **Fails
-    /// open**: any decode error, checksum mismatch or generation mismatch
-    /// leaves the index sketch-less — sections simply load as before — and
-    /// returns `false`. A wrong skip is impossible by construction.
-    pub fn attach_sketch_storage(&mut self, storage: &dyn Storage) -> bool {
-        match Sketch::read_storage(storage) {
-            Ok(sk) => self.attach_sketch(sk),
-            Err(e) => {
-                event::warn(
-                    "sketch",
-                    &format!("sidecar unreadable, continuing without sketch: {e}"),
-                );
-                false
-            }
-        }
-    }
-
-    /// Attaches an already-decoded sketch after validating it belongs to
-    /// this exact index generation (same key width, cell depth no coarser
-    /// than the table, matching meta CRC). Returns `false` — and leaves
-    /// the index sketch-less — on any mismatch.
+    /// Attaches a sketch after validating it belongs to this exact index
+    /// generation (same key width, cell depth no coarser than the table,
+    /// matching meta CRC). Returns `false` — and leaves the index
+    /// sketch-less — on any mismatch. Every batch consults an attached
+    /// sketch before each section load.
     pub fn attach_sketch(&mut self, sketch: Sketch) -> bool {
         let compatible = self.version >= 2
             && sketch.key_bits() == self.curve.key_bits()
@@ -715,7 +654,7 @@ impl DiskIndex {
         if !compatible {
             event::warn(
                 "sketch",
-                "sidecar does not match this index generation, ignoring it",
+                "sketch does not match this index generation, ignoring it",
             );
             return false;
         }
@@ -729,10 +668,9 @@ impl DiskIndex {
     }
 
     /// Builds a sketch for this opened index by streaming the (CRC-
-    /// verified) key column back through the storage — the rebuild path of
-    /// durable merges, where the index bytes live in the page store and the
-    /// read goes through the buffer pool. The result is bound to this
-    /// generation's meta CRC; attach it with [`DiskIndex::attach_sketch`].
+    /// verified) key column back through the storage. The result is bound
+    /// to this generation's meta CRC; attach it with
+    /// [`DiskIndex::attach_sketch`].
     pub fn build_sketch(&self, params: SketchParams) -> Result<Sketch, IndexError> {
         let n = usize::try_from(self.n)
             .map_err(|_| bad_format("record count exceeds the address space"))?;
@@ -1193,16 +1131,14 @@ impl DiskIndex {
                 // negative (no stats degradation, no I/O, bit-identical
                 // matches). An inconclusive consult (budget exhausted, a cell
                 // present) falls through to the normal load.
-                if let Some(sk) = self.sketch.as_ref().filter(|_| plan.ask.sketch) {
+                if let Some(sk) = &self.sketch {
                     if self.sketch_rules_out(sk, &slots, work, &plan.per_query) {
                         timing.sketch_skips += 1;
-                        metrics.sketch_section_skips.inc();
                         for qi in distinct_queries(work) {
                             scans[qi].stats.sketch_skipped += 1;
                         }
                         continue;
                     }
-                    metrics.sketch_sections_loaded.inc();
                 }
                 let mut sec_span = span!("disk.section", "section" => s as f64);
                 let t_load = Instant::now();
@@ -1526,7 +1462,7 @@ mod tests {
     }
 
     /// A temp-file path no other test (or other call from the same test)
-    /// shares, removed — with its sketch sidecar — on drop. Tests run in
+    /// shares, removed on drop. Tests run in
     /// parallel threads of one process, so the pid alone does not make a
     /// path unique.
     struct TempPath(PathBuf);
@@ -1547,7 +1483,6 @@ mod tests {
     impl Drop for TempPath {
         fn drop(&mut self) {
             std::fs::remove_file(&self.0).ok();
-            std::fs::remove_file(Sketch::sidecar_path(&self.0)).ok();
         }
     }
 
@@ -1602,14 +1537,14 @@ mod tests {
 
     #[test]
     fn atomic_write_leaves_no_temp_file() {
-        // The index and the sketch sidecar it brings along: both files in
-        // place, neither's `.tmp` sibling left behind.
+        // The index in place, its `.tmp` sibling gone, and nothing else
+        // written beside it.
         let (_idx, path) = build_pair(200);
-        for written in [path.to_path_buf(), Sketch::sidecar_path(&path)] {
-            assert!(written.exists(), "{written:?} missing");
-            let mut tmp = written.file_name().unwrap().to_os_string();
-            tmp.push(".tmp");
-            assert!(!written.with_file_name(tmp).exists(), "{written:?}");
+        assert!(path.exists(), "{:?} missing", &*path);
+        for suffix in [".tmp", ".skch"] {
+            let mut sibling = path.file_name().unwrap().to_os_string();
+            sibling.push(suffix);
+            assert!(!path.with_file_name(sibling).exists(), "{suffix}");
         }
     }
 
@@ -1655,7 +1590,7 @@ mod tests {
         assert_eq!(&bytes[..8], MAGIC_V3);
         let disk = DiskIndex::open(&path).unwrap();
         assert_eq!((disk.version(), disk.curve()), (3, idx.curve()));
-        assert!(disk.sketch().is_some());
+        assert!(disk.sketch().is_none());
         disk.verify().unwrap();
         let model = IsotropicNormal::new(4, 12.0);
         let opts = StatQueryOpts::new(0.85, 9);
@@ -1732,19 +1667,20 @@ mod tests {
         batch
     }
 
-    /// `tests/data/legacy_v2.s3i` and its `.skch` sidecar were written by the
-    /// `S3IDX002` writer before curves carried an axis order (table depth 6,
-    /// 256-byte blocks, 8 sketch bits). They open as the identity curve —
-    /// although the same records would now rank their axes — keep the
-    /// sidecar attached, and answer exactly as an index built on the
-    /// identity curve does.
+    /// `tests/data/legacy_v2.s3i` and the `.skch` sketch sidecar beside it
+    /// were written by the `S3IDX002` writer before curves carried an axis
+    /// order (table depth 6, 256-byte blocks, 8 sketch bits). The file opens
+    /// as the identity curve — although the same records would now rank
+    /// their axes — and answers exactly as an index built on the identity
+    /// curve does. The stray sidecar changes nothing: no sketch attaches.
     #[test]
-    fn legacy_v2_file_opens_as_identity_with_its_sketch() {
+    fn legacy_v2_file_opens_as_identity_and_ignores_a_stray_sidecar() {
         let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/legacy_v2.s3i");
+        assert!(path.with_extension("s3i.skch").exists(), "fixture sidecar");
         let disk = DiskIndex::open(&path).unwrap();
         let identity = HilbertCurve::new(8, 8).unwrap();
         assert_eq!((disk.version(), disk.curve()), (2, &identity));
-        assert!(disk.sketch().is_some(), "the sidecar must stay attached");
+        assert!(disk.sketch().is_none(), "no sketch attaches from a file");
         disk.verify().unwrap();
         let records = legacy_v2_records();
         let ranked = S3Index::build(identity.clone(), records.clone());
@@ -1941,7 +1877,6 @@ mod tests {
             for table_depth in [6, TABLE_DEPTH] {
                 let opts = WriteOpts {
                     table_depth,
-                    sketch_bits: 0,
                     ..WriteOpts::default()
                 };
                 let bytes = DiskIndex::encode_to_vec(&idx, opts).unwrap();
@@ -1981,7 +1916,8 @@ mod tests {
 
     /// Packed sections against the `2^r` oracle and against the in-memory
     /// index, for budgets from the smallest possible to the whole file, on
-    /// 1, 2 and 4 threads, sketch on and off: matches identical in the same
+    /// 1, 2 and 4 threads, with and without an attached sketch: matches
+    /// identical in the same
     /// order. The counters are identical except the two that count pieces
     /// of the partition: `ranges_scanned` (range-and-section pieces) and
     /// `sketch_skipped` (sections).
@@ -1989,9 +1925,17 @@ mod tests {
     fn packed_sections_answer_as_the_oracle_and_the_index() {
         let curve = HilbertCurve::new(4, 8).unwrap();
         let idx = S3Index::build(curve, clustered_batch(3000));
-        let path = tmpfile("packed");
-        DiskIndex::write(&idx, &path).unwrap();
-        let file_len = std::fs::metadata(&path).unwrap().len();
+        let bytes = DiskIndex::encode_to_vec(&idx, WriteOpts::default()).unwrap();
+        let file_len = bytes.len() as u64;
+        let open = |sketch: bool| {
+            let mut disk =
+                DiskIndex::open_storage(Box::new(MemStorage::new(bytes.clone()))).unwrap();
+            if sketch {
+                let sk = disk.build_sketch(SketchParams::default()).unwrap();
+                assert!(disk.attach_sketch(sk));
+            }
+            disk
+        };
         let model = IsotropicNormal::new(4, 12.0);
         let queries: Vec<Vec<u8>> = (0..24)
             .map(|i| idx.records().fingerprint(i * 113).to_vec())
@@ -2004,20 +1948,17 @@ mod tests {
             ..*st
         };
         let mut skips = 0;
+        let opts = StatQueryOpts::new(0.9, 10);
+        let want: Vec<QueryResult> = qrefs
+            .iter()
+            .map(|q| idx.stat_query(q, &model, &opts))
+            .collect();
         for sketch in [true, false] {
-            let mut opts = StatQueryOpts::new(0.9, 10);
-            opts.sketch = sketch;
-            let want: Vec<QueryResult> = qrefs
-                .iter()
-                .map(|q| idx.stat_query(q, &model, &opts))
-                .collect();
-            let probe = DiskIndex::open(&path).unwrap();
-            assert!(probe.sketch().is_some());
-            for budget in [probe.min_section_bytes(), file_len / 16, file_len] {
+            for budget in [open(false).min_section_bytes(), file_len / 16, file_len] {
                 let mut sequential: Option<BatchResult> = None;
                 for threads in [1, 2, 4] {
                     let case = format!("sketch {sketch} budget {budget} threads {threads}");
-                    let disk = DiskIndex::open(&path).unwrap().with_threads(threads);
+                    let disk = open(sketch).with_threads(threads);
                     let packed = disk
                         .stat_query_batch(&qrefs, &model, &opts, budget)
                         .unwrap();
@@ -2151,7 +2092,6 @@ mod tests {
         let opts = WriteOpts {
             table_depth: 6,
             block_size: 64,
-            sketch_bits: 0,
         };
         DiskIndex::write_with(&idx, &path, opts).unwrap();
         let disk = DiskIndex::open(&path).unwrap();
@@ -2184,7 +2124,6 @@ mod tests {
         let opts = WriteOpts {
             table_depth: 6,
             block_size: 256,
-            sketch_bits: 0,
         };
         let (idx, bytes) = mem_index(1000, opts);
         let plan = FaultPlan {
@@ -2218,7 +2157,6 @@ mod tests {
         let opts = WriteOpts {
             table_depth: 6,
             block_size: 256,
-            sketch_bits: 0,
         };
         let (idx, bytes) = mem_index(1000, opts);
         let plan = FaultPlan {
@@ -2279,7 +2217,6 @@ mod tests {
         let opts = WriteOpts {
             table_depth: 4,
             block_size: 128,
-            sketch_bits: 0,
         };
         let (idx, bytes, plan, queries) = dead_zone_setup(opts);
         let storage = FaultyStorage::new(MemStorage::new(bytes), plan);
@@ -2322,7 +2259,6 @@ mod tests {
         let opts = WriteOpts {
             table_depth: 4,
             block_size: 128,
-            sketch_bits: 0,
         };
         let (_idx, bytes, plan, queries) = dead_zone_setup(opts);
         let storage = FaultyStorage::new(MemStorage::new(bytes), plan);
@@ -2346,7 +2282,6 @@ mod tests {
         let opts = WriteOpts {
             table_depth: 6,
             block_size: 256,
-            sketch_bits: 0,
         };
         let (_idx, mut bytes) = mem_index(500, opts);
         let disk = DiskIndex::open_storage(Box::new(MemStorage::new(bytes.clone()))).unwrap();

@@ -426,7 +426,6 @@ impl SectionBreakers {
         s.consecutive_failures = s.consecutive_failures.saturating_add(1);
         if s.consecutive_failures >= self.cfg.failure_threshold && s.open_until.is_none() {
             s.open_until = Some(self.clock.now() + self.cfg.cooldown);
-            CoreMetrics::get().breaker_open.inc();
             return true;
         }
         false

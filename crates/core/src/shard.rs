@@ -30,12 +30,16 @@
 //! When a shard loses every replica the batch degrades honestly: affected
 //! queries get `shard_skips > 0` and `degraded`, the batch reports the loss,
 //! and strict mode turns it into [`IndexError::ShardLost`].
+//!
+//! No product path routes through this engine: in one process the router
+//! costs more than it spreads (`docs/performance.md`). It stays for the
+//! frozen benchmark's `disk_batch` comparator and the chaos harness, and
+//! reports its work in [`ShardedBatchResult`] only — it records no metrics.
 
 use crate::distortion::DistortionModel;
 use crate::error::IndexError;
 use crate::fingerprint::RecordBatch;
 use crate::index::{S3Index, StatQueryOpts};
-use crate::metrics::CoreMetrics;
 use crate::parallel::default_threads;
 use crate::plan::{query_scope, Plan, Scan, Scatter};
 use crate::pseudo_disk::{BatchResult, DiskIndex, RetryPolicy, WriteOpts};
@@ -525,7 +529,6 @@ impl ShardedIndex {
         opts: &StatQueryOpts,
         ctx: Option<&QueryCtx>,
     ) -> Result<ShardedBatchResult, IndexError> {
-        let metrics = CoreMetrics::get();
         let clock = &self.opts.clock;
         let key_bits = self.curve.key_bits();
         let _scope = query_scope(ctx);
@@ -564,7 +567,6 @@ impl ShardedIndex {
                 let latency = &self.latency[s];
                 let breakers = &self.breakers;
                 let handle = scope.spawn(move || {
-                    metrics.shard_queries.inc();
                     let unanswered = |row: ShardReport, replicas_tried, error| ShardOutcome {
                         row: ShardReport {
                             shard: s,
@@ -664,9 +666,6 @@ impl ShardedIndex {
                                 latency.observe(attempt_ns, hedge_cfg.window);
                                 breakers.record_success(s);
                                 let hedge_won = hedged && ai == hedge_attempt;
-                                if hedge_won {
-                                    metrics.shard_hedge_wins.inc();
-                                }
                                 sp.record("replica", ri as f64);
                                 sp.record("failovers", f64::from(failovers));
                                 return ShardOutcome {
@@ -695,7 +694,6 @@ impl ShardedIndex {
                                     // Failover: immediately try the next
                                     // replica in order.
                                     failovers += 1;
-                                    metrics.shard_failovers.inc();
                                     spawn_attempt(next_replica, &mut child_tokens);
                                     next_replica += 1;
                                     inflight += 1;
@@ -721,7 +719,6 @@ impl ShardedIndex {
                                 {
                                     hedged = true;
                                     hedge_attempt = child_tokens.len();
-                                    metrics.shard_hedges.inc();
                                     spawn_attempt(next_replica, &mut child_tokens);
                                     next_replica += 1;
                                     inflight += 1;
@@ -786,7 +783,6 @@ impl ShardedIndex {
                 }
                 None => {
                     shard_skips += 1;
-                    metrics.shard_skips.inc();
                     if !row.breaker_open {
                         event::warn(
                             "shard",

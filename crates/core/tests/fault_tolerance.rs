@@ -27,7 +27,6 @@ fn opts() -> WriteOpts {
     WriteOpts {
         table_depth: TABLE_DEPTH,
         block_size: BLOCK_SIZE,
-        sketch_bits: 0,
     }
 }
 

@@ -65,7 +65,6 @@ fn fixture() -> &'static (S3Index, Vec<u8>) {
             WriteOpts {
                 table_depth: TABLE_DEPTH,
                 block_size: BLOCK_SIZE,
-                sketch_bits: 0,
             },
         )
         .unwrap();
@@ -94,7 +93,6 @@ fn write_opts() -> WriteOpts {
     WriteOpts {
         table_depth: TABLE_DEPTH,
         block_size: BLOCK_SIZE,
-        sketch_bits: 0,
     }
 }
 

@@ -29,7 +29,6 @@ fn write_opts() -> WriteOpts {
     WriteOpts {
         table_depth: 8,
         block_size: 128,
-        sketch_bits: 0,
     }
 }
 

@@ -62,8 +62,8 @@ impl Verdict {
 pub enum Signal {
     /// Per-second rate of a counter over the rule's lookback.
     Rate(&'static str),
-    /// `num / (sum of den)` counter deltas over the lookback — e.g. the
-    /// sketch skip *rate* is `skips / (skips + sections_loaded)`. Undefined
+    /// `num / (sum of den)` counter deltas over the lookback — e.g. a
+    /// failure *ratio* is `failures / (failures + successes)`. Undefined
     /// (no opinion) while the denominator is zero.
     Ratio {
         /// Numerator counter name.

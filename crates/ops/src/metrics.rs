@@ -35,14 +35,6 @@ pub fn default_health_rules() -> Vec<HealthRule> {
         )
         .critical(Bounds::at_most(5.0))
         .min_count(2),
-        // Breakers opening mean whole sections are being skipped.
-        HealthRule::new(
-            "breaker-open-rate",
-            Signal::Rate("resilience.breaker_open"),
-            Duration::from_secs(60),
-            Bounds::at_most(0.2),
-        )
-        .min_count(2),
         // Deadlines expiring continuously: queries cannot finish in
         // their budget.
         HealthRule::new(
@@ -52,21 +44,6 @@ pub fn default_health_rules() -> Vec<HealthRule> {
             Bounds::at_most(0.5),
         )
         .min_count(2),
-        // A sketch that stops ruling sections out is dead weight: either
-        // the sidecar failed to load (fail-open) or the workload touches
-        // every occupied cell — both worth surfacing once enough sections
-        // have been consulted. Skips are always true negatives, so a *high*
-        // rate is never a correctness concern.
-        HealthRule::new(
-            "sketch-skip-rate",
-            Signal::Ratio {
-                num: "sketch.section_skips",
-                den: &["sketch.section_skips", "sketch.sections_loaded"],
-            },
-            Duration::from_secs(60),
-            Bounds::at_least(0.02),
-        )
-        .min_count(64),
         // Calibration drift (predicted − observed selectivity, basis
         // points): the distortion model drifting far from reality breaks
         // the paper's α capture guarantee in either direction.
@@ -77,21 +54,6 @@ pub fn default_health_rules() -> Vec<HealthRule> {
             Bounds::within(-2500.0, 2500.0),
         )
         .critical(Bounds::within(-6000.0, 6000.0)),
-        // Shards dropping out of scatter-gather answers: every skip means a
-        // whole key range went unanswered for a batch, degrading each
-        // affected query. Failover and hedging should absorb single-replica
-        // faults; a sustained skip rate means whole replica sets are down.
-        HealthRule::new(
-            "shard-availability",
-            Signal::Ratio {
-                num: "shard.skips",
-                den: &["shard.queries"],
-            },
-            Duration::from_secs(60),
-            Bounds::at_most(0.01),
-        )
-        .critical(Bounds::at_most(0.25))
-        .min_count(8),
     ]
 }
 
@@ -193,7 +155,16 @@ mod tests {
     #[test]
     fn default_rules_cover_registered_metrics() {
         let rules = default_health_rules();
-        assert!(rules.len() >= 6);
+        let names: Vec<&str> = rules.iter().map(|r| r.name).collect();
+        assert_eq!(
+            names,
+            [
+                "wal-checkpoint-lag",
+                "storage-fault-rate",
+                "deadline-rate",
+                "calibration-drift"
+            ]
+        );
         // Every rule references a metric name CoreMetrics registers.
         let _ = CoreMetrics::get();
         let snap = registry().snapshot();

@@ -4,7 +4,7 @@
 //! turns that into "what is happening right now": a caller periodically
 //! feeds it full [`Snapshot`]s (a *tick*), and the ring keeps per-interval
 //! deltas of every counter and histogram plus the latest gauge values.
-//! Queries then derive per-window rates ("sketch skip rate over the
+//! Queries then derive per-window rates ("CRC failure rate over the
 //! last 60 s") and rolling quantiles ("WAL fsync p99 over the last 5 min")
 //! by summing / merging the frames inside a lookback horizon.
 //!

@@ -55,7 +55,6 @@ fn encode(index: &S3Index) -> Vec<u8> {
         WriteOpts {
             table_depth: 8,
             block_size: 128,
-            sketch_bits: 0,
         },
     )
     .unwrap()
