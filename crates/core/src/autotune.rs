@@ -28,13 +28,14 @@ use s3_hilbert::{HilbertCurve, KeyRange};
 use s3_obs::span;
 use s3_stats::Normal;
 
-/// What expanding one filter node costs, in records scanned: ≈ 130 ns a
-/// node (`filter.select_us ÷ filter.nodes_per_query` of the benchmark)
-/// against ≈ 4.5 ns a record (`kernels.dist_ns_per_record`). Any value from
-/// 16 to 128 learns depth 6–8 on the benchmark's detection registry, where
-/// depths 2–10 are within 6 % of each other end to end, so this is a
-/// documented constant and not an option (docs/performance.md, "Choosing
-/// `p`").
+/// What expanding one filter node costs, in records scanned: sized at
+/// ≈ 130 ns a node (`filter.select_us ÷ filter.nodes_per_query` of the
+/// benchmark) against ≈ 4.5 ns a record refined one call at a time. With
+/// the four-record run kernel a record costs ≈ 2.6 ns against ≈ 142 ns a
+/// node, a ratio of ≈ 53. Any value from 16 to 128 learns depth 6–8 on the
+/// benchmark's detection registry, where depths 2–10 are within 6 % of each
+/// other end to end, so this is a documented constant and not an option
+/// (docs/performance.md, "Choosing `p`").
 const NODE_COST_IN_RECORDS: f64 = 30.0;
 
 /// Queries the learner profiles a depth on: what [`learn_depth`] draws from

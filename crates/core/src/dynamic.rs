@@ -200,24 +200,29 @@ impl DynamicIndex {
         let t0 = Instant::now();
         let mut out = QueryScan::default();
         let mut refiner = Refiner::new(q, ask.refine, ask.model);
+        let fps = self.overlay.fingerprint_bytes();
         for range in &plan.ranges {
             let lo = self.overlay_keys.partition_point(|k| *k < range.lo);
             let hi = match range.hi {
                 KeyBound::Excl(h) => self.overlay_keys.partition_point(|k| *k < h),
                 KeyBound::End => self.overlay_keys.len(),
             };
-            out.stats.entries_scanned += hi.saturating_sub(lo);
-            for i in lo..hi {
-                if let Some(dist_sq) = refiner.keep(self.overlay.fingerprint(i)) {
+            refiner.scan(
+                fps,
+                lo,
+                hi,
+                || false,
+                |i, dist_sq| {
                     out.matches.push(Match {
                         index: i,
                         id: self.overlay.id(i),
                         tc: self.overlay.tc(i),
                         dist_sq,
-                    });
-                }
-            }
+                    })
+                },
+            );
         }
+        out.stats.entries_scanned = refiner.entries();
         out.refine_ns = t0.elapsed().as_nanos() as u64;
         out
     }

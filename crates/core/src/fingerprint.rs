@@ -214,9 +214,9 @@ impl RecordBatch {
 /// Squared Euclidean distance between two byte fingerprints.
 ///
 /// Exact in integer arithmetic (max per-component diff 255, so `D * 255²`
-/// fits easily in `u64` for any supported `D`). Delegates to the
-/// runtime-dispatched SIMD kernel of [`crate::kernels`]; every tier is
-/// bit-identical to the scalar reference.
+/// fits easily in `u64` for any supported `D`). Delegates to
+/// [`crate::kernels::dist_sq`], chosen at compile time (SSE2 on `x86_64`,
+/// scalar elsewhere) and bit-identical to the scalar reference.
 #[inline]
 pub fn dist_sq(a: &[u8], b: &[u8]) -> u64 {
     debug_assert_eq!(a.len(), b.len());

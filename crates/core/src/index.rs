@@ -47,17 +47,24 @@ pub enum Refine {
     LogLikelihood(f64),
 }
 
-/// A [`Refine`] predicate bound to one query: what a scanned record must
-/// pass to become a [`Match`], the same in every engine's scan loop.
+/// A [`Refine`] predicate bound to one query, and the one scan loop every
+/// engine runs it in: runs of contiguous records go through the kernel for
+/// the predicate, cut only where a cancellation poll falls.
 pub(crate) struct Refiner<'a> {
     q: &'a [u8],
     refine: Refine,
     model: Option<&'a dyn DistortionModel>,
     /// Range refinement compares the integer d² against ⌊ε²⌋ — exactly
     /// equivalent to `d² as f64 <= ε²` (see `kernels::bound_from_eps_sq`)
-    /// but lets the kernel abandon a record mid-vector.
+    /// but lets the kernel reject a record on its first 16 components.
     range_bound: Option<u64>,
     delta: Vec<f64>,
+    /// Records left before the next cancellation poll. The count runs
+    /// across [`Refiner::scan`] calls, so many short ranges are polled as
+    /// often as one long one.
+    until_poll: usize,
+    /// Records refined so far.
+    entries: usize,
 }
 
 impl<'a> Refiner<'a> {
@@ -75,18 +82,73 @@ impl<'a> Refiner<'a> {
                 Refine::LogLikelihood(_) => vec![0.0; q.len()],
                 _ => Vec::new(),
             },
+            // The first poll comes before the REFINE_CHUNK-th record, every
+            // later one REFINE_CHUNK records after the last.
+            until_poll: REFINE_CHUNK - 1,
+            entries: 0,
         }
     }
 
-    /// `None` rejects the record; `Some(d)` keeps it, `d` being its squared
+    /// Records refined so far, over every [`Refiner::scan`] call.
+    pub(crate) fn entries(&self) -> usize {
+        self.entries
+    }
+
+    /// Refines records `lo..hi` of `fps`, an array of `q.len()`-byte
+    /// records, calling `hit(i, d)` for each record `i` the predicate keeps
+    /// — `d` being its squared distance to the query when the predicate
+    /// computed one. Polls `stop` every [`REFINE_CHUNK`] records (one chunk
+    /// is the uninterruptible unit); once it fires, returns false with the
+    /// rest of the range unrefined.
+    pub(crate) fn scan(
+        &mut self,
+        fps: &[u8],
+        lo: usize,
+        hi: usize,
+        stop: impl Fn() -> bool,
+        mut hit: impl FnMut(usize, Option<f64>),
+    ) -> bool {
+        let dims = self.q.len();
+        let mut i = lo;
+        while i < hi {
+            if self.until_poll == 0 {
+                if stop() {
+                    return false;
+                }
+                self.until_poll = REFINE_CHUNK;
+            }
+            let end = hi.min(i + self.until_poll);
+            self.refine_run(&fps[i * dims..end * dims], i, &mut hit);
+            self.until_poll -= end - i;
+            self.entries += end - i;
+            i = end;
+        }
+        true
+    }
+
+    /// The predicate over one run of records, the first being record
+    /// `first`: `Range` through the run kernel, the others record by record.
+    #[inline]
+    fn refine_run(&mut self, run: &[u8], first: usize, hit: &mut impl FnMut(usize, Option<f64>)) {
+        let per_record = !matches!(self.refine, Refine::Range(_));
+        #[cfg(test)]
+        let per_record = per_record || per_record_oracle::on();
+        if per_record {
+            for (k, fp) in run.chunks_exact(self.q.len()).enumerate() {
+                if let Some(d) = self.keep(fp) {
+                    hit(first + k, d);
+                }
+            }
+        } else if let Some(bound) = self.range_bound {
+            kernels::scan_within(self.q, run, bound, |k, d2| hit(first + k, Some(d2 as f64)));
+        }
+    }
+
+    /// The per-record predicate, and the oracle of the run kernel: `None`
+    /// rejects the record; `Some(d)` keeps it, `d` being its squared
     /// distance to the query when the predicate computed one.
-    ///
-    /// Runs once per scanned record in every engine's scan loop. A plain
-    /// `#[inline]` leaves that to where the codegen units happen to fall:
-    /// deleting an unrelated function from this file outlined it in the
-    /// pseudo-disk loop (`disk_batch` `op_ms_p50` +11 %, PR 23).
-    #[inline(always)]
-    pub(crate) fn keep(&mut self, fp: &[u8]) -> Option<Option<f64>> {
+    #[inline]
+    fn keep(&mut self, fp: &[u8]) -> Option<Option<f64>> {
         match self.refine {
             Refine::All => Some(None),
             Refine::Range(_) => self
@@ -103,6 +165,28 @@ impl<'a> Refiner<'a> {
                 (model.log_pdf(&self.delta) >= bound).then(|| Some(dist_sq(self.q, fp) as f64))
             }
         }
+    }
+}
+
+/// Test-only switch that sends every [`Refiner`] run on this thread through
+/// the per-record predicate instead of the run kernel: the oracle the
+/// engines' answers are checked against.
+#[cfg(test)]
+pub(crate) mod per_record_oracle {
+    use std::cell::Cell;
+
+    thread_local!(static ON: Cell<bool> = const { Cell::new(false) });
+
+    pub(crate) fn on() -> bool {
+        ON.with(Cell::get)
+    }
+
+    /// Runs `f` with the oracle on for this thread.
+    pub(crate) fn with<R>(f: impl FnOnce() -> R) -> R {
+        ON.with(|on| on.set(true));
+        let r = f();
+        ON.with(|on| on.set(false));
+        r
     }
 }
 
@@ -510,39 +594,31 @@ impl S3Index {
         let mut sp = span!("query.refine");
         let mut cursor = 0usize;
         let mut matches = Vec::new();
-        let mut entries = 0usize;
         let mut cancelled = false;
-        let mut since_check = 0usize;
         let mut refiner = Refiner::new(q, ask.refine, ask.model);
-        'ranges: for range in &plan.ranges {
+        let stop = || ctx.is_some_and(|c| c.should_stop());
+        let fps = self.records.fingerprint_bytes();
+        for range in &plan.ranges {
             let start = self.lower_bound_from(cursor, &range.lo);
             let end = match range.hi {
                 KeyBound::Excl(hi) => self.lower_bound_from(start, &hi),
                 KeyBound::End => self.keys.len(),
             };
             cursor = end;
-            for i in start..end {
-                if let Some(ctx) = ctx {
-                    since_check += 1;
-                    if since_check >= REFINE_CHUNK {
-                        since_check = 0;
-                        if ctx.should_stop() {
-                            cancelled = true;
-                            break 'ranges;
-                        }
-                    }
-                }
-                entries += 1;
-                if let Some(dist_sq) = refiner.keep(self.records.fingerprint(i)) {
-                    matches.push(Match {
-                        index: i,
-                        id: self.records.id(i),
-                        tc: self.records.tc(i),
-                        dist_sq,
-                    });
-                }
+            let kept = refiner.scan(fps, start, end, stop, |i, dist_sq| {
+                matches.push(Match {
+                    index: i,
+                    id: self.records.id(i),
+                    tc: self.records.tc(i),
+                    dist_sq,
+                })
+            });
+            if !kept {
+                cancelled = true;
+                break;
             }
         }
+        let entries = refiner.entries();
         sp.record("ranges", plan.ranges.len() as f64);
         sp.record("entries", entries as f64);
         let mut blocks = Vec::new();
@@ -640,20 +716,19 @@ impl S3Index {
         })
     }
 
-    /// Sequential-scan ε-range query — the reference baseline of Fig. 7.
+    /// Sequential-scan ε-range query — the reference baseline of Fig. 7,
+    /// through the same run kernel as the index's own refinement.
     pub fn seq_scan(&self, q: &[u8], eps: f64) -> QueryResult {
-        let eps_sq = eps * eps;
         let mut matches = Vec::new();
-        for i in 0..self.len() {
-            let d2 = dist_sq(q, self.records.fingerprint(i)) as f64;
-            if d2 <= eps_sq {
+        if let Some(bound) = kernels::bound_from_eps_sq(eps * eps) {
+            kernels::scan_within(q, self.records.fingerprint_bytes(), bound, |i, d2| {
                 matches.push(Match {
                     index: i,
                     id: self.records.id(i),
                     tc: self.records.tc(i),
-                    dist_sq: Some(d2),
-                });
-            }
+                    dist_sq: Some(d2 as f64),
+                })
+            });
         }
         QueryResult {
             matches,
@@ -978,5 +1053,223 @@ mod tests {
         let model = IsotropicNormal::new(4, 5.0);
         let res = idx.stat_query(&[50, 60, 70, 80], &model, &StatQueryOpts::new(0.7, 8));
         assert_eq!(res.matches.len(), 10, "all duplicates share one cell");
+    }
+
+    /// `n` records at the paper's D = 20: every other one a near-duplicate
+    /// (±24 a component) of one of 30 centres, so an ε-range keeps some
+    /// records of a run and rejects most, and the rest uniform.
+    fn clustered_batch_d20(n: usize) -> RecordBatch {
+        let uniform = synthetic_batch(20, n, 7);
+        let centres = synthetic_batch(20, 30, 8);
+        let mut batch = RecordBatch::with_capacity(20, n);
+        for i in 0..n {
+            let fp: Vec<u8> = if i % 2 == 0 {
+                let noise = uniform.fingerprint(i);
+                let centre = centres.fingerprint(i % 30);
+                let jitter = |(&c, &r): (&u8, &u8)| i16::from(c) + i16::from(r % 49) - 24;
+                centre
+                    .iter()
+                    .zip(noise)
+                    .map(|p| jitter(p).clamp(0, 255) as u8)
+                    .collect()
+            } else {
+                uniform.fingerprint(i).to_vec()
+            };
+            batch.push(&fp, i as u32, (i * 3) as u32);
+        }
+        batch
+    }
+
+    /// Matches identical in the same order, counters identical (compared
+    /// through `Debug`, so a geometric filter's NaN target compares equal).
+    fn assert_same(got: &QueryResult, want: &QueryResult, case: &str) {
+        assert_eq!(got.matches, want.matches, "{case}");
+        assert_eq!(
+            format!("{:?}", got.stats),
+            format!("{:?}", want.stats),
+            "{case}"
+        );
+    }
+
+    /// Every engine's refinement through the run kernel answers exactly as
+    /// through the per-record predicate: `stat_query` under each
+    /// refinement, `range_query`, `seq_scan` against the loop it replaced,
+    /// the `DiskIndex` batch and `DynamicIndex` (main and overlay).
+    #[test]
+    fn run_kernel_answers_as_the_per_record_oracle() {
+        use crate::dynamic::DynamicIndex;
+        use crate::pseudo_disk::{DiskIndex, WriteOpts};
+        use crate::storage::MemStorage;
+
+        let curve = HilbertCurve::new(20, 8).unwrap();
+        let batch = clustered_batch_d20(6000);
+        let idx = S3Index::build(curve.clone(), batch.clone());
+        let model = IsotropicNormal::new(20, 20.0);
+        let queries: Vec<Vec<u8>> = (0..12)
+            .map(|i| batch.fingerprint(i * 2 + 1000).to_vec())
+            .chain((0..4).map(|i| batch.fingerprint(i * 2 + 1).to_vec()))
+            .collect();
+        let qrefs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
+        let depth = 10;
+        let mut refines = vec![Refine::All, Refine::LogLikelihood(-85.0)];
+        refines.extend([0.0, 60.0, 100.07, 1e6, f64::INFINITY, f64::NAN].map(Refine::Range));
+
+        let bytes = DiskIndex::encode_to_vec(&idx, WriteOpts::default()).unwrap();
+        let disk = DiskIndex::open_storage(Box::new(MemStorage::new(bytes.clone())))
+            .unwrap()
+            .with_threads(1);
+        let budget = disk.min_section_bytes().max(bytes.len() as u64 / 4);
+        let mut main = RecordBatch::new(20);
+        for i in (0..batch.len()).filter(|i| i % 5 != 0) {
+            let r = batch.record(i);
+            main.push(r.fingerprint, r.id, r.tc);
+        }
+        let mut dynamic = DynamicIndex::new(S3Index::build(curve, main), 1.0);
+        for i in (0..batch.len()).step_by(5) {
+            let r = batch.record(i);
+            dynamic.insert(r.fingerprint, r.id, r.tc);
+        }
+        assert_eq!(
+            dynamic.overlay_len(),
+            1200,
+            "no merge: a fifth stays in the overlay"
+        );
+
+        let mut kept = 0;
+        for refine in refines {
+            let mut opts = StatQueryOpts::new(0.9, depth);
+            opts.refine = refine;
+            for (qi, q) in qrefs.iter().enumerate() {
+                let case = format!("{refine:?} q{qi}");
+                let run = || idx.stat_query(q, &model, &opts);
+                let want = per_record_oracle::with(run);
+                assert_same(&run(), &want, &format!("stat_query {case}"));
+                kept += want.matches.len();
+                let run = || dynamic.stat_query(q, &model, &opts);
+                assert_same(
+                    &run(),
+                    &per_record_oracle::with(run),
+                    &format!("dynamic {case}"),
+                );
+            }
+            let run = || {
+                disk.stat_query_batch(&qrefs, &model, &opts, budget)
+                    .unwrap()
+            };
+            let (got, want) = (run(), per_record_oracle::with(run));
+            assert_eq!(got.matches, want.matches, "disk {refine:?}");
+            assert_eq!(got.stats, want.stats, "disk {refine:?}");
+        }
+        assert!(kept > 0, "no refinement kept a record");
+
+        for eps in [0.0, 60.0, 100.07, 1e6, f64::INFINITY, f64::NAN] {
+            for (qi, q) in qrefs.iter().enumerate() {
+                let case = format!("eps {eps} q{qi}");
+                // The sequential loop the baseline ran before the kernel.
+                let eps_sq = eps * eps;
+                let want: Vec<Match> = (0..idx.len())
+                    .filter_map(|i| {
+                        let d2 = dist_sq(q, idx.records().fingerprint(i)) as f64;
+                        (d2 <= eps_sq).then(|| Match {
+                            index: i,
+                            id: idx.records().id(i),
+                            tc: idx.records().tc(i),
+                            dist_sq: Some(d2),
+                        })
+                    })
+                    .collect();
+                let got = idx.seq_scan(q, eps);
+                assert_eq!(got.matches, want, "seq_scan {case}");
+                assert_eq!(got.stats.entries_scanned, idx.len(), "seq_scan {case}");
+                if eps.is_nan() {
+                    continue; // no geometric filter takes a NaN radius
+                }
+                let run = || idx.range_query(q, eps, depth);
+                assert_same(
+                    &run(),
+                    &per_record_oracle::with(run),
+                    &format!("range {case}"),
+                );
+                let run = || dynamic.range_query(q, eps, depth);
+                assert_same(
+                    &run(),
+                    &per_record_oracle::with(run),
+                    &format!("dynamic {case}"),
+                );
+            }
+            if eps.is_nan() {
+                continue;
+            }
+            let run = || {
+                disk.range_query_batch(&qrefs, eps, depth, budget, None)
+                    .unwrap()
+            };
+            let (got, want) = (run(), per_record_oracle::with(run));
+            assert_eq!(got.matches, want.matches, "disk eps {eps}");
+            assert_eq!(
+                format!("{:?}", got.stats),
+                format!("{:?}", want.stats),
+                "disk eps {eps}"
+            );
+        }
+    }
+
+    /// The cancellation poll falls every `REFINE_CHUNK` records however the
+    /// records are cut into ranges — the count runs across `scan` calls —
+    /// and under every refinement.
+    #[test]
+    fn refine_polls_every_chunk_across_short_ranges() {
+        let batch = synthetic_batch(20, 10_000, 3);
+        let q = batch.fingerprint(0).to_vec();
+        let model = IsotropicNormal::new(20, 20.0);
+        for refine in [
+            Refine::All,
+            Refine::Range(1e9),
+            Refine::LogLikelihood(f64::NEG_INFINITY),
+        ] {
+            for range_len in [1, 7, 100, REFINE_CHUNK - 1, REFINE_CHUNK, 10_000] {
+                let case = format!("{refine:?} ranges of {range_len}");
+                let hits = std::cell::Cell::new(0usize);
+                let polls = std::cell::RefCell::new(Vec::new());
+                let stop = || {
+                    polls.borrow_mut().push(hits.get());
+                    false
+                };
+                let mut refiner = Refiner::new(&q, refine, Some(&model));
+                for lo in (0..batch.len()).step_by(range_len) {
+                    let hi = (lo + range_len).min(batch.len());
+                    let fps = batch.fingerprint_bytes();
+                    assert!(refiner.scan(fps, lo, hi, stop, |_, _| hits.set(hits.get() + 1)));
+                }
+                assert_eq!(hits.get(), batch.len(), "{case}: every record kept");
+                assert_eq!(refiner.entries(), batch.len(), "{case}");
+                // Polled before the 4096th record and every 4096 after.
+                let want: Vec<usize> = (1..).map(|c| c * REFINE_CHUNK - 1).take(2).collect();
+                assert_eq!(*polls.borrow(), want, "{case}");
+            }
+        }
+
+        // A stop cuts the run at the poll: exactly the records before it
+        // are refined, and the scan reports it.
+        let mut refiner = Refiner::new(&q, Refine::All, None);
+        let mut kept = 0;
+        let mut go_on = true;
+        for lo in (0..batch.len()).step_by(100) {
+            go_on = refiner.scan(
+                batch.fingerprint_bytes(),
+                lo,
+                lo + 100,
+                || true,
+                |_, _| kept += 1,
+            );
+            if !go_on {
+                break;
+            }
+        }
+        assert!(!go_on);
+        assert_eq!(
+            (kept, refiner.entries()),
+            (REFINE_CHUNK - 1, REFINE_CHUNK - 1)
+        );
     }
 }

@@ -4,15 +4,24 @@
 //! loop of every refinement scan, k-NN candidate evaluation and sequential
 //! baseline. There are two implementations, chosen at compile time: SSE2
 //! on `x86_64` (where it is part of the baseline instruction set, so no
-//! detection is needed) and a portable scalar loop everywhere else — plus
-//! an early-exit variant [`dist_sq_within`] used by bounded scans (ε-range
-//! refinement, k-NN pruning).
+//! detection is needed) and a portable scalar loop everywhere else. Three
+//! entry points share them:
 //!
-//! Both are **bit-identical**: the arithmetic is pure integer (absolute
-//! byte difference, widen to 16 bits, multiply-accumulate into 32-bit
-//! lanes, horizontal sum into `u64`), so [`dist_sq`] returns exactly what
-//! the scalar reference [`dist_sq_scalar`] does for the same inputs —
-//! property-tested in `tests/properties.rs`.
+//! * [`dist_sq`], the full distance of one pair;
+//! * [`dist_sq_within`], the early-exit per-record distance under a bound
+//!   (k-NN's shrinking-bound loop, and the reference of the next one);
+//! * [`scan_within`], the **run kernel** under every ε-refinement: it walks
+//!   a contiguous run of records four at a time and rejects all four with
+//!   one compare on their 16-byte prefix sums, confirming only the
+//!   survivors with [`dist_sq_within`].
+//!
+//! All are **bit-identical** to the scalar reference: the arithmetic is
+//! pure integer (absolute byte difference, widen to 16 bits,
+//! multiply-accumulate into 32-bit lanes, horizontal sum into `u64`), so
+//! [`dist_sq`] returns exactly what [`dist_sq_scalar`] does for the same
+//! inputs and [`scan_within`] fires exactly where the per-record
+//! [`dist_sq_within`] loop keeps a record — property-tested in
+//! `tests/properties.rs`.
 //!
 //! The SIMD path flushes its 32-bit lane accumulators to the `u64` total
 //! every `FLUSH_CHUNKS` vectors; a single 16-byte chunk contributes at
@@ -52,6 +61,44 @@ pub fn dist_sq_within(a: &[u8], b: &[u8], bound: u64) -> Option<u64> {
     }
     #[cfg(not(target_arch = "x86_64"))]
     dist_sq_within_scalar(a, b, bound)
+}
+
+/// The run kernel: calls `hit(k, d²)` for every record `k` of `run` (a
+/// contiguous array of `q.len()`-byte records) whose squared distance to
+/// `q` is `d² ≤ bound`, in ascending `k` — exactly where a per-record
+/// [`dist_sq_within`] loop keeps a record, with the same exact `d²`.
+///
+/// On `x86_64`, for `q.len() ≥ 16`, four records share one step: their
+/// 16-byte prefix sums are transposed into one register and compared with
+/// the bound together, so a group whose four prefixes already exceed it
+/// costs one branch. A prefix sum is a lower bound of `d²`, and at most
+/// `16 · 255² = 1 040 400`, so an `i32` compare against the bound clamped
+/// at `i32::MAX` is exact. Survivors, shorter fingerprints, the last
+/// `len mod 4` records and other targets take the per-record loop. A
+/// trailing partial record is ignored; an empty `q` walks nothing.
+#[inline]
+pub fn scan_within(q: &[u8], run: &[u8], bound: u64, mut hit: impl FnMut(usize, u64)) {
+    let dims = q.len();
+    if dims == 0 {
+        return;
+    }
+    debug_assert_eq!(run.len() % dims, 0, "run is not a whole number of records");
+    let n = run.len() / dims;
+    #[cfg(target_arch = "x86_64")]
+    let done = if dims >= 16 {
+        // SAFETY: SSE2 is part of the x86_64 baseline; `dims >= 16` and
+        // `n * dims <= run.len()` are the callee's documented requirements.
+        unsafe { x86::scan_within_sse2(q, run, n, bound, &mut hit) }
+    } else {
+        0
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    for (k, fp) in run[done * dims..n * dims].chunks_exact(dims).enumerate() {
+        if let Some(d2) = dist_sq_within(q, fp, bound) {
+            hit(done + k, d2);
+        }
+    }
 }
 
 /// Converts the floating refinement predicate `d² as f64 ≤ eps_sq` into an
@@ -186,6 +233,72 @@ mod x86 {
         }
         total += tail(a, b, i, n);
         (total <= bound).then_some(total)
+    }
+
+    /// The squared differences of the 16 bytes at `p` against `vq`, summed
+    /// into four i32 lanes of four components each.
+    ///
+    /// # Safety
+    ///
+    /// `p` must be valid for a 16-byte read.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn prefix_sse2(p: *const u8, vq: __m128i) -> __m128i {
+        let zero = _mm_setzero_si128();
+        let v = _mm_loadu_si128(p.cast());
+        let d = _mm_sub_epi8(_mm_max_epu8(v, vq), _mm_min_epu8(v, vq));
+        let lo = _mm_unpacklo_epi8(d, zero);
+        let hi = _mm_unpackhi_epi8(d, zero);
+        _mm_add_epi32(_mm_madd_epi16(lo, lo), _mm_madd_epi16(hi, hi))
+    }
+
+    /// The four-record body of [`super::scan_within`] over records
+    /// `0..n - n % 4`; returns how many records it walked.
+    ///
+    /// # Safety
+    ///
+    /// Requires `q.len() >= 16` and `n * q.len() <= run.len()`: every
+    /// 16-byte load then starts at a record offset `k · dims` with
+    /// `k < n` and ends inside that record.
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn scan_within_sse2(
+        q: &[u8],
+        run: &[u8],
+        n: usize,
+        bound: u64,
+        hit: &mut impl FnMut(usize, u64),
+    ) -> usize {
+        let dims = q.len();
+        debug_assert!(dims >= 16 && n * dims <= run.len());
+        let vq = _mm_loadu_si128(q.as_ptr().cast());
+        let vbound = _mm_set1_epi32(bound.min(i32::MAX as u64) as i32);
+        let prefix = |p: *const u8| prefix_sse2(p, vq);
+        let quads = n - n % 4;
+        let mut k = 0usize;
+        while k < quads {
+            let p = run.as_ptr().add(k * dims);
+            let s0 = prefix(p);
+            let s1 = prefix(p.add(dims));
+            let s2 = prefix(p.add(2 * dims));
+            let s3 = prefix(p.add(3 * dims));
+            // 4×4 transpose-and-add: lane j of `sums` is record j's prefix.
+            let a01 = _mm_add_epi32(_mm_unpacklo_epi32(s0, s1), _mm_unpackhi_epi32(s0, s1));
+            let a23 = _mm_add_epi32(_mm_unpacklo_epi32(s2, s3), _mm_unpackhi_epi32(s2, s3));
+            let sums = _mm_add_epi32(_mm_unpacklo_epi64(a01, a23), _mm_unpackhi_epi64(a01, a23));
+            let over = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(sums, vbound)));
+            if over != 0b1111 {
+                for j in 0..4 {
+                    if over & (1 << j) == 0 {
+                        let fp = &run[(k + j) * dims..(k + j + 1) * dims];
+                        if let Some(d2) = dist_sq_within_sse2(q, fp, bound) {
+                            hit(k + j, d2);
+                        }
+                    }
+                }
+            }
+            k += 4;
+        }
+        quads
     }
 }
 

@@ -72,7 +72,7 @@ use crate::index::{Match, QueryStats, Refiner, S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
 use crate::parallel::{default_threads, with_crew};
 use crate::plan::{query_scope, tally_blocks, Plan, QueryPlan, QueryScan, Scan};
-use crate::resilience::{QueryCtx, SectionBreakers, REFINE_CHUNK};
+use crate::resilience::{QueryCtx, SectionBreakers};
 use crate::sketch::{Sketch, SketchParams};
 use crate::storage::{le_u32, le_u64, write_atomic, FileStorage, Storage};
 use s3_hilbert::{HilbertCurve, Key256, KeyBound, KeyRange};
@@ -1047,35 +1047,26 @@ impl DiskIndex {
                 elapsed_ns: 0,
                 cancelled: false,
             };
-            let mut since_check = 0usize;
             let mut refiner = Refiner::new(q, plan.ask.refine, plan.ask.model);
-            'scan: for &(_, ri) in &job.work[lo_w..hi_w] {
+            let section = &job.section;
+            for &(_, ri) in &job.work[lo_w..hi_w] {
                 let range = &plan.per_query[qi].ranges[ri as usize];
-                let (lo, hi) = job.section.locate(range);
+                let (lo, hi) = section.locate(range);
                 out.ranges += 1;
-                for i in lo..hi {
-                    // Cancellation lands on refine-chunk boundaries: one
-                    // chunk of records is the uninterruptible unit.
-                    since_check += 1;
-                    if since_check >= REFINE_CHUNK {
-                        since_check = 0;
-                        if should_stop() {
-                            out.cancelled = true;
-                            break 'scan;
-                        }
-                    }
-                    out.entries += 1;
-                    let fp = job.section.fingerprint(self.curve.dims(), i);
-                    if let Some(dist_sq) = refiner.keep(fp) {
-                        out.matches.push(Match {
-                            index: job.first + i,
-                            id: job.section.ids[i],
-                            tc: job.section.tcs[i],
-                            dist_sq,
-                        });
-                    }
+                let kept = refiner.scan(&section.fps, lo, hi, should_stop, |i, dist_sq| {
+                    out.matches.push(Match {
+                        index: job.first + i,
+                        id: section.ids[i],
+                        tc: section.tcs[i],
+                        dist_sq,
+                    })
+                });
+                if !kept {
+                    out.cancelled = true;
+                    break;
                 }
             }
+            out.entries = refiner.entries();
             out.elapsed_ns = t_group.elapsed().as_nanos() as u64;
             sp.record("ranges", out.ranges as f64);
             sp.record("entries", out.entries as f64);
@@ -1428,10 +1419,6 @@ impl SectionBuf {
             KeyBound::End => self.keys.len(),
         };
         (lo, hi.max(lo))
-    }
-
-    fn fingerprint(&self, dims: usize, i: usize) -> &[u8] {
-        &self.fps[i * dims..(i + 1) * dims]
     }
 }
 

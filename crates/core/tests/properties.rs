@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use s3_core::filter::{select_blocks_best_first, select_blocks_range};
-use s3_core::kernels::{dist_sq, dist_sq_scalar, dist_sq_within, dist_sq_within_scalar};
+use s3_core::kernels::{
+    dist_sq, dist_sq_scalar, dist_sq_within, dist_sq_within_scalar, scan_within,
+};
 use s3_core::{IsotropicNormal, RecordBatch, S3Index, StatQueryOpts};
 use s3_hilbert::HilbertCurve;
 
@@ -25,6 +27,82 @@ prop_compose! {
             b.push(fp, i as u32, (i * 3) as u32);
         }
         b
+    }
+}
+
+/// The per-record loop the run kernel must match: `(k, d²)` of every record
+/// `k` of `run` with `d² ≤ bound`.
+fn per_record_hits(q: &[u8], run: &[u8], bound: u64) -> Vec<(usize, u64)> {
+    run.chunks_exact(q.len())
+        .enumerate()
+        .filter_map(|(k, fp)| dist_sq_within(q, fp, bound).map(|d2| (k, d2)))
+        .collect()
+}
+
+fn run_kernel_hits(q: &[u8], run: &[u8], bound: u64) -> Vec<(usize, u64)> {
+    let mut hits = Vec::new();
+    scan_within(q, run, bound, |k, d2| hits.push((k, d2)));
+    hits
+}
+
+/// A query and `n` records of `dims` bytes starting `off` bytes into the
+/// returned buffer; every other record is a near-duplicate of the query
+/// (each component within `jitter`), so prefixes under the bound and the
+/// confirm path both occur.
+fn run_fixture(dims: usize, n: usize, off: usize, jitter: u8, seed: u64) -> (Vec<u8>, Vec<u8>) {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s >> 32) as u8
+    };
+    let q: Vec<u8> = (0..dims).map(|_| next()).collect();
+    let mut buf: Vec<u8> = (0..off).map(|_| next()).collect();
+    for k in 0..n {
+        for &c in &q {
+            let b = if k % 2 == 0 {
+                let j = i16::from(next() % (jitter + 1)) * if next() % 2 == 0 { 1 } else { -1 };
+                (i16::from(c) + j).clamp(0, 255) as u8
+            } else {
+                next()
+            };
+            buf.push(b);
+        }
+    }
+    (q, buf)
+}
+
+/// Bounds around the edges of the run kernel: zero, the `i32` clamp, the
+/// largest, and the exact distances of the records themselves (the `≤`
+/// edge of the confirm path).
+fn edge_bounds(q: &[u8], run: &[u8]) -> Vec<u64> {
+    let mut bounds = vec![0, 1, 10_014, (1 << 31) - 1, 1 << 31, u64::MAX];
+    for fp in run.chunks_exact(q.len()).take(6) {
+        let d2 = dist_sq(q, fp);
+        bounds.extend([d2.saturating_sub(1), d2, d2 + 1]);
+    }
+    bounds
+}
+
+/// Every dimensionality up to twice the 16-byte prefix, every run length
+/// from 0 to 9 plus longer ones, misaligned starts, and the edge bounds.
+#[test]
+fn run_kernel_matches_per_record_loop_exhaustively() {
+    for dims in 1..=40 {
+        for n in (0..=9).chain([13, 32, 67]) {
+            for off in [0, 1, 7] {
+                let (q, buf) = run_fixture(dims, n, off, 6, (dims * 131 + n * 7 + off) as u64);
+                let run = &buf[off..];
+                for bound in edge_bounds(&q, run) {
+                    assert_eq!(
+                        run_kernel_hits(&q, run, bound),
+                        per_record_hits(&q, run, bound),
+                        "dims {dims} n {n} off {off} bound {bound}"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -197,5 +275,32 @@ proptest! {
             dist_sq_within_scalar(&a, &b, bound),
             (want <= bound).then_some(want)
         );
+    }
+    /// The run kernel fires exactly where the per-record
+    /// `dist_sq_within` loop keeps a record, with the same `d²`: any
+    /// dimensionality (the paper's 20 and the 16-byte prefix edges
+    /// weighted), any run length, misaligned starts, near-duplicates, and
+    /// bounds from 0 through the realistic range to `u64::MAX`.
+    #[test]
+    fn run_kernel_matches_per_record_loop(
+        dims_pick in 0usize..46,
+        short in 0usize..10,
+        long in 10usize..80,
+        off in 0usize..16,
+        jitter in 0u8..40,
+        seed in any::<u64>(),
+        bound_pick in 0usize..6,
+        realistic in 0u64..40_000,
+        raw in any::<u64>(),
+    ) {
+        let dims = match dims_pick {
+            0..=39 => dims_pick + 1,
+            _ => [15, 16, 17, 20, 20, 32][dims_pick - 40],
+        };
+        let n = if seed % 2 == 0 { short } else { long };
+        let bound = [0, realistic, (1 << 31) - 1, 1 << 31, u64::MAX, raw][bound_pick];
+        let (q, buf) = run_fixture(dims, n, off, jitter, seed);
+        let run = &buf[off..];
+        prop_assert_eq!(run_kernel_hits(&q, run, bound), per_record_hits(&q, run, bound));
     }
 }
