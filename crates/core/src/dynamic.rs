@@ -14,11 +14,10 @@
 
 use crate::distortion::DistortionModel;
 use crate::fingerprint::RecordBatch;
-use crate::index::{Match, QueryResult, Refiner, S3Index, StatQueryOpts};
+use crate::index::{QueryResult, S3Index, SortedRun, StatQueryOpts};
 use crate::metrics::CoreMetrics;
 use crate::plan::{run_query, Ask, QueryPlan, QueryScan};
-use s3_hilbert::{HilbertCurve, Key256, KeyBound};
-use std::time::Instant;
+use s3_hilbert::HilbertCurve;
 
 /// How a merge — or its crash recovery — ended.
 ///
@@ -44,9 +43,8 @@ pub enum MergeOutcome {
 #[derive(Clone, Debug)]
 pub struct DynamicIndex {
     main: S3Index,
-    /// Overlay records, sorted by Hilbert key (parallel vectors).
-    overlay_keys: Vec<Key256>,
-    overlay: RecordBatch,
+    /// Inserted records not merged yet.
+    overlay: SortedRun,
     /// Merge when `overlay_len > merge_fraction * main_len` (and overlay is
     /// non-trivially sized).
     merge_fraction: f64,
@@ -67,8 +65,7 @@ impl DynamicIndex {
         let dims = main.records().dims();
         DynamicIndex {
             main,
-            overlay_keys: Vec::new(),
-            overlay: RecordBatch::new(dims),
+            overlay: SortedRun::new(Vec::new(), RecordBatch::new(dims)),
             merge_fraction,
             merges: 0,
         }
@@ -113,23 +110,7 @@ impl DynamicIndex {
     /// configured fraction of the main index.
     pub fn insert(&mut self, fingerprint: &[u8], id: u32, tc: u32) {
         let key = self.main.curve().encode_bytes(fingerprint);
-        // Sorted insert (overlays are small by construction).
-        let pos = self.overlay_keys.partition_point(|k| *k < key);
-        self.overlay_keys.insert(pos, key);
-        // RecordBatch has no insert-at; rebuild the tail. Overlays are small,
-        // and amortised cost stays linear in overlay size.
-        let mut rebuilt = RecordBatch::with_capacity(self.overlay.dims(), self.overlay.len() + 1);
-        for i in 0..pos {
-            let r = self.overlay.record(i);
-            rebuilt.push(r.fingerprint, r.id, r.tc);
-        }
-        rebuilt.push(fingerprint, id, tc);
-        for i in pos..self.overlay.len() {
-            let r = self.overlay.record(i);
-            rebuilt.push(r.fingerprint, r.id, r.tc);
-        }
-        self.overlay = rebuilt;
-
+        self.overlay.insert(key, fingerprint, id, tc);
         let threshold = (self.main.len() as f64 * self.merge_fraction).max(256.0);
         if self.overlay.len() as f64 > threshold {
             self.merge();
@@ -144,15 +125,15 @@ impl DynamicIndex {
     /// [`MergeOutcome::Completed`]; an empty overlay completes trivially
     /// without counting a merge.
     pub fn merge(&mut self) -> MergeOutcome {
-        if self.overlay.is_empty() {
+        if self.overlay.len() == 0 {
             return MergeOutcome::Completed;
         }
-        let mut all = RecordBatch::with_capacity(self.overlay.dims(), self.len());
+        let dims = self.main.curve().dims();
+        let mut all = RecordBatch::with_capacity(dims, self.len());
         all.extend_from(self.main.records());
-        all.extend_from(&self.overlay);
+        all.extend_from(self.overlay.records());
         self.main = S3Index::build_on(self.main.curve().clone(), all);
-        self.overlay = RecordBatch::new(self.overlay.dims());
-        self.overlay_keys.clear();
+        self.overlay = SortedRun::new(Vec::new(), RecordBatch::new(dims));
         self.merges += 1;
         CoreMetrics::get().merge_ok.inc();
         MergeOutcome::Completed
@@ -192,39 +173,14 @@ impl DynamicIndex {
     /// is kept.
     pub(crate) fn scan(&self, q: &[u8], plan: &QueryPlan, ask: &Ask) -> QueryScan {
         let mut scan = self.main.scan(q, plan, ask, None);
-        scan.absorb(self.scan_overlay(q, plan, ask), self.main.len());
+        let base = self.main.len();
+        let overlay = self
+            .overlay
+            .scan(None, &plan.ranges, q, ask, base, || false);
+        scan.matches.extend(overlay.matches);
+        scan.stats.entries_scanned += overlay.entries;
+        scan.refine_ns += overlay.ns;
         scan
-    }
-
-    fn scan_overlay(&self, q: &[u8], plan: &QueryPlan, ask: &Ask) -> QueryScan {
-        let t0 = Instant::now();
-        let mut out = QueryScan::default();
-        let mut refiner = Refiner::new(q, ask.refine, ask.model);
-        let fps = self.overlay.fingerprint_bytes();
-        for range in &plan.ranges {
-            let lo = self.overlay_keys.partition_point(|k| *k < range.lo);
-            let hi = match range.hi {
-                KeyBound::Excl(h) => self.overlay_keys.partition_point(|k| *k < h),
-                KeyBound::End => self.overlay_keys.len(),
-            };
-            refiner.scan(
-                fps,
-                lo,
-                hi,
-                || false,
-                |i, dist_sq| {
-                    out.matches.push(Match {
-                        index: i,
-                        id: self.overlay.id(i),
-                        tc: self.overlay.tc(i),
-                        dist_sq,
-                    })
-                },
-            );
-        }
-        out.stats.entries_scanned = refiner.entries();
-        out.refine_ns = t0.elapsed().as_nanos() as u64;
-        out
     }
 }
 
@@ -232,7 +188,8 @@ impl DynamicIndex {
 mod tests {
     use super::*;
     use crate::distortion::{CountingModel, IsotropicNormal};
-    use crate::index::{FilterAlgo, QueryStats};
+    use crate::index::{FilterAlgo, Match, QueryStats};
+    use s3_hilbert::Key256;
 
     const DIMS: usize = 6;
 
@@ -273,9 +230,13 @@ mod tests {
     #[test]
     fn dynamic_equals_static_rebuild() {
         // Build the same record set two ways: all-static, and half static +
-        // half inserted; every query must agree.
+        // half inserted; every query must agree. Every tenth inserted record
+        // repeats one inserted before it, so the overlay holds equal keys.
         let mut state = 0xD1Au64;
-        let records: Vec<Vec<u8>> = (0..600).map(|_| rand_fp(&mut state)).collect();
+        let mut records: Vec<Vec<u8>> = (0..600).map(|_| rand_fp(&mut state)).collect();
+        for i in (330..600).step_by(10) {
+            records[i] = records[i - 25].clone();
+        }
 
         let mut full = RecordBatch::new(DIMS);
         for (i, fp) in records.iter().enumerate() {
@@ -288,10 +249,28 @@ mod tests {
         let mut dyn_idx = DynamicIndex::new(S3Index::build(curve(), half), 1.0);
         // Both assemblies on one curve: the one the half-built main ranked.
         let static_idx = S3Index::build_on(dyn_idx.main().curve().clone(), full);
+        // The overlay as a sorted rebuild per insert kept it: each new
+        // record before the equal keys already there.
+        let mut rebuilt_keys: Vec<Key256> = Vec::new();
+        let mut rebuilt = RecordBatch::new(DIMS);
         for (i, fp) in records.iter().enumerate().skip(300) {
             dyn_idx.insert(fp, i as u32, 0);
+            let key = dyn_idx.main().curve().encode_bytes(fp);
+            let at = rebuilt_keys.iter().take_while(|k| **k < key).count();
+            rebuilt_keys.insert(at, key);
+            let mut next = RecordBatch::new(DIMS);
+            for r in rebuilt.iter().take(at) {
+                next.push(r.fingerprint, r.id, r.tc);
+            }
+            next.push(fp, i as u32, 0);
+            for r in rebuilt.iter().skip(at) {
+                next.push(r.fingerprint, r.id, r.tc);
+            }
+            rebuilt = next;
         }
         assert_eq!(dyn_idx.len(), 600);
+        assert_eq!(dyn_idx.overlay.keys(), rebuilt_keys);
+        assert_eq!(dyn_idx.overlay.records(), &rebuilt);
 
         let model = IsotropicNormal::new(DIMS, 12.0);
         let mut qstate = 0xBEEFu64;

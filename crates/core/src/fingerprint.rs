@@ -91,6 +91,27 @@ impl RecordBatch {
         self.tcs.push(tc);
     }
 
+    /// Inserts one record before record `i` (panics as [`RecordBatch::push`]
+    /// does, or if `i > len()`).
+    pub(crate) fn insert(&mut self, i: usize, fingerprint: &[u8], id: u32, tc: u32) {
+        assert!(i <= self.len(), "insert position out of range");
+        self.push(fingerprint, id, tc);
+        self.fingerprints[i * self.dims..].rotate_right(self.dims);
+        self.ids[i..].rotate_right(1);
+        self.tcs[i..].rotate_right(1);
+    }
+
+    /// The three columns of a `dims`-dimensional batch, for a loader that
+    /// refills them in place; it must leave them the same length again.
+    pub(crate) fn columns_mut(
+        &mut self,
+        dims: usize,
+    ) -> (&mut Vec<u8>, &mut Vec<u32>, &mut Vec<u32>) {
+        assert!(dims > 0, "dims must be positive");
+        self.dims = dims;
+        (&mut self.fingerprints, &mut self.ids, &mut self.tcs)
+    }
+
     /// Appends all records of another batch of the same dimension.
     pub fn extend_from(&mut self, other: &RecordBatch) {
         assert_eq!(self.dims, other.dims, "batch dimension mismatch");

@@ -47,10 +47,10 @@ pub enum Refine {
     LogLikelihood(f64),
 }
 
-/// A [`Refine`] predicate bound to one query, and the one scan loop every
-/// engine runs it in: runs of contiguous records go through the kernel for
-/// the predicate, cut only where a cancellation poll falls.
-pub(crate) struct Refiner<'a> {
+/// A [`Refine`] predicate bound to one query, and the inner loop of
+/// [`SortedRun::scan`]: runs of contiguous records go through the kernel
+/// for the predicate, cut only where a cancellation poll falls.
+struct Refiner<'a> {
     q: &'a [u8],
     refine: Refine,
     model: Option<&'a dyn DistortionModel>,
@@ -63,12 +63,12 @@ pub(crate) struct Refiner<'a> {
     /// across [`Refiner::scan`] calls, so many short ranges are polled as
     /// often as one long one.
     until_poll: usize,
-    /// Records refined so far.
+    /// Records refined so far, over every [`Refiner::scan`] call.
     entries: usize,
 }
 
 impl<'a> Refiner<'a> {
-    pub(crate) fn new(q: &'a [u8], refine: Refine, model: Option<&'a dyn DistortionModel>) -> Self {
+    fn new(q: &'a [u8], refine: Refine, model: Option<&'a dyn DistortionModel>) -> Self {
         Refiner {
             q,
             refine,
@@ -89,18 +89,13 @@ impl<'a> Refiner<'a> {
         }
     }
 
-    /// Records refined so far, over every [`Refiner::scan`] call.
-    pub(crate) fn entries(&self) -> usize {
-        self.entries
-    }
-
     /// Refines records `lo..hi` of `fps`, an array of `q.len()`-byte
     /// records, calling `hit(i, d)` for each record `i` the predicate keeps
     /// — `d` being its squared distance to the query when the predicate
     /// computed one. Polls `stop` every [`REFINE_CHUNK`] records (one chunk
     /// is the uninterruptible unit); once it fires, returns false with the
     /// rest of the range unrefined.
-    pub(crate) fn scan(
+    fn scan(
         &mut self,
         fps: &[u8],
         lo: usize,
@@ -187,6 +182,190 @@ pub(crate) mod per_record_oracle {
         let r = f();
         ON.with(|on| on.set(false));
         r
+    }
+}
+
+/// Where each key slot of a sorted run starts: `first[s]` is the first
+/// record whose key has top bits ≥ `s` — O(1) coarse range location.
+#[derive(Clone, Debug)]
+pub(crate) struct SlotTable {
+    first: Vec<u32>,
+    /// Key bits below the slot number.
+    shift: u32,
+}
+
+impl SlotTable {
+    /// The table of `keys` (sorted, on `curve`), about one slot per 16
+    /// records, capped to keep the table small and within the key width.
+    fn new(curve: &HilbertCurve, keys: &[Key256]) -> SlotTable {
+        let depth = (keys.len() / 16)
+            .next_power_of_two()
+            .trailing_zeros()
+            .clamp(1, 20)
+            .min(curve.key_bits());
+        let slots = 1usize << depth;
+        let shift = curve.key_bits() - depth;
+        let mut first = vec![0u32; slots + 1];
+        // Walk the sorted keys once, recording the first record of each slot.
+        let mut slot = 0usize;
+        for (i, key) in keys.iter().enumerate() {
+            let s = key.shr(shift).low_u128() as usize;
+            while slot <= s {
+                first[slot] = i as u32;
+                slot += 1;
+            }
+        }
+        first[slot..].fill(keys.len() as u32);
+        SlotTable { first, shift }
+    }
+
+    /// The records whose keys share `key`'s slot.
+    fn window(&self, key: &Key256) -> (usize, usize) {
+        let slot = key.shr(self.shift).low_u128() as usize;
+        (self.first[slot] as usize, self.first[slot + 1] as usize)
+    }
+}
+
+/// Records sorted by curve key — the key-sorted file of §IV-A, whole or one
+/// resident section of it (§IV-B) — with the one key locate and the one
+/// refinement loop every engine runs: an [`S3Index`] holds one beside its
+/// [`SlotTable`], a pseudo-disk section and an insert overlay hold one bare.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SortedRun {
+    keys: Vec<Key256>,
+    records: RecordBatch,
+}
+
+/// What one [`SortedRun::scan`] found and did.
+pub(crate) struct RunScan {
+    /// Records the predicate kept, in run order.
+    pub(crate) matches: Vec<Match>,
+    /// Ranges visited, the one a stop fell in included.
+    pub(crate) ranges: usize,
+    /// Records refined.
+    pub(crate) entries: usize,
+    /// A stop cut the scan short.
+    pub(crate) stopped: bool,
+    /// Wall-clock time the scan took.
+    pub(crate) ns: u64,
+}
+
+impl SortedRun {
+    /// A run of `records` whose keys are `keys`, both already in key order.
+    ///
+    /// # Panics
+    /// If the lengths differ.
+    pub(crate) fn new(keys: Vec<Key256>, records: RecordBatch) -> SortedRun {
+        assert_eq!(keys.len(), records.len(), "keys/records length mismatch");
+        SortedRun { keys, records }
+    }
+
+    pub(crate) fn keys(&self) -> &[Key256] {
+        &self.keys
+    }
+
+    pub(crate) fn records(&self) -> &RecordBatch {
+        &self.records
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The two columns, for a loader to refill and hand back through
+    /// [`SortedRun::new`].
+    pub(crate) fn into_parts(self) -> (Vec<Key256>, RecordBatch) {
+        (self.keys, self.records)
+    }
+
+    /// Inserts one record under `key`, before any records of an equal key.
+    pub(crate) fn insert(&mut self, key: Key256, fingerprint: &[u8], id: u32, tc: u32) {
+        let at = self.lower_bound_from(None, 0, &key);
+        self.keys.insert(at, key);
+        self.records.insert(at, fingerprint, id, tc);
+    }
+
+    /// The half-open record range `[start, end)` a key range covers, `from`
+    /// being where the previous range ended for a caller sweeping ascending
+    /// ranges (0 otherwise).
+    pub(crate) fn locate(
+        &self,
+        table: Option<&SlotTable>,
+        from: usize,
+        range: &KeyRange,
+    ) -> (usize, usize) {
+        let start = self.lower_bound_from(table, from, &range.lo);
+        let end = match range.hi {
+            KeyBound::Excl(hi) => self.lower_bound_from(table, start, &hi),
+            KeyBound::End => self.keys.len(),
+        };
+        (start, end.max(start))
+    }
+
+    /// First record with key ≥ `key`, `from` being the previous answer of
+    /// a caller sweeping ascending bounds. A scan list of thousands of
+    /// ranges (deep partitions) puts the next bound a few records ahead, so
+    /// the records right after `from` — which the scan is about to read
+    /// anyway — are searched first. Only a bound beyond that window (or one
+    /// not ascending) searches further: within its slot of `table`, or the
+    /// whole run when there is no table.
+    fn lower_bound_from(&self, table: Option<&SlotTable>, from: usize, key: &Key256) -> usize {
+        /// Records searched in place first: one table slot's worth.
+        const NEAR: usize = 16;
+        let near_end = self.keys.len().min(from + NEAR);
+        let ascending = from == 0 || self.keys[from - 1] < *key;
+        let (lo, hi) = match self.keys[from..near_end].last() {
+            Some(last) if ascending && *key <= *last => (from, near_end),
+            _ => table.map_or((0, self.keys.len()), |t| t.window(key)),
+        };
+        lo + self.keys[lo..hi].partition_point(|k| *k < *key)
+    }
+
+    /// Refinement (stage 2) of one query over this run: locates each of
+    /// `ranges` (ascending) and refines its records against `q` as `ask`
+    /// says, record `i` matching as index `base + i`. Polls `stop` every
+    /// [`REFINE_CHUNK`] records across the ranges and ends the scan when it
+    /// fires.
+    pub(crate) fn scan<'r>(
+        &self,
+        table: Option<&SlotTable>,
+        ranges: impl IntoIterator<Item = &'r KeyRange>,
+        q: &[u8],
+        ask: &Ask,
+        base: usize,
+        stop: impl Fn() -> bool,
+    ) -> RunScan {
+        let t0 = Instant::now();
+        let mut out = RunScan {
+            matches: Vec::new(),
+            ranges: 0,
+            entries: 0,
+            stopped: false,
+            ns: 0,
+        };
+        let mut refiner = Refiner::new(q, ask.refine, ask.model);
+        let fps = self.records.fingerprint_bytes();
+        let mut cursor = 0;
+        for range in ranges {
+            let (start, end) = self.locate(table, cursor, range);
+            cursor = end;
+            out.ranges += 1;
+            let kept = refiner.scan(fps, start, end, &stop, |i, dist_sq| {
+                out.matches.push(Match {
+                    index: base + i,
+                    id: self.records.id(i),
+                    tc: self.records.tc(i),
+                    dist_sq,
+                })
+            });
+            if !kept {
+                out.stopped = true;
+                break;
+            }
+        }
+        out.entries = refiner.entries;
+        out.ns = t0.elapsed().as_nanos() as u64;
+        out
     }
 }
 
@@ -370,11 +549,8 @@ fn wide_components(records: &RecordBatch) -> [bool; MAX_DIMS] {
 #[derive(Clone, Debug)]
 pub struct S3Index {
     curve: HilbertCurve,
-    keys: Vec<Key256>,
-    records: RecordBatch,
-    /// `table[i]` = first record whose key has top `table_depth` bits ≥ `i`.
-    table: Vec<u32>,
-    table_depth: u32,
+    run: SortedRun,
+    table: SlotTable,
 }
 
 impl S3Index {
@@ -442,20 +618,7 @@ impl S3Index {
         let perm: Vec<u32> = keyed.iter().map(|&(_, i)| i).collect();
         let records = records.permuted(&perm);
         let keys: Vec<Key256> = keyed.into_iter().map(|(k, _)| k).collect();
-
-        let table_depth = Self::pick_table_depth(&curve, n);
-        let table = Self::build_table(&curve, &keys, table_depth);
-
-        (
-            S3Index {
-                curve,
-                keys,
-                records,
-                table,
-                table_depth,
-            },
-            perm,
-        )
+        (Self::from_sorted_parts(curve, keys, records), perm)
     }
 
     /// Builds an index over records **already sorted by Hilbert key**,
@@ -475,45 +638,11 @@ impl S3Index {
     ) -> S3Index {
         assert_eq!(records.dims(), curve.dims(), "dimension mismatch");
         assert_eq!(curve.order(), 8, "fingerprints are byte vectors (order 8)");
-        assert_eq!(keys.len(), records.len(), "keys/records length mismatch");
         assert!(records.len() <= u32::MAX as usize, "too many records");
         debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys not sorted");
-        let table_depth = Self::pick_table_depth(&curve, keys.len());
-        let table = Self::build_table(&curve, &keys, table_depth);
-        S3Index {
-            curve,
-            keys,
-            records,
-            table,
-            table_depth,
-        }
-    }
-
-    fn pick_table_depth(curve: &HilbertCurve, n: usize) -> u32 {
-        // ~1 table slot per 16 records, capped to keep the table small and
-        // within the key width.
-        let want = (n / 16).next_power_of_two().trailing_zeros();
-        want.clamp(1, 20).min(curve.key_bits())
-    }
-
-    fn build_table(curve: &HilbertCurve, keys: &[Key256], depth: u32) -> Vec<u32> {
-        let slots = 1usize << depth;
-        let shift = curve.key_bits() - depth;
-        let mut table = vec![0u32; slots + 1];
-        // Walk the sorted keys once, recording the first record of each slot.
-        let mut slot = 0usize;
-        for (i, key) in keys.iter().enumerate() {
-            let s = key.shr(shift).low_u128() as usize;
-            while slot <= s {
-                table[slot] = i as u32;
-                slot += 1;
-            }
-        }
-        while slot <= slots {
-            table[slot] = keys.len() as u32;
-            slot += 1;
-        }
-        table
+        let run = SortedRun::new(keys, records);
+        let table = SlotTable::new(&curve, run.keys());
+        S3Index { curve, run, table }
     }
 
     /// The curve the index is built on.
@@ -523,59 +652,27 @@ impl S3Index {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.run.len()
     }
 
     /// True if the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.run.len() == 0
     }
 
     /// The sorted records (index `i` matches [`Match::index`]).
     pub fn records(&self) -> &RecordBatch {
-        &self.records
+        self.run.records()
     }
 
     /// Sorted Hilbert keys, parallel to [`S3Index::records`].
     pub fn keys(&self) -> &[Key256] {
-        &self.keys
+        self.run.keys()
     }
 
     /// Locates the half-open record range `[start, end)` covered by a key range.
     pub fn locate(&self, range: &KeyRange) -> (usize, usize) {
-        let start = self.lower_bound(&range.lo);
-        let end = match range.hi {
-            KeyBound::Excl(hi) => self.lower_bound(&hi),
-            KeyBound::End => self.keys.len(),
-        };
-        (start, end.max(start))
-    }
-
-    /// First record index with key ≥ `key`, accelerated by the index table.
-    fn lower_bound(&self, key: &Key256) -> usize {
-        let shift = self.curve.key_bits() - self.table_depth;
-        let slot = key.shr(shift).low_u128() as usize;
-        let lo = self.table[slot] as usize;
-        let hi = self.table[slot + 1] as usize;
-        lo + self.keys[lo..hi].partition_point(|k| k < key)
-    }
-
-    /// [`S3Index::lower_bound`] for a caller sweeping ascending bounds, where
-    /// `from` is the previous answer. A scan list of thousands of ranges
-    /// (deep partitions) puts the next bound a few records ahead, so the
-    /// records right after `from` — which the scan is about to read anyway —
-    /// are searched first; only a bound beyond that window (or one not
-    /// ascending) pays the index-table probe.
-    fn lower_bound_from(&self, from: usize, key: &Key256) -> usize {
-        /// Records searched in place before falling back to the table: one
-        /// table slot's worth (see `pick_table_depth`).
-        const NEAR: usize = 16;
-        let near = &self.keys[from..self.keys.len().min(from + NEAR)];
-        let ascending = from == 0 || self.keys[from - 1] < *key;
-        match near.last() {
-            Some(last) if ascending && *key <= *last => from + near.partition_point(|k| k < key),
-            _ => self.lower_bound(key),
-        }
+        self.run.locate(Some(&self.table), 0, range)
     }
 
     /// Stage 2 over this index: one pass of `plan`'s ranges over the sorted
@@ -590,52 +687,28 @@ impl S3Index {
         ask: &Ask,
         ctx: Option<&QueryCtx>,
     ) -> QueryScan {
-        let t0 = Instant::now();
         let mut sp = span!("query.refine");
-        let mut cursor = 0usize;
-        let mut matches = Vec::new();
-        let mut cancelled = false;
-        let mut refiner = Refiner::new(q, ask.refine, ask.model);
         let stop = || ctx.is_some_and(|c| c.should_stop());
-        let fps = self.records.fingerprint_bytes();
-        for range in &plan.ranges {
-            let start = self.lower_bound_from(cursor, &range.lo);
-            let end = match range.hi {
-                KeyBound::Excl(hi) => self.lower_bound_from(start, &hi),
-                KeyBound::End => self.keys.len(),
-            };
-            cursor = end;
-            let kept = refiner.scan(fps, start, end, stop, |i, dist_sq| {
-                matches.push(Match {
-                    index: i,
-                    id: self.records.id(i),
-                    tc: self.records.tc(i),
-                    dist_sq,
-                })
-            });
-            if !kept {
-                cancelled = true;
-                break;
-            }
-        }
-        let entries = refiner.entries();
+        let run = self
+            .run
+            .scan(Some(&self.table), &plan.ranges, q, ask, 0, stop);
         sp.record("ranges", plan.ranges.len() as f64);
-        sp.record("entries", entries as f64);
+        sp.record("entries", run.entries as f64);
         let mut blocks = Vec::new();
         if let (Some(selection), true) = (&plan.selection, ctx.is_some_and(|c| c.explains())) {
             let locate = |range: &KeyRange| self.locate(range);
-            tally_blocks(&self.curve, selection, locate, 0, &matches, &mut blocks);
+            tally_blocks(&self.curve, selection, locate, 0, &run.matches, &mut blocks);
         }
         QueryScan {
-            matches,
+            matches: run.matches,
             stats: QueryStats {
                 ranges_scanned: plan.ranges.len(),
-                entries_scanned: entries,
-                cancelled,
+                entries_scanned: run.entries,
+                cancelled: run.stopped,
                 ..QueryStats::default()
             },
             blocks,
-            refine_ns: t0.elapsed().as_nanos() as u64,
+            refine_ns: run.ns,
         }
     }
 
@@ -719,21 +792,16 @@ impl S3Index {
     /// Sequential-scan ε-range query — the reference baseline of Fig. 7,
     /// through the same run kernel as the index's own refinement.
     pub fn seq_scan(&self, q: &[u8], eps: f64) -> QueryResult {
-        let mut matches = Vec::new();
-        if let Some(bound) = kernels::bound_from_eps_sq(eps * eps) {
-            kernels::scan_within(q, self.records.fingerprint_bytes(), bound, |i, d2| {
-                matches.push(Match {
-                    index: i,
-                    id: self.records.id(i),
-                    tc: self.records.tc(i),
-                    dist_sq: Some(d2 as f64),
-                })
-            });
-        }
+        let everything = KeyRange {
+            lo: Key256::ZERO,
+            hi: KeyBound::End,
+        };
+        let ask = Ask::range(eps, 0);
+        let run = self.run.scan(None, [&everything], q, &ask, 0, || false);
         QueryResult {
-            matches,
+            matches: run.matches,
             stats: QueryStats {
-                entries_scanned: self.len(),
+                entries_scanned: run.entries,
                 ranges_scanned: 1,
                 ..QueryStats::default()
             },
@@ -965,21 +1033,44 @@ mod tests {
 
     #[test]
     fn lower_bound_from_agrees_with_the_table_search() {
-        let idx = small_index();
-        let n = idx.len();
-        // Probe keys just below, at and just above stored keys, from every
-        // kind of starting point: exact previous answer, far behind, past
-        // the bound (not ascending), and the end of the array.
-        for i in (0..n).step_by(7) {
-            let stored = idx.keys()[i];
-            for key in [
-                stored.saturating_sub_u64(1),
-                stored,
-                stored.wrapping_add_u64(1),
-            ] {
-                let want = idx.lower_bound(&key);
-                for from in [0, want.saturating_sub(3), want, (want + 5).min(n), n] {
-                    assert_eq!(idx.lower_bound_from(from, &key), want, "i={i} from={from}");
+        // Distinct keys, and runs of duplicate keys (50 fingerprints 40 times
+        // over), each searched with its table and bare — as a section or an
+        // overlay holds its run.
+        let distinct = small_index();
+        let few = synthetic_batch(4, 50, 9);
+        let mut dups = RecordBatch::new(4);
+        for i in 0..2000 {
+            dups.push(few.fingerprint(i % 50), i as u32, 0);
+        }
+        let dups = S3Index::build(HilbertCurve::new(4, 8).unwrap(), dups);
+        for idx in [&distinct, &dups] {
+            let n = idx.len();
+            for table in [Some(&idx.table), None] {
+                // Probe keys just below, at and just above stored keys, from
+                // every kind of starting point: exact previous answer, far
+                // behind, just behind, just past (not ascending), well past
+                // and the end of the run.
+                for i in (0..n).step_by(7) {
+                    let stored = idx.keys()[i];
+                    for key in [
+                        stored.saturating_sub_u64(1),
+                        stored,
+                        stored.wrapping_add_u64(1),
+                    ] {
+                        let want = idx.keys().iter().take_while(|k| **k < key).count();
+                        for from in [0, want.saturating_sub(3), want.saturating_sub(1), want]
+                            .into_iter()
+                            .chain([want + 1, want + 5, n].map(|f| f.min(n)))
+                        {
+                            let got = idx.run.lower_bound_from(table, from, &key);
+                            assert_eq!(got, want, "i={i} from={from} table={}", table.is_some());
+                        }
+                        let to_end = KeyRange {
+                            lo: key,
+                            hi: KeyBound::End,
+                        };
+                        assert_eq!(idx.run.locate(table, 0, &to_end), (want, n));
+                    }
                 }
             }
         }
@@ -1242,7 +1333,7 @@ mod tests {
                     assert!(refiner.scan(fps, lo, hi, stop, |_, _| hits.set(hits.get() + 1)));
                 }
                 assert_eq!(hits.get(), batch.len(), "{case}: every record kept");
-                assert_eq!(refiner.entries(), batch.len(), "{case}");
+                assert_eq!(refiner.entries, batch.len(), "{case}");
                 // Polled before the 4096th record and every 4096 after.
                 let want: Vec<usize> = (1..).map(|c| c * REFINE_CHUNK - 1).take(2).collect();
                 assert_eq!(*polls.borrow(), want, "{case}");
@@ -1268,7 +1359,7 @@ mod tests {
         }
         assert!(!go_on);
         assert_eq!(
-            (kept, refiner.entries()),
+            (kept, refiner.entries),
             (REFINE_CHUNK - 1, REFINE_CHUNK - 1)
         );
     }

@@ -68,7 +68,7 @@ use crate::crc::{crc32, Crc32};
 use crate::distortion::DistortionModel;
 use crate::error::IndexError;
 use crate::fingerprint::RecordBatch;
-use crate::index::{Match, QueryStats, Refiner, S3Index, StatQueryOpts};
+use crate::index::{Match, QueryStats, RunScan, S3Index, SortedRun, StatQueryOpts};
 use crate::metrics::CoreMetrics;
 use crate::parallel::{default_threads, with_crew};
 use crate::plan::{query_scope, tally_blocks, Plan, QueryPlan, QueryScan, Scan};
@@ -744,26 +744,10 @@ impl DiskIndex {
     /// source side of a durable merge: the merged index is rebuilt from
     /// `main.to_record_batch() + overlay` rather than from scratch.
     pub fn to_record_batch(&self) -> Result<RecordBatch, IndexError> {
-        let dims = self.curve.dims();
         let n = usize::try_from(self.n)
             .map_err(|_| bad_format("record count exceeds the address space"))?;
-        let mut scratch = Vec::new();
-        let fps_rel = self.n * KEY_LEN;
-        let ids_rel = fps_rel + self.n * dims as u64;
-        let tcs_rel = ids_rel + self.n * 4;
-
-        let mut fps = vec![0u8; n * dims];
-        self.read_verified(fps_rel, &mut fps, &mut scratch)?;
-        let mut raw = vec![0u8; n * 4];
-        self.read_verified(ids_rel, &mut raw, &mut scratch)?;
-        let ids: Vec<u32> = raw.chunks_exact(4).map(le_u32).collect();
-        self.read_verified(tcs_rel, &mut raw, &mut scratch)?;
-        let tcs: Vec<u32> = raw.chunks_exact(4).map(le_u32).collect();
-
-        let mut batch = RecordBatch::with_capacity(dims, n);
-        for i in 0..n {
-            batch.push(&fps[i * dims..(i + 1) * dims], ids[i], tcs[i]);
-        }
+        let mut batch = RecordBatch::with_capacity(self.curve.dims(), n);
+        self.read_records(0, self.n, &mut batch, &mut Vec::new(), &mut Vec::new())?;
         Ok(batch)
     }
 
@@ -1034,43 +1018,21 @@ impl DiskIndex {
         let slots_of = |s: usize| bounds[s]..bounds[s + 1];
         // Refines one query's contiguous run of ranges within a resident
         // section: the unit a worker claims.
-        let refine_group = |job: &SectionJob, g: usize| -> GroupResult {
+        let refine_group = |job: &SectionJob, g: usize| -> RunScan {
             let (lo_w, hi_w) = job.groups[g];
             let qi = job.work[lo_w].0 as usize;
-            let q = queries[qi];
-            let t_group = Instant::now();
             let mut sp = span!("query.refine", "qi" => qi as f64);
-            let mut out = GroupResult {
-                matches: Vec::new(),
-                ranges: 0,
-                entries: 0,
-                elapsed_ns: 0,
-                cancelled: false,
-            };
-            let mut refiner = Refiner::new(q, plan.ask.refine, plan.ask.model);
-            let section = &job.section;
-            for &(_, ri) in &job.work[lo_w..hi_w] {
-                let range = &plan.per_query[qi].ranges[ri as usize];
-                let (lo, hi) = section.locate(range);
-                out.ranges += 1;
-                let kept = refiner.scan(&section.fps, lo, hi, should_stop, |i, dist_sq| {
-                    out.matches.push(Match {
-                        index: job.first + i,
-                        id: section.ids[i],
-                        tc: section.tcs[i],
-                        dist_sq,
-                    })
-                });
-                if !kept {
-                    out.cancelled = true;
-                    break;
-                }
-            }
-            out.entries = refiner.entries();
-            out.elapsed_ns = t_group.elapsed().as_nanos() as u64;
-            sp.record("ranges", out.ranges as f64);
-            sp.record("entries", out.entries as f64);
-            out
+            let query = &plan.per_query[qi];
+            let ranges = job.work[lo_w..hi_w]
+                .iter()
+                .map(|&(_, ri)| &query.ranges[ri as usize]);
+            let run =
+                job.section
+                    .run
+                    .scan(None, ranges, queries[qi], &plan.ask, job.first, should_stop);
+            sp.record("ranges", run.ranges as f64);
+            sp.record("entries", run.entries as f64);
+            run
         };
         // One crew for the whole batch: each resident section is one
         // fan-out, and loads stay on this thread.
@@ -1189,7 +1151,7 @@ impl DiskIndex {
                 let t_ref = Instant::now();
                 // `work` is pushed in ascending qi order, so each query's ranges
                 // form one contiguous run — the unit of parallel refinement.
-                // Workers produce independent GroupResults; the sequential merge
+                // Workers produce independent RunScans; the sequential merge
                 // below reproduces the exact sequential output order.
                 let mut groups: Vec<(usize, usize)> = Vec::new();
                 let mut gs = 0usize;
@@ -1218,13 +1180,13 @@ impl DiskIndex {
                     };
                     scan.stats.ranges_scanned += gr.ranges;
                     scan.stats.entries_scanned += gr.entries;
-                    scan.stats.cancelled |= gr.cancelled;
-                    scan.refine_ns += gr.elapsed_ns;
+                    scan.stats.cancelled |= gr.stopped;
+                    scan.refine_ns += gr.ns;
                     let new_matches = scan.matches.len();
                     scan.matches.extend(gr.matches);
                     let selection = plan.per_query[work[lo_w].0 as usize].selection.as_ref();
                     if let (Some(selection), true) = (selection, want_explain) {
-                        let locate = |range: &KeyRange| section.locate(range);
+                        let locate = |range: &KeyRange| section.run.locate(None, 0, range);
                         tally_blocks(
                             &self.curve,
                             selection,
@@ -1321,49 +1283,47 @@ impl DiskIndex {
     }
 
     fn load_section(&self, a: u64, b: u64, buf: &mut SectionBuf) -> Result<(), IndexError> {
-        let n = (b - a) as usize;
-        let dims = self.curve.dims() as u64;
-        let keys_rel = 0u64;
-        let fps_rel = self.n * KEY_LEN;
-        let ids_rel = fps_rel + self.n * dims;
-        let tcs_rel = ids_rel + self.n * 4;
-
-        let mut raw = std::mem::take(&mut buf.raw);
-        raw.resize(n * KEY_LEN as usize, 0);
-        self.read_verified(keys_rel + a * KEY_LEN, &mut raw, &mut buf.scratch)?;
-        buf.keys.clear();
-        buf.keys
-            .extend(raw.chunks_exact(KEY_LEN as usize).map(read_key));
-
-        buf.fps.resize(n * dims as usize, 0);
-        let mut fps = std::mem::take(&mut buf.fps);
-        self.read_verified(fps_rel + a * dims, &mut fps, &mut buf.scratch)?;
-        buf.fps = fps;
-
-        raw.resize(n * 4, 0);
-        self.read_verified(ids_rel + a * 4, &mut raw, &mut buf.scratch)?;
-        buf.ids.clear();
-        buf.ids.extend(raw.chunks_exact(4).map(le_u32));
-
-        self.read_verified(tcs_rel + a * 4, &mut raw, &mut buf.scratch)?;
-        buf.tcs.clear();
-        buf.tcs.extend(raw.chunks_exact(4).map(le_u32));
-        buf.raw = raw;
+        let SectionBuf { run, raw, scratch } = buf;
+        let (mut keys, mut records) = std::mem::take(run).into_parts();
+        raw.resize((b - a) as usize * KEY_LEN as usize, 0);
+        self.read_verified(a * KEY_LEN, raw, scratch)?;
+        keys.clear();
+        keys.extend(raw.chunks_exact(KEY_LEN as usize).map(read_key));
+        self.read_records(a, b, &mut records, raw, scratch)?;
+        *run = SortedRun::new(keys, records);
         Ok(())
     }
-}
 
-/// Refinement output of one query's contiguous run of ranges within a
-/// section — the unit merged back into per-query results in input order.
-struct GroupResult {
-    matches: Vec<Match>,
-    ranges: usize,
-    entries: usize,
-    /// Wall-clock the group spent scanning, ns (explain phase accounting).
-    elapsed_ns: u64,
-    /// The group stopped on a fired token mid-scan; `matches` covers the
-    /// records visited up to the stop.
-    cancelled: bool,
+    /// Reads records `a..b` into `records` (the key column stays unread),
+    /// through the staging buffers `raw` and `scratch`.
+    fn read_records(
+        &self,
+        a: u64,
+        b: u64,
+        records: &mut RecordBatch,
+        raw: &mut Vec<u8>,
+        scratch: &mut Vec<u8>,
+    ) -> Result<(), IndexError> {
+        let n = (b - a) as usize;
+        let dims = self.curve.dims();
+        let fps_rel = self.n * KEY_LEN;
+        let ids_rel = fps_rel + self.n * dims as u64;
+        let tcs_rel = ids_rel + self.n * 4;
+
+        let (fps, ids, tcs) = records.columns_mut(dims);
+        fps.resize(n * dims, 0);
+        self.read_verified(fps_rel + a * dims as u64, fps, scratch)?;
+
+        raw.resize(n * 4, 0);
+        self.read_verified(ids_rel + a * 4, raw, scratch)?;
+        ids.clear();
+        ids.extend(raw.chunks_exact(4).map(le_u32));
+
+        self.read_verified(tcs_rel + a * 4, raw, scratch)?;
+        tcs.clear();
+        tcs.extend(raw.chunks_exact(4).map(le_u32));
+        Ok(())
+    }
 }
 
 /// One resident section and the refinement work the batch has in it.
@@ -1401,25 +1361,11 @@ fn mark_section_skipped(scans: &mut [QueryScan], work: &[(u32, u32)], cancelled:
 /// One memory-resident section of the database.
 #[derive(Default)]
 struct SectionBuf {
-    keys: Vec<Key256>,
-    fps: Vec<u8>,
-    ids: Vec<u32>,
-    tcs: Vec<u32>,
+    run: SortedRun,
     /// Reused staging buffer for raw column bytes.
     raw: Vec<u8>,
     /// Reused block-aligned read buffer for CRC verification.
     scratch: Vec<u8>,
-}
-
-impl SectionBuf {
-    fn locate(&self, range: &KeyRange) -> (usize, usize) {
-        let lo = self.keys.partition_point(|k| *k < range.lo);
-        let hi = match range.hi {
-            KeyBound::Excl(h) => self.keys.partition_point(|k| *k < h),
-            KeyBound::End => self.keys.len(),
-        };
-        (lo, hi.max(lo))
-    }
 }
 
 #[cfg(test)]

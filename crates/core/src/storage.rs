@@ -82,7 +82,7 @@ pub(crate) fn le_u64(bytes: &[u8]) -> u64 {
 /// `path`, and the parent directory is synced to persist the rename — a
 /// crash at any point leaves either the previous file or the new one,
 /// never a mix. The one write protocol of every whole-file format (index,
-/// sketch sidecar, reference database).
+/// reference database, incident dump, telemetry segment header).
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = {
         let mut name = path.file_name().unwrap_or_default().to_os_string();

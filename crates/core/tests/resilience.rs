@@ -57,19 +57,7 @@ fn fixture() -> &'static (S3Index, Vec<u8>) {
     static FIX: OnceLock<(S3Index, Vec<u8>)> = OnceLock::new();
     FIX.get_or_init(|| {
         let index = build_index();
-        let path =
-            std::env::temp_dir().join(format!("s3-resilience-fixture-{}.idx", std::process::id()));
-        DiskIndex::write_with(
-            &index,
-            &path,
-            WriteOpts {
-                table_depth: TABLE_DEPTH,
-                block_size: BLOCK_SIZE,
-            },
-        )
-        .unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
+        let bytes = DiskIndex::encode_to_vec(&index, write_opts()).unwrap();
         (index, bytes)
     })
 }

@@ -17,9 +17,7 @@
 //! level word is in slot order: every coordinate the crate takes or returns
 //! is a real component.
 
-use crate::gray::{
-    direction, entry, gray, gray_inverse, low_mask, rol, transform, transform_inverse,
-};
+use crate::gray::{direction, entry, gray, gray_inverse, rol, transform, transform_inverse};
 use crate::key::{Key256, MAX_BITS};
 
 /// Maximum number of dimensions supported (level words are `u32`s).
@@ -384,12 +382,6 @@ impl HilbertCurve {
             }
         }
         words
-    }
-
-    /// Mask of valid digit bits (`2^D - 1`).
-    #[inline]
-    pub fn digit_mask(&self) -> u32 {
-        low_mask(self.dims)
     }
 }
 

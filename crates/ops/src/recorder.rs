@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use s3_core::storage::write_atomic;
 use s3_obs::{
     registry, set_event_sink, set_span_sink, Counter, EventSink, JsonScalar, JsonWriter, Level,
     MetricId, RingCollector, SpanRecord,
@@ -393,14 +394,15 @@ impl IncidentReport {
     }
 
     /// Writes the report to `dir` as `incident-<kind>-<seq>.json`,
-    /// creating the directory if needed. Returns the file path.
+    /// creating the directory if needed, atomically ([`write_atomic`]): a
+    /// crash mid-dump leaves no torn document. Returns the file path.
     pub fn write_to_dir(&self, dir: &Path) -> io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!(
             "incident-{}-{:04}.json",
             self.trigger.kind, self.seq
         ));
-        std::fs::write(&path, self.to_json())?;
+        write_atomic(&path, self.to_json().as_bytes())?;
         Ok(path)
     }
 }
@@ -537,6 +539,11 @@ mod tests {
             .unwrap_or(false));
         let text = std::fs::read_to_string(&p).expect("read back");
         assert!(JsonValue::parse(&text).is_ok());
+        let names: Vec<_> = std::fs::read_dir(&*dir)
+            .expect("list")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(names, ["incident-manual-0001.json"], "no temp file left");
     }
 
     /// One of everything: a labelled and an unlabelled metric, a rule with

@@ -35,6 +35,7 @@ use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
+use s3_core::storage::write_atomic;
 use s3_obs::{event, frame, registry, Counter, Gauge};
 
 /// Magic bytes opening every segment file.
@@ -166,30 +167,15 @@ fn scan_segment(bytes: &[u8]) -> frame::Scan<Record> {
     scan
 }
 
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    // Directory fsync is not supported everywhere; best effort.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
-}
-
 /// Creates `<dir>/<name>` atomically with the segment header already
-/// written: temp file + fsync + rename + parent-dir sync.
+/// written ([`write_atomic`]), open for appending.
 fn create_segment(dir: &Path, name: &str) -> io::Result<File> {
-    let tmp = dir.join(format!(".{name}.tmp"));
     let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN);
     header.extend_from_slice(SEGMENT_MAGIC);
     header.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
     header.extend_from_slice(&0u32.to_le_bytes());
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&header)?;
-        f.sync_all()?;
-    }
     let path = dir.join(name);
-    fs::rename(&tmp, &path)?;
-    sync_dir(dir)?;
+    write_atomic(&path, &header)?;
     OpenOptions::new().append(true).open(&path)
 }
 

@@ -172,11 +172,6 @@ impl StreamingExtractor {
         }
     }
 
-    /// Number of frames pushed so far.
-    pub fn frames_pushed(&self) -> usize {
-        self.next_t
-    }
-
     /// Pushes the next frame; returns any fingerprints that became decidable.
     ///
     /// # Panics
