@@ -274,6 +274,38 @@ mod tests {
     use crate::detector::{Detector, DetectorConfig};
     use s3_video::ProceduralVideo;
 
+    /// A test file path no other test shares, removed on drop — so a
+    /// failing assert leaks nothing.
+    struct TempPath(std::path::PathBuf);
+
+    impl TempPath {
+        fn new(name: &str) -> TempPath {
+            static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let unique = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let file = format!("s3_cbcd_test_{}_{unique}_{name}", std::process::id());
+            TempPath(std::env::temp_dir().join(file))
+        }
+    }
+
+    impl std::ops::Deref for TempPath {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempPath {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempPath {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+        }
+    }
+
     fn sample_db() -> ReferenceDb {
         let mut p = ExtractorParams::default();
         p.harris.max_points = 7;
@@ -320,14 +352,13 @@ mod tests {
     #[test]
     fn loaded_db_detects_like_the_original() {
         let db = sample_db();
-        let path = std::env::temp_dir().join(format!("s3_refdb_{}.bin", std::process::id()));
+        let path = TempPath::new("refdb.bin");
         db.save(&path).unwrap();
         // Atomicity: no temp file lingers next to the destination.
         let mut tmp = path.file_name().unwrap().to_os_string();
         tmp.push(".tmp");
         assert!(!path.with_file_name(tmp).exists());
         let loaded = ReferenceDb::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
 
         let mut cfg = DetectorConfig::default();
         cfg.vote.min_votes = 8;

@@ -35,13 +35,14 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A block selected by a filter: its place in the partition and its score.
+/// A block selected by a filter: its place in the partition, its score and
+/// its distance to the query.
 ///
 /// Deliberately not a [`Block`]: the engines read only the depth, the curve
-/// rank (hence the key range) and the score of a selected block, and a
-/// statistical query at `D = 20` selects tens of thousands of them, so an
-/// entry is 48 bytes instead of a 192-byte box. [`ScoredBlock::block`]
-/// rebuilds the box for tests and diagnostics.
+/// rank (hence the key range), the score and the box distance of a
+/// selected block, and a statistical query at `D = 20` selects tens of
+/// thousands of them, so an entry is 48 bytes instead of a 192-byte box.
+/// [`ScoredBlock::block`] rebuilds the box for tests and diagnostics.
 #[derive(Clone, Copy, Debug)]
 pub struct ScoredBlock {
     rank: Key256,
@@ -49,15 +50,33 @@ pub struct ScoredBlock {
     /// the geometric filter, see [`select_blocks_range`]).
     pub score: f64,
     depth: u32,
+    dist_sq: u32,
 }
 
 impl ScoredBlock {
-    fn of(block: &Block, score: f64) -> ScoredBlock {
+    fn of(block: &Block, score: f64, q: &[u8]) -> ScoredBlock {
         ScoredBlock {
             rank: block.curve_rank(),
             score,
             depth: block.depth(),
+            dist_sq: box_dist_sq(block, q),
         }
+    }
+
+    /// Squared distance from the query to the block's box, in grid units:
+    /// [`Block::min_dist_sq`] of the byte query, exactly, on a byte grid
+    /// (order ≤ 8). No record in the block lies closer to the query.
+    #[inline]
+    pub fn dist_sq(&self) -> u32 {
+        self.dist_sq
+    }
+
+    /// True if the block may hold a record within `reach` (a squared
+    /// distance) of the query; a `None` reach admits no block at all,
+    /// [`UNPRUNED`] every block.
+    #[inline]
+    pub(crate) fn within(&self, reach: Option<u64>) -> bool {
+        reach.is_some_and(|r| u64::from(self.dist_sq) <= r)
     }
 
     /// Partition depth `p` of the block.
@@ -152,6 +171,35 @@ fn interval_mass(model: &dyn DistortionModel, q: &[f64], dim: usize, ext: u32, k
 fn block_interval(block: &Block, dim: usize) -> (u32, u32) {
     let ext = block.extent_log2(dim);
     (ext, block.lo()[dim].checked_shr(ext).unwrap_or(0))
+}
+
+/// The reach that keeps every block, whatever its distance.
+pub(crate) const UNPRUNED: Option<u64> = Some(u64::MAX);
+
+/// Squared distance from the byte coordinate `q` to the cells
+/// `[k·2^ext, (k+1)·2^ext)` of one axis — the closed segment from the first
+/// cell to the last. Capped at 255², the farthest a byte record can lie
+/// along an axis, so a box beyond the byte range of a high-order grid (the
+/// only place the cap bites) gets a lower bound and the sum over 32 axes
+/// fits a `u32`.
+#[inline]
+fn axis_dist_sq(q: u8, ext: u32, k: u32) -> u32 {
+    let lo = u64::from(k) << ext;
+    let last = lo + (1u64 << ext) - 1;
+    let q = u64::from(q);
+    let d = lo.saturating_sub(q).max(q.saturating_sub(last)).min(255);
+    (d * d) as u32
+}
+
+/// Squared distance from the byte query `q` to `block`'s box, summed axis
+/// by axis ([`axis_dist_sq`]).
+fn box_dist_sq(block: &Block, q: &[u8]) -> u32 {
+    (0..q.len())
+        .map(|d| {
+            let (ext, k) = block_interval(block, d);
+            axis_dist_sq(q[d], ext, k)
+        })
+        .sum()
 }
 
 /// Full block mass (product over dimensions), uncached: the tests'
@@ -302,10 +350,13 @@ pub(crate) fn query_coords(q: &[u8]) -> Vec<f64> {
     q.iter().map(|&c| f64::from(c)).collect()
 }
 
-/// A best-first frontier entry: 24 bytes, ordered by mass alone.
+/// A best-first frontier entry: 24 bytes, ordered by mass alone. `dist_sq`
+/// is the node's box distance to the query ([`box_dist_sq`]), carried down
+/// one axis term at a time.
 #[derive(Debug)]
 struct HeapNode {
     mass: f64,
+    dist_sq: u32,
     node: CompactNode,
 }
 
@@ -385,7 +436,7 @@ fn best_first(
             heap, cells, cache, ..
         } = scratch;
         cache.reset(curve.dims(), curve.order() as u32);
-        let out = best_first_impl(curve, depth, alpha, max_blocks, ctx, heap, cells, {
+        let out = best_first_impl(curve, q, depth, alpha, max_blocks, ctx, heap, cells, {
             &mut |dim, ext, k| cache.factor(model, &qf, dim, ext, k)
         });
         cache.publish();
@@ -397,17 +448,18 @@ fn best_first(
 /// of per-axis interval masses `factor(axis, ext, k)` (the engines pass the
 /// [`MassCache`]; the tests also a memo-less closure).
 ///
-/// A frontier entry is a mass plus a 12-byte node; the boxes themselves
-/// live once per curve level in `cells`. Everything a step needs follows
-/// from the node in O(1): its depth, its rank, the axis it splits and the
-/// parent's and children's intervals along that axis — which are exactly
-/// the factor keys. The heap is ordered by mass alone and sees the same
-/// pushes and pops as a descent carrying full [`Block`]s would, so the
-/// selection, its order and its tie-breaks do not depend on the node
-/// representation.
+/// A frontier entry is a mass, a box distance and a 12-byte node; the boxes
+/// themselves live once per curve level in `cells`. Everything a step needs
+/// follows from the node in O(1): its depth, its rank, the axis it splits
+/// and the parent's and children's intervals along that axis — which are
+/// exactly the factor keys, and the only distance terms a split changes.
+/// The heap is ordered by mass alone and sees the same pushes and pops as a
+/// descent carrying full [`Block`]s would, so the selection, its order and
+/// its tie-breaks do not depend on the node representation.
 #[allow(clippy::too_many_arguments)] // scratch buffers passed apart so callers can borrow the cache too
 fn best_first_impl<F: FnMut(usize, u32, u32) -> f64>(
     curve: &HilbertCurve,
+    q: &[u8],
     depth: u32,
     alpha: f64,
     max_blocks: usize,
@@ -429,6 +481,9 @@ fn best_first_impl<F: FnMut(usize, u32, u32) -> f64>(
     let alpha = reachable_alpha(alpha, root_mass);
     heap.push(HeapNode {
         mass: root_mass,
+        dist_sq: (0..dims as usize)
+            .map(|d| axis_dist_sq(q[d], order, 0))
+            .sum(),
         node: CompactNode::ROOT,
     });
 
@@ -438,7 +493,12 @@ fn best_first_impl<F: FnMut(usize, u32, u32) -> f64>(
     let mut truncated = false;
     let mut since_check = 0usize;
 
-    while let Some(HeapNode { mass, mut node }) = heap.pop() {
+    while let Some(HeapNode {
+        mass,
+        dist_sq,
+        mut node,
+    }) = heap.pop()
+    {
         if mass <= 0.0 {
             break; // everything left is massless
         }
@@ -458,6 +518,7 @@ fn best_first_impl<F: FnMut(usize, u32, u32) -> f64>(
                 rank: cell.rank_of(node.w_pref, node.j),
                 score: mass,
                 depth,
+                dist_sq,
             });
             acc += mass;
             if acc >= alpha {
@@ -486,9 +547,12 @@ fn best_first_impl<F: FnMut(usize, u32, u32) -> f64>(
         nodes += 1;
         let split = cells[node.cell as usize].split(curve, node.w_pref, node.j);
         let parent_factor = factor(split.axis, split.ext, split.k);
+        let qa = q[split.axis];
+        // Only the split axis's term changes; the others are the parent's.
+        let rest_sq = dist_sq - axis_dist_sq(qa, split.ext, split.k);
         for c in 0..2 {
+            let (ext, k) = split.child_interval(c);
             let child_mass = if parent_factor > 0.0 {
-                let (ext, k) = split.child_interval(c);
                 mass / parent_factor * factor(split.axis, ext, k)
             } else {
                 0.0
@@ -496,6 +560,7 @@ fn best_first_impl<F: FnMut(usize, u32, u32) -> f64>(
             if child_mass > 0.0 {
                 heap.push(HeapNode {
                     mass: child_mass,
+                    dist_sq: rest_sq + axis_dist_sq(qa, ext, k),
                     node: node.child(c),
                 });
             }
@@ -525,14 +590,14 @@ struct ThresholdEval {
 /// Collects `B(t)`: all depth-p blocks with mass strictly greater than `t`.
 fn collect_above(
     curve: &HilbertCurve,
-    dims: usize,
+    q: &[u8],
     depth: u32,
     t: f64,
     max_blocks: usize,
     factor: &mut dyn FnMut(&Block, usize) -> f64,
 ) -> ThresholdEval {
     let root = Block::root(curve);
-    let root_mass: f64 = (0..dims).map(|d| factor(&root, d)).product();
+    let root_mass: f64 = (0..q.len()).map(|d| factor(&root, d)).product();
     let mut eval = ThresholdEval {
         blocks: Vec::new(),
         psup: 0.0,
@@ -553,7 +618,7 @@ fn collect_above(
                 // Keep accumulating psup (cheap) but stop storing blocks.
                 continue;
             }
-            eval.blocks.push(ScoredBlock::of(&block, mass));
+            eval.blocks.push(ScoredBlock::of(&block, mass, q));
             continue;
         }
         eval.nodes += 1;
@@ -596,7 +661,7 @@ pub fn select_blocks_threshold(
     with_scratch(|scratch| {
         let cache = &mut scratch.cache;
         cache.reset(curve.dims(), curve.order() as u32);
-        let out = threshold_impl(curve, depth, alpha, max_blocks, iterations, curve.dims(), {
+        let out = threshold_impl(curve, q, depth, alpha, max_blocks, iterations, {
             &mut |b, d| {
                 let (ext, k) = block_interval(b, d);
                 cache.factor(model, &qf, d, ext, k)
@@ -610,15 +675,15 @@ pub fn select_blocks_threshold(
 /// Bisection on `t` parameterized over the per-axis factor source.
 fn threshold_impl(
     curve: &HilbertCurve,
+    q: &[u8],
     depth: u32,
     alpha: f64,
     max_blocks: usize,
     iterations: usize,
-    dims: usize,
     factor: &mut dyn FnMut(&Block, usize) -> f64,
 ) -> FilterOutcome {
     let root = Block::root(curve);
-    let root_mass: f64 = (0..dims).map(|d| factor(&root, d)).product();
+    let root_mass: f64 = (0..q.len()).map(|d| factor(&root, d)).product();
     let alpha = reachable_alpha(alpha, root_mass);
 
     // Bracket: Psup(0) = root mass (all blocks kept), Psup(root_mass) = 0.
@@ -630,7 +695,7 @@ fn threshold_impl(
 
     for _ in 0..iterations {
         let t = 0.5 * (lo + hi);
-        let eval = collect_above(curve, dims, depth, t, max_blocks, factor);
+        let eval = collect_above(curve, q, depth, t, max_blocks, factor);
         nodes_total += eval.nodes;
         let satisfied = eval.psup >= alpha && !eval.overflowed;
         if satisfied {
@@ -649,7 +714,7 @@ fn threshold_impl(
     let best = best.unwrap_or_else(|| {
         // No feasible t found within the budget (α too high for this depth /
         // block budget): fall back to t = lo, best effort.
-        let eval = collect_above(curve, dims, depth, lo, max_blocks, factor);
+        let eval = collect_above(curve, q, depth, lo, max_blocks, factor);
         nodes_total += eval.nodes;
         tmax = lo;
         eval
@@ -748,7 +813,7 @@ fn select_blocks_geometric(
                 truncated = true;
                 continue;
             }
-            blocks.push(ScoredBlock::of(&block, score));
+            blocks.push(ScoredBlock::of(&block, score, q));
             continue;
         }
         nodes += 1;
@@ -773,28 +838,39 @@ fn select_blocks_geometric(
 
 /// Merges a filter outcome's blocks into sorted, non-overlapping contiguous
 /// key ranges — the scan list of the refinement step.
+pub fn merge_block_ranges(curve: &HilbertCurve, outcome: &FilterOutcome) -> Vec<KeyRange> {
+    merge_blocks_within(curve, &outcome.blocks, UNPRUNED)
+}
+
+/// [`merge_block_ranges`] over only the blocks [`ScoredBlock::within`]
+/// `reach` of the query: a block whose box lies farther holds no record
+/// within it, so its range need not be scanned.
 ///
 /// Blocks of one depth (all a filter ever emits) are merged by rank: rank
 /// order is key order and two blocks abut iff their ranks are consecutive,
 /// so the ranks are sorted as integers and only the ends of each run are
 /// turned into 256-bit keys.
-pub fn merge_block_ranges(curve: &HilbertCurve, outcome: &FilterOutcome) -> Vec<KeyRange> {
-    let blocks = &outcome.blocks;
+pub(crate) fn merge_blocks_within(
+    curve: &HilbertCurve,
+    blocks: &[ScoredBlock],
+    reach: Option<u64>,
+) -> Vec<KeyRange> {
     let Some(depth) = blocks.first().map(|b| b.depth) else {
         return Vec::new();
     };
+    let kept = blocks.iter().filter(|b| b.within(reach));
     if blocks.iter().any(|b| b.depth != depth) {
-        return merge_key_ranges(curve, blocks);
+        return merge_key_ranges(curve, kept);
     }
     if depth <= u64::BITS {
         with_scratch(|scratch| {
             let ranks = &mut scratch.ranks;
             ranks.clear();
-            ranks.extend(blocks.iter().map(|b| b.rank.limbs()[0]));
+            ranks.extend(kept.map(|b| b.rank.limbs()[0]));
             merge_rank_runs(curve, depth, ranks, |r| r.wrapping_add(1), Key256::from_u64)
         })
     } else {
-        let mut ranks: Vec<Key256> = blocks.iter().map(|b| b.rank).collect();
+        let mut ranks: Vec<Key256> = kept.map(|b| b.rank).collect();
         merge_rank_runs(curve, depth, &mut ranks, |r| r.wrapping_add_u64(1), |r| r)
     }
 }
@@ -832,8 +908,11 @@ fn merge_rank_runs<T: Copy + Ord>(
 
 /// The general merge, for blocks of mixed depths: every block's key range,
 /// sorted by lower bound, abutting neighbours coalesced.
-fn merge_key_ranges(curve: &HilbertCurve, blocks: &[ScoredBlock]) -> Vec<KeyRange> {
-    let mut ranges: Vec<KeyRange> = blocks.iter().map(|sb| sb.key_range(curve)).collect();
+fn merge_key_ranges<'a>(
+    curve: &HilbertCurve,
+    blocks: impl IntoIterator<Item = &'a ScoredBlock>,
+) -> Vec<KeyRange> {
+    let mut ranges: Vec<KeyRange> = blocks.into_iter().map(|sb| sb.key_range(curve)).collect();
     ranges.sort_unstable_by_key(|r| r.lo);
     let mut merged: Vec<KeyRange> = Vec::with_capacity(ranges.len());
     for r in ranges {
@@ -1068,6 +1147,33 @@ mod tests {
     }
 
     #[test]
+    fn entries_keep_their_size() {
+        assert_eq!(std::mem::size_of::<HeapNode>(), 24);
+        assert_eq!(std::mem::size_of::<ScoredBlock>(), 48);
+    }
+
+    #[test]
+    fn box_distance_beyond_the_byte_range_is_a_lower_bound() {
+        // On an order-10 grid a box can start past 255, where no byte
+        // record lies: its axis term is capped at 255², below the box's.
+        let curve = HilbertCurve::new(2, 10).unwrap();
+        let q = [0u8, 200];
+        for block in s3_hilbert::blocks_at_depth(&curve, 6) {
+            let exact = block.min_dist_sq(&query_coords(&q));
+            let capped = f64::from(box_dist_sq(&block, &q));
+            assert!(capped <= exact, "{capped} > {exact}");
+            if block.dim_bounds(0).0 <= 255 && block.dim_bounds(1).0 <= 255 {
+                assert_eq!(capped, exact);
+            }
+        }
+        let far = s3_hilbert::blocks_at_depth(&curve, 2)
+            .into_iter()
+            .find(|b| b.dim_bounds(0).0 == 512 && b.dim_bounds(1).0 == 0)
+            .unwrap();
+        assert_eq!(box_dist_sq(&far, &q), 255 * 255);
+    }
+
+    #[test]
     #[should_panic(expected = "alpha out of range")]
     fn alpha_zero_rejected() {
         let (curve, model) = small_setup();
@@ -1251,6 +1357,7 @@ mod tests {
         let ctx = stop_after_polls.map(ctx_firing_after);
         let new = best_first_impl(
             &curve,
+            q,
             depth,
             alpha,
             max_blocks,
@@ -1285,6 +1392,11 @@ mod tests {
             for a in 0..dims {
                 assert_eq!(rebuilt.dim_bounds(a), ob.dim_bounds(a), "{case}: box {i}");
             }
+            assert_eq!(
+                f64::from(n.dist_sq()),
+                ob.min_dist_sq(&qf),
+                "{case}: box distance of block {i}"
+            );
         }
         assert_eq!(new.mass.to_bits(), old.mass.to_bits(), "{case}: mass");
         assert_eq!(new.nodes_expanded, old.nodes, "{case}: nodes expanded");
@@ -1353,6 +1465,7 @@ mod tests {
             rank,
             score: 0.0,
             depth,
+            dist_sq: 0,
         }
     }
 
@@ -1404,6 +1517,19 @@ mod tests {
     mod differential {
         use super::*;
         use proptest::prelude::*;
+
+        /// A seeded permutation of `0..dims`.
+        fn shuffled(dims: usize, seed: u64) -> Vec<usize> {
+            let mut perm: Vec<usize> = (0..dims).collect();
+            let mut s = seed;
+            for i in (1..dims).rev() {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                perm.swap(i, (s >> 33) as usize % (i + 1));
+            }
+            perm
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
@@ -1465,12 +1591,7 @@ mod tests {
                 sigma in 6.0f64..40.0,
                 alpha in 0.3f64..0.95,
             ) {
-                let mut perm: Vec<usize> = (0..dims).collect();
-                let mut s = seed;
-                for i in (1..dims).rev() {
-                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    perm.swap(i, (s >> 33) as usize % (i + 1));
-                }
+                let perm = shuffled(dims, seed);
                 let id = HilbertCurve::new(dims, 8).unwrap();
                 let pi = id.with_axes(&perm).unwrap();
                 let q = &q[..dims];
@@ -1490,6 +1611,46 @@ mod tests {
                 prop_assert_eq!(merge_block_ranges(&pi, &got), merge_block_ranges(&id, &want));
             }
 
+            /// Every selected block carries its box distance to the query
+            /// exactly — what [`Block::min_dist_sq`] gives on the box rebuilt
+            /// from its rank — under both statistical filters and the
+            /// geometric ones, on a curve over permuted axes.
+            #[test]
+            fn carried_box_distance_is_the_boxs(
+                seed in any::<u64>(),
+                q in proptest::collection::vec(0u8..=255, 20),
+                dims in 2usize..=20,
+                depth_frac in 0.0f64..1.0,
+                sigma in 4.0f64..40.0,
+                alpha in 0.3f64..0.95,
+                eps in 0.0f64..150.0,
+            ) {
+                let curve = HilbertCurve::new(dims, 8)
+                    .unwrap()
+                    .with_axes(&shuffled(dims, seed))
+                    .unwrap();
+                let q = &q[..dims];
+                let qf = query_coords(q);
+                let depth = 1 + (depth_frac * (2 * dims) as f64) as u32;
+                let shallow = depth.min(10);
+                let model = IsotropicNormal::new(dims, sigma);
+                let max = 1 << 10;
+                for out in [
+                    select_blocks_best_first(&curve, &model, q, depth, alpha, max),
+                    select_blocks_threshold(&curve, &model, q, depth.min(16), alpha, max, 12),
+                    select_blocks_range(&curve, q, shallow, eps, max),
+                    select_blocks_bbox(&curve, q, shallow, eps, max),
+                ] {
+                    for sb in &out.blocks {
+                        prop_assert_eq!(
+                            f64::from(sb.dist_sq()),
+                            sb.block(&curve).min_dist_sq(&qf),
+                            "{} block at p={}", out.algo, sb.depth()
+                        );
+                    }
+                }
+            }
+
             /// The threshold filter's memo is as invisible as the
             /// best-first one: the same bisection over factors integrated
             /// afresh on every lookup returns the same outcome, bit for bit.
@@ -1506,7 +1667,7 @@ mod tests {
                 let qf = query_coords(&q);
                 let max = 1 << 14;
                 let got = select_blocks_threshold(&curve, &model, &q, depth, alpha, max, iterations);
-                let want = threshold_impl(&curve, depth, alpha, max, iterations, 6, &mut |b, d| {
+                let want = threshold_impl(&curve, &q, depth, alpha, max, iterations, &mut |b, d| {
                     let (ext, k) = block_interval(b, d);
                     interval_mass(&model, &qf, d, ext, k)
                 });

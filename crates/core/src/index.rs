@@ -13,7 +13,7 @@
 
 use crate::autotune::learn_depth;
 use crate::distortion::DistortionModel;
-use crate::filter::{select_blocks_bbox, FilterOutcome};
+use crate::filter::{select_blocks_bbox, FilterOutcome, UNPRUNED};
 use crate::fingerprint::{dist_sq, RecordBatch};
 use crate::kernels;
 use crate::plan::{run_query, tally_blocks, Ask, QueryPlan, QueryScan};
@@ -695,9 +695,9 @@ impl S3Index {
         sp.record("ranges", plan.ranges.len() as f64);
         sp.record("entries", run.entries as f64);
         let mut blocks = Vec::new();
-        if let (Some(selection), true) = (&plan.selection, ctx.is_some_and(|c| c.explains())) {
+        if ctx.is_some_and(|c| c.explains()) {
             let locate = |range: &KeyRange| self.locate(range);
-            tally_blocks(&self.curve, selection, locate, 0, &run.matches, &mut blocks);
+            tally_blocks(&self.curve, plan, locate, 0, &run.matches, &mut blocks);
         }
         QueryScan {
             matches: run.matches,
@@ -780,10 +780,11 @@ impl S3Index {
     /// geometric filter a Lawder-style rectangle-query structure can apply
     /// to a sphere, §IV). Recall is exact; cost degenerates toward a scan in
     /// high dimension — the baseline the paper's Fig. 6 speed-ups compare
-    /// against.
+    /// against. It scans every block its box filter selects: such a
+    /// structure has no ball distance to prune them with.
     pub fn range_query_bbox(&self, q: &[u8], eps: f64, depth: u32) -> QueryResult {
         self.run(q, &Ask::range(eps, depth), None, || {
-            QueryPlan::new(&self.curve, 0, None, || {
+            QueryPlan::new(&self.curve, 0, None, UNPRUNED, || {
                 select_blocks_bbox(&self.curve, q, depth, eps, usize::MAX)
             })
         })
@@ -1303,6 +1304,198 @@ mod tests {
                 "disk eps {eps}"
             );
         }
+    }
+
+    /// Counters equal but for what the scan visited (through `Debug`, so
+    /// a geometric filter's NaN target compares equal); adds the records
+    /// `got` and `want` scanned to `scanned`.
+    fn same_but_scan(got: &QueryStats, want: &QueryStats, case: &str, scanned: &mut [usize; 2]) {
+        let scrub = |st: &QueryStats| {
+            format!(
+                "{:?}",
+                QueryStats {
+                    entries_scanned: 0,
+                    ranges_scanned: 0,
+                    ..*st
+                }
+            )
+        };
+        assert_eq!(scrub(got), scrub(want), "{case}");
+        assert!(got.entries_scanned <= want.entries_scanned, "{case}");
+        scanned[0] += got.entries_scanned;
+        scanned[1] += want.entries_scanned;
+    }
+
+    /// One query run as planned and under the unpruned oracle: the same
+    /// matches, the same counters but the scan's. Returns the matches.
+    fn prune_is_invisible(
+        case: &str,
+        scanned: &mut [usize; 2],
+        run: impl Fn() -> QueryResult,
+    ) -> usize {
+        use crate::plan::unpruned_oracle;
+        let (got, want) = (run(), unpruned_oracle::with(&run));
+        assert_eq!(got.matches, want.matches, "{case}");
+        same_but_scan(&got.stats, &want.stats, case, scanned);
+        got.matches.len()
+    }
+
+    /// [`prune_is_invisible`] for a batch.
+    fn batch_prune_is_invisible(
+        case: &str,
+        scanned: &mut [usize; 2],
+        run: impl Fn() -> Result<crate::pseudo_disk::BatchResult, crate::error::IndexError>,
+    ) {
+        use crate::plan::unpruned_oracle;
+        let (got, want) = (run().unwrap(), unpruned_oracle::with(&run).unwrap());
+        assert_eq!(got.matches, want.matches, "{case}");
+        for (g, w) in got.stats.iter().zip(&want.stats) {
+            same_but_scan(g, w, case, scanned);
+        }
+    }
+
+    /// The ball prune is invisible in every answer: under `Refine::Range(ε)`
+    /// `S3Index`, a `DiskIndex` batch, `DynamicIndex` (main and overlay) and
+    /// `DurableIndex` (disk generation and overlay) return the matches of
+    /// the unpruned plan bit for bit, with the same counters but for the
+    /// records and ranges no longer scanned — and EXPLAIN still reconciles.
+    #[test]
+    fn ball_prune_answers_as_the_unpruned_plan() {
+        use crate::durable::{DurableIndex, DurableOptions};
+        use crate::dynamic::DynamicIndex;
+        use crate::pseudo_disk::{DiskIndex, WriteOpts};
+        use crate::storage::{MemStorage, SharedMemStorage};
+
+        let curve = HilbertCurve::new(20, 8).unwrap();
+        let batch = clustered_batch_d20(6000);
+        let idx = S3Index::build(curve.clone(), batch.clone());
+        let model = IsotropicNormal::new(20, 20.0);
+        let queries: Vec<Vec<u8>> = (0..12)
+            .map(|i| batch.fingerprint(i * 2 + 1000).to_vec())
+            .chain((0..4).map(|i| batch.fingerprint(i * 2 + 1).to_vec()))
+            .collect();
+        let qrefs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
+        let depth = 10;
+
+        let bytes = DiskIndex::encode_to_vec(&idx, WriteOpts::default()).unwrap();
+        let disk = DiskIndex::open_storage(Box::new(MemStorage::new(bytes.clone()))).unwrap();
+        let budget = disk.min_section_bytes().max(bytes.len() as u64 / 4);
+        // Four fifths in the main index (the durable one's disk
+        // generation), the last fifth in the overlays.
+        let mut main = RecordBatch::new(20);
+        for i in (0..batch.len()).filter(|i| i % 5 != 0) {
+            let r = batch.record(i);
+            main.push(r.fingerprint, r.id, r.tc);
+        }
+        let mut dynamic = DynamicIndex::new(S3Index::build(curve.clone(), main.clone()), 1.0);
+        let opts = DurableOptions {
+            merge_fraction: 1.0,
+            ..DurableOptions::default()
+        };
+        let (data, wal) = (SharedMemStorage::new(), SharedMemStorage::new());
+        let mut durable = DurableIndex::create(Box::new(data), Box::new(wal), curve, opts).unwrap();
+        for i in 0..main.len() {
+            let r = main.record(i);
+            durable.insert(r.fingerprint, r.id, r.tc).unwrap();
+        }
+        durable.merge().unwrap();
+        for i in (0..batch.len()).step_by(5) {
+            let r = batch.record(i);
+            dynamic.insert(r.fingerprint, r.id, r.tc);
+            durable.insert(r.fingerprint, r.id, r.tc).unwrap();
+        }
+        assert_eq!((dynamic.overlay_len(), durable.pending_len()), (1200, 1200));
+
+        let mut scanned = [0, 0];
+        let mut kept = 0;
+        for eps in [0.0, 100.07, 1e6, f64::INFINITY, f64::NAN] {
+            let mut opts = StatQueryOpts::new(0.9, depth);
+            opts.refine = Refine::Range(eps);
+            for (qi, q) in qrefs.iter().enumerate() {
+                let case = format!("eps {eps} q{qi}");
+                kept += prune_is_invisible(&format!("stat {case}"), &mut scanned, || {
+                    idx.stat_query(q, &model, &opts)
+                });
+                prune_is_invisible(&format!("dynamic {case}"), &mut scanned, || {
+                    dynamic.stat_query(q, &model, &opts)
+                });
+                let ctx = QueryCtx::default().explain();
+                let rep = idx.stat_query_ctx(q, &model, &opts, &ctx).explain.unwrap();
+                assert!(rep.reconciles(), "{case}: {}", rep.to_text());
+                if eps.is_nan() {
+                    continue; // no geometric filter takes a NaN radius
+                }
+                prune_is_invisible(&format!("range {case}"), &mut scanned, || {
+                    idx.range_query(q, eps, depth)
+                });
+                prune_is_invisible(&format!("dynamic range {case}"), &mut scanned, || {
+                    dynamic.range_query(q, eps, depth)
+                });
+            }
+            batch_prune_is_invisible(&format!("disk eps {eps}"), &mut scanned, || {
+                disk.stat_query_batch(&qrefs, &model, &opts, budget)
+            });
+            batch_prune_is_invisible(&format!("durable eps {eps}"), &mut scanned, || {
+                durable.stat_query_batch(&qrefs, &model, &opts, budget)
+            });
+            let ctx = QueryCtx::default().explain();
+            let res = disk
+                .stat_query_batch_ctx(&qrefs, &model, &opts, budget, &ctx)
+                .unwrap();
+            for rep in &res.reports {
+                assert!(rep.reconciles(), "disk eps {eps}: {}", rep.to_text());
+            }
+            if eps.is_nan() {
+                continue;
+            }
+            batch_prune_is_invisible(&format!("disk range eps {eps}"), &mut scanned, || {
+                disk.range_query_batch(&qrefs, eps, depth, budget, None)
+            });
+            batch_prune_is_invisible(&format!("durable range eps {eps}"), &mut scanned, || {
+                durable.range_query_batch(&qrefs, eps, depth, budget)
+            });
+        }
+        assert!(kept > 0, "no query kept a record");
+        let [pruned, unpruned] = scanned;
+        assert!(pruned < unpruned, "nothing pruned of {unpruned} records");
+    }
+
+    /// What the prune drops is exactly what the run kernel would reject: no
+    /// record of a selected block beyond `⌊ε²⌋` lies within it, and every
+    /// block it keeps lies within it.
+    #[test]
+    fn no_dropped_block_holds_a_record_within_eps() {
+        use crate::filter::select_blocks_stat;
+        use crate::plan::reach;
+
+        let batch = clustered_batch_d20(6000);
+        let idx = S3Index::build(HilbertCurve::new(20, 8).unwrap(), batch.clone());
+        let model = IsotropicNormal::new(20, 20.0);
+        let opts = StatQueryOpts::new(0.9, 10);
+        let mut dropped = 0;
+        for qi in 0..16 {
+            let q = batch.fingerprint(qi * 7 + 1000);
+            let selection = select_blocks_stat(idx.curve(), &model, q, &opts, None);
+            for eps in [0.0, 60.0, 100.07, 140.0] {
+                let bound = reach(Refine::Range(eps)).unwrap();
+                assert_eq!(bound, (eps * eps).floor() as u64);
+                for sb in &selection.blocks {
+                    let within = sb.within(Some(bound));
+                    assert_eq!(within, u64::from(sb.dist_sq()) <= bound);
+                    if within {
+                        continue;
+                    }
+                    dropped += 1;
+                    let (lo, hi) = idx.locate(&sb.key_range(idx.curve()));
+                    for i in lo..hi {
+                        let d2 = dist_sq(q, idx.records().fingerprint(i));
+                        assert!(d2 > bound, "q{qi} eps {eps}: record {i} at {d2}");
+                        assert!(d2 >= u64::from(sb.dist_sq()), "q{qi}: record {i}");
+                    }
+                }
+            }
+        }
+        assert!(dropped > 0, "no block was dropped");
     }
 
     /// The cancellation poll falls every `REFINE_CHUNK` records however the

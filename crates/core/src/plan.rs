@@ -7,7 +7,10 @@
 //!
 //! 1. **Plan** ([`QueryPlan`], [`Plan`] for a batch) — the filter's merged
 //!    key ranges and its side of the counters. It never looks at a record,
-//!    so the same plan serves every source the records live in.
+//!    so the same plan serves every source the records live in. Under
+//!    `Refine::Range(ε)` it merges only the selected blocks whose box lies
+//!    within ε of the query (the *ball prune*, [`reach`]): the others hold
+//!    no record the scan could keep.
 //! 2. **Scan** ([`QueryScan`], [`Scan`] for a batch) — one pass of a plan
 //!    over one sorted run of records: `S3Index::scan`, `DiskIndex::scan`,
 //!    an insert overlay. A shard replica scans the router's plan; a durable
@@ -23,9 +26,11 @@
 use crate::distortion::DistortionModel;
 use crate::error::IndexError;
 use crate::filter::{
-    merge_block_ranges, missed_target, select_blocks_range, select_blocks_stat, FilterOutcome,
+    merge_blocks_within, missed_target, select_blocks_range, select_blocks_stat, FilterOutcome,
+    UNPRUNED,
 };
 use crate::index::{Match, QueryResult, QueryStats, Refine, StatQueryOpts};
+use crate::kernels;
 use crate::metrics::CoreMetrics;
 use crate::parallel::run_dynamic;
 use crate::pseudo_disk::{BatchResult, BatchTiming};
@@ -66,10 +71,56 @@ impl<'a> Ask<'a> {
     }
 }
 
+/// How far (squared) from the query a selected block's box may lie and
+/// still hold a record `refine` keeps: `⌊ε²⌋` under `Refine::Range(ε)` —
+/// the very bound the run kernel compares each record's integer d²
+/// against — and no limit under the other predicates. `None` (a NaN ε)
+/// admits no block, as the kernel admits no record.
+///
+/// The prune is exact. Fingerprints, the query and box corners are
+/// integers, so a block's d² ([`crate::filter::ScoredBlock::dist_sq`]) is
+/// exact, and every record in the block lies at least that far from the
+/// query: a block beyond `⌊ε²⌋` holds no record within ε.
+pub(crate) fn reach(refine: Refine) -> Option<u64> {
+    #[cfg(test)]
+    if unpruned_oracle::on() {
+        return UNPRUNED;
+    }
+    match refine {
+        Refine::Range(eps) => kernels::bound_from_eps_sq(eps * eps),
+        Refine::All | Refine::LogLikelihood(_) => UNPRUNED,
+    }
+}
+
+/// Test-only switch: with it on, this thread's plans keep every selected
+/// block — the unpruned plan the ball prune is checked against.
+#[cfg(test)]
+pub(crate) mod unpruned_oracle {
+    use std::cell::Cell;
+
+    thread_local!(static ON: Cell<bool> = const { Cell::new(false) });
+
+    pub(crate) fn on() -> bool {
+        ON.with(Cell::get)
+    }
+
+    /// Runs `f` with the oracle on for this thread.
+    pub(crate) fn with<R>(f: impl FnOnce() -> R) -> R {
+        ON.with(|on| on.set(true));
+        let r = f();
+        ON.with(|on| on.set(false));
+        r
+    }
+}
+
 /// Stage 1 of one query: where to look, and what finding that out cost.
 pub(crate) struct QueryPlan {
-    /// Merged key ranges to scan, ascending.
+    /// Merged key ranges to scan, ascending: those of the selected blocks
+    /// within `reach`.
     pub(crate) ranges: Vec<KeyRange>,
+    /// The ball prune's bound ([`reach`]); a selected block beyond it is
+    /// in `selection` but not in `ranges`.
+    pub(crate) reach: Option<u64>,
     /// The filter's side of the counters.
     pub(crate) stats: QueryStats,
     /// EXPLAIN only (so on the production path a block list drops right
@@ -81,20 +132,22 @@ pub(crate) struct QueryPlan {
 
 impl QueryPlan {
     /// Runs `filter` for query number `qi` of its batch and merges its
-    /// blocks. A token that fired beforehand skips the filter outright: the
-    /// plan is empty, flagged `cancelled`. One that fired while the filter
-    /// ran flags the plan conservatively — its selection may be partial —
-    /// even though it just finished.
+    /// blocks within `reach`. A token that fired beforehand skips the
+    /// filter outright: the plan is empty, flagged `cancelled`. One that
+    /// fired while the filter ran flags the plan conservatively — its
+    /// selection may be partial — even though it just finished.
     pub(crate) fn new(
         curve: &HilbertCurve,
         qi: usize,
         ctx: Option<&QueryCtx>,
+        reach: Option<u64>,
         filter: impl FnOnce() -> FilterOutcome,
     ) -> QueryPlan {
         let should_stop = || ctx.is_some_and(|c| c.should_stop());
         if should_stop() {
             return QueryPlan {
                 ranges: Vec::new(),
+                reach,
                 stats: QueryStats {
                     cancelled: true,
                     ..QueryStats::default()
@@ -114,9 +167,10 @@ impl QueryPlan {
         };
         let mut stats = QueryStats::of_filter(&outcome);
         stats.cancelled = should_stop();
-        let ranges = merge_block_ranges(curve, &outcome);
+        let ranges = merge_blocks_within(curve, &outcome.blocks, reach);
         QueryPlan {
             ranges,
+            reach,
             stats,
             filter_ns: t0.elapsed().as_nanos() as u64,
             selection: ctx.is_some_and(|c| c.explains()).then_some(outcome),
@@ -132,7 +186,7 @@ impl QueryPlan {
         opts: &StatQueryOpts,
         ctx: Option<&QueryCtx>,
     ) -> QueryPlan {
-        QueryPlan::new(curve, qi, ctx, || {
+        QueryPlan::new(curve, qi, ctx, reach(opts.refine), || {
             select_blocks_stat(curve, model, q, opts, ctx)
         })
     }
@@ -147,7 +201,7 @@ impl QueryPlan {
         depth: u32,
         ctx: Option<&QueryCtx>,
     ) -> QueryPlan {
-        QueryPlan::new(curve, qi, ctx, || {
+        QueryPlan::new(curve, qi, ctx, reach(Refine::Range(eps)), || {
             select_blocks_range(curve, q, depth, eps, usize::MAX)
         })
     }
@@ -191,21 +245,28 @@ fn add_blocks(acc: &mut Vec<(u64, u64)>, more: &[(u64, u64)]) {
 
 /// EXPLAIN accounting of one query over one sorted run of records: each
 /// selected block's key range, located against the run, gives the records
-/// refinement scanned for it (depth-p blocks are disjoint and tile the
-/// merged scan ranges exactly); each of `matches` — the ones this run
-/// produced, indexes offset by `base` — is attributed to the unique block
-/// whose record interval holds it.
+/// refinement scanned for it (the depth-p blocks the ball prune kept are
+/// disjoint and tile the merged scan ranges exactly; a block it dropped
+/// scanned none); each of `matches` — the ones this run produced, indexes
+/// offset by `base` — is attributed to the unique block whose record
+/// interval holds it. A plan with no selection kept tallies nothing.
 pub(crate) fn tally_blocks(
     curve: &HilbertCurve,
-    selection: &FilterOutcome,
+    plan: &QueryPlan,
     locate: impl Fn(&KeyRange) -> (usize, usize),
     base: usize,
     matches: &[Match],
     acc: &mut Vec<(u64, u64)>,
 ) {
+    let Some(selection) = &plan.selection else {
+        return;
+    };
     acc.resize(selection.blocks.len(), (0, 0));
     let mut intervals: Vec<(usize, usize, usize)> = Vec::with_capacity(selection.blocks.len());
     for (bi, sb) in selection.blocks.iter().enumerate() {
+        if !sb.within(plan.reach) {
+            continue;
+        }
         let (lo, hi) = locate(&sb.key_range(curve));
         if hi > lo {
             acc[bi].0 += (hi - lo) as u64;
@@ -310,8 +371,12 @@ impl<'a> Plan<'a> {
         threads: usize,
         ctx: Option<&QueryCtx>,
     ) -> Result<Plan<'a>, IndexError> {
+        // One bound for the whole batch, taken before the workers start.
+        let reach = reach(opts.refine);
         Plan::new(curve, queries, Ask::stat(model, opts), threads, |qi, q| {
-            QueryPlan::stat(curve, qi, q, model, opts, ctx)
+            QueryPlan::new(curve, qi, ctx, reach, || {
+                select_blocks_stat(curve, model, q, opts, ctx)
+            })
         })
     }
 
@@ -324,8 +389,11 @@ impl<'a> Plan<'a> {
         threads: usize,
         ctx: Option<&QueryCtx>,
     ) -> Result<Plan<'a>, IndexError> {
+        let reach = reach(Refine::Range(eps));
         Plan::new(curve, queries, Ask::range(eps, depth), threads, |qi, q| {
-            QueryPlan::range(curve, qi, q, eps, depth, ctx)
+            QueryPlan::new(curve, qi, ctx, reach, || {
+                select_blocks_range(curve, q, depth, eps, usize::MAX)
+            })
         })
     }
 

@@ -1184,12 +1184,11 @@ impl DiskIndex {
                     scan.refine_ns += gr.ns;
                     let new_matches = scan.matches.len();
                     scan.matches.extend(gr.matches);
-                    let selection = plan.per_query[work[lo_w].0 as usize].selection.as_ref();
-                    if let (Some(selection), true) = (selection, want_explain) {
+                    if want_explain {
                         let locate = |range: &KeyRange| section.run.locate(None, 0, range);
                         tally_blocks(
                             &self.curve,
-                            selection,
+                            &plan.per_query[work[lo_w].0 as usize],
                             locate,
                             a as usize,
                             &scan.matches[new_matches..],
@@ -1374,9 +1373,8 @@ mod tests {
     use crate::distortion::IsotropicNormal;
     use crate::fingerprint::RecordBatch;
     use crate::index::{QueryResult, Refine};
+    use crate::storage::temp::{tmpfile, TempPath};
     use crate::storage::{FaultPlan, FaultyStorage, MemStorage};
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn synthetic_batch(dims: usize, n: usize, seed: u64) -> RecordBatch {
         let mut batch = RecordBatch::with_capacity(dims, n);
@@ -1392,42 +1390,6 @@ mod tests {
             batch.push(&fp, (i / 50) as u32, (i % 50) as u32);
         }
         batch
-    }
-
-    /// A temp-file path no other test (or other call from the same test)
-    /// shares, removed on drop. Tests run in
-    /// parallel threads of one process, so the pid alone does not make a
-    /// path unique.
-    struct TempPath(PathBuf);
-
-    impl std::ops::Deref for TempPath {
-        type Target = Path;
-        fn deref(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl AsRef<Path> for TempPath {
-        fn as_ref(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl Drop for TempPath {
-        fn drop(&mut self) {
-            std::fs::remove_file(&self.0).ok();
-        }
-    }
-
-    fn tmpfile(name: &str) -> TempPath {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let unique = NEXT.fetch_add(1, Ordering::Relaxed);
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "s3_pseudo_disk_test_{name}_{}_{unique}",
-            std::process::id()
-        ));
-        TempPath(p)
     }
 
     fn build_pair(n: usize) -> (S3Index, TempPath) {

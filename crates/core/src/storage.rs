@@ -868,6 +868,46 @@ impl<S: WritableStorage> WritableStorage for FaultyStorage<S> {
     }
 }
 
+/// Test files: a path no other test (or other call from the same test)
+/// shares, removed on drop — so a failing assert leaks nothing. Tests run
+/// in parallel threads of one process, so the pid alone does not make a
+/// path unique.
+#[cfg(test)]
+pub(crate) mod temp {
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    pub(crate) struct TempPath(PathBuf);
+
+    impl std::ops::Deref for TempPath {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempPath {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempPath {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+        }
+    }
+
+    pub(crate) fn tmpfile(name: &str) -> TempPath {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let unique = NEXT.fetch_add(1, Ordering::Relaxed);
+        TempPath(std::env::temp_dir().join(format!(
+            "s3_core_test_{name}_{}_{unique}",
+            std::process::id()
+        )))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -879,8 +919,7 @@ mod tests {
 
     #[test]
     fn file_storage_reads_ranges() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("s3_storage_test_{}", std::process::id()));
+        let path = temp::tmpfile("storage");
         std::fs::write(&path, (0u8..=255).collect::<Vec<_>>()).unwrap();
         let s = FileStorage::open(&path).unwrap();
         assert_eq!(s.len().unwrap(), 256);
@@ -890,7 +929,6 @@ mod tests {
         let mut beyond = [0u8; 8];
         let err = s.read_at(252, &mut beyond).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -24,7 +24,9 @@ pub struct BlockExplain {
     pub depth: u32,
     /// Probability mass the distortion model assigned to this block.
     pub predicted_mass: f64,
-    /// Records actually scanned for this block during refinement.
+    /// Records actually scanned for this block during refinement: 0 for a
+    /// block an ε-range refinement never scans, its box lying beyond ε of
+    /// the query.
     pub scanned: u64,
     /// Matches produced from this block's records.
     pub matched: u64,
@@ -214,7 +216,10 @@ impl ExplainReport {
             );
         }
         if !self.blocks.is_empty() {
-            let _ = writeln!(out, "  blocks (depth  pred.mass    scanned  matched):");
+            let _ = writeln!(
+                out,
+                "  blocks (depth  pred.mass    scanned  matched; a block beyond ε scans 0):"
+            );
             let shown = self.blocks.len().min(32);
             for b in &self.blocks[..shown] {
                 let _ = writeln!(
