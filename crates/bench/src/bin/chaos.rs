@@ -347,12 +347,14 @@ fn scenario_transient(wl: Workload, seed: u64) -> RunReport {
 /// A permanently dead region: affected queries are flagged, clean queries
 /// answer exactly, nothing panics.
 fn scenario_dead(wl: Workload, seed: u64) -> RunReport {
-    let data_off = 32 + (((1u64 << TABLE_DEPTH) + 1) * 8) + 4;
+    // S3IDX004: header, axis bytes, table and meta CRC, then the prefix
+    // column, 8 bytes a record.
+    let data_off = 32 + DIMS as u64 + (((1u64 << TABLE_DEPTH) + 1) * 8) + 4;
     let fs = Arc::new(FaultyStorage::new(
         MemStorage::new(wl.bytes.clone()),
         FaultPlan {
             seed,
-            dead_range: Some(data_off + 300 * 32..data_off + 400 * 32),
+            dead_range: Some(data_off + 300 * 8..data_off + 400 * 8),
             skip_reads: 5,
             ..FaultPlan::default()
         },

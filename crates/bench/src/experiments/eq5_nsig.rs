@@ -8,6 +8,7 @@
 //! of eq. 5 flattening onto the in-memory query cost.
 
 use crate::report::{Experiment, Scale, Series};
+use crate::temp::TempDir;
 use crate::workload::{distorted_queries, extracted_pool, FingerprintSampler};
 use s3_core::pseudo_disk::DiskIndex;
 use s3_core::{IsotropicNormal, S3Index, StatQueryOpts};
@@ -20,7 +21,9 @@ pub fn run(scale: Scale) -> Experiment {
     let sigma = 15.0;
     let alpha = 0.8;
     let batch_sizes: &[usize] = &[1, 4, 16, 64, 256];
-    // Budget far below the DB so sections must stream (60 B/record).
+    // Budget far below the DB so sections must stream: a sixteenth of the
+    // DB at 60 B/record (the `S3IDX003` record; 36 B since `S3IDX004`), kept
+    // in bytes so the budget is the same across the two formats.
     let mem_budget: u64 = (db_size as u64 * 60) / 16;
 
     let pool = extracted_pool(scale.pick(3, 5), 60, 0xE05);
@@ -31,8 +34,7 @@ pub fn run(scale: Scale) -> Experiment {
     let model = IsotropicNormal::new(FINGERPRINT_DIMS, sigma);
     let opts = StatQueryOpts::learned(alpha, &index, &model);
 
-    let dir = std::env::temp_dir().join(format!("s3_eq5_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let dir = TempDir::new("eq5");
     let path = dir.join("db.s3idx");
     DiskIndex::write(&index, &path).expect("write");
     let disk = DiskIndex::open(&path).expect("open");
@@ -52,8 +54,6 @@ pub fn run(scale: Scale) -> Experiment {
         total_ms.push(res.timing.per_query(nsig).as_secs_f64() * 1e3);
         load_ms.push(res.timing.load.as_secs_f64() * 1e3 / nsig as f64);
     }
-    std::fs::remove_dir_all(&dir).ok();
-
     let mut e = Experiment::new(
         "eq5_nsig",
         "Eq. 5: per-query pseudo-disk cost vs batch size N_sig",

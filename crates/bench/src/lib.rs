@@ -11,6 +11,7 @@
 
 pub mod experiments;
 pub mod report;
+mod temp;
 pub mod timing;
 pub mod workload;
 

@@ -219,10 +219,9 @@ mod tests {
         let mut e = Experiment::new("rt", "round \"trip\"", "x", "y");
         e.note("a\tnote");
         e.push_series(Series::new("s", vec![0.5, 2.0], vec![1.5, f64::NAN]));
-        let dir = std::env::temp_dir().join(format!("s3bench_{}", std::process::id()));
-        e.save_json(&dir).unwrap();
+        let dir = crate::temp::TempDir::new("json-roundtrip");
+        e.save_json(&*dir).unwrap();
         let raw = std::fs::read_to_string(dir.join("rt.json")).unwrap();
-        std::fs::remove_dir_all(dir).ok();
 
         let doc = s3_obs::JsonValue::parse(&raw).expect("saved experiment is valid JSON");
         let text = |k: &str| doc.get(k).and_then(|v| v.as_str()).map(str::to_owned);

@@ -58,7 +58,7 @@ fn build_index(name: &str) -> PathBuf {
 /// A seed known to degrade the single-node torn-read run (checked and then
 /// asserted below, so a behaviour change shows up as a test failure, not a
 /// silently-clean scenario).
-const TORN_SEED: &str = "41";
+const TORN_SEED: &str = "1";
 
 #[test]
 fn query_fault_is_deterministic_and_degrades() {

@@ -2,7 +2,7 @@
 //!
 //! [`DurableIndex`] composes the durability subsystem into one engine:
 //!
-//! * the main index is the serialized `S3IDX002`/`S3IDX003` byte stream,
+//! * the main index is the serialized `S3IDX004` byte stream,
 //!   chunked into self-verifying pages of a [`PageStore`] (see
 //!   [`crate::pager`]);
 //! * an index created empty has no axis order of its own yet: its first

@@ -109,8 +109,7 @@ impl DynamicIndex {
     /// Inserts one record; triggers a merge when the overlay outgrows the
     /// configured fraction of the main index.
     pub fn insert(&mut self, fingerprint: &[u8], id: u32, tc: u32) {
-        let key = self.main.curve().encode_bytes(fingerprint);
-        self.overlay.insert(key, fingerprint, id, tc);
+        self.overlay.insert(self.main.curve(), fingerprint, id, tc);
         let threshold = (self.main.len() as f64 * self.merge_fraction).max(256.0);
         if self.overlay.len() as f64 > threshold {
             self.merge();
@@ -174,9 +173,11 @@ impl DynamicIndex {
     pub(crate) fn scan(&self, q: &[u8], plan: &QueryPlan, ask: &Ask) -> QueryScan {
         let mut scan = self.main.scan(q, plan, ask, None);
         let base = self.main.len();
-        let overlay = self
-            .overlay
-            .scan(None, &plan.ranges, q, ask, base, || false);
+        let overlay =
+            self.overlay
+                .scan(self.main.curve(), None, &plan.ranges, q, ask, base, || {
+                    false
+                });
         scan.matches.extend(overlay.matches);
         scan.stats.entries_scanned += overlay.entries;
         scan.refine_ns += overlay.ns;
@@ -188,7 +189,7 @@ impl DynamicIndex {
 mod tests {
     use super::*;
     use crate::distortion::{CountingModel, IsotropicNormal};
-    use crate::index::{FilterAlgo, Match, QueryStats};
+    use crate::index::{prefix_of, FilterAlgo, Match, QueryStats};
     use s3_hilbert::Key256;
 
     const DIMS: usize = 6;
@@ -269,7 +270,9 @@ mod tests {
             rebuilt = next;
         }
         assert_eq!(dyn_idx.len(), 600);
-        assert_eq!(dyn_idx.overlay.keys(), rebuilt_keys);
+        let curve = dyn_idx.main().curve();
+        let rebuilt_prefixes: Vec<u64> = rebuilt_keys.iter().map(|k| prefix_of(curve, k)).collect();
+        assert_eq!(dyn_idx.overlay.prefixes(), rebuilt_prefixes);
         assert_eq!(dyn_idx.overlay.records(), &rebuilt);
 
         let model = IsotropicNormal::new(DIMS, 12.0);
@@ -284,6 +287,61 @@ mod tests {
             let b = dyn_idx.range_query(&q, 90.0, 10);
             assert_eq!(ids(&a.matches), ids(&b.matches), "range query diverged");
         }
+    }
+
+    /// On the paper's curve a run keeps 64 of 160 key bits, so inserted
+    /// records can share a prefix and differ below it: the overlay still
+    /// holds them in full-key order, each before the equal keys already
+    /// there — the order a full-key sort with later arrivals first gives.
+    #[test]
+    fn overlay_insert_orders_shared_prefixes_by_full_key() {
+        let curve = HilbertCurve::paper();
+        let mut dyn_idx = DynamicIndex::empty(curve.clone(), 1.0);
+        let mut state = 0x0DD5u64;
+        let centres: Vec<Vec<u8>> = (0..3)
+            .map(|_| {
+                (0..20)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        (state >> 32) as u8
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut inserted: Vec<(Key256, usize)> = Vec::new();
+        for i in 0..200usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // The low three bits of each component redrawn: the top 80 key
+            // bits, and so the prefix, stay the centre's.
+            let fp: Vec<u8> = centres[i % 3]
+                .iter()
+                .enumerate()
+                .map(|(c, &x)| (x & !7) | ((state >> (c * 3)) as u8 & 7))
+                .collect();
+            let fp = if i % 7 == 6 {
+                dyn_idx.overlay.records().fingerprint(0).to_vec()
+            } else {
+                fp
+            };
+            dyn_idx.insert(&fp, i as u32, 0);
+            inserted.push((curve.encode_bytes(&fp), i));
+        }
+        assert_eq!((dyn_idx.overlay_len(), dyn_idx.merges()), (200, 0));
+        inserted.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        let want: Vec<u32> = inserted.iter().map(|&(_, i)| i as u32).collect();
+        assert_eq!(dyn_idx.overlay.records().ids(), want);
+        let prefixes = dyn_idx.overlay.prefixes();
+        let ties = (1..200)
+            .filter(|&i| prefixes[i - 1] == prefixes[i] && inserted[i - 1].0 != inserted[i].0)
+            .count();
+        assert!(
+            ties > 100,
+            "only {ties} neighbours share a prefix but not a key"
+        );
     }
 
     /// Records whose first three components spread over the byte range and

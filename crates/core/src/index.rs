@@ -185,43 +185,58 @@ pub(crate) mod per_record_oracle {
     }
 }
 
+/// Key bits a sorted run keeps of each record's curve key: the top 64, so
+/// the whole key on a curve of at most 64 key bits.
+pub(crate) fn prefix_bits(curve: &HilbertCurve) -> u32 {
+    curve.key_bits().min(64)
+}
+
+/// The prefix a sorted run stores for `key` on `curve`: its top
+/// [`prefix_bits`] bits.
+pub(crate) fn prefix_of(curve: &HilbertCurve, key: &Key256) -> u64 {
+    let bits = prefix_bits(curve);
+    key.digit(curve.key_bits() - bits, bits)
+}
+
 /// Where each key slot of a sorted run starts: `first[s]` is the first
 /// record whose key has top bits ≥ `s` — O(1) coarse range location.
 #[derive(Clone, Debug)]
 pub(crate) struct SlotTable {
     first: Vec<u32>,
-    /// Key bits below the slot number.
+    /// Prefix bits below the slot number.
     shift: u32,
 }
 
 impl SlotTable {
-    /// The table of `keys` (sorted, on `curve`), about one slot per 16
+    /// The table of `prefixes` (sorted, on `curve`), about one slot per 16
     /// records, capped to keep the table small and within the key width.
-    fn new(curve: &HilbertCurve, keys: &[Key256]) -> SlotTable {
-        let depth = (keys.len() / 16)
+    fn new(curve: &HilbertCurve, prefixes: &[u64]) -> SlotTable {
+        let depth = (prefixes.len() / 16)
             .next_power_of_two()
             .trailing_zeros()
             .clamp(1, 20)
             .min(curve.key_bits());
         let slots = 1usize << depth;
-        let shift = curve.key_bits() - depth;
+        let shift = prefix_bits(curve) - depth;
         let mut first = vec![0u32; slots + 1];
-        // Walk the sorted keys once, recording the first record of each slot.
+        // Walk the sorted prefixes once, recording the first record of each
+        // slot.
         let mut slot = 0usize;
-        for (i, key) in keys.iter().enumerate() {
-            let s = key.shr(shift).low_u128() as usize;
+        for (i, &prefix) in prefixes.iter().enumerate() {
+            let s = (prefix >> shift) as usize;
             while slot <= s {
                 first[slot] = i as u32;
                 slot += 1;
             }
         }
-        first[slot..].fill(keys.len() as u32);
+        first[slot..].fill(prefixes.len() as u32);
         SlotTable { first, shift }
     }
 
-    /// The records whose keys share `key`'s slot.
-    fn window(&self, key: &Key256) -> (usize, usize) {
-        let slot = key.shr(self.shift).low_u128() as usize;
+    /// The records whose keys share the slot of a key whose prefix is
+    /// `prefix`.
+    fn window(&self, prefix: u64) -> (usize, usize) {
+        let slot = (prefix >> self.shift) as usize;
         (self.first[slot] as usize, self.first[slot + 1] as usize)
     }
 }
@@ -230,9 +245,18 @@ impl SlotTable {
 /// resident section of it (§IV-B) — with the one key locate and the one
 /// refinement loop every engine runs: an [`S3Index`] holds one beside its
 /// [`SlotTable`], a pseudo-disk section and an insert overlay hold one bare.
+///
+/// A run stores each key's top 64 bits ([`prefix_of`]), not the key: the
+/// key is a function of the fingerprint beside it. The locate compares
+/// prefixes, which is exact for every bound with no bit set below the
+/// prefix — every range bound of a plan of depth ≤ 64, since a range is a
+/// union of depth-p cells (`KeyRange::of_ranks`). A bound with bits below
+/// the prefix (a deeper plan, a k-NN scan depth past 64, an insert) is
+/// placed among the records that share its prefix by their full keys,
+/// recomputed from their fingerprints.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SortedRun {
-    keys: Vec<Key256>,
+    prefixes: Vec<u64>,
     records: RecordBatch,
 }
 
@@ -251,17 +275,22 @@ pub(crate) struct RunScan {
 }
 
 impl SortedRun {
-    /// A run of `records` whose keys are `keys`, both already in key order.
+    /// A run of `records` whose key prefixes are `prefixes`, both already in
+    /// key order.
     ///
     /// # Panics
     /// If the lengths differ.
-    pub(crate) fn new(keys: Vec<Key256>, records: RecordBatch) -> SortedRun {
-        assert_eq!(keys.len(), records.len(), "keys/records length mismatch");
-        SortedRun { keys, records }
+    pub(crate) fn new(prefixes: Vec<u64>, records: RecordBatch) -> SortedRun {
+        assert_eq!(
+            prefixes.len(),
+            records.len(),
+            "prefixes/records length mismatch"
+        );
+        SortedRun { prefixes, records }
     }
 
-    pub(crate) fn keys(&self) -> &[Key256] {
-        &self.keys
+    pub(crate) fn prefixes(&self) -> &[u64] {
+        &self.prefixes
     }
 
     pub(crate) fn records(&self) -> &RecordBatch {
@@ -269,19 +298,26 @@ impl SortedRun {
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.keys.len()
+        self.prefixes.len()
     }
 
     /// The two columns, for a loader to refill and hand back through
     /// [`SortedRun::new`].
-    pub(crate) fn into_parts(self) -> (Vec<Key256>, RecordBatch) {
-        (self.keys, self.records)
+    pub(crate) fn into_parts(self) -> (Vec<u64>, RecordBatch) {
+        (self.prefixes, self.records)
     }
 
-    /// Inserts one record under `key`, before any records of an equal key.
-    pub(crate) fn insert(&mut self, key: Key256, fingerprint: &[u8], id: u32, tc: u32) {
-        let at = self.lower_bound_from(None, 0, &key);
-        self.keys.insert(at, key);
+    /// The full curve key of record `i`, recomputed from its fingerprint.
+    fn key(&self, curve: &HilbertCurve, i: usize) -> Key256 {
+        curve.encode_bytes(self.records.fingerprint(i))
+    }
+
+    /// Inserts one record under its key on `curve`, before any records of
+    /// an equal key.
+    pub(crate) fn insert(&mut self, curve: &HilbertCurve, fingerprint: &[u8], id: u32, tc: u32) {
+        let key = curve.encode_bytes(fingerprint);
+        let at = self.lower_bound_from(curve, None, 0, &key);
+        self.prefixes.insert(at, prefix_of(curve, &key));
         self.records.insert(at, fingerprint, id, tc);
     }
 
@@ -290,14 +326,15 @@ impl SortedRun {
     /// ranges (0 otherwise).
     pub(crate) fn locate(
         &self,
+        curve: &HilbertCurve,
         table: Option<&SlotTable>,
         from: usize,
         range: &KeyRange,
     ) -> (usize, usize) {
-        let start = self.lower_bound_from(table, from, &range.lo);
+        let start = self.lower_bound_from(curve, table, from, &range.lo);
         let end = match range.hi {
-            KeyBound::Excl(hi) => self.lower_bound_from(table, start, &hi),
-            KeyBound::End => self.keys.len(),
+            KeyBound::Excl(hi) => self.lower_bound_from(curve, table, start, &hi),
+            KeyBound::End => self.len(),
         };
         (start, end.max(start))
     }
@@ -309,25 +346,58 @@ impl SortedRun {
     /// anyway — are searched first. Only a bound beyond that window (or one
     /// not ascending) searches further: within its slot of `table`, or the
     /// whole run when there is no table.
-    fn lower_bound_from(&self, table: Option<&SlotTable>, from: usize, key: &Key256) -> usize {
+    ///
+    /// The search compares prefixes. For a bound with no bit below its
+    /// prefix that is exact: a record sorts before the bound exactly when
+    /// its prefix is smaller. Otherwise the records sharing the bound's
+    /// prefix are searched by their full keys.
+    fn lower_bound_from(
+        &self,
+        curve: &HilbertCurve,
+        table: Option<&SlotTable>,
+        from: usize,
+        key: &Key256,
+    ) -> usize {
         /// Records searched in place first: one table slot's worth.
         const NEAR: usize = 16;
-        let near_end = self.keys.len().min(from + NEAR);
-        let ascending = from == 0 || self.keys[from - 1] < *key;
-        let (lo, hi) = match self.keys[from..near_end].last() {
-            Some(last) if ascending && *key <= *last => (from, near_end),
-            _ => table.map_or((0, self.keys.len()), |t| t.window(key)),
+        let prefix = prefix_of(curve, key);
+        let near_end = self.len().min(from + NEAR);
+        let ascending = from == 0 || self.prefixes[from - 1] < prefix;
+        let (lo, hi) = match self.prefixes[from..near_end].last() {
+            Some(&last) if ascending && prefix <= last => (from, near_end),
+            _ => table.map_or((0, self.len()), |t| t.window(prefix)),
         };
-        lo + self.keys[lo..hi].partition_point(|k| *k < *key)
+        let at = lo + self.prefixes[lo..hi].partition_point(|&p| p < prefix);
+        let below = Key256::low_mask(curve.key_bits() - prefix_bits(curve));
+        if key.and(&below).is_zero() {
+            return at;
+        }
+        // Bits below the prefix: binary search the run of equal prefixes
+        // (which may reach past the window) by full key.
+        let (mut lo, mut hi) = (
+            at,
+            at + self.prefixes[at..].partition_point(|&p| p == prefix),
+        );
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.key(curve, mid) < *key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
-    /// Refinement (stage 2) of one query over this run: locates each of
-    /// `ranges` (ascending) and refines its records against `q` as `ask`
-    /// says, record `i` matching as index `base + i`. Polls `stop` every
-    /// [`REFINE_CHUNK`] records across the ranges and ends the scan when it
-    /// fires.
+    /// Refinement (stage 2) of one query over this run on `curve`: locates
+    /// each of `ranges` (ascending) and refines its records against `q` as
+    /// `ask` says, record `i` matching as index `base + i`. Polls `stop`
+    /// every [`REFINE_CHUNK`] records across the ranges and ends the scan
+    /// when it fires.
+    #[allow(clippy::too_many_arguments)] // the locate's curve and table beside the query's terms
     pub(crate) fn scan<'r>(
         &self,
+        curve: &HilbertCurve,
         table: Option<&SlotTable>,
         ranges: impl IntoIterator<Item = &'r KeyRange>,
         q: &[u8],
@@ -347,7 +417,7 @@ impl SortedRun {
         let fps = self.records.fingerprint_bytes();
         let mut cursor = 0;
         for range in ranges {
-            let (start, end) = self.locate(table, cursor, range);
+            let (start, end) = self.locate(curve, table, cursor, range);
             cursor = end;
             out.ranges += 1;
             let kept = refiner.scan(fps, start, end, &stop, |i, dist_sq| {
@@ -616,32 +686,39 @@ impl S3Index {
         keyed.sort_unstable_by_key(|a| a.0);
 
         let perm: Vec<u32> = keyed.iter().map(|&(_, i)| i).collect();
+        let prefixes: Vec<u64> = keyed.iter().map(|(k, _)| prefix_of(&curve, k)).collect();
+        // The sort scratch goes before the permuted copy of the records is
+        // made, so the two are never resident together.
+        drop(keyed);
         let records = records.permuted(&perm);
-        let keys: Vec<Key256> = keyed.into_iter().map(|(k, _)| k).collect();
-        (Self::from_sorted_parts(curve, keys, records), perm)
+        (Self::from_sorted_parts(curve, prefixes, records), perm)
     }
 
     /// Builds an index over records **already sorted by Hilbert key**,
     /// preserving their order exactly — no re-sort, so ties between equal
-    /// keys keep the caller's ordering. This is the constructor the shard
-    /// router uses to carve a contiguous slice of a sorted parent index
-    /// into a sub-index whose record order (and therefore whose answers)
-    /// stay bit-identical to the parent's slice.
+    /// keys keep the caller's ordering. `prefixes` are the records' key
+    /// prefixes, as [`S3Index::prefixes`] gives them. This is the
+    /// constructor the shard router uses to carve a contiguous slice of a
+    /// sorted parent index into a sub-index whose record order (and
+    /// therefore whose answers) stay bit-identical to the parent's slice.
     ///
     /// # Panics
-    /// If `keys.len() != records.len()`, the dimensions mismatch, or (debug
-    /// builds only) the keys are not sorted.
+    /// If `prefixes.len() != records.len()`, the dimensions mismatch, or
+    /// (debug builds only) the prefixes are not sorted.
     pub fn from_sorted_parts(
         curve: HilbertCurve,
-        keys: Vec<Key256>,
+        prefixes: Vec<u64>,
         records: RecordBatch,
     ) -> S3Index {
         assert_eq!(records.dims(), curve.dims(), "dimension mismatch");
         assert_eq!(curve.order(), 8, "fingerprints are byte vectors (order 8)");
         assert!(records.len() <= u32::MAX as usize, "too many records");
-        debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys not sorted");
-        let run = SortedRun::new(keys, records);
-        let table = SlotTable::new(&curve, run.keys());
+        debug_assert!(
+            prefixes.windows(2).all(|w| w[0] <= w[1]),
+            "prefixes not sorted"
+        );
+        let run = SortedRun::new(prefixes, records);
+        let table = SlotTable::new(&curve, run.prefixes());
         S3Index { curve, run, table }
     }
 
@@ -665,14 +742,25 @@ impl S3Index {
         self.run.records()
     }
 
-    /// Sorted Hilbert keys, parallel to [`S3Index::records`].
-    pub fn keys(&self) -> &[Key256] {
-        self.run.keys()
+    /// The stored key prefixes, sorted and parallel to
+    /// [`S3Index::records`]: the top 64 bits of each record's Hilbert key,
+    /// the whole key on a curve of at most 64 key bits.
+    pub fn prefixes(&self) -> &[u64] {
+        self.run.prefixes()
+    }
+
+    /// The Hilbert key of record `i` (index order), recomputed from its
+    /// fingerprint: the index stores only its prefix.
+    ///
+    /// # Panics
+    /// If `i` is out of range.
+    pub fn key(&self, i: usize) -> Key256 {
+        self.run.key(&self.curve, i)
     }
 
     /// Locates the half-open record range `[start, end)` covered by a key range.
     pub fn locate(&self, range: &KeyRange) -> (usize, usize) {
-        self.run.locate(Some(&self.table), 0, range)
+        self.run.locate(&self.curve, Some(&self.table), 0, range)
     }
 
     /// Stage 2 over this index: one pass of `plan`'s ranges over the sorted
@@ -689,9 +777,15 @@ impl S3Index {
     ) -> QueryScan {
         let mut sp = span!("query.refine");
         let stop = || ctx.is_some_and(|c| c.should_stop());
-        let run = self
-            .run
-            .scan(Some(&self.table), &plan.ranges, q, ask, 0, stop);
+        let run = self.run.scan(
+            &self.curve,
+            Some(&self.table),
+            &plan.ranges,
+            q,
+            ask,
+            0,
+            stop,
+        );
         sp.record("ranges", plan.ranges.len() as f64);
         sp.record("entries", run.entries as f64);
         let mut blocks = Vec::new();
@@ -798,7 +892,9 @@ impl S3Index {
             hi: KeyBound::End,
         };
         let ask = Ask::range(eps, 0);
-        let run = self.run.scan(None, [&everything], q, &ask, 0, || false);
+        let run = self
+            .run
+            .scan(&self.curve, None, [&everything], q, &ask, 0, || false);
         QueryResult {
             matches: run.matches,
             stats: QueryStats {
@@ -838,12 +934,24 @@ mod tests {
         S3Index::build(curve, synthetic_batch(4, 3000, 42))
     }
 
+    /// Every record's full key, in index order.
+    fn keys(idx: &S3Index) -> Vec<Key256> {
+        (0..idx.len()).map(|i| idx.key(i)).collect()
+    }
+
     #[test]
     fn build_sorts_by_key() {
-        let idx = small_index();
-        assert_eq!(idx.len(), 3000);
-        for w in idx.keys().windows(2) {
-            assert!(w[0] <= w[1], "keys must be sorted");
+        for idx in [
+            small_index(),
+            S3Index::build(HilbertCurve::paper(), synthetic_batch(20, 3000, 42)),
+        ] {
+            assert_eq!(idx.len(), 3000);
+            let keys = keys(&idx);
+            for w in keys.windows(2) {
+                assert!(w[0] <= w[1], "keys must be sorted");
+            }
+            let prefixes: Vec<u64> = keys.iter().map(|k| prefix_of(idx.curve(), k)).collect();
+            assert_eq!(idx.prefixes(), prefixes);
         }
     }
 
@@ -864,8 +972,10 @@ mod tests {
                 3 => assert_eq!((r.fingerprint, r.tc), (&[255u8, 0, 255][..], 33)),
                 other => panic!("unexpected id {other}"),
             }
-            // Stored key must equal the fingerprint's key on the index's curve.
-            assert_eq!(idx.keys()[i], idx.curve().encode_bytes(r.fingerprint));
+            // Stored prefix must be the fingerprint's key's, on the index's
+            // curve (whose 24 key bits the prefix holds whole).
+            let key = idx.curve().encode_bytes(r.fingerprint);
+            assert_eq!(idx.prefixes()[i], key.low_u128() as u64);
         }
     }
 
@@ -898,7 +1008,8 @@ mod tests {
         let reversed: Vec<u32> = (0..batch.len() as u32).rev().collect();
         let again = S3Index::build(curve.clone(), batch.permuted(&reversed));
         assert_eq!(again.curve(), idx.curve());
-        assert_eq!(again.keys(), idx.keys());
+        assert_eq!(keys(&again), keys(&idx));
+        assert_eq!(again.prefixes(), idx.prefixes());
         // Whatever order the caller's curve had.
         let other = curve.with_axes(&[2, 3, 0, 1]).unwrap();
         assert_eq!(S3Index::build(other, batch.clone()).curve(), idx.curve());
@@ -929,17 +1040,18 @@ mod tests {
     #[test]
     fn locate_agrees_with_linear_scan() {
         let idx = small_index();
+        let keys = keys(&idx);
         // Probe a few numeric ranges.
         for (lo_i, hi_i) in [(0usize, 10), (5, 2995), (1000, 2000)] {
-            let lo = idx.keys()[lo_i];
-            let hi = idx.keys()[hi_i];
+            let lo = keys[lo_i];
+            let hi = keys[hi_i];
             let range = KeyRange {
                 lo,
                 hi: KeyBound::Excl(hi),
             };
             let (s, e) = idx.locate(&range);
-            let s_lin = idx.keys().iter().position(|k| *k >= lo).unwrap();
-            let e_lin = idx.keys().iter().position(|k| *k >= hi).unwrap();
+            let s_lin = keys.iter().position(|k| *k >= lo).unwrap();
+            let e_lin = keys.iter().position(|k| *k >= hi).unwrap();
             assert_eq!((s, e), (s_lin, e_lin));
         }
     }
@@ -1046,33 +1158,171 @@ mod tests {
         let dups = S3Index::build(HilbertCurve::new(4, 8).unwrap(), dups);
         for idx in [&distinct, &dups] {
             let n = idx.len();
+            let keys = keys(idx);
             for table in [Some(&idx.table), None] {
                 // Probe keys just below, at and just above stored keys, from
                 // every kind of starting point: exact previous answer, far
                 // behind, just behind, just past (not ascending), well past
                 // and the end of the run.
                 for i in (0..n).step_by(7) {
-                    let stored = idx.keys()[i];
+                    let stored = keys[i];
                     for key in [
                         stored.saturating_sub_u64(1),
                         stored,
                         stored.wrapping_add_u64(1),
                     ] {
-                        let want = idx.keys().iter().take_while(|k| **k < key).count();
+                        let want = keys.iter().take_while(|k| **k < key).count();
                         for from in [0, want.saturating_sub(3), want.saturating_sub(1), want]
                             .into_iter()
                             .chain([want + 1, want + 5, n].map(|f| f.min(n)))
                         {
-                            let got = idx.run.lower_bound_from(table, from, &key);
+                            let got = idx.run.lower_bound_from(idx.curve(), table, from, &key);
                             assert_eq!(got, want, "i={i} from={from} table={}", table.is_some());
                         }
                         let to_end = KeyRange {
                             lo: key,
                             hi: KeyBound::End,
                         };
-                        assert_eq!(idx.run.locate(table, 0, &to_end), (want, n));
+                        assert_eq!(idx.run.locate(idx.curve(), table, 0, &to_end), (want, n));
                     }
                 }
+            }
+        }
+    }
+
+    /// Records in clusters: each cluster a random centre, its records
+    /// the centre with only the low `b` bits of each component redrawn,
+    /// `b` in 0..=8 per cluster — so exact duplicates (b = 0), records
+    /// sharing a 64-bit prefix but not their key (b ≤ 4 on the paper's
+    /// curve: its top 80 key bits are the top four bits of every
+    /// component) and unrelated records (b = 8).
+    fn prefix_clusters(dims: usize, n: usize, clusters: usize, seed: u64) -> RecordBatch {
+        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let centres: Vec<(Vec<u8>, u32)> = (0..clusters)
+            .map(|_| {
+                let centre = (0..dims).map(|_| next() as u8).collect();
+                (centre, (next() % 9) as u32)
+            })
+            .collect();
+        let mut batch = RecordBatch::with_capacity(dims, n);
+        for i in 0..n {
+            let (centre, bits) = &centres[next() as usize % clusters];
+            let low = ((1u32 << bits) - 1) as u8;
+            let fp: Vec<u8> = centre
+                .iter()
+                .map(|&c| (c & !low) | (next() as u8 & low))
+                .collect();
+            batch.push(&fp, i as u32, 0);
+        }
+        batch
+    }
+
+    /// Records sharing a prefix but not a key are placed by their full
+    /// keys: a bound inside such a run of equal prefixes lands inside it.
+    #[test]
+    fn a_bound_inside_a_run_of_equal_prefixes_lands_inside_it() {
+        let curve = HilbertCurve::paper();
+        let mut batch = RecordBatch::new(20);
+        for i in 0..64u8 {
+            // One centre, the low two bits of four components varied.
+            let mut fp = [0x5Au8; 20];
+            for (c, x) in fp.iter_mut().take(4).enumerate() {
+                *x = (*x & !3) | ((i >> (2 * c)) & 3);
+            }
+            batch.push(&fp, u32::from(i), 0);
+        }
+        let idx = S3Index::build_on(curve.clone(), batch);
+        let keys = keys(&idx);
+        assert!(idx.prefixes().iter().all(|&p| p == idx.prefixes()[0]));
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "distinct keys");
+        for i in [1, 20, 63] {
+            for table in [Some(&idx.table), None] {
+                assert_eq!(idx.run.lower_bound_from(&curve, table, 0, &keys[i]), i);
+                let past = keys[i].wrapping_add_u64(1);
+                assert_eq!(idx.run.lower_bound_from(&curve, table, 0, &past), i + 1);
+            }
+        }
+    }
+
+    mod prefix_locate {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// The prefix locate against a full-key oracle: every range
+            /// bound a plan of any depth `1..=key_bits` can hand it (below
+            /// 64 and above), and bounds just beside stored keys, on the
+            /// paper's curve (160 key bits) and on a 64-bit curve (the
+            /// prefix is the key), with and without the slot table, from
+            /// every kind of starting point.
+            #[test]
+            fn prefix_locate_equals_the_full_key_oracle(
+                paper in any::<bool>(),
+                n in 1usize..300,
+                clusters in 1usize..10,
+                seed in any::<u64>(),
+            ) {
+                let (curve, dims) = if paper {
+                    (HilbertCurve::paper(), 20)
+                } else {
+                    (HilbertCurve::new(8, 8).unwrap(), 8)
+                };
+                let idx = S3Index::build(curve, prefix_clusters(dims, n, clusters, seed));
+                let curve = idx.curve();
+                let keys = keys(&idx);
+                let below = |k: &Key256| keys.iter().take_while(|x| *x < k).count();
+                let bits = curve.key_bits();
+                let mut probes = 0;
+                let step = (n / 6).max(1);
+                for depth in 1..=bits {
+                    let shift = bits - depth;
+                    let last_rank = Key256::low_mask(depth);
+                    for i in (0..n).step_by(step) {
+                        let rank = keys[i].shr(shift);
+                        let first = rank.saturating_sub_u64(1);
+                        let last = if rank == last_rank { rank } else { rank.wrapping_add_u64(1) };
+                        let mut ranges = vec![
+                            KeyRange::of_ranks(curve, depth, &rank, &rank),
+                            KeyRange::of_ranks(curve, depth, &first, &last),
+                        ];
+                        if depth == bits {
+                            // Bounds beside the stored key, any bit set.
+                            let lo = keys[i].saturating_sub_u64(1);
+                            let hi = keys[i].wrapping_add_u64(1);
+                            ranges.push(KeyRange { lo, hi: KeyBound::Excl(hi) });
+                            ranges.push(KeyRange { lo: hi, hi: KeyBound::End });
+                        }
+                        for range in &ranges {
+                            let start = below(&range.lo);
+                            let end = match range.hi {
+                                KeyBound::Excl(hi) => below(&hi).max(start),
+                                KeyBound::End => n,
+                            };
+                            for table in [Some(&idx.table), None] {
+                                for from in [0, start.saturating_sub(1), start, (start + 3).min(n), n] {
+                                    let got = idx.run.locate(curve, table, from, range);
+                                    prop_assert_eq!(
+                                        got, (start, end),
+                                        "depth {} record {} from {} table {}",
+                                        depth, i, from, table.is_some()
+                                    );
+                                    probes += 1;
+                                }
+                                let lb = idx.run.lower_bound_from(curve, table, 0, &range.lo);
+                                prop_assert_eq!(lb, start);
+                            }
+                        }
+                    }
+                }
+                prop_assert!(probes > 0);
             }
         }
     }

@@ -10,7 +10,7 @@
 //! count, generation, and the LSN of the last checkpoint, which anchors
 //! WAL recovery (see `docs/durability.md`).
 //!
-//! Pages 1..=n hold consecutive chunks of the serialized `S3IDX002` byte
+//! Pages 1..=n hold consecutive chunks of the serialized `S3IDX004` byte
 //! stream, so the existing [`crate::pseudo_disk::DiskIndex`] reader works
 //! unchanged on top — it reads the stream through [`DataPages`], a
 //! [`Storage`] that verifies every page it touches, instead of a flat file.

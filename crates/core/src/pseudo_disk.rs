@@ -22,12 +22,12 @@
 //! dies on the first bad sector cannot do that. Three mechanisms make the
 //! engine keep answering:
 //!
-//! * **Checksummed format** — the current `S3IDX002` / `S3IDX003` formats
-//!   carry a CRC-32 over the header + index table, one CRC-32 per fixed-size
-//!   data block, and a CRC over the block-CRC table itself, so corruption is
-//!   *detected* rather than silently returned as wrong matches. Legacy
-//!   `S3IDX001` files still open (with a loud warning) but without
-//!   verification.
+//! * **Checksummed format** — `S3IDX004` (and the older `S3IDX002` /
+//!   `S3IDX003`) carry a CRC-32 over the header + index table, one CRC-32
+//!   per fixed-size data block, and a CRC over the block-CRC table itself,
+//!   so corruption is *detected* rather than silently returned as wrong
+//!   matches. Legacy `S3IDX001` files still open (with a loud warning) but
+//!   without verification.
 //! * **Retries** — section loads that fail transiently (interrupted /
 //!   timed-out reads, checksum mismatches that may be bad reads of good
 //!   data) are retried with bounded exponential backoff ([`RetryPolicy`]).
@@ -45,30 +45,48 @@
 //! ## File layout (little-endian)
 //!
 //! ```text
-//! magic "S3IDX003" | dims u32 | order u32 | n u64 | table_depth u32 | block_size u32
+//! magic "S3IDX004" | dims u32 | order u32 | n u64 | table_depth u32 | block_size u32
 //! axes     : dims × u8                   the curve's slot → component order
 //! table    : (2^table_depth + 1) × u64   first-record index per key slot
 //! meta CRC : u32                         CRC-32 of header + axes + table
-//! data     : keys  n × 32 bytes          sorted Hilbert keys
-//!            fps   n × dims bytes        fingerprints
-//!            ids   n × u32
-//!            tcs   n × u32
+//! data     : prefixes n × u64            top 64 bits of each sorted Hilbert key
+//!            fps      n × dims bytes     fingerprints
+//!            ids      n × u32
+//!            tcs      n × u32
 //! CRC table: ceil(data/block_size) × u32 CRC-32 per data block
 //! tail CRC : u32                         CRC-32 of the CRC table
 //! ```
 //!
-//! A curve with the identity axis order is written as `S3IDX002`: the same
-//! layout without the `axes` bytes. `S3IDX002` and the legacy `S3IDX001`
-//! (the `S3IDX002` layout minus the three CRC regions, with a zero pad in
-//! place of `block_size`) open as the identity order; neither can be
-//! written for any other order.
+//! A record is `8 + dims + 8` bytes, 36 on the paper's 20-dimensional
+//! curve. The key column keeps the top 64 bits of each key: the whole key
+//! on a curve of at most 64 key bits, 64 of the 160 on the paper's. The
+//! key is a function of the fingerprint stored beside it, so nothing is
+//! lost, and the prefix locates exactly every range a plan of depth ≤ 64
+//! scans: such a range is a union of depth-p cells, so its bounds have no
+//! bit set below the prefix, and a key sorts below such a bound exactly
+//! when its prefix does. A bound with bits below the prefix (a deeper plan,
+//! a k-NN scan depth past 64) is placed among the records that share its
+//! prefix by their full keys, recomputed from their fingerprints — so no
+//! depth is refused and every answer is exact.
+//!
+//! Only `S3IDX004` is written. Older files open, each 32-byte key
+//! truncated to its prefix as a section loads:
+//! * `S3IDX003`: the same layout with a 32-byte key column (four
+//!   little-endian `u64` limbs) in place of the prefixes;
+//! * `S3IDX002`: the `S3IDX003` layout without the `axes` bytes, opened as
+//!   the identity order;
+//! * `S3IDX001` (legacy; [`DiskIndex::write_v1`] still writes it for
+//!   tests): the `S3IDX002` layout minus the three CRC regions, with a zero
+//!   pad in place of `block_size`, opened as the identity order.
 
 use crate::autotune::RecordCounts;
 use crate::crc::{crc32, Crc32};
 use crate::distortion::DistortionModel;
 use crate::error::IndexError;
 use crate::fingerprint::RecordBatch;
-use crate::index::{Match, QueryStats, RunScan, S3Index, SortedRun, StatQueryOpts};
+use crate::index::{
+    prefix_bits, prefix_of, Match, QueryStats, RunScan, S3Index, SortedRun, StatQueryOpts,
+};
 use crate::metrics::CoreMetrics;
 use crate::parallel::{default_threads, with_crew};
 use crate::plan::{query_scope, tally_blocks, Plan, QueryPlan, QueryScan, Scan};
@@ -84,6 +102,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+const MAGIC_V4: &[u8; 8] = b"S3IDX004";
 const MAGIC_V3: &[u8; 8] = b"S3IDX003";
 const MAGIC_V2: &[u8; 8] = b"S3IDX002";
 const MAGIC_V1: &[u8; 8] = b"S3IDX001";
@@ -93,7 +112,10 @@ pub const TABLE_DEPTH: u32 = 16;
 /// Default size of a checksummed data block.
 pub const DEFAULT_BLOCK_SIZE: u32 = 4096;
 const HEADER_LEN: u64 = 8 + 4 + 4 + 8 + 4 + 4;
+/// Bytes of a key in the key column of `S3IDX001`–`S3IDX003`.
 const KEY_LEN: u64 = 32;
+/// Bytes of a key prefix in the key column of `S3IDX004`.
+const PREFIX_LEN: u64 = 8;
 /// Upper bound accepted for a stored table depth — an allocation guard
 /// against corrupt headers (real writers never exceed [`TABLE_DEPTH`]).
 const MAX_TABLE_DEPTH: u32 = 24;
@@ -174,11 +196,14 @@ pub struct DiskIndex {
     /// `table[s]` = first record whose key's top `table_depth` bits ≥ `s`.
     table: Vec<u64>,
     /// Format version (1 = legacy unchecksummed, 2 = identity axis order,
-    /// 3 = any axis order).
+    /// 3 = any axis order, 4 = key prefixes).
     version: u32,
-    /// Bytes per checksummed block (v2 and v3).
+    /// Bytes a record takes in the key column: [`PREFIX_LEN`] in v4,
+    /// [`KEY_LEN`] before.
+    key_len: u64,
+    /// Bytes per checksummed block (v2 to v4).
     block_size: u32,
-    /// Per-block CRC-32 of the data region (v2 and v3; empty for v1).
+    /// Per-block CRC-32 of the data region (v2 to v4; empty for v1).
     block_crcs: Vec<u32>,
     /// File offset where the data region starts.
     data_off: u64,
@@ -315,68 +340,40 @@ fn checksum_failure(region: &'static str, offset: u64) -> IndexError {
     IndexError::Checksum { region, offset }
 }
 
-/// The format that stores `curve`: `S3IDX002` for the identity axis
-/// order, `S3IDX003` otherwise.
-fn magic_for(curve: &HilbertCurve) -> &'static [u8; 8] {
-    if curve.is_identity() {
-        MAGIC_V2
-    } else {
-        MAGIC_V3
-    }
-}
-
-/// Bytes of the header, axis order and index table written for `curve` —
-/// the span the meta CRC covers.
-fn encoded_meta_len(curve: &HilbertCurve, table_depth: u32) -> usize {
-    let axes = if magic_for(curve) == MAGIC_V3 {
-        curve.dims()
-    } else {
-        0
-    };
-    HEADER_LEN as usize + axes + ((1usize << table_depth) + 1) * 8
-}
-
-/// Serialises the header, the axis order (`S3IDX003`) and the index table
-/// of an index into a buffer. `S3IDX001`/`S3IDX002` have no place for an
-/// order: asked for either with a curve that is not the identity, this
-/// refuses rather than write a file whose keys the reader would take for
-/// keys on another curve.
-fn encode_meta(index: &S3Index, opts: WriteOpts, magic: &[u8; 8]) -> io::Result<Vec<u8>> {
+/// Serialises the header, the axis order and the index table of an index
+/// into a buffer: `S3IDX004`, or with `v1` the legacy `S3IDX001`, which
+/// has no place for an order. Asked for that with a curve that is not the
+/// identity, this refuses rather than write a file whose keys the reader
+/// would take for keys on another curve.
+fn encode_meta(index: &S3Index, opts: WriteOpts, v1: bool) -> io::Result<Vec<u8>> {
     let curve = index.curve();
-    if magic != MAGIC_V3 && !curve.is_identity() {
+    if v1 && !curve.is_identity() {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!(
-                "{} cannot store the axis order {:?}",
-                String::from_utf8_lossy(magic),
-                curve.axes()
-            ),
+            format!("S3IDX001 cannot store the axis order {:?}", curve.axes()),
         ));
     }
     let n = index.len() as u64;
-    let table_depth = opts.table_depth.min(curve.key_bits());
-    let mut meta = Vec::with_capacity(encoded_meta_len(curve, table_depth));
-    meta.extend_from_slice(magic);
+    let table_depth = opts.table_depth.min(prefix_bits(curve));
+    let axes = if v1 { &[][..] } else { curve.axes() };
+    let mut meta =
+        Vec::with_capacity(HEADER_LEN as usize + axes.len() + ((1usize << table_depth) + 1) * 8);
+    meta.extend_from_slice(if v1 { MAGIC_V1 } else { MAGIC_V4 });
     meta.extend_from_slice(&(curve.dims() as u32).to_le_bytes());
     meta.extend_from_slice(&(curve.order() as u32).to_le_bytes());
     meta.extend_from_slice(&n.to_le_bytes());
     meta.extend_from_slice(&table_depth.to_le_bytes());
-    let aux = if magic == MAGIC_V1 {
-        0
-    } else {
-        opts.block_size
-    };
+    let aux = if v1 { 0 } else { opts.block_size };
     meta.extend_from_slice(&aux.to_le_bytes());
-    if magic == MAGIC_V3 {
-        meta.extend_from_slice(curve.axes());
-    }
+    meta.extend_from_slice(axes);
 
-    // Index table: first record per key slot, rebuilt from sorted keys.
-    let shift = curve.key_bits() - table_depth;
+    // Index table: first record per key slot, rebuilt from the sorted
+    // prefixes (a slot is at most 24 key bits, well within a prefix).
+    let shift = prefix_bits(curve) - table_depth;
     let slots = 1usize << table_depth;
     let mut slot = 0usize;
-    for (i, key) in index.keys().iter().enumerate() {
-        let s = key.shr(shift).low_u128() as usize;
+    for (i, &prefix) in index.prefixes().iter().enumerate() {
+        let s = (prefix >> shift) as usize;
         while slot <= s {
             meta.extend_from_slice(&(i as u64).to_le_bytes());
             slot += 1;
@@ -389,10 +386,17 @@ fn encode_meta(index: &S3Index, opts: WriteOpts, magic: &[u8; 8]) -> io::Result<
     Ok(meta)
 }
 
-/// Writes the data region (keys | fps | ids | tcs) through a writer.
-fn write_data_region(w: &mut impl Write, index: &S3Index) -> io::Result<()> {
-    for key in index.keys() {
-        w.write_all(&key_bytes(key))?;
+/// Writes the data region (prefixes | fps | ids | tcs) through a writer;
+/// with `v1`, full 32-byte keys in place of the prefixes.
+fn write_data_region(w: &mut impl Write, index: &S3Index, v1: bool) -> io::Result<()> {
+    if v1 {
+        for i in 0..index.len() {
+            w.write_all(&key_bytes(&index.key(i)))?;
+        }
+    } else {
+        for prefix in index.prefixes() {
+            w.write_all(&prefix.to_le_bytes())?;
+        }
     }
     w.write_all(index.records().fingerprint_bytes())?;
     for &id in index.records().ids() {
@@ -428,27 +432,28 @@ impl RecordCounts for DiskIndex {
 
 impl DiskIndex {
     /// Serialises a built in-memory index into the current checksummed
-    /// format with default options. The write is atomic: data goes to a
-    /// sibling temp file which is fsynced, then renamed over `path`.
+    /// format (`S3IDX004`) with default options. The write is atomic: data
+    /// goes to a sibling temp file which is fsynced, then renamed over
+    /// `path`.
     pub fn write(index: &S3Index, path: impl AsRef<Path>) -> io::Result<()> {
         Self::write_with(index, path, WriteOpts::default())
     }
 
-    /// Serialises a built index into the complete byte stream — `S3IDX002`
-    /// for an identity axis order, `S3IDX003` otherwise — exactly the bytes
-    /// [`DiskIndex::write_with`] puts in a file. The
+    /// Serialises a built index into the complete `S3IDX004` byte stream —
+    /// exactly the bytes [`DiskIndex::write_with`] puts in a file. The
     /// paged storage engine chunks this stream into pages; opening the
     /// chunked stream through a pooled [`Storage`] yields bit-identical
     /// query results by construction, because the reader is the same.
     pub fn encode_to_vec(index: &S3Index, opts: WriteOpts) -> io::Result<Vec<u8>> {
         assert!(opts.block_size > 0, "block size must be positive");
-        let meta = encode_meta(index, opts, magic_for(index.curve()))?;
-        let mut out = Vec::with_capacity(meta.len() + 4 + index.len() * 48);
+        let meta = encode_meta(index, opts, false)?;
+        let record_bytes = PREFIX_LEN as usize + index.curve().dims() + 8;
+        let mut out = Vec::with_capacity(meta.len() + 4 + index.len() * record_bytes);
         out.extend_from_slice(&meta);
         out.extend_from_slice(&crc32(&meta).to_le_bytes());
 
         let data_start = out.len();
-        write_data_region(&mut out, index)?;
+        write_data_region(&mut out, index, false)?;
 
         let block_crcs: Vec<u8> = out[data_start..]
             .chunks(opts.block_size as usize)
@@ -473,10 +478,10 @@ impl DiskIndex {
             table_depth: TABLE_DEPTH,
             block_size: 0,
         };
-        let meta = encode_meta(index, opts, MAGIC_V1)?;
+        let meta = encode_meta(index, opts, true)?;
         let mut w = BufWriter::new(File::create(path.as_ref())?);
         w.write_all(&meta)?;
-        write_data_region(&mut w, index)?;
+        write_data_region(&mut w, index, true)?;
         w.flush()
     }
 
@@ -494,6 +499,7 @@ impl DiskIndex {
         let mut header = [0u8; HEADER_LEN as usize];
         storage.read_at(0, &mut header)?;
         let version = match &header[0..8] {
+            m if m == MAGIC_V4 => 4,
             m if m == MAGIC_V3 => 3,
             m if m == MAGIC_V2 => 2,
             m if m == MAGIC_V1 => 1,
@@ -512,9 +518,9 @@ impl DiskIndex {
         if version >= 2 && block_size == 0 {
             return Err(bad_format("zero block size"));
         }
-        // The axis order (v3): read with the table, checked by the meta CRC
-        // before anything trusts it.
-        let axes_len = if version == 3 { dims as u64 } else { 0 };
+        // The axis order (v3 and v4): read with the table, checked by the
+        // meta CRC before anything trusts it.
+        let axes_len = if version >= 3 { dims as u64 } else { 0 };
 
         let slots = 1usize << table_depth;
         let table_bytes = ((slots + 1) * 8) as u64;
@@ -525,7 +531,8 @@ impl DiskIndex {
             .map(le_u64)
             .collect();
 
-        let record_bytes = KEY_LEN + dims as u64 + 4 + 4;
+        let key_len = if version == 4 { PREFIX_LEN } else { KEY_LEN };
+        let record_bytes = key_len + dims as u64 + 4 + 4;
         let data_len = n
             .checked_mul(record_bytes)
             .ok_or_else(|| bad_format("record count overflows the data region"))?;
@@ -537,6 +544,7 @@ impl DiskIndex {
             table_depth,
             table,
             version,
+            key_len,
             block_size,
             block_crcs: Vec::new(),
             data_off: 0,
@@ -564,8 +572,8 @@ impl DiskIndex {
             return Ok(index);
         }
 
-        // v2/v3: verify the header + axes + table CRC, then load and verify
-        // the block-CRC table.
+        // v2 to v4: verify the header + axes + table CRC, then load and
+        // verify the block-CRC table.
         let meta_len = HEADER_LEN + axes_len + table_bytes;
         let mut stored = [0u8; 4];
         index.storage.read_at(meta_len, &mut stored)?;
@@ -576,7 +584,7 @@ impl DiskIndex {
         if meta_crc != le_u32(&stored) {
             return Err(checksum_failure("header", 0));
         }
-        if version == 3 {
+        if version >= 3 {
             let axes: Vec<usize> = raw[..dims].iter().map(|&a| usize::from(a)).collect();
             index.curve = index
                 .curve
@@ -672,15 +680,11 @@ impl DiskIndex {
     /// to this generation's meta CRC; attach it with
     /// [`DiskIndex::attach_sketch`].
     pub fn build_sketch(&self, params: SketchParams) -> Result<Sketch, IndexError> {
-        let n = usize::try_from(self.n)
-            .map_err(|_| bad_format("record count exceeds the address space"))?;
-        let mut raw = vec![0u8; n * KEY_LEN as usize];
-        let mut scratch = Vec::new();
-        self.read_verified(0, &mut raw, &mut scratch)?;
-        let keys: Vec<Key256> = raw.chunks_exact(KEY_LEN as usize).map(read_key).collect();
+        let mut prefixes = Vec::new();
+        self.read_prefixes(0, self.n, &mut prefixes, &mut Vec::new(), &mut Vec::new())?;
         let depth = params.resolve_depth(self.table_depth, self.curve.key_bits());
-        Ok(Sketch::build(
-            &keys,
+        Ok(Sketch::build_from_prefixes(
+            &prefixes,
             self.curve.key_bits(),
             depth,
             params.bits_per_entry.max(1),
@@ -688,7 +692,7 @@ impl DiskIndex {
         ))
     }
 
-    /// On-disk format version of the opened file (1, 2 or 3).
+    /// On-disk format version of the opened file (1 to 4).
     pub fn version(&self) -> u32 {
         self.version
     }
@@ -710,7 +714,7 @@ impl DiskIndex {
 
     /// Bytes each record occupies across all columns.
     fn record_bytes(&self) -> u64 {
-        KEY_LEN + self.curve.dims() as u64 + 4 + 4
+        self.key_len + self.curve.dims() as u64 + 4 + 4
     }
 
     /// Total data bytes (excluding header and table) — the paper's "DB size".
@@ -1026,10 +1030,15 @@ impl DiskIndex {
             let ranges = job.work[lo_w..hi_w]
                 .iter()
                 .map(|&(_, ri)| &query.ranges[ri as usize]);
-            let run =
-                job.section
-                    .run
-                    .scan(None, ranges, queries[qi], &plan.ask, job.first, should_stop);
+            let run = job.section.run.scan(
+                &self.curve,
+                None,
+                ranges,
+                queries[qi],
+                &plan.ask,
+                job.first,
+                should_stop,
+            );
             sp.record("ranges", run.ranges as f64);
             sp.record("entries", run.entries as f64);
             run
@@ -1185,7 +1194,8 @@ impl DiskIndex {
                     let new_matches = scan.matches.len();
                     scan.matches.extend(gr.matches);
                     if want_explain {
-                        let locate = |range: &KeyRange| section.run.locate(None, 0, range);
+                        let locate =
+                            |range: &KeyRange| section.run.locate(&self.curve, None, 0, range);
                         tally_blocks(
                             &self.curve,
                             &plan.per_query[work[lo_w].0 as usize],
@@ -1283,13 +1293,35 @@ impl DiskIndex {
 
     fn load_section(&self, a: u64, b: u64, buf: &mut SectionBuf) -> Result<(), IndexError> {
         let SectionBuf { run, raw, scratch } = buf;
-        let (mut keys, mut records) = std::mem::take(run).into_parts();
-        raw.resize((b - a) as usize * KEY_LEN as usize, 0);
-        self.read_verified(a * KEY_LEN, raw, scratch)?;
-        keys.clear();
-        keys.extend(raw.chunks_exact(KEY_LEN as usize).map(read_key));
+        let (mut prefixes, mut records) = std::mem::take(run).into_parts();
+        self.read_prefixes(a, b, &mut prefixes, raw, scratch)?;
         self.read_records(a, b, &mut records, raw, scratch)?;
-        *run = SortedRun::new(keys, records);
+        *run = SortedRun::new(prefixes, records);
+        Ok(())
+    }
+
+    /// Reads the key column of records `a..b` into `prefixes`: an
+    /// `S3IDX004` prefix as stored, an older file's 32-byte key truncated
+    /// to its prefix.
+    fn read_prefixes(
+        &self,
+        a: u64,
+        b: u64,
+        prefixes: &mut Vec<u64>,
+        raw: &mut Vec<u8>,
+        scratch: &mut Vec<u8>,
+    ) -> Result<(), IndexError> {
+        let n = usize::try_from(b - a)
+            .map_err(|_| bad_format("record count exceeds the address space"))?;
+        raw.resize(n * self.key_len as usize, 0);
+        self.read_verified(a * self.key_len, raw, scratch)?;
+        prefixes.clear();
+        if self.key_len == PREFIX_LEN {
+            prefixes.extend(raw.chunks_exact(PREFIX_LEN as usize).map(le_u64));
+        } else {
+            let truncate = |key: &[u8]| prefix_of(&self.curve, &read_key(key));
+            prefixes.extend(raw.chunks_exact(KEY_LEN as usize).map(truncate));
+        }
         Ok(())
     }
 
@@ -1305,7 +1337,7 @@ impl DiskIndex {
     ) -> Result<(), IndexError> {
         let n = (b - a) as usize;
         let dims = self.curve.dims();
-        let fps_rel = self.n * KEY_LEN;
+        let fps_rel = self.n * self.key_len;
         let ids_rel = fps_rel + self.n * dims as u64;
         let tcs_rel = ids_rel + self.n * 4;
 
@@ -1400,6 +1432,10 @@ mod tests {
         (idx, path)
     }
 
+    /// Bytes of one record of the 4-dimensional test indexes in `S3IDX004`:
+    /// prefix 8, fingerprint 4, id 4, time-code 4.
+    const RECORD_BYTES: u64 = 20;
+
     /// No-sleep retry policy for fault tests.
     fn fast_retry(max_retries: u32, strict: bool) -> RetryPolicy {
         RetryPolicy {
@@ -1416,7 +1452,7 @@ mod tests {
         assert_eq!(disk.len(), 500);
         assert_eq!(disk.curve(), idx.curve());
         assert!(!idx.curve().is_identity(), "random data ranks its axes");
-        assert_eq!(disk.version(), 3);
+        assert_eq!(disk.version(), 4);
         disk.verify().unwrap();
     }
 
@@ -1478,20 +1514,20 @@ mod tests {
     }
 
     #[test]
-    fn v3_round_trip_keeps_the_axis_order() {
+    fn v4_round_trip_keeps_the_axis_order() {
         let (idx, path) = build_pair(1500);
         assert!(!idx.curve().is_identity());
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[..8], MAGIC_V3);
+        assert_eq!(&bytes[..8], MAGIC_V4);
         let disk = DiskIndex::open(&path).unwrap();
-        assert_eq!((disk.version(), disk.curve()), (3, idx.curve()));
+        assert_eq!((disk.version(), disk.curve()), (4, idx.curve()));
         assert!(disk.sketch().is_none());
         disk.verify().unwrap();
         let model = IsotropicNormal::new(4, 12.0);
         let opts = StatQueryOpts::new(0.85, 9);
         let queries: Vec<&[u8]> = (0..40).map(|i| idx.records().fingerprint(i * 37)).collect();
         let batch = disk
-            .stat_query_batch(&queries, &model, &opts, 300 * 44)
+            .stat_query_batch(&queries, &model, &opts, 300 * RECORD_BYTES)
             .unwrap();
         let ranges = disk
             .range_query_batch(&queries, 40.0, 9, u64::MAX, None)
@@ -1519,25 +1555,27 @@ mod tests {
         ));
     }
 
+    /// One header layout for every curve: the identity order is written as
+    /// `S3IDX004` with its axis bytes, like any other.
     #[test]
-    fn identity_order_is_written_as_v2() {
+    fn identity_order_is_written_as_v4() {
         let curve = HilbertCurve::new(4, 8).unwrap();
         let idx = S3Index::build_on(curve.clone(), synthetic_batch(4, 700, 5));
         let bytes = DiskIndex::encode_to_vec(&idx, WriteOpts::default()).unwrap();
-        assert_eq!(&bytes[..8], MAGIC_V2);
+        assert_eq!(&bytes[..8], MAGIC_V4);
+        let axes = HEADER_LEN as usize..HEADER_LEN as usize + 4;
+        assert_eq!(bytes[axes], [0, 1, 2, 3]);
         let disk = DiskIndex::open_storage(Box::new(MemStorage::new(bytes))).unwrap();
-        assert_eq!((disk.version(), disk.curve()), (2, &curve));
+        assert_eq!((disk.version(), disk.curve()), (4, &curve));
+        assert_eq!(disk.record_bytes(), RECORD_BYTES);
     }
 
     #[test]
     fn formats_without_an_order_refuse_to_store_one() {
         let (idx, _path) = build_pair(300);
         assert!(!idx.curve().is_identity());
-        let opts = WriteOpts::default();
-        for magic in [MAGIC_V1, MAGIC_V2] {
-            let err = encode_meta(&idx, opts, magic).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        }
+        let err = encode_meta(&idx, WriteOpts::default(), true).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let path = tmpfile("v1ranked");
         assert!(DiskIndex::write_v1(&idx, &path).is_err());
         assert!(!path.exists(), "a refused write leaves no file");
@@ -1605,6 +1643,169 @@ mod tests {
         }
     }
 
+    /// The records of `tests/data/legacy_v3.s3i`: 400 paper-curve
+    /// fingerprints, every third component spread over the byte range and
+    /// the others within 32 of the centre, every 25th a copy of the record
+    /// 17 before it.
+    fn legacy_v3_records() -> RecordBatch {
+        let mut batch = RecordBatch::new(20);
+        let mut s = 0x0003_5EED_CAFEu64;
+        let mut fp = [0u8; 20];
+        for i in 0..400u32 {
+            if i % 25 == 24 {
+                let earlier = batch.fingerprint(i as usize - 17).to_vec();
+                batch.push(&earlier, i / 20, i % 20);
+                continue;
+            }
+            for (c, x) in fp.iter_mut().enumerate() {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                let r = (s >> 32) as u8;
+                *x = if c % 3 == 0 { r } else { 96 + r / 4 };
+            }
+            batch.push(&fp, i / 20, i % 20);
+        }
+        batch
+    }
+
+    /// An EXPLAIN report without what differs between two runs of one
+    /// query: its process-unique id and its phase timings.
+    fn explain_shape(rep: &ExplainReport) -> String {
+        let phases: Vec<_> = rep.phases.iter().map(|p| p.name).collect();
+        let rep = ExplainReport {
+            query_id: 0,
+            phases: Vec::new(),
+            ..rep.clone()
+        };
+        format!("{rep:?} {phases:?}")
+    }
+
+    /// `tests/data/legacy_v3.s3i` was written by the `S3IDX003` writer
+    /// (32-byte keys; the records of [`legacy_v3_records`] on the paper's
+    /// curve, ranked axes, table depth 8, 256-byte blocks). It opens with
+    /// its axis order, truncates its keys to prefixes as sections load, and
+    /// answers bit-identically to the same index written as `S3IDX004` —
+    /// matches, counters and EXPLAIN, for statistical and range batches,
+    /// in one section and in many.
+    #[test]
+    fn legacy_v3_file_answers_as_its_v4_rewrite() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/legacy_v3.s3i");
+        let v3 = DiskIndex::open(&path).unwrap().with_threads(2);
+        let mem = S3Index::build(HilbertCurve::paper(), legacy_v3_records());
+        assert!(!mem.curve().is_identity());
+        assert_eq!((v3.version(), v3.curve()), (3, mem.curve()));
+        v3.verify().unwrap();
+        assert_eq!(v3.to_record_batch().unwrap(), *mem.records());
+        let opts = WriteOpts {
+            table_depth: 8,
+            block_size: 256,
+        };
+        let bytes = DiskIndex::encode_to_vec(&mem, opts).unwrap();
+        let v4 = DiskIndex::open_storage(Box::new(MemStorage::new(bytes)))
+            .unwrap()
+            .with_threads(2);
+        assert_eq!((v4.version(), v4.curve()), (4, mem.curve()));
+        assert_eq!(v4.data_bytes() * 60, v3.data_bytes() * 36);
+        let (mut p3, mut p4) = (Vec::new(), Vec::new());
+        v3.read_prefixes(0, 400, &mut p3, &mut Vec::new(), &mut Vec::new())
+            .unwrap();
+        v4.read_prefixes(0, 400, &mut p4, &mut Vec::new(), &mut Vec::new())
+            .unwrap();
+        assert_eq!(
+            (&p3, &p4),
+            (&mem.prefixes().to_vec(), &mem.prefixes().to_vec())
+        );
+
+        let model = IsotropicNormal::new(20, 20.0);
+        let queries: Vec<&[u8]> = (0..40).map(|i| mem.records().fingerprint(i * 10)).collect();
+        let same = |a: &BatchResult, b: &BatchResult, case: &str| {
+            assert_eq!(a.matches, b.matches, "{case}");
+            // Through `Debug`, so a geometric filter's NaN mass compares equal.
+            let stats = |r: &BatchResult| format!("{:?}", r.stats);
+            assert_eq!(stats(a), stats(b), "{case}");
+            assert_eq!(a.reports.len(), queries.len(), "{case}");
+            for (ra, rb) in a.reports.iter().zip(&b.reports) {
+                assert!(ra.reconciles(), "{case}: {}", ra.to_text());
+                assert_eq!(explain_shape(ra), explain_shape(rb), "{case}");
+            }
+        };
+        let mut matched = 0;
+        // One section, and sections of 64 records: a budget in records, so
+        // both files cut the curve at the same slots.
+        for per_section in [u64::MAX, 64] {
+            let budget = |disk: &DiskIndex| per_section.saturating_mul(disk.record_bytes());
+            for depth in [6, 12] {
+                let mut opts = StatQueryOpts::new(0.9, depth);
+                for refine in [Refine::All, Refine::Range(90.0)] {
+                    opts.refine = refine;
+                    let case = format!("stat {refine:?} depth {depth} sections of {per_section}");
+                    let run = |disk: &DiskIndex| {
+                        let ctx = QueryCtx::default().explain();
+                        disk.stat_query_batch_ctx(&queries, &model, &opts, budget(disk), &ctx)
+                            .unwrap()
+                    };
+                    let (a, b) = (run(&v3), run(&v4));
+                    same(&a, &b, &case);
+                    matched += a.matches.iter().map(Vec::len).sum::<usize>();
+                    // Both as the in-memory index answers.
+                    for (qi, q) in queries.iter().enumerate() {
+                        let want = mem.stat_query(q, &model, &opts);
+                        assert_eq!(a.matches[qi], want.matches, "{case} q{qi}");
+                    }
+                }
+                let case = format!("range depth {depth} sections of {per_section}");
+                let run = |disk: &DiskIndex| {
+                    let ctx = QueryCtx::default().explain();
+                    disk.range_query_batch(&queries, 90.0, depth, budget(disk), Some(&ctx))
+                        .unwrap()
+                };
+                same(&run(&v3), &run(&v4), &case);
+            }
+        }
+        assert!(matched > 0, "no query matched");
+    }
+
+    /// A flipped byte in the prefix column is caught by the block CRC: by
+    /// `verify`, and by a strict batch whose section holds it.
+    #[test]
+    fn prefix_column_flip_fails_verify_and_the_block_crc() {
+        let opts = WriteOpts {
+            table_depth: 6,
+            block_size: 256,
+        };
+        let (idx, bytes) = mem_index(1000, opts);
+        let data_off = DiskIndex::open_storage(Box::new(MemStorage::new(bytes.clone())))
+            .unwrap()
+            .data_off;
+        let record = 700;
+        let at = data_off + record * PREFIX_LEN + 3;
+        let mut bad = bytes.clone();
+        bad[at as usize] ^= 0x10;
+        let disk = DiskIndex::open_storage(Box::new(MemStorage::new(bad)))
+            .unwrap()
+            .with_retry_policy(fast_retry(1, true));
+        let block_start = data_off + (at - data_off) / 256 * 256;
+        assert!(matches!(
+            disk.verify(),
+            Err(IndexError::Checksum { region: "data", offset }) if offset == block_start
+        ));
+        let model = IsotropicNormal::new(4, 12.0);
+        let q = idx.records().fingerprint(record as usize);
+        let err = disk
+            .stat_query_batch(&[q], &model, &StatQueryOpts::new(0.85, 8), u64::MAX)
+            .unwrap_err();
+        match err {
+            IndexError::SectionLost { source, .. } => {
+                assert!(matches!(
+                    *source,
+                    IndexError::Checksum { region: "data", .. }
+                ))
+            }
+            other => panic!("expected SectionLost, got {other}"),
+        }
+    }
+
     #[test]
     fn disk_stat_query_matches_in_memory() {
         let (idx, path) = build_pair(2000);
@@ -1637,7 +1838,7 @@ mod tests {
         let (idx, path) = build_pair(3000);
         let disk = DiskIndex::open(&path).unwrap();
         // Budget forcing many sections: a few hundred records' worth.
-        let budget = 400 * 44; // record_bytes for dims=4 is 32+4+4+4 = 44
+        let budget = 400 * RECORD_BYTES;
         let sections = disk.pack_sections(budget).unwrap().len() - 1;
         assert!(sections > 1, "tight budget must split the curve");
         let model = IsotropicNormal::new(4, 15.0);
@@ -1669,7 +1870,7 @@ mod tests {
         let q: &[u8] = &[100, 100, 100, 100];
         let eps = 80.0;
         let batch = disk
-            .range_query_batch(&[q], eps, 8, 256 * 44, None)
+            .range_query_batch(&[q], eps, 8, 256 * RECORD_BYTES, None)
             .unwrap();
         let mem = idx.range_query(q, eps, 8);
         let mut a: Vec<(u32, u32)> = mem.matches.iter().map(|m| (m.id, m.tc)).collect();
@@ -1698,10 +1899,10 @@ mod tests {
         // Tight budget: several sections, so the grouped refinement runs
         // repeatedly per batch.
         let a = seq
-            .stat_query_batch(&qrefs, &model, &opts, 500 * 44)
+            .stat_query_batch(&qrefs, &model, &opts, 500 * RECORD_BYTES)
             .unwrap();
         let b = par
-            .stat_query_batch(&qrefs, &model, &opts, 500 * 44)
+            .stat_query_batch(&qrefs, &model, &opts, 500 * RECORD_BYTES)
             .unwrap();
         for qi in 0..queries.len() {
             let am: Vec<(usize, u32, u32)> = a.matches[qi]
@@ -1963,12 +2164,12 @@ mod tests {
     fn suggest_nsig_scales_linearly_with_db() {
         let (_idx, path) = build_pair(1000);
         let disk = DiskIndex::open(&path).unwrap();
-        // 44 bytes/record * 1000 records at 44 MB/s = 1 ms of loading;
+        // 20 bytes/record * 1000 records at 20 MB/s = 1 ms of loading;
         // a 0.1 ms budget needs at least 10 queries per batch.
-        let n = disk.suggest_nsig(44.0 * 1e6, Duration::from_micros(100));
+        let n = disk.suggest_nsig(20.0 * 1e6, Duration::from_micros(100));
         assert_eq!(n, 10);
         // Ten times the bandwidth: one query suffices.
-        let n = disk.suggest_nsig(44.0 * 1e7, Duration::from_millis(1));
+        let n = disk.suggest_nsig(20.0 * 1e7, Duration::from_millis(1));
         assert_eq!(n, 1);
     }
 
@@ -1976,7 +2177,7 @@ mod tests {
     fn data_bytes_reported() {
         let (_idx, path) = build_pair(100);
         let disk = DiskIndex::open(&path).unwrap();
-        assert_eq!(disk.data_bytes(), 100 * 44);
+        assert_eq!(disk.data_bytes(), 100 * RECORD_BYTES);
     }
 
     #[test]
@@ -1995,7 +2196,7 @@ mod tests {
         let qopts = StatQueryOpts::new(0.85, 8);
         let q: &[u8] = &[120, 30, 99, 200];
         let batch = disk
-            .stat_query_batch(&[q], &model, &qopts, 200 * 44)
+            .stat_query_batch(&[q], &model, &qopts, 200 * RECORD_BYTES)
             .unwrap();
         let mem = idx.stat_query(q, &model, &qopts);
         let mut a: Vec<(u32, u32)> = mem.matches.iter().map(|m| (m.id, m.tc)).collect();
@@ -2035,7 +2236,7 @@ mod tests {
         let qopts = StatQueryOpts::new(0.85, 8);
         let q: &[u8] = &[40, 90, 140, 190];
         let batch = disk
-            .stat_query_batch(&[q], &model, &qopts, 100 * 44)
+            .stat_query_batch(&[q], &model, &qopts, 100 * RECORD_BYTES)
             .unwrap();
         assert!(!batch.timing.degraded, "retries must absorb transients");
         assert!(batch.timing.retries > 0, "fault schedule never fired");
@@ -2068,7 +2269,7 @@ mod tests {
         let qopts = StatQueryOpts::new(0.85, 8);
         let q: &[u8] = &[40, 90, 140, 190];
         let batch = disk
-            .stat_query_batch(&[q], &model, &qopts, 100 * 44)
+            .stat_query_batch(&[q], &model, &qopts, 100 * RECORD_BYTES)
             .unwrap();
         // The CRC layer must catch every flip: results are either exact or
         // (if a section exhausted its retries) explicitly degraded — never
@@ -2084,7 +2285,7 @@ mod tests {
     }
 
     /// Dead-range setup shared by the degrade and strict tests: kills the
-    /// key column of records [1400, 1500), so exactly the sections holding
+    /// prefix column of records [1400, 1500), so exactly the sections holding
     /// those records become unreadable, and builds queries that provably
     /// touch them (stored fingerprints of dead-zone records) next to
     /// queries of far-away records.
@@ -2094,7 +2295,7 @@ mod tests {
             .unwrap()
             .data_off;
         let plan = FaultPlan {
-            dead_range: Some(data_off + 1400 * KEY_LEN..data_off + 1500 * KEY_LEN),
+            dead_range: Some(data_off + 1400 * PREFIX_LEN..data_off + 1500 * PREFIX_LEN),
             ..FaultPlan::default()
         };
         let mut queries: Vec<Vec<u8>> = Vec::new();
@@ -2122,7 +2323,7 @@ mod tests {
         let qopts = StatQueryOpts::new(0.95, 6);
         let qrefs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         let batch = disk
-            .stat_query_batch(&qrefs, &model, &qopts, 200 * 44)
+            .stat_query_batch(&qrefs, &model, &qopts, 200 * RECORD_BYTES)
             .unwrap();
         assert!(batch.timing.degraded, "dead range must degrade the batch");
         assert!(batch.timing.sections_skipped >= 1);
@@ -2164,7 +2365,7 @@ mod tests {
         let qopts = StatQueryOpts::new(0.95, 6);
         let qrefs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         let err = disk
-            .stat_query_batch(&qrefs, &model, &qopts, 200 * 44)
+            .stat_query_batch(&qrefs, &model, &qopts, 200 * RECORD_BYTES)
             .unwrap_err();
         match err {
             IndexError::SectionLost { retries, .. } => assert_eq!(retries, 2),

@@ -39,7 +39,7 @@
 use crate::distortion::DistortionModel;
 use crate::error::IndexError;
 use crate::fingerprint::RecordBatch;
-use crate::index::{S3Index, StatQueryOpts};
+use crate::index::{prefix_bits, S3Index, StatQueryOpts};
 use crate::parallel::default_threads;
 use crate::plan::{query_scope, Plan, Scan, Scatter};
 use crate::pseudo_disk::{BatchResult, DiskIndex, RetryPolicy, WriteOpts};
@@ -83,7 +83,8 @@ impl ShardPlan {
         assert!(shards > 0, "at least one shard");
         let key_bits = index.curve().key_bits();
         let plan_depth = key_bits.min(16);
-        let shift = key_bits - plan_depth;
+        // A slot's bits lie within the stored prefix.
+        let shift = prefix_bits(index.curve()) - plan_depth;
         let slots = 1u64 << plan_depth;
         let n = index.len() as u64;
 
@@ -91,24 +92,24 @@ impl ShardPlan {
         let mut record_bounds = Vec::with_capacity(shards + 1);
         slot_bounds.push(0);
         record_bounds.push(0);
-        let keys = index.keys();
+        let prefixes = index.prefixes();
         for s in 1..shards as u64 {
             // Records strictly before the cut: the first index whose key
             // slot crosses the target count's slot boundary.
             let target = s * n / shards as u64;
             let cut_rec = target as usize;
-            if cut_rec >= keys.len() {
+            if cut_rec >= prefixes.len() {
                 break;
             }
             // Align up to the next slot boundary ≥ the target record's
             // slot + 1 so every record of a slot stays on one side.
-            let slot = keys[cut_rec].digit(shift, plan_depth);
+            let slot = prefixes[cut_rec] >> shift;
             let cut_slot = (slot + 1).min(slots);
             if cut_slot <= *slot_bounds.last().unwrap_or(&0) {
                 continue; // a dense slot swallowed this cut
             }
             // First record whose slot ≥ cut_slot.
-            let rec = keys.partition_point(|k| k.digit(shift, plan_depth) < cut_slot) as u64;
+            let rec = prefixes.partition_point(|&p| p >> shift < cut_slot) as u64;
             slot_bounds.push(cut_slot);
             record_bounds.push(rec);
         }
@@ -182,13 +183,13 @@ impl ShardPlan {
     pub fn shard_bytes(&self, index: &S3Index, s: usize, opts: WriteOpts) -> io::Result<Vec<u8>> {
         let (a, b) = self.record_span(s);
         let (a, b) = (a as usize, b as usize);
-        let keys = index.keys()[a..b].to_vec();
+        let prefixes = index.prefixes()[a..b].to_vec();
         let parent = index.records();
         let mut records = RecordBatch::with_capacity(parent.dims(), b - a);
         for i in a..b {
             records.push(parent.fingerprint(i), parent.id(i), parent.tc(i));
         }
-        let sub = S3Index::from_sorted_parts(index.curve().clone(), keys, records);
+        let sub = S3Index::from_sorted_parts(index.curve().clone(), prefixes, records);
         DiskIndex::encode_to_vec(&sub, opts)
     }
 }
@@ -921,8 +922,8 @@ mod tests {
                 if cut == 0 || cut >= index.len() {
                     continue;
                 }
-                let before = index.keys()[cut - 1].digit(shift, plan.plan_depth);
-                let after = index.keys()[cut].digit(shift, plan.plan_depth);
+                let before = index.key(cut - 1).digit(shift, plan.plan_depth);
+                let after = index.key(cut).digit(shift, plan.plan_depth);
                 assert!(before < after, "cut splits a slot");
             }
         }

@@ -158,6 +158,25 @@ impl Sketch {
         sketch
     }
 
+    /// [`Sketch::build`] over the `u64` key prefixes a sorted run stores
+    /// (the top `min(key_bits, 64)` bits of each key), each widened back
+    /// to key width. Exact: a sketch cell is at most [`MAX_SKETCH_DEPTH`]
+    /// key bits, so it lies within the prefix.
+    pub(crate) fn build_from_prefixes(
+        prefixes: &[u64],
+        key_bits: u32,
+        depth: u32,
+        bits_per_entry: u32,
+        index_crc: u32,
+    ) -> Sketch {
+        let below = key_bits - key_bits.min(64);
+        let keys: Vec<Key256> = prefixes
+            .iter()
+            .map(|&p| Key256::from_u64(p).shl(below))
+            .collect();
+        Sketch::build(&keys, key_bits, depth, bits_per_entry, index_crc)
+    }
+
     fn insert_slot(&mut self, slot: u64) {
         let h1 = splitmix64(slot ^ SEED);
         let h2 = splitmix64(h1) | 1;

@@ -1,6 +1,6 @@
 //! Corruption and fault-injection properties of the pseudo-disk layer.
 //!
-//! The S3IDX002 format is checksummed end to end (header+table, data
+//! The S3IDX004 format is checksummed end to end (header+table, data
 //! blocks, CRC table), so *any* truncation and *any* single bit flip of a
 //! saved index must surface as a clean [`s3_core::IndexError`] — either at
 //! open, at `verify()`, or at query time — never as a panic and never as
@@ -46,7 +46,7 @@ fn build_index() -> S3Index {
     S3Index::build(HilbertCurve::new(DIMS, 8).unwrap(), batch)
 }
 
-/// The index and its serialized S3IDX002 bytes, built once.
+/// The index and its serialized S3IDX004 bytes, built once.
 fn fixture() -> &'static (S3Index, Vec<u8>) {
     static FIX: OnceLock<(S3Index, Vec<u8>)> = OnceLock::new();
     FIX.get_or_init(|| {
@@ -166,10 +166,12 @@ fn transient_faults_retry_to_clean_answer() {
 #[test]
 fn dead_region_degrades_and_strict_mode_errors() {
     let (index, bytes) = fixture();
-    // Kill the key column of records [300, 400): every section overlapping
+    // Kill the prefix column of records [300, 400): every section overlapping
     // those records fails permanently.
-    let data_off = 32 + (((1u64 << TABLE_DEPTH) + 1) * 8) + 4;
-    let dead = data_off + 300 * 32..data_off + 400 * 32;
+    // S3IDX004: header, axis bytes, table and meta CRC, then the prefix
+    // column, 8 bytes a record.
+    let data_off = 32 + DIMS as u64 + (((1u64 << TABLE_DEPTH) + 1) * 8) + 4;
+    let dead = data_off + 300 * 8..data_off + 400 * 8;
     let plan = FaultPlan {
         seed: 0xDEAD,
         dead_range: Some(dead),

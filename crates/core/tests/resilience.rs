@@ -52,7 +52,7 @@ fn build_index() -> S3Index {
     S3Index::build(HilbertCurve::new(DIMS, 8).unwrap(), batch)
 }
 
-/// The index and its serialized S3IDX002 bytes, built once.
+/// The index and its serialized S3IDX004 bytes, built once.
 fn fixture() -> &'static (S3Index, Vec<u8>) {
     static FIX: OnceLock<(S3Index, Vec<u8>)> = OnceLock::new();
     FIX.get_or_init(|| {
@@ -713,11 +713,13 @@ fn strict_mode_keeps_deadline_partial_results_loud() {
 #[test]
 fn breaker_short_circuits_repeatedly_failing_sections() {
     let (_, bytes) = fixture();
-    // Kill the key column of records [300, 400) permanently.
-    let data_off = 32 + (((1u64 << TABLE_DEPTH) + 1) * 8) + 4;
+    // Kill the prefix column of records [300, 400) permanently.
+    // S3IDX004: header, axis bytes, table and meta CRC, then the prefix
+    // column, 8 bytes a record.
+    let data_off = 32 + DIMS as u64 + (((1u64 << TABLE_DEPTH) + 1) * 8) + 4;
     let plan = FaultPlan {
         seed: 0xC4A0_5005,
-        dead_range: Some(data_off + 300 * 32..data_off + 400 * 32),
+        dead_range: Some(data_off + 300 * 8..data_off + 400 * 8),
         skip_reads: 5,
         ..FaultPlan::default()
     };

@@ -165,13 +165,15 @@ fn sketch_skips_fire_and_reduce_section_loads() {
     let model = IsotropicNormal::new(DIMS, 10.0);
     let qopts = StatQueryOpts::new(0.9, 12);
 
-    // A small memory budget forces many sections, giving skips room to fire.
+    // A small memory budget forces many sections, giving skips room to fire:
+    // 22 records' worth.
+    let budget = open_mem(false).data_bytes() / N as u64 * 22;
     let _consulting = consulting();
     let with = open_mem(true)
-        .stat_query_batch(&qrefs, &model, &qopts, 1 << 10)
+        .stat_query_batch(&qrefs, &model, &qopts, budget)
         .unwrap();
     let without = open_mem(false)
-        .stat_query_batch(&qrefs, &model, &qopts, 1 << 10)
+        .stat_query_batch(&qrefs, &model, &qopts, budget)
         .unwrap();
     assert!(
         with.timing.sketch_skips > 0,
