@@ -8,11 +8,11 @@
 //! of eq. 5 flattening onto the in-memory query cost.
 
 use crate::report::{Experiment, Scale, Series};
-use crate::temp::TempDir;
 use crate::workload::{distorted_queries, extracted_pool, FingerprintSampler};
 use s3_core::pseudo_disk::DiskIndex;
 use s3_core::{IsotropicNormal, S3Index, StatQueryOpts};
 use s3_hilbert::HilbertCurve;
+use s3_testkit::TempDir;
 use s3_video::FINGERPRINT_DIMS;
 
 /// Runs the batch-size sweep.

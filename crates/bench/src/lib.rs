@@ -11,7 +11,6 @@
 
 pub mod experiments;
 pub mod report;
-mod temp;
 pub mod timing;
 pub mod workload;
 

@@ -219,7 +219,7 @@ mod tests {
         let mut e = Experiment::new("rt", "round \"trip\"", "x", "y");
         e.note("a\tnote");
         e.push_series(Series::new("s", vec![0.5, 2.0], vec![1.5, f64::NAN]));
-        let dir = crate::temp::TempDir::new("json-roundtrip");
+        let dir = s3_testkit::TempDir::new("json-roundtrip");
         e.save_json(&*dir).unwrap();
         let raw = std::fs::read_to_string(dir.join("rt.json")).unwrap();
 

@@ -250,14 +250,20 @@ impl<'a> Monitor<'a> {
             self.vote_current();
             self.busy += t0.elapsed();
         }
-        let stats = MonitorStats {
+        let stats = self.stats();
+        (self.events, stats)
+    }
+
+    /// Throughput of the run so far: what [`Monitor::finish`] reports,
+    /// before it votes the residual partial window.
+    pub fn stats(&self) -> MonitorStats {
+        MonitorStats {
             fingerprints: self.stats_fingerprints,
             windows: self.stats_windows,
             elapsed: self.busy,
             frames_covered: self.first_tc.map_or(0.0, |f| self.last_tc - f),
             health: self.health,
-        };
-        (self.events, stats)
+        }
     }
 
     /// Events emitted so far.

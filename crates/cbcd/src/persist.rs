@@ -29,7 +29,6 @@
 //! clobbers the previous good database.
 
 use crate::registry::{DbBuilder, ReferenceDb};
-use bytes::{Buf, BufMut};
 use s3_core::crc::crc32;
 use s3_core::storage::write_atomic;
 use s3_core::RecordBatch;
@@ -99,36 +98,55 @@ fn bad(detail: impl Into<String>) -> PersistError {
 }
 
 fn put_params(buf: &mut Vec<u8>, p: &ExtractorParams) {
-    buf.put_f32_le(p.keyframes.smooth_sigma);
-    buf.put_u32_le(p.keyframes.min_gap as u32);
-    buf.put_f32_le(p.harris.derivation_sigma);
-    buf.put_f32_le(p.harris.integration_sigma);
-    buf.put_f32_le(p.harris.k);
-    buf.put_u32_le(p.harris.max_points as u32);
-    buf.put_u32_le(p.harris.border as u32);
-    buf.put_f32_le(p.harris.relative_threshold);
-    buf.put_f32_le(p.fingerprint.spatial_offset);
-    buf.put_i32_le(p.fingerprint.temporal_offset as i32);
-    buf.put_f32_le(p.fingerprint.sigma);
+    for word in [
+        p.keyframes.smooth_sigma.to_le_bytes(),
+        (p.keyframes.min_gap as u32).to_le_bytes(),
+        p.harris.derivation_sigma.to_le_bytes(),
+        p.harris.integration_sigma.to_le_bytes(),
+        p.harris.k.to_le_bytes(),
+        (p.harris.max_points as u32).to_le_bytes(),
+        (p.harris.border as u32).to_le_bytes(),
+        p.harris.relative_threshold.to_le_bytes(),
+        p.fingerprint.spatial_offset.to_le_bytes(),
+        (p.fingerprint.temporal_offset as i32).to_le_bytes(),
+        p.fingerprint.sigma.to_le_bytes(),
+    ] {
+        buf.extend_from_slice(&word);
+    }
 }
 
 fn get_params(buf: &mut &[u8]) -> Option<ExtractorParams> {
-    if buf.remaining() < 4 * 11 {
-        return None;
+    let mut words = [[0u8; 4]; 11];
+    for word in &mut words {
+        *word = take(buf)?;
     }
+    let f = |i: usize| f32::from_le_bytes(words[i]);
+    let u = |i: usize| u32::from_le_bytes(words[i]) as usize;
     let mut p = ExtractorParams::default();
-    p.keyframes.smooth_sigma = buf.get_f32_le();
-    p.keyframes.min_gap = buf.get_u32_le() as usize;
-    p.harris.derivation_sigma = buf.get_f32_le();
-    p.harris.integration_sigma = buf.get_f32_le();
-    p.harris.k = buf.get_f32_le();
-    p.harris.max_points = buf.get_u32_le() as usize;
-    p.harris.border = buf.get_u32_le() as usize;
-    p.harris.relative_threshold = buf.get_f32_le();
-    p.fingerprint.spatial_offset = buf.get_f32_le();
-    p.fingerprint.temporal_offset = buf.get_i32_le() as isize;
-    p.fingerprint.sigma = buf.get_f32_le();
+    p.keyframes.smooth_sigma = f(0);
+    p.keyframes.min_gap = u(1);
+    p.harris.derivation_sigma = f(2);
+    p.harris.integration_sigma = f(3);
+    p.harris.k = f(4);
+    p.harris.max_points = u(5);
+    p.harris.border = u(6);
+    p.harris.relative_threshold = f(7);
+    p.fingerprint.spatial_offset = f(8);
+    p.fingerprint.temporal_offset = i32::from_le_bytes(words[9]) as isize;
+    p.fingerprint.sigma = f(10);
     Some(p)
+}
+
+/// Splits the first `N` bytes off the front of `buf`, or `None` if it holds
+/// fewer.
+fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = { *buf }.split_first_chunk::<N>()?;
+    *buf = rest;
+    Some(*head)
+}
+
+fn take_u32(buf: &mut &[u8]) -> Option<u32> {
+    take(buf).map(u32::from_le_bytes)
 }
 
 impl ReferenceDb {
@@ -136,20 +154,20 @@ impl ReferenceDb {
     fn encode_payload(&self) -> Vec<u8> {
         let mut buf: Vec<u8> = Vec::new();
         put_params(&mut buf, self.extractor_params());
-        buf.put_u32_le(self.video_count() as u32);
+        buf.extend_from_slice(&(self.video_count() as u32).to_le_bytes());
         for id in 0..self.video_count() as u32 {
             let Some(n) = self.name(id) else {
                 // Ids are dense by construction of the registry.
                 unreachable!("dense ids")
             };
-            buf.put_u32_le(n.len() as u32);
-            buf.put_slice(n.as_bytes());
+            buf.extend_from_slice(&(n.len() as u32).to_le_bytes());
+            buf.extend_from_slice(n.as_bytes());
         }
         self.index().records().encode_into(&mut buf);
         for i in 0..self.index().len() {
             let (x, y) = self.position(i);
-            buf.put_u16_le(x);
-            buf.put_u16_le(y);
+            buf.extend_from_slice(&x.to_le_bytes());
+            buf.extend_from_slice(&y.to_le_bytes());
         }
         buf
     }
@@ -158,36 +176,31 @@ impl ReferenceDb {
     fn decode_payload(mut buf: &[u8]) -> Result<ReferenceDb, PersistError> {
         let buf = &mut buf;
         let params = get_params(buf).ok_or_else(|| bad("truncated params"))?;
-        if buf.remaining() < 4 {
-            return Err(bad("truncated name count"));
-        }
-        let n_names = buf.get_u32_le() as usize;
+        let n_names = take_u32(buf).ok_or_else(|| bad("truncated name count"))? as usize;
         let mut names = Vec::with_capacity(n_names.min(1 << 20));
         for _ in 0..n_names {
-            if buf.remaining() < 4 {
-                return Err(bad("truncated name length"));
-            }
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len {
-                return Err(bad("truncated name"));
-            }
-            let name = std::str::from_utf8(&buf[..len])
+            let len = take_u32(buf).ok_or_else(|| bad("truncated name length"))? as usize;
+            let (name, rest) = { *buf }
+                .split_at_checked(len)
+                .ok_or_else(|| bad("truncated name"))?;
+            let name = std::str::from_utf8(name)
                 .map_err(|_| bad("non-UTF8 name"))?
                 .to_string();
-            buf.advance(len);
+            *buf = rest;
             names.push(name);
         }
         let batch = RecordBatch::decode_from(buf).ok_or_else(|| bad("truncated records"))?;
         if batch.dims() != FINGERPRINT_DIMS {
             return Err(bad("unexpected fingerprint dimension"));
         }
-        if buf.remaining() < batch.len() * 4 {
-            return Err(bad("truncated positions"));
-        }
         let positions: Vec<(u16, u16)> = (0..batch.len())
-            .map(|_| (buf.get_u16_le(), buf.get_u16_le()))
-            .collect();
-        if buf.remaining() > 0 {
+            .map(|_| {
+                let [x0, x1, y0, y1] = take(buf)?;
+                Some((u16::from_le_bytes([x0, x1]), u16::from_le_bytes([y0, y1])))
+            })
+            .collect::<Option<_>>()
+            .ok_or_else(|| bad("truncated positions"))?;
+        if !buf.is_empty() {
             return Err(bad("trailing bytes after positions"));
         }
 
@@ -274,38 +287,6 @@ mod tests {
     use crate::detector::{Detector, DetectorConfig};
     use s3_video::ProceduralVideo;
 
-    /// A test file path no other test shares, removed on drop — so a
-    /// failing assert leaks nothing.
-    struct TempPath(std::path::PathBuf);
-
-    impl TempPath {
-        fn new(name: &str) -> TempPath {
-            static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-            let unique = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let file = format!("s3_cbcd_test_{}_{unique}_{name}", std::process::id());
-            TempPath(std::env::temp_dir().join(file))
-        }
-    }
-
-    impl std::ops::Deref for TempPath {
-        type Target = Path;
-        fn deref(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl AsRef<Path> for TempPath {
-        fn as_ref(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl Drop for TempPath {
-        fn drop(&mut self) {
-            std::fs::remove_file(&self.0).ok();
-        }
-    }
-
     fn sample_db() -> ReferenceDb {
         let mut p = ExtractorParams::default();
         p.harris.max_points = 7;
@@ -352,7 +333,8 @@ mod tests {
     #[test]
     fn loaded_db_detects_like_the_original() {
         let db = sample_db();
-        let path = TempPath::new("refdb.bin");
+        let dir = s3_testkit::TempDir::new("refdb");
+        let path = dir.join("refdb.bin");
         db.save(&path).unwrap();
         // Atomicity: no temp file lingers next to the destination.
         let mut tmp = path.file_name().unwrap().to_os_string();
@@ -414,9 +396,9 @@ mod tests {
         // count whose byte size wraps to 0 must be refused, not allocated.
         let mut crafted = MAGIC_V1.to_vec();
         put_params(&mut crafted, db.extractor_params());
-        crafted.put_u32_le(0); // no names
-        crafted.put_u32_le(FINGERPRINT_DIMS as u32);
-        crafted.put_u64_le(1 << 62); // × (20 + 8) bytes a record ≡ 0 mod 2^64
+        crafted.extend_from_slice(&0u32.to_le_bytes()); // no names
+        crafted.extend_from_slice(&(FINGERPRINT_DIMS as u32).to_le_bytes());
+        crafted.extend_from_slice(&(1u64 << 62).to_le_bytes()); // × (20 + 8) bytes a record ≡ 0 mod 2^64
         assert!(matches!(
             ReferenceDb::read_from(&mut crafted.as_slice()),
             Err(PersistError::Format { .. })

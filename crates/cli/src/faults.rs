@@ -1,8 +1,7 @@
-//! Shared `--fault` / `--fault-seed` flag handling.
+//! `query`'s `--fault` / `--fault-seed` flag handling.
 //!
-//! One named scenario → one seeded [`FaultPlan`], used identically by
-//! `watch` and `query` so a degraded run reproduces from its command line
-//! alone. Probabilities and stall cadence are fixed per
+//! One named scenario → one seeded [`FaultPlan`], so a degraded run
+//! reproduces from its command line alone. Probabilities and stall cadence are fixed per
 //! scenario; only the seed varies.
 
 use crate::args::Args;

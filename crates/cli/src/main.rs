@@ -7,7 +7,7 @@
 //! s3cbcd info <index-file>
 //! s3cbcd query <index-file> [--alpha A] [--sigma S] [--depth P] [--queries N] [--mem MB]
 //! s3cbcd detect <index-file-dir-seed> ... (see `detect --help`)
-//! s3cbcd monitor [--archive N] [--stream-frames N] [--seed S]
+//! s3cbcd monitor [--archive N] [--stream-frames N] [--seed S] [--dashboard DIR]
 //! s3cbcd metrics [--format table|json|prom] [--queries N]
 //! ```
 //!
@@ -20,10 +20,9 @@
 //! workload and prints the populated registry in the chosen format.
 
 mod args;
+mod dashboard;
 mod faults;
 mod metrics;
-mod telemetry;
-mod watch;
 
 use args::Args;
 use s3_cbcd::{
@@ -70,10 +69,7 @@ fn main() -> ExitCode {
         "detect" => cmd_detect(rest),
         "monitor" => cmd_monitor(rest),
         "metrics" => cmd_metrics(rest),
-        "watch" => watch::cmd_watch(rest),
-        "incident" => watch::cmd_incident(rest),
-        "history" => telemetry::cmd_history(rest),
-        "slowlog" => telemetry::cmd_slowlog(rest),
+        "incident" => dashboard::cmd_incident(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(CmdStatus::Clean)
@@ -99,17 +95,13 @@ USAGE:
   s3cbcd info <index-file>
       Print header information of an index file.
   s3cbcd query <index-file> [--alpha A] [--sigma S] [--queries N] [--mem MB]
-                [--depth P] [--strict] [--explain] [--telemetry-dir DIR]
+                [--depth P] [--strict] [--explain]
       Run distorted self-queries through the pseudo-disk engine and report
       retrieval rate and timing. Without --depth the partition depth is
       learned on the batch's own first queries, from filter and record
       counts (printed as `depth p : P (learned)`). By default unreadable
       index sections are retried then skipped (degraded results); --strict
       makes that a hard error instead.
-      --telemetry-dir DIR persists one windowed-rate frame covering the
-      batch into the embedded time-series store under DIR and captures
-      every degraded query's EXPLAIN into the slow-query log there;
-      results are unaffected. Read back with `history` / `slowlog`.
   s3cbcd explain <index-file> [query flags]
       Shorthand for `query --explain`: per query, print the plan the
       statistical filter chose (selected p-blocks with predicted mass),
@@ -122,44 +114,23 @@ USAGE:
       attacked copy of one reference.
       Attacks: resize | shift | gamma | contrast | noise | combo
   s3cbcd monitor [--archive N] [--stream-frames N] [--seed S] [--strict]
+                 [--dashboard DIR]
       Monitor a synthetic broadcast with embedded copies; report events,
       the real-time factor and a stream-health summary. --strict turns
       out-of-order input into a hard error.
+      --dashboard DIR arms the ops plane over the stream: after every
+      searched batch, one plain-text frame on stderr (real-time factor and
+      detections per stream hour so far, windowed rates, search latency
+      p50/p99, health-rule verdicts). When health leaves Healthy, the
+      flight recorder dumps an s3.incident.v1 report into DIR. Stdout and
+      the exit status are the same with or without it.
   s3cbcd metrics [--format table|json|prom] [--queries N]
       Run a small self-contained extract+index+query workload and print
       the populated metrics registry in the chosen exporter format.
-  s3cbcd watch [--ticks N] [--interval-ms MS] [--fault none|torn|stall|mixed]
-               [--queries N] [--videos N] [--frames N] [--seed S]
-               [--incident-dir DIR] [--deadline-ms MS] [--telemetry-dir DIR]
-               [--latency-slo-ms MS] [--plain]
-      Live ops dashboard: run a self-contained query workload (optionally
-      with injected storage faults) and redraw windowed rates, rolling
-      latency quantiles and per-rule health verdicts every tick. When
-      health leaves Healthy, the flight recorder dumps an incident
-      report JSON into --incident-dir and the command exits 2. --plain
-      appends frames instead of clearing the screen (pipe/CI friendly).
-      --telemetry-dir DIR arms durable
-      telemetry: every tick's windowed rates are appended to an embedded
-      time-series store under DIR (rendered back as per-rate sparklines,
-      surviving crashes — see `history`), degraded or slow queries get
-      their EXPLAIN captured into the slow-query log (see `slowlog`),
-      and SLO burn rates (availability, latency against
-      --latency-slo-ms, default 500, correctness) join the health rules;
-      an exhausted error budget dumps an `slo`-kind incident.
   s3cbcd incident <report.json>
       Pretty-print a flight-recorder incident dump (s3.incident.v1):
       trigger, health rules, windowed rates, slowest spans, recent events
       and component state.
-  s3cbcd history <telemetry-dir> [--series NAME] [--tier raw|1m|1h]
-                 [--last N] [--json]
-      Render time-series samples persisted by `watch`/`query
-      --telemetry-dir`: a per-series sparkline overview, one series in
-      detail (--series), or the raw samples as s3.history.v1 JSON
-      (--json). --tier selects the downsampling tier (default raw).
-  s3cbcd slowlog <telemetry-dir> [--show IDX] [--last N] [--json]
-      List the slow-query log captured alongside the time series (one
-      row per degraded or over-threshold query), or pretty-print one
-      entry's full EXPLAIN capture with --show.
 
   query/detect/monitor also accept:
       --threads N             worker threads for the search stage
@@ -179,8 +150,7 @@ USAGE:
 
   query also accepts:
       --fault <scenario>      inject seeded storage faults into the index
-                              file, as in `watch`: none | torn | stall |
-                              mixed
+                              file: none | torn | stall | mixed
       --fault-seed <S>        fault schedule seed (default: --seed), so a
                               degraded run reproduces exactly
 
@@ -336,7 +306,6 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
             "trace-out",
             "fault",
             "fault-seed",
-            "telemetry-dir",
         ],
         &["strict", "explain"],
     )?;
@@ -351,13 +320,9 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
     let seed: u64 = a.get_parsed("seed", 7)?;
 
     let threads: usize = a.get_parsed("threads", default_threads())?;
-    // --telemetry-dir needs the explain reports for slow-query capture,
-    // even when they are not printed; the answers are the same either way.
-    let telemetry = telemetry_setup(&a);
-    let ctx = query_ctx(&a, explain || telemetry.is_some())?;
-    // `--fault` wraps the file in the same seeded fault-injecting storage
-    // the `watch` dashboard uses, so a degraded run reproduces from its
-    // command line alone.
+    let ctx = query_ctx(&a, explain)?;
+    // `--fault` wraps the file in seeded fault-injecting storage, so a
+    // degraded run reproduces from its command line alone.
     let file = FileStorage::open(path).map_err(|e| IndexError::from(e).to_string())?;
     let storage: Box<dyn Storage> = match faults::from_args(&a, seed)? {
         Some(p) => Box::new(FaultyStorage::new(file, p)),
@@ -380,7 +345,6 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
     let batch = disk
         .stat_query_batch_ctx(&qrefs, &model, &opts, mem_mb << 20, &ctx)
         .map_err(|e| e.to_string())?;
-    persist_telemetry(telemetry, &batch.reports)?;
 
     let total_matches: usize = batch.matches.iter().map(Vec::len).sum();
     let total_scanned: usize = batch.stats.iter().map(|st| st.entries_scanned).sum();
@@ -482,45 +446,6 @@ fn synth_queries(n: usize, dims: usize, sigma: f64, seed: u64) -> Vec<Vec<u8>> {
                 .collect()
         })
         .collect()
-}
-
-/// What `--telemetry-dir` arms: the directory, and the windows and clock
-/// that frame the batch.
-type Telemetry = (std::path::PathBuf, s3_ops::MetricWindows, s3_obs::WallTime);
-
-/// Applies `--telemetry-dir DIR`: ticks a baseline frame so the windowed
-/// rates persisted afterwards cover exactly the batch. Returns `None`
-/// when the flag is absent (telemetry then costs nothing).
-fn telemetry_setup(a: &Args) -> Option<Telemetry> {
-    let dir = std::path::PathBuf::from(a.get("telemetry-dir")?);
-    let wall = s3_obs::WallTime::new();
-    let windows = s3_ops::MetricWindows::new(16);
-    windows.tick(&wall);
-    Some((dir, windows, wall))
-}
-
-/// Persists the batch's telemetry under the `--telemetry-dir` directory:
-/// one windowed frame appended to the embedded time-series store, plus a
-/// slow-query log capture of every degraded query's EXPLAIN. Read back
-/// with `history` / `slowlog`. No-op when telemetry is unarmed.
-fn persist_telemetry(
-    telemetry: Option<Telemetry>,
-    reports: &[s3_obs::ExplainReport],
-) -> Result<(), String> {
-    let Some((dir, windows, wall)) = telemetry else {
-        return Ok(());
-    };
-    windows.tick(&wall);
-    let err = |e: std::io::Error| format!("telemetry dir {}: {e}", dir.display());
-    let mut tsdb = s3_ops::Tsdb::open(&dir, s3_ops::TsdbConfig::default()).map_err(err)?;
-    tsdb.append_latest(&windows).map_err(err)?;
-    tsdb.sync().map_err(err)?;
-    let slowlog = s3_ops::SlowLog::open(&dir, s3_ops::SlowLogConfig::default()).map_err(err)?;
-    for rep in reports {
-        slowlog.observe(rep);
-    }
-    slowlog.sync().map_err(err)?;
-    Ok(())
 }
 
 fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
@@ -684,6 +609,7 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
             "deadline-ms",
             "metrics-json",
             "metrics-every",
+            "dashboard",
         ],
         &["strict"],
     )?;
@@ -740,6 +666,10 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
     }
     let detector = Detector::new(&db, config);
     let mut monitor = Monitor::new(&detector, params);
+    // No ops object is built unless the dashboard is asked for.
+    let mut dashboard = a
+        .get("dashboard")
+        .map(|dir| dashboard::Dashboard::arm(dir.into(), &db));
     // The broadcast arrives frame by frame: one extractor over the whole
     // stream, fingerprints searched in batches as they come out.
     let mut extractor = StreamingExtractor::new(*db.extractor_params());
@@ -752,12 +682,19 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
             if pending.len() >= 32 {
                 monitor.push(&pending).map_err(|e| e.to_string())?;
                 pending.clear();
+                if let Some(d) = dashboard.as_mut() {
+                    d.tick(&monitor)?;
+                }
             }
         }
         base += seg.len();
     }
     pending.extend(extractor.finish());
     monitor.push(&pending).map_err(|e| e.to_string())?;
+    if let Some(d) = dashboard.as_mut() {
+        d.tick(&monitor)?;
+        d.finish();
+    }
     let (events, stats) = monitor.finish();
     for e in &events {
         println!(

@@ -1,5 +1,5 @@
-//! `--fault` / `--fault-seed` on `query`: the same seeded fault scenario
-//! `watch` accepts reproduces a degraded run from the command line alone. The contract under test is
+//! `--fault` / `--fault-seed` on `query`: a seeded fault scenario
+//! reproduces a degraded run from the command line alone. The contract under test is
 //! determinism of the degraded path — same flags, same seed, same exit code
 //! and same result counts — plus the exit-code taxonomy (2 = partial
 //! results, 1 = strict-mode hard error) applying to injected faults.

@@ -48,8 +48,7 @@ fn smoke_workload() {
 
     // Pseudo-disk round trip with a tight memory budget so sections stream
     // (disk.*, io.*, storage.*, calibration.*).
-    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    std::fs::create_dir_all(&dir).expect("create tmpdir");
+    let dir = s3_testkit::TempDir::new("metric-catalog");
     let path = dir.join("metric_catalog.s3i");
     DiskIndex::write(db.index(), &path).expect("write index");
     let disk = DiskIndex::open(&path).expect("open index");
@@ -74,29 +73,6 @@ fn smoke_workload() {
         !batch.reports.is_empty(),
         "smoke produced no explain reports"
     );
-    let _ = std::fs::remove_file(&path);
-
-    // Durable telemetry (tsdb.*, slowlog.*, slo.*): append one windowed
-    // frame to the embedded time-series store, capture one degraded
-    // query into the slow-query log, and evaluate the stock SLOs.
-    let tel_dir = dir.join("metric_catalog_tel");
-    let _ = std::fs::remove_dir_all(&tel_dir);
-    let windows = s3_ops::MetricWindows::new(8);
-    let time = s3_obs::ManualTime::new();
-    windows.tick(&time);
-    time.advance(std::time::Duration::from_secs(1));
-    windows.tick(&time);
-    let mut tsdb = s3_ops::Tsdb::open(&tel_dir, s3_ops::TsdbConfig::default()).expect("open tsdb");
-    tsdb.append_latest(&windows).expect("append frame");
-    let slowlog =
-        s3_ops::SlowLog::open(&tel_dir, s3_ops::SlowLogConfig::default()).expect("open slowlog");
-    let mut degraded = batch.reports[0].clone();
-    degraded.annotations.push("smoke degradation".into());
-    slowlog.observe(&degraded);
-    let slo = s3_ops::SloEngine::new(s3_ops::default_slos(std::time::Duration::from_millis(500)));
-    let _ = slo.evaluate(&windows);
-    drop(tsdb);
-    let _ = std::fs::remove_dir_all(&tel_dir);
 
     // Events (events.*) — emit one of each level through the sink API.
     s3_obs::event::info("catalog", "smoke info");
@@ -119,8 +95,7 @@ fn smoke_workload() {
 }
 
 /// Runs [`smoke_workload`] once per test process, whichever test asks first
-/// (both tests read the process-global registry it fills, and it writes
-/// fixed paths).
+/// (both tests read the process-global registry it fills).
 fn smoke_once() {
     static DONE: std::sync::Once = std::sync::Once::new();
     DONE.call_once(smoke_workload);

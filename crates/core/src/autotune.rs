@@ -16,7 +16,7 @@
 //! * [`learn_depth`] draws its own sample from the index — what
 //!   `Detector::new` runs for `depth: 0`;
 //! * [`learn_depth_on`] learns on the queries a caller is about to send,
-//!   against any record-count oracle (the CLI's `query`, `explain`, `watch`);
+//!   against any record-count oracle (the CLI's `query` and `explain`);
 //! * [`tune_depth`] profiles an explicit list of depths, so the trade-off
 //!   itself can be reported (the depth ablation plots it).
 

@@ -10,8 +10,6 @@
 //! refinement scan — the cache-bound inner loop of every query — touches
 //! densely packed bytes.
 
-use bytes::{Buf, BufMut};
-
 /// The paper's fingerprint dimension.
 pub const PAPER_DIMS: usize = 20;
 
@@ -193,43 +191,54 @@ impl RecordBatch {
     }
 
     /// Serializes the batch into `buf` (little-endian, columnar).
-    pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u32_le(self.dims as u32);
-        buf.put_u64_le(self.len() as u64);
-        buf.put_slice(&self.fingerprints);
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&(self.dims as u32).to_le_bytes());
+        buf.extend_from_slice(&(self.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&self.fingerprints);
         for &id in &self.ids {
-            buf.put_u32_le(id);
+            buf.extend_from_slice(&id.to_le_bytes());
         }
         for &tc in &self.tcs {
-            buf.put_u32_le(tc);
+            buf.extend_from_slice(&tc.to_le_bytes());
         }
     }
 
-    /// Deserializes a batch previously written by [`RecordBatch::encode_into`].
+    /// Deserializes a batch previously written by [`RecordBatch::encode_into`]
+    /// from the front of `buf`, advancing it past the batch.
     ///
     /// Returns `None` on truncated input, including a header whose record
     /// count cannot fit in what follows it.
-    pub fn decode_from<B: Buf>(buf: &mut B) -> Option<RecordBatch> {
-        if buf.remaining() < 12 {
-            return None;
-        }
-        let dims = buf.get_u32_le() as usize;
-        let n = usize::try_from(buf.get_u64_le()).ok()?;
+    pub fn decode_from(buf: &mut &[u8]) -> Option<RecordBatch> {
+        let dims = u32::from_le_bytes(take(buf)?) as usize;
+        let n = usize::try_from(u64::from_le_bytes(take(buf)?)).ok()?;
         // `n` comes from the file: the product must not wrap past the check.
-        if dims == 0 || buf.remaining() < n.checked_mul(dims + 8)? {
+        if dims == 0 || buf.len() < n.checked_mul(dims + 8)? {
             return None;
         }
-        let mut fingerprints = vec![0u8; n * dims];
-        buf.copy_to_slice(&mut fingerprints);
-        let ids = (0..n).map(|_| buf.get_u32_le()).collect();
-        let tcs = (0..n).map(|_| buf.get_u32_le()).collect();
+        let (fingerprints, rest) = { *buf }.split_at(n * dims);
+        *buf = rest;
+        let mut column = || {
+            (0..n)
+                .map(|_| take(buf).map(u32::from_le_bytes))
+                .collect::<Option<Vec<u32>>>()
+        };
+        let ids = column()?;
+        let tcs = column()?;
         Some(RecordBatch {
             dims,
-            fingerprints,
+            fingerprints: fingerprints.to_vec(),
             ids,
             tcs,
         })
     }
+}
+
+/// Splits the first `N` bytes off the front of `buf`, or `None` if it holds
+/// fewer.
+fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = { *buf }.split_first_chunk::<N>()?;
+    *buf = rest;
+    Some(*head)
 }
 
 /// Squared Euclidean distance between two byte fingerprints.

@@ -195,7 +195,14 @@ fn search(index: &S3Index, q: &[u8], k: usize, scan_depth: u32, cutoff_sq: f64) 
         nodes += 1;
         for child in node.block.split(curve) {
             let d2 = child.min_dist_sq(&qf);
-            if d2 <= reach(&best) {
+            if d2 > reach(&best) {
+                continue;
+            }
+            // A cell that holds no record has nothing below it to find:
+            // past the key prefix, clustered records leave most cells of a
+            // level empty, and pushing them multiplies the descent.
+            let (start, end) = index.locate(&child.key_range(curve));
+            if start < end {
                 frontier.push(Reverse(FrontierNode {
                     min_dist_sq: d2,
                     block: child,
@@ -279,42 +286,52 @@ mod tests {
     /// Past a scan depth of 64 the blocks' key ranges have bits below the
     /// 64-bit prefix a sorted run stores, so the locate places them by
     /// full keys: the answers stay the brute-force ones, on the paper's
-    /// curve and on clustered records that share prefixes.
+    /// curve and on clustered records that share prefixes. Empty cells are
+    /// never pushed, so each level expands at most one node per record.
     #[test]
     fn knn_is_exact_at_scan_depths_past_the_prefix() {
-        let mut batch = RecordBatch::new(20);
-        let mut s = 0x6E4Du64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 32) as u8
-        };
-        let centres: Vec<Vec<u8>> = (0..8).map(|_| (0..20).map(|_| next()).collect()).collect();
-        for i in 0..1500 {
-            // Near-duplicates of a centre: the low one or two bits redrawn.
-            let low = (1u8 << (1 + i % 2)) - 1;
-            let fp: Vec<u8> = centres[i % 8]
-                .iter()
-                .map(|&c| (c & !low) | (next() & low))
-                .collect();
-            batch.push(&fp, i as u32, 0);
-        }
-        let idx = S3Index::build(HilbertCurve::paper(), batch);
-        for (qi, k) in [(0usize, 1usize), (37, 3), (701, 5)] {
-            let mut q = idx.records().fingerprint(qi).to_vec();
-            q[3] = q[3].wrapping_add(1);
-            for depth in [40u32, 65, 80, 100] {
-                let res = knn(&idx, &q, k, depth);
-                let dists: Vec<u64> = res
-                    .neighbors
+        // Near-duplicates of 8 centres, the low 1–2 or 1–4 bits of each
+        // component redrawn.
+        for spread in [2usize, 4] {
+            let mut batch = RecordBatch::new(20);
+            let mut s = 0x6E4Du64;
+            let mut next = move || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 32) as u8
+            };
+            let centres: Vec<Vec<u8>> = (0..8).map(|_| (0..20).map(|_| next()).collect()).collect();
+            for i in 0..1500 {
+                let low = (1u8 << (1 + i % spread)) - 1;
+                let fp: Vec<u8> = centres[i % 8]
                     .iter()
-                    .map(|m| m.dist_sq.unwrap() as u64)
+                    .map(|&c| (c & !low) | (next() & low))
                     .collect();
-                assert_eq!(dists, brute_knn(&idx, &q, k), "q{qi} k={k} depth={depth}");
-                for m in &res.neighbors {
-                    let d2 = dist_sq(&q, idx.records().fingerprint(m.index));
-                    assert_eq!(Some(d2 as f64), m.dist_sq, "q{qi} depth={depth}");
+                batch.push(&fp, i as u32, 0);
+            }
+            let idx = S3Index::build(HilbertCurve::paper(), batch);
+            for (qi, k) in [(0usize, 1usize), (37, 3), (701, 5), (701, 12)] {
+                let mut q = idx.records().fingerprint(qi).to_vec();
+                q[3] = q[3].wrapping_add(1);
+                for depth in [40u32, 65, 80, 100, 160] {
+                    let res = knn(&idx, &q, k, depth);
+                    let dists: Vec<u64> = res
+                        .neighbors
+                        .iter()
+                        .map(|m| m.dist_sq.unwrap() as u64)
+                        .collect();
+                    let at = format!("spread {spread} q{qi} k={k} depth={depth}");
+                    assert_eq!(dists, brute_knn(&idx, &q, k), "{at}");
+                    for m in &res.neighbors {
+                        let d2 = dist_sq(&q, idx.records().fingerprint(m.index));
+                        assert_eq!(Some(d2 as f64), m.dist_sq, "{at}");
+                    }
+                    assert!(
+                        res.nodes_expanded <= depth as usize * idx.len(),
+                        "{at}: {} nodes expanded",
+                        res.nodes_expanded
+                    );
                 }
             }
         }

@@ -79,8 +79,8 @@ pub mod sketch;
 pub mod storage;
 pub mod wal;
 
-/// CRC-32 of the checksummed on-disk formats (one implementation, shared
-/// with the telemetry segments of `s3-obs`).
+/// CRC-32 of the checksummed on-disk formats (one implementation, in
+/// `s3-obs`).
 pub use s3_obs::crc;
 
 pub use bufferpool::{BlockSource, BufferPool, PageSource, PinnedPage, PooledStorage};

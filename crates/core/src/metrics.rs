@@ -18,7 +18,7 @@ use crate::filter::missed_target;
 use crate::index::QueryStats;
 
 /// Handles to every metric the core crate records. Each one has a reader —
-/// a health rule or SLO of `s3-ops`, the `watch` dashboard, printed CLI
+/// a health rule of `s3-ops`, the `monitor --dashboard` frame, printed CLI
 /// output, the frozen benchmark or a test that asserts its value; a metric
 /// nothing reads is not recorded (`docs/observability.md`, "Metric
 /// catalog").

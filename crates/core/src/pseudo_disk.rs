@@ -1405,8 +1405,9 @@ mod tests {
     use crate::distortion::IsotropicNormal;
     use crate::fingerprint::RecordBatch;
     use crate::index::{QueryResult, Refine};
-    use crate::storage::temp::{tmpfile, TempPath};
     use crate::storage::{FaultPlan, FaultyStorage, MemStorage};
+    use s3_testkit::TempDir;
+    use std::path::PathBuf;
 
     fn synthetic_batch(dims: usize, n: usize, seed: u64) -> RecordBatch {
         let mut batch = RecordBatch::with_capacity(dims, n);
@@ -1424,12 +1425,20 @@ mod tests {
         batch
     }
 
-    fn build_pair(n: usize) -> (S3Index, TempPath) {
+    /// A file path in a fresh scratch directory, removed with it when the
+    /// caller drops the directory.
+    fn scratch(name: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new(name);
+        let path = dir.join("index.s3i");
+        (dir, path)
+    }
+
+    fn build_pair(n: usize) -> (S3Index, TempDir, PathBuf) {
         let curve = HilbertCurve::new(4, 8).unwrap();
         let idx = S3Index::build(curve, synthetic_batch(4, n, 99));
-        let path = tmpfile(&format!("n{n}"));
+        let (dir, path) = scratch(&format!("n{n}"));
         DiskIndex::write(&idx, &path).unwrap();
-        (idx, path)
+        (idx, dir, path)
     }
 
     /// Bytes of one record of the 4-dimensional test indexes in `S3IDX004`:
@@ -1447,7 +1456,7 @@ mod tests {
 
     #[test]
     fn roundtrip_header_and_counts() {
-        let (idx, path) = build_pair(500);
+        let (idx, _dir, path) = build_pair(500);
         let disk = DiskIndex::open(&path).unwrap();
         assert_eq!(disk.len(), 500);
         assert_eq!(disk.curve(), idx.curve());
@@ -1458,7 +1467,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let path = tmpfile("badmagic");
+        let (_dir, path) = scratch("badmagic");
         std::fs::write(&path, b"NOTANIDX0000000000000000000000000").unwrap();
         assert!(matches!(
             DiskIndex::open(&path),
@@ -1470,7 +1479,7 @@ mod tests {
     fn atomic_write_leaves_no_temp_file() {
         // The index in place, its `.tmp` sibling gone, and nothing else
         // written beside it.
-        let (_idx, path) = build_pair(200);
+        let (_idx, _dir, path) = build_pair(200);
         assert!(path.exists(), "{:?} missing", &*path);
         for suffix in [".tmp", ".skch"] {
             let mut sibling = path.file_name().unwrap().to_os_string();
@@ -1483,7 +1492,7 @@ mod tests {
     fn v1_files_still_load_and_answer() {
         let curve = HilbertCurve::new(4, 8).unwrap();
         let idx = S3Index::build_on(curve, synthetic_batch(4, 1200, 7));
-        let path = tmpfile("v1compat");
+        let (_dir, path) = scratch("v1compat");
         DiskIndex::write_v1(&idx, &path).unwrap();
         let disk = DiskIndex::open(&path).unwrap();
         assert_eq!(disk.version(), 1);
@@ -1515,7 +1524,7 @@ mod tests {
 
     #[test]
     fn v4_round_trip_keeps_the_axis_order() {
-        let (idx, path) = build_pair(1500);
+        let (idx, _dir, path) = build_pair(1500);
         assert!(!idx.curve().is_identity());
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[..8], MAGIC_V4);
@@ -1572,11 +1581,11 @@ mod tests {
 
     #[test]
     fn formats_without_an_order_refuse_to_store_one() {
-        let (idx, _path) = build_pair(300);
+        let (idx, _dir, _path) = build_pair(300);
         assert!(!idx.curve().is_identity());
         let err = encode_meta(&idx, WriteOpts::default(), true).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        let path = tmpfile("v1ranked");
+        let (_dir, path) = scratch("v1ranked");
         assert!(DiskIndex::write_v1(&idx, &path).is_err());
         assert!(!path.exists(), "a refused write leaves no file");
     }
@@ -1808,7 +1817,7 @@ mod tests {
 
     #[test]
     fn disk_stat_query_matches_in_memory() {
-        let (idx, path) = build_pair(2000);
+        let (idx, _dir, path) = build_pair(2000);
         let disk = DiskIndex::open(&path).unwrap();
         let model = IsotropicNormal::new(4, 12.0);
         let opts = StatQueryOpts::new(0.85, 10);
@@ -1835,7 +1844,7 @@ mod tests {
 
     #[test]
     fn tight_memory_budget_still_exact() {
-        let (idx, path) = build_pair(3000);
+        let (idx, _dir, path) = build_pair(3000);
         let disk = DiskIndex::open(&path).unwrap();
         // Budget forcing many sections: a few hundred records' worth.
         let budget = 400 * RECORD_BYTES;
@@ -1865,7 +1874,7 @@ mod tests {
 
     #[test]
     fn range_query_batch_matches_in_memory() {
-        let (idx, path) = build_pair(1500);
+        let (idx, _dir, path) = build_pair(1500);
         let disk = DiskIndex::open(&path).unwrap();
         let q: &[u8] = &[100, 100, 100, 100];
         let eps = 80.0;
@@ -1885,7 +1894,7 @@ mod tests {
 
     #[test]
     fn threaded_refinement_matches_sequential() {
-        let (_idx, path) = build_pair(3000);
+        let (_idx, _dir, path) = build_pair(3000);
         let seq = DiskIndex::open(&path).unwrap().with_threads(1);
         let par = DiskIndex::open(&path).unwrap().with_threads(4);
         assert_eq!(par.threads(), 4);
@@ -2097,7 +2106,7 @@ mod tests {
 
     #[test]
     fn budget_too_small_errors() {
-        let (_idx, path) = build_pair(4000);
+        let (_idx, _dir, path) = build_pair(4000);
         let disk = DiskIndex::open(&path).unwrap();
         let model = IsotropicNormal::new(4, 10.0);
         let opts = StatQueryOpts::new(0.8, 8);
@@ -2119,7 +2128,7 @@ mod tests {
 
     #[test]
     fn query_dims_checked() {
-        let (_idx, path) = build_pair(100);
+        let (_idx, _dir, path) = build_pair(100);
         let disk = DiskIndex::open(&path).unwrap();
         let model = IsotropicNormal::new(4, 10.0);
         let opts = StatQueryOpts::new(0.8, 8);
@@ -2138,7 +2147,7 @@ mod tests {
 
     #[test]
     fn empty_query_batch() {
-        let (_idx, path) = build_pair(100);
+        let (_idx, _dir, path) = build_pair(100);
         let disk = DiskIndex::open(&path).unwrap();
         let model = IsotropicNormal::new(4, 10.0);
         let opts = StatQueryOpts::new(0.8, 8);
@@ -2162,7 +2171,7 @@ mod tests {
 
     #[test]
     fn suggest_nsig_scales_linearly_with_db() {
-        let (_idx, path) = build_pair(1000);
+        let (_idx, _dir, path) = build_pair(1000);
         let disk = DiskIndex::open(&path).unwrap();
         // 20 bytes/record * 1000 records at 20 MB/s = 1 ms of loading;
         // a 0.1 ms budget needs at least 10 queries per batch.
@@ -2175,7 +2184,7 @@ mod tests {
 
     #[test]
     fn data_bytes_reported() {
-        let (_idx, path) = build_pair(100);
+        let (_idx, _dir, path) = build_pair(100);
         let disk = DiskIndex::open(&path).unwrap();
         assert_eq!(disk.data_bytes(), 100 * RECORD_BYTES);
     }
@@ -2184,7 +2193,7 @@ mod tests {
     fn small_block_and_table_options_roundtrip() {
         let curve = HilbertCurve::new(4, 8).unwrap();
         let idx = S3Index::build(curve, synthetic_batch(4, 800, 3));
-        let path = tmpfile("smallopts");
+        let (_dir, path) = scratch("smallopts");
         let opts = WriteOpts {
             table_depth: 6,
             block_size: 64,
@@ -2209,7 +2218,7 @@ mod tests {
     fn mem_index(n: usize, opts: WriteOpts) -> (S3Index, Vec<u8>) {
         let curve = HilbertCurve::new(4, 8).unwrap();
         let idx = S3Index::build(curve, synthetic_batch(4, n, 17));
-        let path = tmpfile(&format!("mem{n}_{}", opts.block_size));
+        let (_dir, path) = scratch(&format!("mem{n}_{}", opts.block_size));
         DiskIndex::write_with(&idx, &path, opts).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         (idx, bytes)

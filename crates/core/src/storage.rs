@@ -82,7 +82,7 @@ pub(crate) fn le_u64(bytes: &[u8]) -> u64 {
 /// `path`, and the parent directory is synced to persist the rename — a
 /// crash at any point leaves either the previous file or the new one,
 /// never a mix. The one write protocol of every whole-file format (index,
-/// reference database, incident dump, telemetry segment header).
+/// reference database, incident dump).
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = {
         let mut name = path.file_name().unwrap_or_default().to_os_string();
@@ -868,46 +868,6 @@ impl<S: WritableStorage> WritableStorage for FaultyStorage<S> {
     }
 }
 
-/// Test files: a path no other test (or other call from the same test)
-/// shares, removed on drop — so a failing assert leaks nothing. Tests run
-/// in parallel threads of one process, so the pid alone does not make a
-/// path unique.
-#[cfg(test)]
-pub(crate) mod temp {
-    use std::path::{Path, PathBuf};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub(crate) struct TempPath(PathBuf);
-
-    impl std::ops::Deref for TempPath {
-        type Target = Path;
-        fn deref(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl AsRef<Path> for TempPath {
-        fn as_ref(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl Drop for TempPath {
-        fn drop(&mut self) {
-            std::fs::remove_file(&self.0).ok();
-        }
-    }
-
-    pub(crate) fn tmpfile(name: &str) -> TempPath {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let unique = NEXT.fetch_add(1, Ordering::Relaxed);
-        TempPath(std::env::temp_dir().join(format!(
-            "s3_core_test_{name}_{}_{unique}",
-            std::process::id()
-        )))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -919,7 +879,8 @@ mod tests {
 
     #[test]
     fn file_storage_reads_ranges() {
-        let path = temp::tmpfile("storage");
+        let dir = s3_testkit::TempDir::new("storage");
+        let path = dir.join("file");
         std::fs::write(&path, (0u8..=255).collect::<Vec<_>>()).unwrap();
         let s = FileStorage::open(&path).unwrap();
         assert_eq!(s.len().unwrap(), 256);

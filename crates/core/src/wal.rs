@@ -17,8 +17,7 @@
 //! boundary, which is exactly the granularity the crash-point matrix kills
 //! at. A torn tail (crash mid-append) fails its CRC and is truncated away
 //! at open; everything before it is intact by construction. The frame and
-//! the torn-tail scan are [`s3_obs::frame`] (layout [`frame::WAL`]), the
-//! codec the telemetry segment store uses too.
+//! the torn-tail scan are [`s3_obs::frame`].
 //!
 //! ```text
 //! record: frame_len u32 | kind u8 | lsn u64 | payload | crc u32
@@ -169,7 +168,7 @@ impl<S: WritableStorage> Wal<S> {
         storage.read_at(0, &mut bytes)?;
         let mut max_lsn = checkpoint_lsn;
         // An unknown kind or malformed payload is treated as torn.
-        let scan = frame::WAL.scan(&bytes, |body| {
+        let scan = frame::scan(&bytes, |body| {
             let (kind, rest) = body.split_first()?;
             let lsn = u64::from_le_bytes(rest.get(..8)?.try_into().ok()?);
             let record = WalRecord::decode(*kind, &rest[8..])?;
@@ -197,7 +196,7 @@ impl<S: WritableStorage> Wal<S> {
     /// until [`Wal::sync`].
     pub fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
         let lsn = self.next_lsn;
-        let frame = frame::WAL.encode(&[&[record.kind()], &lsn.to_le_bytes(), &record.payload()]);
+        let frame = frame::encode(&[&[record.kind()], &lsn.to_le_bytes(), &record.payload()]);
         self.storage.write_at(self.end, &frame)?;
         self.end += frame.len() as u64;
         self.next_lsn += 1;

@@ -1,7 +1,7 @@
 //! CRC-32 (IEEE 802.3, the polynomial used by zip/gzip/png) for every
-//! checksummed on-disk format of the workspace: the telemetry segments of
-//! `s3-ops` and — re-exported as `s3_core::crc` — the index, sketch, WAL,
-//! pager and reference-database files.
+//! checksummed on-disk format of the workspace — re-exported as
+//! `s3_core::crc` — the index, sketch, WAL, pager and reference-database
+//! files.
 //!
 //! Dependency-free and table-driven: slice-by-16 (Kounavis & Berry, ISCC
 //! 2005) consumes 16 bytes per step through 16 tables derived at compile

@@ -1,8 +1,7 @@
 //! The workspace's one JSON writer, and a minimal zero-dependency reader.
 //!
 //! `s3-obs` deliberately takes no external crates, but incident dumps,
-//! EXPLAIN reports, telemetry segment payloads, traces and experiment
-//! results are all JSON. [`JsonWriter`] is the only code that renders
+//! EXPLAIN reports, traces and experiment results are all JSON. [`JsonWriter`] is the only code that renders
 //! one: string escaping and the one number rule (integers as integers,
 //! `f64` by shortest round-trip, non-finite → `null`) live here and
 //! nowhere else. [`JsonValue::parse`] is a small recursive-descent parser
@@ -19,8 +18,8 @@ use std::fmt::{self, Write as _};
 /// closed with [`end`](Self::end); inside an object every value follows a
 /// [`key`](Self::key) ([`field`](Self::field) writes a key and a scalar).
 /// Commas, escaping and number formatting are the writer's job. A
-/// document is rendered on one line ([`JsonWriter::line`]: segment
-/// payloads, `--explain`, traces) or indented ([`JsonWriter::indented`]:
+/// document is rendered on one line ([`JsonWriter::line`]: `--explain`,
+/// traces) or indented ([`JsonWriter::indented`]:
 /// files people open) — the document chooses, never a user.
 #[derive(Debug, Default)]
 pub struct JsonWriter {
@@ -304,14 +303,6 @@ impl JsonValue {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
             _ => None,
         }
     }

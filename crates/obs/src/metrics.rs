@@ -453,43 +453,6 @@ impl HistogramSnapshot {
         self.max = self.max.max(other.max);
     }
 
-    /// Estimated fraction of recorded samples strictly above `threshold`
-    /// (`None` when empty). Exact when the threshold falls on a bucket
-    /// boundary or outside `[min, max]`; otherwise the straddling bucket
-    /// contributes proportionally, so the error is bounded by that one
-    /// bucket's width (≤ 12.5 % of its value range).
-    ///
-    /// This is what turns a latency histogram into an SLO error rate:
-    /// `fraction_above(target_ns)` over a windowed snapshot is the share
-    /// of the window's queries that blew the latency target.
-    pub fn fraction_above(&self, threshold: u64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if threshold >= self.max {
-            return Some(0.0);
-        }
-        if threshold < self.min {
-            return Some(1.0);
-        }
-        let mut above = 0.0f64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let (lo, hi) = bucket_bounds(i);
-            if lo > threshold {
-                above += c as f64;
-            } else if hi > threshold.saturating_add(1) {
-                // The threshold lands inside this bucket: attribute the
-                // bucket's samples proportionally to the span above it.
-                let width = (hi - lo) as f64;
-                above += c as f64 * (hi - threshold - 1) as f64 / width;
-            }
-        }
-        Some((above / self.count as f64).clamp(0.0, 1.0))
-    }
-
     /// An empty snapshot (identity element of [`HistogramSnapshot::merge`]).
     pub fn empty() -> HistogramSnapshot {
         HistogramSnapshot {

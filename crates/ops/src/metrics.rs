@@ -1,11 +1,10 @@
-//! The stock health rules and SLOs over the metrics `s3-core` registers
+//! The stock health rules over the metrics `s3-core` registers
 //! ([`s3_core::CoreMetrics`]): what counts as healthy, decided here and
 //! nowhere else.
 
 use std::time::Duration;
 
 use crate::health::{Bounds, HealthRule, Signal};
-use crate::slo::{SloSignal, SloSpec};
 
 /// The stock health-rule set covering the metrics `s3-core` records.
 ///
@@ -57,100 +56,11 @@ pub fn default_health_rules() -> Vec<HealthRule> {
     ]
 }
 
-/// The stock SLO objectives for a query-serving deployment, in terms of
-/// the metrics [`s3_core::CoreMetrics`] registers:
-///
-/// * **availability** — ≥ 99.5 % of queries answered non-degraded
-///   (`query.degraded` over `query.latency` sample counts);
-/// * **latency** — ≥ 99 % of queries inside `latency_target`
-///   (fraction of `query.latency` above the target, via
-///   [`s3_obs::HistogramSnapshot::fraction_above`]);
-/// * **correctness** — ≥ 99.5 % of queries honouring the paper's α
-///   capture invariant (`calibration.alpha_violations`).
-///
-/// Each spec exposes a burn-rate [`HealthRule`] (`slo-availability`,
-/// `slo-latency`, `slo-correctness`) reading the `slo.burn.*` gauges an
-/// [`crate::SloEngine`] publishes.
-pub fn default_slos(latency_target: Duration) -> Vec<SloSpec> {
-    let threshold_ns = latency_target.as_nanos().min(u64::MAX as u128) as u64;
-    vec![
-        SloSpec::new(
-            "availability",
-            "slo-availability",
-            SloSignal::CounterOverHistogram {
-                bad: "query.degraded",
-                total_hist: "query.latency",
-            },
-            0.995,
-            "slo.burn.availability",
-            "slo.budget.availability",
-        ),
-        SloSpec {
-            min_count: 16,
-            ..SloSpec::new(
-                "latency",
-                "slo-latency",
-                SloSignal::FractionAbove {
-                    histogram: "query.latency",
-                    threshold: threshold_ns.max(1),
-                },
-                0.99,
-                "slo.burn.latency",
-                "slo.budget.latency",
-            )
-        },
-        SloSpec {
-            min_count: 16,
-            ..SloSpec::new(
-                "correctness",
-                "slo-correctness",
-                SloSignal::CounterOverHistogram {
-                    bad: "calibration.alpha_violations",
-                    total_hist: "query.latency",
-                },
-                0.995,
-                "slo.burn.correctness",
-                "slo.budget.correctness",
-            )
-        },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use s3_core::CoreMetrics;
     use s3_obs::registry;
-
-    #[test]
-    fn default_slos_reference_registered_metrics() {
-        let _ = CoreMetrics::get();
-        let snap = registry().snapshot();
-        let counters: Vec<&str> = snap.counters.iter().map(|(id, _)| id.name).collect();
-        let hists: Vec<&str> = snap.histograms.iter().map(|(id, _)| id.name).collect();
-        let slos = default_slos(Duration::from_millis(500));
-        assert_eq!(slos.len(), 3);
-        for spec in &slos {
-            match spec.signal {
-                SloSignal::CounterOverHistogram { bad, total_hist } => {
-                    assert!(counters.contains(&bad), "{}: unregistered {bad}", spec.name);
-                    assert!(
-                        hists.contains(&total_hist),
-                        "{}: unregistered {total_hist}",
-                        spec.name
-                    );
-                }
-                SloSignal::FractionAbove { histogram, .. } => {
-                    assert!(
-                        hists.contains(&histogram),
-                        "{}: unregistered {histogram}",
-                        spec.name
-                    );
-                }
-            }
-            assert!(spec.target > 0.9 && spec.target < 1.0);
-        }
-    }
 
     #[test]
     fn default_rules_cover_registered_metrics() {

@@ -21,7 +21,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, SystemTime};
 
 use s3_core::storage::write_atomic;
 use s3_obs::{
@@ -30,7 +30,6 @@ use s3_obs::{
 };
 
 use crate::health::HealthReport;
-use crate::tsdb::unix_ms_now;
 use crate::window::MetricWindows;
 
 /// Capacities of the recorder's rings.
@@ -266,7 +265,9 @@ impl FlightRecorder {
             })
             .collect();
         IncidentReport {
-            unix_ms: unix_ms_now(),
+            unix_ms: SystemTime::now()
+                .duration_since(SystemTime::UNIX_EPOCH)
+                .map_or(0, |d| d.as_millis().min(u64::MAX as u128) as u64),
             seq,
             trigger,
             health,
@@ -525,7 +526,7 @@ mod tests {
     #[test]
     fn write_to_dir_names_by_kind_and_seq() {
         let rec = FlightRecorder::default();
-        let dir = crate::support::TempDir::new("recorder");
+        let dir = s3_testkit::TempDir::new("recorder");
         let r1 = rec.incident(IncidentTrigger {
             kind: "manual",
             rule: None,

@@ -34,8 +34,8 @@ pub struct WindowFrame {
     /// the registry restarted (process crash + warm dashboard reattach).
     /// Their entry in `counters` holds the post-restart value (everything
     /// counted since the reset) instead of a clamped-to-zero delta, and
-    /// this marker lets consumers (tsdb backfill, sparklines) render a
-    /// restart instead of a false idle dip.
+    /// this marker lets a consumer render a restart instead of a false
+    /// idle dip.
     pub resets: Vec<MetricId>,
 }
 
@@ -117,11 +117,6 @@ impl MetricWindows {
     /// Number of completed frames currently retained.
     pub fn frames(&self) -> usize {
         self.lock().frames.len()
-    }
-
-    /// Time of the most recent tick, if any.
-    pub fn last_tick(&self) -> Option<Duration> {
-        self.lock().last.as_ref().map(|(t, _)| *t)
     }
 
     /// Span of time covered by the retained frames (zero when empty).

@@ -9,8 +9,6 @@
 //! Single `#[test]`: the span/event sinks and the metrics registry are
 //! process-global, so the whole scenario runs as one sequential story.
 
-mod support;
-
 use s3_core::filter::select_blocks_best_first;
 use s3_core::pseudo_disk::DiskIndex;
 use s3_core::pseudo_disk::WriteOpts;
@@ -25,9 +23,9 @@ use s3_ops::{
     default_health_rules, install_event_tee, FlightRecorder, HealthEngine, IncidentTrigger,
     MetricWindows, RecorderConfig, Verdict,
 };
+use s3_testkit::TempDir;
 use std::sync::Arc;
 use std::time::Duration;
-use support::TempDir;
 
 const DIMS: usize = 6;
 const N: usize = 600;

@@ -269,38 +269,6 @@ mod tests {
     use super::*;
     use crate::synth::ProceduralVideo;
 
-    /// A test file path no other test shares, removed on drop — so a
-    /// failing assert leaks nothing.
-    struct TempPath(std::path::PathBuf);
-
-    impl TempPath {
-        fn new(name: &str) -> TempPath {
-            static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-            let unique = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let file = format!("s3_video_test_{}_{unique}_{name}", std::process::id());
-            TempPath(std::env::temp_dir().join(file))
-        }
-    }
-
-    impl std::ops::Deref for TempPath {
-        type Target = Path;
-        fn deref(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl AsRef<Path> for TempPath {
-        fn as_ref(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl Drop for TempPath {
-        fn drop(&mut self) {
-            std::fs::remove_file(&self.0).ok();
-        }
-    }
-
     fn roundtrip(video: &Y4mVideo) -> Y4mVideo {
         let mut buf = Vec::new();
         video.write(&mut buf).unwrap();
@@ -416,7 +384,8 @@ mod tests {
     fn file_save_open_roundtrip() {
         let src = ProceduralVideo::new(24, 16, 3, 1);
         let y4m = Y4mVideo::capture(&src, (24, 1));
-        let path = TempPath::new("roundtrip.y4m");
+        let dir = s3_testkit::TempDir::new("y4m");
+        let path = dir.join("roundtrip.y4m");
         y4m.save(&path).unwrap();
         let back = Y4mVideo::open(&path).unwrap();
         assert_eq!(back.len(), 3);
