@@ -3,7 +3,8 @@
 //! Records every write the engine makes during a scripted
 //! insert/merge/insert workload, then re-runs the script once per kill
 //! point — a [`CrashSwitch`] with a byte budget that dies exactly at each
-//! write boundary and in the middle of each write (torn page). After every
+//! write boundary and in the middle of each write (a torn WAL record,
+//! generation or root slot). After every
 //! kill the harness reopens the two files through `DurableIndex::open` and
 //! asserts the recovery invariants:
 //!
@@ -29,7 +30,7 @@ use s3_bench::{results_dir, Scale};
 use s3_core::{
     CrashSwitch, DurableIndex, DurableOptions, FaultPlan, FaultyStorage, IndexError,
     IsotropicNormal, MergeOutcome, RecordBatch, S3Index, SharedMemStorage, StatQueryOpts, Storage,
-    WritableStorage, WriteOpts,
+    WritableStorage,
 };
 use s3_hilbert::HilbertCurve;
 use s3_obs::JsonWriter;
@@ -43,11 +44,7 @@ const MEM_BUDGET: u64 = 1 << 20;
 
 fn opts() -> DurableOptions {
     DurableOptions {
-        page_size: 256,
-        write_opts: WriteOpts {
-            table_depth: 8,
-            block_size: 128,
-        },
+        block_size: 128,
         ..DurableOptions::default()
     }
 }
@@ -280,12 +277,6 @@ fn run_kill_point(
                     acked + 1
                 ));
             }
-            if rep.outcome != MergeOutcome::Replayed && rep.redone_pages > 0 {
-                violations.push(format!(
-                    "outcome {:?} but {} pages were redone",
-                    rep.outcome, rep.redone_pages
-                ));
-            }
             let want_curve = expected_curve(idx.disk_len(), merge_at);
             if *idx.curve() != want_curve {
                 violations.push(format!(
@@ -399,7 +390,7 @@ fn main() {
     );
 
     // Kill points: budget 0, every boundary, and the midpoint of every
-    // write (a torn page / torn WAL record).
+    // write (a torn WAL record, generation or root slot).
     let mut kill_points: Vec<(u64, &'static str)> = vec![(0, "mid-write")];
     let mut prev = 0u64;
     for &b in &boundaries {

@@ -4,8 +4,7 @@
 //!
 //! Armed, the [`Dashboard`] ticks a [`MetricWindows`] ring after every
 //! batch the monitor is pushed, evaluates the stock health rules over it
-//! (calibration drift aside, see [`Dashboard::arm`]) and prints one
-//! plain-text frame to stderr: the real-time factor and the detections per
+//! and prints one plain-text frame to stderr: the real-time factor and the detections per
 //! stream hour so far, then windowed rates, rolling search latency and the
 //! rule verdicts. The flight recorder captures spans,
 //! events and the monitor's state for the whole run; when the verdict
@@ -67,20 +66,12 @@ impl Dashboard {
         recorder.set_windows(Arc::clone(&windows));
         install_event_tee(&recorder, Some(Box::new(StderrSink)));
         install_panic_hook(Arc::clone(&recorder), incident_dir.clone());
-        // Calibration drift is left out: the gauge holds the last query's
-        // predicted-minus-scanned gap, and on an archive of a few thousand
-        // fingerprints that swings by ±2,800 basis points from one search
-        // to the next, so the rule reads noise, not a drifting model.
-        let rules = default_health_rules()
-            .into_iter()
-            .filter(|r| r.name != "calibration-drift")
-            .collect();
         let wall = WallTime::new();
         windows.tick(&wall);
         Dashboard {
             incident_dir,
             windows,
-            engine: HealthEngine::new(rules),
+            engine: HealthEngine::new(default_health_rules()),
             recorder,
             wall,
             archive: (archive.video_count(), archive.fingerprint_count()),

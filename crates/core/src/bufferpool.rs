@@ -3,8 +3,8 @@
 //! No product path reads through the pool. A pseudo-disk batch (§IV-B,
 //! eq. 5) streams each section once, and the section budget already bounds
 //! what is resident, so a page cache only adds memory and a lock on top:
-//! queries read [`Storage`] directly and the durable engine reads its pager
-//! ([`crate::pager::DataPages`]). The pool, [`PooledStorage`] and
+//! queries read [`Storage`] directly and the durable engine reads its live
+//! generation through an [`crate::storage::OffsetView`]. The pool, [`PooledStorage`] and
 //! [`BlockSource`] stay only because the `disk_batch` workload of the
 //! frozen benchmark (`benchmark/`) builds them for its pooled comparator;
 //! they go with the benchmark revision that retires that comparator.

@@ -1,80 +1,200 @@
-//! Crash-safe disk-native index: pages + WAL + recovery.
+//! Crash-safe disk-native index: immutable generations + WAL + recovery.
 //!
 //! [`DurableIndex`] composes the durability subsystem into one engine:
 //!
-//! * the main index is the serialized `S3IDX004` byte stream,
-//!   chunked into self-verifying pages of a [`PageStore`] (see
-//!   [`crate::pager`]);
+//! * the main index is one serialized `S3IDX004` stream — a *generation* —
+//!   written once into the data storage and never modified: the stream
+//!   checks itself (a header CRC and one CRC per data block), so it needs
+//!   no framing of its own;
+//! * two fixed root slots at the front of the data storage name the live
+//!   generation: its number, offset, length and the highest WAL LSN it
+//!   covers, CRC-checked;
 //! * an index created empty has no axis order of its own yet: its first
 //!   merge gives the curve the order its records give ([`S3Index::build`]),
 //!   and every later merge keeps it ([`S3Index::build_on`]) — so the curve
 //!   is fixed for the life of the index once it holds records;
-//! * queries open the stream through the existing [`DiskIndex`] reader,
-//!   which reads the pages straight through the pager ([`DataPages`]) —
-//!   so results are *bit-identical* to a flat file, and resident memory
-//!   is capped by the batch's section budget, not the index size;
+//! * queries open the live generation through the existing [`DiskIndex`]
+//!   reader over an [`OffsetView`] of the data storage — so results are
+//!   *bit-identical* to a flat file, and resident memory is capped by the
+//!   batch's section budget, not the index size;
 //! * inserts accumulate in an in-memory overlay (a [`DynamicIndex`] with
 //!   an empty main), and each insert is WAL-logged and fsynced **before**
 //!   it is acknowledged;
-//! * a merge follows the classical redo protocol: log
-//!   `MergeBegin + page images + MergeCommit`, fsync, apply the pages,
-//!   update the meta page, checkpoint the log. A kill at *any* byte of
-//!   that sequence recovers cleanly on reopen:
+//! * a merge writes the merged generation beside the live one with one
+//!   `write_at` and fsyncs, publishes it by writing the other root slot and
+//!   fsyncing again, then truncates the WAL. A kill at *any* byte of that
+//!   sequence recovers cleanly on reopen:
 //!
-//!   | crash point                        | recovery                        |
-//!   |------------------------------------|---------------------------------|
-//!   | before the commit record is synced | merge rolled back; its inserts  |
-//!   |                                    | replayed from their WAL records |
-//!   | after commit, during/after the     | merge redone idempotently from  |
-//!   | page writes                        | the logged page images          |
-//!   | after the WAL checkpoint           | nothing to do                   |
+//!   | crash point                          | recovery                          |
+//!   |--------------------------------------|-----------------------------------|
+//!   | during or after the generation write | old root stands; WAL replayed     |
+//!   | inside the root slot write (torn)    | old root stands; WAL replayed     |
+//!   | after the publish, before truncate   | covered WAL inserts dropped       |
+//!   | after the WAL truncate               | nothing to do                     |
 //!
 //! Every acknowledged insert survives every crash; unacknowledged tail
 //! records are truncated away by the WAL scanner. The deterministic
 //! crash-point matrix in `s3-bench` (`crash_matrix` bin) kills the engine
-//! at every WAL record boundary and mid-page-write and asserts exactly
-//! this.
+//! at every write boundary and in the middle of every write and asserts
+//! exactly this. `docs/durability.md` has the slot format and the
+//! recovery rule.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::crc::crc32;
 use crate::distortion::DistortionModel;
 use crate::dynamic::{DynamicIndex, MergeOutcome};
 use crate::error::IndexError;
 use crate::fingerprint::RecordBatch;
-use crate::index::{S3Index, StatQueryOpts};
+use crate::index::{slot_depth, S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
-use crate::pager::{DataPages, PageMeta, PageStore, DEFAULT_PAGE_SIZE};
 use crate::plan::{query_scope, Plan};
-use crate::pseudo_disk::{BatchResult, DiskIndex, WriteOpts};
-use crate::storage::WritableStorage;
+use crate::pseudo_disk::{BatchResult, DiskIndex, WriteOpts, DEFAULT_BLOCK_SIZE, TABLE_DEPTH};
+use crate::storage::{le_u64, OffsetView, WritableStorage};
 use crate::wal::{Wal, WalRecord};
 use s3_hilbert::HilbertCurve;
 
 type DynStorage = Box<dyn WritableStorage>;
-type DynPages = PageStore<DynStorage>;
+
+/// Magic that opens every written root slot.
+const ROOT_MAGIC: &[u8; 8] = b"S3ROOT01";
+/// Bytes of one root slot:
+/// `magic | generation u64 | offset u64 | len u64 | covered_lsn u64 | crc u32`.
+const SLOT_LEN: usize = 8 + 8 + 8 + 8 + 8 + 4;
+/// Bytes of both root slots; the first generation starts right after them.
+const ROOT_BYTES: u64 = 2 * SLOT_LEN as u64;
 
 /// Tuning knobs of a [`DurableIndex`].
 #[derive(Clone, Copy, Debug)]
 pub struct DurableOptions {
-    /// Page size of the index file.
-    pub page_size: u32,
     /// Overlay fraction of the on-disk record count that triggers an
     /// automatic merge (with a 256-record floor — same rule as
     /// [`DynamicIndex`]).
     pub merge_fraction: f64,
-    /// Format options of the serialized index stream.
-    pub write_opts: WriteOpts,
+    /// Bytes per checksummed data block of each generation.
+    pub block_size: u32,
 }
 
 impl Default for DurableOptions {
     fn default() -> Self {
         DurableOptions {
-            page_size: DEFAULT_PAGE_SIZE,
             merge_fraction: 0.1,
-            write_opts: WriteOpts::default(),
+            block_size: DEFAULT_BLOCK_SIZE,
         }
     }
+}
+
+impl DurableOptions {
+    /// Format of a generation holding `index`: its slot table as deep as
+    /// an in-memory index of as many records has, up to [`TABLE_DEPTH`].
+    fn write_opts(&self, index: &S3Index) -> WriteOpts {
+        WriteOpts {
+            table_depth: slot_depth(index.curve(), index.len()).min(TABLE_DEPTH),
+            block_size: self.block_size,
+        }
+    }
+}
+
+/// One root slot: which generation is live, where it lies, and the
+/// highest WAL LSN its records include.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Root {
+    generation: u64,
+    offset: u64,
+    len: u64,
+    covered_lsn: u64,
+}
+
+impl Root {
+    /// The slot generation `generation` is published in: they alternate,
+    /// so publishing never overwrites the live root.
+    fn slot_offset(generation: u64) -> u64 {
+        (generation % 2) * SLOT_LEN as u64
+    }
+
+    fn end(&self) -> u64 {
+        self.offset + self.len
+    }
+
+    fn encode(&self) -> [u8; SLOT_LEN] {
+        let mut slot = [0u8; SLOT_LEN];
+        slot[..8].copy_from_slice(ROOT_MAGIC);
+        for (i, v) in [self.generation, self.offset, self.len, self.covered_lsn]
+            .into_iter()
+            .enumerate()
+        {
+            slot[8 + 8 * i..16 + 8 * i].copy_from_slice(&v.to_le_bytes());
+        }
+        let crc = crc32(&slot[..SLOT_LEN - 4]);
+        slot[SLOT_LEN - 4..].copy_from_slice(&crc.to_le_bytes());
+        slot
+    }
+
+    /// `Ok(None)` for a slot never written (all zero), `Err(())` for one
+    /// that fails its magic or CRC or names bytes no generation can hold.
+    fn decode(slot: &[u8]) -> Result<Option<Root>, ()> {
+        if slot.iter().all(|&b| b == 0) {
+            return Ok(None);
+        }
+        let (body, crc) = slot.split_at(SLOT_LEN - 4);
+        if &body[..8] != ROOT_MAGIC || crc32(body).to_le_bytes() != crc {
+            return Err(());
+        }
+        let u64_at = |i: usize| le_u64(&body[8 + 8 * i..]);
+        let root = Root {
+            generation: u64_at(0),
+            offset: u64_at(1),
+            len: u64_at(2),
+            covered_lsn: u64_at(3),
+        };
+        if root.offset < ROOT_BYTES || root.offset.checked_add(root.len).is_none() {
+            return Err(());
+        }
+        Ok(Some(root))
+    }
+}
+
+/// Reads both root slots: the newest valid root, and whether a slot fails
+/// its magic or CRC.
+fn read_roots(data: &DynStorage) -> Result<(Root, bool), IndexError> {
+    let not_durable = |detail: &str| IndexError::Format {
+        detail: format!("not a durable index: {detail}"),
+    };
+    if data.len()? < ROOT_BYTES {
+        return Err(not_durable("shorter than its root slots"));
+    }
+    let mut slots = [0u8; ROOT_BYTES as usize];
+    data.read_at(0, &mut slots)?;
+    let decoded = [
+        Root::decode(&slots[..SLOT_LEN]),
+        Root::decode(&slots[SLOT_LEN..]),
+    ];
+    let newest = decoded
+        .iter()
+        .filter_map(|s| s.ok().flatten())
+        .max_by_key(|r| r.generation)
+        .ok_or_else(|| not_durable("no valid root slot"))?;
+    Ok((newest, decoded.iter().any(Result::is_err)))
+}
+
+/// Writes `bytes` as the generation `root` names, then publishes it:
+/// generation bytes, fsync, root slot, fsync.
+fn publish(data: &DynStorage, root: &Root, bytes: &[u8]) -> Result<(), IndexError> {
+    data.write_at(root.offset, bytes)?;
+    data.sync()?;
+    data.write_at(Root::slot_offset(root.generation), &root.encode())?;
+    data.sync()?;
+    Ok(())
+}
+
+/// Opens the generation `root` names through a view of the data storage.
+fn open_generation(data: &Arc<DynStorage>, root: &Root) -> Result<DiskIndex, IndexError> {
+    DiskIndex::open_storage(Box::new(OffsetView::new(
+        Arc::clone(data),
+        root.offset,
+        root.len,
+    )))
 }
 
 /// What recovery found and did when the index was opened.
@@ -84,14 +204,14 @@ pub struct RecoveryReport {
     pub outcome: MergeOutcome,
     /// Acknowledged inserts replayed from the WAL into the overlay.
     pub replayed_inserts: usize,
-    /// Page images re-applied from the WAL (committed-merge redo).
-    pub redone_pages: usize,
 }
 
 /// A crash-safe, insert-capable, larger-than-memory S³ index.
 #[derive(Debug)]
 pub struct DurableIndex {
-    pages: Arc<DynPages>,
+    data: Arc<DynStorage>,
+    /// The live generation's root.
+    root: Root,
     wal: Wal<DynStorage>,
     disk: DiskIndex,
     /// Queryable overlay of unmerged inserts (empty main, same curve).
@@ -105,9 +225,10 @@ pub struct DurableIndex {
 }
 
 impl DurableIndex {
-    /// Formats `data` as an empty paged index over `curve` and opens it.
-    /// The first merge ranks the curve's axes from the records it merges,
-    /// as [`S3Index::build`] does; every later merge keeps that order.
+    /// Formats `data` as an index holding one empty generation over
+    /// `curve`, empties `wal`, and opens both. The first merge ranks the
+    /// curve's axes from the records it merges, as [`S3Index::build`] does;
+    /// every later merge keeps that order.
     pub fn create(
         data: DynStorage,
         wal: DynStorage,
@@ -115,170 +236,101 @@ impl DurableIndex {
         opts: DurableOptions,
     ) -> Result<DurableIndex, IndexError> {
         let empty = S3Index::build_on(curve.clone(), RecordBatch::new(curve.dims()));
-        let bytes = DiskIndex::encode_to_vec(&empty, opts.write_opts)?;
-        let pages = PageStore::create(data, opts.page_size)?;
-        let cap = pages.payload_capacity();
-        for (i, chunk) in bytes.chunks(cap).enumerate() {
-            pages.write_page(i as u64 + 1, 0, chunk)?;
-        }
-        pages.set_meta(PageMeta {
-            page_size: opts.page_size,
-            data_len: bytes.len() as u64,
-            n_pages: bytes.len().div_ceil(cap) as u64,
+        let bytes = DiskIndex::encode_to_vec(&empty, opts.write_opts(&empty))?;
+        let root = Root {
             generation: 0,
-            checkpoint_lsn: 0,
-        })?;
-        pages.sync()?;
+            offset: ROOT_BYTES,
+            len: bytes.len() as u64,
+            covered_lsn: 0,
+        };
+        data.truncate(0)?;
+        publish(&data, &root, &bytes)?;
+        wal.truncate(0)?;
         let (wal, _) = Wal::open(wal, 0)?;
         Self::assemble(
-            Arc::new(pages),
+            Arc::new(data),
+            root,
             wal,
             opts,
             Vec::new(),
-            RecoveryReport {
-                outcome: MergeOutcome::Completed,
-                replayed_inserts: 0,
-                redone_pages: 0,
-            },
+            MergeOutcome::Completed,
         )
     }
 
-    /// Opens an existing paged index, running WAL recovery: a committed
-    /// but unapplied merge is redone from its logged page images; an
-    /// uncommitted merge is rolled back; acknowledged inserts not covered
-    /// by a committed merge are replayed into the overlay. After `open`
-    /// returns, query results are bit-identical to what an uncrashed run
-    /// would produce over the acknowledged writes.
+    /// Opens an existing index, running recovery: the newest valid root
+    /// names the live generation, and the acknowledged inserts the WAL
+    /// holds above its covered LSN are replayed into the overlay. A root
+    /// slot that fails its CRC is a torn publish only when the WAL starts
+    /// right after the live root's covered LSN — the inserts the torn merge
+    /// was folding in; otherwise it is corruption and `open` returns
+    /// [`IndexError::Format`] rather than fall back to an older generation.
+    /// After `open` returns, query results are bit-identical to what an
+    /// uncrashed run would produce over the acknowledged writes.
     pub fn open(
         data: DynStorage,
         wal: DynStorage,
         opts: DurableOptions,
     ) -> Result<DurableIndex, IndexError> {
-        let (pages, meta_reinit) = PageStore::open_or_reinit(data, opts.page_size)?;
-        let meta = pages.meta();
-        let (mut wal, records) = Wal::open(wal, meta.checkpoint_lsn)?;
-
-        let last_commit = records
-            .iter()
-            .rposition(|(_, r)| matches!(r, WalRecord::MergeCommit { .. }));
-        let last_begin = records
-            .iter()
-            .rposition(|(_, r)| matches!(r, WalRecord::MergeBegin { .. }));
-
-        let mut redone_pages = 0usize;
+        let (root, torn) = read_roots(&data)?;
+        let (mut wal, records) = Wal::open(wal, root.covered_lsn)?;
         let mut outcome = MergeOutcome::Completed;
-
-        if meta_reinit && last_commit.is_none() {
-            // The meta page is only rewritten after a merge commit is
-            // durable, so a torn meta page without its commit record in
-            // the WAL means the file is corrupt beyond the crash model.
-            return Err(IndexError::Format {
-                detail: "torn meta page but the WAL holds no committed merge".into(),
-            });
-        }
-
-        if let Some(c) = last_commit {
-            let commit_lsn = records[c].0;
-            let WalRecord::MergeCommit { generation } = records[c].1 else {
-                unreachable!("rposition found a MergeCommit");
-            };
-            if commit_lsn > meta.checkpoint_lsn {
-                // Committed but (possibly) not fully applied: redo every
-                // page image of this merge. Whole-page writes make the
-                // redo idempotent — pages already at the image LSN are
-                // simply rewritten with identical bytes.
-                let begin = records[..c]
-                    .iter()
-                    .rposition(|(_, r)| {
-                        matches!(r, WalRecord::MergeBegin { generation: g, .. } if *g == generation)
-                    })
-                    .ok_or_else(|| IndexError::Format {
-                        detail: "WAL holds a MergeCommit without its MergeBegin".into(),
-                    })?;
-                let WalRecord::MergeBegin {
-                    n_pages, data_len, ..
-                } = records[begin].1
-                else {
-                    unreachable!("rposition found a MergeBegin");
-                };
-                for (lsn, r) in &records[begin + 1..c] {
-                    if let WalRecord::PageImage { page_id, payload } = r {
-                        pages.write_page(*page_id, *lsn, payload)?;
-                        redone_pages += 1;
-                    }
-                }
-                pages.set_meta(PageMeta {
-                    page_size: meta.page_size,
-                    data_len,
-                    n_pages,
-                    generation,
-                    checkpoint_lsn: commit_lsn,
-                })?;
-                pages.sync()?;
-                outcome = MergeOutcome::Replayed;
+        if torn {
+            if records.first().map(|(lsn, _)| *lsn) != Some(root.covered_lsn + 1) {
+                return Err(IndexError::Format {
+                    detail: "a root slot fails its CRC outside a publish".into(),
+                });
             }
-        }
-        if last_begin.is_some() && last_begin > last_commit {
-            // The most recent merge never committed: the pre-merge
-            // generation stands and its partial log is dead weight.
             outcome = MergeOutcome::RolledBack;
         }
-
-        // Acknowledged inserts not covered by a committed merge: everything
-        // after the last commit record (earlier inserts were merge input).
-        let replay_from = last_commit.map_or(0, |c| c + 1);
-        let inserts: Vec<(Vec<u8>, u32, u32)> = records[replay_from..]
+        // Inserts the live generation already covers — its publish finished,
+        // the WAL truncate did not — are a prefix of the log.
+        let covered = records
             .iter()
-            .filter_map(|(_, r)| match r {
-                WalRecord::Insert { fp, id, tc } => Some((fp.clone(), *id, *tc)),
-                _ => None,
-            })
-            .collect();
-
-        if outcome == MergeOutcome::Replayed && inserts.is_empty() {
-            // The redone merge is durable and nothing is pending, so the
-            // interrupted merge's final step — the checkpoint — can run.
-            wal.checkpoint()?;
+            .take_while(|(lsn, _)| *lsn <= root.covered_lsn)
+            .count();
+        if covered > 0 {
+            outcome = MergeOutcome::Replayed;
+            if covered == records.len() {
+                wal.checkpoint()?;
+            }
         }
-
-        Self::assemble(
-            Arc::new(pages),
-            wal,
-            opts,
-            inserts,
-            RecoveryReport {
-                outcome,
-                replayed_inserts: 0,
-                redone_pages,
-            },
-        )
+        let inserts = records
+            .into_iter()
+            .skip(covered)
+            .map(|(_, WalRecord::Insert { fp, id, tc })| (fp, id, tc))
+            .collect();
+        Self::assemble(Arc::new(data), root, wal, opts, inserts, outcome)
     }
 
     fn assemble(
-        pages: Arc<DynPages>,
+        data: Arc<DynStorage>,
+        root: Root,
         wal: Wal<DynStorage>,
         opts: DurableOptions,
         inserts: Vec<(Vec<u8>, u32, u32)>,
-        mut recovery: RecoveryReport,
+        outcome: MergeOutcome,
     ) -> Result<DurableIndex, IndexError> {
-        let disk = DiskIndex::open_storage(Box::new(DataPages::new(Arc::clone(&pages))))?;
+        let disk = open_generation(&data, &root)?;
         let curve = disk.curve().clone();
         let mut mem = DynamicIndex::empty(curve.clone(), 1.0);
         let mut pending = RecordBatch::new(curve.dims());
-        recovery.replayed_inserts = inserts.len();
         for (fp, id, tc) in &inserts {
             mem.insert(fp, *id, *tc);
             pending.push(fp, *id, *tc);
         }
         Ok(DurableIndex {
-            pages,
+            data,
+            root,
             wal,
             disk,
             mem,
             pending,
             opts,
             curve,
-            recovery,
+            recovery: RecoveryReport {
+                outcome,
+                replayed_inserts: inserts.len(),
+            },
             merges: 0,
         })
     }
@@ -304,10 +356,16 @@ impl DurableIndex {
         Ok(())
     }
 
-    /// Merges the overlay into the on-disk index via the WAL redo
-    /// protocol. Crash-safe at every byte: the commit point is the fsync
-    /// of the `MergeCommit` record — before it the merge rolls back on
-    /// reopen, after it the merge is redone from the logged page images.
+    /// Merges the overlay into a new generation and publishes it.
+    /// Crash-safe at every byte: the commit point is the fsync after the
+    /// root slot write — before it the old generation stands and the WAL
+    /// replays the overlay on reopen, after it the new generation is live.
+    ///
+    /// The new generation goes at the front of the data storage when it
+    /// fits before the live one, else right after it; it never overlaps
+    /// the live generation. Once a front-placed generation is published,
+    /// the storage is cut to its end, so it never holds more than the root
+    /// slots and three generations.
     pub fn merge(&mut self) -> Result<MergeOutcome, IndexError> {
         if self.pending.is_empty() {
             return Ok(MergeOutcome::Completed);
@@ -328,49 +386,31 @@ impl DurableIndex {
         } else {
             S3Index::build_on(self.curve.clone(), all)
         };
-        let bytes = DiskIndex::encode_to_vec(&merged, self.opts.write_opts)?;
+        let bytes = DiskIndex::encode_to_vec(&merged, self.opts.write_opts(&merged))?;
         drop(merged);
-        let cap = self.pages.payload_capacity();
-        let meta = self.pages.meta();
-        let generation = meta.generation + 1;
-        let n_pages = bytes.len().div_ceil(cap) as u64;
+        let len = bytes.len() as u64;
+        let offset = if ROOT_BYTES + len <= self.root.offset {
+            ROOT_BYTES
+        } else {
+            self.root.end()
+        };
+        let root = Root {
+            generation: self.root.generation + 1,
+            offset,
+            len,
+            covered_lsn: self.wal.next_lsn() - 1,
+        };
+        publish(&self.data, &root, &bytes)?;
+        drop(bytes);
 
-        // Log the whole merge, then fsync: the commit point.
-        self.wal.append(&WalRecord::MergeBegin {
-            generation,
-            n_pages,
-            data_len: bytes.len() as u64,
-        })?;
-        let mut image_lsns = Vec::with_capacity(n_pages as usize);
-        for (i, chunk) in bytes.chunks(cap).enumerate() {
-            let lsn = self.wal.append(&WalRecord::PageImage {
-                page_id: i as u64 + 1,
-                payload: chunk.to_vec(),
-            })?;
-            image_lsns.push(lsn);
-        }
-        let commit_lsn = self.wal.append(&WalRecord::MergeCommit { generation })?;
-        self.wal.sync()?;
-
-        // Apply: page writes, then the meta page, then fsync.
-        for (i, chunk) in bytes.chunks(cap).enumerate() {
-            self.pages.write_page(i as u64 + 1, image_lsns[i], chunk)?;
-        }
-        let data_len = bytes.len() as u64;
-        drop((bytes, image_lsns));
-        self.pages.set_meta(PageMeta {
-            page_size: meta.page_size,
-            data_len,
-            n_pages,
-            generation,
-            checkpoint_lsn: commit_lsn,
-        })?;
-        self.pages.sync()?;
-
-        // The merge is durable and applied: swap the reader over the new
-        // generation and retire the log.
-        self.disk = DiskIndex::open_storage(Box::new(DataPages::new(Arc::clone(&self.pages))))?;
+        // The generation is live: retire the log, drop what lies past a
+        // front-placed generation, and swap the reader over.
+        self.root = root;
         self.wal.checkpoint()?;
+        if offset == ROOT_BYTES {
+            self.data.truncate(root.end())?;
+        }
+        self.disk = open_generation(&self.data, &root)?;
         self.curve = self.disk.curve().clone();
         self.mem = DynamicIndex::empty(self.curve.clone(), 1.0);
         self.pending = RecordBatch::new(self.curve.dims());
@@ -447,7 +487,7 @@ impl DurableIndex {
         self.pending.len()
     }
 
-    /// Durable merges completed by this handle (recovery redo excluded).
+    /// Durable merges completed by this handle.
     pub fn merges(&self) -> usize {
         self.merges
     }
@@ -463,21 +503,13 @@ impl DurableIndex {
         &self.curve
     }
 
-    /// Current page-store metadata (generation, page counts, LSNs).
-    pub fn page_meta(&self) -> PageMeta {
-        self.pages.meta()
-    }
-
     /// A point-in-time snapshot of the whole engine's observable state —
     /// what the flight recorder stamps into incident dumps.
     pub fn engine_state(&self) -> EngineState {
-        let meta = self.pages.meta();
         EngineState {
-            generation: meta.generation,
-            checkpoint_lsn: meta.checkpoint_lsn,
-            n_pages: meta.n_pages,
-            data_len: meta.data_len,
-            page_size: meta.page_size,
+            generation: self.root.generation,
+            checkpoint_lsn: self.root.covered_lsn,
+            data_len: self.root.len,
             wal_len: self.wal.len(),
             wal_next_lsn: self.wal.next_lsn(),
             pending: self.pending.len(),
@@ -491,16 +523,12 @@ impl DurableIndex {
 /// Observable storage-engine state (see [`DurableIndex::engine_state`]).
 #[derive(Clone, Copy, Debug)]
 pub struct EngineState {
-    /// Pager generation (bumped per applied merge).
+    /// Live generation (bumped per published merge).
     pub generation: u64,
-    /// Durable checkpoint LSN from the meta page.
+    /// Highest WAL LSN the live generation covers.
     pub checkpoint_lsn: u64,
-    /// Data pages in the paged file.
-    pub n_pages: u64,
-    /// Logical bytes of the serialized index stream.
+    /// Bytes of the live generation's serialized index stream.
     pub data_len: u64,
-    /// Page size of the file.
-    pub page_size: u32,
     /// WAL tail: bytes appended since the last checkpoint.
     pub wal_len: u64,
     /// LSN the next WAL append will carry.
@@ -521,7 +549,7 @@ mod tests {
     use crate::distortion::{CountingModel, IsotropicNormal};
     use crate::filter::select_blocks_stat;
     use crate::index::{Match, QueryStats};
-    use crate::storage::{MemStorage, SharedMemStorage};
+    use crate::storage::{MemStorage, SharedMemStorage, Storage};
 
     fn curve() -> HilbertCurve {
         HilbertCurve::new(4, 8).unwrap()
@@ -532,10 +560,7 @@ mod tests {
     }
 
     fn opts_small() -> DurableOptions {
-        DurableOptions {
-            page_size: 256,
-            ..DurableOptions::default()
-        }
+        DurableOptions::default()
     }
 
     fn boxed(s: &SharedMemStorage) -> Box<dyn WritableStorage> {
@@ -611,15 +636,15 @@ mod tests {
         let stat = idx.stat_query_batch(&refs, &model, &opts, 1 << 20).unwrap();
         assert_eq!(stat.matches.len(), 15);
 
-        // Merged, and again once reopened, the pages answer exactly as a flat
-        // file of the same records does.
+        // Merged, and again once reopened, the generation answers exactly as a
+        // flat file of the same records does.
         idx.merge().unwrap();
         let mut all = RecordBatch::new(4);
         for i in 0..15 {
             all.push(&fp(i), i, i);
         }
         let flat_index = S3Index::build_on(idx.curve().clone(), all);
-        let bytes = DiskIndex::encode_to_vec(&flat_index, opts_small().write_opts).unwrap();
+        let bytes = DiskIndex::encode_to_vec(&flat_index, WriteOpts::default()).unwrap();
         let flat = DiskIndex::open_storage(Box::new(MemStorage::new(bytes))).unwrap();
         let want_stat = flat
             .stat_query_batch(&refs, &model, &opts, 1 << 20)
@@ -778,5 +803,128 @@ mod tests {
             };
             assert_eq!(ids(&batch.matches[qi]), ids(&want.matches), "query {qi}");
         }
+    }
+
+    /// Inserts `range` as records `(fp(i), i, i)`.
+    fn insert_all(idx: &mut DurableIndex, range: std::ops::Range<u32>) {
+        for i in range {
+            idx.insert(&fp(i), i, i).unwrap();
+        }
+    }
+
+    /// Flips one bit of the root slot generation `generation` was
+    /// published in.
+    fn flip_root_bit(data: &SharedMemStorage, generation: u64) {
+        let off = Root::slot_offset(generation) + 13;
+        let mut byte = [0u8];
+        data.read_at(off, &mut byte).unwrap();
+        data.write_at(off, &[byte[0] ^ 0x10]).unwrap();
+    }
+
+    #[test]
+    fn bit_flip_in_the_newer_root_is_an_error_not_the_older_generation() {
+        let data = SharedMemStorage::new();
+        let wal = SharedMemStorage::new();
+        let mut idx =
+            DurableIndex::create(boxed(&data), boxed(&wal), curve(), opts_small()).unwrap();
+        insert_all(&mut idx, 0..20);
+        idx.merge().unwrap();
+        insert_all(&mut idx, 20..30);
+        idx.merge().unwrap();
+        let older = idx.root;
+        insert_all(&mut idx, 30..45);
+        idx.merge().unwrap();
+        assert_eq!((older.generation, idx.root.generation), (2, 3));
+        // The older generation is still whole beside the newer one, so
+        // falling back to it would "work".
+        assert!(older.end() <= idx.root.offset);
+        drop(idx);
+
+        // Truncated WAL, then with inserts past the newer root in it.
+        flip_root_bit(&data, 3);
+        let err = DurableIndex::open(boxed(&data), boxed(&wal), opts_small()).unwrap_err();
+        assert!(matches!(err, IndexError::Format { .. }), "{err:?}");
+        flip_root_bit(&data, 3);
+        let mut idx = DurableIndex::open(boxed(&data), boxed(&wal), opts_small()).unwrap();
+        assert_eq!(idx.len(), 45);
+        insert_all(&mut idx, 45..50);
+        drop(idx);
+        flip_root_bit(&data, 3);
+        let err = DurableIndex::open(boxed(&data), boxed(&wal), opts_small()).unwrap_err();
+        assert!(matches!(err, IndexError::Format { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn torn_newer_root_opens_the_older_generation_and_replays_the_wal() {
+        let data = SharedMemStorage::new();
+        let wal = SharedMemStorage::new();
+        let mut idx =
+            DurableIndex::create(boxed(&data), boxed(&wal), curve(), opts_small()).unwrap();
+        insert_all(&mut idx, 0..20);
+        idx.merge().unwrap();
+        insert_all(&mut idx, 20..30);
+        let (data_before, wal_before) = (data.snapshot(), wal.snapshot());
+        idx.merge().unwrap();
+        assert_eq!(idx.root.generation, 2);
+        drop(idx);
+
+        // The kill landed half the new root slot: the new generation's bytes
+        // are in place, the WAL still holds the ten inserts it merged.
+        let slot = Root::slot_offset(2) as usize;
+        let mut torn = data.snapshot();
+        torn[slot + SLOT_LEN / 2..slot + SLOT_LEN]
+            .copy_from_slice(&data_before[slot + SLOT_LEN / 2..slot + SLOT_LEN]);
+        let (data, wal) = (
+            SharedMemStorage::from_bytes(torn),
+            SharedMemStorage::from_bytes(wal_before),
+        );
+        let reopened = DurableIndex::open(boxed(&data), boxed(&wal), opts_small()).unwrap();
+        let rep = reopened.recovery();
+        assert_eq!(
+            (rep.outcome, rep.replayed_inserts),
+            (MergeOutcome::RolledBack, 10)
+        );
+        assert_eq!((reopened.disk_len(), reopened.pending_len()), (20, 10));
+        assert_eq!(reopened.engine_state().generation, 1);
+        let queries: Vec<Vec<u8>> = (0..30).map(fp).collect();
+        let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
+        let batch = reopened.range_query_batch(&refs, 0.5, 8, 1 << 20).unwrap();
+        for (i, matches) in batch.matches.iter().enumerate() {
+            assert!(matches.iter().any(|m| m.id == i as u32), "query {i}");
+        }
+    }
+
+    #[test]
+    fn storage_holds_at_most_three_generations() {
+        let data = SharedMemStorage::new();
+        let wal = SharedMemStorage::new();
+        let mut idx =
+            DurableIndex::create(boxed(&data), boxed(&wal), curve(), opts_small()).unwrap();
+        assert!(
+            idx.root.len < 1024,
+            "the empty generation carries no full table"
+        );
+        let (mut largest, mut front_cuts, mut i) = (idx.root.len, 0, 0u32);
+        while idx.merges() < 41 {
+            idx.insert(&i.wrapping_mul(0x9E37_79B9).to_le_bytes(), i, i)
+                .unwrap();
+            i += 1;
+            if idx.pending_len() > 0 {
+                continue;
+            }
+            largest = largest.max(idx.root.len);
+            let len = data.len().unwrap();
+            assert!(
+                len <= ROOT_BYTES + 3 * largest,
+                "merge {}: {len} bytes stored, largest generation {largest}",
+                idx.merges()
+            );
+            if idx.root.offset == ROOT_BYTES {
+                assert_eq!(len, idx.root.end(), "cut to a front-placed generation");
+                front_cuts += 1;
+            }
+        }
+        assert!(front_cuts >= 5, "{front_cuts} front-placed generations");
+        assert_eq!(idx.disk_len(), u64::from(i));
     }
 }

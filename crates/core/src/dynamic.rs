@@ -23,19 +23,20 @@ use s3_hilbert::HilbertCurve;
 ///
 /// In-memory merges always complete; the rolled-back and replayed variants
 /// are produced by [`crate::durable::DurableIndex`] when it reopens after a
-/// crash and finds an interrupted merge in the write-ahead log. Each
-/// outcome is counted as `dynamic.merge.{ok,rolled_back,replayed}`.
+/// crash that cut a merge's publish short. Completed merges are counted as
+/// `dynamic.merge.ok`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MergeOutcome {
-    /// The merge ran to completion (for durable indexes: committed,
-    /// applied, and checkpointed).
+    /// The merge ran to completion (for durable indexes: published and its
+    /// WAL truncated), or recovery found no merge interrupted.
     Completed,
-    /// An interrupted merge was discarded at recovery: no commit record
-    /// reached the log, so the pre-merge generation stands and the overlay
-    /// records stay pending.
+    /// Recovery found a torn root slot: the publish of a new generation was
+    /// cut short, so the previous generation stands and the WAL replays the
+    /// merge's records into the overlay.
     RolledBack,
-    /// A committed but incompletely applied merge was re-applied
-    /// idempotently from WAL page images at recovery.
+    /// Recovery found the newest generation published but the WAL not yet
+    /// truncated: the inserts that generation covers were dropped and the
+    /// truncate finished.
     Replayed,
 }
 

@@ -198,6 +198,18 @@ pub(crate) fn prefix_of(curve: &HilbertCurve, key: &Key256) -> u64 {
     key.digit(curve.key_bits() - bits, bits)
 }
 
+/// Depth of the slot table over `n_records` records on `curve`: about one
+/// slot per 16 records, capped to keep the table small and within the key
+/// width. The in-memory [`SlotTable`] and every generation a durable index
+/// writes take their depth from here.
+pub(crate) fn slot_depth(curve: &HilbertCurve, n_records: usize) -> u32 {
+    (n_records / 16)
+        .next_power_of_two()
+        .trailing_zeros()
+        .clamp(1, 20)
+        .min(curve.key_bits())
+}
+
 /// Where each key slot of a sorted run starts: `first[s]` is the first
 /// record whose key has top bits ≥ `s` — O(1) coarse range location.
 #[derive(Clone, Debug)]
@@ -208,14 +220,9 @@ pub(crate) struct SlotTable {
 }
 
 impl SlotTable {
-    /// The table of `prefixes` (sorted, on `curve`), about one slot per 16
-    /// records, capped to keep the table small and within the key width.
+    /// The table of `prefixes` (sorted, on `curve`), [`slot_depth`] deep.
     fn new(curve: &HilbertCurve, prefixes: &[u64]) -> SlotTable {
-        let depth = (prefixes.len() / 16)
-            .next_power_of_two()
-            .trailing_zeros()
-            .clamp(1, 20)
-            .min(curve.key_bits());
+        let depth = slot_depth(curve, prefixes.len());
         let slots = 1usize << depth;
         let shift = prefix_bits(curve) - depth;
         let mut first = vec![0u32; slots + 1];

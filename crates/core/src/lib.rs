@@ -69,7 +69,6 @@ pub mod index;
 pub mod kernels;
 pub mod knn;
 pub mod metrics;
-pub mod pager;
 pub mod parallel;
 mod plan;
 pub mod pseudo_disk;
@@ -92,7 +91,6 @@ pub use fingerprint::{dist, dist_sq, Record, RecordBatch, PAPER_DIMS};
 pub use index::{FilterAlgo, Match, QueryResult, QueryStats, Refine, S3Index, StatQueryOpts};
 pub use kernels::dist_sq_within;
 pub use metrics::CoreMetrics;
-pub use pager::{DataPages, Page, PageMeta, PageStore, DEFAULT_PAGE_SIZE, PAGE_HEADER_LEN};
 pub use pseudo_disk::{DiskIndex, RetryPolicy, WriteOpts};
 pub use resilience::{
     next_query_id, system_clock, BreakerConfig, CancelCause, CancelToken, Clock, Deadline,
@@ -103,6 +101,6 @@ pub use shard::{HedgeConfig, ShardPlan, ShardedBatchResult, ShardedIndex, Sharde
 pub use sketch::{Sketch, SketchParams};
 pub use storage::{
     CrashSwitch, FaultPlan, FaultStats, FaultyStorage, FileRwStorage, FileStorage, MemStorage,
-    SharedMemStorage, Storage, WritableStorage,
+    OffsetView, SharedMemStorage, Storage, WritableStorage,
 };
 pub use wal::{Wal, WalRecord};

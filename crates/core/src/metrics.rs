@@ -56,10 +56,6 @@ pub struct CoreMetrics {
     /// `resilience.deadline_exceeded` — batch deadlines that expired
     /// (counted once per deadline, at the expiry transition).
     pub deadline_exceeded: Counter,
-    /// `calibration.drift` — last predicted−observed gap, basis points
-    /// (large positive drift ⇒ the distortion model over-estimates how much
-    /// data the blocks hold; negative ⇒ the blocks are denser than modeled).
-    pub calibration_drift: Gauge,
     /// `calibration.alpha_violations` — queries whose *achieved* predicted
     /// mass fell below the α their filter could reach (the paper's capture
     /// invariant, violated by truncation or degradation — never by a query
@@ -107,7 +103,6 @@ impl CoreMetrics {
                 mass_cache_hits: r.counter("filter.mass_cache.hits"),
                 mass_cache_misses: r.counter("filter.mass_cache.misses"),
                 deadline_exceeded: r.counter("resilience.deadline_exceeded"),
-                calibration_drift: r.gauge("calibration.drift"),
                 calibration_alpha_violations: r.counter("calibration.alpha_violations"),
                 bufferpool_hits: r.counter("bufferpool.hits"),
                 bufferpool_misses: r.counter("bufferpool.misses"),
@@ -121,26 +116,12 @@ impl CoreMetrics {
         })
     }
 
-    /// Records one query's selectivity calibration: the filter's achieved
-    /// predicted mass vs. the fraction of the database refinement actually
-    /// scanned, as a gap in basis points. `target` is the mass the filter
-    /// aimed at ([`QueryStats::target`]); capturing less counts a
-    /// `calibration.alpha_violations`.
-    pub fn record_calibration(
-        &self,
-        predicted_mass: f64,
-        target: f64,
-        entries_scanned: usize,
-        db_records: usize,
-    ) {
-        if !predicted_mass.is_finite() || db_records == 0 {
-            return; // geometric filters and empty databases don't calibrate
-        }
-        let pred_bp = (predicted_mass.clamp(0.0, 1.0) * 10_000.0).round();
-        let observed = entries_scanned as f64 / db_records as f64;
-        let obs_bp = (observed.clamp(0.0, 1.0) * 10_000.0).round();
-        self.calibration_drift.set(pred_bp - obs_bp);
-        if missed_target(predicted_mass, target) {
+    /// Records one query's calibration: `target` is the mass the filter
+    /// aimed at ([`QueryStats::target`]); achieving less counts a
+    /// `calibration.alpha_violations`. Geometric filters (no finite mass)
+    /// and empty databases calibrate nothing.
+    pub fn record_calibration(&self, predicted_mass: f64, target: f64, db_records: usize) {
+        if predicted_mass.is_finite() && db_records > 0 && missed_target(predicted_mass, target) {
             self.calibration_alpha_violations.inc();
         }
     }

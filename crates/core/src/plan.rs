@@ -286,20 +286,14 @@ pub(crate) fn tally_blocks(
 }
 
 /// Folds one finished query into the registry: its work counters, its
-/// latency, and the always-on selectivity calibration — the filter's
-/// achieved mass against the fraction of the `n_records` refinement
-/// actually visited, the paper's capture invariant, live (geometric queries
-/// carry no mass and calibrate nothing). Called once per logical query, by
-/// the epilogue of the engine the caller entered: a scan records nothing.
+/// latency, and whether the filter's achieved mass reached the target it
+/// aimed at over the engine's `n_records` (geometric queries carry no mass
+/// and calibrate nothing). Called once per logical query, by the epilogue
+/// of the engine the caller entered: a scan records nothing.
 fn fold_query(stats: &QueryStats, latency: Duration, n_records: u64) {
     let metrics = CoreMetrics::get();
     metrics.record_query(stats, latency);
-    metrics.record_calibration(
-        stats.mass,
-        stats.target,
-        stats.entries_scanned,
-        n_records as usize,
-    );
+    metrics.record_calibration(stats.mass, stats.target, n_records as usize);
 }
 
 /// Every span emitted while a query or a batch runs carries one query id —

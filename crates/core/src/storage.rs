@@ -62,6 +62,39 @@ impl<S: Storage + ?Sized> Storage for Box<S> {
     }
 }
 
+/// The `len` bytes of `inner` that start at `offset`, as a storage of their
+/// own: how a durable index reads its live generation out of the data
+/// storage that also holds its root slots and older generations. A read
+/// that would leave the view is `UnexpectedEof`, whatever lies beyond it.
+#[derive(Debug)]
+pub struct OffsetView<S> {
+    inner: S,
+    offset: u64,
+    len: u64,
+}
+
+impl<S> OffsetView<S> {
+    /// Views `len` bytes of `inner` from `offset`.
+    pub fn new(inner: S, offset: u64, len: u64) -> OffsetView<S> {
+        OffsetView { inner, offset, len }
+    }
+}
+
+impl<S: Storage> Storage for OffsetView<S> {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        let at = offset
+            .checked_add(buf.len() as u64)
+            .filter(|&end| end <= self.len)
+            .and_then(|_| self.offset.checked_add(offset))
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "read past end of view"))?;
+        self.inner.read_at(at, buf)
+    }
+
+    fn len(&self) -> io::Result<u64> {
+        Ok(self.len)
+    }
+}
+
 /// The little-endian `u32` at the start of `bytes` (the header fields of
 /// the index and sketch formats).
 pub(crate) fn le_u32(bytes: &[u8]) -> u32 {
@@ -104,12 +137,13 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 /// Random-access byte storage that can also be mutated and made durable —
-/// the contract the paged storage engine ([`crate::pager::PageStore`]) and
-/// the write-ahead log ([`crate::wal::Wal`]) write through.
+/// the contract the durable index's data storage
+/// ([`crate::durable::DurableIndex`]) and the write-ahead log
+/// ([`crate::wal::Wal`]) write through.
 ///
 /// Like [`Storage`], methods take `&self`: writers are serialized above
-/// this layer (the pager and WAL each own their storage), so backends only
-/// need interior mutability, not `&mut`.
+/// this layer (the durable index and the WAL each own their storage), so
+/// backends only need interior mutability, not `&mut`.
 pub trait WritableStorage: Storage {
     /// Writes `buf` at `offset`, extending the storage if the range ends
     /// past the current length. A short write is an error: either every
@@ -153,7 +187,7 @@ impl<S: WritableStorage + ?Sized> WritableStorage for Box<S> {
 
 /// Production read-write storage: a file opened (and created if absent)
 /// for positioned reads and writes. The durable counterpart of
-/// [`FileStorage`], used by the pager and the WAL.
+/// [`FileStorage`], used by the durable index and the WAL.
 pub struct FileRwStorage {
     file: Mutex<File>,
     path: PathBuf,
@@ -230,10 +264,44 @@ impl WritableStorage for FileRwStorage {
 /// harness keeps one clone, lets a [`FaultyStorage`] wrapper "crash" the
 /// writer mid-operation, drops the crashed engine, and reopens a fresh
 /// engine over the surviving bytes — the moral equivalent of rebooting the
-/// machine and reading back the disk.
+/// machine and reading back the disk. The bytes live in fixed 64 KiB
+/// chunks, so growing the storage never copies what it holds and
+/// truncating it frees the chunks past the new end.
 #[derive(Clone, Debug, Default)]
 pub struct SharedMemStorage {
-    bytes: Arc<Mutex<Vec<u8>>>,
+    bytes: Arc<Mutex<Chunks>>,
+}
+
+/// Bytes of one chunk of a [`SharedMemStorage`].
+const CHUNK: usize = 1 << 16;
+
+#[derive(Debug, Default)]
+struct Chunks {
+    chunks: Vec<Box<[u8]>>,
+    len: usize,
+}
+
+impl Chunks {
+    /// Adds zeroed chunks until `len` bytes fit.
+    fn grow_to(&mut self, len: usize) {
+        while self.chunks.len() * CHUNK < len {
+            self.chunks.push(vec![0u8; CHUNK].into_boxed_slice());
+        }
+        self.len = self.len.max(len);
+    }
+
+    /// Calls `f(chunk, range in chunk, range in the caller's buffer)` for
+    /// each chunk `start..start + n` spans.
+    fn spans(start: usize, n: usize, mut f: impl FnMut(usize, Range<usize>, Range<usize>)) {
+        let mut done = 0;
+        while done < n {
+            let pos = start + done;
+            let (c, at) = (pos / CHUNK, pos % CHUNK);
+            let take = (CHUNK - at).min(n - done);
+            f(c, at..at + take, done..done + take);
+            done += take;
+        }
+    }
 }
 
 impl SharedMemStorage {
@@ -244,17 +312,25 @@ impl SharedMemStorage {
 
     /// Wraps an existing byte buffer.
     pub fn from_bytes(bytes: Vec<u8>) -> SharedMemStorage {
+        let mut b = Chunks::default();
+        b.grow_to(bytes.len());
+        Chunks::spans(0, bytes.len(), |c, r, o| {
+            b.chunks[c][r].copy_from_slice(&bytes[o])
+        });
         SharedMemStorage {
-            bytes: Arc::new(Mutex::new(bytes)),
+            bytes: Arc::new(Mutex::new(b)),
         }
     }
 
     /// A snapshot of the current contents.
     pub fn snapshot(&self) -> Vec<u8> {
-        self.lock().clone()
+        let b = self.lock();
+        let mut out = vec![0u8; b.len];
+        Chunks::spans(0, b.len, |c, r, o| out[o].copy_from_slice(&b.chunks[c][r]));
+        out
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<u8>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Chunks> {
         match self.bytes.lock() {
             Ok(b) => b,
             Err(poisoned) => poisoned.into_inner(),
@@ -264,39 +340,43 @@ impl SharedMemStorage {
 
 impl Storage for SharedMemStorage {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        let bytes = self.lock();
+        let b = self.lock();
         let start = usize::try_from(offset)
             .map_err(|_| io::Error::new(io::ErrorKind::UnexpectedEof, "offset beyond storage"))?;
-        let end = start.checked_add(buf.len()).filter(|&e| e <= bytes.len());
-        match end {
-            Some(end) => {
-                buf.copy_from_slice(&bytes[start..end]);
-                Ok(())
-            }
-            None => Err(io::Error::new(
+        if start
+            .checked_add(buf.len())
+            .filter(|&e| e <= b.len)
+            .is_none()
+        {
+            return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "read past end of storage",
-            )),
+            ));
         }
+        Chunks::spans(start, buf.len(), |c, r, o| {
+            buf[o].copy_from_slice(&b.chunks[c][r])
+        });
+        Ok(())
     }
 
     fn len(&self) -> io::Result<u64> {
-        Ok(self.lock().len() as u64)
+        Ok(self.lock().len as u64)
     }
 }
 
 impl WritableStorage for SharedMemStorage {
     fn write_at(&self, offset: u64, buf: &[u8]) -> io::Result<()> {
-        let mut bytes = self.lock();
+        let mut b = self.lock();
         let start = usize::try_from(offset)
             .map_err(|_| io::Error::other("offset beyond addressable memory"))?;
         let end = start
             .checked_add(buf.len())
             .ok_or_else(|| io::Error::other("write range overflows"))?;
-        if bytes.len() < end {
-            bytes.resize(end, 0);
-        }
-        bytes[start..end].copy_from_slice(buf);
+        b.grow_to(end);
+        let chunks = &mut b.chunks;
+        Chunks::spans(start, buf.len(), |c, r, o| {
+            chunks[c][r].copy_from_slice(&buf[o])
+        });
         Ok(())
     }
 
@@ -306,12 +386,17 @@ impl WritableStorage for SharedMemStorage {
 
     fn truncate(&self, len: u64) -> io::Result<()> {
         let len = usize::try_from(len).map_err(|_| io::Error::other("length beyond memory"))?;
-        let mut bytes = self.lock();
-        if len <= bytes.len() {
-            bytes.truncate(len);
-        } else {
-            bytes.resize(len, 0);
+        let mut b = self.lock();
+        if len < b.len {
+            // Bytes past the end stay zero, so growing again reads zeros.
+            let (keep, tail) = (len.div_ceil(CHUNK), len % CHUNK);
+            b.chunks.truncate(keep);
+            if tail > 0 {
+                b.chunks[keep - 1][tail..].fill(0);
+            }
+            b.len = len;
         }
+        b.grow_to(len);
         Ok(())
     }
 }
@@ -1194,5 +1279,105 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert_eq!(s.stats().short_reads, 1);
         s.read_at(0, &mut buf).unwrap();
+    }
+
+    #[test]
+    fn offset_view_reads_the_stream_within_its_bounds() {
+        use crate::fingerprint::RecordBatch;
+        use crate::index::S3Index;
+        use crate::pseudo_disk::{DiskIndex, WriteOpts};
+        use s3_hilbert::HilbertCurve;
+
+        let mut records = RecordBatch::new(4);
+        for i in 0..300u32 {
+            records.push(&i.wrapping_mul(0x9E37_79B9).to_le_bytes(), i % 5, i);
+        }
+        let index = S3Index::build(HilbertCurve::new(4, 8).unwrap(), records);
+        let opts = WriteOpts {
+            table_depth: 8,
+            block_size: 256,
+        };
+        let stream = DiskIndex::encode_to_vec(&index, opts).unwrap();
+        // The stream sits between other bytes, as a generation does between
+        // the root slots and an older generation.
+        let (before, after) = (vec![0xA5u8; 77], vec![0x5Au8; 300]);
+        let store = SharedMemStorage::from_bytes([&before[..], &stream, &after].concat());
+        let view = OffsetView::new(store, before.len() as u64, stream.len() as u64);
+        let len = stream.len() as u64;
+        assert_eq!(view.len().unwrap(), len);
+
+        // The first bytes, a middle stretch, up to the last byte, and the
+        // whole stream.
+        for (off, n) in [
+            (0, 10),
+            (253, 7),
+            (128, 5 * 232 + 11),
+            (len - 9, 9),
+            (0, stream.len()),
+        ] {
+            let mut buf = vec![0u8; n];
+            view.read_at(off, &mut buf).unwrap();
+            assert_eq!(buf, stream[off as usize..off as usize + n], "{off}+{n}");
+        }
+
+        // Past the end is UnexpectedEof, though the storage goes on.
+        for (off, n) in [(len - 2, 4), (len, 1), (u64::MAX, 1)] {
+            let err = view.read_at(off, &mut vec![0u8; n]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{off}+{n}");
+        }
+
+        // The reader opens the view as it opens a flat file.
+        let disk = DiskIndex::open_storage(Box::new(view)).unwrap();
+        assert_eq!(disk.len(), 300);
+        disk.verify().unwrap();
+        assert_eq!(disk.to_record_batch().unwrap().len(), 300);
+    }
+
+    #[test]
+    fn shared_mem_storage_matches_a_flat_buffer_across_chunks() {
+        let s = SharedMemStorage::new();
+        let mut model: Vec<u8> = Vec::new();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..400u32 {
+            let r = xorshift(&mut rng);
+            // Every fourth offset is a chunk boundary.
+            let at = match r % 4 {
+                0 => (r / 4 % 3) as usize * CHUNK,
+                _ => (r % (3 * CHUNK as u64)) as usize,
+            };
+            let n = (xorshift(&mut rng) % (CHUNK as u64 + 300)) as usize;
+            match r % 5 {
+                0 => {
+                    // Shrink or grow; bytes past the end read as zeros
+                    // once the storage grows over them again.
+                    s.truncate(at as u64).unwrap();
+                    model.resize(at, 0);
+                }
+                1 | 2 => {
+                    let buf: Vec<u8> = (0..n).map(|i| (i as u32 ^ step) as u8 | 1).collect();
+                    s.write_at(at as u64, &buf).unwrap();
+                    if model.len() < at + n {
+                        model.resize(at + n, 0);
+                    }
+                    model[at..at + n].copy_from_slice(&buf);
+                }
+                _ => {
+                    let mut buf = vec![0u8; n];
+                    match s.read_at(at as u64, &mut buf) {
+                        Ok(()) => assert_eq!(buf, model[at..at + n], "step {step}"),
+                        Err(e) => {
+                            assert!(at + n > model.len(), "step {step}: {e}");
+                            assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+                        }
+                    }
+                }
+            }
+            assert_eq!(s.len().unwrap(), model.len() as u64);
+        }
+        assert_eq!(s.snapshot(), model);
+        assert_eq!(
+            SharedMemStorage::from_bytes(model.clone()).snapshot(),
+            model
+        );
     }
 }

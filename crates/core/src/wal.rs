@@ -1,17 +1,11 @@
-//! Write-ahead log making overlay merges and inserts crash-safe.
+//! Write-ahead log making inserts crash-safe.
 //!
-//! The WAL is a separate append-only file of self-delimiting records.
-//! Every mutation of the durable index is logged *and fsynced* before it
-//! is acknowledged or applied:
-//!
-//! * an insert is acknowledged only after its [`WalRecord::Insert`] is on
-//!   disk — a crash at any later point replays it into the overlay;
-//! * a merge writes [`WalRecord::MergeBegin`], every page image, then
-//!   [`WalRecord::MergeCommit`], and fsyncs **before** touching a single
-//!   page of the index file. Recovery is then mechanical: a commit record
-//!   in the log means the merge logically happened — redo the page images
-//!   (idempotent, whole-page writes); no commit record means it never
-//!   happened — discard the images and keep the overlay.
+//! The WAL is a separate append-only file of self-delimiting records, one
+//! per acknowledged insert: a [`WalRecord::Insert`] is appended and fsynced
+//! before the insert returns, so a crash at any later point replays it
+//! into the overlay. Merges log nothing: a merge publishes an immutable
+//! generation whose root slot names the highest LSN it covers, and then
+//! truncates the log (see [`crate::durable`]).
 //!
 //! Each record is one `write_at` call, so every record boundary is a write
 //! boundary, which is exactly the granularity the crash-point matrix kills
@@ -32,9 +26,6 @@ use crate::storage::WritableStorage;
 use s3_obs::frame;
 
 const KIND_INSERT: u8 = 1;
-const KIND_MERGE_BEGIN: u8 = 2;
-const KIND_PAGE_IMAGE: u8 = 3;
-const KIND_MERGE_COMMIT: u8 = 4;
 
 /// One logical WAL record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,100 +39,31 @@ pub enum WalRecord {
         /// Time code.
         tc: u32,
     },
-    /// A merge is starting: the shape of the index that will replace the
-    /// current generation.
-    MergeBegin {
-        /// Generation the merge will produce.
-        generation: u64,
-        /// Data pages of the new index.
-        n_pages: u64,
-        /// Logical byte length of the new serialized index.
-        data_len: u64,
-    },
-    /// Full image of one data page of the pending merge.
-    PageImage {
-        /// Target page number in the page file (1-based; 0 is meta).
-        page_id: u64,
-        /// Complete page payload.
-        payload: Vec<u8>,
-    },
-    /// The merge is durable: all its page images precede this record.
-    MergeCommit {
-        /// Generation being committed.
-        generation: u64,
-    },
 }
 
 impl WalRecord {
-    fn kind(&self) -> u8 {
-        match self {
-            WalRecord::Insert { .. } => KIND_INSERT,
-            WalRecord::MergeBegin { .. } => KIND_MERGE_BEGIN,
-            WalRecord::PageImage { .. } => KIND_PAGE_IMAGE,
-            WalRecord::MergeCommit { .. } => KIND_MERGE_COMMIT,
-        }
-    }
-
     fn payload(&self) -> Vec<u8> {
-        match self {
-            WalRecord::Insert { fp, id, tc } => {
-                let mut p = Vec::with_capacity(4 + fp.len() + 8);
-                p.extend_from_slice(&(fp.len() as u32).to_le_bytes());
-                p.extend_from_slice(fp);
-                p.extend_from_slice(&id.to_le_bytes());
-                p.extend_from_slice(&tc.to_le_bytes());
-                p
-            }
-            WalRecord::MergeBegin {
-                generation,
-                n_pages,
-                data_len,
-            } => {
-                let mut p = Vec::with_capacity(24);
-                p.extend_from_slice(&generation.to_le_bytes());
-                p.extend_from_slice(&n_pages.to_le_bytes());
-                p.extend_from_slice(&data_len.to_le_bytes());
-                p
-            }
-            WalRecord::PageImage { page_id, payload } => {
-                let mut p = Vec::with_capacity(8 + payload.len());
-                p.extend_from_slice(&page_id.to_le_bytes());
-                p.extend_from_slice(payload);
-                p
-            }
-            WalRecord::MergeCommit { generation } => generation.to_le_bytes().to_vec(),
-        }
+        let WalRecord::Insert { fp, id, tc } = self;
+        let mut p = Vec::with_capacity(4 + fp.len() + 8);
+        p.extend_from_slice(&(fp.len() as u32).to_le_bytes());
+        p.extend_from_slice(fp);
+        p.extend_from_slice(&id.to_le_bytes());
+        p.extend_from_slice(&tc.to_le_bytes());
+        p
     }
 
     fn decode(kind: u8, payload: &[u8]) -> Option<WalRecord> {
         let u32_at = |o: usize| -> Option<u32> {
             Some(u32::from_le_bytes(payload.get(o..o + 4)?.try_into().ok()?))
         };
-        let u64_at = |o: usize| -> Option<u64> {
-            Some(u64::from_le_bytes(payload.get(o..o + 8)?.try_into().ok()?))
-        };
-        match kind {
-            KIND_INSERT => {
-                let fp_len = u32_at(0)? as usize;
-                let fp = payload.get(4..4 + fp_len)?.to_vec();
-                let id = u32_at(4 + fp_len)?;
-                let tc = u32_at(8 + fp_len)?;
-                (payload.len() == 12 + fp_len).then_some(WalRecord::Insert { fp, id, tc })
-            }
-            KIND_MERGE_BEGIN => (payload.len() == 24).then(|| WalRecord::MergeBegin {
-                generation: u64_at(0).unwrap_or(0),
-                n_pages: u64_at(8).unwrap_or(0),
-                data_len: u64_at(16).unwrap_or(0),
-            }),
-            KIND_PAGE_IMAGE => Some(WalRecord::PageImage {
-                page_id: u64_at(0)?,
-                payload: payload.get(8..)?.to_vec(),
-            }),
-            KIND_MERGE_COMMIT => (payload.len() == 8).then(|| WalRecord::MergeCommit {
-                generation: u64_at(0).unwrap_or(0),
-            }),
-            _ => None,
+        if kind != KIND_INSERT {
+            return None;
         }
+        let fp_len = u32_at(0)? as usize;
+        let fp = payload.get(4..4 + fp_len)?.to_vec();
+        let id = u32_at(4 + fp_len)?;
+        let tc = u32_at(8 + fp_len)?;
+        (payload.len() == 12 + fp_len).then_some(WalRecord::Insert { fp, id, tc })
     }
 }
 
@@ -161,8 +83,8 @@ pub struct Wal<S> {
 impl<S: WritableStorage> Wal<S> {
     /// Opens the log: scans the valid record prefix, truncates any torn
     /// tail, and returns the surviving records with their LSNs.
-    /// `checkpoint_lsn` is the page file's durable watermark — LSNs resume
-    /// strictly above both it and anything found in the log.
+    /// `checkpoint_lsn` is the highest LSN the live generation covers —
+    /// LSNs resume strictly above both it and anything found in the log.
     pub fn open(storage: S, checkpoint_lsn: u64) -> io::Result<(Wal<S>, RecoveredRecords)> {
         let mut bytes = vec![0u8; storage.len()? as usize];
         storage.read_at(0, &mut bytes)?;
@@ -196,7 +118,7 @@ impl<S: WritableStorage> Wal<S> {
     /// until [`Wal::sync`].
     pub fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
         let lsn = self.next_lsn;
-        let frame = frame::encode(&[&[record.kind()], &lsn.to_le_bytes(), &record.payload()]);
+        let frame = frame::encode(&[&[KIND_INSERT], &lsn.to_le_bytes(), &record.payload()]);
         self.storage.write_at(self.end, &frame)?;
         self.end += frame.len() as u64;
         self.next_lsn += 1;
@@ -214,7 +136,7 @@ impl<S: WritableStorage> Wal<S> {
     }
 
     /// Discards the log after its effects became durable elsewhere. LSNs
-    /// keep climbing — the page file's `checkpoint_lsn` carries them across.
+    /// keep climbing — the published root's covered LSN carries them across.
     pub fn checkpoint(&mut self) -> io::Result<()> {
         self.storage.truncate(0)?;
         self.storage.sync()?;
@@ -245,23 +167,13 @@ mod tests {
     use crate::storage::SharedMemStorage;
 
     fn sample() -> Vec<WalRecord> {
-        vec![
-            WalRecord::Insert {
-                fp: vec![1, 2, 3, 4],
-                id: 7,
-                tc: 99,
-            },
-            WalRecord::MergeBegin {
-                generation: 2,
-                n_pages: 3,
-                data_len: 1000,
-            },
-            WalRecord::PageImage {
-                page_id: 1,
-                payload: vec![0xAA; 100],
-            },
-            WalRecord::MergeCommit { generation: 2 },
-        ]
+        (0..4u8)
+            .map(|i| WalRecord::Insert {
+                fp: vec![i; 4 + 20 * usize::from(i)],
+                id: u32::from(i) * 7,
+                tc: 99 + u32::from(i),
+            })
+            .collect()
     }
 
     #[test]

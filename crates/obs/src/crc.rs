@@ -1,12 +1,12 @@
 //! CRC-32 (IEEE 802.3, the polynomial used by zip/gzip/png) for every
 //! checksummed on-disk format of the workspace — re-exported as
-//! `s3_core::crc` — the index, sketch, WAL, pager and reference-database
-//! files.
+//! `s3_core::crc` — the index, sketch, WAL, durable root slots and
+//! reference-database files.
 //!
 //! Dependency-free and table-driven: slice-by-16 (Kounavis & Berry, ISCC
 //! 2005) consumes 16 bytes per step through 16 tables derived at compile
 //! time, and the bytewise loop finishes the tail. Every pseudo-disk section
-//! read, pager page and WAL frame is verified here, so its speed is most of
+//! read, root slot and WAL frame is verified here, so its speed is most of
 //! the load term of a batch: on an AMD EPYC core the bytewise loop alone
 //! runs at 0.55 GB/s and slice-by-16 at 3.0–3.2 GB/s
 //! (`docs/performance.md`, "Checksum kernel"). Same polynomial, same bits:

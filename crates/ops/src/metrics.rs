@@ -43,16 +43,6 @@ pub fn default_health_rules() -> Vec<HealthRule> {
             Bounds::at_most(0.5),
         )
         .min_count(2),
-        // Calibration drift (predicted − observed selectivity, basis
-        // points): the distortion model drifting far from reality breaks
-        // the paper's α capture guarantee in either direction.
-        HealthRule::new(
-            "calibration-drift",
-            Signal::GaugeValue("calibration.drift"),
-            Duration::from_secs(300),
-            Bounds::within(-2500.0, 2500.0),
-        )
-        .critical(Bounds::within(-6000.0, 6000.0)),
     ]
 }
 
@@ -68,12 +58,7 @@ mod tests {
         let names: Vec<&str> = rules.iter().map(|r| r.name).collect();
         assert_eq!(
             names,
-            [
-                "wal-checkpoint-lag",
-                "storage-fault-rate",
-                "deadline-rate",
-                "calibration-drift"
-            ]
+            ["wal-checkpoint-lag", "storage-fault-rate", "deadline-rate"]
         );
         // Every rule references a metric name CoreMetrics registers.
         let _ = CoreMetrics::get();

@@ -3,7 +3,7 @@
 //! A [`FlightRecorder`] continuously captures the most recent spans (via
 //! a [`RingCollector`]), events (via a tee [`EventSink`]), metric-window
 //! state and caller-reported component state (e.g. the storage engine's
-//! pager generation / checkpoint LSN / WAL tail), all in fixed-size
+//! live generation / covered LSN / WAL tail), all in fixed-size
 //! rings. It costs nothing on the query hot path: spans are only
 //! captured when the caller opts in with [`FlightRecorder::attach_spans`]
 //! (the span fast path stays allocation-free otherwise), events are rare
@@ -195,8 +195,8 @@ impl FlightRecorder {
     }
 
     /// Records (replacing any previous value) a component's current
-    /// state as key/value pairs — e.g. `storage_engine` with pager
-    /// generation, checkpoint LSN, WAL tail and recovery outcome.
+    /// state as key/value pairs — e.g. `storage_engine` with its live
+    /// generation, covered LSN, WAL tail and recovery outcome.
     pub fn observe_state(&self, component: &str, fields: Vec<(String, String)>) {
         let mut inner = self.lock();
         match inner.state.iter_mut().find(|(c, _)| c == component) {

@@ -58,9 +58,8 @@ fn encode(index: &S3Index) -> Vec<u8> {
     .unwrap()
 }
 
-/// Probes are real stored fingerprints so the distortion model's
-/// predicted selectivity matches what the scan observes — the
-/// calibration-drift gauge must stay quiet on clean traffic.
+/// Probes are real stored fingerprints, so clean batches find what they
+/// look for.
 fn queries(index: &S3Index) -> Vec<Vec<u8>> {
     (0..10)
         .map(|i| index.records().fingerprint(i * 19).to_vec())
@@ -127,15 +126,7 @@ fn fault_storm_trips_health_dumps_incident_and_recovers() {
     // Continuous-observability stack: windows ticked on the mock clock,
     // stock rules, recorder with spans attached and events teed.
     let windows = Arc::new(MetricWindows::new(256));
-    // Stock rules, minus calibration-drift: a 600-record synthetic
-    // fixture gives the distortion model nothing to calibrate against,
-    // so that gauge reads a large constant unrelated to the faults
-    // under test (and, being a gauge, would never decay in recovery).
-    let rules: Vec<_> = default_health_rules()
-        .into_iter()
-        .filter(|r| r.name != "calibration-drift")
-        .collect();
-    let engine = HealthEngine::new(rules);
+    let engine = HealthEngine::new(default_health_rules());
     let recorder = Arc::new(FlightRecorder::new(RecorderConfig::default()));
     recorder.attach_spans();
     recorder.set_windows(Arc::clone(&windows));
