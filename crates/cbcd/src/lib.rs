@@ -5,6 +5,8 @@
 //!
 //! * [`registry`] — reference database construction (fingerprints tagged
 //!   with video id and time-code, indexed by the static S³ structure);
+//! * [`persist`] — the archive file: the database saved as one index file
+//!   with its names, extraction parameters and positions, and loaded back;
 //! * [`voting`] — the robust voting strategy: per-id temporal-offset
 //!   estimation with a Tukey-biweight M-estimator (eq. 2) and `n_sim` vote
 //!   counting;
@@ -42,7 +44,6 @@ pub use calibrate::{calibrate_monitor_threshold, calibrate_threshold, Calibratio
 pub use detector::{Detector, DetectorConfig, Search, SearchHealth};
 pub use metrics::CbcdMetrics;
 pub use monitor::{HealthReport, Monitor, MonitorError, MonitorEvent, MonitorParams, MonitorStats};
-pub use persist::PersistError;
 pub use registry::{DbBuilder, ReferenceDb};
 pub use spatial::{vote_spatial, SpatialCandidateVotes, SpatialDetection, SpatialVoteParams};
 pub use voting::{vote, CandidateVotes, Detection, VoteParams};

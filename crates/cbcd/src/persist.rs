@@ -1,98 +1,37 @@
-//! Persistence of the reference database.
+//! The archive file: one index file holds the whole [`ReferenceDb`].
 //!
 //! A monitoring deployment fingerprints its archive once (days of compute at
-//! the paper's 75,000-hour scale) and reuses it across restarts. This module
-//! saves and loads the complete [`ReferenceDb`] — records, video names,
-//! interest-point positions and the extraction parameters (the candidate
-//! pipeline must match the reference pipeline exactly, so parameters travel
-//! with the data).
-//!
-//! Current format `S3REFDB2` (single file, little-endian):
+//! the paper's 75,000-hour scale) and reuses it across restarts.
+//! [`ReferenceDb::save`] writes an `S3IDX005` file: the pseudo-disk index
+//! that `s3cbcd query` and `info` read ([`s3_core::pseudo_disk`]), followed
+//! by a CRC-checked trailer with what the detector needs beyond the index.
+//! The extraction parameters are part of it because a candidate must be
+//! fingerprinted exactly as the references were. Trailer payload
+//! (little-endian):
 //!
 //! ```text
-//! magic "S3REFDB2"
-//! payload length u64
-//! payload:
-//!   extractor params (fixed-width fields)
-//!   name count u32, then per name: byte length u32 + UTF-8 bytes
-//!   record batch (s3-core columnar encoding)
-//!   positions: one (u16, u16) pair per record, in batch order
-//! CRC-32 of the payload, u32
+//! extractor params   11 × 4 bytes (fixed-width fields)
+//! name count u32, then per name: byte length u32 + UTF-8 bytes
+//! positions          one (x u16, y u16) pair per record, in stored order
 //! ```
 //!
-//! The declared length plus trailing CRC-32 turn truncation and bit rot into
-//! clean [`PersistError`]s instead of silently different databases. The
-//! legacy `S3REFDB1` layout (same payload, no length, no CRC) still loads,
-//! with a warning routed through the `s3-obs` event sink (stderr by
-//! default). [`ReferenceDb::save`] is atomic: a sibling temp file is written
-//! and fsynced, then renamed over the destination, so a crash mid-save never
-//! clobbers the previous good database.
+//! [`ReferenceDb::load`] reads the records back in stored order
+//! ([`DiskIndex::to_index`]): nothing is re-sorted. A plain index file
+//! (`S3IDX001` to `S3IDX004`, as `DiskIndex::write` emits) loads as an
+//! archive too, each id named by its decimal number, with default
+//! extraction parameters and zero positions. A truncated, bit-flipped or
+//! inconsistent file is an [`IndexError`], never a panic and never a
+//! different database.
 
-use crate::registry::{DbBuilder, ReferenceDb};
-use s3_core::crc::crc32;
+use crate::registry::ReferenceDb;
+use s3_core::pseudo_disk::{DiskIndex, WriteOpts};
 use s3_core::storage::write_atomic;
-use s3_core::RecordBatch;
+use s3_core::IndexError;
 use s3_video::{ExtractorParams, FINGERPRINT_DIMS};
-use std::error::Error;
-use std::fmt;
-use std::fs::File;
-use std::io::{self, Read, Write};
 use std::path::Path;
 
-const MAGIC_V2: &[u8; 8] = b"S3REFDB2";
-const MAGIC_V1: &[u8; 8] = b"S3REFDB1";
-
-/// Errors raised while saving or loading a [`ReferenceDb`].
-#[derive(Debug)]
-pub enum PersistError {
-    /// An underlying I/O operation failed (cause preserved).
-    Io(io::Error),
-    /// The file is not a readable reference database: wrong magic, impossible
-    /// field, or a size inconsistent with its own header.
-    Format {
-        /// What was wrong.
-        detail: String,
-    },
-    /// The payload failed CRC verification — the file is corrupt.
-    Checksum {
-        /// CRC stored in the file.
-        stored: u32,
-        /// CRC computed over the payload as read.
-        computed: u32,
-    },
-}
-
-impl fmt::Display for PersistError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PersistError::Io(e) => write!(f, "reference db i/o error: {e}"),
-            PersistError::Format { detail } => write!(f, "bad reference db file: {detail}"),
-            PersistError::Checksum { stored, computed } => write!(
-                f,
-                "reference db payload checksum mismatch: stored {stored:#010x}, \
-                 computed {computed:#010x}"
-            ),
-        }
-    }
-}
-
-impl Error for PersistError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            PersistError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for PersistError {
-    fn from(e: io::Error) -> Self {
-        PersistError::Io(e)
-    }
-}
-
-fn bad(detail: impl Into<String>) -> PersistError {
-    PersistError::Format {
+fn bad(detail: impl Into<String>) -> IndexError {
+    IndexError::Format {
         detail: detail.into(),
     }
 }
@@ -145,139 +84,81 @@ fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
     Some(*head)
 }
 
-fn take_u32(buf: &mut &[u8]) -> Option<u32> {
-    take(buf).map(u32::from_le_bytes)
+/// The trailer payload of an archive: parameters, names by id, and one
+/// position per record in stored order.
+fn encode_trailer(params: &ExtractorParams, names: &[String], positions: &[(u16, u16)]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_params(&mut buf, params);
+    buf.extend_from_slice(&(names.len() as u32).to_le_bytes());
+    for name in names {
+        buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        buf.extend_from_slice(name.as_bytes());
+    }
+    for (x, y) in positions {
+        buf.extend_from_slice(&x.to_le_bytes());
+        buf.extend_from_slice(&y.to_le_bytes());
+    }
+    buf
+}
+
+/// Extraction parameters, names by id and positions in stored order.
+type Parts = (ExtractorParams, Vec<String>, Vec<(u16, u16)>);
+
+/// Parses a trailer payload.
+fn decode_trailer(mut buf: &[u8]) -> Option<Parts> {
+    let buf = &mut buf;
+    let params = get_params(buf)?;
+    let n_names = u32::from_le_bytes(take(buf)?) as usize;
+    // Each name takes at least its 4-byte length.
+    let mut names = Vec::with_capacity(n_names.min(buf.len() / 4));
+    for _ in 0..n_names {
+        let len = u32::from_le_bytes(take(buf)?) as usize;
+        let (name, rest) = { *buf }.split_at_checked(len)?;
+        names.push(std::str::from_utf8(name).ok()?.to_string());
+        *buf = rest;
+    }
+    let mut positions = Vec::with_capacity(buf.len() / 4);
+    while let Some([x0, x1, y0, y1]) = take(buf) {
+        positions.push((u16::from_le_bytes([x0, x1]), u16::from_le_bytes([y0, y1])));
+    }
+    buf.is_empty().then_some((params, names, positions))
 }
 
 impl ReferenceDb {
-    /// Serialises the version-independent payload.
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut buf: Vec<u8> = Vec::new();
-        put_params(&mut buf, self.extractor_params());
-        buf.extend_from_slice(&(self.video_count() as u32).to_le_bytes());
-        for id in 0..self.video_count() as u32 {
-            let Some(n) = self.name(id) else {
-                // Ids are dense by construction of the registry.
-                unreachable!("dense ids")
-            };
-            buf.extend_from_slice(&(n.len() as u32).to_le_bytes());
-            buf.extend_from_slice(n.as_bytes());
-        }
-        self.index().records().encode_into(&mut buf);
-        for i in 0..self.index().len() {
-            let (x, y) = self.position(i);
-            buf.extend_from_slice(&x.to_le_bytes());
-            buf.extend_from_slice(&y.to_le_bytes());
-        }
-        buf
-    }
-
-    /// Parses the version-independent payload.
-    fn decode_payload(mut buf: &[u8]) -> Result<ReferenceDb, PersistError> {
-        let buf = &mut buf;
-        let params = get_params(buf).ok_or_else(|| bad("truncated params"))?;
-        let n_names = take_u32(buf).ok_or_else(|| bad("truncated name count"))? as usize;
-        let mut names = Vec::with_capacity(n_names.min(1 << 20));
-        for _ in 0..n_names {
-            let len = take_u32(buf).ok_or_else(|| bad("truncated name length"))? as usize;
-            let (name, rest) = { *buf }
-                .split_at_checked(len)
-                .ok_or_else(|| bad("truncated name"))?;
-            let name = std::str::from_utf8(name)
-                .map_err(|_| bad("non-UTF8 name"))?
-                .to_string();
-            *buf = rest;
-            names.push(name);
-        }
-        let batch = RecordBatch::decode_from(buf).ok_or_else(|| bad("truncated records"))?;
-        if batch.dims() != FINGERPRINT_DIMS {
-            return Err(bad("unexpected fingerprint dimension"));
-        }
-        let positions: Vec<(u16, u16)> = (0..batch.len())
-            .map(|_| {
-                let [x0, x1, y0, y1] = take(buf)?;
-                Some((u16::from_le_bytes([x0, x1]), u16::from_le_bytes([y0, y1])))
-            })
-            .collect::<Option<_>>()
-            .ok_or_else(|| bad("truncated positions"))?;
-        if !buf.is_empty() {
-            return Err(bad("trailing bytes after positions"));
-        }
-
-        // Rebuild through the registry so internal invariants (sorted index,
-        // aligned positions) are re-established by construction.
-        Ok(DbBuilder::rehydrate(params, names, batch, positions))
-    }
-
-    /// Serialises the database into a writer, in the current checksummed
-    /// format.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        let payload = self.encode_payload();
-        w.write_all(MAGIC_V2)?;
-        w.write_all(&(payload.len() as u64).to_le_bytes())?;
-        w.write_all(&payload)?;
-        w.write_all(&crc32(&payload).to_le_bytes())
-    }
-
-    /// Saves the database to a file, atomically: the bytes land in a sibling
-    /// temp file which is fsynced and renamed over `path`, so a crash
-    /// mid-save leaves any previous database intact.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        let mut bytes = Vec::new();
-        self.write_to(&mut bytes)?;
+    /// Saves the database as one `S3IDX005` archive file, atomically: the
+    /// bytes land in a sibling temp file which is fsynced and renamed over
+    /// `path`, so a crash mid-save leaves any previous file intact.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), IndexError> {
+        let trailer = encode_trailer(self.extractor_params(), self.names(), self.positions());
+        let bytes = DiskIndex::encode_with_trailer(self.index(), WriteOpts::default(), &trailer)?;
         Ok(write_atomic(path.as_ref(), &bytes)?)
     }
 
-    /// Deserialises a database written by [`ReferenceDb::write_to`] (or by
-    /// the legacy v1 writer, accepted with a warning).
-    pub fn read_from(r: &mut impl Read) -> Result<ReferenceDb, PersistError> {
-        let mut raw = Vec::new();
-        r.read_to_end(&mut raw)?;
-        if raw.len() < 8 {
-            return Err(bad("truncated magic"));
+    /// Loads a database from an index file: an archive written by
+    /// [`ReferenceDb::save`], or a plain index file (numeric names, default
+    /// extraction parameters, zero positions).
+    pub fn load(path: impl AsRef<Path>) -> Result<ReferenceDb, IndexError> {
+        let disk = DiskIndex::open(path)?;
+        if (disk.curve().dims(), disk.curve().order()) != (FINGERPRINT_DIMS, 8) {
+            return Err(bad("the index does not hold byte fingerprints"));
         }
-        let (magic, rest) = raw.split_at(8);
-        if magic == MAGIC_V1 {
-            s3_obs::event::warn(
-                "persist",
-                "opening legacy S3REFDB1 reference db (no checksum); \
-                 re-save to gain corruption detection",
-            );
-            return Self::decode_payload(rest);
-        }
-        if magic != MAGIC_V2 {
-            return Err(bad("bad magic"));
-        }
-        if rest.len() < 8 + 4 {
-            return Err(bad("truncated payload length"));
-        }
-        let (len_raw, rest) = rest.split_at(8);
-        let mut len8 = [0u8; 8];
-        len8.copy_from_slice(len_raw);
-        let payload_len = usize::try_from(u64::from_le_bytes(len8))
-            .map_err(|_| bad("payload length overflows"))?;
-        if rest.len() != payload_len + 4 {
-            return Err(bad(format!(
-                "file size mismatch: payload claims {payload_len} bytes \
-                 (truncated or trailing data)"
-            )));
-        }
-        let (payload, crc_raw) = rest.split_at(payload_len);
-        let mut crc4 = [0u8; 4];
-        crc4.copy_from_slice(crc_raw);
-        let stored = u32::from_le_bytes(crc4);
-        let computed = crc32(payload);
-        if stored != computed {
-            s3_core::CoreMetrics::get().crc_failures.inc();
-            return Err(PersistError::Checksum { stored, computed });
-        }
-        Self::decode_payload(payload)
-    }
-
-    /// Loads a database from a file.
-    pub fn load(path: impl AsRef<Path>) -> Result<ReferenceDb, PersistError> {
-        let mut f = File::open(path)?;
-        ReferenceDb::read_from(&mut f)
+        let trailer = disk.trailer()?;
+        let index = disk.to_index()?;
+        let (params, names, positions) = match trailer {
+            Some(t) => decode_trailer(&t).ok_or_else(|| bad("malformed archive trailer"))?,
+            None => {
+                // Dense ids name themselves; a larger id than the record
+                // count is a corrupt column, not a table to allocate.
+                let ids = index.records().ids();
+                let count = ids.iter().max().map_or(0, |&id| id as usize + 1);
+                if count > index.len() {
+                    return Err(bad(format!("{count} ids for {} records", index.len())));
+                }
+                let names = (0..count).map(|id| id.to_string()).collect();
+                (ExtractorParams::default(), names, vec![(0, 0); index.len()])
+            }
+        };
+        ReferenceDb::from_parts(index, names, params, positions).map_err(bad)
     }
 }
 
@@ -285,6 +166,9 @@ impl ReferenceDb {
 mod tests {
     use super::*;
     use crate::detector::{Detector, DetectorConfig};
+    use crate::registry::DbBuilder;
+    use s3_core::{RecordBatch, S3Index};
+    use s3_hilbert::HilbertCurve;
     use s3_video::ProceduralVideo;
 
     fn sample_db() -> ReferenceDb {
@@ -298,43 +182,34 @@ mod tests {
         b.build()
     }
 
+    fn params(db: &ReferenceDb) -> String {
+        format!("{:?}", db.extractor_params())
+    }
+
     #[test]
     fn save_load_roundtrip_preserves_everything() {
         let db = sample_db();
-        let mut buf = Vec::new();
-        db.write_to(&mut buf).unwrap();
-        let back = ReferenceDb::read_from(&mut buf.as_slice()).unwrap();
+        let dir = s3_testkit::TempDir::new("archive");
+        let path = dir.join("archive.s3i");
+        db.save(&path).unwrap();
+        let back = ReferenceDb::load(&path).unwrap();
 
-        assert_eq!(back.video_count(), db.video_count());
-        assert_eq!(back.fingerprint_count(), db.fingerprint_count());
-        for id in 0..db.video_count() as u32 {
-            assert_eq!(back.name(id), db.name(id));
-        }
-        // Records and positions must survive, as (fingerprint, id, tc, x, y)
-        // multisets (the sort is deterministic, so order matches too).
-        for i in 0..db.index().len() {
-            assert_eq!(
-                back.index().records().record(i),
-                db.index().records().record(i)
-            );
-            assert_eq!(back.position(i), db.position(i));
-        }
+        assert_eq!(back.names(), db.names());
+        // Records, prefixes and positions come back in stored order: the
+        // curve's axis order is read, nothing is re-sorted.
+        assert_eq!(back.index().curve(), db.index().curve());
+        assert_eq!(back.index().prefixes(), db.index().prefixes());
+        assert_eq!(back.index().records(), db.index().records());
+        assert_eq!(back.positions(), db.positions());
         // Extraction parameters travel with the data.
-        assert_eq!(
-            back.extractor_params().harris.max_points,
-            db.extractor_params().harris.max_points
-        );
-        assert_eq!(
-            back.extractor_params().fingerprint.sigma,
-            db.extractor_params().fingerprint.sigma
-        );
+        assert_eq!(params(&back), params(&db));
     }
 
     #[test]
     fn loaded_db_detects_like_the_original() {
         let db = sample_db();
-        let dir = s3_testkit::TempDir::new("refdb");
-        let path = dir.join("refdb.bin");
+        let dir = s3_testkit::TempDir::new("archive-detect");
+        let path = dir.join("archive.s3i");
         db.save(&path).unwrap();
         // Atomicity: no temp file lingers next to the destination.
         let mut tmp = path.file_name().unwrap().to_os_string();
@@ -351,57 +226,83 @@ mod tests {
         assert!(a.iter().any(|d| d.id == 1));
     }
 
+    /// Plain index files load as archives with numeric names, default
+    /// extraction parameters and zero positions: a legacy `S3IDX001`
+    /// (identity order, no checksums) written here, and the committed
+    /// `tests/data/plain_v4.s3i`, an `S3IDX004` (table depth 4, 256-byte
+    /// blocks) of the 24 records rebuilt below.
     #[test]
     fn legacy_v1_files_still_load() {
         let db = sample_db();
-        // Hand-roll a v1 file: old magic + bare payload.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC_V1);
-        v1.extend_from_slice(&db.encode_payload());
-        let back = ReferenceDb::read_from(&mut v1.as_slice()).unwrap();
-        assert_eq!(back.video_count(), db.video_count());
-        assert_eq!(back.fingerprint_count(), db.fingerprint_count());
+        let index = S3Index::build_on(HilbertCurve::paper(), db.index().records().clone());
+        let dir = s3_testkit::TempDir::new("v1");
+        let path = dir.join("legacy.s3i");
+        DiskIndex::write_v1(&index, &path).unwrap();
+        let back = ReferenceDb::load(&path).unwrap();
+        assert_eq!(back.names(), ["0", "1", "2"]);
+        assert_eq!(back.index().records(), index.records());
+        assert_eq!(back.position(0), (0, 0));
+
+        let mut s = 0x00F1_C5EE_u64;
+        let mut byte = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 24) as u8
+        };
+        let mut batch = RecordBatch::new(FINGERPRINT_DIMS);
+        for i in 0..24u32 {
+            let fp: Vec<u8> = (0..FINGERPRINT_DIMS).map(|_| byte()).collect();
+            batch.push(&fp, i / 8, (i % 8) * 5);
+        }
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/plain_v4.s3i");
+        assert_eq!(&std::fs::read(path).unwrap()[..8], b"S3IDX004");
+        let v4 = ReferenceDb::load(path).unwrap();
+        assert_eq!(v4.names(), ["0", "1", "2"]);
+        assert_eq!(params(&v4), format!("{:?}", ExtractorParams::default()));
+        let want = S3Index::build(HilbertCurve::paper(), batch);
+        assert_eq!(v4.index().records(), want.records());
+        assert!(v4.positions().iter().all(|&p| p == (0, 0)));
     }
 
+    fn is_format(r: Result<ReferenceDb, IndexError>) -> bool {
+        matches!(r, Err(IndexError::Format { .. }))
+    }
+
+    /// Files whose every checksum holds but that are not an archive of
+    /// fingerprints: each is a format error, never a panic. (Cuts and bit
+    /// flips are `tests/fault_tolerance.rs`'s properties.)
     #[test]
     fn corrupted_inputs_rejected() {
+        // A trailer naming fewer videos than the records use, and one a
+        // position short.
         let db = sample_db();
-        let mut buf = Vec::new();
-        db.write_to(&mut buf).unwrap();
+        let dir = s3_testkit::TempDir::new("corrupt");
+        let path = dir.join("archive.s3i");
+        let (params, names, positions) = (db.extractor_params(), db.names(), db.positions());
+        for trailer in [
+            encode_trailer(params, &names[..2], positions),
+            encode_trailer(params, names, &positions[1..]),
+        ] {
+            let bytes = DiskIndex::encode_with_trailer(db.index(), WriteOpts::default(), &trailer);
+            std::fs::write(&path, bytes.unwrap()).unwrap();
+            assert!(is_format(ReferenceDb::load(&path)));
+        }
 
-        // Bad magic.
-        let mut bad = buf.clone();
-        bad[0] = b'X';
-        assert!(ReferenceDb::read_from(&mut bad.as_slice()).is_err());
-        // Truncations at several depths.
-        for cut in [4usize, 20, 60, buf.len() - 3] {
-            let mut t = buf.clone();
-            t.truncate(cut);
-            assert!(
-                ReferenceDb::read_from(&mut t.as_slice()).is_err(),
-                "cut at {cut} accepted"
-            );
-        }
-        // Any payload bit flip is caught by the CRC; a flip in the declared
-        // length is caught by the size check.
-        for byte in [9usize, 20, buf.len() / 2, buf.len() - 6] {
-            let mut t = buf.clone();
-            t[byte] ^= 0x10;
-            assert!(
-                ReferenceDb::read_from(&mut t.as_slice()).is_err(),
-                "flip at {byte} accepted"
-            );
-        }
-        // A legacy file has no checksum in front of its record header: a
-        // count whose byte size wraps to 0 must be refused, not allocated.
-        let mut crafted = MAGIC_V1.to_vec();
-        put_params(&mut crafted, db.extractor_params());
-        crafted.extend_from_slice(&0u32.to_le_bytes()); // no names
-        crafted.extend_from_slice(&(FINGERPRINT_DIMS as u32).to_le_bytes());
-        crafted.extend_from_slice(&(1u64 << 62).to_le_bytes()); // × (20 + 8) bytes a record ≡ 0 mod 2^64
-        assert!(matches!(
-            ReferenceDb::read_from(&mut crafted.as_slice()),
-            Err(PersistError::Format { .. })
-        ));
+        // A plain index of the wrong dimension, and one whose id column
+        // names more videos than it has records (which must not size a
+        // name table).
+        let mut narrow = RecordBatch::new(6);
+        narrow.push(&[1, 2, 3, 4, 5, 6], 0, 0);
+        DiskIndex::write(
+            &S3Index::build(HilbertCurve::new(6, 8).unwrap(), narrow),
+            &path,
+        )
+        .unwrap();
+        assert!(is_format(ReferenceDb::load(&path)));
+        let mut wild = RecordBatch::new(FINGERPRINT_DIMS);
+        wild.push(&[7; FINGERPRINT_DIMS], u32::MAX - 1, 0);
+        DiskIndex::write(&S3Index::build(HilbertCurve::paper(), wild), &path).unwrap();
+        assert!(is_format(ReferenceDb::load(&path)));
     }
 }

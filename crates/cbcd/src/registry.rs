@@ -65,26 +65,6 @@ impl DbBuilder {
         id
     }
 
-    /// Reconstructs a database from its serialized parts (names, records and
-    /// positions in mutual batch order). Used by the persistence layer; the
-    /// index sort and position alignment are re-derived, not trusted.
-    pub(crate) fn rehydrate(
-        params: ExtractorParams,
-        names: Vec<String>,
-        batch: RecordBatch,
-        positions: Vec<(u16, u16)>,
-    ) -> ReferenceDb {
-        assert_eq!(batch.len(), positions.len(), "positions misaligned");
-        let (index, perm) = S3Index::build_with_perm(HilbertCurve::paper(), batch);
-        let positions = perm.iter().map(|&src| positions[src as usize]).collect();
-        ReferenceDb {
-            index,
-            names,
-            params,
-            positions,
-        }
-    }
-
     /// Builds the static reference database.
     pub fn build(self) -> ReferenceDb {
         let (index, perm) = S3Index::build_with_perm(HilbertCurve::paper(), self.batch);
@@ -101,7 +81,8 @@ impl DbBuilder {
     }
 }
 
-/// The indexed reference database.
+/// The indexed reference database. [`ReferenceDb::save`] writes it as one
+/// archive file, which [`ReferenceDb::load`] reads back.
 pub struct ReferenceDb {
     index: S3Index,
     names: Vec<String>,
@@ -112,6 +93,48 @@ pub struct ReferenceDb {
 }
 
 impl ReferenceDb {
+    /// Assembles a database from stored parts, checking what [`DbBuilder`]
+    /// holds by construction: one position per record, and a name for
+    /// every record's id.
+    pub(crate) fn from_parts(
+        index: S3Index,
+        names: Vec<String>,
+        params: ExtractorParams,
+        positions: Vec<(u16, u16)>,
+    ) -> Result<ReferenceDb, String> {
+        if positions.len() != index.len() {
+            return Err(format!(
+                "{} positions for {} records",
+                positions.len(),
+                index.len()
+            ));
+        }
+        if let Some(id) = index
+            .records()
+            .ids()
+            .iter()
+            .find(|&&id| id as usize >= names.len())
+        {
+            return Err(format!("record id {id} has no name"));
+        }
+        Ok(ReferenceDb {
+            index,
+            names,
+            params,
+            positions,
+        })
+    }
+
+    /// Names by id.
+    pub(crate) fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// Interest-point positions in index order.
+    pub(crate) fn positions(&self) -> &[(u16, u16)] {
+        &self.positions
+    }
+
     /// The underlying S³ index.
     pub fn index(&self) -> &S3Index {
         &self.index

@@ -1,17 +1,21 @@
-//! Corruption properties of the S3REFDB2 reference-database format.
+//! Corruption properties of the archive file (`S3IDX005`).
 //!
-//! Every byte of a saved v2 file is covered by either the magic, the
-//! length field or the payload CRC, so *any* truncation and *any* single
-//! bit flip must come back as a clean [`PersistError`] — never a panic,
-//! never a silently corrupted database.
+//! Every byte of a saved archive is covered by the header-and-table CRC,
+//! a data-block CRC, the CRC-table CRC, the trailer's declared length or
+//! the trailer CRC, so *any* truncation and *any* single bit flip must come
+//! back from [`ReferenceDb::load`] as a clean [`IndexError`] — never a
+//! panic, never a silently different database — and a flip never as a raw
+//! I/O error.
 
 use proptest::prelude::*;
-use s3_cbcd::{DbBuilder, PersistError, ReferenceDb};
+use s3_cbcd::{DbBuilder, ReferenceDb};
+use s3_core::IndexError;
+use s3_testkit::TempDir;
 use s3_video::{ExtractorParams, FINGERPRINT_DIMS};
 use std::sync::OnceLock;
 
 /// A small but non-trivial database (raw fingerprints, no video pipeline),
-/// serialized once.
+/// saved once.
 fn saved_bytes() -> &'static Vec<u8> {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
@@ -31,11 +35,19 @@ fn saved_bytes() -> &'static Vec<u8> {
             let tcs: Vec<u32> = (0..n as u32).map(|t| t * 3).collect();
             builder.add_raw(&format!("clip-{v}"), &fps, &tcs);
         }
-        let db = builder.build();
-        let mut bytes = Vec::new();
-        db.write_to(&mut bytes).unwrap();
-        bytes
+        let dir = TempDir::new("archive-bytes");
+        let path = dir.join("archive.s3i");
+        builder.build().save(&path).unwrap();
+        std::fs::read(&path).unwrap()
     })
+}
+
+/// Loads `bytes` as an archive file.
+fn load(bytes: &[u8]) -> Result<ReferenceDb, IndexError> {
+    let dir = TempDir::new("archive-load");
+    let path = dir.join("archive.s3i");
+    std::fs::write(&path, bytes).unwrap();
+    ReferenceDb::load(&path)
 }
 
 proptest! {
@@ -47,22 +59,23 @@ proptest! {
         let bytes = saved_bytes();
         let cut = (frac * bytes.len() as f64) as usize;
         prop_assert!(cut < bytes.len());
-        match ReferenceDb::read_from(&mut &bytes[..cut]) {
+        match load(&bytes[..cut]) {
             Err(_) => {}
             Ok(_) => prop_assert!(false, "truncation to {cut}/{} bytes must not load", bytes.len()),
         }
     }
 
-    /// Any single bit flip is rejected (magic, length field or CRC catches
-    /// it — no byte of a v2 file is unprotected).
+    /// Any single bit flip is rejected as a format or checksum error: no
+    /// byte of an archive is unprotected, and no corrupt header field
+    /// sizes a read past the end.
     #[test]
     fn any_single_bit_flip_is_rejected(frac in 0.0f64..1.0, bit in 0u8..8) {
         let bytes = saved_bytes();
         let byte = ((frac * bytes.len() as f64) as usize).min(bytes.len() - 1);
         let mut corrupt = bytes.clone();
         corrupt[byte] ^= 1 << bit;
-        match ReferenceDb::read_from(&mut corrupt.as_slice()) {
-            Err(PersistError::Io(e)) => {
+        match load(&corrupt) {
+            Err(IndexError::Io(e)) => {
                 prop_assert!(false, "flip at byte {byte} bit {bit} surfaced as raw io: {e}")
             }
             Err(_) => {}
@@ -75,7 +88,8 @@ proptest! {
 #[test]
 fn clean_bytes_round_trip() {
     let bytes = saved_bytes();
-    let db = ReferenceDb::read_from(&mut bytes.as_slice()).unwrap();
+    assert_eq!(&bytes[..8], b"S3IDX005");
+    let db = load(bytes).unwrap();
     assert_eq!(db.video_count(), 3);
     assert_eq!(db.name(0), Some("clip-0"));
     assert_eq!(db.fingerprint_count(), 40 + 50 + 60);

@@ -68,10 +68,9 @@ impl Args {
         self.positional.get(i).map(String::as_str)
     }
 
-    /// Number of positional arguments.
-    #[allow(dead_code)] // used by tests; kept for future subcommands
-    pub fn positional_len(&self) -> usize {
-        self.positional.len()
+    /// The positional arguments from `first` on (empty past the end).
+    pub fn positionals_from(&self, first: usize) -> &[String] {
+        self.positional.get(first..).unwrap_or(&[])
     }
 
     /// String flag value.
@@ -106,7 +105,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a.positional(0), Some("out.idx"));
-        assert_eq!(a.positional_len(), 1);
+        assert_eq!(a.positionals_from(0).len(), 1);
         assert_eq!(a.get("videos"), Some("8"));
         assert_eq!(a.get_parsed::<u64>("seed", 0).unwrap(), 42);
         assert_eq!(a.get_parsed::<u64>("missing", 7).unwrap(), 7);

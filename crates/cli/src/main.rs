@@ -1,19 +1,23 @@
 //! `s3cbcd` — command-line front end of the S³ copy-detection system.
 //!
-//! Operates on the pseudo-disk index format and the synthetic video library:
+//! Operates on one archive file (the pseudo-disk index format) and the
+//! synthetic video library:
 //!
 //! ```text
-//! s3cbcd build <index-file> [--videos N] [--frames N] [--seed S]
+//! s3cbcd build <index-file> [video.y4m ...] [--videos N] [--frames N] [--seed S]
 //! s3cbcd info <index-file>
 //! s3cbcd query <index-file> [--alpha A] [--sigma S] [--depth P] [--queries N] [--mem MB]
-//! s3cbcd detect <index-file-dir-seed> ... (see `detect --help`)
-//! s3cbcd monitor [--archive N] [--stream-frames N] [--seed S] [--dashboard DIR]
+//! s3cbcd detect [ref.y4m ... | --index F] [--candidate FILE] ... (see `help`)
+//! s3cbcd monitor [--index F | --archive N] [--stream-frames N] [--seed S] [--dashboard DIR]
 //! s3cbcd metrics [--format table|json|prom] [--queries N]
 //! ```
 //!
-//! `build`/`info`/`query` exercise the index layer against a disk file;
-//! `detect` and `monitor` run the full in-memory CBCD pipeline on synthetic
-//! material (the substitute for real broadcast capture, see DESIGN.md).
+//! `build` fingerprints a library and saves it as one archive file
+//! (`ReferenceDb::save`); `info`/`query` exercise the index layer against
+//! that file. `detect` and `monitor` run the full CBCD pipeline against an
+//! archive loaded into memory: the file `--index` names, or a library they
+//! fingerprint themselves (synthetic material is the substitute for real
+//! broadcast capture, see DESIGN.md).
 //! Every pipeline command accepts `--metrics-json <path>` (write a snapshot
 //! of all counters/histograms on exit) and `--metrics-every <secs>`
 //! (periodic metrics table on stderr); `metrics` runs a small self-contained
@@ -27,6 +31,7 @@ mod metrics;
 use args::Args;
 use s3_cbcd::{
     calibrate_monitor_threshold, DbBuilder, Detector, DetectorConfig, Monitor, MonitorParams,
+    ReferenceDb,
 };
 use s3_core::autotune::{self, RecordCounts};
 use s3_core::parallel::default_threads;
@@ -91,7 +96,8 @@ const USAGE: &str = "s3cbcd — Statistical Similarity Search video copy detecti
 USAGE:
   s3cbcd build <index-file> [video.y4m ...] [--videos N] [--frames N] [--seed S]
       Fingerprint videos (given .y4m files, or a synthetic library) and
-      write a pseudo-disk index: one file, nothing beside it.
+      save them as one archive file, nothing beside it: the pseudo-disk
+      index plus the video names, extraction parameters and positions.
   s3cbcd info <index-file>
       Print header information of an index file.
   s3cbcd query <index-file> [--alpha A] [--sigma S] [--queries N] [--mem MB]
@@ -107,17 +113,20 @@ USAGE:
       statistical filter chose (selected p-blocks with predicted mass),
       what refinement actually scanned and matched per block, per-phase
       timings, and every degradation annotation.
-  s3cbcd detect [ref.y4m ...] [--candidate FILE] [--videos N] [--frames N]
-                [--seed S] [--attack NAME]
-      Build an in-memory reference DB (from .y4m files or a synthetic
-      library), then detect a candidate: either --candidate FILE, or an
-      attacked copy of one reference.
+  s3cbcd detect [ref.y4m ... | --index F] [--candidate FILE] [--videos N]
+                [--frames N] [--seed S] [--attack NAME]
+      Load the archive file F built by `build`, or fingerprint a reference
+      library (.y4m files or a synthetic one), then detect a candidate:
+      either --candidate FILE (required with .y4m references or --index),
+      or an attacked copy of one synthetic reference.
       Attacks: resize | shift | gamma | contrast | noise | combo
-  s3cbcd monitor [--archive N] [--stream-frames N] [--seed S] [--strict]
-                 [--dashboard DIR]
-      Monitor a synthetic broadcast with embedded copies; report events,
-      the real-time factor and a stream-health summary. --strict turns
-      out-of-order input into a hard error.
+  s3cbcd monitor [--index F | --archive N] [--stream-frames N] [--seed S]
+                 [--strict] [--dashboard DIR]
+      Monitor a synthetic broadcast with an embedded rerun against the
+      archive file F (as `build --frames 100 --seed S` writes it) or a
+      synthetic archive of N videos; report events, the real-time factor
+      and a stream-health summary. --strict turns out-of-order input into
+      a hard error.
       --dashboard DIR arms the ops plane over the stream: after every
       searched batch, one plain-text frame on stderr (real-time factor and
       detections per stream hour so far, windowed rates, search latency
@@ -162,16 +171,27 @@ EXIT CODES:
 /// Builds the query context: a system-clock deadline when `--deadline-ms`
 /// is given, unbounded otherwise; asking for EXPLAIN when `explain` is set.
 fn query_ctx(a: &Args, explain: bool) -> Result<QueryCtx, String> {
-    let ctx = match a.get("deadline-ms") {
-        Some(raw) => {
-            let ms: u64 = raw
-                .parse()
-                .map_err(|_| format!("invalid value for --deadline-ms: {raw:?}"))?;
-            QueryCtx::with_deadline(system_clock(), Duration::from_millis(ms))
-        }
+    let ctx = match deadline(a)? {
+        Some(budget) => QueryCtx::with_deadline(system_clock(), budget),
         None => QueryCtx::unbounded(),
     };
     Ok(if explain { ctx.explain() } else { ctx })
+}
+
+/// `--deadline-ms N`, if given.
+fn deadline(a: &Args) -> Result<Option<Duration>, String> {
+    let ms = a.get("deadline-ms").map(|_| a.get_parsed("deadline-ms", 0));
+    Ok(ms.transpose()?.map(Duration::from_millis))
+}
+
+/// The detector of `detect` and `monitor`: the calibrated vote threshold,
+/// `--threads` and `--deadline-ms`.
+fn detector_config(a: &Args, min_votes: usize) -> Result<DetectorConfig, String> {
+    let mut config = DetectorConfig::default();
+    config.vote.min_votes = min_votes;
+    config.threads = a.get_parsed("threads", default_threads())?;
+    config.deadline = deadline(a)?;
+    Ok(config)
 }
 
 /// Applies `--trace-out FILE`: installs a ring collector as the global span
@@ -215,6 +235,31 @@ fn print_explains<'a>(reports: impl ExactSizeIterator<Item = &'a s3_obs::Explain
     }
 }
 
+/// Procedural video `i` of the synthetic library seeded by `seed`.
+fn synthetic_video(i: usize, frames: usize, seed: u64) -> ProceduralVideo {
+    ProceduralVideo::new(96, 72, frames, seed ^ ((i as u64) << 20))
+}
+
+/// Fingerprints a reference library into a database: the `.y4m` `files`,
+/// each named by its path, or when there are none `n` synthetic videos of
+/// `frames` frames named `video-<i>`.
+fn register(files: &[String], n: usize, frames: usize, seed: u64) -> Result<ReferenceDb, String> {
+    let mut builder = DbBuilder::new(ExtractorParams::default());
+    for file in files {
+        let video = Y4mVideo::open(file).map_err(|e| e.to_string())?;
+        eprintln!("fingerprinting {file} ({} frames) ...", video.len());
+        builder.add_video(file, &video);
+    }
+    if files.is_empty() {
+        eprintln!("fingerprinting {n} synthetic videos of {frames} frames ...");
+        for i in 0..n {
+            builder.add_video(&format!("video-{i}"), &synthetic_video(i, frames, seed));
+        }
+    }
+    eprintln!("indexing {} fingerprints ...", builder.fingerprint_count());
+    Ok(builder.build())
+}
+
 fn cmd_build(rest: Vec<String>) -> Result<CmdStatus, String> {
     let a = Args::parse(rest, &["videos", "frames", "seed"])?;
     let path = a.positional(0).ok_or("build needs an output path")?;
@@ -222,39 +267,12 @@ fn cmd_build(rest: Vec<String>) -> Result<CmdStatus, String> {
     let frames: usize = a.get_parsed("frames", 100)?;
     let seed: u64 = a.get_parsed("seed", 1)?;
 
-    let params = ExtractorParams::default();
-    let mut batch = RecordBatch::new(20);
-    if a.positional_len() > 1 {
-        // Real material: each positional after the index path is a .y4m file.
-        for i in 1..a.positional_len() {
-            let file = a.positional(i).expect("checked");
-            let video = Y4mVideo::open(file).map_err(|e| e.to_string())?;
-            eprintln!(
-                "fingerprinting {file} ({} frames @ {}x{}) ...",
-                video.len(),
-                video.width(),
-                video.height()
-            );
-            for f in extract_fingerprints(&video, &params) {
-                batch.push(&f.fingerprint, (i - 1) as u32, f.tc);
-            }
-        }
-    } else {
-        eprintln!("fingerprinting {n_videos} synthetic videos of {frames} frames ...");
-        for i in 0..n_videos {
-            let v = ProceduralVideo::new(96, 72, frames, seed ^ ((i as u64) << 20));
-            for f in extract_fingerprints(&v, &params) {
-                batch.push(&f.fingerprint, i as u32, f.tc);
-            }
-        }
-    }
-    eprintln!("indexing {} fingerprints ...", batch.len());
-    let index = S3Index::build(HilbertCurve::paper(), batch);
-    DiskIndex::write(&index, path).map_err(|e| e.to_string())?;
+    let db = register(a.positionals_from(1), n_videos, frames, seed)?;
+    db.save(path).map_err(|e| e.to_string())?;
     let disk = DiskIndex::open(path).map_err(|e| e.to_string())?;
     println!(
         "wrote {path}: {} records, {} data bytes",
-        index.len(),
+        db.fingerprint_count(),
         disk.data_bytes()
     );
     Ok(CmdStatus::Clean)
@@ -457,6 +475,7 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
             "seed",
             "attack",
             "candidate",
+            "index",
             "threads",
             "deadline-ms",
             "metrics-json",
@@ -486,23 +505,19 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
         other => return Err(format!("unknown attack '{other}'")),
     };
 
-    let mut builder = DbBuilder::new(ExtractorParams::default());
-    let use_files = a.positional_len() > 0;
-    if use_files {
-        for i in 0..a.positional_len() {
-            let file = a.positional(i).expect("checked");
-            let video = Y4mVideo::open(file).map_err(|e| e.to_string())?;
-            eprintln!("registering {file} ...");
-            builder.add_video(file, &video);
-        }
-    } else {
-        eprintln!("registering {n_videos} synthetic reference videos ...");
-        for i in 0..n_videos {
-            let v = ProceduralVideo::new(96, 72, frames, seed ^ ((i as u64) << 20));
-            builder.add_video(&format!("video-{i}"), &v);
-        }
+    let files = a.positionals_from(0);
+    let index = a.get("index");
+    if index.is_some() && !files.is_empty() {
+        return Err("pass either .y4m references or --index, not both".into());
     }
-    let db = builder.build();
+    // Only a synthetic library knows which of its videos to attack.
+    if a.get("candidate").is_none() && (index.is_some() || !files.is_empty()) {
+        return Err("with .y4m references or --index, pass --candidate FILE".into());
+    }
+    let db = match index {
+        Some(path) => ReferenceDb::load(path).map_err(|e| e.to_string())?,
+        None => register(files, n_videos, frames, seed)?,
+    };
     eprintln!(
         "database: {} fingerprints from {} videos",
         db.fingerprint_count(),
@@ -515,11 +530,9 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
             let video = Y4mVideo::open(file).map_err(|e| e.to_string())?;
             println!("candidate: {file}");
             (extract_fingerprints(&video, db.extractor_params()), None)
-        } else if use_files {
-            return Err("with .y4m references, pass --candidate FILE".into());
         } else {
             let t = n_videos / 2;
-            let original = ProceduralVideo::new(96, 72, frames, seed ^ ((t as u64) << 20));
+            let original = synthetic_video(t, frames, seed);
             let candidate = TransformedVideo::new(&original, chain.clone(), 99);
             println!("attacking video-{t} with [{}]", chain.label());
             (
@@ -539,16 +552,7 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
     let cal = s3_cbcd::calibrate_threshold(&probe, &negatives, 25.0, 1.0);
     eprintln!("calibrated n_sim threshold: {}", cal.min_votes);
 
-    let mut config = DetectorConfig::default();
-    config.vote.min_votes = cal.min_votes;
-    config.threads = a.get_parsed("threads", default_threads())?;
-    if let Some(raw) = a.get("deadline-ms") {
-        let ms: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value for --deadline-ms: {raw:?}"))?;
-        config.deadline = Some(Duration::from_millis(ms));
-    }
-    let detector = Detector::new(&db, config);
+    let detector = Detector::new(&db, detector_config(&a, cal.min_votes)?);
     let search = detector.search(&candidate_fps, a.has("explain"));
     let detections = s3_cbcd::vote(&search.votes(&candidate_fps), &detector.config().vote);
     let health = search.health;
@@ -603,6 +607,7 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
         rest,
         &[
             "archive",
+            "index",
             "stream-frames",
             "seed",
             "threads",
@@ -614,22 +619,22 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
         &["strict"],
     )?;
     let (metrics_json, _ticker) = metrics::shared_flags(&a)?;
-    let n_archive: usize = a.get_parsed("archive", 6)?;
     let stream_frames: usize = a.get_parsed("stream-frames", 400)?;
     let seed: u64 = a.get_parsed("seed", 11)?;
+    let db = match a.get("index") {
+        Some(_) if a.get("archive").is_some() => {
+            return Err("pass either --index or --archive, not both".into())
+        }
+        Some(path) => ReferenceDb::load(path).map_err(|e| e.to_string())?,
+        None => register(&[], a.get_parsed("archive", 6)?, 100, seed)?,
+    };
 
-    eprintln!("building archive of {n_archive} videos ...");
-    let mut builder = DbBuilder::new(ExtractorParams::default());
-    for i in 0..n_archive {
-        let v = ProceduralVideo::new(96, 72, 100, seed ^ ((i as u64) << 20));
-        builder.add_video(&format!("archive-{i}"), &v);
-    }
-    let db = builder.build();
-
-    // Stream: live content with one embedded rerun in the middle.
-    let rerun_id = n_archive / 2;
+    // Stream: live content with one embedded rerun of archive video
+    // `rerun_id` (100 frames, as the synthetic library makes them) in the
+    // middle.
+    let rerun_id = db.video_count() / 2;
     let live_a = ProceduralVideo::new(96, 72, stream_frames / 2, seed ^ 0xAAAA);
-    let rerun_src = ProceduralVideo::new(96, 72, 100, seed ^ ((rerun_id as u64) << 20));
+    let rerun_src = synthetic_video(rerun_id, 100, seed);
     let rerun = TransformedVideo::new(
         &rerun_src,
         TransformChain::new(vec![Transform::Gamma { wgamma: 1.25 }]),
@@ -655,16 +660,7 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
     let cal = calibrate_monitor_threshold(&probe, &negatives, &params, 25.0, 1.0);
     eprintln!("calibrated n_sim threshold: {}", cal.min_votes);
 
-    let mut config = DetectorConfig::default();
-    config.vote.min_votes = cal.min_votes;
-    config.threads = a.get_parsed("threads", default_threads())?;
-    if let Some(raw) = a.get("deadline-ms") {
-        let ms: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value for --deadline-ms: {raw:?}"))?;
-        config.deadline = Some(Duration::from_millis(ms));
-    }
-    let detector = Detector::new(&db, config);
+    let detector = Detector::new(&db, detector_config(&a, cal.min_votes)?);
     let mut monitor = Monitor::new(&detector, params);
     // No ops object is built unless the dashboard is asked for.
     let mut dashboard = a

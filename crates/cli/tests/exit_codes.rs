@@ -3,48 +3,16 @@
 //! Scripts dispatch on these without parsing output, so they are part of
 //! the CLI's public interface.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+mod common;
 
-fn s3cbcd(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_s3cbcd"))
-        .args(args)
-        .output()
-        .expect("failed to spawn s3cbcd")
-}
+use common::{build_index, code, s3cbcd};
 
-fn code(out: &Output) -> i32 {
-    out.status.code().expect("killed by signal")
-}
-
-/// Builds a small synthetic index under the target tmp dir and returns its
-/// path. Each caller gets its own file, so tests stay independent.
-fn build_index(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    std::fs::create_dir_all(&dir).expect("create tmpdir");
-    let path = dir.join(name);
-    let out = s3cbcd(&[
-        "build",
-        path.to_str().expect("utf-8 path"),
-        "--videos",
-        "2",
-        "--frames",
-        "30",
-        "--seed",
-        "1",
-    ]);
-    assert_eq!(
-        code(&out),
-        0,
-        "build failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    path
-}
+/// The synthetic library every test here queries.
+const BUILD: &[&str] = &["--videos", "2", "--frames", "30", "--seed", "1"];
 
 #[test]
 fn clean_query_exits_zero() {
-    let idx = build_index("exit0.s3i");
+    let (_dir, idx) = build_index(BUILD);
     let out = s3cbcd(&[
         "query",
         idx.to_str().expect("utf-8 path"),
@@ -64,7 +32,7 @@ fn clean_query_exits_zero() {
 
 #[test]
 fn expired_deadline_exits_two_with_degraded_note() {
-    let idx = build_index("exit2.s3i");
+    let (_dir, idx) = build_index(BUILD);
     // A zero budget is already expired when the batch starts: every query
     // comes back cancelled/degraded, but the command still succeeds in the
     // "partial results" sense — exit 2, not 1.
@@ -106,7 +74,7 @@ fn missing_index_exits_one() {
 /// shard-router flags are unknown, and the index is written alone.
 #[test]
 fn sidecar_and_shard_flags_are_unknown() {
-    let idx = build_index("one_engine.s3i");
+    let (_dir, idx) = build_index(BUILD);
     let mut sidecar = idx.file_name().expect("file name").to_os_string();
     sidecar.push(".skch");
     assert!(!idx.with_file_name(sidecar).exists(), "no sidecar written");

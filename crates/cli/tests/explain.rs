@@ -3,47 +3,16 @@
 //! runs, which still exit 2), the `explain` subcommand is a shorthand for
 //! it, and `--trace-out` writes a Chrome trace-event JSON file.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+mod common;
 
-fn s3cbcd(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_s3cbcd"))
-        .args(args)
-        .output()
-        .expect("failed to spawn s3cbcd")
-}
+use common::{build_index, code, s3cbcd};
 
-fn code(out: &Output) -> i32 {
-    out.status.code().expect("killed by signal")
-}
-
-/// Builds a small synthetic index under the target tmp dir.
-fn build_index(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    std::fs::create_dir_all(&dir).expect("create tmpdir");
-    let path = dir.join(name);
-    let out = s3cbcd(&[
-        "build",
-        path.to_str().expect("utf-8 path"),
-        "--videos",
-        "2",
-        "--frames",
-        "30",
-        "--seed",
-        "1",
-    ]);
-    assert_eq!(
-        code(&out),
-        0,
-        "build failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    path
-}
+/// The synthetic library every test here queries.
+const BUILD: &[&str] = &["--videos", "2", "--frames", "30", "--seed", "1"];
 
 #[test]
 fn clean_explain_reports_plan_and_exits_zero() {
-    let idx = build_index("explain0.s3i");
+    let (_dir, idx) = build_index(BUILD);
     let out = s3cbcd(&[
         "query",
         idx.to_str().expect("utf-8 path"),
@@ -68,7 +37,7 @@ fn clean_explain_reports_plan_and_exits_zero() {
 
 #[test]
 fn explain_subcommand_matches_query_explain() {
-    let idx = build_index("explain-sub.s3i");
+    let (_dir, idx) = build_index(BUILD);
     let out = s3cbcd(&[
         "explain",
         idx.to_str().expect("utf-8 path"),
@@ -89,7 +58,7 @@ fn explain_subcommand_matches_query_explain() {
 
 #[test]
 fn degraded_explain_annotates_deadline_and_exits_two() {
-    let idx = build_index("explain2.s3i");
+    let (_dir, idx) = build_index(BUILD);
     // An already-expired deadline: partial results, exit 2, and the explain
     // output must say *why* each query degraded.
     let out = s3cbcd(&[
@@ -120,8 +89,8 @@ fn degraded_explain_annotates_deadline_and_exits_two() {
 
 #[test]
 fn trace_out_writes_chrome_trace_json() {
-    let idx = build_index("trace.s3i");
-    let trace = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace.json");
+    let (dir, idx) = build_index(BUILD);
+    let trace = dir.join("trace.json");
     let out = s3cbcd(&[
         "query",
         idx.to_str().expect("utf-8 path"),

@@ -4,19 +4,13 @@
 //! and same result counts — plus the exit-code taxonomy (2 = partial
 //! results, 1 = strict-mode hard error) applying to injected faults.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+mod common;
 
-fn s3cbcd(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_s3cbcd"))
-        .args(args)
-        .output()
-        .expect("failed to spawn s3cbcd")
-}
+use common::{build_index, code, s3cbcd};
+use std::process::Output;
 
-fn code(out: &Output) -> i32 {
-    out.status.code().expect("killed by signal")
-}
+/// The synthetic library every test here queries.
+const BUILD: &[&str] = &["--videos", "3", "--frames", "40", "--seed", "1"];
 
 fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
@@ -32,29 +26,6 @@ fn result_lines(out: &Output) -> Vec<String> {
         .collect()
 }
 
-fn build_index(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    std::fs::create_dir_all(&dir).expect("create tmpdir");
-    let path = dir.join(name);
-    let out = s3cbcd(&[
-        "build",
-        path.to_str().expect("utf-8 path"),
-        "--videos",
-        "3",
-        "--frames",
-        "40",
-        "--seed",
-        "1",
-    ]);
-    assert_eq!(
-        code(&out),
-        0,
-        "build failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    path
-}
-
 /// A seed known to degrade the single-node torn-read run (checked and then
 /// asserted below, so a behaviour change shows up as a test failure, not a
 /// silently-clean scenario).
@@ -62,7 +33,7 @@ const TORN_SEED: &str = "1";
 
 #[test]
 fn query_fault_is_deterministic_and_degrades() {
-    let idx = build_index("fault_det.s3i");
+    let (_dir, idx) = build_index(BUILD);
     let run = || {
         s3cbcd(&[
             "query",
@@ -96,7 +67,7 @@ fn query_fault_is_deterministic_and_degrades() {
 
 #[test]
 fn query_fault_strict_exits_one() {
-    let idx = build_index("fault_strict.s3i");
+    let (_dir, idx) = build_index(BUILD);
     let out = s3cbcd(&[
         "query",
         idx.to_str().expect("utf-8 path"),
@@ -120,7 +91,7 @@ fn query_fault_strict_exits_one() {
 
 #[test]
 fn query_unknown_fault_rejected() {
-    let idx = build_index("fault_bad.s3i");
+    let (_dir, idx) = build_index(BUILD);
     let out = s3cbcd(&[
         "query",
         idx.to_str().expect("utf-8 path"),

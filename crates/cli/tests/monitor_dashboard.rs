@@ -1,23 +1,15 @@
-//! End-to-end contract of `s3cbcd monitor --dashboard` and `s3cbcd
-//! incident`: the dashboard only observes (a clean run stays healthy,
-//! dumps nothing and prints the same stdout as a run without it), a run
-//! whose every search misses its deadline trips the `deadline-rate` rule
-//! and dumps a schema-valid incident, and `incident` renders that dump.
+//! End-to-end contract of `s3cbcd monitor` and `s3cbcd incident`: the
+//! archive `build` writes, loaded with `--index`, monitors as the archive
+//! the monitor fingerprints itself; the dashboard only observes (a clean
+//! run stays healthy, dumps nothing and prints the same stdout as a run
+//! without it), a run whose every search misses its deadline trips the
+//! `deadline-rate` rule and dumps a schema-valid incident, and `incident`
+//! renders that dump.
 
-use std::process::{Command, Output};
+mod common;
 
+use common::{build_index, code, s3cbcd};
 use s3_testkit::TempDir;
-
-fn s3cbcd(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_s3cbcd"))
-        .args(args)
-        .output()
-        .expect("failed to spawn s3cbcd")
-}
-
-fn code(out: &Output) -> i32 {
-    out.status.code().expect("killed by signal")
-}
 
 fn text(bytes: &[u8]) -> String {
     String::from_utf8_lossy(bytes).into_owned()
@@ -31,6 +23,17 @@ fn untimed(stdout: &[u8]) -> Vec<String> {
         .filter(|l| !l.contains("real-time factor"))
         .map(str::to_owned)
         .collect()
+}
+
+#[test]
+fn monitor_from_the_archive_matches_the_in_memory_monitor() {
+    let (_dir, archive) = build_index(&["--videos", "6", "--frames", "100", "--seed", "11"]);
+    let archive = archive.to_str().expect("utf-8 path");
+    let loaded = s3cbcd(&["monitor", "--index", archive, "--seed", "11"]);
+    let fresh = s3cbcd(&["monitor", "--seed", "11"]);
+    assert_eq!(code(&loaded), 0, "{}", text(&loaded.stderr));
+    assert_eq!(untimed(&loaded.stdout), untimed(&fresh.stdout));
+    assert!(text(&loaded.stdout).contains("event: video-3 (id 3)"));
 }
 
 #[test]

@@ -189,56 +189,6 @@ impl RecordBatch {
     pub fn byte_size(&self) -> usize {
         self.fingerprints.len() + 4 * self.ids.len() + 4 * self.tcs.len()
     }
-
-    /// Serializes the batch into `buf` (little-endian, columnar).
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.dims as u32).to_le_bytes());
-        buf.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&self.fingerprints);
-        for &id in &self.ids {
-            buf.extend_from_slice(&id.to_le_bytes());
-        }
-        for &tc in &self.tcs {
-            buf.extend_from_slice(&tc.to_le_bytes());
-        }
-    }
-
-    /// Deserializes a batch previously written by [`RecordBatch::encode_into`]
-    /// from the front of `buf`, advancing it past the batch.
-    ///
-    /// Returns `None` on truncated input, including a header whose record
-    /// count cannot fit in what follows it.
-    pub fn decode_from(buf: &mut &[u8]) -> Option<RecordBatch> {
-        let dims = u32::from_le_bytes(take(buf)?) as usize;
-        let n = usize::try_from(u64::from_le_bytes(take(buf)?)).ok()?;
-        // `n` comes from the file: the product must not wrap past the check.
-        if dims == 0 || buf.len() < n.checked_mul(dims + 8)? {
-            return None;
-        }
-        let (fingerprints, rest) = { *buf }.split_at(n * dims);
-        *buf = rest;
-        let mut column = || {
-            (0..n)
-                .map(|_| take(buf).map(u32::from_le_bytes))
-                .collect::<Option<Vec<u32>>>()
-        };
-        let ids = column()?;
-        let tcs = column()?;
-        Some(RecordBatch {
-            dims,
-            fingerprints: fingerprints.to_vec(),
-            ids,
-            tcs,
-        })
-    }
-}
-
-/// Splits the first `N` bytes off the front of `buf`, or `None` if it holds
-/// fewer.
-fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
-    let (head, rest) = { *buf }.split_first_chunk::<N>()?;
-    *buf = rest;
-    Some(*head)
 }
 
 /// Squared Euclidean distance between two byte fingerprints.
@@ -318,29 +268,6 @@ mod tests {
     fn push_wrong_dims_panics() {
         let mut b = RecordBatch::new(3);
         b.push(&[1, 2], 0, 0);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let mut b = RecordBatch::new(4);
-        for i in 0..17u32 {
-            b.push(&[i as u8, 255 - i as u8, 7, 9], i * 3, i * 40);
-        }
-        let mut buf = Vec::new();
-        b.encode_into(&mut buf);
-        let back = RecordBatch::decode_from(&mut buf.as_slice()).unwrap();
-        assert_eq!(back, b);
-    }
-
-    #[test]
-    fn decode_truncated_returns_none() {
-        let mut b = RecordBatch::new(2);
-        b.push(&[1, 2], 0, 0);
-        let mut buf = Vec::new();
-        b.encode_into(&mut buf);
-        buf.truncate(buf.len() - 1);
-        assert!(RecordBatch::decode_from(&mut buf.as_slice()).is_none());
-        assert!(RecordBatch::decode_from(&mut [0u8; 3].as_slice()).is_none());
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! dies on the first bad sector cannot do that. Three mechanisms make the
 //! engine keep answering:
 //!
-//! * **Checksummed format** — `S3IDX004` (and the older `S3IDX002` /
-//!   `S3IDX003`) carry a CRC-32 over the header + index table, one CRC-32
+//! * **Checksummed format** — `S3IDX004` and `S3IDX005` (and the older
+//!   `S3IDX002` / `S3IDX003`) carry a CRC-32 over the header + index table, one CRC-32
 //!   per fixed-size data block, and a CRC over the block-CRC table itself,
 //!   so corruption is *detected* rather than silently returned as wrong
 //!   matches. Legacy `S3IDX001` files still open (with a loud warning) but
@@ -55,6 +55,7 @@
 //!            tcs      n × u32
 //! CRC table: ceil(data/block_size) × u32 CRC-32 per data block
 //! tail CRC : u32                         CRC-32 of the CRC table
+//! trailer  : S3IDX005 only — len u64 | payload len bytes | CRC-32 of the payload
 //! ```
 //!
 //! A record is `8 + dims + 8` bytes, 36 on the paper's 20-dimensional
@@ -69,7 +70,13 @@
 //! prefix by their full keys, recomputed from their fingerprints — so no
 //! depth is refused and every answer is exact.
 //!
-//! Only `S3IDX004` is written. Older files open, each 32-byte key
+//! `S3IDX005` is the `S3IDX004` layout under its own magic, followed by an
+//! opaque trailer that this crate stores and checks as bytes
+//! ([`DiskIndex::encode_with_trailer`], [`DiskIndex::trailer`]): the video
+//! archive (`s3-cbcd`'s `ReferenceDb::save`) keeps its names, extractor
+//! parameters and interest-point positions there. Every other writer
+//! ([`DiskIndex::write`], [`DiskIndex::encode_to_vec`], a durable
+//! generation) emits `S3IDX004`. Older files open, each 32-byte key
 //! truncated to its prefix as a section loads:
 //! * `S3IDX003`: the same layout with a 32-byte key column (four
 //!   little-endian `u64` limbs) in place of the prefixes;
@@ -102,6 +109,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+const MAGIC_V5: &[u8; 8] = b"S3IDX005";
 const MAGIC_V4: &[u8; 8] = b"S3IDX004";
 const MAGIC_V3: &[u8; 8] = b"S3IDX003";
 const MAGIC_V2: &[u8; 8] = b"S3IDX002";
@@ -196,15 +204,17 @@ pub struct DiskIndex {
     /// `table[s]` = first record whose key's top `table_depth` bits ≥ `s`.
     table: Vec<u64>,
     /// Format version (1 = legacy unchecksummed, 2 = identity axis order,
-    /// 3 = any axis order, 4 = key prefixes).
+    /// 3 = any axis order, 4 = key prefixes, 5 = v4 plus a trailer).
     version: u32,
-    /// Bytes a record takes in the key column: [`PREFIX_LEN`] in v4,
+    /// Bytes a record takes in the key column: [`PREFIX_LEN`] from v4,
     /// [`KEY_LEN`] before.
     key_len: u64,
-    /// Bytes per checksummed block (v2 to v4).
+    /// Bytes per checksummed block (v2 on).
     block_size: u32,
-    /// Per-block CRC-32 of the data region (v2 to v4; empty for v1).
+    /// Per-block CRC-32 of the data region (v2 on; empty for v1).
     block_crcs: Vec<u32>,
+    /// File offset of the trailer (v5 only).
+    trailer: Option<u64>,
     /// File offset where the data region starts.
     data_off: u64,
     /// Length of the data region in bytes.
@@ -341,11 +351,12 @@ fn checksum_failure(region: &'static str, offset: u64) -> IndexError {
 }
 
 /// Serialises the header, the axis order and the index table of an index
-/// into a buffer: `S3IDX004`, or with `v1` the legacy `S3IDX001`, which
-/// has no place for an order. Asked for that with a curve that is not the
-/// identity, this refuses rather than write a file whose keys the reader
-/// would take for keys on another curve.
-fn encode_meta(index: &S3Index, opts: WriteOpts, v1: bool) -> io::Result<Vec<u8>> {
+/// into a buffer under `magic`: `S3IDX004`, `S3IDX005`, or the legacy
+/// `S3IDX001`, which has no place for an order. Asked for that with a
+/// curve that is not the identity, this refuses rather than write a file
+/// whose keys the reader would take for keys on another curve.
+fn encode_meta(index: &S3Index, opts: WriteOpts, magic: &[u8; 8]) -> io::Result<Vec<u8>> {
+    let v1 = magic == MAGIC_V1;
     let curve = index.curve();
     if v1 && !curve.is_identity() {
         return Err(io::Error::new(
@@ -358,7 +369,7 @@ fn encode_meta(index: &S3Index, opts: WriteOpts, v1: bool) -> io::Result<Vec<u8>
     let axes = if v1 { &[][..] } else { curve.axes() };
     let mut meta =
         Vec::with_capacity(HEADER_LEN as usize + axes.len() + ((1usize << table_depth) + 1) * 8);
-    meta.extend_from_slice(if v1 { MAGIC_V1 } else { MAGIC_V4 });
+    meta.extend_from_slice(magic);
     meta.extend_from_slice(&(curve.dims() as u32).to_le_bytes());
     meta.extend_from_slice(&(curve.order() as u32).to_le_bytes());
     meta.extend_from_slice(&n.to_le_bytes());
@@ -440,15 +451,31 @@ impl DiskIndex {
     }
 
     /// Serialises a built index into the complete `S3IDX004` byte stream —
-    /// exactly the bytes [`DiskIndex::write_with`] puts in a file. The
-    /// paged storage engine chunks this stream into pages; opening the
-    /// chunked stream through a pooled [`Storage`] yields bit-identical
-    /// query results by construction, because the reader is the same.
+    /// exactly the bytes [`DiskIndex::write_with`] puts in a file, and what
+    /// a durable index writes as one generation.
     pub fn encode_to_vec(index: &S3Index, opts: WriteOpts) -> io::Result<Vec<u8>> {
+        Self::encode(index, opts, None)
+    }
+
+    /// Serialises a built index into an `S3IDX005` byte stream: the
+    /// `S3IDX004` layout under its own magic, followed by `trailer` as
+    /// `len u64 | trailer | CRC-32`. The trailer is opaque here;
+    /// [`DiskIndex::trailer`] gives it back, checked.
+    pub fn encode_with_trailer(
+        index: &S3Index,
+        opts: WriteOpts,
+        trailer: &[u8],
+    ) -> io::Result<Vec<u8>> {
+        Self::encode(index, opts, Some(trailer))
+    }
+
+    fn encode(index: &S3Index, opts: WriteOpts, trailer: Option<&[u8]>) -> io::Result<Vec<u8>> {
         assert!(opts.block_size > 0, "block size must be positive");
-        let meta = encode_meta(index, opts, false)?;
+        let meta = encode_meta(index, opts, trailer.map_or(MAGIC_V4, |_| MAGIC_V5))?;
         let record_bytes = PREFIX_LEN as usize + index.curve().dims() + 8;
-        let mut out = Vec::with_capacity(meta.len() + 4 + index.len() * record_bytes);
+        let trailer_bytes = trailer.map_or(0, |t| 8 + t.len() + 4);
+        let mut out =
+            Vec::with_capacity(meta.len() + 4 + index.len() * record_bytes + trailer_bytes);
         out.extend_from_slice(&meta);
         out.extend_from_slice(&crc32(&meta).to_le_bytes());
 
@@ -461,6 +488,11 @@ impl DiskIndex {
             .collect();
         out.extend_from_slice(&block_crcs);
         out.extend_from_slice(&crc32(&block_crcs).to_le_bytes());
+        if let Some(t) = trailer {
+            out.extend_from_slice(&(t.len() as u64).to_le_bytes());
+            out.extend_from_slice(t);
+            out.extend_from_slice(&crc32(t).to_le_bytes());
+        }
         Ok(out)
     }
 
@@ -478,7 +510,7 @@ impl DiskIndex {
             table_depth: TABLE_DEPTH,
             block_size: 0,
         };
-        let meta = encode_meta(index, opts, true)?;
+        let meta = encode_meta(index, opts, MAGIC_V1)?;
         let mut w = BufWriter::new(File::create(path.as_ref())?);
         w.write_all(&meta)?;
         write_data_region(&mut w, index, true)?;
@@ -499,6 +531,7 @@ impl DiskIndex {
         let mut header = [0u8; HEADER_LEN as usize];
         storage.read_at(0, &mut header)?;
         let version = match &header[0..8] {
+            m if m == MAGIC_V5 => 5,
             m if m == MAGIC_V4 => 4,
             m if m == MAGIC_V3 => 3,
             m if m == MAGIC_V2 => 2,
@@ -518,12 +551,19 @@ impl DiskIndex {
         if version >= 2 && block_size == 0 {
             return Err(bad_format("zero block size"));
         }
-        // The axis order (v3 and v4): read with the table, checked by the
-        // meta CRC before anything trusts it.
+        // The axis order (v3 on): read with the table, checked by the meta
+        // CRC before anything trusts it.
         let axes_len = if version >= 3 { dims as u64 } else { 0 };
 
         let slots = 1usize << table_depth;
         let table_bytes = ((slots + 1) * 8) as u64;
+        // The header is not verified yet: the storage must hold the meta
+        // region it declares before that region is allocated and read.
+        let file_len = storage.len()?;
+        let meta_len = HEADER_LEN + axes_len + table_bytes;
+        if file_len < meta_len + if version >= 2 { 4 } else { 0 } {
+            return Err(bad_format("the file cannot hold its declared table"));
+        }
         let mut raw = vec![0u8; (axes_len + table_bytes) as usize];
         storage.read_at(HEADER_LEN, &mut raw)?;
         let table: Vec<u64> = raw[axes_len as usize..]
@@ -531,7 +571,7 @@ impl DiskIndex {
             .map(le_u64)
             .collect();
 
-        let key_len = if version == 4 { PREFIX_LEN } else { KEY_LEN };
+        let key_len = if version >= 4 { PREFIX_LEN } else { KEY_LEN };
         let record_bytes = key_len + dims as u64 + 4 + 4;
         let data_len = n
             .checked_mul(record_bytes)
@@ -547,6 +587,7 @@ impl DiskIndex {
             key_len,
             block_size,
             block_crcs: Vec::new(),
+            trailer: None,
             data_off: 0,
             data_len,
             retry: RetryPolicy::default(),
@@ -559,7 +600,7 @@ impl DiskIndex {
         if version == 1 {
             index.data_off = HEADER_LEN + table_bytes;
             let expected = index.data_off + data_len;
-            if index.storage.len()? != expected {
+            if file_len != expected {
                 return Err(bad_format(format!(
                     "v1 file size mismatch: expected {expected} bytes"
                 )));
@@ -572,9 +613,8 @@ impl DiskIndex {
             return Ok(index);
         }
 
-        // v2 to v4: verify the header + axes + table CRC, then load and
-        // verify the block-CRC table.
-        let meta_len = HEADER_LEN + axes_len + table_bytes;
+        // v2 on: verify the header + axes + table CRC, then load and verify
+        // the block-CRC table.
         let mut stored = [0u8; 4];
         index.storage.read_at(meta_len, &mut stored)?;
         let mut meta_crc = Crc32::new();
@@ -599,12 +639,19 @@ impl DiskIndex {
         let expected = crc_table_off
             .checked_add(n_blocks * 4 + 4)
             .ok_or_else(|| bad_format("crc table overflows the file"))?;
-        if index.storage.len()? != expected {
+        // A v5 trailer is opaque here: room for its length and CRC is all
+        // `open` checks, so a v5 file opens with its v4 twin's reads.
+        let fits = match version {
+            5 => file_len.saturating_sub(8 + 4) >= expected,
+            _ => file_len == expected,
+        };
+        if !fits {
             return Err(bad_format(format!(
                 "file size mismatch: expected {expected} bytes \
                  (truncated or trailing data)"
             )));
         }
+        index.trailer = (version == 5).then_some(expected);
         let mut crc_raw = vec![0u8; (n_blocks * 4) as usize];
         index.storage.read_at(crc_table_off, &mut crc_raw)?;
         index
@@ -692,9 +739,31 @@ impl DiskIndex {
         ))
     }
 
-    /// On-disk format version of the opened file (1 to 4).
+    /// On-disk format version of the opened file (1 to 5).
     pub fn version(&self) -> u32 {
         self.version
+    }
+
+    /// The trailer of an `S3IDX005` file, read and checked against its
+    /// CRC-32; `None` for every other version.
+    pub fn trailer(&self) -> Result<Option<Vec<u8>>, IndexError> {
+        let Some(at) = self.trailer else {
+            return Ok(None);
+        };
+        // The declared length must end the file before it sizes a buffer.
+        let len = self.storage.len()?.saturating_sub(at + 8 + 4);
+        let mut declared = [0u8; 8];
+        self.storage.read_at(at, &mut declared)?;
+        if u64::from_le_bytes(declared) != len || usize::try_from(len).is_err() {
+            return Err(bad_format("trailer length does not end the file"));
+        }
+        let (mut payload, mut stored) = (vec![0u8; len as usize], [0u8; 4]);
+        self.storage.read_at(at + 8, &mut payload)?;
+        self.storage.read_at(at + 8 + len, &mut stored)?;
+        if crc32(&payload) != le_u32(&stored) {
+            return Err(checksum_failure("trailer", at));
+        }
+        Ok(Some(payload))
     }
 
     /// The curve of the stored index.
@@ -753,6 +822,28 @@ impl DiskIndex {
         let mut batch = RecordBatch::with_capacity(self.curve.dims(), n);
         self.read_records(0, self.n, &mut batch, &mut Vec::new(), &mut Vec::new())?;
         Ok(batch)
+    }
+
+    /// Reads the whole stored index into memory, CRC-verified, as the
+    /// [`S3Index`] it was written from: records and key prefixes in stored
+    /// order, curve and axis order as stored, nothing re-sorted.
+    pub fn to_index(&self) -> Result<S3Index, IndexError> {
+        if self.curve.order() != 8 || self.n > u64::from(u32::MAX) {
+            return Err(bad_format(
+                "not an in-memory index: order ≠ 8 or ≥ 2^32 records",
+            ));
+        }
+        let mut prefixes = Vec::new();
+        self.read_prefixes(0, self.n, &mut prefixes, &mut Vec::new(), &mut Vec::new())?;
+        if !prefixes.is_sorted() {
+            return Err(bad_format("key prefixes out of order"));
+        }
+        let records = self.to_record_batch()?;
+        Ok(S3Index::from_sorted_parts(
+            self.curve.clone(),
+            prefixes,
+            records,
+        ))
     }
 
     /// Packs consecutive table slots greedily into sections of at most
@@ -1465,6 +1556,33 @@ mod tests {
         disk.verify().unwrap();
     }
 
+    /// `S3IDX005` is the `S3IDX004` stream under its own magic plus a
+    /// trailer, and reads back as the index it was written from. (The
+    /// archive's corruption properties are `s3-cbcd`'s.)
+    #[test]
+    fn v5_is_v4_plus_a_checked_trailer() {
+        let idx = S3Index::build(HilbertCurve::new(4, 8).unwrap(), synthetic_batch(4, 700, 5));
+        let v4 = DiskIndex::encode_to_vec(&idx, WriteOpts::default()).unwrap();
+        let v5 = DiskIndex::encode_with_trailer(&idx, WriteOpts::default(), b"names").unwrap();
+        // Only the magic and the meta CRC after the table differ.
+        let meta_crc = HEADER_LEN as usize + 4 + ((1 << TABLE_DEPTH) + 1) * 8;
+        assert_eq!((&v4[..8], &v5[..8]), (&MAGIC_V4[..], &MAGIC_V5[..]));
+        assert_eq!(v5[8..meta_crc], v4[8..meta_crc]);
+        assert_eq!(v5[meta_crc + 4..v4.len()], v4[meta_crc + 4..]);
+        assert_eq!(v5[v4.len()..v4.len() + 8], 5u64.to_le_bytes());
+        assert_eq!(v5.len(), v4.len() + 8 + 5 + 4);
+
+        let disk = DiskIndex::open_storage(Box::new(MemStorage::new(v5))).unwrap();
+        assert_eq!(disk.version(), 5);
+        assert_eq!(disk.trailer().unwrap().as_deref(), Some(&b"names"[..]));
+        let back = disk.to_index().unwrap();
+        assert_eq!(back.curve(), idx.curve());
+        assert_eq!(back.prefixes(), idx.prefixes());
+        assert_eq!(back.records(), idx.records());
+        let plain = DiskIndex::open_storage(Box::new(MemStorage::new(v4))).unwrap();
+        assert_eq!(plain.trailer().unwrap(), None);
+    }
+
     #[test]
     fn bad_magic_rejected() {
         let (_dir, path) = scratch("badmagic");
@@ -1583,7 +1701,7 @@ mod tests {
     fn formats_without_an_order_refuse_to_store_one() {
         let (idx, _dir, _path) = build_pair(300);
         assert!(!idx.curve().is_identity());
-        let err = encode_meta(&idx, WriteOpts::default(), true).unwrap_err();
+        let err = encode_meta(&idx, WriteOpts::default(), MAGIC_V1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let (_dir, path) = scratch("v1ranked");
         assert!(DiskIndex::write_v1(&idx, &path).is_err());
@@ -2218,9 +2336,7 @@ mod tests {
     fn mem_index(n: usize, opts: WriteOpts) -> (S3Index, Vec<u8>) {
         let curve = HilbertCurve::new(4, 8).unwrap();
         let idx = S3Index::build(curve, synthetic_batch(4, n, 17));
-        let (_dir, path) = scratch(&format!("mem{n}_{}", opts.block_size));
-        DiskIndex::write_with(&idx, &path, opts).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
+        let bytes = DiskIndex::encode_to_vec(&idx, opts).unwrap();
         (idx, bytes)
     }
 

@@ -4,7 +4,8 @@
 //! blocks, CRC table), so *any* truncation and *any* single bit flip of a
 //! saved index must surface as a clean [`s3_core::IndexError`] — either at
 //! open, at `verify()`, or at query time — never as a panic and never as
-//! silently wrong answers. `FaultyStorage` then exercises the runtime
+//! silently wrong answers. A flip is never a raw I/O error either: header
+//! fields are checked against the file size before they size a read. `FaultyStorage` then exercises the runtime
 //! paths: transient faults are retried away; a permanently dead region
 //! degrades the batch with honest accounting.
 
@@ -82,22 +83,35 @@ proptest! {
         prop_assert!(res.is_err(), "truncation to {cut}/{} bytes must not open", bytes.len());
     }
 
-    /// Any single bit flip is caught by a checksum: either the file refuses
-    /// to open, or the full-scan `verify()` pinpoints a corrupt block.
+    /// Any single bit flip is caught by a checksum or a size check: either
+    /// the file refuses to open, or the full-scan `verify()` pinpoints a
+    /// corrupt block — as a typed error, never a raw read past the end.
     #[test]
     fn any_single_bit_flip_is_detected(frac in 0.0f64..1.0, bit in 0u8..8) {
         let (_, bytes) = fixture();
         let byte = ((frac * bytes.len() as f64) as usize).min(bytes.len() - 1);
         let mut corrupt = bytes.clone();
         corrupt[byte] ^= 1 << bit;
-        match open_mem(corrupt) {
+        match open_mem(corrupt).and_then(|disk| disk.verify()) {
+            Err(IndexError::Io(e)) => {
+                prop_assert!(false, "flip at byte {byte} bit {bit} surfaced as raw io: {e}")
+            }
             Err(_) => {}
-            Ok(disk) => prop_assert!(
-                disk.verify().is_err(),
-                "flip at byte {byte} bit {bit} opened AND verified clean"
-            ),
+            Ok(()) => prop_assert!(false, "flip at byte {byte} bit {bit} opened AND verified clean"),
         }
     }
+}
+
+/// A table depth raised by one bit flip (8 → 24) declares a 128 MiB table
+/// the file cannot hold: refused as a format error before anything is
+/// allocated or read.
+#[test]
+fn an_inflated_table_depth_is_refused_before_it_is_read() {
+    let (_, bytes) = fixture();
+    let mut corrupt = bytes.clone();
+    corrupt[24] ^= 1 << 4; // table_depth u32 at bytes 24..28
+    let err = open_mem(corrupt).err();
+    assert!(matches!(err, Some(IndexError::Format { .. })), "{err:?}");
 }
 
 /// Clean bytes round-trip through MemStorage and answer exactly like the

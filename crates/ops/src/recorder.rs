@@ -283,9 +283,9 @@ impl FlightRecorder {
         }
     }
 
-    /// [`FlightRecorder::incident`] + [`IncidentReport::write_to_dir`].
+    /// [`FlightRecorder::incident`] + [`IncidentReport::save_in`].
     pub fn dump_incident(&self, trigger: IncidentTrigger, dir: &Path) -> io::Result<PathBuf> {
-        self.incident(trigger).write_to_dir(dir)
+        self.incident(trigger).save_in(dir)
     }
 }
 
@@ -397,7 +397,7 @@ impl IncidentReport {
     /// Writes the report to `dir` as `incident-<kind>-<seq>.json`,
     /// creating the directory if needed, atomically ([`write_atomic`]): a
     /// crash mid-dump leaves no torn document. Returns the file path.
-    pub fn write_to_dir(&self, dir: &Path) -> io::Result<PathBuf> {
+    pub fn save_in(&self, dir: &Path) -> io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!(
             "incident-{}-{:04}.json",
@@ -524,7 +524,7 @@ mod tests {
     }
 
     #[test]
-    fn write_to_dir_names_by_kind_and_seq() {
+    fn save_in_names_by_kind_and_seq() {
         let rec = FlightRecorder::default();
         let dir = s3_testkit::TempDir::new("recorder");
         let r1 = rec.incident(IncidentTrigger {
@@ -532,7 +532,7 @@ mod tests {
             rule: None,
             detail: "x".into(),
         });
-        let p = r1.write_to_dir(&dir).expect("write");
+        let p = r1.save_in(&dir).expect("write");
         assert!(p
             .file_name()
             .and_then(|f| f.to_str())

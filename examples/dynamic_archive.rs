@@ -12,7 +12,7 @@ use s3::video::{extract_fingerprints, ExtractorParams, ProceduralVideo};
 
 fn main() {
     let params = ExtractorParams::default();
-    let tmp = std::env::temp_dir().join(format!("s3_archive_{}.refdb", std::process::id()));
+    let tmp = std::env::temp_dir().join(format!("s3_archive_{}.s3i", std::process::id()));
 
     // ---- Day 1: fingerprint the initial archive and persist it. ----
     println!("day 1: registering the initial archive ...");

@@ -1,8 +1,9 @@
 //! Integration test of the Y4M round-trip through real files plus the
 //! end-to-end detection path a CLI user follows: capture synthetic material
-//! to .y4m, re-open it, register, attack, detect.
+//! to .y4m, re-open it, register, attack, detect — then save the archive,
+//! load it back and detect again.
 
-use s3::cbcd::{DbBuilder, Detector, DetectorConfig};
+use s3::cbcd::{DbBuilder, Detector, DetectorConfig, ReferenceDb};
 use s3::video::{
     extract_fingerprints, ExtractorParams, ProceduralVideo, Transform, TransformChain,
     TransformedVideo, VideoSource, Y4mVideo,
@@ -10,8 +11,7 @@ use s3::video::{
 
 #[test]
 fn y4m_files_flow_through_the_full_pipeline() {
-    let dir = std::env::temp_dir().join(format!("s3_cli_y4m_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = s3_testkit::TempDir::new("cli_y4m");
 
     // Produce three reference files and one attacked candidate file.
     let mut params = ExtractorParams::default();
@@ -45,7 +45,7 @@ fn y4m_files_flow_through_the_full_pipeline() {
     let db = builder.build();
     let mut config = DetectorConfig::default();
     config.vote.min_votes = 12;
-    let detector = Detector::new(&db, config);
+    let detector = Detector::new(&db, config.clone());
     let cand = Y4mVideo::open(&cand_path).unwrap();
     let fps = extract_fingerprints(&cand, db.extractor_params());
     let detections = detector.detect_fingerprints(&fps);
@@ -56,5 +56,17 @@ fn y4m_files_flow_through_the_full_pipeline() {
         "y4m-roundtripped attacked copy must be detected: {detections:?}"
     );
 
-    std::fs::remove_dir_all(dir).ok();
+    // The archive file: saved, loaded, it detects identically and names
+    // each reference by its file path.
+    let archive = dir.join("refs.s3i");
+    db.save(&archive).unwrap();
+    let loaded = ReferenceDb::load(&archive).unwrap();
+    for (id, p) in paths.iter().enumerate() {
+        assert_eq!(loaded.name(id as u32), p.to_str());
+    }
+    let fps = extract_fingerprints(&cand, loaded.extractor_params());
+    assert_eq!(
+        Detector::new(&loaded, config).detect_fingerprints(&fps),
+        detections
+    );
 }

@@ -142,8 +142,7 @@ fn extracted_fingerprints_roundtrip_through_disk_index() {
         batch.push(&f.fingerprint, 1, f.tc);
     }
     let index = S3Index::build(HilbertCurve::paper(), batch);
-    let dir = std::env::temp_dir().join(format!("s3_e2e_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = s3_testkit::TempDir::new("e2e");
     let path = dir.join("db.s3idx");
     s3::core::pseudo_disk::DiskIndex::write(&index, &path).unwrap();
     let disk = s3::core::pseudo_disk::DiskIndex::open(&path).unwrap();
@@ -166,7 +165,6 @@ fn extracted_fingerprints_roundtrip_through_disk_index() {
         b.sort_unstable();
         assert_eq!(a, b, "disk/memory mismatch on query {qi}");
     }
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// The umbrella crate re-exports compose: a user can go from pixels to a
