@@ -9,7 +9,6 @@
 //! s3cbcd query <index-file> [--alpha A] [--sigma S] [--depth P] [--queries N] [--mem MB]
 //! s3cbcd detect [ref.y4m ... | --index F] [--candidate FILE] ... (see `help`)
 //! s3cbcd monitor [--index F | --archive N] [--stream-frames N] [--seed S] [--dashboard DIR]
-//! s3cbcd metrics [--format table|json|prom] [--queries N]
 //! ```
 //!
 //! `build` fingerprints a library and saves it as one archive file
@@ -18,15 +17,14 @@
 //! archive loaded into memory: the file `--index` names, or a library they
 //! fingerprint themselves (synthetic material is the substitute for real
 //! broadcast capture, see DESIGN.md).
-//! Every pipeline command accepts `--metrics-json <path>` (write a snapshot
-//! of all counters/histograms on exit) and `--metrics-every <secs>`
-//! (periodic metrics table on stderr); `metrics` runs a small self-contained
-//! workload and prints the populated registry in the chosen format.
+//! `query`, `detect` and `monitor` accept `--metrics-json <path>`: a JSON
+//! snapshot of every counter, gauge and histogram of the run, written on
+//! exit. That and `monitor --dashboard` (frames on stderr, `s3.incident.v1`
+//! dumps) are the ways a run's metrics leave the process.
 
 mod args;
 mod dashboard;
 mod faults;
-mod metrics;
 
 use args::Args;
 use s3_cbcd::{
@@ -37,10 +35,9 @@ use s3_core::autotune::{self, RecordCounts};
 use s3_core::parallel::default_threads;
 use s3_core::pseudo_disk::{DiskIndex, RetryPolicy};
 use s3_core::{
-    system_clock, FaultyStorage, FileStorage, IndexError, IsotropicNormal, QueryCtx, RecordBatch,
-    S3Index, StatQueryOpts, Storage,
+    system_clock, FaultyStorage, FileStorage, IndexError, IsotropicNormal, QueryCtx, StatQueryOpts,
+    Storage,
 };
-use s3_hilbert::HilbertCurve;
 use s3_video::{
     extract_fingerprints, ExtractorParams, ProceduralVideo, StreamingExtractor, Transform,
     TransformChain, TransformedVideo, VideoSource, Y4mVideo,
@@ -73,7 +70,6 @@ fn main() -> ExitCode {
         "explain" => cmd_query(rest, true),
         "detect" => cmd_detect(rest),
         "monitor" => cmd_monitor(rest),
-        "metrics" => cmd_metrics(rest),
         "incident" => dashboard::cmd_incident(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -102,12 +98,14 @@ USAGE:
       Print header information of an index file.
   s3cbcd query <index-file> [--alpha A] [--sigma S] [--queries N] [--mem MB]
                 [--depth P] [--strict] [--explain]
-      Run distorted self-queries through the pseudo-disk engine and report
-      retrieval rate and timing. Without --depth the partition depth is
-      learned on the batch's own first queries, from filter and record
-      counts (printed as `depth p : P (learned)`). By default unreadable
-      index sections are retried then skipped (degraded results); --strict
-      makes that a hard error instead.
+      Run N synthetic mid-range probes (drawn from --seed, independent of
+      the archive's contents) through the pseudo-disk engine and report
+      matches, filter/refine work, sections read and timing. Without
+      --depth the partition depth is learned on the batch's own first
+      queries, from filter and record counts (printed as
+      `depth p : P (learned)`). By default unreadable index sections are
+      retried then skipped (degraded results); --strict makes that a hard
+      error instead.
   s3cbcd explain <index-file> [query flags]
       Shorthand for `query --explain`: per query, print the plan the
       statistical filter chose (selected p-blocks with predicted mass),
@@ -133,9 +131,6 @@ USAGE:
       p50/p99, health-rule verdicts). When health leaves Healthy, the
       flight recorder dumps an s3.incident.v1 report into DIR. Stdout and
       the exit status are the same with or without it.
-  s3cbcd metrics [--format table|json|prom] [--queries N]
-      Run a small self-contained extract+index+query workload and print
-      the populated metrics registry in the chosen exporter format.
   s3cbcd incident <report.json>
       Pretty-print a flight-recorder incident dump (s3.incident.v1):
       trigger, health rules, windowed rates, slowest spans, recent events
@@ -148,7 +143,6 @@ USAGE:
                               remaining work is skipped and results come
                               back partial, flagged degraded
       --metrics-json <path>   write a JSON metrics snapshot on exit
-      --metrics-every <secs>  print a metrics table to stderr periodically
 
   query/detect also accept:
       --explain               print per-query EXPLAIN reports (plan vs.
@@ -220,6 +214,18 @@ fn trace_write(tr: Option<(String, std::sync::Arc<s3_obs::RingCollector>)>) -> R
         spans.len(),
         collector.dropped()
     );
+    Ok(())
+}
+
+/// Applies `--metrics-json FILE`: writes a JSON snapshot of the global
+/// registry, every counter, gauge and histogram the run recorded.
+fn metrics_write(a: &Args) -> Result<(), String> {
+    let Some(path) = a.get("metrics-json") else {
+        return Ok(());
+    };
+    let json = s3_obs::registry().snapshot().to_json();
+    std::fs::write(path, json).map_err(|e| format!("writing metrics to {path}: {e}"))?;
+    eprintln!("metrics snapshot written to {path}");
     Ok(())
 }
 
@@ -320,7 +326,6 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
             "threads",
             "deadline-ms",
             "metrics-json",
-            "metrics-every",
             "trace-out",
             "fault",
             "fault-seed",
@@ -329,7 +334,6 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
     )?;
     let explain = force_explain || a.has("explain");
     let trace = trace_setup(&a);
-    let (metrics_json, _ticker) = metrics::shared_flags(&a)?;
     let path = a.positional(0).ok_or("query needs an index path")?;
     let alpha: f64 = a.get_parsed("alpha", 0.8)?;
     let sigma: f64 = a.get_parsed("sigma", 15.0)?;
@@ -408,9 +412,7 @@ fn cmd_query(rest: Vec<String>, force_explain: bool) -> Result<CmdStatus, String
         print_explains(batch.reports.iter());
     }
     trace_write(trace)?;
-    if let Some(path) = metrics_json {
-        metrics::dump_json(&path)?;
-    }
+    metrics_write(&a)?;
     if batch.timing.degraded {
         Ok(CmdStatus::Degraded)
     } else {
@@ -479,13 +481,11 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
             "threads",
             "deadline-ms",
             "metrics-json",
-            "metrics-every",
             "trace-out",
         ],
         &["explain"],
     )?;
     let trace = trace_setup(&a);
-    let (metrics_json, _ticker) = metrics::shared_flags(&a)?;
     let n_videos: usize = a.get_parsed("videos", 6)?;
     let frames: usize = a.get_parsed("frames", 100)?;
     let seed: u64 = a.get_parsed("seed", 3)?;
@@ -584,9 +584,7 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
         print_explains(reports.into_iter());
     }
     trace_write(trace)?;
-    if let Some(path) = metrics_json {
-        metrics::dump_json(&path)?;
-    }
+    metrics_write(&a)?;
     let status = if health.degraded_queries > 0 {
         CmdStatus::Degraded
     } else {
@@ -613,12 +611,10 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
             "threads",
             "deadline-ms",
             "metrics-json",
-            "metrics-every",
             "dashboard",
         ],
         &["strict"],
     )?;
-    let (metrics_json, _ticker) = metrics::shared_flags(&a)?;
     let stream_frames: usize = a.get_parsed("stream-frames", 400)?;
     let seed: u64 = a.get_parsed("seed", 11)?;
     let db = match a.get("index") {
@@ -716,9 +712,7 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
             stats.health.out_of_order_skipped, stats.health.degraded_queries
         );
     }
-    if let Some(path) = metrics_json {
-        metrics::dump_json(&path)?;
-    }
+    metrics_write(&a)?;
     if events.iter().any(|e| e.id == rerun_id as u32) {
         println!("OK: embedded rerun detected");
         if !stats.health.healthy() {
@@ -729,29 +723,4 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
     } else {
         Err("embedded rerun missed".into())
     }
-}
-
-fn cmd_metrics(rest: Vec<String>) -> Result<CmdStatus, String> {
-    let a = Args::parse(rest, &["format", "queries"])?;
-    let format = a.get("format").unwrap_or("table");
-    let n_queries: usize = a.get_parsed("queries", 32)?;
-
-    // A small end-to-end workload (extract → index → query) so every stage's
-    // instrumentation has data to show; ~a second of work.
-    let video = ProceduralVideo::new(96, 72, 60, 0xD1CE);
-    let params = ExtractorParams::default();
-    let fps = extract_fingerprints(&video, &params);
-    let mut batch = RecordBatch::new(20);
-    for f in &fps {
-        batch.push(&f.fingerprint, 0, f.tc);
-    }
-    let index = S3Index::build(HilbertCurve::paper(), batch);
-    let model = IsotropicNormal::new(20, 15.0);
-    let opts = StatQueryOpts::learned(0.8, &index, &model);
-    for f in fps.iter().take(n_queries) {
-        let _ = index.stat_query(&f.fingerprint, &model, &opts);
-    }
-
-    print!("{}", metrics::render(format)?);
-    Ok(CmdStatus::Clean)
 }

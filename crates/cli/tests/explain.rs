@@ -1,11 +1,14 @@
-//! End-to-end contract of the EXPLAIN and tracing surface: `--explain`
-//! prints per-query plan reports (with degradation annotations on degraded
-//! runs, which still exit 2), the `explain` subcommand is a shorthand for
-//! it, and `--trace-out` writes a Chrome trace-event JSON file.
+//! End-to-end contract of the EXPLAIN, tracing and metrics surface:
+//! `--explain` prints per-query plan reports (with degradation annotations
+//! on degraded runs, which still exit 2), the `explain` subcommand is a
+//! shorthand for it, `--trace-out` writes a Chrome trace-event JSON file
+//! and `--metrics-json` a JSON snapshot of the run's registry.
 
 mod common;
 
 use common::{build_index, code, s3cbcd};
+use s3_obs::JsonValue;
+use s3_testkit::TempDir;
 
 /// The synthetic library every test here queries.
 const BUILD: &[&str] = &["--videos", "2", "--frames", "30", "--seed", "1"];
@@ -118,4 +121,50 @@ fn trace_out_writes_chrome_trace_json() {
     assert!(json.contains("\"pid\":"), "{json}");
     // Every span of the batch should carry a real (non-zero) query id.
     assert!(json.contains("\"name\":\"query "), "{json}");
+}
+
+#[test]
+fn metrics_json_snapshots_the_detect_run() {
+    let dir = TempDir::new("cli-metrics-json");
+    let path = dir.join("m.json");
+    let out = s3cbcd(&[
+        "detect",
+        "--videos",
+        "2",
+        "--frames",
+        "40",
+        "--seed",
+        "3",
+        "--threads",
+        "2",
+        "--metrics-json",
+        path.to_str().expect("utf-8 path"),
+    ]);
+    assert_eq!(
+        code(&out),
+        0,
+        "stdout: {}\nstderr: {}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&path).expect("metrics snapshot written");
+    let doc = JsonValue::parse(&json).expect("the snapshot parses as JSON");
+    let counters = doc.get("counters").and_then(JsonValue::as_object);
+    assert!(counters.is_some_and(|c| !c.is_empty()), "{json}");
+    assert!(doc.get("gauges").and_then(JsonValue::as_object).is_some());
+    let count = |name: &str| {
+        doc.get("histograms")
+            .and_then(|h| h.get(name))
+            .and_then(|h| h.get("count"))
+            .and_then(JsonValue::as_f64)
+    };
+    assert!(count("video.render").is_some_and(|n| n > 0.0), "{json}");
+    for name in [
+        "video.keyframes",
+        "video.harris",
+        "video.describe",
+        "query.latency",
+    ] {
+        assert!(count(name).is_some(), "histogram {name} missing: {json}");
+    }
 }

@@ -145,7 +145,7 @@ fn incident_rejects_non_incident_files() {
 
 #[test]
 fn retired_ops_commands_and_flags_are_unknown() {
-    for cmd in ["watch", "history", "slowlog"] {
+    for cmd in ["watch", "history", "slowlog", "metrics"] {
         let out = s3cbcd(&[cmd]);
         assert_eq!(code(&out), 1, "{cmd}");
         assert!(text(&out.stderr).contains("unknown command"), "{cmd}");
@@ -153,4 +153,13 @@ fn retired_ops_commands_and_flags_are_unknown() {
     let out = s3cbcd(&["query", "x.s3i", "--telemetry-dir", "tel"]);
     assert_eq!(code(&out), 1);
     assert!(text(&out.stderr).contains("unknown flag --telemetry-dir"));
+    for cmd in ["query", "detect", "monitor"] {
+        let out = s3cbcd(&[cmd, "--metrics-every", "1"]);
+        assert_eq!(code(&out), 1, "{cmd}");
+        assert!(
+            text(&out.stderr).contains("unknown flag --metrics-every"),
+            "{cmd}: {}",
+            text(&out.stderr)
+        );
+    }
 }

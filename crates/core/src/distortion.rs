@@ -24,9 +24,6 @@ pub trait DistortionModel: Sync {
     /// `P(ΔS_j ∈ [a, b))` for component `j`.
     fn component_mass(&self, dim: usize, a: f64, b: f64) -> f64;
 
-    /// Log-density of a full distortion vector (for likelihood refinement).
-    fn log_pdf(&self, delta: &[f64]) -> f64;
-
     /// The pooled severity σ̄ — the paper's severity measure (Table I).
     fn severity(&self) -> f64;
 }
@@ -76,14 +73,6 @@ impl DistortionModel for IsotropicNormal {
     #[inline]
     fn component_mass(&self, _dim: usize, a: f64, b: f64) -> f64 {
         self.component.interval(a, b)
-    }
-
-    fn log_pdf(&self, delta: &[f64]) -> f64 {
-        assert_eq!(delta.len(), self.dims);
-        let s = self.component.sigma();
-        let norm = -(self.dims as f64) * (s * (2.0 * std::f64::consts::PI).sqrt()).ln();
-        let quad: f64 = delta.iter().map(|&d| d * d).sum::<f64>() / (2.0 * s * s);
-        norm - quad
     }
 
     fn severity(&self) -> f64 {
@@ -141,15 +130,6 @@ impl DistortionModel for DiagonalNormal {
         self.components[dim].interval(a, b)
     }
 
-    fn log_pdf(&self, delta: &[f64]) -> f64 {
-        assert_eq!(delta.len(), self.components.len());
-        delta
-            .iter()
-            .zip(&self.components)
-            .map(|(&d, n)| n.pdf(d).max(f64::MIN_POSITIVE).ln())
-            .sum()
-    }
-
     fn severity(&self) -> f64 {
         let s: f64 = self.components.iter().map(Normal::sigma).sum();
         s / self.components.len() as f64
@@ -191,9 +171,6 @@ impl DistortionModel for CountingModel {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.inner.component_mass(dim, a, b)
     }
-    fn log_pdf(&self, delta: &[f64]) -> f64 {
-        self.inner.log_pdf(delta)
-    }
     fn severity(&self) -> f64 {
         self.inner.severity()
     }
@@ -217,17 +194,6 @@ mod tests {
         let m = IsotropicNormal::new(5, 18.0);
         let p: f64 = (0..5).map(|d| m.component_mass(d, -1e5, 1e5)).product();
         assert!((p - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn isotropic_log_pdf_peak_at_zero() {
-        let m = IsotropicNormal::new(4, 2.0);
-        let at0 = m.log_pdf(&[0.0; 4]);
-        let off = m.log_pdf(&[1.0, -1.0, 2.0, 0.5]);
-        assert!(at0 > off);
-        // Known value: D * ln(1/(σ√2π)).
-        let expect = -4.0 * (2.0f64 * (2.0 * std::f64::consts::PI).sqrt()).ln();
-        assert!((at0 - expect).abs() < 1e-12);
     }
 
     #[test]
@@ -261,14 +227,6 @@ mod tests {
         let s = m.sigmas();
         assert!((s[0] - 3.0).abs() < 0.1);
         assert_eq!(s[1], 0.5);
-    }
-
-    #[test]
-    fn diagonal_log_pdf_sums_components() {
-        let m = DiagonalNormal::new(&[2.0, 2.0]);
-        let iso = IsotropicNormal::new(2, 2.0);
-        let v = [0.7, -1.3];
-        assert!((m.log_pdf(&v) - iso.log_pdf(&v)).abs() < 1e-9);
     }
 
     #[test]

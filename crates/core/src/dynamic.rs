@@ -149,7 +149,7 @@ impl DynamicIndex {
         opts: &StatQueryOpts,
     ) -> QueryResult {
         let curve = self.main.curve();
-        self.run(q, &Ask::stat(model, opts), || {
+        self.run(q, &Ask::stat(opts), || {
             QueryPlan::stat(curve, 0, q, model, opts, None)
         })
     }

@@ -14,7 +14,7 @@
 use crate::autotune::learn_depth;
 use crate::distortion::DistortionModel;
 use crate::filter::{select_blocks_bbox, FilterOutcome, UNPRUNED};
-use crate::fingerprint::{dist_sq, RecordBatch};
+use crate::fingerprint::RecordBatch;
 use crate::kernels;
 use crate::plan::{run_query, tally_blocks, Ask, QueryPlan, QueryScan};
 use crate::resilience::{QueryCtx, REFINE_CHUNK};
@@ -43,8 +43,6 @@ pub enum Refine {
     All,
     /// Keep records within Euclidean distance `ε` of the query.
     Range(f64),
-    /// Keep records whose distortion log-density exceeds the bound.
-    LogLikelihood(f64),
 }
 
 /// A [`Refine`] predicate bound to one query, and the inner loop of
@@ -53,12 +51,10 @@ pub enum Refine {
 struct Refiner<'a> {
     q: &'a [u8],
     refine: Refine,
-    model: Option<&'a dyn DistortionModel>,
     /// Range refinement compares the integer d² against ⌊ε²⌋ — exactly
     /// equivalent to `d² as f64 <= ε²` (see `kernels::bound_from_eps_sq`)
     /// but lets the kernel reject a record on its first 16 components.
     range_bound: Option<u64>,
-    delta: Vec<f64>,
     /// Records left before the next cancellation poll. The count runs
     /// across [`Refiner::scan`] calls, so many short ranges are polled as
     /// often as one long one.
@@ -68,19 +64,13 @@ struct Refiner<'a> {
 }
 
 impl<'a> Refiner<'a> {
-    fn new(q: &'a [u8], refine: Refine, model: Option<&'a dyn DistortionModel>) -> Self {
+    fn new(q: &'a [u8], refine: Refine) -> Self {
         Refiner {
             q,
             refine,
-            model,
             range_bound: match refine {
                 Refine::Range(eps) => kernels::bound_from_eps_sq(eps * eps),
-                _ => None,
-            },
-            // Scratch of the likelihood predicate alone.
-            delta: match refine {
-                Refine::LogLikelihood(_) => vec![0.0; q.len()],
-                _ => Vec::new(),
+                Refine::All => None,
             },
             // The first poll comes before the REFINE_CHUNK-th record, every
             // later one REFINE_CHUNK records after the last.
@@ -122,7 +112,7 @@ impl<'a> Refiner<'a> {
     }
 
     /// The predicate over one run of records, the first being record
-    /// `first`: `Range` through the run kernel, the others record by record.
+    /// `first`: `Range` through the run kernel, `All` record by record.
     #[inline]
     fn refine_run(&mut self, run: &[u8], first: usize, hit: &mut impl FnMut(usize, Option<f64>)) {
         let per_record = !matches!(self.refine, Refine::Range(_));
@@ -150,15 +140,6 @@ impl<'a> Refiner<'a> {
                 .range_bound
                 .and_then(|bound| kernels::dist_sq_within(self.q, fp, bound))
                 .map(|d2| Some(d2 as f64)),
-            Refine::LogLikelihood(bound) => {
-                let Some(model) = self.model else {
-                    unreachable!("LogLikelihood refinement needs a model")
-                };
-                for (d, (&a, &b)) in self.delta.iter_mut().zip(self.q.iter().zip(fp)) {
-                    *d = f64::from(b) - f64::from(a);
-                }
-                (model.log_pdf(&self.delta) >= bound).then(|| Some(dist_sq(self.q, fp) as f64))
-            }
         }
     }
 }
@@ -420,7 +401,7 @@ impl SortedRun {
             stopped: false,
             ns: 0,
         };
-        let mut refiner = Refiner::new(q, ask.refine, ask.model);
+        let mut refiner = Refiner::new(q, ask.refine);
         let fps = self.records.fingerprint_bytes();
         let mut cursor = 0;
         for range in ranges {
@@ -864,7 +845,7 @@ impl S3Index {
         opts: &StatQueryOpts,
         ctx: Option<&QueryCtx>,
     ) -> QueryResult {
-        self.run(q, &Ask::stat(model, opts), ctx, || {
+        self.run(q, &Ask::stat(opts), ctx, || {
             QueryPlan::stat(&self.curve, 0, q, model, opts, ctx)
         })
     }
@@ -918,6 +899,7 @@ impl S3Index {
 mod tests {
     use super::*;
     use crate::distortion::IsotropicNormal;
+    use crate::fingerprint::dist_sq;
 
     /// Deterministic pseudo-random batch (avoids a rand dependency here).
     fn synthetic_batch(dims: usize, n: usize, seed: u64) -> RecordBatch {
@@ -1353,21 +1335,6 @@ mod tests {
     }
 
     #[test]
-    fn refine_loglikelihood_keeps_high_density() {
-        let idx = small_index();
-        let model = IsotropicNormal::new(4, 20.0);
-        let q = [128u8, 128, 128, 128];
-        let mut opts = StatQueryOpts::new(0.95, 8);
-        // Bound at the density of a 2σ-per-component offset.
-        let bound = model.log_pdf(&[40.0, 40.0, 40.0, 40.0]);
-        opts.refine = Refine::LogLikelihood(bound);
-        let res = idx.stat_query(&q, &model, &opts);
-        for m in &res.matches {
-            assert!(m.dist_sq.is_some());
-        }
-    }
-
-    #[test]
     fn empty_index_queries_return_empty() {
         let curve = HilbertCurve::new(4, 8).unwrap();
         let idx = S3Index::build(curve, RecordBatch::new(4));
@@ -1460,7 +1427,7 @@ mod tests {
             .collect();
         let qrefs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         let depth = 10;
-        let mut refines = vec![Refine::All, Refine::LogLikelihood(-85.0)];
+        let mut refines = vec![Refine::All];
         refines.extend([0.0, 60.0, 100.07, 1e6, f64::INFINITY, f64::NAN].map(Refine::Range));
 
         let bytes = DiskIndex::encode_to_vec(&idx, WriteOpts::default()).unwrap();
@@ -1762,12 +1729,7 @@ mod tests {
     fn refine_polls_every_chunk_across_short_ranges() {
         let batch = synthetic_batch(20, 10_000, 3);
         let q = batch.fingerprint(0).to_vec();
-        let model = IsotropicNormal::new(20, 20.0);
-        for refine in [
-            Refine::All,
-            Refine::Range(1e9),
-            Refine::LogLikelihood(f64::NEG_INFINITY),
-        ] {
+        for refine in [Refine::All, Refine::Range(1e9)] {
             for range_len in [1, 7, 100, REFINE_CHUNK - 1, REFINE_CHUNK, 10_000] {
                 let case = format!("{refine:?} ranges of {range_len}");
                 let hits = std::cell::Cell::new(0usize);
@@ -1776,7 +1738,7 @@ mod tests {
                     polls.borrow_mut().push(hits.get());
                     false
                 };
-                let mut refiner = Refiner::new(&q, refine, Some(&model));
+                let mut refiner = Refiner::new(&q, refine);
                 for lo in (0..batch.len()).step_by(range_len) {
                     let hi = (lo + range_len).min(batch.len());
                     let fps = batch.fingerprint_bytes();
@@ -1792,7 +1754,7 @@ mod tests {
 
         // A stop cuts the run at the poll: exactly the records before it
         // are refined, and the scan reports it.
-        let mut refiner = Refiner::new(&q, Refine::All, None);
+        let mut refiner = Refiner::new(&q, Refine::All);
         let mut kept = 0;
         let mut go_on = true;
         for lo in (0..batch.len()).step_by(100) {

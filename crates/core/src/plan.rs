@@ -42,29 +42,26 @@ use std::time::{Duration, Instant};
 /// What a query asks of the records its plan selects: the same for every
 /// query of a batch and for every source scanned.
 #[derive(Clone, Copy)]
-pub(crate) struct Ask<'a> {
+pub(crate) struct Ask {
     pub(crate) refine: Refine,
-    pub(crate) model: Option<&'a dyn DistortionModel>,
     /// α and depth as asked, for EXPLAIN (a geometric query asks for no
     /// mass: NaN).
     alpha: f64,
     depth: u32,
 }
 
-impl<'a> Ask<'a> {
-    pub(crate) fn stat(model: &'a dyn DistortionModel, opts: &StatQueryOpts) -> Ask<'a> {
+impl Ask {
+    pub(crate) fn stat(opts: &StatQueryOpts) -> Ask {
         Ask {
             refine: opts.refine,
-            model: Some(model),
             alpha: opts.alpha,
             depth: opts.depth,
         }
     }
 
-    pub(crate) fn range(eps: f64, depth: u32) -> Ask<'a> {
+    pub(crate) fn range(eps: f64, depth: u32) -> Ask {
         Ask {
             refine: Refine::Range(eps),
-            model: None,
             alpha: f64::NAN,
             depth,
         }
@@ -74,7 +71,7 @@ impl<'a> Ask<'a> {
 /// How far (squared) from the query a selected block's box may lie and
 /// still hold a record `refine` keeps: `⌊ε²⌋` under `Refine::Range(ε)` —
 /// the very bound the run kernel compares each record's integer d²
-/// against — and no limit under the other predicates. `None` (a NaN ε)
+/// against — and no limit under `Refine::All`. `None` (a NaN ε)
 /// admits no block, as the kernel admits no record.
 ///
 /// The prune is exact. Fingerprints, the query and box corners are
@@ -88,7 +85,7 @@ pub(crate) fn reach(refine: Refine) -> Option<u64> {
     }
     match refine {
         Refine::Range(eps) => kernels::bound_from_eps_sq(eps * eps),
-        Refine::All | Refine::LogLikelihood(_) => UNPRUNED,
+        Refine::All => UNPRUNED,
     }
 }
 
@@ -349,7 +346,7 @@ pub(crate) fn run_query(
 /// is read (§IV-B).
 pub(crate) struct Plan<'a> {
     pub(crate) queries: &'a [&'a [u8]],
-    pub(crate) ask: Ask<'a>,
+    pub(crate) ask: Ask,
     pub(crate) per_query: Vec<QueryPlan>,
     /// Wall time of planning the whole batch.
     filter_time: Duration,
@@ -360,14 +357,14 @@ impl<'a> Plan<'a> {
     pub(crate) fn stat(
         curve: &HilbertCurve,
         queries: &'a [&'a [u8]],
-        model: &'a dyn DistortionModel,
+        model: &dyn DistortionModel,
         opts: &StatQueryOpts,
         threads: usize,
         ctx: Option<&QueryCtx>,
     ) -> Result<Plan<'a>, IndexError> {
         // One bound for the whole batch, taken before the workers start.
         let reach = reach(opts.refine);
-        Plan::new(curve, queries, Ask::stat(model, opts), threads, |qi, q| {
+        Plan::new(curve, queries, Ask::stat(opts), threads, |qi, q| {
             QueryPlan::new(curve, qi, ctx, reach, || {
                 select_blocks_stat(curve, model, q, opts, ctx)
             })
@@ -398,7 +395,7 @@ impl<'a> Plan<'a> {
     fn new(
         curve: &HilbertCurve,
         queries: &'a [&'a [u8]],
-        ask: Ask<'a>,
+        ask: Ask,
         threads: usize,
         plan_query: impl Fn(usize, &[u8]) -> QueryPlan + Sync,
     ) -> Result<Plan<'a>, IndexError> {
@@ -546,7 +543,7 @@ fn phase(name: &'static str, ns: u64) -> ExplainPhase {
 /// Everything an engine knows about one finished query.
 struct Evidence<'a> {
     query_id: u64,
-    ask: &'a Ask<'a>,
+    ask: &'a Ask,
     plan: &'a QueryPlan,
     /// The query's final counters.
     stats: &'a QueryStats,

@@ -15,8 +15,8 @@
 //!   library crates: counted per level and routed through a swappable
 //!   [`EventSink`] (default: stderr).
 //!
-//! Snapshots export as a human-readable table, JSON, or Prometheus text
-//! format (see [`Snapshot`]).
+//! A [`Snapshot`] exports as JSON ([`Snapshot::to_json`], what
+//! `s3cbcd --metrics-json` writes).
 //!
 //! On top of these, per-query causality: a thread-local [`QueryScope`]
 //! tags finished spans with a query id, [`to_chrome_trace`] renders a
@@ -37,8 +37,8 @@
 //!     let mut s = span!("demo.latency", "items" => 3.0);
 //!     s.record("extra", 1.0);
 //! } // drop records elapsed ns into histogram "demo.latency"
-//! let snap = registry().snapshot();
-//! assert!(snap.to_prometheus().contains("demo_hits 1"));
+//! let json = registry().snapshot().to_json();
+//! assert!(json.contains("\"demo.hits\": 1"));
 //! ```
 
 #![warn(missing_docs)]

@@ -603,8 +603,8 @@ impl Registry {
     }
 }
 
-/// A point-in-time copy of a whole registry; feed it to the exporters
-/// (`to_table`, `to_json`, `to_prometheus`).
+/// A point-in-time copy of a whole registry; [`Snapshot::to_json`] exports
+/// it.
 #[derive(Default)]
 pub struct Snapshot {
     /// Counter values.

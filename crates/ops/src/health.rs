@@ -1,11 +1,11 @@
 //! Declarative health rules over metric windows.
 //!
 //! A [`HealthRule`] names a [`Signal`] derived from a [`MetricWindows`]
-//! ring (a windowed rate, a ratio of counters, a gauge level, or a rolling
-//! quantile), the [`Bounds`] the signal must stay inside to be considered
-//! healthy, and optional tighter bounds whose violation is *critical*.
-//! The [`HealthEngine`] evaluates every rule on each tick and folds the
-//! per-rule levels into an overall [`Verdict`].
+//! ring (a windowed counter rate or a gauge level), the [`Bounds`] the
+//! signal must stay inside to be considered healthy, and optional tighter
+//! bounds whose violation is *critical*. The [`HealthEngine`] evaluates
+//! every rule on each tick and folds the per-rule levels into an overall
+//! [`Verdict`].
 //!
 //! Verdicts are sticky on the way down: escalation is instant, but a rule
 //! only clears after `clear_after` consecutive evaluations in which its
@@ -62,60 +62,22 @@ impl Verdict {
 pub enum Signal {
     /// Per-second rate of a counter over the rule's lookback.
     Rate(&'static str),
-    /// `num / (sum of den)` counter deltas over the lookback — e.g. a
-    /// failure *ratio* is `failures / (failures + successes)`. Undefined
-    /// (no opinion) while the denominator is zero.
-    Ratio {
-        /// Numerator counter name.
-        num: &'static str,
-        /// Denominator counter names, summed.
-        den: &'static [&'static str],
-    },
     /// Latest value of a gauge.
     GaugeValue(&'static str),
-    /// Rolling quantile (in nanoseconds) of a histogram over the lookback.
-    QuantileNs {
-        /// Histogram name.
-        histogram: &'static str,
-        /// Quantile in `[0, 1]`.
-        q: f64,
-    },
 }
 
 impl Signal {
     /// Evaluates to `(value, sample_count)`. `value` is `None` when the
-    /// windows hold no frames or the signal is undefined (zero-traffic
-    /// ratio, empty histogram); `sample_count` feeds the rule's
-    /// `min_count` floor (gauges always count as "enough").
+    /// windows hold no frames (or no value of the gauge); `sample_count`
+    /// feeds the rule's `min_count` floor (gauges always count as
+    /// "enough").
     fn eval(&self, w: &MetricWindows, lookback: Duration) -> (Option<f64>, u64) {
         match *self {
             Signal::Rate(name) => {
                 let count = w.delta(name, lookback).unwrap_or(0);
                 (w.rate(name, lookback), count)
             }
-            Signal::Ratio { num, den } => {
-                let n = match w.delta(num, lookback) {
-                    Some(n) => n,
-                    None => return (None, 0),
-                };
-                let mut total = 0u64;
-                for d in den {
-                    total = total.saturating_add(w.delta(d, lookback).unwrap_or(0));
-                }
-                if total == 0 {
-                    (None, 0)
-                } else {
-                    (Some(n as f64 / total as f64), total)
-                }
-            }
             Signal::GaugeValue(name) => (w.gauge(name), u64::MAX),
-            Signal::QuantileNs { histogram, q } => match w.window_histogram(histogram, lookback) {
-                Some(h) => {
-                    let count = h.count;
-                    (h.quantile(q).map(|v| v as f64), count)
-                }
-                None => (None, 0),
-            },
         }
     }
 
@@ -123,9 +85,7 @@ impl Signal {
     fn describe(&self) -> String {
         match *self {
             Signal::Rate(name) => format!("rate({name})/s"),
-            Signal::Ratio { num, den } => format!("ratio({num}/{})", den.join("+")),
             Signal::GaugeValue(name) => format!("gauge({name})"),
-            Signal::QuantileNs { histogram, q } => format!("p{:02}({histogram})ns", (q * 100.0)),
         }
     }
 }
@@ -389,11 +349,6 @@ impl HealthEngine {
         }
     }
 
-    /// The configured rules.
-    pub fn rules(&self) -> &[HealthRule] {
-        &self.rules
-    }
-
     /// Evaluates every rule against `windows`, updates hysteresis state
     /// and the `health*` metrics, and emits an event when the overall
     /// verdict changes.
@@ -526,18 +481,14 @@ mod tests {
         let w = MetricWindows::new(16);
         let engine = HealthEngine::with_registry(
             vec![HealthRule::new(
-                "hit-floor",
-                Signal::Ratio {
-                    num: "hits",
-                    den: &["hits", "misses"],
-                },
+                "miss-ceiling",
+                Signal::Rate("misses"),
                 Duration::from_secs(10),
-                Bounds::at_least(0.5),
+                Bounds::at_most(5.0),
             )
             .clear_after(2)],
             &reg,
         );
-        let hits = reg.counter("hits");
         let misses = reg.counter("misses");
         let mut t = 0u64;
         let mut tick = |reg: &Registry, w: &MetricWindows| {
@@ -545,18 +496,17 @@ mod tests {
             t += 1;
         };
         tick(&reg, &w);
-        // All misses -> degraded instantly.
+        // A burst of misses -> degraded instantly.
         misses.add(100);
         tick(&reg, &w);
         let r = engine.evaluate(&w);
         assert_eq!(r.verdict, Verdict::Degraded);
         assert!(r.transitioned);
-        // Recovery: all hits. Lookback 10 s still includes the bad frame
+        // Recovery: no more misses. Lookback 10 s still includes the burst
         // at first; keep ticking until the window is clean, then the rule
         // needs clear_after = 2 consecutive good evals.
         let mut healthy_at = None;
         for i in 0..20 {
-            hits.add(1000);
             tick(&reg, &w);
             let r = engine.evaluate(&w);
             if r.verdict == Verdict::Healthy {
@@ -567,7 +517,6 @@ mod tests {
         assert!(healthy_at.is_some(), "never recovered");
         // And it stays healthy.
         for _ in 0..5 {
-            hits.add(1000);
             tick(&reg, &w);
             assert_eq!(engine.evaluate(&w).verdict, Verdict::Healthy);
         }

@@ -40,4 +40,4 @@ pub use recorder::{
     install_event_tee, install_panic_hook, EventRecord, FlightRecorder, HistogramSummary,
     IncidentReport, IncidentTrigger, RecorderConfig,
 };
-pub use window::{MetricWindows, WindowFrame};
+pub use window::MetricWindows;

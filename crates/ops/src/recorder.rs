@@ -102,7 +102,7 @@ pub struct IncidentReport {
     pub window_covered: Duration,
     /// Lookback used for the windowed rates below.
     pub window_lookback: Duration,
-    /// Windowed per-second counter rates (`<counter>_rate` ids).
+    /// Windowed per-second counter rates, each under its counter's id.
     pub rates: Vec<(MetricId, f64)>,
     /// Recent spans, oldest first (empty unless spans were attached).
     pub spans: Vec<SpanRecord>,
@@ -244,7 +244,7 @@ impl FlightRecorder {
                 } else {
                     Duration::from_secs(60)
                 };
-                (covered, lookback, w.rate_gauges(lookback, "rate"))
+                (covered, lookback, w.rates(lookback))
             }
             None => (Duration::ZERO, Duration::ZERO, Vec::new()),
         };

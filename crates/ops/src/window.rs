@@ -12,31 +12,26 @@
 //! (`s3_obs::time`): `WallTime` in production, `ManualTime` in tests.
 
 use std::collections::VecDeque;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use s3_obs::{registry, HistogramSnapshot, MetricId, Snapshot, TimeSource};
 
 /// One completed interval: deltas between two consecutive ticks.
-#[derive(Debug, Clone)]
-pub struct WindowFrame {
+struct WindowFrame {
     /// Tick time opening the interval.
-    pub start: Duration,
+    start: Duration,
     /// Tick time closing the interval (`end >= start`).
-    pub end: Duration,
-    /// Counter increments during the interval (non-zero entries only).
-    pub counters: Vec<(MetricId, u64)>,
+    end: Duration,
+    /// Counter increments during the interval (non-zero entries only). A
+    /// counter whose cumulative value *decreased* (the registry restarted)
+    /// holds its post-restart value, everything counted since the reset,
+    /// instead of a clamped-to-zero delta.
+    counters: Vec<(MetricId, u64)>,
     /// Gauge values observed at `end` (gauges are levels, not flows).
-    pub gauges: Vec<(MetricId, f64)>,
+    gauges: Vec<(MetricId, f64)>,
     /// Histogram sample deltas during the interval (non-empty only).
-    pub histograms: Vec<(MetricId, HistogramSnapshot)>,
-    /// Counters whose cumulative value *decreased* across the interval —
-    /// the registry restarted (process crash + warm dashboard reattach).
-    /// Their entry in `counters` holds the post-restart value (everything
-    /// counted since the reset) instead of a clamped-to-zero delta, and
-    /// this marker lets a consumer render a restart instead of a false
-    /// idle dip.
-    pub resets: Vec<MetricId>,
+    histograms: Vec<(MetricId, HistogramSnapshot)>,
 }
 
 struct Inner {
@@ -87,10 +82,10 @@ impl MetricWindows {
     /// Records a tick: `snap` is the registry state at time `now`.
     ///
     /// The first tick only establishes the baseline; every later tick
-    /// closes one [`WindowFrame`] holding the deltas since the previous
-    /// tick. `now` is clamped monotonic against the previous tick, so a
-    /// stalled or slightly-rewound time source yields an empty-duration
-    /// frame rather than a panic or negative interval.
+    /// closes one frame holding the deltas since the previous tick. `now`
+    /// is clamped monotonic against the previous tick, so a stalled or
+    /// slightly-rewound time source yields an empty-duration frame rather
+    /// than a panic or negative interval.
     pub fn tick_at(&self, now: Duration, snap: Snapshot) {
         let mut inner = self.lock();
         let prev = inner.last.take();
@@ -128,11 +123,6 @@ impl MetricWindows {
         }
     }
 
-    /// A copy of the retained frames, oldest first.
-    pub fn frames_snapshot(&self) -> Vec<WindowFrame> {
-        self.lock().frames.iter().cloned().collect()
-    }
-
     /// Total increments of counter `name` (summed across labels) over the
     /// frames inside `lookback` from the newest tick. `None` only when no
     /// frame has completed yet; an absent or idle counter yields
@@ -156,7 +146,7 @@ impl MetricWindows {
     /// the included frames cover zero elapsed time.
     pub fn rate(&self, name: &str, lookback: Duration) -> Option<f64> {
         let delta = self.delta(name, lookback)?;
-        let elapsed = self.elapsed_within(lookback)?;
+        let elapsed = Self::elapsed_within(&self.lock(), lookback)?;
         if elapsed <= 0.0 {
             return None;
         }
@@ -164,9 +154,8 @@ impl MetricWindows {
     }
 
     /// Elapsed seconds actually covered by the frames inside `lookback`.
-    fn elapsed_within(&self, lookback: Duration) -> Option<f64> {
-        let inner = self.lock();
-        let horizon = Self::horizon(&inner, lookback)?;
+    fn elapsed_within(inner: &Inner, lookback: Duration) -> Option<f64> {
+        let horizon = Self::horizon(inner, lookback)?;
         let newest_end = inner.frames.back()?.end;
         let oldest_start = inner
             .frames
@@ -223,28 +212,18 @@ impl MetricWindows {
         self.window_histogram(name, lookback)?.quantile(q)
     }
 
-    /// Per-counter windowed rates as synthetic gauges, named
-    /// `<counter>_<suffix>` with the counter's label preserved — ready to
-    /// append to a [`Snapshot`] for the Prometheus exporter
-    /// (`query.filter_hits` → `query_filter_hits_rate_1m`).
-    ///
-    /// Synthetic names are interned into a process-lifetime pool (the set
-    /// of distinct counter names × suffixes is small and fixed).
-    pub fn rate_gauges(&self, lookback: Duration, suffix: &str) -> Vec<(MetricId, f64)> {
+    /// Per-second rate of every counter that moved over `lookback`, one
+    /// row per full id (name and label), under the counter's own
+    /// [`MetricId`]. Empty when no frame has completed or the included
+    /// frames cover zero elapsed time.
+    pub fn rates(&self, lookback: Duration) -> Vec<(MetricId, f64)> {
         let inner = self.lock();
-        let horizon = match Self::horizon(&inner, lookback) {
-            Some(h) => h,
-            None => return Vec::new(),
+        let (Some(horizon), Some(elapsed)) = (
+            Self::horizon(&inner, lookback),
+            Self::elapsed_within(&inner, lookback),
+        ) else {
+            return Vec::new();
         };
-        let newest_end = match inner.frames.back() {
-            Some(f) => f.end,
-            None => return Vec::new(),
-        };
-        let oldest_start = match inner.frames.iter().find(|f| f.end > horizon) {
-            Some(f) => f.start,
-            None => return Vec::new(),
-        };
-        let elapsed = newest_end.saturating_sub(oldest_start).as_secs_f64();
         if elapsed <= 0.0 {
             return Vec::new();
         }
@@ -258,63 +237,16 @@ impl MetricWindows {
                 }
             }
         }
-        drop(inner);
         acc.into_iter()
-            .map(|(id, total)| {
-                let name = intern(format!("{}_{}", id.name, suffix));
-                (
-                    MetricId {
-                        name,
-                        label: id.label,
-                    },
-                    total as f64 / elapsed,
-                )
-            })
+            .map(|(id, total)| (id, total as f64 / elapsed))
             .collect()
     }
-}
-
-impl MetricWindows {
-    /// Appends the windowed-rate gauges from
-    /// [`MetricWindows::rate_gauges`] to `snap` (re-sorting its gauges),
-    /// so every exporter — table, JSON, Prometheus — picks up
-    /// `<counter>_<suffix>` rates alongside the cumulative counters.
-    pub fn augment(&self, snap: &mut Snapshot, lookback: Duration, suffix: &str) {
-        let rates = self.rate_gauges(lookback, suffix);
-        if rates.is_empty() {
-            return;
-        }
-        snap.gauges.extend(rates);
-        snap.gauges
-            .sort_by(|a, b| (a.0.name, a.0.label).cmp(&(b.0.name, b.0.label)));
-    }
-}
-
-/// Process-lifetime intern pool for synthetic metric names.
-///
-/// [`MetricId`] requires `&'static str`; windowed-rate gauge names are
-/// derived at runtime, so they are leaked once each and reused. Bounded
-/// by the number of distinct registered counter names × rate suffixes.
-fn intern(s: String) -> &'static str {
-    static POOL: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let pool = POOL.get_or_init(|| Mutex::new(Vec::new()));
-    let mut pool = match pool.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    if let Some(existing) = pool.iter().find(|e| **e == s) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(s.into_boxed_str());
-    pool.push(leaked);
-    leaked
 }
 
 /// Builds a frame holding `later - earlier` for counters/histograms and
 /// `later`'s values for gauges.
 fn diff_frame(start: Duration, end: Duration, earlier: &Snapshot, later: &Snapshot) -> WindowFrame {
     let mut counters = Vec::new();
-    let mut resets = Vec::new();
     for &(id, v) in &later.counters {
         let before = earlier
             .counters
@@ -322,15 +254,10 @@ fn diff_frame(start: Duration, end: Duration, earlier: &Snapshot, later: &Snapsh
             .find(|(e, _)| *e == id)
             .map(|&(_, v)| v)
             .unwrap_or(0);
-        let d = if v < before {
-            // Counter went backwards: the registry restarted underneath
-            // us. The best estimate of activity this interval is the
-            // post-restart cumulative value, not a clamped zero.
-            resets.push(id);
-            v
-        } else {
-            v - before
-        };
+        // A counter that went backwards means the registry restarted
+        // underneath us: the best estimate of activity this interval is
+        // the post-restart cumulative value, not a clamped zero.
+        let d = if v < before { v } else { v - before };
         if d > 0 {
             counters.push((id, d));
         }
@@ -352,7 +279,6 @@ fn diff_frame(start: Duration, end: Duration, earlier: &Snapshot, later: &Snapsh
         counters,
         gauges,
         histograms,
-        resets,
     }
 }
 
@@ -443,21 +369,38 @@ mod tests {
     }
 
     #[test]
-    fn rate_gauges_are_suffixed_and_labelled() {
+    fn rates_keep_each_counters_own_id() {
         let reg = Registry::new();
         let w = MetricWindows::new(4);
-        let c = reg.counter_with("hits", Some(("kind", "x")));
+        let hits = reg.counter_with("hits", Some(("kind", "x")));
+        let misses = reg.counter("misses");
+        reg.counter("idle");
         w.tick_at(secs(0), reg.snapshot());
-        c.add(30);
+        hits.add(30);
+        misses.add(5);
         w.tick_at(secs(10), reg.snapshot());
-        let rg = w.rate_gauges(secs(60), "rate_1m");
-        assert_eq!(rg.len(), 1);
-        assert_eq!(rg[0].0.name, "hits_rate_1m");
-        assert_eq!(rg[0].0.label, Some(("kind", "x")));
-        assert!((rg[0].1 - 3.0).abs() < 1e-9);
-        // Interning returns pointer-stable names across calls.
-        let rg2 = w.rate_gauges(secs(60), "rate_1m");
-        assert!(std::ptr::eq(rg[0].0.name, rg2[0].0.name));
+        misses.add(15);
+        w.tick_at(secs(20), reg.snapshot());
+        // One row per counter that moved, under its own name and label.
+        let rates = w.rates(secs(60));
+        assert_eq!(rates.len(), 2, "{rates:?}");
+        let hits_id = MetricId {
+            name: "hits",
+            label: Some(("kind", "x")),
+        };
+        let misses_id = MetricId {
+            name: "misses",
+            label: None,
+        };
+        assert_eq!(rates[0].0, hits_id);
+        assert!((rates[0].1 - 1.5).abs() < 1e-9);
+        assert_eq!(rates[1].0, misses_id);
+        assert!((rates[1].1 - 1.0).abs() < 1e-9);
+        // The same figure `rate` gives a counter on its own.
+        assert_eq!(w.rate("misses", secs(60)), Some(1.0));
+        // A narrow lookback keeps the newest frame only.
+        assert_eq!(w.rates(secs(10)), vec![(misses_id, 1.5)]);
+        assert!(MetricWindows::new(4).rates(secs(60)).is_empty());
     }
 
     #[test]
@@ -475,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_reset_emits_marker_not_zero_rate() {
+    fn registry_reset_counts_post_restart_activity_not_zero_rate() {
         let t = ManualTime::new();
         let w = MetricWindows::new(8);
         // Warm process: counter at 100 when the baseline is taken.
@@ -489,25 +432,18 @@ mod tests {
         t.advance(secs(10));
         w.tick_at(t.now(), reg2.snapshot());
         // The first post-restart frame reports the post-restart activity
-        // (5 events → 0.5/s), not a saturating-clamped zero, and carries
-        // an explicit reset marker for that counter.
+        // (5 events → 0.5/s), not a saturating-clamped zero.
         assert_eq!(w.delta("a", secs(60)), Some(5));
         assert_eq!(w.rate("a", secs(60)), Some(0.5));
-        let frames = w.frames_snapshot();
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].resets.len(), 1);
-        assert_eq!(frames[0].resets[0].name, "a");
-        // A reset all the way to zero still leaves a marker even though
-        // no counter entry is emitted (deltas stay non-zero-only).
+        // A reset all the way to zero counts nothing (deltas stay
+        // non-zero-only).
         let reg3 = Registry::new();
         reg3.counter("a").add(0);
         t.advance(secs(10));
         w.tick_at(t.now(), reg3.snapshot());
-        let frames = w.frames_snapshot();
-        assert_eq!(frames.len(), 2);
-        assert!(frames[1].counters.iter().all(|(id, _)| id.name != "a"));
-        assert_eq!(frames[1].resets.len(), 1);
-        assert_eq!(frames[1].resets[0].name, "a");
+        assert_eq!(w.frames(), 2);
+        assert_eq!(w.delta("a", secs(10)), Some(0));
+        assert_eq!(w.delta("a", secs(60)), Some(5));
     }
 
     #[test]

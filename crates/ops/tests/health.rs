@@ -1,6 +1,10 @@
 //! Health-engine hysteresis: a signal oscillating right at a rule's
 //! threshold must not flap the verdict, escalation is immediate, and
 //! clearing requires a sustained streak clearly inside bounds.
+//!
+//! The harness drives 1000 accesses per one-second window, so its
+//! miss-rate ceiling of 500/s is a hit-ratio floor of 0.5 (critical below
+//! 0.2), and `tick_ratio` speaks in hit ratios.
 
 use std::time::Duration;
 
@@ -22,14 +26,11 @@ impl Harness {
         let engine = HealthEngine::with_registry(
             vec![HealthRule::new(
                 "hit-floor",
-                Signal::Ratio {
-                    num: "h.hits",
-                    den: &["h.hits", "h.misses"],
-                },
+                Signal::Rate("h.misses"),
                 LOOKBACK,
-                Bounds::at_least(0.5),
+                Bounds::at_most(500.0),
             )
-            .critical(Bounds::at_least(0.2))
+            .critical(Bounds::at_most(800.0))
             .clear_after(clear_after)
             .margin(0.1)],
             &reg,
@@ -50,7 +51,6 @@ impl Harness {
     /// (out of 1000 accesses), ticks, and evaluates.
     fn tick_ratio(&mut self, ratio: f64) -> Verdict {
         let hits = (ratio * 1000.0).round() as u64;
-        self.reg.counter("h.hits").add(hits);
         self.reg.counter("h.misses").add(1000 - hits);
         self.t += 1;
         self.windows
@@ -113,9 +113,9 @@ fn escalation_is_immediate_even_mid_streak() {
 fn idle_windows_report_healthy_without_clearing_elevated_rules() {
     let mut h = Harness::new(2);
     assert_eq!(h.tick_ratio(0.3), Verdict::Degraded);
-    // No traffic at all: the ratio is undefined (no opinion). The raw
-    // target is Healthy-for-lack-of-evidence, which *does* count toward
-    // the clear streak — but only after clear_after consecutive quiets.
+    // No traffic at all: the miss rate is zero, well inside bounds, so
+    // each quiet window counts toward the clear streak — but the rule
+    // clears only after clear_after consecutive quiets.
     h.t += 1;
     h.windows
         .tick_at(Duration::from_secs(h.t), h.reg.snapshot());

@@ -3,9 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use s3::core::{
-    DiagonalNormal, DistortionModel, IsotropicNormal, RecordBatch, Refine, S3Index, StatQueryOpts,
-};
+use s3::core::{DiagonalNormal, IsotropicNormal, RecordBatch, Refine, S3Index, StatQueryOpts};
 use s3::hilbert::HilbertCurve;
 use s3::stats::NormDistribution;
 
@@ -108,8 +106,7 @@ fn statistical_scans_less_than_range_at_same_expectation() {
     assert!(diff <= 6, "recall comparable: {stat_hits} vs {range_hits}");
 }
 
-/// Refinement policies are nested: LogLikelihood ⊆ Range ⊆ All for matched
-/// thresholds.
+/// Refinement policies are nested: Range ⊆ All.
 #[test]
 fn refinement_policies_nest() {
     let index = S3Index::build(HilbertCurve::paper(), random_batch(10_000, 31));
@@ -135,24 +132,10 @@ fn refinement_policies_nest() {
             ..base
         },
     );
-    // Likelihood bound equivalent to the same radius for an isotropic model.
-    let bound = model.log_pdf(&[eps / (DIMS as f64).sqrt(); DIMS]);
-    let ll = index.stat_query(
-        &probe,
-        &model,
-        &StatQueryOpts {
-            refine: Refine::LogLikelihood(bound),
-            ..base
-        },
-    );
     let all_set: std::collections::HashSet<usize> = all.matches.iter().map(|m| m.index).collect();
     let range_set: std::collections::HashSet<usize> =
         range.matches.iter().map(|m| m.index).collect();
-    let ll_set: std::collections::HashSet<usize> = ll.matches.iter().map(|m| m.index).collect();
     assert!(range_set.is_subset(&all_set));
-    assert!(ll_set.is_subset(&all_set));
-    // For the isotropic model, log-pdf radius and Euclidean radius agree.
-    assert_eq!(ll_set, range_set);
 }
 
 /// The diagonal model degenerates to the isotropic one when all σ_j match.
