@@ -17,7 +17,6 @@
 
 use crate::detector::Detector;
 use crate::metrics::CbcdMetrics;
-use crate::spatial::{vote_spatial, SpatialCandidateVotes, SpatialVoteParams};
 use crate::voting::{vote, CandidateVotes, Detection};
 use s3_obs::span;
 use s3_video::LocalFingerprint;
@@ -81,10 +80,6 @@ pub struct MonitorParams {
     /// Two detections of the same id merge when their offsets differ by at
     /// most this many frames.
     pub merge_offset_tolerance: f64,
-    /// When set, windows are decided with the spatio-temporal vote (§VI
-    /// extension) instead of the paper's temporal-only vote; the embedded
-    /// temporal parameters override the detector's.
-    pub spatial: Option<SpatialVoteParams>,
     /// When true, corrupt or out-of-order fingerprints abort the run with a
     /// [`MonitorError`] instead of being skipped and counted.
     pub strict: bool,
@@ -96,7 +91,6 @@ impl Default for MonitorParams {
             window: 30,
             overlap: 10,
             merge_offset_tolerance: 4.0,
-            spatial: None,
             strict: false,
         }
     }
@@ -147,9 +141,8 @@ impl MonitorStats {
 pub struct Monitor<'a> {
     detector: &'a Detector<'a>,
     params: MonitorParams,
-    /// Grouped by key-frame: all fingerprints sharing one tc. Positions are
-    /// always carried; temporal-only voting simply ignores them.
-    buffer: Vec<SpatialCandidateVotes>,
+    /// Grouped by key-frame: all fingerprints sharing one tc.
+    buffer: Vec<CandidateVotes>,
     keyframe_tcs: Vec<f64>,
     events: Vec<MonitorEvent>,
     stats_fingerprints: usize,
@@ -221,7 +214,7 @@ impl<'a> Monitor<'a> {
         let t0 = Instant::now();
         let search = self.detector.search(fps, false);
         self.health.degraded_queries += search.health.degraded_queries;
-        for cv in search.spatial_votes(fps, self.detector.db()) {
+        for cv in search.votes(fps) {
             self.stats_fingerprints += 1;
             self.first_tc.get_or_insert(cv.tc);
             self.last_tc = self.last_tc.max(cv.tc);
@@ -285,30 +278,7 @@ impl<'a> Monitor<'a> {
         let mut sp = span!("monitor.window");
         sp.record("buffered", self.buffer.len() as f64);
         let window_tc = self.buffer.first().map_or(0.0, |cv| cv.tc);
-        if let Some(spatial_params) = self.params.spatial {
-            for det in vote_spatial(&self.buffer, &spatial_params) {
-                self.merge_event(
-                    Detection {
-                        id: det.id,
-                        offset: det.offset,
-                        nsim: det.nsim,
-                        ncand: det.ncand,
-                    },
-                    window_tc,
-                );
-            }
-            return;
-        }
-        // Temporal-only: strip positions into the classical buffer shape.
-        let temporal: Vec<CandidateVotes> = self
-            .buffer
-            .iter()
-            .map(|cv| CandidateVotes {
-                tc: cv.tc,
-                refs: cv.refs.iter().map(|&(id, tc, _, _)| (id, tc)).collect(),
-            })
-            .collect();
-        for det in vote(&temporal, &self.detector.config().vote) {
+        for det in vote(&self.buffer, &self.detector.config().vote) {
             self.merge_event(det, window_tc);
         }
     }
@@ -418,27 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn spatial_monitoring_detects_embedded_copy_too() {
-        let (db, stream) = setup();
-        let det = Detector::new(&db, config());
-        let mut params = MonitorParams::default();
-        let mut sp = SpatialVoteParams::default();
-        sp.temporal.min_votes = 9;
-        params.spatial = Some(sp);
-        let mut mon = Monitor::new(&det, params);
-        for chunk in stream.chunks(16) {
-            mon.push(chunk).unwrap();
-        }
-        let (events, _) = mon.finish();
-        assert!(
-            events.iter().any(|e| e.id == 1),
-            "spatial monitor must still find the copy: {events:?}"
-        );
-        let e = events.iter().find(|e| e.id == 1).unwrap();
-        assert!((e.offset - 60.0).abs() <= 2.0);
-    }
-
-    #[test]
     fn real_time_factor_math() {
         let s = MonitorStats {
             fingerprints: 0,
@@ -460,7 +409,6 @@ mod tests {
             window: 5,
             overlap: 5,
             merge_offset_tolerance: 1.0,
-            spatial: None,
             strict: false,
         };
         let _ = Monitor::new(&det, params);

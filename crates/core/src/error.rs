@@ -53,17 +53,16 @@ pub enum IndexError {
         /// The final failure.
         source: Box<IndexError>,
     },
-    /// Sharded strict mode only: every replica of a shard failed (or its
-    /// breaker was open), so the shard's key range went unanswered. (In
-    /// non-strict mode the shard is skipped and affected queries degrade.)
+    /// Sharded strict mode only: every replica of a shard failed, so the
+    /// shard's key range went unanswered. (In non-strict mode the shard is
+    /// skipped and affected queries degrade.)
     ShardLost {
         /// Index of the lost shard in the shard plan.
         shard: usize,
-        /// Replicas that were attempted before giving up (0 when the
-        /// shard's circuit breaker rejected the request outright).
+        /// Replicas that were attempted before giving up.
         replicas_tried: usize,
-        /// The last replica's failure, when one was attempted.
-        source: Option<Box<IndexError>>,
+        /// The last replica's failure.
+        source: Box<IndexError>,
     },
 }
 
@@ -101,13 +100,10 @@ impl fmt::Display for IndexError {
                 shard,
                 replicas_tried,
                 source,
-            } => match source {
-                Some(src) => write!(
-                    f,
-                    "shard {shard} lost after {replicas_tried} replica(s): {src}"
-                ),
-                None => write!(f, "shard {shard} lost: circuit breaker open"),
-            },
+            } => write!(
+                f,
+                "shard {shard} lost after {replicas_tried} replica(s): {source}"
+            ),
         }
     }
 }
@@ -116,10 +112,9 @@ impl Error for IndexError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             IndexError::Io(e) => Some(e),
-            IndexError::SectionLost { source, .. } => Some(source),
-            IndexError::ShardLost {
-                source: Some(src), ..
-            } => Some(src.as_ref()),
+            IndexError::SectionLost { source, .. } | IndexError::ShardLost { source, .. } => {
+                Some(source)
+            }
             _ => None,
         }
     }

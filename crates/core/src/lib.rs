@@ -93,8 +93,8 @@ pub use kernels::dist_sq_within;
 pub use metrics::CoreMetrics;
 pub use pseudo_disk::{DiskIndex, RetryPolicy, WriteOpts};
 pub use resilience::{
-    next_query_id, system_clock, BreakerConfig, CancelCause, CancelToken, Clock, Deadline,
-    MockClock, QueryCtx, SectionBreakers, SystemClock, TimeSource,
+    next_query_id, system_clock, CancelCause, CancelToken, Clock, Deadline, MockClock, QueryCtx,
+    SystemClock, TimeSource,
 };
 pub use s3_obs::ShardReport;
 pub use shard::{HedgeConfig, ShardPlan, ShardedBatchResult, ShardedIndex, ShardedOptions};

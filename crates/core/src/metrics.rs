@@ -12,7 +12,7 @@
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use s3_obs::{registry, Counter, Gauge, Histogram};
+use s3_obs::{registry, Counter, Histogram};
 
 use crate::filter::missed_target;
 use crate::index::QueryStats;
@@ -34,8 +34,6 @@ pub struct CoreMetrics {
     pub entries_scanned: Counter,
     /// `query.degraded` — queries answered from surviving sections only.
     pub degraded: Counter,
-    /// `filter.mass` — probability mass captured by the last filter.
-    pub mass: Gauge,
     /// `filter.nodes_expanded` — partition-tree nodes expanded by every
     /// filter call, the depth learner's included.
     pub filter_nodes_expanded: Counter,
@@ -71,9 +69,6 @@ pub struct CoreMetrics {
     pub wal_appends: Counter,
     /// `wal.fsyncs` — WAL fsync barriers issued.
     pub wal_fsyncs: Counter,
-    /// `wal.checkpoint_lag_bytes` — bytes of WAL accumulated since the
-    /// last checkpoint (the redo work a crash would replay).
-    pub wal_lag_bytes: Gauge,
     /// `dynamic.merge.ok` — overlay merges that completed normally.
     pub merge_ok: Counter,
     /// `sketch.probes` — Bloom cell probes issued by section consults (a
@@ -94,7 +89,6 @@ impl CoreMetrics {
                 nodes_expanded: r.counter("query.nodes_expanded"),
                 entries_scanned: r.counter("query.entries_scanned"),
                 degraded: r.counter("query.degraded"),
-                mass: r.gauge("filter.mass"),
                 filter_nodes_expanded: r.counter("filter.nodes_expanded"),
                 retries: r.counter("disk.retries"),
                 sections_loaded: r.counter("disk.sections_loaded"),
@@ -109,7 +103,6 @@ impl CoreMetrics {
                 bufferpool_evictions: r.counter("bufferpool.evictions"),
                 wal_appends: r.counter("wal.appends"),
                 wal_fsyncs: r.counter("wal.fsyncs"),
-                wal_lag_bytes: r.gauge("wal.checkpoint_lag_bytes"),
                 merge_ok: r.counter("dynamic.merge.ok"),
                 sketch_probes: r.counter("sketch.probes"),
             }
@@ -135,9 +128,6 @@ impl CoreMetrics {
         if stats.degraded {
             self.degraded.inc();
         }
-        if stats.mass.is_finite() {
-            self.mass.set(stats.mass);
-        }
     }
 }
 
@@ -152,12 +142,10 @@ mod tests {
         let stats = QueryStats {
             blocks_selected: 7,
             entries_scanned: 100,
-            mass: 0.9,
             ..QueryStats::default()
         };
         m.record_query(&stats, Duration::from_micros(5));
         assert_eq!(m.blocks_selected.get(), before + 7);
         assert!(m.query_latency.count() >= 1);
-        assert_eq!(m.mass.get(), 0.9);
     }
 }

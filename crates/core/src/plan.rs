@@ -331,7 +331,6 @@ pub(crate) fn run_query(
                 phase("filter", plan.filter_ns),
                 phase("refine", scan.refine_ns),
             ],
-            breaker_skips: 0,
             stop_cause: c.stop_cause(),
         })
     });
@@ -480,7 +479,6 @@ impl<'a> Plan<'a> {
                         Some(scatter) => vec![filter, scatter.clone(), load.clone()],
                         None => vec![filter, load.clone(), phase("refine", scans[qi].refine_ns)],
                     },
-                    breaker_skips: timing.breaker_skips,
                     stop_cause,
                 }));
             }
@@ -552,8 +550,6 @@ struct Evidence<'a> {
     blocks: &'a [(u64, u64)],
     shards: Vec<ShardReport>,
     phases: Vec<ExplainPhase>,
-    /// Batch-level: section loads an open circuit breaker short-circuited.
-    breaker_skips: usize,
     stop_cause: Option<CancelCause>,
 }
 
@@ -632,12 +628,6 @@ fn explain_report(e: Evidence) -> ExplainReport {
             } else {
                 "per-shard"
             }
-        ));
-    }
-    if e.breaker_skips > 0 {
-        rep.annotations.push(format!(
-            "circuit breaker skipped {} section load(s) in this batch",
-            e.breaker_skips
         ));
     }
     if st.cancelled {

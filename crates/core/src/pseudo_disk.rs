@@ -97,7 +97,7 @@ use crate::index::{
 use crate::metrics::CoreMetrics;
 use crate::parallel::{default_threads, with_crew};
 use crate::plan::{query_scope, tally_blocks, Plan, QueryPlan, QueryScan, Scan};
-use crate::resilience::{QueryCtx, SectionBreakers};
+use crate::resilience::QueryCtx;
 use crate::sketch::{Sketch, SketchParams};
 use crate::storage::{le_u32, le_u64, write_atomic, FileStorage, Storage};
 use s3_hilbert::{HilbertCurve, Key256, KeyBound, KeyRange};
@@ -223,11 +223,6 @@ pub struct DiskIndex {
     /// Worker threads for a batch's plans and per-section refinement
     /// (1 = sequential).
     threads: usize,
-    /// Optional per-section circuit breakers: sections that keep failing are
-    /// skipped outright for a cooldown instead of re-paying the retry ladder
-    /// on every batch. Shared so several indexes over one device can pool
-    /// failure history.
-    breakers: Option<Arc<SectionBreakers>>,
     /// CRC-32 of the header + axis order + index table (0 for v1). Binds
     /// an attached sketch to exactly this index generation — and so to its
     /// curve.
@@ -261,9 +256,6 @@ pub struct BatchTiming {
     pub retries: u32,
     /// Sections abandoned after exhausting retries (non-strict mode).
     pub sections_skipped: usize,
-    /// Of the skipped sections, how many were short-circuited by an open
-    /// circuit breaker (no I/O attempted).
-    pub breaker_skips: usize,
     /// Sections the sketch proved hold no candidate, skipped without I/O.
     /// Not counted in `sections_skipped` and never a degradation: every
     /// sketch skip is a true negative (see [`crate::sketch`]).
@@ -287,7 +279,6 @@ impl BatchTiming {
         self.bytes_loaded += scan.bytes_loaded;
         self.retries += scan.retries;
         self.sections_skipped += scan.sections_skipped;
-        self.breaker_skips += scan.breaker_skips;
         self.sketch_skips += scan.sketch_skips;
     }
 
@@ -592,7 +583,6 @@ impl DiskIndex {
             data_len,
             retry: RetryPolicy::default(),
             threads: default_threads(),
-            breakers: None,
             meta_crc: 0,
             sketch: None,
         };
@@ -684,16 +674,6 @@ impl DiskIndex {
     /// on.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Attaches per-section circuit breakers (builder style): a section that
-    /// keeps failing its loads is skipped outright for the breaker cooldown
-    /// instead of re-paying the retry ladder on every batch. Breaker keys are
-    /// the section's first table slot, so the same physical region maps to
-    /// the same breaker whenever a section starts there, whatever the budget.
-    pub fn with_breakers(mut self, breakers: Arc<SectionBreakers>) -> DiskIndex {
-        self.breakers = Some(breakers);
-        self
     }
 
     /// Attaches a sketch after validating it belongs to this exact index
@@ -1164,21 +1144,6 @@ impl DiskIndex {
                     }
                     break;
                 }
-                // Breaker keys are the section's first table slot: the same
-                // region keeps its breaker whenever a section starts there.
-                let breaker_key = slots.start;
-                if let Some(br) = &self.breakers {
-                    if !br.try_pass(breaker_key) {
-                        timing.sections_skipped += 1;
-                        timing.breaker_skips += 1;
-                        event::warn(
-                            "pseudo_disk",
-                            &format!("section {s} breaker open, skipping without I/O"),
-                        );
-                        mark_section_skipped(scans, work, false);
-                        continue;
-                    }
-                }
                 // Sketch consult: skip the load when every candidate cell of
                 // every intersecting range probes absent — a provable true
                 // negative (no stats degradation, no I/O, bit-identical
@@ -1213,9 +1178,6 @@ impl DiskIndex {
                 }
                 match loaded {
                     Ok(_) => {
-                        if let Some(br) = &self.breakers {
-                            br.record_success(breaker_key);
-                        }
                         timing.sections_loaded += 1;
                         let bytes = (b - a) * self.record_bytes();
                         timing.bytes_loaded += bytes;
@@ -1223,9 +1185,6 @@ impl DiskIndex {
                         metrics.read_bytes.add(bytes);
                     }
                     Err((retries, err)) => {
-                        if let Some(br) = &self.breakers {
-                            br.record_failure(breaker_key);
-                        }
                         if self.retry.strict {
                             return Err(IndexError::SectionLost {
                                 section: s,

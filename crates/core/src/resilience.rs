@@ -1,5 +1,4 @@
-//! Query-lifecycle resilience: deadlines, cooperative cancellation and
-//! per-section circuit breaking.
+//! Query-lifecycle resilience: deadlines and cooperative cancellation.
 //!
 //! The paper's pseudo-disk strategy (§IV-B) assumes a patient offline scan;
 //! a production service serving heavy traffic needs bounded tail latency and
@@ -12,8 +11,7 @@
 //!   wall-clock flakiness.
 //! * [`CancelToken`] — a shared atomic flag checked cooperatively at
 //!   section-load, refine-scan-chunk and work-stealing-task granularity.
-//!   Once fired it records *why* ([`CancelCause`]) and *when*, so the
-//!   cancellation latency (fire → return) can be measured.
+//!   Once fired it records *why* ([`CancelCause`]).
 //! * [`Deadline`] — a token that fires itself when a clock passes a budget.
 //!   A batch whose deadline fires returns partial, `degraded`-flagged
 //!   results instead of blowing its latency budget; the overshoot is bounded
@@ -21,19 +19,15 @@
 //!   refinement chunk).
 //! * [`QueryCtx`] — the bundle (token + optional deadline) threaded through
 //!   every batched entry point.
-//! * [`SectionBreakers`] — per-section circuit breakers that trip after
-//!   repeated load failures and short-circuit to skip-with-stat instead of
-//!   re-hammering a bad region on every batch.
 //!
 //! Everything is observable through the `resilience.*` metrics documented in
 //! `docs/observability.md`.
 
 use crate::metrics::CoreMetrics;
 pub use s3_obs::TimeSource;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -100,23 +94,15 @@ const LIVE: u8 = 0;
 const CANCELLED: u8 = 1;
 const DEADLINE: u8 = 2;
 
-#[derive(Debug, Default)]
-struct TokenInner {
-    state: AtomicU8,
-    /// Clock reading (ns) when the token fired, for cancellation-latency
-    /// accounting. Meaningful only against the clock that fired it.
-    fired_at_nanos: AtomicU64,
-}
-
 /// A shared cancellation flag, checked cooperatively by long-running work.
 ///
 /// Clones share state; firing is idempotent and sticky. The query path
 /// checks tokens at bounded intervals (per section-load attempt, per
-/// refinement chunk, per work-stealing task), which bounds both the
-/// cancellation latency and any deadline overshoot by one such unit.
+/// refinement chunk, per work-stealing task), which bounds any deadline
+/// overshoot by one such unit.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
-    inner: Arc<TokenInner>,
+    state: Arc<AtomicU8>,
 }
 
 impl CancelToken {
@@ -128,47 +114,27 @@ impl CancelToken {
     /// Fires the token with an explicit-cancel cause. Returns true if this
     /// call performed the (first) fire.
     pub fn cancel(&self) -> bool {
-        self.fire(CANCELLED, Duration::ZERO)
+        self.fire(CANCELLED)
     }
 
-    /// Fires with `cause` at clock reading `at`; first caller wins.
-    fn fire(&self, cause: u8, at: Duration) -> bool {
-        let won = self
-            .inner
-            .state
+    /// Fires with `cause`; first caller wins.
+    fn fire(&self, cause: u8) -> bool {
+        self.state
             .compare_exchange(LIVE, cause, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok();
-        if won {
-            self.inner.fired_at_nanos.store(
-                at.as_nanos().min(u128::from(u64::MAX)) as u64,
-                Ordering::SeqCst,
-            );
-        }
-        won
+            .is_ok()
     }
 
     /// True once the token has fired (for any cause).
     pub fn is_cancelled(&self) -> bool {
-        self.inner.state.load(Ordering::Relaxed) != LIVE
+        self.state.load(Ordering::Relaxed) != LIVE
     }
 
     /// The cause, once fired.
     pub fn cause(&self) -> Option<CancelCause> {
-        match self.inner.state.load(Ordering::SeqCst) {
+        match self.state.load(Ordering::SeqCst) {
             CANCELLED => Some(CancelCause::Cancelled),
             DEADLINE => Some(CancelCause::DeadlineExceeded),
             _ => None,
-        }
-    }
-
-    /// Clock reading at fire time (zero for plain [`CancelToken::cancel`]).
-    pub fn fired_at(&self) -> Option<Duration> {
-        if self.is_cancelled() {
-            Some(Duration::from_nanos(
-                self.inner.fired_at_nanos.load(Ordering::SeqCst),
-            ))
-        } else {
-            None
         }
     }
 }
@@ -202,11 +168,6 @@ impl Deadline {
         &self.token
     }
 
-    /// The clock the deadline is measured against.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
-    }
-
     /// Time left before expiry (zero once expired).
     pub fn remaining(&self) -> Duration {
         self.expires_at.saturating_sub(self.clock.now())
@@ -223,7 +184,7 @@ impl Deadline {
         if now < self.expires_at {
             return false;
         }
-        if self.token.fire(DEADLINE, now) {
+        if self.token.fire(DEADLINE) {
             CoreMetrics::get().deadline_exceeded.inc();
         }
         true
@@ -333,122 +294,6 @@ impl QueryCtx {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Circuit breakers
-// ---------------------------------------------------------------------------
-
-/// Tuning of a [`SectionBreakers`] set.
-#[derive(Clone, Copy, Debug)]
-pub struct BreakerConfig {
-    /// Consecutive section-load failures (each already past its retries)
-    /// that trip the breaker open.
-    pub failure_threshold: u32,
-    /// How long an open breaker short-circuits loads before letting one
-    /// probe attempt through (half-open).
-    pub cooldown: Duration,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_secs(5),
-        }
-    }
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct BreakerState {
-    consecutive_failures: u32,
-    /// `Some(t)` while open: loads short-circuit until the clock passes
-    /// `t`, after which exactly one probe is allowed (half-open).
-    open_until: Option<Duration>,
-}
-
-/// Per-section circuit breakers over a shared clock.
-///
-/// Sections are keyed by the first table slot they cover, so the same
-/// physical region keeps its breaker across batches whenever a section
-/// starts there, whatever memory budget packed it.
-#[derive(Debug)]
-pub struct SectionBreakers {
-    cfg: BreakerConfig,
-    clock: Arc<dyn Clock>,
-    state: Mutex<HashMap<usize, BreakerState>>,
-}
-
-impl SectionBreakers {
-    /// A breaker set with the given tuning and clock.
-    pub fn new(cfg: BreakerConfig, clock: Arc<dyn Clock>) -> SectionBreakers {
-        SectionBreakers {
-            cfg,
-            clock,
-            state: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<usize, BreakerState>> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// True if a load of section `key` may proceed. While the breaker is
-    /// open this returns false (short-circuit: skip with stat); once the
-    /// cooldown passes, the first call returns true as the half-open probe.
-    pub fn try_pass(&self, key: usize) -> bool {
-        let mut st = self.lock();
-        let Some(s) = st.get_mut(&key) else {
-            return true;
-        };
-        match s.open_until {
-            None => true,
-            Some(until) => {
-                if self.clock.now() >= until {
-                    // Half-open: allow one probe; a failure re-trips
-                    // immediately (the failure count is still at/above the
-                    // threshold), a success resets.
-                    s.open_until = None;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Records a section-load failure (already past its retries). Returns
-    /// true when this failure trips the breaker open.
-    pub fn record_failure(&self, key: usize) -> bool {
-        let mut st = self.lock();
-        let s = st.entry(key).or_default();
-        s.consecutive_failures = s.consecutive_failures.saturating_add(1);
-        if s.consecutive_failures >= self.cfg.failure_threshold && s.open_until.is_none() {
-            s.open_until = Some(self.clock.now() + self.cfg.cooldown);
-            return true;
-        }
-        false
-    }
-
-    /// Records a successful load, closing the breaker for `key`.
-    pub fn record_success(&self, key: usize) {
-        let mut st = self.lock();
-        if let Some(s) = st.get_mut(&key) {
-            *s = BreakerState::default();
-        }
-    }
-
-    /// Number of sections currently open (short-circuiting).
-    pub fn open_count(&self) -> usize {
-        let now = self.clock.now();
-        self.lock()
-            .values()
-            .filter(|s| s.open_until.is_some_and(|t| now < t))
-            .count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,8 +330,6 @@ mod tests {
         clock.advance(Duration::from_millis(2));
         assert!(ctx.should_stop());
         assert_eq!(ctx.stop_cause(), Some(CancelCause::DeadlineExceeded));
-        let fired = ctx.token().fired_at().expect("fired");
-        assert_eq!(fired, Duration::from_millis(101));
         // Expiry is sticky even if (hypothetically) time rolled on.
         clock.advance(Duration::from_secs(1));
         assert!(ctx.should_stop());
@@ -503,32 +346,5 @@ mod tests {
         assert!(ctx.should_stop());
         assert!(ctx.should_stop());
         assert_eq!(m.deadline_exceeded.get(), before + 1);
-    }
-
-    #[test]
-    fn breaker_trips_cools_down_and_half_opens() {
-        let clock = Arc::new(MockClock::new());
-        let cfg = BreakerConfig {
-            failure_threshold: 2,
-            cooldown: Duration::from_secs(1),
-        };
-        let br = SectionBreakers::new(cfg, clock.clone());
-        assert!(br.try_pass(5));
-        assert!(!br.record_failure(5), "below threshold");
-        assert!(br.try_pass(5), "still closed after one failure");
-        assert!(br.record_failure(5), "second failure trips");
-        assert!(!br.try_pass(5), "open: short-circuit");
-        assert_eq!(br.open_count(), 1);
-        clock.advance(Duration::from_millis(1500));
-        assert!(br.try_pass(5), "cooldown passed: half-open probe");
-        // Probe fails: re-trips immediately.
-        br.record_failure(5);
-        assert!(!br.try_pass(5), "failed probe re-opens");
-        clock.advance(Duration::from_secs(2));
-        assert!(br.try_pass(5));
-        br.record_success(5);
-        br.record_failure(5);
-        assert!(br.try_pass(5), "success reset the failure count");
-        assert!(br.try_pass(6), "other sections unaffected");
     }
 }

@@ -14,9 +14,6 @@
 //!
 //! Robustness is the point of the fan-out:
 //!
-//! * **per-shard circuit breakers** — [`SectionBreakers`]' trip/cooldown/
-//!   half-open machinery keyed by shard id: shards that keep losing every
-//!   replica are skipped outright for a cooldown;
 //! * **replica failover** — replicas run with a *strict* retry policy, so a
 //!   section that stays unreadable surfaces as an error and the router
 //!   immediately tries the next replica instead of silently degrading;
@@ -43,9 +40,7 @@ use crate::index::{prefix_bits, S3Index, StatQueryOpts};
 use crate::parallel::default_threads;
 use crate::plan::{query_scope, Plan, Scan, Scatter};
 use crate::pseudo_disk::{BatchResult, DiskIndex, RetryPolicy, WriteOpts};
-use crate::resilience::{
-    system_clock, BreakerConfig, CancelToken, Clock, QueryCtx, SectionBreakers,
-};
+use crate::resilience::{system_clock, CancelToken, Clock, QueryCtx};
 use crate::storage::{MemStorage, Storage};
 use s3_hilbert::{HilbertCurve, Key256, KeyBound, KeyRange};
 use s3_obs::{event, span, ShardReport};
@@ -236,11 +231,9 @@ pub struct ShardedOptions {
     pub strict: bool,
     /// Hedged-read policy.
     pub hedge: HedgeConfig,
-    /// Per-shard circuit breaker policy.
-    pub breaker: BreakerConfig,
-    /// Clock used for hedge-delay measurement, breaker cooldowns and child
-    /// deadlines ([`crate::resilience::MockClock`] makes all three
-    /// deterministic in tests).
+    /// Clock used for hedge-delay measurement and child deadlines
+    /// ([`crate::resilience::MockClock`] makes both deterministic in
+    /// tests).
     pub clock: Arc<dyn Clock>,
     /// Fraction of the remaining parent deadline granted to each shard
     /// attempt (slightly under 1 so the router keeps time to merge).
@@ -254,7 +247,6 @@ impl Default for ShardedOptions {
             retry: RetryPolicy::default(),
             strict: false,
             hedge: HedgeConfig::default(),
-            breaker: BreakerConfig::default(),
             clock: system_clock(),
             shard_budget_factor: 0.9,
         }
@@ -326,17 +318,16 @@ pub struct ShardedBatchResult {
 struct ShardOutcome {
     /// The shard's row of the batch result, scan totals still zero.
     row: ShardReport,
-    /// The winning replica's scan; `None` if the shard went unanswered.
-    scan: Option<Scan>,
-    /// For a shard that lost every replica: how many were tried, and the
-    /// last error.
+    /// The winning replica's scan, or the last replica's failure if the
+    /// shard went unanswered.
+    scan: Result<Scan, IndexError>,
+    /// Replica attempts spawned for the shard.
     replicas_tried: usize,
-    error: Option<IndexError>,
 }
 
 /// A shard router over replica [`DiskIndex`]es: scatter-gather batched
-/// queries with failover, hedging, per-shard breakers and deterministic
-/// merge. See the [module docs](crate::shard).
+/// queries with failover, hedging and deterministic merge. See the
+/// [module docs](crate::shard).
 #[derive(Debug)]
 pub struct ShardedIndex {
     plan: ShardPlan,
@@ -345,7 +336,6 @@ pub struct ShardedIndex {
     curve: HilbertCurve,
     /// Global record count (sum of shard record counts).
     n: u64,
-    breakers: Arc<SectionBreakers>,
     latency: Vec<LatencyWindow>,
     opts: ShardedOptions,
 }
@@ -413,7 +403,6 @@ impl ShardedIndex {
             });
         };
         let n = plan.record_bounds[plan.shards()];
-        let breakers = Arc::new(SectionBreakers::new(opts.breaker, opts.clock.clone()));
         let latency = (0..plan.shards())
             .map(|_| LatencyWindow::default())
             .collect();
@@ -422,7 +411,6 @@ impl ShardedIndex {
             replicas,
             curve,
             n,
-            breakers,
             latency,
             opts,
         })
@@ -487,11 +475,6 @@ impl ShardedIndex {
     /// Shared access to one replica.
     pub fn replica(&self, shard: usize, replica: usize) -> &DiskIndex {
         &self.replicas[shard][replica]
-    }
-
-    /// The per-shard circuit breakers (keyed by shard id).
-    pub fn breakers(&self) -> &Arc<SectionBreakers> {
-        &self.breakers
     }
 
     /// Runs a batch of statistical queries across every shard.
@@ -566,29 +549,7 @@ impl ShardedIndex {
             for &s in &dispatch {
                 let replicas = &self.replicas[s];
                 let latency = &self.latency[s];
-                let breakers = &self.breakers;
                 let handle = scope.spawn(move || {
-                    let unanswered = |row: ShardReport, replicas_tried, error| ShardOutcome {
-                        row: ShardReport {
-                            shard: s,
-                            skipped: true,
-                            ..row
-                        },
-                        scan: None,
-                        replicas_tried,
-                        error,
-                    };
-                    if !breakers.try_pass(s) {
-                        event::warn(
-                            "shard",
-                            &format!("shard {s} breaker open, skipping dispatch"),
-                        );
-                        let row = ShardReport {
-                            breaker_open: true,
-                            ..ShardReport::default()
-                        };
-                        return unanswered(row, 0, None);
-                    }
                     let mut sp = span!("shard.dispatch", "shard" => s as f64);
                     let t_start = clock.now();
                     let (tx, rx) = mpsc::channel::<(usize, usize, Result<Scan, IndexError>)>();
@@ -627,7 +588,6 @@ impl ShardedIndex {
                     let mut failovers = 0u32;
                     let mut hedged = false;
                     let mut hedge_attempt = usize::MAX;
-                    let mut last_error: Option<IndexError> = None;
                     let hedge_delay = match latency.p99() {
                         Some(p99_ns) => {
                             let scaled = (p99_ns as f64 * hedge_cfg.p99_factor) as u64;
@@ -636,15 +596,6 @@ impl ShardedIndex {
                         None => hedge_cfg.min_delay,
                     };
                     loop {
-                        let lost = |tried: usize, error| {
-                            breakers.record_failure(s);
-                            let row = ShardReport {
-                                failovers,
-                                hedged,
-                                ..ShardReport::default()
-                            };
-                            unanswered(row, tried, error)
-                        };
                         match rx.recv_timeout(Duration::from_millis(1)) {
                             Ok((ai, ri, Ok(scan))) => {
                                 // First success wins: cancel every other
@@ -665,7 +616,6 @@ impl ShardedIndex {
                                 let attempt_ns =
                                     now.saturating_sub(child_tokens[ai].1).as_nanos() as u64;
                                 latency.observe(attempt_ns, hedge_cfg.window);
-                                breakers.record_success(s);
                                 let hedge_won = hedged && ai == hedge_attempt;
                                 sp.record("replica", ri as f64);
                                 sp.record("failovers", f64::from(failovers));
@@ -679,9 +629,8 @@ impl ShardedIndex {
                                         elapsed_ns,
                                         ..ShardReport::default()
                                     },
-                                    scan: Some(scan),
+                                    scan: Ok(scan),
                                     replicas_tried: child_tokens.len(),
-                                    error: None,
                                 };
                             }
                             Ok((_, ri, Err(e))) => {
@@ -690,7 +639,6 @@ impl ShardedIndex {
                                     "shard",
                                     &format!("shard {s} replica {ri} failed: {e}"),
                                 );
-                                last_error = Some(e);
                                 if next_replica < replicas.len() {
                                     // Failover: immediately try the next
                                     // replica in order.
@@ -699,7 +647,19 @@ impl ShardedIndex {
                                     next_replica += 1;
                                     inflight += 1;
                                 } else if inflight == 0 {
-                                    return lost(child_tokens.len(), last_error);
+                                    // Every replica failed: the last
+                                    // failure is the shard's.
+                                    return ShardOutcome {
+                                        row: ShardReport {
+                                            shard: s,
+                                            skipped: true,
+                                            failovers,
+                                            hedged,
+                                            ..ShardReport::default()
+                                        },
+                                        scan: Err(e),
+                                        replicas_tried: child_tokens.len(),
+                                    };
                                 }
                             }
                             Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -725,10 +685,8 @@ impl ShardedIndex {
                                     inflight += 1;
                                 }
                             }
-                            // All senders gone without a message we
-                            // handled — treat as total loss.
                             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                                return lost(child_tokens.len(), last_error);
+                                unreachable!("the coordinator holds a sender")
                             }
                         }
                     }
@@ -758,11 +716,10 @@ impl ShardedIndex {
                 mut row,
                 scan,
                 replicas_tried,
-                error,
             } = outcome;
             let s = row.shard;
             match scan {
-                Some(scan) => {
+                Ok(scan) => {
                     for (qi, q) in scan.per_query.iter().enumerate() {
                         let scanned = q.stats.entries_scanned as u64;
                         let matched = q.matches.len() as u64;
@@ -782,16 +739,14 @@ impl ShardedIndex {
                     // exactly the single-node order.
                     merged.absorb(scan, self.plan.record_span(s).0 as usize);
                 }
-                None => {
+                Err(error) => {
                     shard_skips += 1;
-                    if !row.breaker_open {
-                        event::warn(
-                            "shard",
-                            &format!(
-                                "shard {s} lost after {replicas_tried} replica(s), degrading batch"
-                            ),
-                        );
-                    }
+                    event::warn(
+                        "shard",
+                        &format!(
+                            "shard {s} lost after {replicas_tried} replica(s), degrading batch"
+                        ),
+                    );
                     // Account the loss against every query whose plan
                     // touches the shard's key span.
                     for qi in (0..queries.len()).filter(|&qi| touches(s, qi)) {
@@ -811,7 +766,7 @@ impl ShardedIndex {
             return Err(IndexError::ShardLost {
                 shard,
                 replicas_tried,
-                source: error.map(Box::new),
+                source: Box::new(error),
             });
         }
         // Safety net for the deterministic-merge contract: shard-ordered
@@ -1083,7 +1038,20 @@ mod tests {
             .stat_query_batch(&queries, &model, &opts)
             .unwrap_err();
         match err {
-            IndexError::ShardLost { shard, .. } => assert_eq!(shard, 0),
+            IndexError::ShardLost {
+                shard,
+                replicas_tried,
+                source,
+            } => {
+                assert_eq!(shard, 0);
+                // Primary and failover both ran, and the error is the
+                // last replica's own strict section loss.
+                assert_eq!(replicas_tried, 2);
+                assert!(
+                    matches!(*source, IndexError::SectionLost { .. }),
+                    "{source}"
+                );
+            }
             other => panic!("expected ShardLost, got {other}"),
         }
     }
@@ -1186,74 +1154,6 @@ mod tests {
         assert_eq!(got.hedge_wins, 0);
         assert_eq!(got.shard_skips, 0, "a stall must never lose a shard");
         assert_identical(&got.batch, &base);
-    }
-
-    #[test]
-    fn breaker_trips_after_repeated_loss_and_recovers() {
-        let index = synthetic(800, 13);
-        let model = IsotropicNormal::new(DIMS, 12.0);
-        let opts = StatQueryOpts::new(0.9, 12);
-        let q = probes(&index, 6, 0xD00D);
-        let queries: Vec<&[u8]> = q.iter().map(Vec::as_slice).collect();
-
-        let clock = Arc::new(MockClock::new());
-        let plan = ShardPlan::balanced(&index, 2);
-        let mut storages: Vec<Vec<Box<dyn Storage>>> = Vec::new();
-        for s in 0..plan.shards() {
-            let bytes = plan.shard_bytes(&index, s, WriteOpts::default()).unwrap();
-            let mk: Box<dyn Storage> = if s == 0 {
-                Box::new(FaultyStorage::new(
-                    MemStorage::new(bytes),
-                    FaultPlan {
-                        seed: 2,
-                        dead_range: Some(0..u64::MAX),
-                        skip_reads: 8, // let open()'s header/TOC reads through
-                        ..FaultPlan::default()
-                    },
-                ))
-            } else {
-                Box::new(MemStorage::new(bytes))
-            };
-            storages.push(vec![mk]);
-        }
-        let sharded = ShardedIndex::open(
-            plan,
-            storages,
-            ShardedOptions {
-                clock: clock.clone(),
-                breaker: BreakerConfig {
-                    failure_threshold: 2,
-                    cooldown: Duration::from_secs(5),
-                },
-                retry: RetryPolicy {
-                    max_retries: 0,
-                    backoff: Duration::ZERO,
-                    strict: false,
-                },
-                ..ShardedOptions::default()
-            },
-        )
-        .unwrap();
-
-        // Two losing batches trip the breaker...
-        for _ in 0..2 {
-            let got = sharded.stat_query_batch(&queries, &model, &opts).unwrap();
-            assert_eq!(got.shard_skips, 1);
-            assert!(!got.shards.iter().any(|r| r.breaker_open));
-        }
-        // ...the third is short-circuited without touching storage.
-        let got = sharded.stat_query_batch(&queries, &model, &opts).unwrap();
-        assert!(
-            got.shards
-                .iter()
-                .any(|r| r.shard == 0 && r.breaker_open && r.skipped),
-            "breaker must short-circuit the dispatch"
-        );
-        // After the cooldown a half-open probe goes through again (and
-        // fails again, honestly).
-        clock.advance(Duration::from_secs(6));
-        let got = sharded.stat_query_batch(&queries, &model, &opts).unwrap();
-        assert!(got.shards.iter().any(|r| r.shard == 0 && !r.breaker_open));
     }
 
     #[test]

@@ -103,7 +103,6 @@ impl<S: WritableStorage> Wal<S> {
             // record boundary.
             storage.truncate(off)?;
         }
-        CoreMetrics::get().wal_lag_bytes.set(off as f64);
         Ok((
             Wal {
                 storage,
@@ -122,9 +121,7 @@ impl<S: WritableStorage> Wal<S> {
         self.storage.write_at(self.end, &frame)?;
         self.end += frame.len() as u64;
         self.next_lsn += 1;
-        let m = CoreMetrics::get();
-        m.wal_appends.inc();
-        m.wal_lag_bytes.set(self.end as f64);
+        CoreMetrics::get().wal_appends.inc();
         Ok(lsn)
     }
 
@@ -141,7 +138,6 @@ impl<S: WritableStorage> Wal<S> {
         self.storage.truncate(0)?;
         self.storage.sync()?;
         self.end = 0;
-        CoreMetrics::get().wal_lag_bytes.set(0.0);
         Ok(())
     }
 

@@ -16,7 +16,7 @@ use s3_core::{
     StatQueryOpts,
 };
 use s3_hilbert::HilbertCurve;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 const DIMS: usize = 6;
@@ -212,12 +212,13 @@ fn dead_region_degrades_and_strict_mode_errors() {
         .stat_query_batch(&qrefs, &model, &opts, 1 << 20)
         .unwrap();
 
-    let degraded_disk = DiskIndex::open_storage(Box::new(FaultyStorage::new(
+    let faulty = Arc::new(FaultyStorage::new(
         MemStorage::new(bytes.clone()),
         plan.clone(),
-    )))
-    .unwrap()
-    .with_retry_policy(fast_retry(2, false));
+    ));
+    let degraded_disk = DiskIndex::open_storage(Box::new(Arc::clone(&faulty)))
+        .unwrap()
+        .with_retry_policy(fast_retry(2, false));
     let got = degraded_disk
         .stat_query_batch(&qrefs, &model, &opts, 1 << 20)
         .unwrap();
@@ -241,6 +242,23 @@ fn dead_region_degrades_and_strict_mode_errors() {
             );
         }
     }
+    // Nothing remembers a failure past its batch: a second batch reads the
+    // dead region again and answers exactly as the first.
+    let dead_reads = faulty.stats().dead_reads;
+    let again = degraded_disk
+        .stat_query_batch(&qrefs, &model, &opts, 1 << 20)
+        .unwrap();
+    assert_eq!(again.matches, got.matches);
+    assert_eq!(again.timing.sections_skipped, got.timing.sections_skipped);
+    assert!(again.timing.degraded);
+    for (st, first) in again.stats.iter().zip(&got.stats) {
+        assert_eq!(st.degraded, first.degraded);
+        assert_eq!(st.sections_skipped, first.sections_skipped);
+    }
+    assert!(
+        faulty.stats().dead_reads > dead_reads,
+        "the second batch must read storage again"
+    );
 
     let strict_disk = DiskIndex::open_storage(Box::new(FaultyStorage::new(
         MemStorage::new(bytes.clone()),

@@ -1,6 +1,6 @@
 //! End-to-end resilience properties of the query path: deadlines on
-//! stalled storage, cancellation accounting, retry-backoff bounds, strict-
-//! mode loudness and circuit-breaker short-circuiting.
+//! stalled storage, cancellation accounting, retry-backoff bounds and
+//! strict-mode loudness.
 //!
 //! Everything time-dependent runs against a [`MockClock`] — fault-injection
 //! stalls advance the clock instead of sleeping, so deadline behaviour is
@@ -18,9 +18,8 @@ use s3_core::filter::missed_target;
 use s3_core::pseudo_disk::{DiskIndex, RetryPolicy, WriteOpts};
 use s3_core::shard::{HedgeConfig, ShardPlan, ShardedIndex, ShardedOptions};
 use s3_core::{
-    BreakerConfig, CancelCause, Clock, CoreMetrics, FaultPlan, FaultyStorage, IsotropicNormal,
-    Match, MemStorage, MockClock, QueryCtx, QueryStats, RecordBatch, S3Index, SectionBreakers,
-    StatQueryOpts, Storage, TimeSource,
+    CancelCause, Clock, CoreMetrics, FaultPlan, FaultyStorage, IsotropicNormal, Match, MemStorage,
+    MockClock, QueryCtx, QueryStats, RecordBatch, S3Index, StatQueryOpts, Storage, TimeSource,
 };
 use s3_hilbert::HilbertCurve;
 use s3_obs::ExplainReport;
@@ -413,13 +412,12 @@ fn non_degraded_queries_answer_exactly_under_deadline() {
 
 /// What an annotation says, whatever its numbers.
 fn kind(annotation: &str) -> &'static str {
-    const KINDS: [(&str, &str); 8] = [
+    const KINDS: [(&str, &str); 7] = [
         ("block budget truncated", "truncated"),
         ("below reachable", "missed-target"),
         ("cancelled before filtering", "empty-plan"),
         ("shard(s) lost", "shard-lost"),
         ("section(s) skipped", "sections-skipped"),
-        ("circuit breaker", "breaker"),
         ("deadline exceeded", "deadline"),
         ("cancelled", "cancelled"),
     ];
@@ -706,80 +704,6 @@ fn strict_mode_keeps_deadline_partial_results_loud() {
         "strict + deadline: flagged, not silent"
     );
     assert!(batch.stats.iter().any(|st| st.cancelled));
-}
-
-/// Sections that keep failing trip their breaker: later batches skip them
-/// without touching storage, and the cooldown re-probes.
-#[test]
-fn breaker_short_circuits_repeatedly_failing_sections() {
-    let (_, bytes) = fixture();
-    // Kill the prefix column of records [300, 400) permanently.
-    // S3IDX004: header, axis bytes, table and meta CRC, then the prefix
-    // column, 8 bytes a record.
-    let data_off = 32 + DIMS as u64 + (((1u64 << TABLE_DEPTH) + 1) * 8) + 4;
-    let plan = FaultPlan {
-        seed: 0xC4A0_5005,
-        dead_range: Some(data_off + 300 * 8..data_off + 400 * 8),
-        skip_reads: 5,
-        ..FaultPlan::default()
-    };
-    let clock = Arc::new(MockClock::new());
-    let fs = Arc::new(FaultyStorage::with_clock(
-        MemStorage::new(bytes.clone()),
-        plan,
-        clock.clone() as Arc<dyn Clock>,
-    ));
-    let breakers = Arc::new(SectionBreakers::new(
-        BreakerConfig {
-            failure_threshold: 2,
-            cooldown: Duration::from_secs(5),
-        },
-        clock.clone() as Arc<dyn Clock>,
-    ));
-    let disk = DiskIndex::open_storage(Box::new(Arc::clone(&fs)))
-        .unwrap()
-        .with_retry_policy(no_backoff(1, false))
-        .with_breakers(Arc::clone(&breakers));
-
-    let model = IsotropicNormal::new(DIMS, 12.0);
-    let opts = StatQueryOpts::new(0.9, 12);
-    let (index, _) = fixture();
-    let qs: Vec<Vec<u8>> = (300..400)
-        .step_by(10)
-        .map(|i| index.records().fingerprint(i).to_vec())
-        .collect();
-    let qrefs: Vec<&[u8]> = qs.iter().map(|q| q.as_slice()).collect();
-
-    // Two batches of failures reach the threshold and trip the breakers.
-    for _ in 0..2 {
-        let b = disk
-            .stat_query_batch(&qrefs, &model, &opts, MEM_BUDGET)
-            .unwrap();
-        assert!(b.timing.sections_skipped > 0);
-        assert_eq!(b.timing.breaker_skips, 0, "breakers not yet tripped");
-    }
-    assert!(breakers.open_count() > 0, "repeated failures must trip");
-
-    // While open: the dead sections are skipped with zero storage I/O.
-    let dead_before = fs.stats().dead_reads;
-    let b3 = disk
-        .stat_query_batch(&qrefs, &model, &opts, MEM_BUDGET)
-        .unwrap();
-    assert!(b3.timing.breaker_skips > 0, "open breakers short-circuit");
-    assert!(b3.timing.degraded);
-    assert_eq!(
-        fs.stats().dead_reads,
-        dead_before,
-        "no I/O may reach a breaker-skipped section"
-    );
-
-    // After the cooldown the half-open probe hits storage again.
-    clock.advance(Duration::from_secs(6));
-    let b4 = disk
-        .stat_query_batch(&qrefs, &model, &opts, MEM_BUDGET)
-        .unwrap();
-    assert!(fs.stats().dead_reads > dead_before, "half-open re-probes");
-    assert!(b4.timing.sections_skipped > 0);
 }
 
 proptest! {

@@ -7,7 +7,7 @@
 //! the predicted mass vs. the records the refinement phase actually
 //! scanned vs. the matches those records produced, plus per-phase
 //! nanoseconds and annotations for every way the query degraded
-//! (breaker skips, deadline hits, lost shards, truncation).
+//! (skipped sections, deadline hits, lost shards, truncation).
 //!
 //! This crate only defines the carrier types and renderers; `s3-core`
 //! fills them in, in one place for every engine (its `plan` module), when a
@@ -50,8 +50,6 @@ pub struct ShardReport {
     /// True if every replica stayed unreachable — the answer is missing
     /// the shard's whole key range.
     pub skipped: bool,
-    /// True if the shard's circuit breaker rejected the dispatch outright.
-    pub breaker_open: bool,
     /// Records the serving replica scanned.
     pub entries_scanned: u64,
     /// Matches the shard contributed.
@@ -116,8 +114,8 @@ pub struct ExplainReport {
     /// Per-phase wall-clock.
     pub phases: Vec<ExplainPhase>,
     /// Degradation annotations, empty on a clean run (e.g.
-    /// `deadline exceeded — partial scan`, `circuit breaker skipped 2
-    /// section load(s) in this batch`).
+    /// `deadline exceeded — partial scan`, `2 section(s) skipped —
+    /// per-block counts may not reconcile`).
     pub annotations: Vec<String>,
 }
 
@@ -238,10 +236,9 @@ impl ExplainReport {
                 "  shards (id  served_by  failovers  hedged  scanned  matched  ns):"
             );
             for s in &self.shards {
-                let served = match (s.served_by, s.breaker_open) {
-                    (Some(r), _) => format!("r{r}"),
-                    (None, true) => "breaker".to_string(),
-                    (None, false) => "lost".to_string(),
+                let served = match s.served_by {
+                    Some(r) => format!("r{r}"),
+                    None => "lost".to_string(),
                 };
                 let _ = writeln!(
                     out,
@@ -332,7 +329,6 @@ impl ExplainReport {
                 .field("hedged", s.hedged)
                 .field("hedge_won", s.hedge_won)
                 .field("skipped", s.skipped)
-                .field("breaker_open", s.breaker_open)
                 .field("entries_scanned", s.entries_scanned)
                 .field("matches", s.matches)
                 .field("elapsed_ns", s.elapsed_ns)
@@ -517,7 +513,6 @@ mod tests {
             ShardReport {
                 shard: 1,
                 skipped: true,
-                breaker_open: true,
                 ..ShardReport::default()
             },
         ];
@@ -525,8 +520,8 @@ mod tests {
         r
     }
 
-    /// What the parent commit (PR 22) rendered for `fixture()`.
-    const PARENT: &str = r#"{"query_id":3,"algo":"best\"first","alpha":1,"depth":6,"tmax":null,"iterations":11,"predicted_mass":0.95,"target":0.9,"observed_selectivity":0.0000000025,"entries_scanned":18446744073709551615,"matches":5,"sketch_skipped":0,"reconciles":false,"degraded":true,"blocks":[{"depth":6,"predicted_mass":0.7,"scanned":100,"matched":4},{"depth":6,"predicted_mass":0.25,"scanned":40,"matched":1}],"shards":[{"shard":0,"served_by":1,"failovers":1,"hedged":true,"hedge_won":true,"skipped":false,"breaker_open":false,"entries_scanned":90,"matches":3,"elapsed_ns":12345},{"shard":1,"served_by":null,"failovers":0,"hedged":false,"hedge_won":false,"skipped":true,"breaker_open":true,"entries_scanned":0,"matches":0,"elapsed_ns":0}],"phases":{"filter":10000,"refine":55000},"annotations":["deadline hit","section 3 \"lost\"\n"]}"#;
+    /// The rendering of `fixture()`, pinned as a parsed document.
+    const PARENT: &str = r#"{"query_id":3,"algo":"best\"first","alpha":1,"depth":6,"tmax":null,"iterations":11,"predicted_mass":0.95,"target":0.9,"observed_selectivity":0.0000000025,"entries_scanned":18446744073709551615,"matches":5,"sketch_skipped":0,"reconciles":false,"degraded":true,"blocks":[{"depth":6,"predicted_mass":0.7,"scanned":100,"matched":4},{"depth":6,"predicted_mass":0.25,"scanned":40,"matched":1}],"shards":[{"shard":0,"served_by":1,"failovers":1,"hedged":true,"hedge_won":true,"skipped":false,"entries_scanned":90,"matches":3,"elapsed_ns":12345},{"shard":1,"served_by":null,"failovers":0,"hedged":false,"hedge_won":false,"skipped":true,"entries_scanned":0,"matches":0,"elapsed_ns":0}],"phases":{"filter":10000,"refine":55000},"annotations":["deadline hit","section 3 \"lost\"\n"]}"#;
 
     #[test]
     fn explain_json_parses_to_the_parent_tree() {

@@ -15,15 +15,6 @@ use crate::health::{Bounds, HealthRule, Signal};
 /// before handing it to [`crate::HealthEngine`].
 pub fn default_health_rules() -> Vec<HealthRule> {
     vec![
-        // Un-checkpointed WAL is crash-recovery debt: replay time grows
-        // linearly with it.
-        HealthRule::new(
-            "wal-checkpoint-lag",
-            Signal::GaugeValue("wal.checkpoint_lag_bytes"),
-            Duration::from_secs(60),
-            Bounds::at_most(16.0 * 1024.0 * 1024.0),
-        )
-        .critical(Bounds::at_most(64.0 * 1024.0 * 1024.0)),
         // Storage faults (CRC mismatches) should be rare events, not a
         // steady stream.
         HealthRule::new(
@@ -56,10 +47,7 @@ mod tests {
     fn default_rules_cover_registered_metrics() {
         let rules = default_health_rules();
         let names: Vec<&str> = rules.iter().map(|r| r.name).collect();
-        assert_eq!(
-            names,
-            ["wal-checkpoint-lag", "storage-fault-rate", "deadline-rate"]
-        );
+        assert_eq!(names, ["storage-fault-rate", "deadline-rate"]);
         // Every rule references a metric name CoreMetrics registers.
         let _ = CoreMetrics::get();
         let snap = registry().snapshot();
