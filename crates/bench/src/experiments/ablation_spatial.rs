@@ -11,7 +11,7 @@
 
 use crate::report::{Experiment, Scale, Series};
 use crate::workload::experiment_extractor_params;
-use s3_cbcd::{vote, DbBuilder, Detector, DetectorConfig, SpatialVoteParams};
+use s3_cbcd::{vote, DbBuilder, Detector, DetectorConfig, VoteParams};
 use s3_video::{
     extract_fingerprints, ProceduralVideo, Transform, TransformChain, TransformedVideo,
 };
@@ -32,8 +32,7 @@ pub fn run(scale: Scale) -> Experiment {
     let db = builder.build();
     let detector = Detector::new(&db, DetectorConfig::default());
 
-    let mut vote_params = SpatialVoteParams::default();
-    vote_params.temporal.min_votes = 1; // collect full score distributions
+    let vote_params = VoteParams { min_votes: 1 }; // collect full score distributions
 
     // Spurious scores on non-referenced clips.
     let mut spurious_t: Vec<f64> = Vec::new();
@@ -42,7 +41,7 @@ pub fn run(scale: Scale) -> Experiment {
         let v = ProceduralVideo::new(96, 72, frames, 0xFFFF_0000 + i as u64);
         let fps = extract_fingerprints(&v, &params);
         let buffer = detector.query_buffer(&fps);
-        for d in vote(&buffer, &vote_params.temporal) {
+        for d in vote(&buffer, &vote_params) {
             spurious_t.push(d.nsim as f64);
         }
         for d in detector.detect_fingerprints_spatial(&fps, &vote_params) {
@@ -65,7 +64,7 @@ pub fn run(scale: Scale) -> Experiment {
         let cand = TransformedVideo::new(&original, chain.clone(), 70 + ai as u64);
         let fps = extract_fingerprints(&cand, &params);
         let buffer = detector.query_buffer(&fps);
-        let t_best = vote(&buffer, &vote_params.temporal)
+        let t_best = vote(&buffer, &vote_params)
             .iter()
             .find(|d| d.id == 1)
             .map_or(0.0, |d| d.nsim as f64);

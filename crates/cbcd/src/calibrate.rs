@@ -8,8 +8,14 @@
 //! budget.
 
 use crate::detector::Detector;
-use crate::voting::{vote, CandidateVotes};
+use crate::monitor::KeyframeWindow;
+use crate::voting::{vote, CandidateVotes, VoteParams};
+use crate::FRAME_RATE;
 use s3_video::LocalFingerprint;
+
+/// The false-alarm budget: "in average less than 1 false alarm ... per
+/// hour" (§V-C).
+const FALSE_ALARMS_PER_HOUR: f64 = 1.0;
 
 /// Result of a calibration run.
 #[derive(Clone, Debug)]
@@ -34,12 +40,10 @@ impl Calibration {
     }
 }
 
-/// Calibrates `min_votes` on negative (non-referenced) fingerprint streams.
-///
-/// * `negatives` — candidate streams extracted from material that is *not* in
-///   the database; every detection on them is a false alarm;
-/// * `fps_rate` — stream frame rate, to convert time-codes to hours;
-/// * `max_rate_per_hour` — the budget (the paper uses 1.0).
+/// Calibrates `min_votes` on negative (non-referenced) fingerprint streams:
+/// candidate streams extracted from material that is *not* in the database,
+/// so every detection on them is a false alarm. Time-codes count frames at
+/// [`FRAME_RATE`]; the budget is one false alarm an hour.
 ///
 /// The detector's configured threshold is ignored: voting runs with
 /// `min_votes = 1` to collect the full spurious-score distribution, then the
@@ -48,46 +52,43 @@ impl Calibration {
 pub fn calibrate_threshold(
     detector: &Detector<'_>,
     negatives: &[Vec<LocalFingerprint>],
-    fps_rate: f64,
-    max_rate_per_hour: f64,
 ) -> Calibration {
     // One vote over each stream's whole buffer.
-    let (spurious, hours) = spurious_scores(detector, negatives, fps_rate, |buffer| vec![buffer]);
-    choose_threshold(spurious, hours, max_rate_per_hour)
+    spurious_scores(detector, negatives, |buffer| vec![buffer])
 }
 
-/// Calibrates `min_votes` for *monitoring*: negative streams are run through
-/// the same sliding-window voting the monitor uses, because spurious `n_sim`
-/// scores grow with the number of candidate fingerprints in a buffer — a
-/// threshold calibrated on whole-clip buffers under-estimates what a larger
+/// Calibrates `min_votes` for *monitoring*: negative streams are cut into
+/// the very windows the monitor votes, because spurious `n_sim` scores grow
+/// with the number of candidate fingerprints in a buffer — a threshold
+/// calibrated on whole-clip buffers under-estimates what a larger
 /// monitoring window can produce by chance.
 pub fn calibrate_monitor_threshold(
     detector: &Detector<'_>,
     negatives: &[Vec<LocalFingerprint>],
-    monitor_params: &crate::monitor::MonitorParams,
-    fps_rate: f64,
-    max_rate_per_hour: f64,
 ) -> Calibration {
-    let (spurious, hours) = spurious_scores(detector, negatives, fps_rate, |buffer| {
-        monitor_windows(&buffer, monitor_params)
-    });
-    choose_threshold(spurious, hours, max_rate_per_hour)
+    spurious_scores(detector, negatives, |buffer| {
+        let mut window = KeyframeWindow::default();
+        let mut windows: Vec<_> = buffer
+            .into_iter()
+            .filter_map(|cv| window.push(cv))
+            .collect();
+        windows.extend(window.finish());
+        windows
+    })
 }
 
 /// Walks the negative streams: searches each, cuts its vote buffer into
-/// vote windows with `cut`, and votes permissively (`min_votes = 1`) on
-/// every window. Returns every spurious `n_sim` and the hours walked.
+/// vote windows with `cut`, votes permissively (`min_votes = 1`) on every
+/// window, and picks the threshold from every spurious `n_sim` and the
+/// hours walked.
 fn spurious_scores(
     detector: &Detector<'_>,
     negatives: &[Vec<LocalFingerprint>],
-    fps_rate: f64,
     cut: impl Fn(Vec<CandidateVotes>) -> Vec<Vec<CandidateVotes>>,
-) -> (Vec<usize>, f64) {
-    assert!(fps_rate > 0.0);
+) -> Calibration {
     let mut spurious: Vec<usize> = Vec::new();
     let mut frames_total = 0.0f64;
-    let mut permissive = detector.config().vote;
-    permissive.min_votes = 1;
+    let permissive = VoteParams { min_votes: 1 };
     for stream in negatives {
         let (Some(head), Some(tail)) = (stream.first(), stream.last()) else {
             continue; // an empty stream
@@ -97,42 +98,13 @@ fn spurious_scores(
             spurious.extend(vote(&window, &permissive).iter().map(|det| det.nsim));
         }
     }
-    (spurious, frames_total / fps_rate / 3600.0)
-}
-
-/// Re-creates the monitor's windowing over one stream's search results:
-/// `window` key-frames at a time, consecutive windows sharing `overlap`.
-fn monitor_windows(
-    buffer: &[CandidateVotes],
-    params: &crate::monitor::MonitorParams,
-) -> Vec<Vec<CandidateVotes>> {
-    let mut tcs: Vec<f64> = buffer.iter().map(|cv| cv.tc).collect();
-    tcs.dedup();
-    let mut windows = Vec::new();
-    let mut start = 0usize;
-    while start < tcs.len() {
-        let end_kf = (start + params.window).min(tcs.len());
-        let (lo_tc, hi_tc) = (tcs[start], tcs[end_kf - 1]);
-        windows.push(
-            buffer
-                .iter()
-                .filter(|cv| cv.tc >= lo_tc && cv.tc <= hi_tc)
-                .cloned()
-                .collect(),
-        );
-        if end_kf == tcs.len() {
-            break;
-        }
-        start += params.window - params.overlap;
-    }
-    windows
+    choose_threshold(spurious, frames_total / FRAME_RATE / 3600.0)
 }
 
 /// The smallest threshold whose false alarms — spurious scores at or above
-/// it — fit the budget of `max_rate_per_hour` over `hours` of negatives.
-fn choose_threshold(mut spurious: Vec<usize>, hours: f64, max_rate_per_hour: f64) -> Calibration {
-    assert!(max_rate_per_hour > 0.0);
-    let budget = (max_rate_per_hour * hours).max(0.0);
+/// it — fit the budget over `hours` of negatives.
+fn choose_threshold(mut spurious: Vec<usize>, hours: f64) -> Calibration {
+    let budget = (FALSE_ALARMS_PER_HOUR * hours).max(0.0);
     let mut threshold = 1usize;
     loop {
         let alarms = spurious.iter().filter(|&&s| s >= threshold).count();
@@ -180,7 +152,7 @@ mod tests {
                 )
             })
             .collect();
-        let cal = calibrate_threshold(&det, &negatives, 25.0, 1.0);
+        let cal = calibrate_threshold(&det, &negatives);
         assert!(cal.min_votes >= 1);
         assert!(cal.hours_scanned > 0.0);
         // With the chosen threshold, a true copy must still be detectable.
@@ -213,10 +185,8 @@ mod tests {
                 )
             })
             .collect();
-        let per_clip = calibrate_threshold(&det, &negatives, 25.0, 1.0);
-        let params = crate::monitor::MonitorParams::default();
-        let windowed =
-            crate::calibrate::calibrate_monitor_threshold(&det, &negatives, &params, 25.0, 1.0);
+        let per_clip = calibrate_threshold(&det, &negatives);
+        let windowed = calibrate_monitor_threshold(&det, &negatives);
         // A window no larger than the clip cannot create more spurious mass,
         // but sub-windows can isolate coincidences; both must be sane.
         assert!(windowed.min_votes >= 1);
@@ -230,7 +200,7 @@ mod tests {
         b.add_video("only", &ProceduralVideo::new(96, 72, 40, 1));
         let db = b.build();
         let det = Detector::new(&db, DetectorConfig::default());
-        let cal = calibrate_threshold(&det, &[], 25.0, 1.0);
+        let cal = calibrate_threshold(&det, &[]);
         assert_eq!(cal.min_votes, 1);
         assert_eq!(cal.false_alarms, 0);
         assert_eq!(cal.rate_per_hour(), 0.0);

@@ -7,7 +7,7 @@
 //! decides which reference ids are copies.
 
 use crate::registry::ReferenceDb;
-use crate::spatial::{vote_spatial, SpatialCandidateVotes, SpatialDetection, SpatialVoteParams};
+use crate::spatial::{vote_spatial, SpatialCandidateVotes, SpatialDetection};
 use crate::voting::{vote, CandidateVotes, Detection, VoteParams};
 use s3_core::{
     autotune, next_query_id, parallel, system_clock, IsotropicNormal, QueryCtx, QueryResult,
@@ -15,6 +15,15 @@ use s3_core::{
 };
 use s3_video::{extract_fingerprints, LocalFingerprint, VideoSource};
 use std::time::Duration;
+
+/// When the query refinement is [`s3_core::Refine::All`] (the paper's
+/// behaviour), the detector gates results at this quantile of the
+/// distortion-norm law `p_‖ΔS‖`. The paper feeds raw block contents to the
+/// voting stage and notes in its conclusion that this becomes a bottleneck
+/// on large databases; a wide distance gate keeps the voting buffer
+/// proportional to the true neighbourhood without measurably affecting
+/// recall.
+const DISTANCE_GATE_QUANTILE: f64 = 0.90;
 
 /// Configuration of the detector.
 #[derive(Clone, Debug)]
@@ -25,19 +34,10 @@ pub struct DetectorConfig {
     /// of 0 (the default) has [`Detector::new`] learn `p_min` from the
     /// database, σ and α; any other value is used as given.
     pub query: StatQueryOpts,
-    /// Voting parameters (Tukey constant, tolerance, decision threshold).
+    /// Voting parameters (the decision threshold).
     pub vote: VoteParams,
     /// Worker threads for the search stage.
     pub threads: usize,
-    /// When the query refinement is [`s3_core::Refine::All`] (the paper's
-    /// behaviour), additionally gate results at this quantile of the
-    /// distortion-norm law `p_‖ΔS‖`. The paper feeds raw block contents to
-    /// the voting stage and notes in its conclusion that this becomes a
-    /// bottleneck on large databases; a wide distance gate (default 0.90)
-    /// keeps the voting buffer proportional to the true neighbourhood
-    /// without measurably affecting recall. Set to `None` for the paper's
-    /// raw behaviour.
-    pub distance_gate_quantile: Option<f64>,
     /// Latency budget of one search batch. When set, each batch runs under a
     /// deadline on the system clock: past the budget the remaining queries
     /// come back partial, flagged `cancelled`/`degraded`, instead of blowing
@@ -54,7 +54,6 @@ impl Default for DetectorConfig {
             query: StatQueryOpts::new(0.8, 0),
             vote: VoteParams::default(),
             threads: 1,
-            distance_gate_quantile: Some(0.90),
             deadline: None,
         }
     }
@@ -150,12 +149,10 @@ impl<'a> Detector<'a> {
             config.query.depth =
                 autotune::learn_depth(db.index(), &model, &config.query).best_depth;
         }
-        if let (s3_core::Refine::All, Some(q)) =
-            (config.query.refine, config.distance_gate_quantile)
-        {
+        if config.query.refine == s3_core::Refine::All {
             let law =
                 s3_stats::NormDistribution::new(s3_video::FINGERPRINT_DIMS as u32, config.sigma);
-            config.query.refine = s3_core::Refine::Range(law.quantile(q));
+            config.query.refine = s3_core::Refine::Range(law.quantile(DISTANCE_GATE_QUANTILE));
         }
         Detector { db, model, config }
     }
@@ -190,7 +187,7 @@ impl<'a> Detector<'a> {
     pub fn detect_fingerprints_spatial(
         &self,
         fps: &[LocalFingerprint],
-        params: &SpatialVoteParams,
+        params: &VoteParams,
     ) -> Vec<SpatialDetection> {
         vote_spatial(&self.search(fps, false).spatial_votes(fps, self.db), params)
     }
@@ -324,8 +321,7 @@ mod tests {
         let chain = TransformChain::new(vec![Transform::Shift { wshift: 10.0 }]);
         let copy = TransformedVideo::new(&original, chain, 3);
         let fps = s3_video::extract_fingerprints(&copy, db.extractor_params());
-        let mut params = crate::spatial::SpatialVoteParams::default();
-        params.temporal.min_votes = 9;
+        let params = VoteParams { min_votes: 9 };
         let found = det.detect_fingerprints_spatial(&fps, &params);
         assert!(!found.is_empty(), "shifted copy must be found spatially");
         let d = &found[0];
@@ -343,9 +339,7 @@ mod tests {
         let copy = ProceduralVideo::new(96, 72, 80, 1000);
         let fps = s3_video::extract_fingerprints(&copy, db.extractor_params());
         let temporal = det.detect_fingerprints(&fps);
-        let mut params = crate::spatial::SpatialVoteParams::default();
-        params.temporal.min_votes = det.config().vote.min_votes;
-        let spatial = det.detect_fingerprints_spatial(&fps, &params);
+        let spatial = det.detect_fingerprints_spatial(&fps, &det.config().vote);
         assert!(!temporal.is_empty() && !spatial.is_empty());
         assert_eq!(spatial[0].id, temporal[0].id);
         assert!(spatial[0].nsim <= temporal[0].nsim);

@@ -10,11 +10,18 @@
 //! * [`voting`] — the robust voting strategy: per-id temporal-offset
 //!   estimation with a Tukey-biweight M-estimator (eq. 2) and `n_sim` vote
 //!   counting;
+//! * [`spatial`] — the spatio-temporal extension of the vote (§VI): the
+//!   same temporal fit, then a robust translation of the interest points;
 //! * [`detector`] — extraction → statistical search → voting, end to end;
 //! * [`monitor`] — continuous sliding-window stream monitoring (§V-D) with
 //!   real-time-factor reporting;
-//! * [`calibrate`] — decision-threshold calibration against a false-alarms
-//!   -per-hour budget (§V-C).
+//! * [`calibrate`] — decision-threshold calibration against a budget of one
+//!   false alarm an hour (§V-C), on whole clips or on the monitor's windows.
+//!
+//! The decision stage has one setting, the `n_sim` threshold
+//! ([`VoteParams::min_votes`]), which [`calibrate`] chooses. The estimator's
+//! constants, the monitor's window (30 key-frames, 10 shared) and the
+//! frame rate ([`FRAME_RATE`]) are fixed.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -31,6 +38,11 @@
     )
 )]
 
+/// Frame rate of every stream, in frames per second: time-codes count
+/// frames, and the calibrators and the real-time factor turn them into
+/// seconds at this rate (the paper's 25 fps broadcast).
+pub const FRAME_RATE: f64 = 25.0;
+
 pub mod calibrate;
 pub mod detector;
 pub mod metrics;
@@ -43,7 +55,7 @@ pub mod voting;
 pub use calibrate::{calibrate_monitor_threshold, calibrate_threshold, Calibration};
 pub use detector::{Detector, DetectorConfig, Search, SearchHealth};
 pub use metrics::CbcdMetrics;
-pub use monitor::{HealthReport, Monitor, MonitorError, MonitorEvent, MonitorParams, MonitorStats};
+pub use monitor::{HealthReport, Monitor, MonitorEvent, MonitorStats};
 pub use registry::{DbBuilder, ReferenceDb};
-pub use spatial::{vote_spatial, SpatialCandidateVotes, SpatialDetection, SpatialVoteParams};
+pub use spatial::{vote_spatial, SpatialCandidateVotes, SpatialDetection};
 pub use voting::{vote, CandidateVotes, Detection, VoteParams};

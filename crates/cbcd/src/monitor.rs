@@ -3,52 +3,70 @@
 //! The paper's deployment watches a TV channel around the clock against
 //! 20,000+ hours of archives at twice real time. This module reproduces the
 //! loop: candidate fingerprints arrive as a stream; results are buffered over
-//! a sliding window of key-frames; the voting stage runs whenever the window
-//! fills; consecutive detections of the same id with a consistent offset are
-//! merged into one event.
+//! a sliding window of 30 key-frames, consecutive windows sharing 10; the
+//! voting stage runs on a window once the key-frame after it arrives (or at
+//! the end of the stream); consecutive detections of the same id whose
+//! offsets differ by at most 4 frames are merged into one event.
 //!
 //! A 24/7 monitor also has to survive a flaky capture chain: fingerprints
-//! with the wrong dimension (a corrupt extractor frame) or time-codes that
-//! jump backwards (a dropped/re-synced segment) are *skipped and counted*
-//! in a [`HealthReport`] instead of panicking mid-broadcast. Setting
-//! [`MonitorParams::strict`] turns such degradation into a hard
-//! [`MonitorError`] — the mode for offline runs where silent data loss
-//! would invalidate the result.
+//! whose time-codes jump backwards (a dropped/re-synced segment) are
+//! *skipped and counted* in a [`HealthReport`] instead of panicking
+//! mid-broadcast.
 
 use crate::detector::Detector;
 use crate::metrics::CbcdMetrics;
 use crate::voting::{vote, CandidateVotes, Detection};
+use crate::FRAME_RATE;
 use s3_obs::span;
 use s3_video::LocalFingerprint;
-use std::error::Error;
-use std::fmt;
 use std::time::{Duration, Instant};
 
-/// Hard failures of a [`Monitor`] running in strict mode.
-#[derive(Debug)]
-pub enum MonitorError {
-    /// A candidate time-code stepped backwards in the stream (a dropped or
-    /// re-synced capture segment).
-    OutOfOrder {
-        /// The last accepted time-code.
-        last_tc: u32,
-        /// The offending time-code.
-        got: u32,
-    },
+/// Key-frames per vote window (the paper's "fixed number of key frames"
+/// buffer).
+const WINDOW: usize = 30;
+/// Key-frames two consecutive windows share.
+const OVERLAP: usize = 10;
+/// Two detections of the same id merge into one event when their offsets
+/// differ by at most this many frames.
+const MERGE_OFFSET_TOLERANCE: f64 = 4.0;
+
+/// The monitor's vote window over a stream of candidate votes in time-code
+/// order: [`WINDOW`] whole key-frames (the candidates sharing one
+/// time-code), consecutive windows sharing [`OVERLAP`]. The monitor and
+/// the monitoring calibration ([`crate::calibrate`]) both cut their
+/// windows here.
+#[derive(Default)]
+pub(crate) struct KeyframeWindow {
+    /// The buffered candidates, in stream order.
+    buffer: Vec<CandidateVotes>,
+    /// The time-code of each buffered key-frame.
+    keyframes: Vec<f64>,
 }
 
-impl fmt::Display for MonitorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MonitorError::OutOfOrder { last_tc, got } => write!(
-                f,
-                "candidate time-code stepped backwards: {got} after {last_tc}"
-            ),
+impl KeyframeWindow {
+    /// Adds one candidate. When it opens the key-frame after a full window,
+    /// returns that window, and the window slides.
+    pub(crate) fn push(&mut self, cv: CandidateVotes) -> Option<Vec<CandidateVotes>> {
+        let mut full = None;
+        if self.keyframes.last() != Some(&cv.tc) {
+            if self.keyframes.len() == WINDOW {
+                let cut_tc = self.keyframes[WINDOW - OVERLAP];
+                self.keyframes.drain(..WINDOW - OVERLAP);
+                let window = std::mem::take(&mut self.buffer);
+                self.buffer = window.iter().filter(|v| v.tc >= cut_tc).cloned().collect();
+                full = Some(window);
+            }
+            self.keyframes.push(cv.tc);
         }
+        self.buffer.push(cv);
+        full
+    }
+
+    /// Ends the stream: the last window, unless nothing was pushed.
+    pub(crate) fn finish(self) -> Option<Vec<CandidateVotes>> {
+        (!self.buffer.is_empty()).then_some(self.buffer)
     }
 }
-
-impl Error for MonitorError {}
 
 /// Health accounting of a monitoring run: what the input stream looked like
 /// and what had to be discarded or partially answered to keep going.
@@ -66,33 +84,6 @@ impl HealthReport {
     /// True when nothing was discarded and no search was degraded.
     pub fn healthy(&self) -> bool {
         self.out_of_order_skipped == 0 && self.degraded_queries == 0
-    }
-}
-
-/// Parameters of the monitoring loop.
-#[derive(Clone, Copy, Debug)]
-pub struct MonitorParams {
-    /// Number of candidate key-frames per voting window (the paper's "fixed
-    /// number of key frames" buffer).
-    pub window: usize,
-    /// Overlap between consecutive windows, in key-frames.
-    pub overlap: usize,
-    /// Two detections of the same id merge when their offsets differ by at
-    /// most this many frames.
-    pub merge_offset_tolerance: f64,
-    /// When true, corrupt or out-of-order fingerprints abort the run with a
-    /// [`MonitorError`] instead of being skipped and counted.
-    pub strict: bool,
-}
-
-impl Default for MonitorParams {
-    fn default() -> Self {
-        MonitorParams {
-            window: 30,
-            overlap: 10,
-            merge_offset_tolerance: 4.0,
-            strict: false,
-        }
     }
 }
 
@@ -127,23 +118,20 @@ pub struct MonitorStats {
 }
 
 impl MonitorStats {
-    /// Real-time factor assuming the given stream frame rate: values above 1
+    /// Real-time factor of the stream at [`FRAME_RATE`]: values above 1
     /// mean the monitor runs faster than real time (the paper reports 2×).
-    pub fn real_time_factor(&self, fps: f64) -> f64 {
+    pub fn real_time_factor(&self) -> f64 {
         if self.elapsed.is_zero() {
             return f64::INFINITY;
         }
-        (self.frames_covered / fps) / self.elapsed.as_secs_f64()
+        (self.frames_covered / FRAME_RATE) / self.elapsed.as_secs_f64()
     }
 }
 
 /// Sliding-window monitor over a candidate fingerprint stream.
 pub struct Monitor<'a> {
     detector: &'a Detector<'a>,
-    params: MonitorParams,
-    /// Grouped by key-frame: all fingerprints sharing one tc.
-    buffer: Vec<CandidateVotes>,
-    keyframe_tcs: Vec<f64>,
+    window: KeyframeWindow,
     events: Vec<MonitorEvent>,
     stats_fingerprints: usize,
     stats_windows: usize,
@@ -157,13 +145,10 @@ pub struct Monitor<'a> {
 
 impl<'a> Monitor<'a> {
     /// Creates a monitor over a detector.
-    pub fn new(detector: &'a Detector<'a>, params: MonitorParams) -> Self {
-        assert!(params.window > params.overlap, "window must exceed overlap");
+    pub fn new(detector: &'a Detector<'a>) -> Self {
         Monitor {
             detector,
-            params,
-            buffer: Vec::new(),
-            keyframe_tcs: Vec::new(),
+            window: KeyframeWindow::default(),
             events: Vec::new(),
             stats_fingerprints: 0,
             stats_windows: 0,
@@ -176,39 +161,27 @@ impl<'a> Monitor<'a> {
     }
 
     /// Feeds a chunk of candidate fingerprints (ascending time-codes).
-    /// Searches run immediately; voting runs whenever the window fills.
+    /// Searches run immediately; a window is voted once the key-frame
+    /// after it arrives.
     ///
     /// Time-codes stepping backwards (dropped or re-synced capture) are
-    /// skipped and counted in the [`HealthReport`] — unless
-    /// [`MonitorParams::strict`] is set, in which case they abort with a
-    /// [`MonitorError`] before any of the chunk is consumed. Searches a
-    /// deadline stopped are counted either way: a hit deadline is a policy
-    /// outcome, flagged in the report, never an error.
-    pub fn push(&mut self, fps: &[LocalFingerprint]) -> Result<(), MonitorError> {
-        let health_before = self.health;
+    /// skipped and counted in the [`HealthReport`], as are searches a
+    /// deadline stopped: a hit deadline is a policy outcome, flagged in the
+    /// report, never an error.
+    pub fn push(&mut self, fps: &[LocalFingerprint]) {
         let mut accepted: Vec<LocalFingerprint> = Vec::with_capacity(fps.len());
-        let mut last_tc = self.last_input_tc;
         for f in fps {
-            if let Some(last) = last_tc {
-                if f.tc < last {
-                    if self.params.strict {
-                        return Err(MonitorError::OutOfOrder {
-                            last_tc: last,
-                            got: f.tc,
-                        });
-                    }
-                    self.health.out_of_order_skipped += 1;
-                    continue;
-                }
+            if self.last_input_tc.is_some_and(|last| f.tc < last) {
+                self.health.out_of_order_skipped += 1;
+                continue;
             }
-            last_tc = Some(f.tc);
+            self.last_input_tc = Some(f.tc);
             accepted.push(*f);
         }
-        self.last_input_tc = last_tc;
         self.health.accepted += accepted.len();
+        CbcdMetrics::get().accepted.add(accepted.len() as u64);
         if accepted.is_empty() {
-            CbcdMetrics::get().record_health_delta(&health_before, &self.health);
-            return Ok(());
+            return;
         }
         let fps = accepted.as_slice();
         let t0 = Instant::now();
@@ -218,17 +191,11 @@ impl<'a> Monitor<'a> {
             self.stats_fingerprints += 1;
             self.first_tc.get_or_insert(cv.tc);
             self.last_tc = self.last_tc.max(cv.tc);
-            if self.keyframe_tcs.last() != Some(&cv.tc) {
-                self.keyframe_tcs.push(cv.tc);
-            }
-            self.buffer.push(cv);
-            if self.keyframe_tcs.len() >= self.params.window {
-                self.run_window();
+            if let Some(window) = self.window.push(cv) {
+                self.vote_window(&window);
             }
         }
         self.busy += t0.elapsed();
-        CbcdMetrics::get().record_health_delta(&health_before, &self.health);
-        Ok(())
     }
 
     /// Health of the run so far.
@@ -236,11 +203,11 @@ impl<'a> Monitor<'a> {
         self.health
     }
 
-    /// Flushes any residual partial window and returns all merged events.
+    /// Votes the last window and returns all merged events.
     pub fn finish(mut self) -> (Vec<MonitorEvent>, MonitorStats) {
-        if !self.buffer.is_empty() {
+        if let Some(window) = std::mem::take(&mut self.window).finish() {
             let t0 = Instant::now();
-            self.vote_current();
+            self.vote_window(&window);
             self.busy += t0.elapsed();
         }
         let stats = self.stats();
@@ -248,7 +215,7 @@ impl<'a> Monitor<'a> {
     }
 
     /// Throughput of the run so far: what [`Monitor::finish`] reports,
-    /// before it votes the residual partial window.
+    /// before it votes the last window.
     pub fn stats(&self) -> MonitorStats {
         MonitorStats {
             fingerprints: self.stats_fingerprints,
@@ -264,29 +231,24 @@ impl<'a> Monitor<'a> {
         &self.events
     }
 
-    fn run_window(&mut self) {
-        self.vote_current();
-        // Slide: retain the overlap's key-frames.
-        let keep_from = self.keyframe_tcs.len() - self.params.overlap;
-        let cut_tc = self.keyframe_tcs[keep_from];
-        self.keyframe_tcs.drain(..keep_from);
-        self.buffer.retain(|cv| cv.tc >= cut_tc);
-    }
-
-    fn vote_current(&mut self) {
+    /// Votes one window and merges its detections into the events.
+    fn vote_window(&mut self, window: &[CandidateVotes]) {
         self.stats_windows += 1;
         let mut sp = span!("monitor.window");
-        sp.record("buffered", self.buffer.len() as f64);
-        let window_tc = self.buffer.first().map_or(0.0, |cv| cv.tc);
-        for det in vote(&self.buffer, &self.detector.config().vote) {
+        sp.record("buffered", window.len() as f64);
+        let window_tc = window.first().map_or(0.0, |cv| cv.tc);
+        for det in vote(window, &self.detector.config().vote) {
             self.merge_event(det, window_tc);
         }
     }
 
     fn merge_event(&mut self, det: Detection, window_tc: f64) {
-        if let Some(e) = self.events.iter_mut().rev().find(|e| {
-            e.id == det.id && (e.offset - det.offset).abs() <= self.params.merge_offset_tolerance
-        }) {
+        if let Some(e) = self
+            .events
+            .iter_mut()
+            .rev()
+            .find(|e| e.id == det.id && (e.offset - det.offset).abs() <= MERGE_OFFSET_TOLERANCE)
+        {
             e.nsim = e.nsim.max(det.nsim);
             e.last_tc = e.last_tc.max(window_tc);
             return;
@@ -316,6 +278,12 @@ mod tests {
     }
 
     fn setup() -> (crate::registry::ReferenceDb, Vec<LocalFingerprint>) {
+        setup_with(60)
+    }
+
+    /// The reference database, and a stream of `noise` frames of unrelated
+    /// content, a copy of ref-1 (80 frames), then `noise` frames more.
+    fn setup_with(noise: u32) -> (crate::registry::ReferenceDb, Vec<LocalFingerprint>) {
         let mut b = DbBuilder::new(fast_params());
         for i in 0..4 {
             let v = ProceduralVideo::new(96, 72, 80, 2000 + i);
@@ -324,12 +292,12 @@ mod tests {
         let db = b.build();
         // Candidate stream: unrelated content, then a copy of ref-1, then
         // unrelated again. Time-codes are re-based to be monotone.
-        let noise1 = ProceduralVideo::new(96, 72, 60, 555);
+        let noise1 = ProceduralVideo::new(96, 72, noise as usize, 555);
         let copy = ProceduralVideo::new(96, 72, 80, 2001);
-        let noise2 = ProceduralVideo::new(96, 72, 60, 777);
+        let noise2 = ProceduralVideo::new(96, 72, noise as usize, 777);
         let mut stream = Vec::new();
         let mut base = 0u32;
-        for (v, len) in [(&noise1, 60u32), (&copy, 80), (&noise2, 60)] {
+        for (v, len) in [(&noise1, noise), (&copy, 80), (&noise2, noise)] {
             let mut fps = extract_fingerprints(v, &fast_params());
             for f in &mut fps {
                 f.tc += base;
@@ -351,10 +319,10 @@ mod tests {
         let (db, stream) = setup();
         let cfg = config();
         let det = Detector::new(&db, cfg);
-        let mut mon = Monitor::new(&det, MonitorParams::default());
+        let mut mon = Monitor::new(&det);
         // Feed in small chunks like a live stream.
         for chunk in stream.chunks(16) {
-            mon.push(chunk).unwrap();
+            mon.push(chunk);
         }
         let (events, stats) = mon.finish();
         assert!(
@@ -372,19 +340,47 @@ mod tests {
 
     #[test]
     fn repeated_windows_merge_into_one_event() {
-        let (db, stream) = setup();
+        // A stream over two windows long, the copy in its middle: every
+        // window that sees the copy votes it, and the votes merge into one
+        // event spanning them.
+        let (db, stream) = setup_with(140);
+        let mut keyframes: Vec<u32> = stream.iter().map(|f| f.tc).collect();
+        keyframes.dedup();
+        assert!(
+            keyframes.len() >= 2 * WINDOW,
+            "{} key-frames",
+            keyframes.len()
+        );
         let det = Detector::new(&db, config());
-        let mut params = MonitorParams::default();
-        params.window = 10;
-        params.overlap = 5;
-        let mut mon = Monitor::new(&det, params);
+        let mut mon = Monitor::new(&det);
         for chunk in stream.chunks(8) {
-            mon.push(chunk).unwrap();
+            mon.push(chunk);
         }
-        let (events, _) = mon.finish();
+        let (events, stats) = mon.finish();
+        assert!(stats.windows >= 3, "{} windows", stats.windows);
         let copies: Vec<_> = events.iter().filter(|e| e.id == 1).collect();
         assert_eq!(copies.len(), 1, "one merged event expected: {events:?}");
-        assert!(copies[0].last_tc >= copies[0].first_tc);
+        assert!(copies[0].last_tc > copies[0].first_tc, "{:?}", copies[0]);
+    }
+
+    #[test]
+    fn accepted_fingerprints_reach_the_counter() {
+        let (db, mut stream) = setup();
+        let n = stream.len();
+        for f in &mut stream[n / 2..n / 2 + 4] {
+            f.tc = 0;
+        }
+        let det = Detector::new(&db, config());
+        let accepted = &CbcdMetrics::get().accepted;
+        let before = accepted.get();
+        let mut mon = Monitor::new(&det);
+        for chunk in stream.chunks(16) {
+            mon.push(chunk);
+        }
+        let health = mon.health();
+        assert_eq!((health.accepted, health.out_of_order_skipped), (n - 4, 4));
+        // Other tests in this binary may push beside this one: at least ours.
+        assert!(accepted.get() - before >= health.accepted as u64);
     }
 
     #[test]
@@ -397,21 +393,7 @@ mod tests {
             health: HealthReport::default(),
         };
         // 500 frames at 25 fps = 20 s of stream in 10 s of work → 2×.
-        assert!((s.real_time_factor(25.0) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "window must exceed overlap")]
-    fn bad_window_params() {
-        let (db, _) = setup();
-        let det = Detector::new(&db, config());
-        let params = MonitorParams {
-            window: 5,
-            overlap: 5,
-            merge_offset_tolerance: 1.0,
-            strict: false,
-        };
-        let _ = Monitor::new(&det, params);
+        assert!((s.real_time_factor() - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -424,9 +406,9 @@ mod tests {
             f.tc = 0;
         }
         let det = Detector::new(&db, config());
-        let mut mon = Monitor::new(&det, MonitorParams::default());
+        let mut mon = Monitor::new(&det);
         for chunk in stream.chunks(16) {
-            mon.push(chunk).unwrap();
+            mon.push(chunk);
         }
         let (events, stats) = mon.finish();
         assert_eq!(stats.health.out_of_order_skipped, 8);
@@ -436,29 +418,5 @@ mod tests {
             events.iter().any(|e| e.id == 1),
             "copy must survive a glitched stream: {events:?}"
         );
-    }
-
-    #[test]
-    fn strict_mode_rejects_out_of_order_stream() {
-        let (db, mut stream) = setup();
-        let n = stream.len();
-        stream[n / 2].tc = 0;
-        let det = Detector::new(&db, config());
-        let params = MonitorParams {
-            strict: true,
-            ..MonitorParams::default()
-        };
-        let mut mon = Monitor::new(&det, params);
-        let mut err = None;
-        for chunk in stream.chunks(16) {
-            if let Err(e) = mon.push(chunk) {
-                err = Some(e);
-                break;
-            }
-        }
-        match err {
-            Some(MonitorError::OutOfOrder { got: 0, .. }) => {}
-            other => panic!("expected OutOfOrder, got {other:?}"),
-        }
     }
 }

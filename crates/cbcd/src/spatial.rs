@@ -15,9 +15,13 @@
 //! location steps per axis, after the temporal fit has selected each
 //! candidate's best reference.
 
-use crate::voting::VoteParams;
+use crate::voting::{fit_offset, group_by_id, Entry, VoteParams, TOLERANCE};
 use s3_stats::{median, tukey_location};
-use std::collections::HashMap;
+
+/// Tukey constant of the spatial location fit (pixels).
+const SPATIAL_TUKEY_C: f64 = 12.0;
+/// Spatial residual tolerance for counting a vote (pixels).
+const SPATIAL_TOLERANCE: f64 = 6.0;
 
 /// The retrieved references of one candidate fingerprint, with positions.
 #[derive(Clone, Debug, Default)]
@@ -30,27 +34,6 @@ pub struct SpatialCandidateVotes {
     pub y: f64,
     /// Retrieved `(id, tc, x, y)` tuples.
     pub refs: Vec<(u32, u32, u16, u16)>,
-}
-
-/// Parameters of the spatio-temporal vote.
-#[derive(Clone, Copy, Debug)]
-pub struct SpatialVoteParams {
-    /// Temporal voting parameters.
-    pub temporal: VoteParams,
-    /// Tukey constant for the spatial location fit (pixels).
-    pub spatial_tukey_c: f64,
-    /// Spatial residual tolerance for counting a vote (pixels).
-    pub spatial_tolerance: f64,
-}
-
-impl Default for SpatialVoteParams {
-    fn default() -> Self {
-        SpatialVoteParams {
-            temporal: VoteParams::default(),
-            spatial_tukey_c: 12.0,
-            spatial_tolerance: 6.0,
-        }
-    }
 }
 
 /// One spatio-temporally coherent detection.
@@ -72,163 +55,80 @@ pub struct SpatialDetection {
     pub ncand: usize,
 }
 
-struct Entry {
-    tc_cand: f64,
-    x_cand: f64,
-    y_cand: f64,
-    /// `(tc, x, y)` of each retrieved reference under this id.
-    refs: Vec<(f64, f64, f64)>,
-}
-
-fn group_by_id(buffer: &[SpatialCandidateVotes]) -> HashMap<u32, Vec<Entry>> {
-    let mut by_id: HashMap<u32, Vec<Entry>> = HashMap::new();
-    for cand in buffer {
-        let mut local: HashMap<u32, Vec<(f64, f64, f64)>> = HashMap::new();
-        for &(id, tc, x, y) in &cand.refs {
-            local
-                .entry(id)
-                .or_default()
-                .push((f64::from(tc), f64::from(x), f64::from(y)));
-        }
-        for (id, refs) in local {
-            by_id.entry(id).or_default().push(Entry {
-                tc_cand: cand.tc,
-                x_cand: cand.x,
-                y_cand: cand.y,
-                refs,
-            });
-        }
-    }
-    by_id
-}
-
-/// Temporal fit (as in [`crate::voting`]) followed by a spatial translation
-/// fit over each candidate's best temporal match.
-fn fit(entries: &[Entry], params: &SpatialVoteParams) -> Option<SpatialDetection> {
-    let vp = &params.temporal;
-    // --- temporal stage (same algorithm as voting::fit_offset) ---
-    let bin = vp.tolerance.max(0.5);
-    let mut hist: HashMap<i64, u32> = HashMap::new();
-    for e in entries {
-        let mut seen: Vec<i64> = Vec::with_capacity(e.refs.len());
-        for &(tc, _, _) in &e.refs {
-            let k = ((e.tc_cand - tc) / bin).round() as i64;
-            if !seen.contains(&k) {
-                seen.push(k);
-                *hist.entry(k).or_insert(0) += 1;
-            }
-        }
-    }
-    let (&best_bin, _) = hist
+/// The spatial stage over the temporal offset `b` that
+/// [`crate::voting`] fitted for one id: a robust translation over each
+/// temporal inlier's best reference, then the votes coherent in both time
+/// and space. Returns `(dx, dy, n_sim)`.
+fn fit_translation(
+    buffer: &[SpatialCandidateVotes],
+    entries: &[Entry<(f64, f64)>],
+    b: f64,
+) -> (f64, f64, usize) {
+    let inliers: Vec<_> = entries
         .iter()
-        .max_by_key(|&(k, v)| (*v, std::cmp::Reverse(*k)))?;
-    let mut b = best_bin as f64 * bin;
-    for _ in 0..vp.refine_rounds {
-        let samples: Vec<f64> = entries
-            .iter()
-            .map(|e| {
-                let (tc, _, _) = best_ref(e, b);
-                e.tc_cand - tc
-            })
-            .collect();
-        let est = tukey_location(&samples, vp.tukey_c, b, 1e-6, 50);
-        if est.weight_sum == 0.0 || (est.location - b).abs() < 1e-9 {
-            b = if est.weight_sum == 0.0 {
-                b
-            } else {
-                est.location
-            };
-            break;
-        }
-        b = est.location;
-    }
-
-    // Temporal inliers.
-    let inliers: Vec<&Entry> = entries
-        .iter()
-        .filter(|e| {
-            e.refs
-                .iter()
-                .any(|&(tc, _, _)| (e.tc_cand - tc - b).abs() <= vp.tolerance)
-        })
+        .filter(|e| e.votes_for(b))
+        .map(|e| (&buffer[e.cand], e))
         .collect();
-    let nsim_temporal = inliers.len();
-    if nsim_temporal < vp.min_votes {
-        return None;
-    }
-
-    // --- spatial stage: robust translation over the temporal inliers ---
-    let dxs: Vec<f64> = inliers
+    let (dxs, dys): (Vec<f64>, Vec<f64>) = inliers
         .iter()
-        .map(|e| {
-            let (_, x, _) = best_ref(e, b);
-            e.x_cand - x
+        .map(|(c, e)| {
+            let &(_, (x, y)) = e.best_ref(b);
+            (c.x - x, c.y - y)
         })
-        .collect();
-    let dys: Vec<f64> = inliers
-        .iter()
-        .map(|e| {
-            let (_, _, y) = best_ref(e, b);
-            e.y_cand - y
-        })
-        .collect();
+        .unzip();
     let dx0 = median(&dxs).unwrap_or(0.0);
     let dy0 = median(&dys).unwrap_or(0.0);
-    let dx = tukey_location(&dxs, params.spatial_tukey_c, dx0, 1e-6, 50).location;
-    let dy = tukey_location(&dys, params.spatial_tukey_c, dy0, 1e-6, 50).location;
-
-    // Votes coherent in both time and space.
+    let dx = tukey_location(&dxs, SPATIAL_TUKEY_C, dx0, 1e-6, 50).location;
+    let dy = tukey_location(&dys, SPATIAL_TUKEY_C, dy0, 1e-6, 50).location;
     let nsim = inliers
         .iter()
-        .filter(|e| {
-            e.refs.iter().any(|&(tc, x, y)| {
-                (e.tc_cand - tc - b).abs() <= vp.tolerance
-                    && (e.x_cand - x - dx).abs() <= params.spatial_tolerance
-                    && (e.y_cand - y - dy).abs() <= params.spatial_tolerance
+        .filter(|(c, e)| {
+            e.refs.iter().any(|&(tc, (x, y))| {
+                (e.tc - tc - b).abs() <= TOLERANCE
+                    && (c.x - x - dx).abs() <= SPATIAL_TOLERANCE
+                    && (c.y - y - dy).abs() <= SPATIAL_TOLERANCE
             })
         })
         .count();
-    Some(SpatialDetection {
-        id: 0, // filled by caller
-        offset: b,
-        dx,
-        dy,
-        nsim_temporal,
-        nsim,
-        ncand: 0, // filled by caller
-    })
+    (dx, dy, nsim)
 }
 
-fn best_ref(e: &Entry, b: f64) -> (f64, f64, f64) {
-    let best = e.refs.iter().min_by(|p, q| {
-        let rp = (e.tc_cand - p.0 - b).abs();
-        let rq = (e.tc_cand - q.0 - b).abs();
-        // Time-codes are finite u32-derived values: no NaN residuals.
-        rp.total_cmp(&rq)
-    });
-    match best {
-        Some(r) => *r,
-        None => unreachable!("non-empty refs"),
-    }
-}
-
-/// Runs the spatio-temporal voting strategy; detections require `min_votes`
-/// candidates coherent in *both* time and space, strongest first.
+/// Runs the spatio-temporal voting strategy: the temporal fit of
+/// [`crate::voting::vote`], then a spatial translation fit over its
+/// inliers. Detections require `min_votes` candidates coherent in *both*
+/// time and space, strongest first.
 pub fn vote_spatial(
     buffer: &[SpatialCandidateVotes],
-    params: &SpatialVoteParams,
+    params: &VoteParams,
 ) -> Vec<SpatialDetection> {
     let ncand = buffer.len();
-    let mut detections: Vec<SpatialDetection> = group_by_id(buffer)
+    let by_id = group_by_id(buffer.iter().map(|cand| {
+        let refs = cand
+            .refs
+            .iter()
+            .map(|&(id, tc, x, y)| (id, (f64::from(tc), (f64::from(x), f64::from(y)))));
+        (cand.tc, refs)
+    }));
+    let mut detections: Vec<SpatialDetection> = by_id
         .into_iter()
         .filter_map(|(id, entries)| {
-            if entries.len() < params.temporal.min_votes {
+            if entries.len() < params.min_votes {
                 return None;
             }
-            let mut det = fit(&entries, params)?;
-            det.id = id;
-            det.ncand = ncand;
-            (det.nsim >= params.temporal.min_votes).then_some(det)
+            let (offset, nsim_temporal) = fit_offset(&entries);
+            if nsim_temporal < params.min_votes {
+                return None;
+            }
+            let (dx, dy, nsim) = fit_translation(buffer, &entries, offset);
+            (nsim >= params.min_votes).then_some(SpatialDetection {
+                id,
+                offset,
+                dx,
+                dy,
+                nsim_temporal,
+                nsim,
+                ncand,
+            })
         })
         .collect();
     detections.sort_by(|a, b| b.nsim.cmp(&a.nsim).then(a.id.cmp(&b.id)));
@@ -238,6 +138,7 @@ pub fn vote_spatial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::voting::{vote, CandidateVotes};
 
     /// A coherent copy: offset 50 in time, translation (+7, -3) in space,
     /// plus per-candidate junk with the SAME id but incoherent geometry.
@@ -268,10 +169,8 @@ mod tests {
             .collect()
     }
 
-    fn params() -> SpatialVoteParams {
-        let mut p = SpatialVoteParams::default();
-        p.temporal.min_votes = 5;
-        p
+    fn params() -> VoteParams {
+        VoteParams { min_votes: 5 }
     }
 
     #[test]
@@ -344,6 +243,34 @@ mod tests {
     #[test]
     fn empty_buffer() {
         assert!(vote_spatial(&[], &params()).is_empty());
+    }
+
+    #[test]
+    fn temporal_stage_is_the_vote() {
+        // The spatial vote runs the one temporal fit: with positions
+        // stripped, `vote` finds the same offset and counts `nsim_temporal`.
+        for seed in [3, 7, 11] {
+            let mut buffer = coherent_buffer(24, 5, seed);
+            // A second id, coherent in time on half the candidates.
+            for cand in buffer.iter_mut().step_by(2) {
+                cand.refs.push((8, (cand.tc - 30.0) as u32, 40, 40));
+            }
+            let temporal: Vec<CandidateVotes> = buffer
+                .iter()
+                .map(|c| CandidateVotes {
+                    tc: c.tc,
+                    refs: c.refs.iter().map(|&(id, tc, _, _)| (id, tc)).collect(),
+                })
+                .collect();
+            let params = VoteParams { min_votes: 1 };
+            let plain = vote(&temporal, &params);
+            let spatial = vote_spatial(&buffer, &params);
+            assert!(spatial.iter().any(|d| d.id == 4), "{spatial:?}");
+            for d in &spatial {
+                let t = plain.iter().find(|t| t.id == d.id).expect("voted");
+                assert_eq!((d.offset, d.nsim_temporal), (t.offset, t.nsim));
+            }
+        }
     }
 
     #[test]

@@ -21,27 +21,26 @@
 
 use std::collections::HashMap;
 
-/// Parameters of the voting stage.
+/// Tukey biweight tuning constant, in time-code units (frames).
+const TUKEY_C: f64 = 6.0;
+/// Residual tolerance for counting a vote (frames): the paper's "tolerance
+/// of 2 frames".
+pub(crate) const TOLERANCE: f64 = 2.0;
+/// IRLS refinement rounds (assignment + location step).
+const REFINE_ROUNDS: usize = 5;
+
+/// Parameters of the voting stage. The estimator's constants (Tukey `c` = 6
+/// frames, vote tolerance = 2 frames, 5 IRLS rounds) are fixed; only the
+/// decision threshold is calibrated (§V-C).
 #[derive(Clone, Copy, Debug)]
 pub struct VoteParams {
-    /// Tukey biweight tuning constant, in time-code units (frames).
-    pub tukey_c: f64,
-    /// Residual tolerance for counting a vote (frames).
-    pub tolerance: f64,
     /// Decision threshold on `n_sim`.
     pub min_votes: usize,
-    /// IRLS refinement rounds (assignment + location step).
-    pub refine_rounds: usize,
 }
 
 impl Default for VoteParams {
     fn default() -> Self {
-        VoteParams {
-            tukey_c: 6.0,
-            tolerance: 2.0,
-            min_votes: 10,
-            refine_rounds: 5,
-        }
+        VoteParams { min_votes: 10 }
     }
 }
 
@@ -67,36 +66,70 @@ pub struct Detection {
     pub ncand: usize,
 }
 
-/// Per-id view of the buffer: for each candidate fingerprint, the time-codes
-/// retrieved under that id.
-fn group_by_id(buffer: &[CandidateVotes]) -> HashMap<u32, Vec<(f64, Vec<f64>)>> {
-    let mut by_id: HashMap<u32, Vec<(f64, Vec<f64>)>> = HashMap::new();
-    for cand in buffer {
-        let mut local: HashMap<u32, Vec<f64>> = HashMap::new();
-        for &(id, tc) in &cand.refs {
-            local.entry(id).or_default().push(f64::from(tc));
+/// One candidate fingerprint under one id: its place in the buffer, its
+/// `tc'` and the references it retrieved under that id, each a time-code
+/// `tc` with whatever a later stage needs (the spatial vote keeps the
+/// position).
+pub(crate) struct Entry<P> {
+    pub(crate) cand: usize,
+    pub(crate) tc: f64,
+    pub(crate) refs: Vec<(f64, P)>,
+}
+
+impl<P> Entry<P> {
+    /// The reference best matching offset `b` (the inner `min_k` of eq. 2);
+    /// the first one on ties.
+    pub(crate) fn best_ref(&self, b: f64) -> &(f64, P) {
+        let best = self.refs.iter().min_by(|x, y| {
+            let rx = (self.tc - x.0 - b).abs();
+            let ry = (self.tc - y.0 - b).abs();
+            // Time-codes are finite u32-derived values: no NaN residuals.
+            rx.total_cmp(&ry)
+        });
+        match best {
+            Some(r) => r,
+            None => unreachable!("an entry holds at least one reference"),
         }
-        for (id, tcs) in local {
-            by_id.entry(id).or_default().push((cand.tc, tcs));
+    }
+
+    /// Whether some reference sits within the vote tolerance of offset `b`.
+    pub(crate) fn votes_for(&self, b: f64) -> bool {
+        self.refs
+            .iter()
+            .any(|r| (self.tc - r.0 - b).abs() <= TOLERANCE)
+    }
+}
+
+/// Per-id view of a buffer: for each candidate fingerprint `(tc', refs)`,
+/// the references it retrieved under each id, in buffer order.
+pub(crate) fn group_by_id<P>(
+    buffer: impl IntoIterator<Item = (f64, impl IntoIterator<Item = (u32, (f64, P))>)>,
+) -> HashMap<u32, Vec<Entry<P>>> {
+    let mut by_id: HashMap<u32, Vec<Entry<P>>> = HashMap::new();
+    for (cand, (tc, refs)) in buffer.into_iter().enumerate() {
+        let mut local: HashMap<u32, Vec<(f64, P)>> = HashMap::new();
+        for (id, r) in refs {
+            local.entry(id).or_default().push(r);
+        }
+        for (id, refs) in local {
+            by_id.entry(id).or_default().push(Entry { cand, tc, refs });
         }
     }
     by_id
 }
 
-/// Fits `b` for one id and counts votes. `entries` holds, per candidate
-/// fingerprint that retrieved this id, its `tc'` and the retrieved `tc`s.
-fn fit_offset(entries: &[(f64, Vec<f64>)], params: &VoteParams) -> (f64, usize) {
+/// Fits `b` for one id (eq. 2) and returns it with its `n_sim`: the
+/// candidate fingerprints with a reference within the tolerance of `b`.
+pub(crate) fn fit_offset<P>(entries: &[Entry<P>]) -> (f64, usize) {
     // 1. Mode-seeking initialisation: histogram vote over all offsets at
     //    tolerance granularity. Each candidate fingerprint votes once per
     //    offset bin (not once per pair) so heavily duplicated references do
     //    not dominate.
-    let bin = params.tolerance.max(0.5);
     let mut hist: HashMap<i64, u32> = HashMap::new();
-    for (tc_cand, tcs) in entries {
-        let mut seen: Vec<i64> = Vec::with_capacity(tcs.len());
-        for &tc_ref in tcs {
-            let b = tc_cand - tc_ref;
-            let k = (b / bin).round() as i64;
+    for e in entries {
+        let mut seen: Vec<i64> = Vec::with_capacity(e.refs.len());
+        for r in &e.refs {
+            let k = ((e.tc - r.0) / TOLERANCE).round() as i64;
             if !seen.contains(&k) {
                 seen.push(k);
                 *hist.entry(k).or_insert(0) += 1;
@@ -109,27 +142,12 @@ fn fit_offset(entries: &[(f64, Vec<f64>)], params: &VoteParams) -> (f64, usize) 
     else {
         return (0.0, 0);
     };
-    let mut b = best_bin as f64 * bin;
+    let mut b = best_bin as f64 * TOLERANCE;
 
     // 2. IRLS refinement with re-assignment of the inner minimum.
-    for _ in 0..params.refine_rounds {
-        let samples: Vec<f64> = entries
-            .iter()
-            .map(|(tc_cand, tcs)| {
-                // Best-matching reference under the current b.
-                let best = tcs.iter().copied().min_by(|x, y| {
-                    let rx = (tc_cand - x - b).abs();
-                    let ry = (tc_cand - y - b).abs();
-                    // Time-codes are finite u32-derived values: no NaN residuals.
-                    rx.total_cmp(&ry)
-                });
-                let Some(tc_best) = best else {
-                    unreachable!("non-empty tcs")
-                };
-                tc_cand - tc_best
-            })
-            .collect();
-        let est = s3_stats::tukey_location(&samples, params.tukey_c, b, 1e-6, 50);
+    for _ in 0..REFINE_ROUNDS {
+        let samples: Vec<f64> = entries.iter().map(|e| e.tc - e.best_ref(b).0).collect();
+        let est = s3_stats::tukey_location(&samples, TUKEY_C, b, 1e-6, 50);
         if est.weight_sum == 0.0 {
             break; // nothing within the biweight support; keep current b
         }
@@ -141,14 +159,7 @@ fn fit_offset(entries: &[(f64, Vec<f64>)], params: &VoteParams) -> (f64, usize) 
     }
 
     // 3. Count votes within tolerance.
-    let nsim = entries
-        .iter()
-        .filter(|(tc_cand, tcs)| {
-            tcs.iter()
-                .any(|&tc_ref| (tc_cand - tc_ref - b).abs() <= params.tolerance)
-        })
-        .count();
-    (b, nsim)
+    (b, entries.iter().filter(|e| e.votes_for(b)).count())
 }
 
 /// Runs the voting strategy over a buffer of candidate results and returns
@@ -156,7 +167,11 @@ fn fit_offset(entries: &[(f64, Vec<f64>)], params: &VoteParams) -> (f64, usize) 
 pub fn vote(buffer: &[CandidateVotes], params: &VoteParams) -> Vec<Detection> {
     let mut sp = s3_obs::span!("vote", "candidates" => buffer.len() as f64);
     let ncand = buffer.len();
-    let mut detections: Vec<Detection> = group_by_id(buffer)
+    let by_id = group_by_id(buffer.iter().map(|cand| {
+        let refs = cand.refs.iter().map(|&(id, tc)| (id, (f64::from(tc), ())));
+        (cand.tc, refs)
+    }));
+    let mut detections: Vec<Detection> = by_id
         .into_iter()
         .filter_map(|(id, entries)| {
             // An id retrieved by fewer candidates than the threshold cannot
@@ -164,7 +179,7 @@ pub fn vote(buffer: &[CandidateVotes], params: &VoteParams) -> Vec<Detection> {
             if entries.len() < params.min_votes {
                 return None;
             }
-            let (offset, nsim) = fit_offset(&entries, params);
+            let (offset, nsim) = fit_offset(&entries);
             (nsim >= params.min_votes).then_some(Detection {
                 id,
                 offset,

@@ -1,15 +1,10 @@
 //! Property-based tests of the voting stage invariants.
 
 use proptest::prelude::*;
-use s3_cbcd::{
-    vote, vote_spatial, CandidateVotes, SpatialCandidateVotes, SpatialVoteParams, VoteParams,
-};
+use s3_cbcd::{vote, vote_spatial, CandidateVotes, SpatialCandidateVotes, VoteParams};
 
 fn params(min_votes: usize) -> VoteParams {
-    VoteParams {
-        min_votes,
-        ..VoteParams::default()
-    }
+    VoteParams { min_votes }
 }
 
 /// A buffer with one perfectly coherent id at a given offset plus uniform
@@ -148,9 +143,7 @@ proptest! {
                 }
             })
             .collect();
-        let mut p = SpatialVoteParams::default();
-        p.temporal.min_votes = 5;
-        let det = vote_spatial(&buffer, &p);
+        let det = vote_spatial(&buffer, &params(5));
         prop_assert!(!det.is_empty());
         let d = &det[0];
         prop_assert!((d.dx - dx).abs() <= 1.0, "dx {} vs {dx}", d.dx);

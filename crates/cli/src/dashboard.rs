@@ -15,7 +15,7 @@
 
 use crate::args::Args;
 use crate::CmdStatus;
-use s3_cbcd::{Monitor, MonitorStats, ReferenceDb};
+use s3_cbcd::{Monitor, MonitorStats, ReferenceDb, FRAME_RATE};
 use s3_obs::{JsonValue, StderrSink, WallTime};
 use s3_ops::{
     default_health_rules, install_event_tee, install_panic_hook, FlightRecorder, HealthEngine,
@@ -27,10 +27,6 @@ use std::time::Duration;
 
 /// Lookback of the dashboard's rate and latency rows.
 const LOOKBACK: Duration = Duration::from_secs(10);
-
-/// Stream frame rate the real-time factor and the stream hours are quoted
-/// at, as on the monitor's own summary line.
-const FPS: f64 = 25.0;
 
 /// Counters whose windowed per-second rates the dashboard shows: the
 /// monitor's intake, and the searches that came back degraded or below
@@ -153,13 +149,13 @@ impl Dashboard {
     /// One frame: headline rows, windowed rates and latency, rule verdicts.
     fn frame(&self, report: &HealthReport, stats: &MonitorStats, events: usize) -> String {
         let mut o = String::with_capacity(1024);
-        let stream_s = stats.frames_covered / FPS;
+        let stream_s = stats.frames_covered / FRAME_RATE;
         o.push_str(&format!(
             "monitor dashboard — tick {} — verdict {} — {stream_s:.1} s of stream\n",
             self.ticks,
             report.verdict.as_str(),
         ));
-        let rtf = stats.real_time_factor(FPS);
+        let rtf = stats.real_time_factor();
         let per_hour = events as f64 / (stream_s / 3600.0);
         o.push_str(&format!("  real-time factor      {}\n", shown(rtf, "x")));
         o.push_str(&format!(

@@ -28,8 +28,8 @@ mod faults;
 
 use args::Args;
 use s3_cbcd::{
-    calibrate_monitor_threshold, DbBuilder, Detector, DetectorConfig, Monitor, MonitorParams,
-    ReferenceDb,
+    calibrate_monitor_threshold, DbBuilder, Detector, DetectorConfig, Monitor, ReferenceDb,
+    FRAME_RATE,
 };
 use s3_core::autotune::{self, RecordCounts};
 use s3_core::parallel::default_threads;
@@ -119,12 +119,12 @@ USAGE:
       or an attacked copy of one synthetic reference.
       Attacks: resize | shift | gamma | contrast | noise | combo
   s3cbcd monitor [--index F | --archive N] [--stream-frames N] [--seed S]
-                 [--strict] [--dashboard DIR]
+                 [--dashboard DIR]
       Monitor a synthetic broadcast with an embedded rerun against the
       archive file F (as `build --frames 100 --seed S` writes it) or a
-      synthetic archive of N videos; report events, the real-time factor
-      and a stream-health summary. --strict turns out-of-order input into
-      a hard error.
+      synthetic archive of N videos: vote windows of 30 key-frames (10
+      shared), calibrated to one false alarm an hour at 25 fps; report
+      events, the real-time factor and a stream-health summary.
       --dashboard DIR arms the ops plane over the stream: after every
       searched batch, one plain-text frame on stderr (real-time factor and
       detections per stream hour so far, windowed rates, search latency
@@ -159,7 +159,7 @@ USAGE:
 
 EXIT CODES:
   0  complete results
-  1  hard error (bad arguments, I/O failure, strict-mode fault)
+  1  hard error (bad arguments, I/O failure, a --strict query's fault)
   2  results produced but partial: sections skipped or deadline hit";
 
 /// Builds the query context: a system-clock deadline when `--deadline-ms`
@@ -549,7 +549,7 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
         })
         .collect();
     let probe = Detector::new(&db, DetectorConfig::default());
-    let cal = s3_cbcd::calibrate_threshold(&probe, &negatives, 25.0, 1.0);
+    let cal = s3_cbcd::calibrate_threshold(&probe, &negatives);
     eprintln!("calibrated n_sim threshold: {}", cal.min_votes);
 
     let detector = Detector::new(&db, detector_config(&a, cal.min_votes)?);
@@ -601,7 +601,7 @@ fn cmd_detect(rest: Vec<String>) -> Result<CmdStatus, String> {
 }
 
 fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
-    let a = Args::parse_with_switches(
+    let a = Args::parse(
         rest,
         &[
             "archive",
@@ -613,7 +613,6 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
             "metrics-json",
             "dashboard",
         ],
-        &["strict"],
     )?;
     let stream_frames: usize = a.get_parsed("stream-frames", 400)?;
     let seed: u64 = a.get_parsed("seed", 11)?;
@@ -649,15 +648,11 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
         })
         .collect();
     let probe = Detector::new(&db, DetectorConfig::default());
-    let params = MonitorParams {
-        strict: a.has("strict"),
-        ..MonitorParams::default()
-    };
-    let cal = calibrate_monitor_threshold(&probe, &negatives, &params, 25.0, 1.0);
+    let cal = calibrate_monitor_threshold(&probe, &negatives);
     eprintln!("calibrated n_sim threshold: {}", cal.min_votes);
 
     let detector = Detector::new(&db, detector_config(&a, cal.min_votes)?);
-    let mut monitor = Monitor::new(&detector, params);
+    let mut monitor = Monitor::new(&detector);
     // No ops object is built unless the dashboard is asked for.
     let mut dashboard = a
         .get("dashboard")
@@ -672,7 +667,7 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
         for t in 0..seg.len() {
             pending.extend(extractor.push(seg.frame(t)));
             if pending.len() >= 32 {
-                monitor.push(&pending).map_err(|e| e.to_string())?;
+                monitor.push(&pending);
                 pending.clear();
                 if let Some(d) = dashboard.as_mut() {
                     d.tick(&monitor)?;
@@ -682,7 +677,7 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
         base += seg.len();
     }
     pending.extend(extractor.finish());
-    monitor.push(&pending).map_err(|e| e.to_string())?;
+    monitor.push(&pending);
     if let Some(d) = dashboard.as_mut() {
         d.tick(&monitor)?;
         d.finish();
@@ -700,11 +695,11 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
         );
     }
     println!(
-        "{} fingerprints, {} windows, {:.2?}, real-time factor {:.1}x @25fps",
+        "{} fingerprints, {} windows, {:.2?}, real-time factor {:.1}x @{FRAME_RATE}fps",
         stats.fingerprints,
         stats.windows,
         stats.elapsed,
-        stats.real_time_factor(25.0)
+        stats.real_time_factor()
     );
     if !stats.health.healthy() {
         println!(

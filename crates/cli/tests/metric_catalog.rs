@@ -5,7 +5,7 @@
 //! documenting it fails this test, and so does deleting a metric without
 //! deleting its catalog row.
 
-use s3_cbcd::{DbBuilder, Detector, DetectorConfig, Monitor, MonitorParams};
+use s3_cbcd::{DbBuilder, Detector, DetectorConfig, Monitor};
 use s3_core::pseudo_disk::DiskIndex;
 use s3_core::{autotune, knn, IsotropicNormal, QueryCtx, StatQueryOpts};
 use s3_video::{extract_fingerprints, ExtractorParams, ProceduralVideo};
@@ -35,9 +35,9 @@ fn smoke_workload() {
     let _ = detector.search(&fps[..fps.len().min(2)], true);
 
     // Monitor loop (monitor.*).
-    let mut monitor = Monitor::new(&detector, MonitorParams::default());
+    let mut monitor = Monitor::new(&detector);
     for chunk in fps.chunks(8) {
-        let _ = monitor.push(chunk);
+        monitor.push(chunk);
     }
     let _ = monitor.finish();
 

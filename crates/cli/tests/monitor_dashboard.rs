@@ -153,6 +153,11 @@ fn retired_ops_commands_and_flags_are_unknown() {
     let out = s3cbcd(&["query", "x.s3i", "--telemetry-dir", "tel"]);
     assert_eq!(code(&out), 1);
     assert!(text(&out.stderr).contains("unknown flag --telemetry-dir"));
+    // The monitor's input is the CLI's own in-order stream: nothing for a
+    // strict mode to reject.
+    let out = s3cbcd(&["monitor", "--strict"]);
+    assert_eq!(code(&out), 1);
+    assert!(text(&out.stderr).contains("unknown flag --strict"));
     for cmd in ["query", "detect", "monitor"] {
         let out = s3cbcd(&[cmd, "--metrics-every", "1"]);
         assert_eq!(code(&out), 1, "{cmd}");

@@ -23,7 +23,7 @@
 use crate::distortion::DistortionModel;
 use crate::filter::{merge_block_ranges, select_blocks_stat};
 use crate::index::{S3Index, StatQueryOpts};
-use crate::sketch::splitmix64;
+use crate::splitmix64;
 use s3_hilbert::{HilbertCurve, KeyRange};
 use s3_obs::span;
 use s3_stats::Normal;

@@ -312,7 +312,7 @@ impl DurableIndex {
     ) -> Result<DurableIndex, IndexError> {
         let disk = open_generation(&data, &root)?;
         let curve = disk.curve().clone();
-        let mut mem = DynamicIndex::empty(curve.clone(), 1.0);
+        let mut mem = DynamicIndex::uncounted(curve.clone());
         let mut pending = RecordBatch::new(curve.dims());
         for (fp, id, tc) in &inserts {
             mem.insert(fp, *id, *tc);
@@ -412,7 +412,7 @@ impl DurableIndex {
         }
         self.disk = open_generation(&self.data, &root)?;
         self.curve = self.disk.curve().clone();
-        self.mem = DynamicIndex::empty(self.curve.clone(), 1.0);
+        self.mem = DynamicIndex::uncounted(self.curve.clone());
         self.pending = RecordBatch::new(self.curve.dims());
         self.merges += 1;
         CoreMetrics::get().merge_ok.inc();

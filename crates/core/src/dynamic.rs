@@ -51,6 +51,10 @@ pub struct DynamicIndex {
     merge_fraction: f64,
     /// Number of merges performed (observability for tests and ops).
     merges: usize,
+    /// Whether merges count as `dynamic.merge.ok`: not for the overlay of
+    /// a [`crate::DurableIndex`], whose folds no caller sees (its durable
+    /// merges are counted instead).
+    counted: bool,
 }
 
 impl DynamicIndex {
@@ -69,6 +73,7 @@ impl DynamicIndex {
             overlay: SortedRun::new(Vec::new(), RecordBatch::new(dims)),
             merge_fraction,
             merges: 0,
+            counted: true,
         }
     }
 
@@ -80,6 +85,16 @@ impl DynamicIndex {
             S3Index::build_on(curve, RecordBatch::new(dims)),
             merge_fraction,
         )
+    }
+
+    /// The in-memory side of a [`crate::DurableIndex`]: an empty index over
+    /// `curve` that folds its overlay as [`DynamicIndex::empty`] with a
+    /// fraction of 1 does, without counting the folds.
+    pub(crate) fn uncounted(curve: HilbertCurve) -> Self {
+        DynamicIndex {
+            counted: false,
+            ..DynamicIndex::empty(curve, 1.0)
+        }
     }
 
     /// Total records (main + overlay).
@@ -135,7 +150,9 @@ impl DynamicIndex {
         self.main = S3Index::build_on(self.main.curve().clone(), all);
         self.overlay = SortedRun::new(Vec::new(), RecordBatch::new(dims));
         self.merges += 1;
-        CoreMetrics::get().merge_ok.inc();
+        if self.counted {
+            CoreMetrics::get().merge_ok.inc();
+        }
         MergeOutcome::Completed
     }
 

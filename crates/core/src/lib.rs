@@ -104,3 +104,14 @@ pub use storage::{
     OffsetView, SharedMemStorage, Storage, WritableStorage,
 };
 pub use wal::{Wal, WalRecord};
+
+/// SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): a stateless 64-bit mix
+/// whose outputs over consecutive inputs pass as independent draws. The
+/// depth learner draws its sample with it and the section sketch hashes
+/// with it.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}

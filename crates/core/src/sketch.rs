@@ -34,6 +34,7 @@
 //! from ([`Sketch::index_crc`]) and attaches only to the index whose meta
 //! CRC matches, so a sketch of other data can never skip a section.
 
+use crate::splitmix64;
 use s3_hilbert::Key256;
 
 /// Default Bloom bits per distinct occupied cell (≈ 2 % false positives
@@ -91,13 +92,6 @@ pub struct Sketch {
     index_crc: u32,
     n_bits: u64,
     words: Vec<u64>,
-}
-
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl Sketch {

@@ -514,11 +514,8 @@ pub struct FaultPlan {
     /// open an index cleanly (header, table and CRC-table reads) and
     /// confine faults to the query path.
     pub skip_reads: u64,
-    /// Stop injecting after this many faults (`None` = unlimited). Lets a
-    /// test inject exactly N transient failures and then heal.
-    pub max_faults: Option<u64>,
-    /// File-offset range where every read fails permanently, regardless of
-    /// `max_faults` — models an unreadable disk region.
+    /// File-offset range where every read fails permanently — models an
+    /// unreadable disk region.
     pub dead_range: Option<Range<u64>>,
     /// Every `stall_every_n`-th read (1 = every read; 0 = never) sleeps
     /// `stall_ms` on the storage's clock before proceeding — models a
@@ -526,9 +523,8 @@ pub struct FaultPlan {
     /// [`crate::resilience::MockClock`] the stall costs zero wall time
     /// while still exceeding mock deadlines, so deadline and cancellation
     /// paths are testable without wall-clock flakiness. Stalls are
-    /// unconditional: they ignore `skip_reads` counting for fault budget
-    /// purposes but respect `skip_reads` passthrough, and do not consume
-    /// `max_faults`.
+    /// unconditional apart from the `skip_reads` passthrough, and are not
+    /// faults: a stalled read still returns correct data.
     pub stall_every_n: u64,
     /// Stall duration, milliseconds.
     pub stall_ms: u64,
@@ -538,11 +534,6 @@ pub struct FaultPlan {
     /// (which errors), a torn read looks healthy to the I/O layer; only the
     /// CRC layer above can detect it.
     pub torn_read: f64,
-    /// Probability that a write is torn: a pseudorandom *prefix* of the
-    /// buffer reaches the inner storage, then the call fails — a partial
-    /// write followed by a simulated crash of that operation. The bytes
-    /// that landed stay landed, exactly as after a power cut mid-write.
-    pub torn_write: f64,
     /// Deterministic process-death switch, shared across every storage the
     /// simulated process writes (index file + WAL): once the cumulative
     /// write budget is spent, the crossing write lands only its prefix and
@@ -559,12 +550,10 @@ impl Default for FaultPlan {
             short_read: 0.0,
             bit_flip: 0.0,
             skip_reads: 0,
-            max_faults: None,
             dead_range: None,
             stall_every_n: 0,
             stall_ms: 0,
             torn_read: 0.0,
-            torn_write: 0.0,
             crash: None,
         }
     }
@@ -678,8 +667,6 @@ pub struct FaultStats {
     pub torn_reads: u64,
     /// Total `write_at` calls.
     pub writes: u64,
-    /// Torn writes injected (partial write landed, then the call failed).
-    pub torn_writes: u64,
     /// Operations refused because the [`CrashSwitch`] had tripped —
     /// includes the tripping write itself.
     pub crashed_ops: u64,
@@ -689,14 +676,13 @@ impl FaultStats {
     /// Total injected probabilistic/range faults (stalls excluded — a
     /// stalled read still returns correct data; `crashed_ops` excluded —
     /// the crash switch is a deterministic process death, not a device
-    /// fault, and must not consume the `max_faults` budget).
+    /// fault).
     pub fn total(&self) -> u64 {
         self.transient_errors
             + self.short_reads
             + self.bit_flips
             + self.dead_reads
             + self.torn_reads
-            + self.torn_writes
     }
 }
 
@@ -809,56 +795,50 @@ impl<S: Storage> Storage for FaultyStorage<S> {
             }
         }
 
-        let budget_left = self
-            .plan
-            .max_faults
-            .is_none_or(|max| state.stats.total() < max);
-        if budget_left {
-            if unit(&mut state.rng) < self.plan.transient_error {
-                state.stats.transient_errors += 1;
-                let kind = if state.stats.transient_errors % 2 == 1 {
-                    io::ErrorKind::Interrupted
-                } else {
-                    io::ErrorKind::TimedOut
-                };
-                return Err(io::Error::new(kind, "injected transient fault"));
+        if unit(&mut state.rng) < self.plan.transient_error {
+            state.stats.transient_errors += 1;
+            let kind = if state.stats.transient_errors % 2 == 1 {
+                io::ErrorKind::Interrupted
+            } else {
+                io::ErrorKind::TimedOut
+            };
+            return Err(io::Error::new(kind, "injected transient fault"));
+        }
+        if !buf.is_empty() && unit(&mut state.rng) < self.plan.short_read {
+            state.stats.short_reads += 1;
+            let cut = (xorshift(&mut state.rng) as usize) % buf.len();
+            // Deliver a prefix, as a failing device would, then report EOF.
+            let _ = self.inner.read_at(offset, &mut buf[..cut]);
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "injected short read",
+            ));
+        }
+        if !buf.is_empty() && unit(&mut state.rng) < self.plan.bit_flip {
+            self.inner.read_at(offset, buf)?;
+            state.stats.bit_flips += 1;
+            let byte = (xorshift(&mut state.rng) as usize) % buf.len();
+            let bit = (xorshift(&mut state.rng) % 8) as u8;
+            buf[byte] ^= 1 << bit;
+            return Ok(());
+        }
+        // Gated on the rate so a zero-rate plan consumes no generator
+        // draws here and legacy fault schedules stay bit-identical.
+        if self.plan.torn_read > 0.0
+            && !buf.is_empty()
+            && unit(&mut state.rng) < self.plan.torn_read
+        {
+            self.inner.read_at(offset, buf)?;
+            state.stats.torn_reads += 1;
+            // Torn page: a pseudorandom prefix is real, the tail is
+            // garbage, and the read *succeeds* — only the CRC layer
+            // above can tell.
+            let cut = (xorshift(&mut state.rng) as usize) % buf.len();
+            for b in &mut buf[cut..] {
+                // Xor with an odd byte so every tail byte really changes.
+                *b ^= ((xorshift(&mut state.rng) >> 56) as u8) | 1;
             }
-            if !buf.is_empty() && unit(&mut state.rng) < self.plan.short_read {
-                state.stats.short_reads += 1;
-                let cut = (xorshift(&mut state.rng) as usize) % buf.len();
-                // Deliver a prefix, as a failing device would, then report EOF.
-                let _ = self.inner.read_at(offset, &mut buf[..cut]);
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "injected short read",
-                ));
-            }
-            if !buf.is_empty() && unit(&mut state.rng) < self.plan.bit_flip {
-                self.inner.read_at(offset, buf)?;
-                state.stats.bit_flips += 1;
-                let byte = (xorshift(&mut state.rng) as usize) % buf.len();
-                let bit = (xorshift(&mut state.rng) % 8) as u8;
-                buf[byte] ^= 1 << bit;
-                return Ok(());
-            }
-            // Gated on the rate so a zero-rate plan consumes no generator
-            // draws here and legacy fault schedules stay bit-identical.
-            if self.plan.torn_read > 0.0
-                && !buf.is_empty()
-                && unit(&mut state.rng) < self.plan.torn_read
-            {
-                self.inner.read_at(offset, buf)?;
-                state.stats.torn_reads += 1;
-                // Torn page: a pseudorandom prefix is real, the tail is
-                // garbage, and the read *succeeds* — only the CRC layer
-                // above can tell.
-                let cut = (xorshift(&mut state.rng) as usize) % buf.len();
-                for b in &mut buf[cut..] {
-                    // Xor with an odd byte so every tail byte really changes.
-                    *b ^= ((xorshift(&mut state.rng) >> 56) as u8) | 1;
-                }
-                return Ok(());
-            }
+            return Ok(());
         }
         self.inner.read_at(offset, buf)
     }
@@ -901,26 +881,6 @@ impl<S: WritableStorage> WritableStorage for FaultyStorage<S> {
             }
         }
 
-        // Gated on the rate so zero-rate plans consume no generator draws
-        // and read-fault schedules stay bit-identical when writes happen.
-        let budget_left = self
-            .plan
-            .max_faults
-            .is_none_or(|max| state.stats.total() < max);
-        if budget_left
-            && self.plan.torn_write > 0.0
-            && !buf.is_empty()
-            && unit(&mut state.rng) < self.plan.torn_write
-        {
-            state.stats.torn_writes += 1;
-            // Torn write: a pseudorandom prefix reaches the device, then
-            // the operation "crashes". The landed prefix is permanent.
-            let cut = (xorshift(&mut state.rng) as usize) % buf.len();
-            if cut > 0 {
-                self.inner.write_at(offset, &buf[..cut])?;
-            }
-            return Err(io::Error::other("injected torn write"));
-        }
         self.inner.write_at(offset, buf)
     }
 
@@ -1012,21 +972,6 @@ mod tests {
     }
 
     #[test]
-    fn max_faults_heals_the_storage() {
-        let plan = FaultPlan {
-            seed: 7,
-            transient_error: 1.0,
-            max_faults: Some(3),
-            ..FaultPlan::default()
-        };
-        let s = FaultyStorage::new(mem(256), plan);
-        let mut buf = [0u8; 8];
-        let failures = (0..10).filter(|_| s.read_at(0, &mut buf).is_err()).count();
-        assert_eq!(failures, 3);
-        assert_eq!(s.stats().transient_errors, 3);
-    }
-
-    #[test]
     fn dead_range_always_fails() {
         let plan = FaultPlan {
             dead_range: Some(100..200),
@@ -1048,14 +993,13 @@ mod tests {
         let plan = FaultPlan {
             seed: 3,
             bit_flip: 1.0,
-            max_faults: Some(1),
             ..FaultPlan::default()
         };
         let s = FaultyStorage::new(mem(1024), plan);
         let mut corrupt = [0u8; 64];
         s.read_at(0, &mut corrupt).unwrap();
         let mut clean = [0u8; 64];
-        s.read_at(0, &mut clean).unwrap(); // budget exhausted: clean read
+        s.inner().read_at(0, &mut clean).unwrap();
         let diff_bits: u32 = corrupt
             .iter()
             .zip(&clean)
@@ -1095,14 +1039,13 @@ mod tests {
         let plan = FaultPlan {
             seed: 11,
             torn_read: 1.0,
-            max_faults: Some(1),
             ..FaultPlan::default()
         };
         let s = FaultyStorage::new(mem(1024), plan);
         let mut torn = [0u8; 64];
         s.read_at(0, &mut torn).unwrap(); // Ok despite corruption
         let mut clean = [0u8; 64];
-        s.read_at(0, &mut clean).unwrap(); // budget exhausted: clean read
+        s.inner().read_at(0, &mut clean).unwrap();
         assert_eq!(s.stats().torn_reads, 1);
         assert_ne!(torn[..], clean[..], "tail must be corrupted");
         // The corruption is a contiguous tail: find the cut and check the
@@ -1153,31 +1096,6 @@ mod tests {
         assert_eq!(s.snapshot()[0], 9, "clones share bytes");
         s.truncate(2).unwrap();
         assert_eq!(s.snapshot(), vec![9, 0]);
-    }
-
-    #[test]
-    fn torn_write_lands_prefix_then_fails() {
-        let inner = SharedMemStorage::from_bytes(vec![0u8; 64]);
-        let plan = FaultPlan {
-            seed: 13,
-            torn_write: 1.0,
-            max_faults: Some(1),
-            ..FaultPlan::default()
-        };
-        let s = FaultyStorage::new(inner.clone(), plan);
-        let payload = [0xABu8; 32];
-        let err = s.write_at(0, &payload).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Other);
-        assert_eq!(s.stats().torn_writes, 1);
-        let bytes = inner.snapshot();
-        // A strict prefix landed; the rest of the range stayed untouched.
-        let landed = bytes.iter().take(32).filter(|&&b| b == 0xAB).count();
-        assert!(landed < 32, "torn write must not complete");
-        assert!(bytes[..landed].iter().all(|&b| b == 0xAB));
-        assert!(bytes[landed..32].iter().all(|&b| b == 0));
-        // Budget exhausted: the retry goes through whole.
-        s.write_at(0, &payload).unwrap();
-        assert_eq!(inner.snapshot()[..32], payload[..]);
     }
 
     #[test]
@@ -1241,9 +1159,9 @@ mod tests {
 
     #[test]
     fn write_faults_do_not_perturb_read_schedules() {
-        // A legacy read-fault plan must inject the same read schedule
-        // whether or not interleaved writes happen — write-path draws are
-        // gated on torn_write > 0.
+        // A read-fault plan must inject the same read schedule whether or
+        // not interleaved writes happen: the write path draws nothing from
+        // the generator.
         let plan = FaultPlan {
             seed: 42,
             transient_error: 0.3,
@@ -1270,15 +1188,15 @@ mod tests {
         let plan = FaultPlan {
             seed: 5,
             short_read: 1.0,
-            max_faults: Some(1),
+            skip_reads: 1,
             ..FaultPlan::default()
         };
         let s = FaultyStorage::new(mem(1024), plan);
         let mut buf = [0u8; 64];
+        s.read_at(0, &mut buf).unwrap(); // skipped through
         let err = s.read_at(0, &mut buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert_eq!(s.stats().short_reads, 1);
-        s.read_at(0, &mut buf).unwrap();
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn main() {
         })
         .collect();
     let probe = Detector::new(&db, DetectorConfig::default());
-    let cal = calibrate_threshold(&probe, &negatives, 25.0, 1.0);
+    let cal = calibrate_threshold(&probe, &negatives);
     println!(
         "calibrated n_sim threshold: {} ({} spurious scores observed over {:.4} h)",
         cal.min_votes,

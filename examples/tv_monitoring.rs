@@ -7,7 +7,7 @@
 //! cargo run --release --example tv_monitoring
 //! ```
 
-use s3::cbcd::{DbBuilder, Detector, DetectorConfig, Monitor, MonitorParams};
+use s3::cbcd::{DbBuilder, Detector, DetectorConfig, Monitor, FRAME_RATE};
 use s3::video::{
     extract_fingerprints, ExtractorParams, ProceduralVideo, StreamingExtractor, Transform,
     TransformChain, TransformedVideo, VideoSource,
@@ -71,13 +71,12 @@ fn main() {
         })
         .collect();
     let probe = Detector::new(&db, DetectorConfig::default());
-    let monitor_params = MonitorParams::default();
-    let cal = s3::cbcd::calibrate_monitor_threshold(&probe, &negatives, &monitor_params, 25.0, 1.0);
+    let cal = s3::cbcd::calibrate_monitor_threshold(&probe, &negatives);
     println!("calibrated n_sim threshold: {}", cal.min_votes);
     let mut config = DetectorConfig::default();
     config.vote.min_votes = cal.min_votes;
     let detector = Detector::new(&db, config);
-    let mut monitor = Monitor::new(&detector, monitor_params);
+    let mut monitor = Monitor::new(&detector);
     let mut extractor = StreamingExtractor::new(*db.extractor_params());
     let mut pending = Vec::new();
     let mut base = 0;
@@ -86,14 +85,14 @@ fn main() {
         for t in 0..seg.len() {
             pending.extend(extractor.push(seg.frame(t)));
             if pending.len() >= 25 {
-                monitor.push(&pending).expect("clean synthetic stream");
+                monitor.push(&pending);
                 pending.clear();
             }
         }
         base += seg.len();
     }
     pending.extend(extractor.finish());
-    monitor.push(&pending).expect("clean synthetic stream");
+    monitor.push(&pending);
     let (events, stats) = monitor.finish();
 
     println!("\nevents:");
@@ -113,8 +112,8 @@ fn main() {
         stats.fingerprints, stats.windows, stats.elapsed
     );
     println!(
-        "real-time factor at 25 fps: {:.1}x",
-        stats.real_time_factor(25.0)
+        "real-time factor at {FRAME_RATE} fps: {:.1}x",
+        stats.real_time_factor()
     );
 
     assert!(
