@@ -11,10 +11,17 @@
 //! Every video is a pure function of `(seed, t)`: frames can be generated in
 //! any order, which lets geometric transforms and position-matched distortion
 //! measurements (§IV-C) re-render the same content.
+//!
+//! Rendering computes each value once per the thing it depends on — the pan
+//! drifts and blob centres once per frame, the value-noise texture once per
+//! scene — and keeps every expression and addition order of the per-pixel
+//! sum, so the frames are bit-identical to evaluating it all per pixel
+//! (`tests/render_pin.rs` pins them).
 
 use crate::frame::Frame;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 /// A source of frames.
 pub trait VideoSource {
@@ -99,6 +106,41 @@ struct Scene {
     texture_cell: f32,
     /// Amplitude of the value noise.
     texture_amp: f32,
+    /// `texture_amp · value_noise(..)` at every pixel, row-major: it depends
+    /// on the scene alone, so the scene's first render fills it. Empty when
+    /// `texture_amp` is 0.
+    texture: OnceLock<Vec<f32>>,
+}
+
+impl Scene {
+    /// A flat scene (no waves, blobs or texture) at luminance `base`.
+    fn flat(base: f32) -> Self {
+        Scene {
+            start: 0,
+            base,
+            waves: Vec::new(),
+            blobs: Vec::new(),
+            texture_seed: 0,
+            texture_cell: 8.0,
+            texture_amp: 0.0,
+            texture: OnceLock::new(),
+        }
+    }
+
+    /// The scene's texture plane at `width`×`height`, computed on first use.
+    fn texture(&self, width: usize, height: usize) -> &[f32] {
+        self.texture.get_or_init(|| {
+            if self.texture_amp <= 0.0 {
+                return Vec::new();
+            }
+            (0..height)
+                .flat_map(|y| (0..width).map(move |x| (x as f32, y as f32)))
+                .map(|(xf, yf)| {
+                    self.texture_amp * value_noise(self.texture_seed, self.texture_cell, xf, yf)
+                })
+                .collect()
+        })
+    }
 }
 
 /// Smooth value noise: bilinear interpolation of hashed lattice values in
@@ -197,38 +239,15 @@ impl ProceduralVideo {
                 texture_seed: rng.gen(),
                 texture_cell: rng.gen_range(7.0..13.0),
                 texture_amp: rng.gen_range(18.0..30.0),
+                texture: OnceLock::new(),
             });
             start += rng.gen_range(40..120);
         }
         let (noise_amp, scenes) = match kind {
             ContentKind::Scene => (1.5, scenes),
-            ContentKind::Black => {
-                // Flatten to near black: keep a single dim scene.
-                (
-                    1.0,
-                    vec![Scene {
-                        start: 0,
-                        base: 4.0,
-                        waves: Vec::new(),
-                        blobs: Vec::new(),
-                        texture_seed: 0,
-                        texture_cell: 8.0,
-                        texture_amp: 0.0,
-                    }],
-                )
-            }
-            ContentKind::Noise => (
-                60.0,
-                vec![Scene {
-                    start: 0,
-                    base: 128.0,
-                    waves: Vec::new(),
-                    blobs: Vec::new(),
-                    texture_seed: 0,
-                    texture_cell: 8.0,
-                    texture_amp: 0.0,
-                }],
-            ),
+            // Flatten to near black: keep a single dim scene.
+            ContentKind::Black => (1.0, vec![Scene::flat(4.0)]),
+            ContentKind::Noise => (60.0, vec![Scene::flat(128.0)]),
         };
         ProceduralVideo {
             width,
@@ -286,28 +305,39 @@ impl VideoSource for ProceduralVideo {
         assert!(t < self.len, "frame index {t} out of range");
         let scene = self.scene_at(t);
         let tl = (t - scene.start) as f32;
+        // Once per frame: each wave's pan drift, each blob's centre and 2r².
+        let drifts: Vec<f32> = scene
+            .waves
+            .iter()
+            .map(|w| w.vt * tl + w.sway * (w.sway_freq * tl).sin())
+            .collect();
+        let blobs: Vec<[f32; 4]> = scene
+            .blobs
+            .iter()
+            .map(|b| {
+                let (bx, by) = (b.x0 + b.vx * tl, b.y0 + b.vy * tl);
+                [bx, by, 2.0 * b.radius * b.radius, b.amp]
+            })
+            .collect();
+        let texture = scene.texture(self.width, self.height);
         let mut f = Frame::new(self.width, self.height);
-        for y in 0..self.height {
-            for x in 0..self.width {
+        for (y, row) in f.data_mut().chunks_exact_mut(self.width).enumerate() {
+            let yf = y as f32;
+            for (x, px) in row.iter_mut().enumerate() {
                 let xf = x as f32;
-                let yf = y as f32;
                 let mut v = scene.base;
-                for w in &scene.waves {
-                    let drift = w.vt * tl + w.sway * (w.sway_freq * tl).sin();
+                for (w, drift) in scene.waves.iter().zip(&drifts) {
                     v += w.amp * (w.fx * xf + w.fy * yf + w.phase + drift).sin();
                 }
-                if scene.texture_amp > 0.0 {
-                    v += scene.texture_amp
-                        * value_noise(scene.texture_seed, scene.texture_cell, xf, yf);
+                if let Some(tex) = texture.get(y * self.width + x) {
+                    v += tex;
                 }
-                for b in &scene.blobs {
-                    let bx = b.x0 + b.vx * tl;
-                    let by = b.y0 + b.vy * tl;
+                for &[bx, by, two_r2, amp] in &blobs {
                     let d2 = (xf - bx).powi(2) + (yf - by).powi(2);
-                    v += b.amp * (-d2 / (2.0 * b.radius * b.radius)).exp();
+                    v += amp * (-d2 / two_r2).exp();
                 }
                 v += self.noise_amp * self.noise(x, y, t);
-                f.set(x, y, v.clamp(0.0, 255.0));
+                *px = v.clamp(0.0, 255.0);
             }
         }
         f

@@ -68,20 +68,25 @@ impl Transform {
                 assert!(wscale > 0.0, "wscale must be positive");
                 let (w, h) = (frame.width(), frame.height());
                 let (cx, cy) = ((w as f32 - 1.0) / 2.0, (h as f32 - 1.0) / 2.0);
+                // Destination (x, y) pulls from source position
+                // centre + (dst - centre)/scale, bilinearly. The source cell
+                // and weights of a column (row) serve every row (column);
+                // the sum is `Frame::sample_bilinear`'s, term for term.
+                let cols = resize_taps(w, cx, wscale);
+                let rows = resize_taps(h, cy, wscale);
+                let src = frame.data();
                 let mut out = Frame::new(w, h);
-                for y in 0..h {
-                    for x in 0..w {
-                        // Destination (x, y) pulls from source position
-                        // centre + (dst - centre)/scale.
-                        let sx = cx + (x as f32 - cx) / wscale;
-                        let sy = cy + (y as f32 - cy) / wscale;
-                        let v =
-                            if sx < 0.0 || sy < 0.0 || sx > (w - 1) as f32 || sy > (h - 1) as f32 {
-                                0.0
-                            } else {
-                                frame.sample_bilinear(sx, sy)
-                            };
-                        out.set(x, y, v);
+                for (row, ty) in out.data_mut().chunks_exact_mut(w).zip(&rows) {
+                    let Some(ty) = ty else { continue };
+                    let (r0, r1) = (&src[ty.i0 * w..][..w], &src[ty.i1 * w..][..w]);
+                    for (px, tx) in row.iter_mut().zip(&cols) {
+                        let Some(tx) = tx else { continue };
+                        let (a, b) = (r0[tx.i0], r0[tx.i1]);
+                        let (c, d) = (r1[tx.i0], r1[tx.i1]);
+                        *px = a * tx.w0 * ty.w0
+                            + b * tx.w1 * ty.w0
+                            + c * tx.w0 * ty.w1
+                            + d * tx.w1 * ty.w1;
                     }
                 }
                 out
@@ -207,6 +212,38 @@ impl Transform {
     }
 }
 
+/// One axis of a bilinear resize tap: the two source samples a destination
+/// coordinate reads and their weights `1 − f` and `f`.
+struct Tap {
+    i0: usize,
+    i1: usize,
+    w0: f32,
+    w1: f32,
+}
+
+/// The taps of the `n` destination coordinates of one axis under a resize
+/// of `wscale` about `c`; `None` where the source falls outside the frame
+/// (black).
+fn resize_taps(n: usize, c: f32, wscale: f32) -> Vec<Option<Tap>> {
+    let last = (n - 1) as f32;
+    (0..n)
+        .map(|d| {
+            let s = c + (d as f32 - c) / wscale;
+            if s < 0.0 || s > last {
+                return None;
+            }
+            let i0 = s.floor() as usize;
+            let f = s - i0 as f32;
+            Some(Tap {
+                i0,
+                i1: (i0 + 1).min(n - 1),
+                w0: 1.0 - f,
+                w1: f,
+            })
+        })
+        .collect()
+}
+
 /// A composition of transforms (applied in order) — the paper's combined
 /// attacks, e.g. "resizing, gamma modification, noise addition" (§IV-C).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -232,8 +269,11 @@ impl TransformChain {
 
     /// Applies all transforms in order.
     pub fn apply(&self, frame: &Frame, rng: &mut StdRng) -> Frame {
-        let mut f = frame.clone();
-        for t in &self.transforms {
+        let Some((first, rest)) = self.transforms.split_first() else {
+            return frame.clone();
+        };
+        let mut f = first.apply(frame, rng);
+        for t in rest {
             f = t.apply(&f, rng);
         }
         f
