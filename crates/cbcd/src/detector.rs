@@ -36,7 +36,9 @@ pub struct DetectorConfig {
     pub query: StatQueryOpts,
     /// Voting parameters (the decision threshold).
     pub vote: VoteParams,
-    /// Worker threads for the search stage.
+    /// Worker threads for the search stage only. Extraction
+    /// ([`Detector::detect_video`]) renders on every core regardless
+    /// (`s3_video::render_ahead`).
     pub threads: usize,
     /// Latency budget of one search batch. When set, each batch runs under a
     /// deadline on the system clock: past the budget the remaining queries

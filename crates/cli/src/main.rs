@@ -39,8 +39,8 @@ use s3_core::{
     Storage,
 };
 use s3_video::{
-    extract_fingerprints, ExtractorParams, ProceduralVideo, StreamingExtractor, Transform,
-    TransformChain, TransformedVideo, VideoSource, Y4mVideo,
+    extract_fingerprints, render_ahead, ExtractorParams, ProceduralVideo, StreamingExtractor,
+    Transform, TransformChain, TransformedVideo, VideoSource, Y4mVideo,
 };
 use std::process::ExitCode;
 use std::time::Duration;
@@ -137,8 +137,10 @@ USAGE:
       and component state.
 
   query/detect/monitor also accept:
-      --threads N             worker threads for the search stage
-                              (default: all available cores)
+      --threads N             worker threads for the search stage only
+                              (default: all available cores); frame
+                              rendering for extraction always uses every
+                              core
       --deadline-ms N         latency budget per search batch; past it the
                               remaining work is skipped and results come
                               back partial, flagged degraded
@@ -664,8 +666,8 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
     let mut base = 0usize;
     for (seg, label) in segs {
         eprintln!("  [{base:>5}..] {label}");
-        for t in 0..seg.len() {
-            pending.extend(extractor.push(seg.frame(t)));
+        render_ahead(seg, |frame| {
+            pending.extend(extractor.push(frame));
             if pending.len() >= 32 {
                 monitor.push(&pending);
                 pending.clear();
@@ -673,7 +675,8 @@ fn cmd_monitor(rest: Vec<String>) -> Result<CmdStatus, String> {
                     d.tick(&monitor)?;
                 }
             }
-        }
+            Ok::<_, String>(())
+        })?;
         base += seg.len();
     }
     pending.extend(extractor.finish());

@@ -22,15 +22,11 @@ use crate::distortion::DistortionModel;
 use crate::index::{QueryResult, S3Index, StatQueryOpts};
 use crate::resilience::QueryCtx;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 
 /// Every available core: the default worker count of the pseudo-disk batch
-/// and of the CLI. Resolved once per process, because the standard library
-/// reads cgroup files to answer (≈ 16 µs a call in a Linux container).
-pub fn default_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
-}
+/// and of the CLI (the workspace's one core count lives in `s3-obs`).
+pub use s3_obs::default_threads;
 
 /// One fan-out: the data its items read, the claim cursor and one result
 /// slot per item.

@@ -26,8 +26,9 @@
 //!
 //! Beside them sit the one [`JsonWriter`] (and the [`JsonValue`] reader),
 //! the one CRC ([`crc`]) and the one `len | body | crc` log frame
-//! ([`frame`]) of the workspace, and its one clock trait ([`TimeSource`],
-//! with [`WallTime`] and [`ManualTime`]).
+//! ([`frame`]) of the workspace, its one clock trait ([`TimeSource`],
+//! with [`WallTime`] and [`ManualTime`]) and its one core count
+//! ([`default_threads`]).
 //!
 //! ```
 //! use s3_obs::{registry, span};
@@ -61,6 +62,7 @@ pub mod frame;
 pub mod json;
 mod metrics;
 mod span;
+mod threads;
 mod time;
 mod trace;
 
@@ -75,5 +77,6 @@ pub use span::{
     clear_span_sink, current_query, set_span_sink, QueryScope, RingCollector, Span, SpanRecord,
     SpanSink,
 };
+pub use threads::default_threads;
 pub use time::{ManualTime, TimeSource, WallTime};
 pub use trace::to_chrome_trace;

@@ -14,7 +14,8 @@
 //! * [`pipeline`] — its whole-clip drivers: `extract_fingerprints` and the
 //!   matched-position distortion measurement ("perfect interest point
 //!   detector", §IV-C) used to fit the distortion model and grade
-//!   transformation severity.
+//!   transformation severity, both fed by `render_ahead` (frames rendered
+//!   on every core, handed on in order).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -47,8 +48,8 @@ pub use frame::Frame;
 pub use harris::{detect_interest_points, HarrisParams, InterestPoint};
 pub use keyframes::{detect_keyframes, KeyframeParams};
 pub use pipeline::{
-    estimate_sigma, extract_fingerprints, measure_distortion, ExtractorParams, LocalFingerprint,
-    MatchedPair,
+    estimate_sigma, extract_fingerprints, measure_distortion, render_ahead, ExtractorParams,
+    LocalFingerprint, MatchedPair,
 };
 pub use streaming::{StreamError, StreamingExtractor};
 pub use synth::{ContentKind, ProceduralVideo, VideoLibrary, VideoSource};

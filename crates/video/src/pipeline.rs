@@ -9,6 +9,13 @@
 //! only a whole clip can have: a clip whose motion signal has no extremum is
 //! described at its middle frame ([`degenerate_keyframe`]).
 //!
+//! Rendering — the stand-in decoder — costs far more than extraction, so the
+//! driver renders ahead on every core ([`render_ahead`]): the calling thread
+//! and one helper per further core claim frame indices off one cursor, at
+//! most a small window ahead of the extractor, and the extractor still
+//! receives every frame once and in order. A frame is a pure function of its
+//! index, so the fingerprints are the same bits at any core count.
+//!
 //! Distortion measurement: to estimate the model parameter σ without an
 //! (imperfect) re-detection, the paper simulates a *perfect interest point
 //! detector*: points detected in the original sequence are mapped through the
@@ -24,6 +31,8 @@ use crate::keyframes::{degenerate_keyframe, KeyframeParams};
 use crate::streaming::{Described, Describer, StreamingExtractor};
 use crate::synth::VideoSource;
 use crate::transform::{TransformChain, TransformedVideo};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// One extracted local fingerprint with its metadata.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -50,15 +59,222 @@ pub struct ExtractorParams {
 }
 
 /// Renders frame `u` of `video`, clamped to the clip, booked as `video.render`.
-fn render(video: &impl VideoSource, u: isize) -> Frame {
+fn render<V: VideoSource + ?Sized>(video: &V, u: isize) -> Frame {
     let u = u.clamp(0, video.len() as isize - 1) as usize;
     let _sp = s3_obs::span!("video.render", "t" => u as f64);
     video.frame(u)
 }
 
+/// Renders every frame of `video` once and hands each to `each`, in order,
+/// on the calling thread; stops at the first error `each` returns and
+/// returns it.
+///
+/// Every core renders: the calling thread and one scoped helper per further
+/// core ([`s3_obs::default_threads`]) claim frames off one cursor, never
+/// more than two per thread past the next frame `each` takes. A caller whose
+/// next frame is not ready renders the next unclaimed one itself; it waits
+/// only for a frame a helper is already rendering. A single core spawns no
+/// thread. Helpers re-enter the caller's [`s3_obs::QueryScope`], so their
+/// `video.render` spans stay in the query's tree.
+///
+/// # Panics
+/// If `video.frame` panics on any thread, with that thread's panic, once
+/// every helper has stopped.
+pub fn render_ahead<V, E>(video: &V, each: impl FnMut(Frame) -> Result<(), E>) -> Result<(), E>
+where
+    V: VideoSource + ?Sized,
+{
+    render_ahead_on(video, s3_obs::default_threads() - 1, each)
+}
+
+/// [`render_ahead`] with `helpers` helper threads (0: a plain loop).
+pub(crate) fn render_ahead_on<V, E>(
+    video: &V,
+    helpers: usize,
+    mut each: impl FnMut(Frame) -> Result<(), E>,
+) -> Result<(), E>
+where
+    V: VideoSource + ?Sized,
+{
+    let len = video.len();
+    let helpers = helpers.min(len.saturating_sub(1));
+    if helpers == 0 {
+        return (0..len).try_for_each(|t| each(render(video, t as isize)));
+    }
+    let ahead = Ahead::new(len, 2 * (helpers + 1));
+    let qid = s3_obs::current_query();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers)
+            .map(|_| {
+                let ahead = &ahead;
+                scope.spawn(move || {
+                    let _scope = s3_obs::QueryScope::enter(qid);
+                    ahead.help(video);
+                })
+            })
+            .collect();
+        let stop = Stop(&ahead);
+        let mut result = Ok(());
+        for t in 0..len {
+            let Some(frame) = ahead.take(video, t) else {
+                break; // a helper failed: its panic is resumed below
+            };
+            result = each(frame);
+            if result.is_err() {
+                break;
+            }
+        }
+        drop(stop);
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                resume_unwind(panic);
+            }
+        }
+        result
+    })
+}
+
+/// The frames a [`render_ahead`] has claimed and not yet handed on.
+struct Ahead {
+    state: Mutex<AheadState>,
+    len: usize,
+    window: usize,
+    /// Signalled when a frame lands in its slot or the run stops.
+    landed: Condvar,
+    /// Signalled when the consumer takes a frame (the window moves) or the
+    /// run stops.
+    moved: Condvar,
+}
+
+struct AheadState {
+    /// The first frame no thread has claimed.
+    claimed: usize,
+    /// The next frame the consumer takes; frames below `taken + window` may
+    /// be claimed.
+    taken: usize,
+    /// Frame `t`, rendered and not yet taken, sits in slot `t % window`.
+    slots: Vec<Option<Frame>>,
+    /// The consumer is done (or unwinding), or a helper's render panicked.
+    stopped: bool,
+}
+
+impl Ahead {
+    fn new(len: usize, window: usize) -> Self {
+        Ahead {
+            state: Mutex::new(AheadState {
+                claimed: 0,
+                taken: 0,
+                slots: vec![None; window],
+                stopped: false,
+            }),
+            len,
+            window,
+            landed: Condvar::new(),
+            moved: Condvar::new(),
+        }
+    }
+
+    /// The state's guard. No code that can panic runs under the lock, and
+    /// every update leaves the state whole, so a poisoned lock is still valid.
+    fn lock(&self) -> MutexGuard<'_, AheadState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims the first unclaimed frame if it lies inside the window.
+    fn claim(&self, st: &mut AheadState) -> Option<usize> {
+        let t = st.claimed;
+        (t < self.len && t < st.taken + self.window).then(|| {
+            st.claimed += 1;
+            t
+        })
+    }
+
+    /// A helper's loop: claim, render, land, until every frame is claimed
+    /// or the run stops. A panicking render stops the run before it unwinds,
+    /// so the consumer never waits for the frame that will not come.
+    fn help<V: VideoSource + ?Sized>(&self, video: &V) {
+        loop {
+            let mut st = self.lock();
+            let t = loop {
+                if st.stopped || st.claimed >= self.len {
+                    return;
+                }
+                match self.claim(&mut st) {
+                    Some(t) => break t,
+                    None => st = self.moved.wait(st).unwrap_or_else(PoisonError::into_inner),
+                }
+            };
+            drop(st);
+            match catch_unwind(AssertUnwindSafe(|| render(video, t as isize))) {
+                Ok(frame) => self.land(t, frame),
+                Err(panic) => {
+                    self.stop();
+                    resume_unwind(panic);
+                }
+            }
+        }
+    }
+
+    fn land(&self, t: usize, frame: Frame) {
+        self.lock().slots[t % self.window] = Some(frame);
+        self.landed.notify_one();
+    }
+
+    /// Frame `t`, the consumer's next: taken from its slot if it landed,
+    /// rendered here if nobody claimed it. Meanwhile the consumer renders
+    /// whatever else the window lets it claim, and waits only while a helper
+    /// renders `t` and the window is full. `None` once a helper failed.
+    fn take<V: VideoSource + ?Sized>(&self, video: &V, t: usize) -> Option<Frame> {
+        loop {
+            let mut st = self.lock();
+            let u = loop {
+                if st.stopped {
+                    return None;
+                }
+                if let Some(frame) = st.slots[t % self.window].take() {
+                    st.taken = t + 1;
+                    drop(st);
+                    self.moved.notify_all();
+                    return Some(frame);
+                }
+                match self.claim(&mut st) {
+                    Some(u) => break u,
+                    None => st = self.landed.wait(st).unwrap_or_else(PoisonError::into_inner),
+                }
+            };
+            drop(st);
+            let frame = render(video, u as isize);
+            if u == t {
+                self.lock().taken = t + 1;
+                self.moved.notify_all();
+                return Some(frame);
+            }
+            self.land(u, frame);
+        }
+    }
+
+    /// Stops the run: helpers claim nothing more, a waiting consumer returns.
+    fn stop(&self) {
+        self.lock().stopped = true;
+        self.moved.notify_all();
+        self.landed.notify_all();
+    }
+}
+
+/// Stops a [`render_ahead`] when dropped — also while the consumer unwinds,
+/// so no helper is left waiting for the window to move.
+struct Stop<'a>(&'a Ahead);
+
+impl Drop for Stop<'_> {
+    fn drop(&mut self) {
+        self.0.stop();
+    }
+}
+
 /// Pushes every frame of `video` through one [`StreamingExtractor`] — each
-/// rendered once — handing the points of each decided key-frame to `sink`
-/// as they come out, and returns the number of key-frames described.
+/// rendered once, ahead on `helpers` helper threads ([`render_ahead_on`]) —
+/// handing the points of each decided key-frame to `sink` as they come out,
+/// and returns the number of key-frames described.
 ///
 /// A clip on which the extractor decides no key-frame (its smoothed motion
 /// has no extremum, or fewer than three samples) is described at its
@@ -68,15 +284,18 @@ fn render(video: &impl VideoSource, u: isize) -> Frame {
 fn drive(
     video: &impl VideoSource,
     params: &ExtractorParams,
+    helpers: usize,
     mut sink: impl FnMut(&Describer, &[Described]),
 ) -> usize {
     let mut ext = StreamingExtractor::new(*params);
-    let frames = (0..video.len()).map(|t| Some(render(video, t as isize)));
-    for frame in frames.chain([None]) {
-        match ext.feed(frame) {
-            Ok(points) => sink(&ext.describer, &points),
-            Err(e) => panic!("{e}"),
-        }
+    let fed = render_ahead_on(video, helpers, |frame| {
+        let points = ext.feed(Some(frame))?;
+        sink(&ext.describer, &points);
+        Ok(())
+    });
+    match fed.and_then(|()| ext.feed(None)) {
+        Ok(points) => sink(&ext.describer, &points),
+        Err(e) => panic!("{e}"),
     }
     if ext.keyframes > 0 || video.is_empty() {
         return ext.keyframes;
@@ -95,14 +314,24 @@ fn drive(
     1
 }
 
-/// Extracts all local fingerprints of a video.
+/// Extracts all local fingerprints of a video, rendering on every core
+/// ([`render_ahead`]).
 pub fn extract_fingerprints(
     video: &impl VideoSource,
     params: &ExtractorParams,
 ) -> Vec<LocalFingerprint> {
+    extract_fingerprints_on(video, params, s3_obs::default_threads() - 1)
+}
+
+/// [`extract_fingerprints`] with `helpers` render-ahead helper threads.
+pub(crate) fn extract_fingerprints_on(
+    video: &impl VideoSource,
+    params: &ExtractorParams,
+    helpers: usize,
+) -> Vec<LocalFingerprint> {
     let mut sp = s3_obs::span!("video.extract", "frames" => video.len() as f64);
     let mut out = Vec::new();
-    let keyframes = drive(video, params, |_, points| {
+    let keyframes = drive(video, params, helpers, |_, points| {
         out.extend(points.iter().map(|p| p.local));
     });
     sp.record("keyframes", keyframes as f64);
@@ -157,12 +386,25 @@ pub fn measure_distortion(
     delta_pix: f32,
     noise_seed: u64,
 ) -> Vec<MatchedPair> {
+    let helpers = s3_obs::default_threads() - 1;
+    measure_distortion_on(video, chain, params, delta_pix, noise_seed, helpers)
+}
+
+/// [`measure_distortion`] with `helpers` render-ahead helper threads.
+pub(crate) fn measure_distortion_on(
+    video: &impl VideoSource,
+    chain: &TransformChain,
+    params: &ExtractorParams,
+    delta_pix: f32,
+    noise_seed: u64,
+    helpers: usize,
+) -> Vec<MatchedPair> {
     let transformed = TransformedVideo::new(video, chain.clone(), noise_seed);
     let (w, h) = (video.width(), video.height());
     let margin = params.fingerprint.spatial_offset + 3.0 * params.fingerprint.sigma + 1.0;
     let dt = params.fingerprint.temporal_offset;
     let mut out = Vec::new();
-    drive(video, params, |describer, points| {
+    drive(video, params, helpers, |describer, points| {
         for keyframe in points.chunk_by(|a, b| a.local.tc == b.local.tc) {
             // The transformed copy is rendered only where a key-frame with
             // points needs it: at `t ± temporal_offset`.
@@ -319,25 +561,35 @@ pub(crate) mod oracle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::keyframes::detect_keyframes;
     use crate::synth::ProceduralVideo;
     use crate::transform::Transform;
-    use std::cell::Cell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Counts the frames rendered from the wrapped source.
+    /// The helper counts every driver test runs at: none (a plain loop),
+    /// the benchmark host's one, and more helpers than that host has cores.
+    pub(crate) const HELPERS: [usize; 3] = [0, 1, 3];
+
+    /// Counts the frames rendered from the wrapped source, on any thread.
     struct Counting<V> {
         inner: V,
-        renders: Cell<usize>,
+        renders: AtomicUsize,
     }
 
     impl<V: VideoSource> Counting<V> {
         fn new(inner: V) -> Self {
             Counting {
                 inner,
-                renders: Cell::new(0),
+                renders: AtomicUsize::new(0),
             }
+        }
+
+        /// Frames rendered so far; every renderer has been joined when a
+        /// driver returns.
+        fn renders(&self) -> usize {
+            self.renders.load(Ordering::SeqCst)
         }
     }
 
@@ -352,7 +604,7 @@ mod tests {
             self.inner.len()
         }
         fn frame(&self, t: usize) -> Frame {
-            self.renders.set(self.renders.get() + 1);
+            self.renders.fetch_add(1, Ordering::SeqCst);
             self.inner.frame(t)
         }
     }
@@ -374,15 +626,131 @@ mod tests {
         params.harris.max_points = 12;
         // Content seed and index of `benchmark/src/inputs.rs`'s clip 100.
         let source = ProceduralVideo::new(96, 72, 40, 0xF17 ^ (100 << 24));
-        let clip = Counting::new(benchmark_candidate(&source));
-        let fps = extract_fingerprints(&clip, &params);
-        assert!(!fps.is_empty());
-        assert_eq!(clip.renders.get(), 40, "one render per frame");
         // The loop this replaced rendered the clip once for the motion
         // signal and each key-frame up to three times more.
         let old = Counting::new(benchmark_candidate(&source));
-        assert_eq!(oracle::extract_fingerprints(&old, &params), fps);
-        assert_eq!(old.renders.get(), 67);
+        let expected = oracle::extract_fingerprints(&old, &params);
+        assert_eq!(old.renders(), 67);
+        assert!(!expected.is_empty());
+        for helpers in HELPERS {
+            let clip = Counting::new(benchmark_candidate(&source));
+            let fps = extract_fingerprints_on(&clip, &params, helpers);
+            assert_eq!(
+                clip.renders(),
+                40,
+                "one render per frame, {helpers} helpers"
+            );
+            assert_eq!(fps, expected, "{helpers} helpers");
+        }
+    }
+
+    #[test]
+    fn render_ahead_spans_keep_the_callers_query() {
+        const QUERY: u64 = 0x5EED_0047;
+        let params = fast_params();
+        let v = small_video(12);
+        let spans = s3_obs::RingCollector::new(1 << 16);
+        s3_obs::set_span_sink(Box::new(std::sync::Arc::clone(&spans)));
+        let _scope = s3_obs::QueryScope::enter(QUERY);
+        for helpers in HELPERS {
+            extract_fingerprints_on(&v, &params, helpers);
+            // Other tests of this binary render meanwhile, but never under
+            // this id: a helper that lost the scope shows as a missing span.
+            let mut rendered: Vec<usize> = spans
+                .drain()
+                .iter()
+                .filter(|r| r.name == "video.render" && r.query_id == QUERY)
+                .map(|r| r.fields[0].1 as usize)
+                .collect();
+            rendered.sort_unstable();
+            assert_eq!(
+                rendered,
+                (0..v.len()).collect::<Vec<_>>(),
+                "{helpers} helpers"
+            );
+        }
+        s3_obs::clear_span_sink();
+    }
+
+    /// Frame 17 of the wrapped source panics.
+    struct Broken(ProceduralVideo);
+
+    impl VideoSource for Broken {
+        fn width(&self) -> usize {
+            self.0.width()
+        }
+        fn height(&self) -> usize {
+            self.0.height()
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn frame(&self, t: usize) -> Frame {
+            assert_ne!(t, 17, "frame 17 is unreadable");
+            self.0.frame(t)
+        }
+    }
+
+    /// Every frame rendered off the calling thread panics, and the calling
+    /// thread's renders wait until a helper has started one: with any
+    /// helper, the failing render is a helper's.
+    struct HelperFails {
+        inner: ProceduralVideo,
+        caller: std::thread::ThreadId,
+        helper_started: (std::sync::Mutex<bool>, Condvar),
+    }
+
+    impl VideoSource for HelperFails {
+        fn width(&self) -> usize {
+            self.inner.width()
+        }
+        fn height(&self) -> usize {
+            self.inner.height()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn frame(&self, t: usize) -> Frame {
+            let (started, cv) = &self.helper_started;
+            if std::thread::current().id() != self.caller {
+                *started.lock().unwrap() = true;
+                cv.notify_all();
+                panic!("a helper's render failed");
+            }
+            drop(cv.wait_while(started.lock().unwrap(), |s| !*s).unwrap());
+            self.inner.frame(t)
+        }
+    }
+
+    /// Runs `extract` and returns the message it panicked with.
+    fn panic_message(extract: impl FnOnce() -> Vec<LocalFingerprint>) -> String {
+        let panic = std::panic::catch_unwind(AssertUnwindSafe(extract))
+            .expect_err("a panicking frame must fail the extraction");
+        match panic.downcast::<String>() {
+            Ok(message) => *message,
+            Err(panic) => panic.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+        }
+    }
+
+    #[test]
+    fn a_failing_frame_fails_the_extraction_on_any_thread() {
+        let v = Broken(small_video(13));
+        for helpers in HELPERS {
+            let message = panic_message(|| extract_fingerprints_on(&v, &fast_params(), helpers));
+            assert!(
+                message.contains("frame 17 is unreadable"),
+                "{helpers} helpers: {message:?}"
+            );
+        }
+        for helpers in [1, 3] {
+            let v = HelperFails {
+                inner: small_video(13),
+                caller: std::thread::current().id(),
+                helper_started: Default::default(),
+            };
+            let message = panic_message(|| extract_fingerprints_on(&v, &fast_params(), helpers));
+            assert_eq!(message, "a helper's render failed", "{helpers} helpers");
+        }
     }
 
     /// `len` copies of one frame: a motion signal without an extremum.
@@ -413,7 +781,7 @@ mod tests {
             let v = Still(textured.clone(), len);
             let clip = Counting::new(&v);
             let fps = extract_fingerprints(&clip, &params);
-            let renders = clip.renders.get();
+            let renders = clip.renders();
             assert!(
                 renders > len && renders <= len + 3,
                 "{len} frames, {renders} renders"
@@ -439,24 +807,28 @@ mod tests {
         ];
         for (i, chain) in chains.iter().enumerate() {
             let v = small_video(40 + i as u64);
-            let clip = Counting::new(&v);
-            let pairs = measure_distortion(&clip, chain, &params, 1.0, 9);
-            // The transformed view renders its source underneath: the
-            // original once per frame, the view at most twice per key-frame.
             let keyframes = detect_keyframes(&v, &params.keyframes).len();
-            let extra = clip.renders.get() - v.len();
-            assert!(
-                extra > 0 && extra <= 2 * keyframes,
-                "{extra} renders for {keyframes} key-frames"
-            );
             let expected = oracle::measure_distortion(&v, chain, &params, 1.0, 9);
-            assert!(!pairs.is_empty());
-            assert_eq!(pairs.len(), expected.len());
-            for (got, want) in pairs.iter().zip(&expected) {
-                assert_eq!(
-                    (got.original, got.distorted),
-                    (want.original, want.distorted)
+            assert!(!expected.is_empty());
+            for helpers in HELPERS {
+                let clip = Counting::new(&v);
+                let pairs = measure_distortion_on(&clip, chain, &params, 1.0, 9, helpers);
+                // The transformed view renders its source underneath: the
+                // original once per frame, the view at most twice per
+                // key-frame.
+                let extra = clip.renders() - v.len();
+                assert!(
+                    extra > 0 && extra <= 2 * keyframes,
+                    "{extra} renders for {keyframes} key-frames, {helpers} helpers"
                 );
+                assert_eq!(pairs.len(), expected.len());
+                for (got, want) in pairs.iter().zip(&expected) {
+                    assert_eq!(
+                        (got.original, got.distorted),
+                        (want.original, want.distorted),
+                        "{helpers} helpers"
+                    );
+                }
             }
         }
     }

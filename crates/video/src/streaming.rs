@@ -299,7 +299,8 @@ impl StreamingExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{extract_fingerprints, oracle};
+    use crate::pipeline::tests::HELPERS;
+    use crate::pipeline::{extract_fingerprints_on, oracle};
     use crate::synth::{ContentKind, ProceduralVideo, VideoSource};
     use crate::transform::{Transform, TransformChain, TransformedVideo};
 
@@ -332,18 +333,21 @@ mod tests {
     }
 
     /// `extract_fingerprints` must equal the batch loop it replaced on every
-    /// clip; the raw stream equals both wherever the clip has an extremum,
-    /// and emits nothing where it has none (the degenerate rule is the batch
-    /// driver's). Returns whether the clip had an extremum.
+    /// clip, at every render-ahead helper count; the raw stream equals both
+    /// wherever the clip has an extremum, and emits nothing where it has none
+    /// (the degenerate rule is the batch driver's). Returns whether the clip
+    /// had an extremum.
     fn assert_equals_oracle(frames: &[Frame], params: &ExtractorParams, what: &str) -> bool {
         let clip = Frames(frames);
         let n = frames.len();
         let expected = oracle::extract_fingerprints(&clip, params);
-        assert_eq!(
-            extract_fingerprints(&clip, params),
-            expected,
-            "{what}, {n} frames: batch driver"
-        );
+        for helpers in HELPERS {
+            assert_eq!(
+                extract_fingerprints_on(&clip, params, helpers),
+                expected,
+                "{what}, {n} frames: batch driver, {helpers} helpers"
+            );
+        }
         let mut ext = StreamingExtractor::new(*params);
         let mut streamed = Vec::new();
         for frame in frames {

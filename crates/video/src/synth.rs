@@ -24,7 +24,10 @@ use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
 /// A source of frames.
-pub trait VideoSource {
+///
+/// `frame(t)` is a pure function of `t`, and a source is shared by the
+/// threads that render a clip ahead of its extractor (hence `Sync`).
+pub trait VideoSource: Sync {
     /// Frame width in pixels.
     fn width(&self) -> usize;
     /// Frame height in pixels.

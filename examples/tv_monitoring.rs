@@ -9,9 +9,10 @@
 
 use s3::cbcd::{DbBuilder, Detector, DetectorConfig, Monitor, FRAME_RATE};
 use s3::video::{
-    extract_fingerprints, ExtractorParams, ProceduralVideo, StreamingExtractor, Transform,
-    TransformChain, TransformedVideo, VideoSource,
+    extract_fingerprints, render_ahead, ExtractorParams, ProceduralVideo, StreamingExtractor,
+    Transform, TransformChain, TransformedVideo, VideoSource,
 };
+use std::convert::Infallible;
 
 fn main() {
     let params = ExtractorParams::default();
@@ -82,13 +83,15 @@ fn main() {
     let mut base = 0;
     for (seg, label) in segments {
         println!("  [{base:>4} ..] {label}");
-        for t in 0..seg.len() {
-            pending.extend(extractor.push(seg.frame(t)));
+        // Frames are rendered ahead on every core and pushed in order.
+        let Ok(()) = render_ahead(seg, |frame| {
+            pending.extend(extractor.push(frame));
             if pending.len() >= 25 {
                 monitor.push(&pending);
                 pending.clear();
             }
-        }
+            Ok::<_, Infallible>(())
+        });
         base += seg.len();
     }
     pending.extend(extractor.finish());
