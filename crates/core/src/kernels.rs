@@ -2,18 +2,19 @@
 //!
 //! Squared Euclidean distance between byte fingerprints is the innermost
 //! loop of every refinement scan, k-NN candidate evaluation and sequential
-//! baseline. There are two implementations, chosen at compile time: SSE2
-//! on `x86_64` (where it is part of the baseline instruction set, so no
-//! detection is needed) and a portable scalar loop everywhere else. Three
-//! entry points share them:
+//! baseline. On `x86_64` the kernels use SSE2, part of the baseline
+//! instruction set, and the run kernel adds one tier detected at run time:
+//! AVX2, eight records a step, taken when `is_x86_feature_detected!("avx2")`
+//! says so (the answer is cached by `std` after the first call). Every other
+//! target runs a portable scalar loop. Three entry points share them:
 //!
 //! * [`dist_sq`], the full distance of one pair;
 //! * [`dist_sq_within`], the early-exit per-record distance under a bound
 //!   (k-NN's shrinking-bound loop, and the reference of the next one);
 //! * [`scan_within`], the **run kernel** under every ε-refinement: it walks
-//!   a contiguous run of records four at a time and rejects all four with
-//!   one compare on their 16-byte prefix sums, confirming only the
-//!   survivors with [`dist_sq_within`].
+//!   a contiguous run of records eight (AVX2) or four (SSE2) at a time and
+//!   rejects them all with one compare on their 16-byte prefix sums,
+//!   confirming only the survivors with [`dist_sq_within`].
 //!
 //! All are **bit-identical** to the scalar reference: the arithmetic is
 //! pure integer (absolute byte difference, widen to 16 bits,
@@ -21,7 +22,8 @@
 //! [`dist_sq`] returns exactly what [`dist_sq_scalar`] does for the same
 //! inputs and [`scan_within`] fires exactly where the per-record
 //! [`dist_sq_within`] loop keeps a record — property-tested in
-//! `tests/properties.rs`.
+//! `tests/properties.rs`, and each x86 tier on its own in this module's
+//! tests.
 //!
 //! The SIMD path flushes its 32-bit lane accumulators to the `u64` total
 //! every `FLUSH_CHUNKS` vectors; a single 16-byte chunk contributes at
@@ -68,14 +70,16 @@ pub fn dist_sq_within(a: &[u8], b: &[u8], bound: u64) -> Option<u64> {
 /// `q` is `d² ≤ bound`, in ascending `k` — exactly where a per-record
 /// [`dist_sq_within`] loop keeps a record, with the same exact `d²`.
 ///
-/// On `x86_64`, for `q.len() ≥ 16`, four records share one step: their
-/// 16-byte prefix sums are transposed into one register and compared with
-/// the bound together, so a group whose four prefixes already exceed it
-/// costs one branch. A prefix sum is a lower bound of `d²`, and at most
-/// `16 · 255² = 1 040 400`, so an `i32` compare against the bound clamped
-/// at `i32::MAX` is exact. Survivors, shorter fingerprints, the last
-/// `len mod 4` records and other targets take the per-record loop. A
-/// trailing partial record is ignored; an empty `q` walks nothing.
+/// On `x86_64`, for `q.len() ≥ 16`, several records share one step: eight
+/// with AVX2 (when the host has it), four with SSE2. Their 16-byte prefix
+/// sums are gathered into one register and compared with the bound
+/// together, so a group whose prefixes all exceed it costs one branch. A
+/// prefix sum is a lower bound of `d²`, and at most `16 · 255² = 1 040 400`,
+/// so an `i32` compare against the bound clamped at `i32::MAX` is exact.
+/// After the AVX2 steps one SSE2 step may follow; survivors, shorter
+/// fingerprints, the last `len mod 4` records and other targets take the
+/// per-record loop. A trailing partial record is ignored; an empty `q`
+/// walks nothing.
 #[inline]
 pub fn scan_within(q: &[u8], run: &[u8], bound: u64, mut hit: impl FnMut(usize, u64)) {
     let dims = q.len();
@@ -85,12 +89,16 @@ pub fn scan_within(q: &[u8], run: &[u8], bound: u64, mut hit: impl FnMut(usize, 
     debug_assert_eq!(run.len() % dims, 0, "run is not a whole number of records");
     let n = run.len() / dims;
     #[cfg(target_arch = "x86_64")]
-    let done = if dims >= 16 {
-        // SAFETY: SSE2 is part of the x86_64 baseline; `dims >= 16` and
-        // `n * dims <= run.len()` are the callee's documented requirements.
-        unsafe { x86::scan_within_sse2(q, run, n, bound, &mut hit) }
-    } else {
+    let done = if dims < 16 {
         0
+    } else if is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was just detected on this host; `dims >= 16` and
+        // `n * dims <= run.len()` are the callee's documented requirements.
+        unsafe { x86::scan_within_avx2(q, run, n, bound, &mut hit) }
+    } else {
+        // SAFETY: SSE2 is part of the x86_64 baseline; the requirements
+        // are those above.
+        unsafe { x86::scan_within_sse2(q, run, n, bound, &mut hit) }
     };
     #[cfg(not(target_arch = "x86_64"))]
     let done = 0;
@@ -300,6 +308,68 @@ mod x86 {
         }
         quads
     }
+
+    /// The eight-record body of [`super::scan_within`] over records
+    /// `0..n - n % 8`, then one SSE2 quad step when four records are left;
+    /// returns how many records it walked (`n - n % 4`).
+    ///
+    /// Register `j` (of four) holds record `j` in its low 128 bits and
+    /// record `j + 4` in its high 128 bits. Per 128-bit lane, three
+    /// `hadd_epi32` fold each record's four partial sums to one, in record
+    /// order, so lane `i` of `sums` — and bit `i` of the mask — is record
+    /// `k + i`.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2, `q.len() >= 16` and
+    /// `n * q.len() <= run.len()`: every 16-byte load then starts at a
+    /// record offset `k · dims` with `k < n` and ends inside that record.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn scan_within_avx2(
+        q: &[u8],
+        run: &[u8],
+        n: usize,
+        bound: u64,
+        hit: &mut impl FnMut(usize, u64),
+    ) -> usize {
+        let dims = q.len();
+        debug_assert!(dims >= 16 && n * dims <= run.len());
+        let zero = _mm256_setzero_si256();
+        let vq = _mm256_broadcastsi128_si256(_mm_loadu_si128(q.as_ptr().cast()));
+        let vbound = _mm256_set1_epi32(bound.min(i32::MAX as u64) as i32);
+        // Records `p` and `p + 4·dims`: four i32 partial sums each, record
+        // `p` in the low lane.
+        let pair = |p: *const u8| {
+            let v = _mm256_loadu2_m128i(p.add(4 * dims).cast(), p.cast());
+            let d = _mm256_sub_epi8(_mm256_max_epu8(v, vq), _mm256_min_epu8(v, vq));
+            let lo = _mm256_unpacklo_epi8(d, zero);
+            let hi = _mm256_unpackhi_epi8(d, zero);
+            _mm256_add_epi32(_mm256_madd_epi16(lo, lo), _mm256_madd_epi16(hi, hi))
+        };
+        let octets = n - n % 8;
+        let mut k = 0usize;
+        while k < octets {
+            let p = run.as_ptr().add(k * dims);
+            let s04 = pair(p);
+            let s15 = pair(p.add(dims));
+            let s26 = pair(p.add(2 * dims));
+            let s37 = pair(p.add(3 * dims));
+            let sums = _mm256_hadd_epi32(_mm256_hadd_epi32(s04, s15), _mm256_hadd_epi32(s26, s37));
+            let over = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(sums, vbound)));
+            let mut keep = !over & 0xFF;
+            while keep != 0 {
+                let j = keep.trailing_zeros() as usize;
+                keep &= keep - 1;
+                let fp = &run[(k + j) * dims..(k + j + 1) * dims];
+                if let Some(d2) = dist_sq_within_sse2(q, fp, bound) {
+                    hit(k + j, d2);
+                }
+            }
+            k += 8;
+        }
+        let rest = &run[octets * dims..];
+        octets + scan_within_sse2(q, rest, n - octets, bound, &mut |j, d2| hit(octets + j, d2))
+    }
 }
 
 #[cfg(test)]
@@ -378,6 +448,96 @@ mod tests {
         for (name, within) in WITHIN {
             assert_eq!(within(&a, &b, want), Some(want), "{name}");
             assert_eq!(within(&a, &b, want - 1), None, "{name}");
+        }
+    }
+
+    /// A query and `n` records of `dims` bytes starting `off` bytes into the
+    /// returned buffer. Record `k` is, by `k mod 5`: random; a near-duplicate
+    /// of the query (every component within 6); a near-duplicate in its
+    /// 16-byte prefix only, whose tail equals the query's (prefix sum = `d²`);
+    /// an exact duplicate (`d²` = 0); random.
+    #[cfg(target_arch = "x86_64")]
+    fn near_duplicate_run(dims: usize, n: usize, off: usize, seed: u64) -> (Vec<u8>, Vec<u8>) {
+        let noise = xorshift_vec(off + n * dims * 2 + dims, seed);
+        let (q, noise) = noise.split_at(dims);
+        let mut buf = noise[..off].to_vec();
+        for k in 0..n {
+            let r = &noise[off + k * dims * 2..off + (k + 1) * dims * 2];
+            buf.extend((0..dims).map(|i| {
+                let near = (i16::from(q[i]) + i16::from(r[i] % 13) - 6).clamp(0, 255) as u8;
+                match k % 5 {
+                    1 => near,
+                    2 if i < 16 => near,
+                    2 | 3 => q[i],
+                    _ => r[dims + i],
+                }
+            }));
+        }
+        (q.to_vec(), buf)
+    }
+
+    /// `(records walked, hits)` of one x86 tier called directly.
+    #[cfg(target_arch = "x86_64")]
+    fn tier_hits(avx2: bool, q: &[u8], run: &[u8], bound: u64) -> (usize, Vec<(usize, u64)>) {
+        let n = run.len() / q.len();
+        let mut hits = Vec::new();
+        let mut hit = |k, d2| hits.push((k, d2));
+        // SAFETY: callers pass `q.len() >= 16` and a whole number of
+        // records, and ask for AVX2 only where the host has it.
+        let walked = unsafe {
+            if avx2 {
+                x86::scan_within_avx2(q, run, n, bound, &mut hit)
+            } else {
+                x86::scan_within_sse2(q, run, n, bound, &mut hit)
+            }
+        };
+        (walked, hits)
+    }
+
+    /// Each x86 tier on its own against the per-record `dist_sq_within`
+    /// loop: on an AVX2 host the dispatch runs the SSE2 body only on the
+    /// last four records of a run, so `tests/properties.rs` alone would not
+    /// cover it. A tier walks `n - n % 4` records and must report exactly
+    /// the per-record loop's hits among them, with the same `d²`, in
+    /// ascending order.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn each_x86_tier_matches_the_per_record_loop() {
+        let mut tiers = vec![false];
+        if is_x86_feature_detected!("avx2") {
+            tiers.push(true);
+        } else {
+            eprintln!("each_x86_tier_matches_the_per_record_loop: no AVX2 on this host, AVX2 tier skipped");
+        }
+        for dims in 16..=40 {
+            for (n, off) in (0..=80).flat_map(|n| [(n, 0), (n, 1), (n, 7)]) {
+                let (q, buf) =
+                    near_duplicate_run(dims, n, off, (dims * 1009 + n * 31 + off) as u64);
+                let run = &buf[off..];
+                let mut bounds = vec![0, (1 << 31) - 1, 1 << 31, u64::MAX];
+                for fp in run.chunks_exact(dims) {
+                    let d2 = dist_sq_scalar(&q, fp);
+                    bounds.extend([d2.saturating_sub(1), d2, d2 + 1]);
+                }
+                for bound in bounds {
+                    let want: Vec<(usize, u64)> = run
+                        .chunks_exact(dims)
+                        .take(n - n % 4)
+                        .enumerate()
+                        .filter_map(|(k, fp)| dist_sq_within(&q, fp, bound).map(|d2| (k, d2)))
+                        .collect();
+                    for &avx2 in &tiers {
+                        let at = format!("avx2 {avx2} dims {dims} n {n} off {off} bound {bound}");
+                        let (walked, got) = tier_hits(avx2, &q, run, bound);
+                        assert_eq!(walked, n - n % 4, "{at}");
+                        assert!(
+                            got.windows(2).all(|w| w[0].0 < w[1].0),
+                            "{at}: not ascending"
+                        );
+                        assert_eq!(got, want, "{at}");
+                    }
+                }
+            }
         }
     }
 
